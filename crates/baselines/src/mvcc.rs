@@ -36,6 +36,7 @@ use calc_txn::commitlog::{CommitLog, PhaseStamp};
 
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
+use calc_core::partition::{capture_parts, ShardPartition};
 use calc_core::strategy::{
     CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoRec, WriteKind, WriteRec,
 };
@@ -366,21 +367,32 @@ impl CheckpointStrategy for MvccStrategy {
         // installed prefix is the highest seq whose effects (and all
         // predecessors') are guaranteed visible to the scan below.
         let watermark = CommitSeq(self.installed.lock().prefix);
-        let mut pending = dir.begin(CheckpointKind::Full, id, watermark)?;
-        for shard in self.shards.iter() {
-            // Collect keys first so the shard lock is not held across
-            // record writes.
-            let keys: Vec<u64> = shard.read().keys().copied().collect();
-            for k in keys {
-                let value = self
-                    .with_chain(Key(k), |chain| chain.at(watermark).cloned())
-                    .flatten();
-                if let Some(v) = value {
-                    pending.writer().write_record(Key(k), &v)?;
+        let threads = dir.checkpoint_threads();
+        let split = ShardPartition::over(self.shards.len(), threads);
+        let summary = capture_parts(
+            dir,
+            CheckpointKind::Full,
+            id,
+            watermark,
+            &[],
+            threads,
+            |part, w, _cancel| {
+                for shard in &self.shards[split.range(part)] {
+                    // Collect keys first so the shard lock is not held
+                    // across record writes.
+                    let keys: Vec<u64> = shard.read().keys().copied().collect();
+                    for k in keys {
+                        let value = self
+                            .with_chain(Key(k), |chain| chain.at(watermark).cloned())
+                            .flatten();
+                        if let Some(v) = value {
+                            w.write_record(Key(k), &v)?;
+                        }
+                    }
                 }
-            }
-        }
-        let (records, bytes) = pending.publish()?;
+                Ok(())
+            },
+        )?;
 
         // GC: versions strictly older than the captured watermark are no
         // longer needed (the newest ≤ watermark must be kept — it may be
@@ -407,13 +419,12 @@ impl CheckpointStrategy for MvccStrategy {
             id,
             kind: CheckpointKind::Full,
             watermark,
-            records,
-            bytes,
-            // Legacy single-file publish reports no raw size.
-            raw_bytes: bytes,
+            records: summary.records,
+            bytes: summary.bytes,
+            raw_bytes: summary.raw_bytes,
             duration: start.elapsed(),
             quiesce: std::time::Duration::ZERO,
-            parts: 1,
+            parts: summary.parts,
         })
     }
 
@@ -631,7 +642,9 @@ mod tests {
             .collect();
         std::thread::sleep(std::time::Duration::from_millis(30));
         let d = dir("concurrent");
+        d.set_checkpoint_threads(4);
         let stats = s.checkpoint(&NoopEnv, &d).unwrap();
+        assert_eq!(stats.parts, 4, "shards striped over the capture pool");
         stop.store(true, Ordering::Relaxed);
         for w in workers {
             w.join().unwrap();

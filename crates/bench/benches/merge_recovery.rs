@@ -7,6 +7,7 @@ use calc_common::types::{CommitSeq, Key};
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::merge::{collapse, materialize_chain};
+use calc_core::partition::capture_parts;
 use calc_core::throttle::Throttle;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -18,21 +19,15 @@ fn build_chain(name: &str, partials: usize) -> CheckpointDir {
     let _ = std::fs::remove_dir_all(&d);
     let dir = CheckpointDir::open(&d, Arc::new(Throttle::unlimited())).unwrap();
     let payload = [3u8; 100];
-    let mut p = dir.begin(CheckpointKind::Full, 0, CommitSeq(1)).unwrap();
-    for k in 0..FULL {
-        p.writer().write_record(Key(k), &payload).unwrap();
-    }
-    p.publish().unwrap();
+    capture_parts(&dir, CheckpointKind::Full, 0, CommitSeq(1), &[], 1, |_, w, _| {
+        (0..FULL).try_for_each(|k| w.write_record(Key(k), &payload))
+    })
+    .unwrap();
     for i in 1..=partials as u64 {
-        let mut p = dir
-            .begin(CheckpointKind::Partial, i, CommitSeq(i * 100))
-            .unwrap();
-        for k in 0..PARTIAL {
-            p.writer()
-                .write_record(Key((k * 7 + i * 13) % FULL), &payload)
-                .unwrap();
-        }
-        p.publish().unwrap();
+        capture_parts(&dir, CheckpointKind::Partial, i, CommitSeq(i * 100), &[], 1, |_, w, _| {
+            (0..PARTIAL).try_for_each(|k| w.write_record(Key((k * 7 + i * 13) % FULL), &payload))
+        })
+        .unwrap();
     }
     dir
 }

@@ -23,7 +23,7 @@
 //! run:     0x01 | len:u16le | byte                 (4 <= len <= 65535)
 //! ```
 //!
-//! Runs shorter than [`MIN_RUN`] fold into the surrounding literal (a
+//! Runs shorter than `MIN_RUN` fold into the surrounding literal (a
 //! 3-byte run op must at least pay for its own head). Worst case
 //! (incompressible input) the output is `ceil(n / 65535) * 3 + n` bytes —
 //! under 0.005% overhead. Decoding validates op tags, head completeness,

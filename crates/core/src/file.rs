@@ -36,7 +36,7 @@
 //! the same key, so sequential replay (last event wins) is correct.
 
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 use calc_common::crc::Crc32;
@@ -128,7 +128,6 @@ impl RecordEntry {
 /// a crash would.
 pub struct CheckpointWriter {
     out: Box<dyn VfsFile>,
-    path: PathBuf,
     crc: Crc32,
     count: u64,
     bytes: u64,
@@ -157,7 +156,7 @@ const CHARGE_CHUNK: usize = 256 * 1024;
 const PACE_STRIDE: u32 = 1024;
 
 impl CheckpointWriter {
-    /// Creates a writer at `path` on the real filesystem.
+    /// Creates a writer at `path` on the real filesystem, uncompressed.
     pub fn create(
         path: &Path,
         kind: CheckpointKind,
@@ -165,20 +164,7 @@ impl CheckpointWriter {
         watermark: CommitSeq,
         throttle: Arc<Throttle>,
     ) -> io::Result<Self> {
-        Self::create_with_vfs(&OsVfs, path, kind, id, watermark, throttle)
-    }
-
-    /// Creates a writer at `path` through an arbitrary [`Vfs`], in the
-    /// legacy uncompressed format (codec `none`).
-    pub fn create_with_vfs(
-        vfs: &dyn Vfs,
-        path: &Path,
-        kind: CheckpointKind,
-        id: u64,
-        watermark: CommitSeq,
-        throttle: Arc<Throttle>,
-    ) -> io::Result<Self> {
-        Self::create_with_vfs_codec(vfs, path, kind, id, watermark, throttle, Codec::None)
+        Self::create_with_vfs_codec(&OsVfs, path, kind, id, watermark, throttle, Codec::None)
     }
 
     /// Creates a writer at `path` through an arbitrary [`Vfs`] with the
@@ -197,7 +183,6 @@ impl CheckpointWriter {
         let file = vfs.create(path)?;
         let mut w = CheckpointWriter {
             out: file,
-            path: path.to_path_buf(),
             crc: Crc32::new(),
             count: 0,
             bytes: 0,
@@ -280,7 +265,7 @@ impl CheckpointWriter {
         Ok(())
     }
 
-    /// Attaches the foreground load signal: every [`PACE_STRIDE`] records
+    /// Attaches the foreground load signal: every `PACE_STRIDE` records
     /// the writer consults it and, under pressure, yields its scan
     /// quantum to foreground transactions (counted on the signal as a
     /// capture yield). This is the single interception point all capture
@@ -374,11 +359,6 @@ impl CheckpointWriter {
             raw_bytes: self.raw_bytes,
             crc,
         })
-    }
-
-    /// The file path being written.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -629,7 +609,7 @@ fn invalid(msg: &str) -> io::Error {
 mod tests {
     use super::*;
 
-    fn tmpdir() -> PathBuf {
+    fn tmpdir() -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!(
             "calc-file-test-{}-{:?}",
             std::process::id(),
@@ -645,7 +625,7 @@ mod tests {
 
     #[test]
     fn roundtrip_values_and_tombstones() {
-        let path = tmpdir().join("rt.calc");
+        let path = tmpdir().join("rt.part");
         let mut w = CheckpointWriter::create(
             &path,
             CheckpointKind::Partial,
@@ -680,7 +660,7 @@ mod tests {
 
     #[test]
     fn unfinished_file_is_rejected() {
-        let path = tmpdir().join("crash.calc");
+        let path = tmpdir().join("crash.part");
         {
             let mut w = CheckpointWriter::create(
                 &path,
@@ -699,7 +679,7 @@ mod tests {
 
     #[test]
     fn corrupted_body_fails_crc() {
-        let path = tmpdir().join("corrupt.calc");
+        let path = tmpdir().join("corrupt.part");
         let mut w =
             CheckpointWriter::create(&path, CheckpointKind::Full, 1, CommitSeq(1), unlimited())
                 .unwrap();
@@ -719,7 +699,7 @@ mod tests {
 
     #[test]
     fn truncated_file_is_rejected() {
-        let path = tmpdir().join("trunc.calc");
+        let path = tmpdir().join("trunc.part");
         let mut w =
             CheckpointWriter::create(&path, CheckpointKind::Full, 1, CommitSeq(1), unlimited())
                 .unwrap();
@@ -732,7 +712,7 @@ mod tests {
 
     #[test]
     fn empty_checkpoint_roundtrips() {
-        let path = tmpdir().join("empty.calc");
+        let path = tmpdir().join("empty.part");
         let w = CheckpointWriter::create(
             &path,
             CheckpointKind::Partial,
@@ -748,7 +728,7 @@ mod tests {
 
     /// Writes `n` records through `codec` and reads them back.
     fn codec_roundtrip(name: &str, codec: Codec, n: u64) {
-        let path = tmpdir().join(format!("codec-{name}.calc"));
+        let path = tmpdir().join(format!("codec-{name}.part"));
         let mut w = CheckpointWriter::create_with_vfs_codec(
             &OsVfs,
             &path,
@@ -792,7 +772,7 @@ mod tests {
 
     #[test]
     fn compressed_file_shrinks_repetitive_payloads() {
-        let path = tmpdir().join("shrink.calc");
+        let path = tmpdir().join("shrink.part");
         let mut w = CheckpointWriter::create_with_vfs_codec(
             &OsVfs,
             &path,
@@ -818,8 +798,8 @@ mod tests {
 
     #[test]
     fn codec_none_stays_byte_identical_v1() {
-        let a = tmpdir().join("v1-legacy.calc");
-        let b = tmpdir().join("v1-explicit.calc");
+        let a = tmpdir().join("v1-default.part");
+        let b = tmpdir().join("v1-explicit.part");
         for path in [&a, &b] {
             let mut w = if path == &a {
                 CheckpointWriter::create(path, CheckpointKind::Full, 4, CommitSeq(8), unlimited())
@@ -850,7 +830,7 @@ mod tests {
 
     #[test]
     fn corrupt_compressed_block_fails_closed() {
-        let path = tmpdir().join("corrupt-block.calc");
+        let path = tmpdir().join("corrupt-block.part");
         let mut w = CheckpointWriter::create_with_vfs_codec(
             &OsVfs,
             &path,
@@ -878,7 +858,7 @@ mod tests {
 
     #[test]
     fn truncated_compressed_file_is_rejected() {
-        let path = tmpdir().join("trunc-v2.calc");
+        let path = tmpdir().join("trunc-v2.part");
         let mut w = CheckpointWriter::create_with_vfs_codec(
             &OsVfs,
             &path,
@@ -898,7 +878,7 @@ mod tests {
 
     #[test]
     fn empty_compressed_checkpoint_roundtrips() {
-        let path = tmpdir().join("empty-v2.calc");
+        let path = tmpdir().join("empty-v2.part");
         let w = CheckpointWriter::create_with_vfs_codec(
             &OsVfs,
             &path,
@@ -917,7 +897,7 @@ mod tests {
 
     #[test]
     fn large_values_roundtrip() {
-        let path = tmpdir().join("large.calc");
+        let path = tmpdir().join("large.part");
         let mut w =
             CheckpointWriter::create(&path, CheckpointKind::Full, 1, CommitSeq(1), unlimited())
                 .unwrap();

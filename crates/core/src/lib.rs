@@ -14,7 +14,7 @@
 //!   implement it.
 //! * [`calc`] — the CALC algorithm itself ([`calc::CalcStrategy`]), in
 //!   both full and partial (pCALC, §2.3) modes.
-//! * [`file`] — the checkpoint file format: length-prefixed records with
+//! * [`mod@file`] — the checkpoint file format: length-prefixed records with
 //!   tombstones, CRC-32-sealed footer (a crash mid-capture leaves a
 //!   detectably-invalid file), optionally block-compressed ([`codec`]).
 //! * [`codec`] — block codecs for compressed checkpoint parts (in-tree
@@ -22,10 +22,9 @@
 //! * [`throttle`] — a token-bucket byte throttle modelling the evaluation
 //!   machine's 100–150 MB/s disk (Appendix A notes checkpoint duration is
 //!   disk-bandwidth-bound; the throttle reproduces that regime).
-//! * [`manifest`] — checkpoint directory management: multi-part
-//!   checkpoints (N part files committed atomically by one manifest
-//!   rename), the legacy single-file format, validity scanning with
-//!   whole-cycle quarantine, garbage collection.
+//! * [`manifest`] — checkpoint directory management: checkpoints of N
+//!   part files committed atomically by one manifest rename, validity
+//!   scanning with whole-cycle quarantine, garbage collection.
 //! * [`partition`] — the shard-parallel capture layer: one scan domain
 //!   split into contiguous stripes, written by a pool of capture threads,
 //!   with all-or-nothing abort semantics.

@@ -1,19 +1,15 @@
 //! Checkpoint directory management.
 //!
-//! A checkpoint is either:
-//!
-//! * **multi-part** (the native format): `N` part files named
-//!   `ckpt-{id:010}-{kind}.part-{k}`, each a self-contained record file
-//!   with its own header/footer/CRC, plus a manifest
-//!   `ckpt-{id:010}-{kind}.manifest` recording the part count and each
-//!   part's record count, byte size, and CRC digest. Parts are written
-//!   directly at their final names but are *invisible* until the manifest
-//!   is published (written to a dotted temp name, fsynced, renamed —
-//!   atomic on POSIX — and made durable with a parent-directory fsync).
-//!   The manifest rename is the commit point of the whole cycle.
-//! * **legacy single-file**: `ckpt-{id:010}-{kind}.calc`, one record file
-//!   published by temp-write + rename. Still readable (and still written
-//!   by a few callers), so old directories recover unchanged.
+//! A checkpoint is `N` part files named `ckpt-{id:010}-{kind}.part-{k}`,
+//! each a self-contained record file with its own header/footer/CRC, plus
+//! a manifest `ckpt-{id:010}-{kind}.manifest` recording the part count and
+//! each part's record count, byte size, and CRC digest. Parts are written
+//! directly at their final names but are *invisible* until the manifest
+//! is published (written to a dotted temp name, fsynced, renamed — atomic
+//! on POSIX — and made durable with a parent-directory fsync). The
+//! manifest rename is the commit point of the whole cycle. Any other file
+//! in the directory is inert: never parsed, claimed, quarantined or
+//! deleted.
 //!
 //! Validity is determined by scanning: a manifest whose own CRC holds and
 //! whose every part exists, validates, and matches its recorded digest is
@@ -58,8 +54,7 @@ const MANIFEST_PART_LEN_V2: usize = 8 + 8 + 8 + 4;
 /// Encoded `parent` when the checkpoint had no published predecessor.
 const MANIFEST_NO_PARENT: u64 = u64::MAX;
 
-/// One part file of a published checkpoint (a legacy single-file
-/// checkpoint is represented as one part).
+/// One part file of a published checkpoint.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PartMeta {
     /// Path of the part file.
@@ -97,15 +92,14 @@ pub struct CheckpointMeta {
     pub bytes: u64,
     /// Id of the checkpoint that was newest-published when this one was
     /// captured — the coverage baseline a partial's dirty window starts
-    /// at. `None` for legacy files (format predates the field) and for
-    /// checkpoints captured into an empty directory. Recovery uses it to
-    /// detect holes in the partial chain: a partial whose parent is
-    /// missing from the surviving chain must not be applied.
+    /// at. `None` for checkpoints captured into an empty directory.
+    /// Recovery uses it to detect holes in the partial chain: a partial
+    /// whose parent is not the previous chain element must not be applied.
     pub parent: Option<u64>,
-    /// The manifest path (multi-part) or the data file path (legacy).
+    /// The manifest path.
     pub path: PathBuf,
     /// Block codec the parts were written with ([`Codec::None`] for
-    /// version-1 manifests and legacy files).
+    /// version-1 manifests).
     pub codec: Codec,
     /// Uncompressed record-stream bytes across all parts. Equals `bytes`
     /// when `codec` is `none`; `raw_bytes as f64 / bytes as f64` is the
@@ -162,8 +156,9 @@ pub struct CheckpointDir {
     codec: AtomicU8,
     /// Newest published checkpoint id, encoded as `id + 1` (`0` = none
     /// published yet) so [`AtomicU64::fetch_max`] keeps it monotone.
-    /// Raised by every publish and by every scan; captured into each new
-    /// cycle's manifest as its `parent`.
+    /// Raised by every publish, every scan and
+    /// [`CheckpointDir::adopt_published_manifests`]; captured into each
+    /// new cycle's manifest as its `parent`.
     last_published: Arc<AtomicU64>,
     /// Foreground load signal for adaptive capture pacing (set once at
     /// boot when pacing is on). When present, [`CheckpointDir::checkpoint_threads`]
@@ -172,50 +167,7 @@ pub struct CheckpointDir {
     load: std::sync::OnceLock<Arc<LoadSignal>>,
 }
 
-/// An in-flight legacy single-file checkpoint: a [`CheckpointWriter`]
-/// plus the publication rename.
-pub struct PendingCheckpoint {
-    writer: CheckpointWriter,
-    final_path: PathBuf,
-    dir: PathBuf,
-    vfs: Arc<dyn Vfs>,
-    id: u64,
-    last_published: Arc<AtomicU64>,
-}
-
-impl PendingCheckpoint {
-    /// The underlying record writer.
-    pub fn writer(&mut self) -> &mut CheckpointWriter {
-        &mut self.writer
-    }
-
-    /// Seals and atomically publishes the checkpoint. Returns
-    /// `(records, bytes)`.
-    ///
-    /// Publication is a three-step durability chain: `finish()` fsyncs
-    /// the file's bytes, the rename makes the final name visible, and
-    /// the parent-directory fsync makes the rename itself durable. A
-    /// rename without the directory fsync can be lost wholesale on power
-    /// failure, un-publishing a checkpoint the engine already reported
-    /// durable (and may already have GC'd predecessors of).
-    pub fn publish(self) -> io::Result<(u64, u64)> {
-        let tmp = self.writer.path().to_path_buf();
-        let summary = self.writer.finish()?;
-        self.vfs.rename(&tmp, &self.final_path)?;
-        self.vfs.sync_dir(&self.dir)?;
-        self.last_published.fetch_max(self.id + 1, Ordering::Relaxed);
-        Ok((summary.records, summary.bytes))
-    }
-
-    /// Abandons the checkpoint, removing the temp file.
-    pub fn abandon(self) {
-        let tmp = self.writer.path().to_path_buf();
-        drop(self.writer);
-        let _ = self.vfs.remove_file(&tmp);
-    }
-}
-
-/// An in-flight multi-part checkpoint. The part writers are handed out
+/// An in-flight checkpoint. The part writers are handed out
 /// separately (one per capture thread); this handle owns the publication
 /// step: finish every part, then write + rename the manifest as the
 /// cycle's single atomic commit point.
@@ -320,23 +272,16 @@ impl PendingPartsCheckpoint {
             let _ = self.vfs.remove_file(p);
         }
     }
-
-    /// The final path the manifest will be published at.
-    pub fn manifest_path(&self) -> PathBuf {
-        self.dir
-            .join(CheckpointDir::manifest_file_name(self.id, self.kind))
-    }
 }
 
 /// Which checkpoint namespace a directory entry belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum NameClass {
-    Legacy,
     Manifest,
     Part(u32),
 }
 
-/// Parses `ckpt-{id:010}-{kind}.{calc|manifest|part-k}`.
+/// Parses `ckpt-{id:010}-{kind}.{manifest|part-k}`.
 fn parse_ckpt_name(name: &str) -> Option<(u64, CheckpointKind, NameClass)> {
     let rest = name.strip_prefix("ckpt-")?;
     let (id_str, rest) = rest.split_at_checked(10)?;
@@ -349,9 +294,7 @@ fn parse_ckpt_name(name: &str) -> Option<(u64, CheckpointKind, NameClass)> {
     } else {
         return None;
     };
-    let class = if rest == ".calc" {
-        NameClass::Legacy
-    } else if rest == ".manifest" {
+    let class = if rest == ".manifest" {
         NameClass::Manifest
     } else if let Some(k) = rest.strip_prefix(".part-") {
         NameClass::Part(k.parse().ok()?)
@@ -582,52 +525,17 @@ impl CheckpointDir {
         &self.throttle
     }
 
-    /// Legacy single-file checkpoint name.
-    pub fn file_name(id: u64, kind: CheckpointKind) -> String {
-        format!("ckpt-{id:010}-{kind}.calc")
-    }
-
-    /// Manifest name of a multi-part checkpoint.
+    /// Manifest name of a checkpoint.
     pub fn manifest_file_name(id: u64, kind: CheckpointKind) -> String {
         format!("ckpt-{id:010}-{kind}.manifest")
     }
 
-    /// Name of part `k` of a multi-part checkpoint.
+    /// Name of part `k` of a checkpoint.
     pub fn part_file_name(id: u64, kind: CheckpointKind, k: usize) -> String {
         format!("ckpt-{id:010}-{kind}.part-{k}")
     }
 
-    /// Starts a new legacy single-file checkpoint. The returned handle
-    /// writes to a temp file; nothing is visible until
-    /// [`PendingCheckpoint::publish`].
-    pub fn begin(
-        &self,
-        kind: CheckpointKind,
-        id: u64,
-        watermark: CommitSeq,
-    ) -> io::Result<PendingCheckpoint> {
-        let final_path = self.dir.join(Self::file_name(id, kind));
-        let tmp_path = self.dir.join(format!(".tmp-{}", Self::file_name(id, kind)));
-        let writer = CheckpointWriter::create_with_vfs_codec(
-            self.vfs.as_ref(),
-            &tmp_path,
-            kind,
-            id,
-            watermark,
-            self.throttle.clone(),
-            self.codec(),
-        )?;
-        Ok(PendingCheckpoint {
-            writer,
-            final_path,
-            dir: self.dir.clone(),
-            vfs: self.vfs.clone(),
-            id,
-            last_published: self.last_published.clone(),
-        })
-    }
-
-    /// Starts a new multi-part checkpoint with `parts` part files,
+    /// Starts a new checkpoint with `parts` part files,
     /// returning the pending handle and one writer per part (to be
     /// distributed over capture threads). Part files are created at
     /// their final names but stay invisible until the manifest publishes;
@@ -689,73 +597,52 @@ impl CheckpointDir {
         ))
     }
 
-    /// Validates one manifest's cycle. Returns the meta, or `None` after
-    /// quarantining whichever files of the cycle exist.
-    fn validate_manifest(&self, path: &Path, id: u64, kind: CheckpointKind) -> Option<CheckpointMeta> {
-        let doc = (|| -> io::Result<ManifestDoc> {
-            let mut buf = Vec::new();
-            self.vfs.open_read(path)?.read_to_end(&mut buf)?;
-            let doc = decode_manifest(&buf)?;
-            if doc.id != id || doc.kind != kind {
-                return Err(invalid("manifest identity does not match its name"));
+    /// The directory's checkpoint-namespace entries as `(path, id, kind,
+    /// class)`. Every other file is inert.
+    fn entries(&self) -> io::Result<Vec<(PathBuf, u64, CheckpointKind, NameClass)>> {
+        let mut out = Vec::new();
+        for path in self.vfs.read_dir(&self.dir)? {
+            let parsed = path
+                .file_name()
+                .and_then(|n| parse_ckpt_name(&n.to_string_lossy()));
+            if let Some((id, kind, class)) = parsed {
+                out.push((path, id, kind, class));
             }
-            Ok(doc)
-        })();
-        let doc = match doc {
-            Ok(d) => d,
-            Err(_) => {
-                // An unreadable manifest condemns only itself: its part
-                // names cannot be trusted, and orphaned parts are invisible
-                // anyway.
-                self.quarantine(path);
-                return None;
-            }
-        };
-        let mut parts = Vec::with_capacity(doc.parts.len());
-        let mut ok = true;
-        for (k, &ManifestPart { records, bytes, crc, .. }) in doc.parts.iter().enumerate() {
-            let part_path = self.dir.join(Self::part_file_name(id, kind, k));
-            let valid = CheckpointReader::open_with_vfs(self.vfs.as_ref(), &part_path)
-                .and_then(|r| {
-                    if r.expected_crc() != crc {
-                        return Err(invalid("part digest does not match manifest"));
-                    }
-                    r.verify()
-                })
-                .map(|h| {
-                    h.id == id
-                        && h.kind == kind
-                        && h.watermark == doc.watermark
-                        && h.records == records
-                        && h.codec == doc.codec
-                })
-                .unwrap_or(false);
-            if !valid {
-                ok = false;
-                break;
-            }
-            parts.push(PartMeta {
-                path: part_path,
-                records,
-                bytes,
-            });
         }
-        if !ok {
-            // One missing or corrupt part condemns the whole cycle: a
-            // snapshot with a hole is worse than falling back to the
-            // previous checkpoint plus a longer replay.
-            for k in 0..doc.parts.len() {
-                let p = self.dir.join(Self::part_file_name(id, kind, k));
-                if self.vfs.len(&p).is_ok() {
-                    self.quarantine(&p);
-                }
-            }
-            self.quarantine(path);
-            return None;
-        }
-        Some(CheckpointMeta {
-            id,
-            kind,
+        Ok(out)
+    }
+
+    /// Reads and decodes one manifest document (CRC-checked; no part is
+    /// touched).
+    fn read_manifest(&self, path: &Path) -> io::Result<ManifestDoc> {
+        let mut buf = Vec::new();
+        self.vfs.open_read(path)?.read_to_end(&mut buf)?;
+        decode_manifest(&buf)
+    }
+
+    /// [`Self::read_manifest`], or `None` if the file is unreadable or its
+    /// document's identity does not match the name it was found under.
+    fn named_manifest(&self, path: &Path, id: u64, kind: CheckpointKind) -> Option<ManifestDoc> {
+        let doc = self.read_manifest(path).ok()?;
+        (doc.id == id && doc.kind == kind).then_some(doc)
+    }
+
+    /// The meta a manifest document describes; part paths follow from the
+    /// cycle's name.
+    fn meta_of(&self, path: &Path, doc: &ManifestDoc) -> CheckpointMeta {
+        let parts: Vec<PartMeta> = doc
+            .parts
+            .iter()
+            .enumerate()
+            .map(|(k, p)| PartMeta {
+                path: self.dir.join(Self::part_file_name(doc.id, doc.kind, k)),
+                records: p.records,
+                bytes: p.bytes,
+            })
+            .collect();
+        CheckpointMeta {
+            id: doc.id,
+            kind: doc.kind,
             watermark: doc.watermark,
             records: parts.iter().map(|p| p.records).sum(),
             bytes: parts.iter().map(|p| p.bytes).sum(),
@@ -764,82 +651,100 @@ impl CheckpointDir {
             codec: doc.codec,
             raw_bytes: doc.parts.iter().map(|p| p.raw_bytes).sum(),
             parts,
-        })
+        }
+    }
+
+    /// Validates one manifest's cycle. Returns the meta, or `None` after
+    /// quarantining whichever files of the cycle exist.
+    fn validate_manifest(&self, path: &Path, id: u64, kind: CheckpointKind) -> Option<CheckpointMeta> {
+        let Some(doc) = self.named_manifest(path, id, kind) else {
+            // An unreadable manifest condemns only itself: its part
+            // names cannot be trusted, and orphaned parts are invisible
+            // anyway.
+            self.quarantine(path);
+            return None;
+        };
+        let meta = self.meta_of(path, &doc);
+        let valid = meta.parts.iter().zip(&doc.parts).all(|(part, entry)| {
+            CheckpointReader::open_with_vfs(self.vfs.as_ref(), &part.path)
+                .and_then(|r| {
+                    if r.expected_crc() != entry.crc {
+                        return Err(invalid("part digest does not match manifest"));
+                    }
+                    r.verify()
+                })
+                .map(|h| {
+                    h.id == id
+                        && h.kind == kind
+                        && h.watermark == doc.watermark
+                        && h.records == entry.records
+                        && h.codec == doc.codec
+                })
+                .unwrap_or(false)
+        });
+        if !valid {
+            // One missing or corrupt part condemns the whole cycle: a
+            // snapshot with a hole is worse than falling back to the
+            // previous checkpoint plus a longer replay.
+            for part in &meta.parts {
+                if self.vfs.len(&part.path).is_ok() {
+                    self.quarantine(&part.path);
+                }
+            }
+            self.quarantine(path);
+            return None;
+        }
+        Some(meta)
     }
 
     /// Scans the directory for valid published checkpoints, ascending by
     /// `(id, kind)` with Full ordered before Partial at equal id (a merged
-    /// full supersedes the same-id partial). Multi-part cycles with a
-    /// missing or corrupt part are quarantined wholesale; part files with
-    /// no manifest are uncommitted debris and are ignored.
+    /// full supersedes the same-id partial). Cycles with a missing or
+    /// corrupt part are quarantined wholesale; part files with no manifest
+    /// are uncommitted debris and are ignored.
     pub fn scan(&self) -> io::Result<Vec<CheckpointMeta>> {
-        let mut out = Vec::new();
-        for path in self.vfs.read_dir(&self.dir)? {
-            let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                continue;
-            };
-            let Some((id, kind, class)) = parse_ckpt_name(&name) else {
-                continue;
-            };
-            match class {
-                NameClass::Part(_) => continue,
-                NameClass::Manifest => {
-                    if let Some(meta) = self.validate_manifest(&path, id, kind) {
-                        out.push(meta);
-                    }
-                }
-                NameClass::Legacy => {
-                    let reader = match CheckpointReader::open_with_vfs(self.vfs.as_ref(), &path) {
-                        Ok(r) => r,
-                        Err(_) => {
-                            // Crashed mid-capture: quarantine rather than
-                            // silently skipping, so the corruption is visible
-                            // in metrics and never rescanned.
-                            self.quarantine(&path);
-                            continue;
-                        }
-                    };
-                    // Footer magic alone is not proof of integrity: a bit
-                    // flip or torn write in the body leaves the footer
-                    // intact, so validate the full CRC before treating the
-                    // file as live.
-                    let h = match reader.verify() {
-                        Ok(h) => h,
-                        Err(_) => {
-                            self.quarantine(&path);
-                            continue;
-                        }
-                    };
-                    let bytes = self.vfs.len(&path)?;
-                    out.push(CheckpointMeta {
-                        id: h.id,
-                        kind: h.kind,
-                        watermark: h.watermark,
-                        records: h.records,
-                        bytes,
-                        // Legacy headers predate the parent field; the
-                        // recovery chain falls back to requiring dense ids.
-                        parent: None,
-                        path: path.clone(),
-                        codec: h.codec,
-                        // Single files carry no manifest, so the raw size
-                        // of a compressed one is unknown; report the disk
-                        // size (ratio 1.0) rather than guessing.
-                        raw_bytes: bytes,
-                        parts: vec![PartMeta {
-                            path,
-                            records: h.records,
-                            bytes,
-                        }],
-                    });
-                }
-            }
-        }
-        out.sort_by_key(|m| (m.id, matches!(m.kind, CheckpointKind::Partial)));
+        let mut out: Vec<CheckpointMeta> = self
+            .entries()?
+            .into_iter()
+            .filter(|e| e.3 == NameClass::Manifest)
+            .filter_map(|(path, id, kind, _)| self.validate_manifest(&path, id, kind))
+            .collect();
+        out.sort_by_key(chain_order);
         if let Some(max_id) = out.iter().map(|m| m.id).max() {
             self.last_published.fetch_max(max_id + 1, Ordering::Relaxed);
         }
         Ok(out)
+    }
+
+    /// Lists published checkpoints from their manifest documents alone, in
+    /// [`CheckpointDir::scan`] order: O(cycles), no part file is opened and
+    /// nothing is quarantined, so it is safe per request while the merger
+    /// runs. A listed cycle may still fail deep validation (restart and the
+    /// merger own that); unreadable manifests and orphan parts are skipped.
+    pub fn manifests(&self) -> io::Result<Vec<CheckpointMeta>> {
+        let mut out: Vec<CheckpointMeta> = self
+            .entries()?
+            .into_iter()
+            .filter(|e| e.3 == NameClass::Manifest)
+            .filter_map(|(path, id, kind, _)| {
+                Some(self.meta_of(&path, &self.named_manifest(&path, id, kind)?))
+            })
+            .collect();
+        out.sort_by_key(chain_order);
+        Ok(out)
+    }
+
+    /// Seeds the next checkpoint's parent link from the newest readable
+    /// manifest, for a handle taking over a directory it will not deep-scan
+    /// (standby promotion); otherwise its first partial would record no
+    /// parent and end the recovery chain. A restart must *not* call this:
+    /// its [`CheckpointDir::recovery_chain`] scan seeds the link from
+    /// validated cycles only, and may be about to quarantine the newest.
+    pub fn adopt_published_manifests(&self) -> io::Result<()> {
+        if let Some(newest) = self.manifests()?.iter().map(|m| m.id).max() {
+            self.last_published.fetch_max(newest + 1, Ordering::Relaxed);
+        }
+        Ok(())
     }
 
     /// A cheap claims-only listing: the id and claimed watermark of every
@@ -847,39 +752,26 @@ impl CheckpointDir {
     /// documents and file *names* without validating part payloads —
     /// O(cycles), not O(data). Unlike [`CheckpointDir::scan`], cycles deep
     /// validation would quarantine still appear here: their claims are
-    /// exactly what standby promotion must seal the id/seq spaces above,
-    /// whether or not the data behind them is intact. Orphan parts and
-    /// unreadable manifests contribute their name-derived id with a
-    /// watermark claim of 0.
+    /// exactly what a restart or a standby promotion must seal the id/seq
+    /// spaces above, whether or not the data behind them is intact. Orphan
+    /// parts and unreadable manifests contribute their name-derived id with
+    /// a watermark claim of 0.
     pub fn claims(&self) -> io::Result<Vec<CheckpointClaim>> {
-        let mut out: Vec<CheckpointClaim> = Vec::new();
-        for path in self.vfs.read_dir(&self.dir)? {
-            let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                continue;
-            };
-            let Some((id, kind, class)) = parse_ckpt_name(&name) else {
-                continue;
-            };
-            let watermark = match class {
-                NameClass::Part(_) => CommitSeq(0),
-                NameClass::Manifest => {
-                    let doc = (|| -> io::Result<ManifestDoc> {
-                        let mut buf = Vec::new();
-                        self.vfs.open_read(&path)?.read_to_end(&mut buf)?;
-                        decode_manifest(&buf)
-                    })();
-                    doc.map(|d| d.watermark).unwrap_or(CommitSeq(0))
-                }
-                NameClass::Legacy => CheckpointReader::open_with_vfs(self.vfs.as_ref(), &path)
-                    .map(|r| r.header().watermark)
-                    .unwrap_or(CommitSeq(0)),
-            };
-            out.push(CheckpointClaim {
+        let mut out: Vec<CheckpointClaim> = self
+            .entries()?
+            .into_iter()
+            .map(|(path, id, kind, class)| CheckpointClaim {
                 id,
                 kind,
-                watermark,
-            });
-        }
+                watermark: match class {
+                    NameClass::Part(_) => CommitSeq(0),
+                    NameClass::Manifest => self
+                        .read_manifest(&path)
+                        .map(|d| d.watermark)
+                        .unwrap_or(CommitSeq(0)),
+                },
+            })
+            .collect();
         // A cycle's parts and manifest all claim the same (id, kind);
         // keep the highest watermark claim for each (the manifest's, when
         // readable).
@@ -901,13 +793,12 @@ impl CheckpointDir {
     /// Unbroken means each partial's recorded `parent` is the previous
     /// chain element (ids may legally skip — a failed cycle consumes an id
     /// and rolls its coverage into the next one). A partial whose parent
-    /// is missing — lost or quarantined by a crash — starts a hole: its
-    /// dirty window begins at the missing checkpoint, so applying it (or
-    /// anything after it) would silently drop every write only the missing
-    /// checkpoint captured. Everything from the hole on is excluded;
-    /// command-log replay from the shorter chain's watermark covers the
-    /// difference. Legacy files carry no parent and fall back to requiring
-    /// dense ids.
+    /// is anything else — lost or quarantined by a crash, or never
+    /// recorded — starts a hole: its dirty window begins at a checkpoint
+    /// the chain does not hold, so applying it (or anything after it) would
+    /// silently drop every write only the missing checkpoint captured.
+    /// Everything from the hole on is excluded; command-log replay from the
+    /// shorter chain's watermark covers the difference.
     pub fn recovery_chain(&self) -> io::Result<Option<(CheckpointMeta, Vec<CheckpointMeta>)>> {
         let all = self.scan()?;
         let Some(full) = all
@@ -924,11 +815,7 @@ impl CheckpointDir {
             if m.kind != CheckpointKind::Partial || m.id <= full.id {
                 continue;
             }
-            let linked = match m.parent {
-                Some(parent) => parent == prev,
-                None => m.id == prev + 1,
-            };
-            if !linked {
+            if m.parent != Some(prev) {
                 break;
             }
             prev = m.id;
@@ -937,49 +824,56 @@ impl CheckpointDir {
         Ok(Some((full, partials)))
     }
 
-    /// Deletes checkpoints that are superseded: every published cycle
-    /// with `id <= through_id` except the replacement at `keep` (its
-    /// parts included), plus orphaned part files in the same id range.
-    /// Returns the number of *checkpoints* (not files) removed.
-    pub fn gc_through(&self, through_id: u64, keep: &Path) -> io::Result<usize> {
+    /// Deletes every cycle of `all` with `id < below` except the one whose
+    /// manifest is `keep` (its parts included), plus orphaned part files in
+    /// the same id range. Returns the number of *checkpoints* (not files)
+    /// removed.
+    fn remove_below(
+        &self,
+        all: &[CheckpointMeta],
+        below: u64,
+        keep: Option<&Path>,
+    ) -> io::Result<usize> {
         let mut removed = 0;
-        let mut kept_parts: Vec<PathBuf> = Vec::new();
-        for meta in self.scan()? {
-            if meta.path == keep {
-                kept_parts = meta.parts.iter().map(|p| p.path.clone()).collect();
+        let mut kept_parts: &[PartMeta] = &[];
+        for meta in all.iter().filter(|m| m.id < below) {
+            if Some(meta.path.as_path()) == keep {
+                kept_parts = &meta.parts;
                 continue;
             }
-            if meta.id <= through_id {
-                for part in &meta.parts {
-                    self.vfs.remove_file(&part.path)?;
-                }
-                if meta.path != meta.parts[0].path {
-                    self.vfs.remove_file(&meta.path)?;
-                }
-                removed += 1;
+            for part in &meta.parts {
+                self.vfs.remove_file(&part.path)?;
             }
+            self.vfs.remove_file(&meta.path)?;
+            removed += 1;
         }
         // Orphaned parts (no manifest claimed them — debris from aborted
         // or crashed cycles) in the superseded id range go too. In-flight
         // cycles are safe: their ids are allocated after everything
-        // published, so they sort above `through_id`.
-        for path in self.vfs.read_dir(&self.dir)? {
-            let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                continue;
-            };
-            if let Some((id, _, NameClass::Part(_))) = parse_ckpt_name(&name) {
-                if id <= through_id && !kept_parts.contains(&path) {
-                    let _ = self.vfs.remove_file(&path);
-                }
+        // published, so they sort at or above `below`.
+        for (path, id, _, class) in self.entries()? {
+            if matches!(class, NameClass::Part(_))
+                && id < below
+                && !kept_parts.iter().any(|p| p.path == path)
+            {
+                let _ = self.vfs.remove_file(&path);
             }
         }
         if removed > 0 {
-            // Make the unlinks durable before reporting GC complete, so a
+            // Make the unlinks durable before reporting completion, so a
             // later crash cannot resurrect a superseded checkpoint that
             // recovery would then prefer over the replacement.
             self.vfs.sync_dir(&self.dir)?;
         }
         Ok(removed)
+    }
+
+    /// Deletes checkpoints that are superseded: every published cycle
+    /// with `id <= through_id` except the replacement at `keep` (its
+    /// parts included), plus orphaned part files in the same id range.
+    /// Returns the number of *checkpoints* (not files) removed.
+    pub fn gc_through(&self, through_id: u64, keep: &Path) -> io::Result<usize> {
+        self.remove_below(&self.scan()?, through_id.saturating_add(1), Some(keep))
     }
 
     /// Retention: keeps the newest `keep` full checkpoints (clamped to at
@@ -1008,38 +902,14 @@ impl CheckpointDir {
         if full_ids.len() <= keep {
             return Ok(0);
         }
-        let cutoff = full_ids[full_ids.len() - keep];
-        let mut removed = 0;
-        for meta in &all {
-            if meta.id >= cutoff {
-                continue;
-            }
-            for part in &meta.parts {
-                self.vfs.remove_file(&part.path)?;
-            }
-            if meta.path != meta.parts[0].path {
-                self.vfs.remove_file(&meta.path)?;
-            }
-            removed += 1;
-        }
-        // Orphaned parts below the cutoff are debris from aborted or
-        // crashed cycles; in-flight cycles allocate ids above everything
-        // published, so they all sort at or above the cutoff.
-        for path in self.vfs.read_dir(&self.dir)? {
-            let Some(name) = path.file_name().map(|n| n.to_string_lossy().into_owned()) else {
-                continue;
-            };
-            if let Some((id, _, NameClass::Part(_))) = parse_ckpt_name(&name) {
-                if id < cutoff {
-                    let _ = self.vfs.remove_file(&path);
-                }
-            }
-        }
-        if removed > 0 {
-            self.vfs.sync_dir(&self.dir)?;
-        }
-        Ok(removed)
+        self.remove_below(&all, full_ids[full_ids.len() - keep], None)
     }
+}
+
+/// Sort key of the scan order: ascending id, Full before Partial at equal
+/// id.
+fn chain_order(m: &CheckpointMeta) -> (u64, bool) {
+    (m.id, matches!(m.kind, CheckpointKind::Partial))
 }
 
 impl std::fmt::Debug for CheckpointDir {
@@ -1068,15 +938,7 @@ mod tests {
         SystemTime::now().duration_since(UNIX_EPOCH).unwrap().subsec_nanos() as u64
     }
 
-    fn publish(d: &CheckpointDir, kind: CheckpointKind, id: u64, n: u64) {
-        let mut p = d.begin(kind, id, CommitSeq(id * 100)).unwrap();
-        for k in 0..n {
-            p.writer().write_record(Key(k), b"v").unwrap();
-        }
-        p.publish().unwrap();
-    }
-
-    /// Publishes a multi-part checkpoint with `n` records striped over
+    /// Publishes a checkpoint with `n` records striped over
     /// `parts` part files.
     fn publish_parts(d: &CheckpointDir, kind: CheckpointKind, id: u64, n: u64, parts: usize) {
         let (pending, mut writers) = d
@@ -1093,8 +955,8 @@ mod tests {
     #[test]
     fn publish_then_scan() {
         let d = dir("scan");
-        publish(&d, CheckpointKind::Full, 1, 5);
-        publish(&d, CheckpointKind::Partial, 2, 2);
+        publish_parts(&d, CheckpointKind::Full, 1, 5, 1);
+        publish_parts(&d, CheckpointKind::Partial, 2, 2, 1);
         let metas = d.scan().unwrap();
         assert_eq!(metas.len(), 2);
         assert_eq!(metas[0].id, 1);
@@ -1164,20 +1026,6 @@ mod tests {
     }
 
     #[test]
-    fn abandoned_and_unpublished_files_invisible() {
-        let d = dir("abandon");
-        let p = d.begin(CheckpointKind::Full, 1, CommitSeq(1)).unwrap();
-        p.abandon();
-        // In-flight (not yet published) writer: temp file exists but scan
-        // ignores it.
-        let mut p2 = d.begin(CheckpointKind::Full, 2, CommitSeq(2)).unwrap();
-        p2.writer().write_record(Key(1), b"x").unwrap();
-        assert!(d.scan().unwrap().is_empty());
-        p2.publish().unwrap();
-        assert_eq!(d.scan().unwrap().len(), 1);
-    }
-
-    #[test]
     fn unpublished_parts_are_invisible_and_abandon_removes_them() {
         let d = dir("abandon-parts");
         let (pending, mut writers) = d
@@ -1196,33 +1044,24 @@ mod tests {
     }
 
     #[test]
-    fn crashed_file_is_skipped() {
-        let d = dir("crash");
-        publish(&d, CheckpointKind::Full, 1, 1);
-        // Simulate a crash: a published-looking name with no footer.
-        std::fs::write(d.path().join("ckpt-0000000002-full.calc"), b"CALCCKPTgarbage")
-            .unwrap();
-        let metas = d.scan().unwrap();
-        assert_eq!(metas.len(), 1);
-        assert_eq!(metas[0].id, 1);
-    }
-
-    #[test]
-    fn corrupt_file_is_quarantined_and_counted() {
+    fn unreadable_manifest_is_quarantined_and_counted() {
         let d = dir("quarantine");
-        publish(&d, CheckpointKind::Full, 1, 1);
-        let bad = d.path().join("ckpt-0000000002-full.calc");
-        std::fs::write(&bad, b"CALCCKPTgarbage").unwrap();
+        publish_parts(&d, CheckpointKind::Full, 1, 1, 1);
+        // A published-looking manifest name over garbage bytes.
+        let bad = d.path().join("ckpt-0000000002-full.manifest");
+        std::fs::write(&bad, b"CALCMFSTgarbage").unwrap();
+        assert_eq!(d.manifests().unwrap().len(), 1, "listing skips it untouched");
         assert_eq!(d.quarantined_count(), 0);
         let metas = d.scan().unwrap();
         assert_eq!(metas.len(), 1);
+        assert_eq!(metas[0].id, 1);
         assert_eq!(d.quarantined_count(), 1);
         // The file moved out of the scan namespace: bytes preserved under
         // *.quarantine, original name gone, and a re-scan finds nothing new.
         assert!(!bad.exists());
         assert!(d
             .path()
-            .join("ckpt-0000000002-full.calc.quarantine")
+            .join("ckpt-0000000002-full.manifest.quarantine")
             .exists());
         assert_eq!(d.scan().unwrap().len(), 1);
         assert_eq!(d.quarantined_count(), 1);
@@ -1268,25 +1107,48 @@ mod tests {
     }
 
     #[test]
-    fn legacy_and_multipart_coexist_in_one_chain() {
-        let d = dir("mixed");
-        publish(&d, CheckpointKind::Full, 0, 3); // legacy base
-        publish_parts(&d, CheckpointKind::Partial, 1, 4, 2);
+    fn recovery_chain_ends_at_a_partial_without_a_parent() {
+        let d = dir("chain-noparent");
+        publish_parts(&d, CheckpointKind::Full, 0, 3, 1);
+        publish_parts(&d, CheckpointKind::Partial, 1, 1, 1);
+        // A handle that neither scanned nor adopted the directory records
+        // no parent; dense ids do not stand in for the missing link.
+        let blind = CheckpointDir::open(d.path(), Arc::new(Throttle::unlimited())).unwrap();
+        publish_parts(&blind, CheckpointKind::Partial, 2, 1, 1);
+        publish_parts(&blind, CheckpointKind::Partial, 3, 1, 1);
         let (full, partials) = d.recovery_chain().unwrap().unwrap();
         assert_eq!(full.id, 0);
-        assert_eq!(full.parts.len(), 1, "legacy checkpoint is one part");
-        assert_eq!(partials.len(), 1);
-        assert_eq!(partials[0].parts.len(), 2);
+        let ids: Vec<u64> = partials.iter().map(|m| m.id).collect();
+        assert_eq!(ids, vec![1], "partial 2 has no parent: the chain ends");
+
+        // The same takeover with the link adopted from the manifests.
+        let d2 = dir("chain-adopted");
+        publish_parts(&d2, CheckpointKind::Full, 0, 3, 1);
+        publish_parts(&d2, CheckpointKind::Partial, 1, 1, 1);
+        // An orphan part above every manifest never counts as published.
+        std::fs::write(
+            d2.path()
+                .join(CheckpointDir::part_file_name(9, CheckpointKind::Partial, 0)),
+            b"debris",
+        )
+        .unwrap();
+        let heir = CheckpointDir::open(d2.path(), Arc::new(Throttle::unlimited())).unwrap();
+        heir.adopt_published_manifests().unwrap();
+        assert_eq!(heir.last_published(), Some(1));
+        publish_parts(&heir, CheckpointKind::Partial, 2, 1, 1);
+        let (_, partials) = d2.recovery_chain().unwrap().unwrap();
+        let ids: Vec<u64> = partials.iter().map(|m| m.id).collect();
+        assert_eq!(ids, vec![1, 2]);
     }
 
     #[test]
     fn recovery_chain_picks_latest_full_and_newer_partials() {
         let d = dir("chain");
-        publish(&d, CheckpointKind::Full, 0, 3);
-        publish(&d, CheckpointKind::Partial, 1, 1);
+        publish_parts(&d, CheckpointKind::Full, 0, 3, 1);
+        publish_parts(&d, CheckpointKind::Partial, 1, 1, 1);
         publish_parts(&d, CheckpointKind::Partial, 2, 1, 2);
         publish_parts(&d, CheckpointKind::Full, 2, 4, 2); // merged full at id 2
-        publish(&d, CheckpointKind::Partial, 3, 1);
+        publish_parts(&d, CheckpointKind::Partial, 3, 1, 1);
         let (full, partials) = d.recovery_chain().unwrap().unwrap();
         assert_eq!(full.id, 2);
         assert_eq!(full.kind, CheckpointKind::Full);
@@ -1343,23 +1205,8 @@ mod tests {
     #[test]
     fn recovery_chain_none_without_full() {
         let d = dir("nofull");
-        publish(&d, CheckpointKind::Partial, 1, 1);
+        publish_parts(&d, CheckpointKind::Partial, 1, 1, 1);
         assert!(d.recovery_chain().unwrap().is_none());
-    }
-
-    #[test]
-    fn gc_removes_superseded_files() {
-        let d = dir("gc");
-        publish(&d, CheckpointKind::Full, 0, 1);
-        publish(&d, CheckpointKind::Partial, 1, 1);
-        publish(&d, CheckpointKind::Partial, 2, 1);
-        publish(&d, CheckpointKind::Full, 2, 2); // replacement
-        let keep = d.path().join("ckpt-0000000002-full.calc");
-        let removed = d.gc_through(2, &keep).unwrap();
-        assert_eq!(removed, 3);
-        let metas = d.scan().unwrap();
-        assert_eq!(metas.len(), 1);
-        assert_eq!(metas[0].path, keep);
     }
 
     #[test]

@@ -269,29 +269,33 @@ mod tests {
     }
 
     fn write_full(d: &CheckpointDir, id: u64, recs: &[(u64, &[u8])]) {
-        let mut p = d.begin(CheckpointKind::Full, id, CommitSeq(id * 10)).unwrap();
-        for (k, v) in recs {
-            p.writer().write_record(Key(*k), v).unwrap();
-        }
-        p.publish().unwrap();
+        capture_parts(d, CheckpointKind::Full, id, CommitSeq(id * 10), &[], 1, |_, w, _| {
+            recs.iter().try_for_each(|(k, v)| w.write_record(Key(*k), v))
+        })
+        .unwrap();
     }
 
     fn write_partial(d: &CheckpointDir, id: u64, recs: &[(u64, Option<&[u8]>)]) {
-        let mut p = d
-            .begin(CheckpointKind::Partial, id, CommitSeq(id * 10))
-            .unwrap();
         // Tombstones first, as the capture thread does.
-        for (k, v) in recs {
-            if v.is_none() {
-                p.writer().write_tombstone(Key(*k)).unwrap();
-            }
-        }
-        for (k, v) in recs {
-            if let Some(v) = v {
-                p.writer().write_record(Key(*k), v).unwrap();
-            }
-        }
-        p.publish().unwrap();
+        let tombstones: Vec<Key> = recs
+            .iter()
+            .filter(|(_, v)| v.is_none())
+            .map(|(k, _)| Key(*k))
+            .collect();
+        capture_parts(
+            d,
+            CheckpointKind::Partial,
+            id,
+            CommitSeq(id * 10),
+            &tombstones,
+            1,
+            |_, w, _| {
+                recs.iter()
+                    .filter_map(|(k, v)| v.map(|v| (k, v)))
+                    .try_for_each(|(k, v)| w.write_record(Key(*k), v))
+            },
+        )
+        .unwrap();
     }
 
     #[test]
@@ -426,12 +430,11 @@ mod tests {
         // Manual "merge without gc":
         let (full, partials) = d.recovery_chain().unwrap().unwrap();
         let state = materialize_chain(&full, &partials).unwrap();
-        let mut p = d.begin(CheckpointKind::Full, 1, CommitSeq(10)).unwrap();
-        for (k, v) in &state {
-            p.writer().write_record(*k, v).unwrap();
-        }
-        p.publish().unwrap();
-        // All four files exist; recovery chain = full@1, no partials after.
+        capture_parts(&d, CheckpointKind::Full, 1, CommitSeq(10), &[], 1, |_, w, _| {
+            state.iter().try_for_each(|(k, v)| w.write_record(*k, v))
+        })
+        .unwrap();
+        // All three cycles exist; recovery chain = full@1, no partials after.
         let (full, partials) = d.recovery_chain().unwrap().unwrap();
         assert_eq!(full.id, 1);
         assert!(partials.is_empty());

@@ -84,8 +84,7 @@ pub const CANCEL_POLL_STRIDE: usize = 1024;
 /// partitioned (see [`ShardPartition`]) and should poll `cancel` about
 /// every [`CANCEL_POLL_STRIDE`] items, returning early (any `Err`) once
 /// it is set. With `parts == 1` everything runs inline on the calling
-/// thread — byte-identical behaviour to the old single-file path except
-/// for the file naming and the manifest.
+/// thread.
 pub fn capture_parts<F>(
     dir: &CheckpointDir,
     kind: CheckpointKind,

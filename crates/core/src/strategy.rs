@@ -124,7 +124,7 @@ pub struct CheckpointStats {
     pub duration: Duration,
     /// Time the system was quiesced (zero for CALC).
     pub quiesce: Duration,
-    /// Part files written (1 for legacy single-file checkpoints).
+    /// Part files written.
     pub parts: usize,
 }
 

@@ -3,7 +3,7 @@
 //! The paper's evaluation machine writes checkpoints to "a 160GB magnetic
 //! disk that delivers approximately 100-150 MB/sec for sequential reads and
 //! writes" (§4), and Appendix A notes that "the recording of a checkpoint
-//! is limited by disk bandwidth in our system, [so] the time to complete a
+//! is limited by disk bandwidth in our system, \[so\] the time to complete a
 //! checkpoint is a direct measure of total disk IO." Modern NVMe (or
 //! tmpfs) would collapse the checkpoint windows the figures depend on, so
 //! the checkpoint writer routes through this throttle, configured to the

@@ -11,6 +11,7 @@ use calc_common::types::{CommitSeq, Key, Value};
 use calc_core::file::{CheckpointKind, CheckpointReader, CheckpointWriter, RecordEntry};
 use calc_core::manifest::CheckpointDir;
 use calc_core::merge::{apply_entry, collapse, materialize_chain};
+use calc_core::partition::capture_parts;
 use calc_core::throttle::Throttle;
 use calc_core::Codec;
 
@@ -189,33 +190,35 @@ fn collapse_equals_model_replay() {
         let root = tmp("collapse");
         let dir = CheckpointDir::open(&root, Arc::new(Throttle::unlimited())).unwrap();
         // Base full checkpoint.
-        let mut p = dir.begin(CheckpointKind::Full, 0, CommitSeq(0)).unwrap();
         let mut model: BTreeMap<Key, Value> = BTreeMap::new();
+        capture_parts(&dir, CheckpointKind::Full, 0, CommitSeq(0), &[], 1, |_, w, _| {
+            base.iter().try_for_each(|(k, v)| w.write_record(Key(*k), v))
+        })
+        .unwrap();
         for (k, v) in &base {
-            p.writer().write_record(Key(*k), v).unwrap();
             model.insert(Key(*k), v.clone().into_boxed_slice());
         }
-        p.publish().unwrap();
         // Partials.
         for (i, entries) in partials.iter().enumerate() {
             let id = i as u64 + 1;
-            let mut p = dir.begin(CheckpointKind::Partial, id, CommitSeq(id)).unwrap();
+            capture_parts(&dir, CheckpointKind::Partial, id, CommitSeq(id), &[], 1, |_, w, _| {
+                entries.iter().try_for_each(|e| match e {
+                    Entry::Value(k, v) => w.write_record(Key(*k), v),
+                    Entry::Tombstone(k) => w.write_tombstone(Key(*k)),
+                })
+            })
+            .unwrap();
             for e in entries {
-                match e {
-                    Entry::Value(k, v) => {
-                        p.writer().write_record(Key(*k), v).unwrap();
-                        apply_entry(
-                            &mut model,
-                            RecordEntry::Value(Key(*k), v.clone().into_boxed_slice()),
-                        );
-                    }
-                    Entry::Tombstone(k) => {
-                        p.writer().write_tombstone(Key(*k)).unwrap();
-                        apply_entry(&mut model, RecordEntry::Tombstone(Key(*k)));
-                    }
-                }
+                apply_entry(
+                    &mut model,
+                    match e {
+                        Entry::Value(k, v) => {
+                            RecordEntry::Value(Key(*k), v.clone().into_boxed_slice())
+                        }
+                        Entry::Tombstone(k) => RecordEntry::Tombstone(Key(*k)),
+                    },
+                );
             }
-            p.publish().unwrap();
         }
         // Collapse and compare to the model.
         collapse(&dir).unwrap().unwrap();

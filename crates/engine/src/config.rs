@@ -284,21 +284,17 @@ pub struct EngineConfig {
     pub checkpoint_tuning: ServiceTuning,
     /// Durable command log (VoltDB-style, §1 of the paper): when set, a
     /// group-commit sync thread appends every commit's `(seq, proc,
-    /// params)` to this file, one fsync per batch. Plain
+    /// params)` into rotating `cmdlog-{i:06}.log` segments under this
+    /// directory, one fsync per batch. Plain
     /// [`crate::Database::execute`]/`submit` acknowledge before the flush
     /// (the paper's low-latency choice — a crash can lose the unflushed
     /// tail, bounded by [`EngineConfig::group_commit_window`]);
     /// [`crate::Database::execute_durable`] acknowledges only after the
     /// batch fsync. Recovery replays the log on top of the newest
-    /// checkpoint.
-    pub command_log_path: Option<PathBuf>,
-    /// Segmented command log: when set, commits are logged into rotating
-    /// `cmdlog-{i:06}.log` segments under this directory instead of the
-    /// single file named by `command_log_path` (which is then ignored).
-    /// Sealed segments fully covered by a durable checkpoint are deleted
-    /// after each successful cycle, bounding log disk use.
+    /// checkpoint. Sealed segments fully covered by a durable checkpoint
+    /// are deleted after each successful cycle, bounding log disk use.
     pub command_log_dir: Option<PathBuf>,
-    /// Rotation threshold for segmented command logs, in bytes (clamped
+    /// Rotation threshold for command-log segments, in bytes (clamped
     /// to at least 4 KiB). `None` uses a 64 MiB default.
     pub log_segment_bytes: Option<u64>,
     /// Group-commit deadline window: the first commit of a batch waits at
@@ -323,8 +319,8 @@ pub struct EngineConfig {
     /// ratio; load is then judged from admission-gate occupancy alone,
     /// which only a server front-end provides).
     pub load_capacity_tps: u64,
-    /// Block codec checkpoint parts are written with ([`Codec::None`]
-    /// keeps the legacy byte-identical format).
+    /// Block codec checkpoint parts are written with ([`calc_core::Codec::None`]
+    /// keeps the version-1 byte-identical format).
     pub codec: calc_core::Codec,
     /// Retention: after each successful cycle, prune published checkpoint
     /// chains down to the newest N fulls (plus their partials). `None`
@@ -373,7 +369,6 @@ impl EngineConfig {
             merge_batch: None,
             checkpoint_interval: None,
             checkpoint_tuning: ServiceTuning::default(),
-            command_log_path: None,
             command_log_dir: None,
             log_segment_bytes: None,
             group_commit_window: std::time::Duration::from_millis(2),

@@ -43,8 +43,8 @@ use calc_core::strategy::{
 use calc_core::throttle::Throttle;
 use calc_storage::dual::StoreError;
 use calc_recovery::{
-    truncate_segments_below, CommandLogWriter, DurabilityTicket, GroupCommitConfig,
-    GroupCommitter, LogBackend, SegmentedLogWriter, TruncateStats,
+    truncate_segments_below, DurabilityTicket, GroupCommitConfig,
+    GroupCommitter, SegmentedLogWriter, TruncateStats,
 };
 use calc_common::perturb::{point as perturb_point, Site};
 use calc_txn::commitlog::{CommitLog, CommitRecord};
@@ -445,7 +445,7 @@ impl Database {
         }
         let log = Arc::new(CommitLog::new(config.retain_command_log));
         let strategy = config.strategy.build(config.store.clone(), log.clone());
-        Self::boot(config, registry, strategy, log)
+        Self::boot(config, registry, strategy, log, false)
     }
 
     /// Opens a serving database around an *already populated* strategy —
@@ -463,7 +463,7 @@ impl Database {
         strategy: Arc<dyn CheckpointStrategy>,
         log: Arc<CommitLog>,
     ) -> io::Result<Self> {
-        Self::boot(config, registry, strategy, log)
+        Self::boot(config, registry, strategy, log, true)
     }
 
     fn boot(
@@ -471,6 +471,7 @@ impl Database {
         registry: ProcRegistry,
         strategy: Arc<dyn CheckpointStrategy>,
         log: Arc<CommitLog>,
+        resumed: bool,
     ) -> io::Result<Self> {
         let throttle = if config.disk_bytes_per_sec == 0 {
             Throttle::unlimited()
@@ -481,6 +482,11 @@ impl Database {
             CheckpointDir::open_with_vfs(&config.checkpoint_dir, Arc::new(throttle), config.vfs.clone())?;
         dir.set_checkpoint_threads(config.checkpoint_threads);
         dir.set_codec(config.codec);
+        if resumed {
+            // The caller loaded the chain through its own handle; a restart
+            // gets the parent link from `recover`'s validating scan instead.
+            dir.adopt_published_manifests()?;
+        }
         // The commit path feeds this signal; capture workers (pool sizing
         // + per-record pacing) and the server's admission gate read it.
         let load = Arc::new(LoadSignal::new());
@@ -492,20 +498,10 @@ impl Database {
         // concurrent appends (append many, fsync once per deadline-bounded
         // batch) — the paper's §1 "logging of transactional input is
         // generally far lighter weight than full ARIES logging".
-        let backend: Option<Box<dyn LogBackend>> = if let Some(log_dir) = &config.command_log_dir
-        {
-            Some(Box::new(SegmentedLogWriter::create(
-                config.vfs.clone(),
-                log_dir,
-                config.log_segment_bytes.unwrap_or(64 << 20),
-            )?))
-        } else if let Some(path) = &config.command_log_path {
-            Some(Box::new(CommandLogWriter::create_with_vfs(
-                config.vfs.as_ref(),
-                path,
-            )?))
-        } else {
-            None
+        let segment_bytes = config.log_segment_bytes.unwrap_or(64 << 20);
+        let backend = match &config.command_log_dir {
+            Some(dir) => Some(SegmentedLogWriter::create(config.vfs.clone(), dir, segment_bytes)?),
+            None => None,
         };
         // Health is created before the committer so every fsynced batch
         // feeds the batch-size and flush-latency counters.
@@ -522,7 +518,7 @@ impl Database {
             let ro_health = health.clone();
             let ro_trigger = retention_trigger.clone();
             GroupCommitter::start_with(
-                b,
+                Box::new(b),
                 GroupCommitConfig {
                     window: config.group_commit_window,
                     max_batch: config.group_commit_max_batch.max(1),
@@ -890,15 +886,15 @@ impl Database {
         // replayed commits, so their marks must land in ITS interval — if
         // the log still read cycle 0 here, the replayed writes would be
         // invisible to it and lost on the next crash.
-        let metas = self
-            .inner
-            .dir
-            .scan()
-            .map_err(calc_recovery::RecoveryError::Io)?;
-        let max_id = metas.iter().map(|m| m.id).max().unwrap_or(0);
-        let chain_watermark = metas
+        //
+        // Claims, not a deep scan: seal above every cycle with a durable
+        // trace, valid or not (the standby-promotion rule); `recover` below
+        // stays the one CRC pass.
+        let claims = self.inner.dir.claims()?;
+        let max_id = claims.iter().map(|c| c.id).max().unwrap_or(0);
+        let chain_watermark = claims
             .iter()
-            .map(|m| m.watermark)
+            .map(|c| c.watermark)
             .max()
             .unwrap_or(CommitSeq::ZERO);
         let max_seq = commands
@@ -1903,6 +1899,7 @@ mod tests {
 mod cmdlog_tests {
     use super::*;
     use crate::config::{EngineConfig, StrategyKind};
+    use calc_common::vfs::OsVfs;
     use calc_txn::proc::{params, AbortReason, LockRequest, Procedure, TxnOps};
 
     struct SetProc;
@@ -1947,7 +1944,7 @@ mod cmdlog_tests {
             16,
             std::path::PathBuf::from("/sim/ckpts"),
         );
-        config.command_log_path = Some(std::path::PathBuf::from("/sim/cmd.log"));
+        config.command_log_dir = Some(std::path::PathBuf::from("/sim/cmdlog"));
         config.vfs = Arc::new(vfs.clone());
         config.workers = 2;
         let db = Database::open(config, registry).unwrap();
@@ -1985,11 +1982,11 @@ mod cmdlog_tests {
                 .subsec_nanos()
         ));
         std::fs::create_dir_all(&base).unwrap();
-        let log_path = base.join("commands.log");
+        let log_dir = base.join("cmdlog");
         let mut registry = ProcRegistry::new();
         registry.register(Arc::new(SetProc));
         let mut config = EngineConfig::new(StrategyKind::Calc, 1024, 16, base.join("ckpts"));
-        config.command_log_path = Some(log_path.clone());
+        config.command_log_dir = Some(log_dir.clone());
         config.workers = 2;
         let db = Database::open(config, registry).unwrap();
         for i in 0..300u64 {
@@ -2000,10 +1997,7 @@ mod cmdlog_tests {
         assert!(matches!(out, TxnOutcome::Aborted(_)));
         db.shutdown(); // closes the channel, drains, final fsync
 
-        let records = calc_recovery::CommandLogReader::open(&log_path)
-            .unwrap()
-            .read_all()
-            .unwrap();
+        let records = calc_recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
         assert_eq!(records.len(), 300, "every commit durably logged");
         // Records are in commit order.
         for pair in records.windows(2) {
@@ -2025,11 +2019,11 @@ mod cmdlog_tests {
                 .subsec_nanos()
         ));
         std::fs::create_dir_all(&base).unwrap();
-        let log_path = base.join("commands.log");
+        let log_dir = base.join("cmdlog");
         let mut registry = ProcRegistry::new();
         registry.register(Arc::new(SetProc));
         let mut config = EngineConfig::new(StrategyKind::Calc, 1024, 16, base.join("ckpts"));
-        config.command_log_path = Some(log_path.clone());
+        config.command_log_dir = Some(log_dir.clone());
         config.workers = 2;
         let db = Database::open(config, registry).unwrap();
         for round in 1..=3u64 {
@@ -2039,10 +2033,7 @@ mod cmdlog_tests {
             db.sync_command_log().expect("flush handshake");
             // The database is still live; the synced prefix must already
             // be on disk.
-            let records = calc_recovery::CommandLogReader::open(&log_path)
-                .unwrap()
-                .read_all()
-                .unwrap();
+            let records = calc_recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
             assert_eq!(
                 records.len() as u64,
                 40 * round,
@@ -2237,6 +2228,7 @@ mod retention_tests {
 mod recover_tests {
     use super::*;
     use crate::config::{EngineConfig, StrategyKind};
+    use calc_common::vfs::OsVfs;
     use calc_txn::proc::{params, AbortReason, LockRequest, Procedure, TxnOps};
 
     struct SetProc;
@@ -2337,6 +2329,85 @@ mod recover_tests {
             // And the new chain recovers to the latest state.
             let metas = db.checkpoint_dir().scan().unwrap();
             assert!(metas.iter().any(|m| m.id == stats.id));
+        }
+    }
+
+    /// Real filesystem, counting `open_read` calls per path.
+    #[derive(Debug, Default)]
+    struct CountingVfs {
+        opens: Mutex<std::collections::BTreeMap<std::path::PathBuf, usize>>,
+    }
+
+    impl calc_common::vfs::Vfs for CountingVfs {
+        fn create(&self, path: &std::path::Path) -> io::Result<Box<dyn calc_common::vfs::VfsFile>> {
+            OsVfs.create(path)
+        }
+        fn open_read(
+            &self,
+            path: &std::path::Path,
+        ) -> io::Result<Box<dyn calc_common::vfs::VfsRead>> {
+            *self.opens.lock().entry(path.to_path_buf()).or_default() += 1;
+            OsVfs.open_read(path)
+        }
+        fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> io::Result<()> {
+            OsVfs.rename(from, to)
+        }
+        fn remove_file(&self, path: &std::path::Path) -> io::Result<()> {
+            OsVfs.remove_file(path)
+        }
+        fn read_dir(&self, dir: &std::path::Path) -> io::Result<Vec<std::path::PathBuf>> {
+            OsVfs.read_dir(dir)
+        }
+        fn create_dir_all(&self, dir: &std::path::Path) -> io::Result<()> {
+            OsVfs.create_dir_all(dir)
+        }
+        fn sync_dir(&self, dir: &std::path::Path) -> io::Result<()> {
+            OsVfs.sync_dir(dir)
+        }
+        fn len(&self, path: &std::path::Path) -> io::Result<u64> {
+            OsVfs.len(path)
+        }
+    }
+
+    /// One validation pass per restart: `recover` seals the id/seq spaces
+    /// from claims (manifest documents and names), so the recovery chain's
+    /// scan is the only CRC pass over the part files.
+    #[test]
+    fn restart_opens_each_part_once_to_validate_and_once_to_load() {
+        let dir = std::env::temp_dir().join(format!("calc-recover-opens-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = EngineConfig::new(StrategyKind::PCalc, 2048, 16, dir.clone());
+        config.retain_command_log = true;
+        config.checkpoint_threads = 2;
+        let db = Database::open(config.clone(), registry()).unwrap();
+        for k in 0..50u64 {
+            db.load_initial(Key(k), &0u64.to_le_bytes()).unwrap();
+        }
+        db.finalize_load(true).unwrap();
+        for round in 1..=2u64 {
+            for k in 0..20u64 {
+                db.execute(ProcId(1), set(k, round));
+            }
+            db.checkpoint_now().unwrap();
+        }
+        db.execute(ProcId(1), set(7, 99));
+        let commands = db.commit_log().commits_after(CommitSeq::ZERO);
+        drop(db);
+
+        let vfs = Arc::new(CountingVfs::default());
+        config.vfs = vfs.clone();
+        let db = Database::open(config, registry()).unwrap();
+        let outcome = db.recover(&commands).unwrap();
+        assert_eq!(outcome.checkpoint_files, 3);
+        assert_eq!(db.get(Key(7)), Some(99u64.to_le_bytes().into()));
+        let opens = vfs.opens.lock();
+        let parts: Vec<_> = opens
+            .iter()
+            .filter(|(p, _)| p.to_string_lossy().contains(".part-"))
+            .collect();
+        assert_eq!(parts.len(), 6, "3 cycles x 2 parts: {parts:?}");
+        for (path, n) in parts {
+            assert_eq!(*n, 2, "{} opened {n} times", path.display());
         }
     }
 

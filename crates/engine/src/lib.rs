@@ -3,7 +3,7 @@
 //! "We implemented a memory-resident key-value store with full
 //! transactional support. Transactions ... are executed by a pool of
 //! worker threads, using a pessimistic concurrency control protocol to
-//! ensure serializability [and] a deadlock-free variant of strict
+//! ensure serializability \[and\] a deadlock-free variant of strict
 //! two-phase locking."
 //!
 //! * [`config`] — [`config::EngineConfig`] and [`config::StrategyKind`]

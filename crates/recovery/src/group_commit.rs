@@ -59,7 +59,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use calc_common::Backoff;
 use calc_txn::commitlog::CommitRecord;
 
-use crate::logfile::{CommandLogWriter, SegmentedLogWriter};
+use crate::logfile::SegmentedLogWriter;
 
 /// Why a durability wait (or a [`GroupCommitter::flush`] handshake) could
 /// not complete. None of these abort the process: a dead sync thread
@@ -93,24 +93,16 @@ impl std::fmt::Display for SyncError {
 
 impl std::error::Error for SyncError {}
 
-/// The durable log a [`GroupCommitter`] appends to: one flat file or a
-/// rotating segment directory. Segmentation/rotation and retention-driven
-/// truncation keep working underneath group commit because the batch
-/// append goes through the same writers the serial path used.
+/// The durable log a [`GroupCommitter`] appends to: the rotating segment
+/// directory in production, a scripted fault injector in tests.
+/// Segmentation/rotation and retention-driven truncation keep working
+/// underneath group commit because the batch append goes through the same
+/// writer the serial path uses.
 pub trait LogBackend: Send {
     /// Appends one record (buffered).
     fn append(&mut self, rec: &CommitRecord) -> io::Result<()>;
     /// Makes everything appended so far durable.
     fn sync(&mut self) -> io::Result<()>;
-}
-
-impl LogBackend for CommandLogWriter {
-    fn append(&mut self, rec: &CommitRecord) -> io::Result<()> {
-        CommandLogWriter::append(self, rec)
-    }
-    fn sync(&mut self) -> io::Result<()> {
-        CommandLogWriter::sync(self)
-    }
 }
 
 impl LogBackend for SegmentedLogWriter {

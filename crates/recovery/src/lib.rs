@@ -20,9 +20,9 @@
 //! always starts from a freshly-initialized strategy.
 //!
 //! [`logfile`] adds the durable command log the replay mode depends on: an
-//! append-only file of `(seq, proc, params)` records with group-commit
-//! flushing, CRC-protected per record so a torn tail is truncated, not
-//! trusted.
+//! append-only directory of segment files of `(seq, proc, params)` records
+//! with group-commit flushing, CRC-protected per record so a torn tail is
+//! truncated, not trusted.
 
 #![warn(missing_docs)]
 
@@ -34,9 +34,6 @@ pub mod tailer;
 pub use group_commit::{
     BatchObserver, DurabilityTicket, GroupCommitConfig, GroupCommitter, LogBackend, SyncError,
 };
-pub use logfile::{
-    read_dir_logs, truncate_segments_below, CommandLogReader, CommandLogWriter,
-    SegmentedLogWriter, TruncateStats,
-};
+pub use logfile::{read_dir_logs, truncate_segments_below, SegmentedLogWriter, TruncateStats};
 pub use replay::{apply_commit, recover, recover_checkpoint_only, RecoveryError, RecoveryOutcome};
 pub use tailer::{LogTailer, TailPoll, TailStatus};

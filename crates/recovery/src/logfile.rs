@@ -1,10 +1,11 @@
-//! A durable, append-only command log file.
+//! The durable, append-only, segmented command log.
 //!
 //! The paper's recovery story (§1, §3) builds on VoltDB-style command
 //! logging: persist each transaction's *input* `(commit seq, procedure,
 //! parameters)` — far lighter than ARIES-style value logging — and replay
 //! it deterministically after loading a checkpoint. This module provides
-//! the file format:
+//! the on-disk format: a directory of `cmdlog-{i:06}.log` segment files,
+//! each a sequence of
 //!
 //! ```text
 //! record: len:u32 | crc32:u32 | seq:u64 | txn:u64 | proc:u16 | params…
@@ -16,50 +17,38 @@
 //! appended so far durable — callers batch syncs to amortize the fsync
 //! cost, which is the command-logging trade the paper describes.
 //!
-//! ## Segmentation
-//!
-//! A single ever-growing log file can never be truncated while the engine
-//! is running, so long uptimes accumulate unbounded replay debt on disk.
-//! [`SegmentedLogWriter`] rotates the log across `cmdlog-{i:06}.log`
-//! segment files at a size threshold; once a durable checkpoint's
-//! watermark covers every commit in a sealed segment,
-//! [`truncate_segments_below`] deletes it. Readers
-//! ([`read_dir_logs`], [`CommandLogStream::open_dir_with_vfs`]) walk the
-//! surviving segments in index order with the same trust boundary as a
-//! single file: the first torn or corrupt record anywhere ends the scan,
-//! because nothing after it can be trusted for replay ordering.
+//! [`SegmentedLogWriter`] rotates to the next segment at a size threshold,
+//! so the log can be truncated while the engine runs: once a durable
+//! checkpoint's watermark covers every commit in a sealed segment,
+//! [`truncate_segments_below`] deletes it. Readers ([`read_dir_logs`],
+//! [`CommandLogStream::open_dir_with_vfs`]) walk the surviving segments in
+//! index order; the first torn or corrupt record anywhere ends the scan,
+//! because nothing after it can be trusted for replay ordering. Any other
+//! file in the directory is inert.
 
 use std::io::{self, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use calc_common::crc::crc32;
-use calc_common::vfs::{OsVfs, Vfs, VfsFile, VfsRead};
+use calc_common::vfs::{Vfs, VfsFile};
 use calc_common::types::{CommitSeq, TxnId};
 use calc_txn::commitlog::CommitRecord;
 use calc_txn::proc::ProcId;
 
-/// Appending side of the command log.
-pub struct CommandLogWriter {
+/// Appending side of one segment file.
+struct CommandLogWriter {
     out: Box<dyn VfsFile>,
-    appended: u64,
 }
 
 impl CommandLogWriter {
-    /// Creates (or truncates) a command log at `path` on the real
-    /// filesystem.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        Self::create_with_vfs(&OsVfs, path)
-    }
-
-    /// Creates (or truncates) a command log at `path` through an
-    /// arbitrary [`Vfs`].
+    /// Creates (or truncates) a segment file at `path`.
     ///
     /// The new (empty) file is fsynced and so is its parent directory
-    /// before this returns: the log's *name* must be durable before the
-    /// first commit is acknowledged, or a crash could lose the entire
-    /// log file while the engine believes synced batches are safe.
-    pub fn create_with_vfs(vfs: &dyn Vfs, path: &Path) -> io::Result<Self> {
+    /// before this returns: the segment's *name* must be durable before
+    /// the first commit in it is acknowledged, or a crash could lose the
+    /// entire file while the engine believes synced batches are safe.
+    fn create_with_vfs(vfs: &dyn Vfs, path: &Path) -> io::Result<Self> {
         let mut file = vfs.create(path)?;
         file.sync()?;
         if let Some(parent) = path.parent() {
@@ -67,15 +56,12 @@ impl CommandLogWriter {
                 vfs.sync_dir(parent)?;
             }
         }
-        Ok(CommandLogWriter {
-            out: file,
-            appended: 0,
-        })
+        Ok(CommandLogWriter { out: file })
     }
 
     /// Appends one commit record (buffered; call [`Self::sync`] for
     /// durability).
-    pub fn append(&mut self, rec: &CommitRecord) -> io::Result<()> {
+    fn append(&mut self, rec: &CommitRecord) -> io::Result<()> {
         let mut body = Vec::with_capacity(18 + rec.params.len());
         body.extend_from_slice(&rec.seq.0.to_le_bytes());
         body.extend_from_slice(&rec.txn.0.to_le_bytes());
@@ -84,18 +70,12 @@ impl CommandLogWriter {
         self.out.write_all(&(body.len() as u32).to_le_bytes())?;
         self.out.write_all(&crc32(&body).to_le_bytes())?;
         self.out.write_all(&body)?;
-        self.appended += 1;
         Ok(())
     }
 
     /// Group commit: flushes buffered records and fsyncs.
-    pub fn sync(&mut self) -> io::Result<()> {
+    fn sync(&mut self) -> io::Result<()> {
         self.out.sync()
-    }
-
-    /// Records appended so far.
-    pub fn appended(&self) -> u64 {
-        self.appended
     }
 }
 
@@ -308,37 +288,6 @@ pub fn truncate_segments_below(
     Ok(stats)
 }
 
-/// Reading side: iterates valid records, stopping at the first torn or
-/// corrupt one (everything before it is trusted).
-pub struct CommandLogReader {
-    input: BufReader<Box<dyn VfsRead>>,
-}
-
-impl CommandLogReader {
-    /// Opens a command log for reading on the real filesystem.
-    pub fn open(path: &Path) -> io::Result<Self> {
-        Self::open_with_vfs(&OsVfs, path)
-    }
-
-    /// Opens a command log for reading through an arbitrary [`Vfs`].
-    pub fn open_with_vfs(vfs: &dyn Vfs, path: &Path) -> io::Result<Self> {
-        Ok(CommandLogReader {
-            input: BufReader::with_capacity(1 << 20, vfs.open_read(path)?),
-        })
-    }
-
-    /// Reads every valid record. A torn tail is silently dropped; a
-    /// corrupt record mid-file also stops the scan (nothing after it can
-    /// be trusted for replay ordering).
-    pub fn read_all(mut self) -> io::Result<Vec<CommitRecord>> {
-        let mut out = Vec::new();
-        while let Some(rec) = read_one(&mut self.input)? {
-            out.push(rec);
-        }
-        Ok(out)
-    }
-}
-
 /// What decoding the next record produced. Multi-segment readers need to
 /// tell a cleanly-ended segment (continue with the next one) from a torn
 /// or corrupt record (stop the whole scan).
@@ -349,16 +298,7 @@ pub(crate) enum ReadOutcome {
     Torn,
 }
 
-/// Decodes the next record from `input`. `Ok(None)` on clean EOF, a torn
-/// tail, or a corrupt record (nothing after a bad CRC can be trusted for
-/// replay ordering); `Err` only on real I/O failure.
-fn read_one(input: &mut impl Read) -> io::Result<Option<CommitRecord>> {
-    match read_one_outcome(input)? {
-        ReadOutcome::Record(rec) => Ok(Some(rec)),
-        ReadOutcome::CleanEof | ReadOutcome::Torn => Ok(None),
-    }
-}
-
+/// Decodes the next record from `input`; `Err` only on real I/O failure.
 pub(crate) fn read_one_outcome(input: &mut impl Read) -> io::Result<ReadOutcome> {
     let mut head = [0u8; 8];
     match read_exact_or_eof(input, &mut head)? {
@@ -417,10 +357,10 @@ fn read_exact_or_eof(input: &mut impl Read, buf: &mut [u8]) -> io::Result<Filled
 /// Streaming reader: a prefetch thread reads, CRC-checks, and decodes
 /// records ahead of the consumer through a bounded channel, so replay's
 /// single-threaded apply (commit order is mandatory) overlaps with log
-/// I/O instead of waiting for a full up-front [`CommandLogReader::read_all`].
+/// I/O instead of waiting for a full up-front [`read_dir_logs`].
 ///
 /// Iteration ends at clean EOF or a torn/corrupt tail — same trust
-/// boundary as `read_all`. A real I/O error is yielded as the final
+/// boundary as [`read_dir_logs`]. A real I/O error is yielded as the final
 /// `Err` item.
 pub struct CommandLogStream {
     rx: std::sync::mpsc::Receiver<io::Result<CommitRecord>>,
@@ -430,40 +370,6 @@ pub struct CommandLogStream {
 impl CommandLogStream {
     /// Records buffered ahead of the consumer.
     pub const CHANNEL_DEPTH: usize = 1024;
-
-    /// Opens a command log for streaming on the real filesystem.
-    pub fn open(path: &Path) -> io::Result<Self> {
-        Self::open_with_vfs(&OsVfs, path)
-    }
-
-    /// Opens a command log for streaming through an arbitrary [`Vfs`].
-    /// The open itself is synchronous (a missing file fails here, not on
-    /// the prefetch thread); decoding starts immediately afterwards.
-    pub fn open_with_vfs(vfs: &dyn Vfs, path: &Path) -> io::Result<Self> {
-        let file = vfs.open_read(path)?;
-        let (tx, rx) = std::sync::mpsc::sync_channel(Self::CHANNEL_DEPTH);
-        let prefetcher = std::thread::spawn(move || {
-            let mut input = BufReader::with_capacity(1 << 20, file);
-            loop {
-                match read_one(&mut input) {
-                    Ok(Some(rec)) => {
-                        if tx.send(Ok(rec)).is_err() {
-                            return; // consumer dropped the stream
-                        }
-                    }
-                    Ok(None) => return,
-                    Err(e) => {
-                        let _ = tx.send(Err(e));
-                        return;
-                    }
-                }
-            }
-        });
-        Ok(CommandLogStream {
-            rx,
-            prefetcher: Some(prefetcher),
-        })
-    }
 
     /// Opens a segmented command-log directory for streaming: segments
     /// are decoded in index order on the prefetch thread, with the same
@@ -538,6 +444,7 @@ impl Drop for CommandLogStream {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use calc_common::vfs::OsVfs;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
@@ -559,16 +466,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrip() {
-        let path = tmp("rt");
-        let mut w = CommandLogWriter::create(&path).unwrap();
-        for i in 1..=100u64 {
-            w.append(&rec(i, &i.to_le_bytes())).unwrap();
+    /// Writes `recs` into a fresh log that never rotates; returns the
+    /// directory and its single segment file.
+    fn one_segment(name: &str, recs: &[CommitRecord]) -> (PathBuf, PathBuf) {
+        let dir = tmpdir(name);
+        let mut w = SegmentedLogWriter::create(Arc::new(OsVfs), &dir, 64 << 20).unwrap();
+        for r in recs {
+            w.append(r).unwrap();
         }
         w.sync().unwrap();
-        assert_eq!(w.appended(), 100);
-        let records = CommandLogReader::open(&path).unwrap().read_all().unwrap();
+        assert_eq!(w.appended(), recs.len() as u64);
+        assert_eq!(w.rotations(), 0);
+        let seg = dir.join(segment_file_name(0));
+        (dir, seg)
+    }
+
+    #[test]
+    fn roundtrip() {
+        let recs: Vec<_> = (1..=100u64).map(|i| rec(i, &i.to_le_bytes())).collect();
+        let (dir, _) = one_segment("rt", &recs);
+        let records = read_dir_logs(&OsVfs, &dir).unwrap();
         assert_eq!(records.len(), 100);
         assert_eq!(records[41].seq, CommitSeq(42));
         assert_eq!(records[41].txn, TxnId(420));
@@ -577,88 +494,71 @@ mod tests {
 
     #[test]
     fn torn_tail_is_truncated() {
-        let path = tmp("torn");
-        let mut w = CommandLogWriter::create(&path).unwrap();
-        for i in 1..=10u64 {
-            w.append(&rec(i, b"payload")).unwrap();
-        }
-        w.sync().unwrap();
+        let recs: Vec<_> = (1..=10u64).map(|i| rec(i, b"payload")).collect();
+        let (dir, seg) = one_segment("torn", &recs);
         // Tear the last record.
-        let data = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &data[..data.len() - 5]).unwrap();
-        let records = CommandLogReader::open(&path).unwrap().read_all().unwrap();
+        let data = std::fs::read(&seg).unwrap();
+        std::fs::write(&seg, &data[..data.len() - 5]).unwrap();
+        let records = read_dir_logs(&OsVfs, &dir).unwrap();
         assert_eq!(records.len(), 9, "torn tail dropped, prefix intact");
     }
 
     #[test]
     fn corrupt_record_stops_scan() {
-        let path = tmp("corrupt");
-        let mut w = CommandLogWriter::create(&path).unwrap();
-        for i in 1..=10u64 {
-            w.append(&rec(i, b"payload-payload")).unwrap();
-        }
-        w.sync().unwrap();
-        let mut data = std::fs::read(&path).unwrap();
+        let recs: Vec<_> = (1..=10u64).map(|i| rec(i, b"payload-payload")).collect();
+        let (dir, seg) = one_segment("corrupt", &recs);
+        let mut data = std::fs::read(&seg).unwrap();
         let mid = data.len() / 2;
         data[mid] ^= 0xFF;
-        std::fs::write(&path, &data).unwrap();
-        let records = CommandLogReader::open(&path).unwrap().read_all().unwrap();
-        assert!(records.len() < 10);
+        std::fs::write(&seg, &data).unwrap();
+        assert!(read_dir_logs(&OsVfs, &dir).unwrap().len() < 10);
     }
 
     #[test]
     fn empty_log_reads_empty() {
-        let path = tmp("empty");
-        let mut w = CommandLogWriter::create(&path).unwrap();
-        w.sync().unwrap();
-        assert!(CommandLogReader::open(&path)
-            .unwrap()
-            .read_all()
-            .unwrap()
-            .is_empty());
+        let (dir, _) = one_segment("empty", &[]);
+        assert!(read_dir_logs(&OsVfs, &dir).unwrap().is_empty());
+        assert_eq!(
+            CommandLogStream::open_dir_with_vfs(Arc::new(OsVfs), &dir)
+                .unwrap()
+                .count(),
+            0
+        );
     }
 
     #[test]
-    fn stream_matches_read_all_and_stops_at_torn_tail() {
-        let path = tmp("stream");
-        let mut w = CommandLogWriter::create(&path).unwrap();
-        for i in 1..=500u64 {
-            w.append(&rec(i, &i.to_le_bytes())).unwrap();
-        }
-        w.sync().unwrap();
-        let eager = CommandLogReader::open(&path).unwrap().read_all().unwrap();
-        let streamed: Vec<CommitRecord> = CommandLogStream::open(&path)
+    fn stream_stops_at_torn_tail_without_an_error_item() {
+        let recs: Vec<_> = (1..=500u64).map(|i| rec(i, &i.to_le_bytes())).collect();
+        let (dir, seg) = one_segment("stream", &recs);
+        let data = std::fs::read(&seg).unwrap();
+        std::fs::write(&seg, &data[..data.len() - 3]).unwrap();
+        let torn: Vec<_> = CommandLogStream::open_dir_with_vfs(Arc::new(OsVfs), &dir)
             .unwrap()
-            .map(|r| r.unwrap())
             .collect();
-        assert_eq!(streamed.len(), eager.len());
-        assert!(streamed
-            .iter()
-            .zip(&eager)
-            .all(|(a, b)| a.seq == b.seq && a.params == b.params));
-
-        // Tear the tail: the stream ends early, no error item.
-        let data = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &data[..data.len() - 3]).unwrap();
-        let torn: Vec<_> = CommandLogStream::open(&path).unwrap().collect();
         assert_eq!(torn.len(), 499);
         assert!(torn.iter().all(|r| r.is_ok()));
     }
 
     #[test]
     fn dropping_stream_midway_reaps_prefetcher() {
-        let path = tmp("streamdrop");
-        let mut w = CommandLogWriter::create(&path).unwrap();
         // More records than the channel holds, so the prefetcher is
         // blocked on send when the consumer walks away.
-        for i in 1..=(CommandLogStream::CHANNEL_DEPTH as u64 * 3) {
-            w.append(&rec(i, b"x")).unwrap();
-        }
-        w.sync().unwrap();
-        let mut s = CommandLogStream::open(&path).unwrap();
+        let recs: Vec<_> = (1..=(CommandLogStream::CHANNEL_DEPTH as u64 * 3))
+            .map(|i| rec(i, b"x"))
+            .collect();
+        let (dir, _) = one_segment("streamdrop", &recs);
+        let mut s = CommandLogStream::open_dir_with_vfs(Arc::new(OsVfs), &dir).unwrap();
         let first = s.next().unwrap().unwrap();
         assert_eq!(first.seq, CommitSeq(1));
         drop(s); // must not deadlock
+    }
+
+    #[test]
+    fn empty_params_roundtrip() {
+        let (dir, _) = one_segment("noparams", &[rec(1, b"")]);
+        let records = read_dir_logs(&OsVfs, &dir).unwrap();
+        assert_eq!(records.len(), 1);
+        assert!(records[0].params.is_empty());
     }
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
@@ -766,7 +666,7 @@ mod tests {
             let mut input =
                 BufReader::with_capacity(1 << 20, OsVfs.open_read(&segs[0].1).unwrap());
             let mut last = 0;
-            while let Some(r) = read_one(&mut input).unwrap() {
+            while let ReadOutcome::Record(r) = read_one_outcome(&mut input).unwrap() {
                 last = r.seq.0;
             }
             last
@@ -803,16 +703,5 @@ mod tests {
         let stats = truncate_segments_below(&OsVfs, &dir, CommitSeq(u64::MAX)).unwrap();
         assert_eq!(stats.removed, 0);
         assert_eq!(list_segments(&OsVfs, &dir).unwrap().len(), segs.len());
-    }
-
-    #[test]
-    fn empty_params_roundtrip() {
-        let path = tmp("noparams");
-        let mut w = CommandLogWriter::create(&path).unwrap();
-        w.append(&rec(1, b"")).unwrap();
-        w.sync().unwrap();
-        let records = CommandLogReader::open(&path).unwrap().read_all().unwrap();
-        assert_eq!(records.len(), 1);
-        assert!(records[0].params.is_empty());
     }
 }

@@ -79,7 +79,7 @@ pub struct RecoveryStats {
     pub merge: Duration,
     /// Deterministic command-log replay.
     pub replay: Duration,
-    /// Part files read (legacy single-file checkpoints count as one part).
+    /// Part files read.
     pub parts_loaded: usize,
     /// Worker threads the load/merge phases ran on.
     pub threads: usize,
@@ -509,24 +509,23 @@ mod tests {
         assert_eq!(recovered.record_count(), primary.record_count());
     }
 
-    /// Checkpoints written by the pre-parts single-file format must keep
-    /// recovering (the legacy `.calc` path through the same sharded
-    /// loader).
+    /// A single-part chain loads through the same sharded loader as a
+    /// multi-part one: more load threads than parts, tombstone applied
+    /// ahead of the values.
     #[test]
-    fn legacy_single_file_chain_recovers() {
+    fn single_part_chain_recovers_on_more_threads_than_parts() {
         use calc_core::file::CheckpointKind;
-        let d = dir("legacy");
+        use calc_core::partition::capture_parts;
+        let d = dir("onepart");
         d.set_checkpoint_threads(4);
-        let mut p = d.begin(CheckpointKind::Full, 0, CommitSeq(10)).unwrap();
-        for k in 0..50u64 {
-            p.writer().write_record(Key(k), &k.to_le_bytes()).unwrap();
-        }
-        p.publish().unwrap();
-        let mut p = d.begin(CheckpointKind::Partial, 1, CommitSeq(20)).unwrap();
-        p.writer().write_tombstone(Key(7)).unwrap();
-        p.writer().write_record(Key(3), b"patched").unwrap();
-        p.publish().unwrap();
-        assert!(d.path().join("ckpt-0000000000-full.calc").exists());
+        capture_parts(&d, CheckpointKind::Full, 0, CommitSeq(10), &[], 1, |_, w, _| {
+            (0..50u64).try_for_each(|k| w.write_record(Key(k), &k.to_le_bytes()))
+        })
+        .unwrap();
+        capture_parts(&d, CheckpointKind::Partial, 1, CommitSeq(20), &[Key(7)], 1, |_, w, _| {
+            w.write_record(Key(3), b"patched")
+        })
+        .unwrap();
 
         let recovered = CalcStrategy::full(
             StoreConfig::for_records(256, 16),
@@ -534,7 +533,7 @@ mod tests {
         );
         let outcome = recover_checkpoint_only(&d, &recovered).unwrap();
         assert_eq!(outcome.loaded_records, 49);
-        assert_eq!(outcome.stats.parts_loaded, 2, "one part per legacy file");
+        assert_eq!(outcome.stats.parts_loaded, 2);
         assert_eq!(outcome.stats.threads, 4);
         assert_eq!(outcome.watermark, CommitSeq(20));
         assert!(recovered.get(Key(7)).is_none());

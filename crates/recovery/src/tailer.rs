@@ -344,8 +344,7 @@ mod tests {
         let seg0 = dir.join(segment_file_name(0));
         // One good record, then a bare 4-byte fragment of a head.
         let good = {
-            let mut w =
-                crate::logfile::CommandLogWriter::create_with_vfs(vfs().as_ref(), &seg0).unwrap();
+            let mut w = SegmentedLogWriter::create(vfs(), &dir, 64 << 20).unwrap();
             w.append(&rec(1, b"alpha")).unwrap();
             w.sync().unwrap();
             std::fs::metadata(&seg0).unwrap().len()
@@ -405,8 +404,7 @@ mod tests {
         let dir = tmpdir("wedge");
         let seg0 = dir.join(segment_file_name(0));
         {
-            let mut w =
-                crate::logfile::CommandLogWriter::create_with_vfs(vfs().as_ref(), &seg0).unwrap();
+            let mut w = SegmentedLogWriter::create(vfs(), &dir, 64 << 20).unwrap();
             w.append(&rec(1, b"ok")).unwrap();
             w.sync().unwrap();
         }
@@ -414,11 +412,11 @@ mod tests {
         let mut f = std::fs::OpenOptions::new().append(true).open(&seg0).unwrap();
         f.write_all(&[0x01, 0x02, 0x03]).unwrap();
         f.sync_all().unwrap();
-        // A higher segment exists, so the tear is sealed corruption.
-        let seg1 = dir.join(segment_file_name(1));
+        // A restarted writer opens a higher segment, so the tear is sealed
+        // corruption.
         {
-            let mut w =
-                crate::logfile::CommandLogWriter::create_with_vfs(vfs().as_ref(), &seg1).unwrap();
+            let mut w = SegmentedLogWriter::create(vfs(), &dir, 64 << 20).unwrap();
+            assert_eq!(w.active_index(), 1);
             w.append(&rec(2, b"later")).unwrap();
             w.sync().unwrap();
         }

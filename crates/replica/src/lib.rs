@@ -7,7 +7,7 @@
 //! ahead of the failure: it bootstraps from the primary's newest durable
 //! checkpoint chain, then tails the segmented command log through a
 //! [`LogTailer`], applying each commit deterministically with the exact
-//! replay semantics of [`calc_recovery::recover_streamed`]
+//! replay semantics of [`calc_recovery::replay::recover_streamed`]
 //! (via [`calc_recovery::apply_commit`]). At failover, [`Standby::promote`]
 //! drains whatever trusted bytes remain — typically a handful — seals the
 //! applied prefix, and hands back state ready to serve.
@@ -574,7 +574,6 @@ impl Promoted {
         config.strategy = self.kind;
         config.checkpoint_dir = self.checkpoint_dir;
         config.command_log_dir = Some(self.log_dir);
-        config.command_log_path = None;
         config.vfs = self.vfs;
         config.standby_of = None;
         // The promoted chain already has a full ancestor (or the store is

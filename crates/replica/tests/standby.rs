@@ -110,11 +110,21 @@ impl Primary {
         log_dir: &Path,
         segment_bytes: u64,
     ) -> Self {
+        Self::open_kind(StrategyKind::Calc, vfs, ckpt_dir, log_dir, segment_bytes)
+    }
+
+    fn open_kind(
+        kind: StrategyKind,
+        vfs: Arc<dyn Vfs>,
+        ckpt_dir: &Path,
+        log_dir: &Path,
+        segment_bytes: u64,
+    ) -> Self {
         let dir =
             CheckpointDir::open_with_vfs(ckpt_dir, Arc::new(Throttle::unlimited()), vfs.clone())
                 .unwrap();
         let log = Arc::new(CommitLog::new(false));
-        let strategy = StrategyKind::Calc.build(store_config(), log.clone());
+        let strategy = kind.build(store_config(), log.clone());
         let writer = SegmentedLogWriter::create(vfs, log_dir, segment_bytes).unwrap();
         Primary {
             dir,
@@ -286,6 +296,83 @@ fn promote_seals_prefix_and_serves_through_engine() {
     let stats = db.checkpoint_now().unwrap();
     assert!(stats.watermark.0 > last);
     db.shutdown();
+}
+
+/// The promoted engine's directory handle never scans the chain the
+/// standby loaded, so its first partial must take its parent link from
+/// the manifests — otherwise every post-promotion partial sits published
+/// but unreachable: recovery ignores it, the merger never collapses it,
+/// and the log-truncation floor stops advancing.
+#[test]
+fn post_promotion_partials_link_into_the_recovery_chain() {
+    let (ckpt_dir, log_dir) = tmp("promote-chain");
+    let mut primary =
+        Primary::open_kind(StrategyKind::PCalc, Arc::new(OsVfs), &ckpt_dir, &log_dir, 1 << 20);
+    primary.strategy.write_base_checkpoint(&primary.dir).unwrap(); // full 0
+    for k in 0..8u64 {
+        primary.set(k, format!("a{k}").as_bytes());
+    }
+    primary.sync();
+    primary.checkpoint(); // partial 1
+    for k in 4..10u64 {
+        primary.set(k, format!("b{k}").as_bytes());
+    }
+    primary.sync();
+    primary.checkpoint(); // partial 2
+    for k in 10..12u64 {
+        primary.set(k, b"tail");
+    }
+    primary.sync();
+    drop(primary);
+
+    let mut cfg = standby_config(&ckpt_dir, &log_dir);
+    cfg.kind = StrategyKind::PCalc;
+    let mut standby = Standby::open(cfg, registry()).unwrap();
+    standby.poll().unwrap();
+    let promoted = standby.promote().unwrap();
+    assert_eq!(promoted.record_count(), 12);
+
+    let engine_config = || {
+        let mut config = EngineConfig::new(StrategyKind::PCalc, 1024, 64, ckpt_dir.clone());
+        config.store = store_config();
+        config.workers = 1;
+        config
+    };
+    let db = promoted.into_database(engine_config()).unwrap();
+    let set = |key: u64, val: &[u8]| {
+        let out = db.execute(SET, params::Writer::new().u64(key).bytes(val).finish());
+        assert!(matches!(out, TxnOutcome::Committed(_)));
+    };
+    set(100, b"post-1");
+    let first = db.checkpoint_now().unwrap();
+    set(101, b"post-2");
+    let out = db.execute(DELETE, params::Writer::new().u64(3).finish());
+    assert!(matches!(out, TxnOutcome::Committed(_)));
+    let second = db.checkpoint_now().unwrap();
+    assert!(first.id > 2 && second.id > first.id);
+
+    let (full, partials) = db.checkpoint_dir().recovery_chain().unwrap().unwrap();
+    assert_eq!(full.id, 0);
+    let ids: Vec<u64> = partials.iter().map(|m| m.id).collect();
+    assert_eq!(ids, vec![1, 2, first.id, second.id]);
+    set(102, b"post-tail");
+    db.sync_command_log().unwrap();
+    let expected: Vec<_> = (0..110u64).map(|k| db.get(Key(k))).collect();
+    let expected_count = db.record_count();
+    db.shutdown();
+
+    // A fresh engine over the same directories reproduces the store.
+    let commands = calc_recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
+    let mut config = engine_config();
+    config.command_log_dir = Some(log_dir.clone());
+    let restarted = Database::open(config, registry()).unwrap();
+    let outcome = restarted.recover(&commands).unwrap();
+    assert_eq!(outcome.checkpoint_files, 5, "full + all four partials loaded");
+    for (k, exp) in expected.iter().enumerate() {
+        assert_eq!(restarted.get(Key(k as u64)), *exp, "key {k}");
+    }
+    assert_eq!(restarted.record_count(), expected_count);
+    restarted.shutdown();
 }
 
 #[test]

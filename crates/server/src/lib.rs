@@ -39,8 +39,11 @@ pub fn open_or_recover(
     // Read surviving log records BEFORE the engine opens: opening creates
     // a fresh active segment (never appending into survivors), and replay
     // wants only the pre-crash records.
+    // A missing directory is a cold start; a log that exists but cannot
+    // be read must fail the boot — serving without it would silently drop
+    // acknowledged writes.
     let commands = if log_dir.is_dir() {
-        calc_recovery::read_dir_logs(&OsVfs, &log_dir).unwrap_or_default()
+        calc_recovery::read_dir_logs(&OsVfs, &log_dir)?
     } else {
         Vec::new()
     };

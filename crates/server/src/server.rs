@@ -539,11 +539,13 @@ fn health_text(db: &Database) -> String {
     out
 }
 
-/// `STATS` verb: the published checkpoint chain plus retention totals.
+/// `STATS` verb: the published checkpoints plus retention totals. Listed
+/// from manifest documents only — a per-request deep scan would re-CRC
+/// every part and rename files under the merger's GC.
 fn stats_text(db: &Database) -> String {
     let h = db.health();
     let mut out = String::new();
-    for m in db.checkpoint_dir().scan().unwrap_or_default() {
+    for m in db.checkpoint_dir().manifests().unwrap_or_default() {
         out.push_str(&format!(
             "checkpoint kind={} id={} records={} watermark={}\n",
             m.kind, m.id, m.records, m.watermark

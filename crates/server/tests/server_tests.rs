@@ -118,6 +118,77 @@ fn admin_verbs_expose_group_commit_metrics_and_checkpoints() {
     Arc::try_unwrap(db).unwrap().shutdown();
 }
 
+/// ROADMAP 5d: `STATS` lists from manifest documents alone, so a corrupt
+/// part neither fails the verb nor gets the cycle quarantined (renamed)
+/// by a per-request scan racing the merger.
+#[test]
+fn stats_lists_manifests_without_validating_or_quarantining() {
+    let dir = temp_dir("stats-shallow");
+    let server = start_server(&dir);
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    for i in 0..20u64 {
+        c.put(i, &i.to_le_bytes()).unwrap();
+    }
+    c.checkpoint().unwrap();
+
+    let ckpts = dir.join("ckpts");
+    let names = || {
+        let mut names: Vec<String> = std::fs::read_dir(&ckpts)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = names();
+    let part = before.iter().find(|n| n.contains(".part-")).expect("a part file");
+    let mut bytes = std::fs::read(ckpts.join(part)).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(ckpts.join(part), &bytes).unwrap();
+
+    let stats = c.stats().unwrap();
+    assert!(
+        stats.contains("checkpoint kind=full id=0 records=20"),
+        "stats: {stats}"
+    );
+    let db = server.shutdown();
+    assert_eq!(db.checkpoint_dir().quarantined_count(), 0);
+    assert_eq!(names(), before, "STATS renamed or removed a file");
+    Arc::try_unwrap(db).unwrap().shutdown();
+}
+
+/// A command log that exists but cannot be read must fail the boot: an
+/// empty tail would open a fresh segment above the survivors and serve a
+/// store missing acknowledged writes.
+#[test]
+fn open_or_recover_propagates_log_read_errors() {
+    let dir = temp_dir("log-unreadable");
+    let server = start_server(&dir);
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    for i in 0..5u64 {
+        c.put(i, b"acked").unwrap();
+    }
+    let db = server.shutdown();
+    Arc::try_unwrap(db).unwrap().shutdown();
+
+    // Segment 0 becomes unreadable: a directory under its name.
+    let seg0 = dir.join("cmdlog").join("cmdlog-000000.log");
+    std::fs::remove_file(&seg0).unwrap();
+    std::fs::create_dir(&seg0).unwrap();
+    let reopened = calc_server::open_or_recover(&dir, |_| {});
+    assert!(
+        reopened.is_err(),
+        "booted with {} records instead of failing",
+        reopened.map(|db| db.record_count()).unwrap_or(0)
+    );
+
+    // A missing log directory is still a valid cold start.
+    let fresh = calc_server::open_or_recover(&temp_dir("log-missing"), |_| {}).unwrap();
+    assert_eq!(fresh.record_count(), 0);
+    fresh.shutdown();
+}
+
 #[test]
 fn health_exposes_executor_routing_counters() {
     let dir = temp_dir("exec-health");

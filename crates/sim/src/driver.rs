@@ -37,7 +37,7 @@ use calc_core::strategy::{CheckpointStrategy, NoopEnv, TxnToken};
 use calc_core::throttle::Throttle;
 use calc_core::Codec;
 use calc_engine::{classify, ErrorClass, StrategyKind};
-use calc_recovery::logfile::{CommandLogReader, CommandLogStream, CommandLogWriter};
+use calc_recovery::logfile::CommandLogStream;
 use calc_recovery::{read_dir_logs, truncate_segments_below, SegmentedLogWriter};
 use calc_recovery::replay::{recover_streamed, RecoveryError};
 use calc_storage::dual::StoreConfig;
@@ -108,15 +108,14 @@ pub struct SimSpec {
     pub ckpt_retries: u32,
     /// Checkpoint-part codec. `None` reads `CKPT_CODEC` from the
     /// environment (default `none`), so one sweep binary covers both the
-    /// legacy and the compressed on-disk formats.
+    /// uncompressed and the compressed part formats.
     pub codec: Option<Codec>,
     /// Command-log segmentation: rotate `cmdlog-<i>.log` segments at this
-    /// size. `None` keeps the legacy single-file command log.
-    pub log_segment_bytes: Option<u64>,
+    /// size.
+    pub log_segment_bytes: u64,
     /// After each checkpoint that completed on an honest fsync chain,
     /// truncate sealed log segments below the oldest surviving full's
     /// watermark — the engine's retention path, under crash faults.
-    /// Requires `log_segment_bytes`.
     pub truncate_log: bool,
 }
 
@@ -136,7 +135,8 @@ impl SimSpec {
             ckpt_threads: None,
             ckpt_retries: 3,
             codec: None,
-            log_segment_bytes: None,
+            // Far above what the workload writes: a smoke run never rotates.
+            log_segment_bytes: 64 << 20,
             truncate_log: false,
         }
     }
@@ -231,27 +231,6 @@ impl TxnOps for Bridge<'_> {
     }
 }
 
-/// The live run's durable log sink — legacy single file or segmented.
-enum SimLog {
-    Single(CommandLogWriter),
-    Segmented(SegmentedLogWriter),
-}
-
-impl SimLog {
-    fn append(&mut self, rec: &CommitRecord) -> io::Result<()> {
-        match self {
-            SimLog::Single(w) => w.append(rec),
-            SimLog::Segmented(w) => w.append(rec),
-        }
-    }
-    fn sync(&mut self) -> io::Result<()> {
-        match self {
-            SimLog::Single(w) => w.sync(),
-            SimLog::Segmented(w) => w.sync(),
-        }
-    }
-}
-
 fn violation(spec: &SimSpec, detail: impl Into<String>) -> OracleViolation {
     OracleViolation {
         spec: spec.clone(),
@@ -286,7 +265,6 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
     }
     let vfs_dyn: Arc<dyn Vfs> = Arc::new(vfs.clone());
     let ckpt_dir = PathBuf::from("/sim/ckpts");
-    let log_path = PathBuf::from("/sim/cmd.log");
     let log_seg_dir = PathBuf::from("/sim/cmdlog");
     let codec = spec
         .codec
@@ -310,15 +288,10 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
         };
         dir.set_checkpoint_threads(spec.ckpt_threads.unwrap_or_else(ckpt_threads_from_env));
         dir.set_codec(codec);
-        let mut cmdlog = match spec.log_segment_bytes {
-            Some(seg) => match SegmentedLogWriter::create(vfs_dyn.clone(), &log_seg_dir, seg) {
-                Ok(w) => SimLog::Segmented(w),
-                Err(_) => break 'live,
-            },
-            None => match CommandLogWriter::create_with_vfs(&vfs, &log_path) {
-                Ok(w) => SimLog::Single(w),
-                Err(_) => break 'live,
-            },
+        let Ok(mut cmdlog) =
+            SegmentedLogWriter::create(vfs_dyn.clone(), &log_seg_dir, spec.log_segment_bytes)
+        else {
+            break 'live;
         };
         let log = Arc::new(CommitLog::new(false));
         let strategy = spec.kind.build(store_config(), log.clone());
@@ -404,10 +377,7 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
                             // Retention, under the same honesty gate as the
                             // durability floor: one lying fsync voids the
                             // publish chain the truncation floor rests on.
-                            if spec.truncate_log
-                                && spec.log_segment_bytes.is_some()
-                                && vfs.fsyncs_dropped() == 0
-                            {
+                            if spec.truncate_log && vfs.fsyncs_dropped() == 0 {
                                 let floor = dir.scan().ok().and_then(|metas| {
                                     metas
                                         .iter()
@@ -469,20 +439,10 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
     .map_err(|e| violation(spec, format!("reopening checkpoint dir after crash: {e}")))?;
     dir.set_checkpoint_threads(spec.ckpt_threads.unwrap_or_else(ckpt_threads_from_env));
     dir.set_codec(codec);
-    let commands = if spec.log_segment_bytes.is_some() {
-        match read_dir_logs(vfs_dyn.as_ref(), &log_seg_dir) {
-            Ok(c) => c,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(violation(spec, format!("reading durable log segments: {e}"))),
-        }
-    } else {
-        match CommandLogReader::open_with_vfs(&vfs, &log_path) {
-            Ok(r) => r
-                .read_all()
-                .map_err(|e| violation(spec, format!("reading durable command log: {e}")))?,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(violation(spec, format!("opening durable command log: {e}"))),
-        }
+    let commands = match read_dir_logs(vfs_dyn.as_ref(), &log_seg_dir) {
+        Ok(c) => c,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(violation(spec, format!("reading durable log segments: {e}"))),
     };
     // Serial-driver invariant: the durable log is a prefix of commit order.
     for pair in commands.windows(2) {
@@ -526,22 +486,12 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
     // the prefetch thread, apply in commit order here), exercising the
     // same pipelined path the engine uses. The eager `commands` read
     // above is the oracle's reference copy.
-    let streamed = if spec.log_segment_bytes.is_some() {
-        match CommandLogStream::open_dir_with_vfs(vfs_dyn.clone(), &log_seg_dir) {
-            Ok(stream) => recover_streamed(&dir, fresh.as_ref(), &reg, stream),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                recover_streamed(&dir, fresh.as_ref(), &reg, std::iter::empty())
-            }
-            Err(e) => return Err(violation(spec, format!("opening segment stream: {e}"))),
+    let streamed = match CommandLogStream::open_dir_with_vfs(vfs_dyn.clone(), &log_seg_dir) {
+        Ok(stream) => recover_streamed(&dir, fresh.as_ref(), &reg, stream),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            recover_streamed(&dir, fresh.as_ref(), &reg, std::iter::empty())
         }
-    } else {
-        match CommandLogStream::open_with_vfs(&vfs, &log_path) {
-            Ok(stream) => recover_streamed(&dir, fresh.as_ref(), &reg, stream),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                recover_streamed(&dir, fresh.as_ref(), &reg, std::iter::empty())
-            }
-            Err(e) => return Err(violation(spec, format!("opening command log stream: {e}"))),
-        }
+        Err(e) => return Err(violation(spec, format!("opening segment stream: {e}"))),
     };
     let recovered_prefix = match streamed {
         Ok(outcome) => {

@@ -15,6 +15,7 @@ use calc_common::vfs::Vfs;
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::merge::{collapse, materialize_chain_with_vfs};
+use calc_core::partition::capture_parts;
 use calc_core::throttle::Throttle;
 
 fn open_dir(vfs: &SimVfs) -> CheckpointDir {
@@ -26,20 +27,25 @@ fn open_dir(vfs: &SimVfs) -> CheckpointDir {
 /// Publishes one full + three partial checkpoints and returns the state
 /// their chain materializes to.
 fn build_chain(dir: &CheckpointDir) -> BTreeMap<u64, Vec<u8>> {
-    let mut p = dir.begin(CheckpointKind::Full, 0, CommitSeq(10)).unwrap();
-    for k in 0..6u64 {
-        p.writer().write_record(Key(k), &[k as u8; 8]).unwrap();
-    }
-    p.publish().unwrap();
+    capture_parts(dir, CheckpointKind::Full, 0, CommitSeq(10), &[], 1, |_, w, _| {
+        (0..6u64).try_for_each(|k| w.write_record(Key(k), &[k as u8; 8]))
+    })
+    .unwrap();
     for id in 1..=3u64 {
-        let mut p = dir
-            .begin(CheckpointKind::Partial, id, CommitSeq(10 + id * 10))
-            .unwrap();
         // Each partial deletes one key, overwrites one, adds one.
-        p.writer().write_tombstone(Key(id)).unwrap();
-        p.writer().write_record(Key(0), &[0xF0 + id as u8; 4]).unwrap();
-        p.writer().write_record(Key(10 + id), &[id as u8; 4]).unwrap();
-        p.publish().unwrap();
+        capture_parts(
+            dir,
+            CheckpointKind::Partial,
+            id,
+            CommitSeq(10 + id * 10),
+            &[Key(id)],
+            1,
+            |_, w, _| {
+                w.write_record(Key(0), &[0xF0 + id as u8; 4])?;
+                w.write_record(Key(10 + id), &[id as u8; 4])
+            },
+        )
+        .unwrap();
     }
     let (full, partials) = dir.recovery_chain().unwrap().unwrap();
     materialize_chain_with_vfs(dir.vfs().as_ref(), &full, &partials)
@@ -51,11 +57,13 @@ fn build_chain(dir: &CheckpointDir) -> BTreeMap<u64, Vec<u8>> {
 
 #[test]
 fn gc_crash_at_every_remove_preserves_recovered_state() {
-    // The collapse GCs 4 input files (full@0 + partials 1..=3). Crash
-    // before the k-th unlink for every k, plus k=4 (= GC completes,
-    // power cut right after), under the adversarial mode where only the
-    // unlinks survive the crash.
-    for k in 0..=4u64 {
+    // The collapse GCs 4 input cycles (full@0 + partials 1..=3), each one
+    // part file plus its manifest: 8 unlinks. Crash before the k-th
+    // unlink for every k, plus k=8 (= GC completes, power cut right
+    // after), under the adversarial mode where only the unlinks survive
+    // the crash.
+    const UNLINKS: u64 = 8;
+    for k in 0..=UNLINKS {
         let vfs = SimVfs::new(0x6C_C5EED ^ (k << 32));
         vfs.set_dir_crash_mode(DirCrashMode::RemovesOnly);
         let dir = open_dir(&vfs);
@@ -63,7 +71,7 @@ fn gc_crash_at_every_remove_preserves_recovered_state() {
 
         vfs.crash_before_remove(k);
         let result = collapse(&dir);
-        if k < 4 {
+        if k < UNLINKS {
             assert!(result.is_err(), "crash_before_remove({k}) did not fire");
         } else {
             let stats = result.unwrap().unwrap();

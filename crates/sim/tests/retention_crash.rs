@@ -37,7 +37,7 @@ use calc_txn::commitlog::CommitLog;
 fn retention_spec(kind: StrategyKind, seed: u64) -> SimSpec {
     let mut spec = SimSpec::smoke(kind, seed);
     spec.codec = Some(Codec::Rle);
-    spec.log_segment_bytes = Some(512);
+    spec.log_segment_bytes = 512;
     spec.truncate_log = true;
     spec
 }

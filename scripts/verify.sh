@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Full verification gate: tier-0 (clippy, deny warnings), tier-1 (build +
+# Full verification gate: tier-0 (clippy and rustdoc, deny warnings — a doc
+# link to a deleted item fails the gate), tier-1 (build +
 # every workspace test), tier-2 (the deterministic crash-simulation suite
 # in calc-sim, including the 64-seed smoke sweep), tier-3 (the concurrency
 # conformance suite in calc-conform at three fixed base seeds), tier-4
@@ -29,6 +30,9 @@ cd "$(dirname "$0")/.."
 
 echo "== tier-0: clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --quiet -- -D warnings
+
+echo "== tier-0: rustdoc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "== tier-1: release build =="
 cargo build --release --workspace --quiet

@@ -6,8 +6,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use calc_db::common::vfs::OsVfs;
 use calc_db::core::calc::CalcStrategy;
+use calc_db::core::manifest::CheckpointDir;
+use calc_db::core::partition::capture_parts;
 use calc_db::core::strategy::CheckpointStrategy;
+use calc_db::core::throttle::Throttle;
 use calc_db::engine::{Database, EngineConfig, StrategyKind, TxnOutcome};
 use calc_db::recovery;
 use calc_db::storage::dual::StoreConfig;
@@ -178,13 +182,12 @@ fn fuzzy_checkpoints_are_refused_by_recovery() {
 }
 
 #[test]
-fn durable_command_log_file_survives_crash_and_replays() {
+fn durable_command_log_survives_crash_and_replays() {
     let dir = tmp_dir("durable-log");
-    std::fs::create_dir_all(&dir).unwrap();
-    let log_path = dir.join("commands.log");
+    let log_dir = dir.join("cmdlog");
 
-    let mut config = EngineConfig::new(StrategyKind::Calc, 1024, 16, dir.clone());
-    config.retain_command_log = true;
+    let mut config = EngineConfig::new(StrategyKind::Calc, 1024, 16, dir.join("ckpts"));
+    config.command_log_dir = Some(log_dir.clone());
     let db = Database::open(config, registry()).unwrap();
     for k in 0..50u64 {
         db.load_initial(Key(k), &0u64.to_le_bytes()).unwrap();
@@ -200,28 +203,15 @@ fn durable_command_log_file_survives_crash_and_replays() {
         stats
     };
     // Group-commit the command log to disk, then "crash".
-    {
-        let mut w = recovery::CommandLogWriter::create(&log_path).unwrap();
-        for rec in db.commit_log().commits_after(CommitSeq::ZERO) {
-            w.append(&rec).unwrap();
-        }
-        w.sync().unwrap();
-    }
+    db.sync_command_log().unwrap();
     let expected: Vec<_> = (0..50u64).map(|k| db.get(Key(k))).collect();
     let ckpt_dir_path = db.checkpoint_dir().path().to_path_buf();
     drop(db);
 
-    // Recover purely from disk artifacts: checkpoint files + command log.
-    let commands = recovery::CommandLogReader::open(&log_path)
-        .unwrap()
-        .read_all()
-        .unwrap();
+    // Recover purely from disk artifacts: checkpoint files + log segments.
+    let commands = recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
     assert_eq!(commands.len(), 60);
-    let ckpt_dir = calc_db::core::manifest::CheckpointDir::open(
-        &ckpt_dir_path,
-        Arc::new(calc_db::core::throttle::Throttle::unlimited()),
-    )
-    .unwrap();
+    let ckpt_dir = CheckpointDir::open(&ckpt_dir_path, Arc::new(Throttle::unlimited())).unwrap();
     let fresh = CalcStrategy::full(
         StoreConfig::for_records(1024, 16),
         Arc::new(CommitLog::new(false)),
@@ -232,6 +222,139 @@ fn durable_command_log_file_survives_crash_and_replays() {
     for (k, exp) in expected.iter().enumerate() {
         assert_eq!(fresh.get(Key(k as u64)), *exp, "key {k}");
     }
+}
+
+/// The production boot path over the production formats: a log-only cold
+/// start, then a checkpoint chain plus an un-checkpointed tail, then a
+/// restart after a post-recovery checkpoint. Every synced write survives
+/// each restart.
+#[test]
+fn server_boot_path_recovers_across_three_restarts() {
+    use calc_server::procs;
+    let dir = tmp_dir("server-restarts");
+    let put = |db: &Database, key: u64, value: u64| {
+        let p = params::Writer::new().u64(key).bytes(&value.to_le_bytes()).finish();
+        assert!(matches!(db.execute(procs::PUT, p), TxnOutcome::Committed(_)));
+    };
+    let check = |db: &Database, expected: &[(u64, u64)]| {
+        assert_eq!(db.record_count(), expected.len());
+        for (k, v) in expected {
+            assert_eq!(db.get(Key(*k)).as_deref(), Some(&v.to_le_bytes()[..]), "key {k}");
+        }
+    };
+    let mut model: Vec<(u64, u64)> = Vec::new();
+
+    // Lifetime 1: writes only, no checkpoint.
+    let db = calc_server::open_or_recover(&dir, |c| c.workers = 2).unwrap();
+    for k in 0..30u64 {
+        put(&db, k, k + 1);
+        model.push((k, k + 1));
+    }
+    db.sync_command_log().unwrap();
+    drop(db);
+
+    // Lifetime 2: log-only cold start; then a checkpoint and a tail.
+    let db = calc_server::open_or_recover(&dir, |c| c.workers = 2).unwrap();
+    check(&db, &model);
+    db.checkpoint_now().unwrap();
+    for k in 30..45u64 {
+        put(&db, k, k + 1);
+        model.push((k, k + 1));
+    }
+    db.sync_command_log().unwrap();
+    drop(db);
+
+    // Lifetime 3: chain + tail; the post-recovery checkpoint must cover
+    // the replayed tail, and one more tail rides on top of it.
+    let db = calc_server::open_or_recover(&dir, |c| c.workers = 2).unwrap();
+    check(&db, &model);
+    db.checkpoint_now().unwrap();
+    put(&db, 7, 7000);
+    model[7].1 = 7000;
+    db.sync_command_log().unwrap();
+    drop(db);
+
+    let db = calc_server::open_or_recover(&dir, |c| c.workers = 2).unwrap();
+    check(&db, &model);
+    assert_eq!(db.checkpoint_dir().quarantined_count(), 0);
+    drop(db);
+
+    // One format per artifact on disk.
+    for entry in std::fs::read_dir(dir.join("ckpts")).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        assert!(name.ends_with(".manifest") || name.contains(".part-"), "{name}");
+    }
+    for entry in std::fs::read_dir(dir.join("cmdlog")).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        assert!(name.starts_with("cmdlog-") && name.ends_with(".log"), "{name}");
+    }
+}
+
+/// Files named like the retired single-file formats are inert: never
+/// parsed, claimed, quarantined or deleted, whatever bytes they hold.
+#[test]
+fn stray_single_file_artifacts_are_inert() {
+    use calc_db::core::file::CheckpointKind;
+    let dir = tmp_dir("stray");
+    let ckpts = CheckpointDir::open(&dir.join("ckpts"), Arc::new(Throttle::unlimited())).unwrap();
+    for id in [0u64, 2] {
+        capture_parts(&ckpts, CheckpointKind::Full, id, CommitSeq(id * 10), &[], 1, |_, w, _| {
+            w.write_record(Key(id), b"v")
+        })
+        .unwrap();
+    }
+    // A well-formed record file under the old single-file name, claiming
+    // the newest id in the directory.
+    let stray_ckpt = ckpts.path().join("ckpt-0000000009-full.calc");
+    std::fs::copy(
+        ckpts.path().join(CheckpointDir::part_file_name(2, CheckpointKind::Full, 0)),
+        &stray_ckpt,
+    )
+    .unwrap();
+    let stray_bytes = std::fs::read(&stray_ckpt).unwrap();
+
+    let ids = |metas: Vec<calc_db::core::CheckpointMeta>| -> Vec<u64> {
+        metas.iter().map(|m| m.id).collect()
+    };
+    assert_eq!(ids(ckpts.scan().unwrap()), vec![0, 2]);
+    assert_eq!(ids(ckpts.manifests().unwrap()), vec![0, 2]);
+    let claimed: Vec<u64> = ckpts.claims().unwrap().iter().map(|c| c.id).collect();
+    assert_eq!(claimed, vec![0, 2]);
+    assert_eq!(ckpts.recovery_chain().unwrap().unwrap().0.id, 2);
+    assert_eq!(ckpts.prune_chains(1).unwrap(), 1);
+    let keep = ckpts
+        .path()
+        .join(CheckpointDir::manifest_file_name(2, CheckpointKind::Full));
+    assert_eq!(ckpts.gc_through(u64::MAX, &keep).unwrap(), 0);
+    assert_eq!(ids(ckpts.scan().unwrap()), vec![2]);
+    assert_eq!(ckpts.quarantined_count(), 0);
+    assert_eq!(std::fs::read(&stray_ckpt).unwrap(), stray_bytes);
+
+    // A well-formed record stream under the old single-file log name.
+    let log_dir = dir.join("cmdlog");
+    let mut w = recovery::SegmentedLogWriter::create(Arc::new(OsVfs), &log_dir, 512).unwrap();
+    for seq in 1..=20u64 {
+        w.append(&calc_db::txn::commitlog::CommitRecord {
+            seq: CommitSeq(seq),
+            txn: calc_db::TxnId(seq),
+            proc: BUMP,
+            params: bump(seq, 1),
+        })
+        .unwrap();
+    }
+    w.sync().unwrap();
+    assert!(w.rotations() > 0);
+    let segments = recovery::logfile::list_segments(&OsVfs, &log_dir).unwrap();
+    let stray_log = log_dir.join("cmd.log");
+    std::fs::copy(&segments[0].1, &stray_log).unwrap();
+    let stray_bytes = std::fs::read(&stray_log).unwrap();
+
+    assert_eq!(recovery::logfile::list_segments(&OsVfs, &log_dir).unwrap(), segments);
+    assert_eq!(recovery::read_dir_logs(&OsVfs, &log_dir).unwrap().len(), 20);
+    let truncated =
+        recovery::truncate_segments_below(&OsVfs, &log_dir, CommitSeq(u64::MAX)).unwrap();
+    assert_eq!(truncated.removed, segments.len() as u64 - 1, "all but the active segment");
+    assert_eq!(std::fs::read(&stray_log).unwrap(), stray_bytes);
 }
 
 #[test]

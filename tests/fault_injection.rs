@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 
+use calc_db::common::vfs::OsVfs;
 use calc_db::core::calc::CalcStrategy;
 use calc_db::core::strategy::CheckpointStrategy;
 use calc_db::engine::{Database, EngineConfig, StrategyKind};
@@ -125,7 +126,7 @@ fn corrupted_newest_checkpoint_falls_back_and_replays() {
     }
 }
 
-/// A stray temp file (crash mid-capture before rename) is invisible.
+/// Debris of a capture that died before its manifest rename is invisible.
 #[test]
 fn crash_mid_capture_leaves_only_previous_checkpoint() {
     let dir = tmp_dir("midcapture");
@@ -138,23 +139,24 @@ fn crash_mid_capture_leaves_only_previous_checkpoint() {
         db.load_initial(Key(k), &7u64.to_le_bytes()).unwrap();
     }
     db.checkpoint_now().unwrap();
-    // Simulate a capture that died before publish: a half-written temp
-    // file with a plausible name.
+    // Simulate a capture that died mid-publish: a half-written temp
+    // manifest with a plausible name.
     std::fs::write(
-        db.checkpoint_dir().path().join(".tmp-ckpt-0000000009-full.calc"),
-        b"CALCCKPT-half-written-garbage",
+        db.checkpoint_dir().path().join(".tmp-ckpt-0000000009-full.manifest"),
+        b"CALCMFST-half-written-garbage",
     )
     .unwrap();
-    // And one that died after creating a final-named file but before the
-    // footer was durable.
+    // And one that died after creating a final-named part file but before
+    // its footer was durable, let alone its manifest.
     std::fs::write(
-        db.checkpoint_dir().path().join("ckpt-0000000008-full.calc"),
+        db.checkpoint_dir().path().join("ckpt-0000000008-full.part-0"),
         b"CALCCKPT-no-footer",
     )
     .unwrap();
 
     let metas = db.checkpoint_dir().scan().unwrap();
     assert_eq!(metas.len(), 1, "only the valid checkpoint is live");
+    assert_eq!(db.checkpoint_dir().quarantined_count(), 0, "debris is not corruption");
     let recovered = fresh_calc();
     let outcome = recovery::recover_checkpoint_only(db.checkpoint_dir(), &recovered).unwrap();
     assert_eq!(outcome.loaded_records, 20);
@@ -166,7 +168,7 @@ fn crash_mid_capture_leaves_only_previous_checkpoint() {
 fn torn_command_log_replays_surviving_prefix() {
     let dir = tmp_dir("tornlog");
     std::fs::create_dir_all(&dir).unwrap();
-    let log_path = dir.join("commands.log");
+    let log_dir = dir.join("cmdlog");
     let mut config = EngineConfig::new(StrategyKind::Calc, 1024, 16, dir.clone());
     config.retain_command_log = true;
     let db = Database::open(config, registry()).unwrap();
@@ -179,19 +181,18 @@ fn torn_command_log_replays_surviving_prefix() {
     }
     // Persist the command log, then tear the tail.
     {
-        let mut w = recovery::CommandLogWriter::create(&log_path).unwrap();
+        let mut w =
+            recovery::SegmentedLogWriter::create(Arc::new(OsVfs), &log_dir, 64 << 20).unwrap();
         for rec in db.commit_log().commits_after(CommitSeq::ZERO) {
             w.append(&rec).unwrap();
         }
         w.sync().unwrap();
     }
+    let log_path = log_dir.join(recovery::logfile::segment_file_name(0));
     let bytes = std::fs::read(&log_path).unwrap();
     std::fs::write(&log_path, &bytes[..bytes.len() - 13]).unwrap();
 
-    let commands = recovery::CommandLogReader::open(&log_path)
-        .unwrap()
-        .read_all()
-        .unwrap();
+    let commands = recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
     assert_eq!(commands.len(), 19, "exactly the torn record lost");
 
     let recovered = fresh_calc();
