@@ -198,32 +198,6 @@ impl std::fmt::Display for ExecutorMode {
     }
 }
 
-/// Where a warm standby tails its primary from. Both paths name the
-/// *primary's* durable state; the standby only ever reads them (plus the
-/// quarantine renames `CheckpointDir::scan` performs on corrupt published
-/// cycles, which are idempotent and crash-safe from either node).
-#[derive(Clone, Debug)]
-pub struct StandbyOf {
-    /// The primary's checkpoint directory (manifests + part files).
-    pub checkpoint_dir: PathBuf,
-    /// The primary's segmented command-log directory.
-    pub log_dir: PathBuf,
-    /// How often the background tail loop polls for new log bytes.
-    pub poll_interval: std::time::Duration,
-}
-
-impl StandbyOf {
-    /// A standby of the primary whose durable state lives at
-    /// `checkpoint_dir` + `log_dir`, polling every 10 ms.
-    pub fn new(checkpoint_dir: PathBuf, log_dir: PathBuf) -> Self {
-        StandbyOf {
-            checkpoint_dir,
-            log_dir,
-            poll_interval: std::time::Duration::from_millis(10),
-        }
-    }
-}
-
 /// Engine configuration. The defaults match a laptop-scale rendition of
 /// the paper's setup (15 worker threads on the paper's 16-core box scale
 /// down to the host's parallelism).
@@ -295,7 +269,7 @@ pub struct EngineConfig {
     /// are deleted after each successful cycle, bounding log disk use.
     pub command_log_dir: Option<PathBuf>,
     /// Rotation threshold for command-log segments, in bytes (clamped
-    /// to at least 4 KiB). `None` uses a 64 MiB default.
+    /// to at least 512 B). `None` uses a 64 MiB default.
     pub log_segment_bytes: Option<u64>,
     /// Group-commit deadline window: the first commit of a batch waits at
     /// most this long for company before the log fsync fires. Larger
@@ -330,12 +304,6 @@ pub struct EngineConfig {
     /// the real one ([`OsVfs`]); crash-simulation tests substitute a
     /// fault-injecting [`calc_common::simfs::SimVfs`].
     pub vfs: Arc<dyn Vfs>,
-    /// Run as a warm standby of another node's durable state. A config
-    /// with this set cannot be opened as a serving engine
-    /// ([`crate::Database::open`] refuses it): build a
-    /// `calc_replica::Standby` from it instead, and `promote()` that into
-    /// a serving [`crate::Database`] on failover.
-    pub standby_of: Option<StandbyOf>,
     /// History recorder for the conformance harness (`calc-conform`).
     /// `None` (the default) records nothing and costs one pointer check
     /// per operation; the field only exists under the `conform` feature.
@@ -378,7 +346,6 @@ impl EngineConfig {
             codec: calc_core::Codec::None,
             keep_checkpoints: None,
             vfs: Arc::new(OsVfs),
-            standby_of: None,
             #[cfg(feature = "conform")]
             recorder: None,
         }

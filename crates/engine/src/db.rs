@@ -42,6 +42,7 @@ use calc_core::strategy::{
 };
 use calc_core::throttle::Throttle;
 use calc_storage::dual::StoreError;
+use calc_recovery::logfile::list_segments;
 use calc_recovery::{
     truncate_segments_below, DurabilityTicket, GroupCommitConfig,
     GroupCommitter, SegmentedLogWriter, TruncateStats,
@@ -53,7 +54,7 @@ use calc_txn::proc::{AbortReason, ProcId, ProcRegistry, TxnOps};
 use calc_txn::route::{Route, ShardRouter};
 
 use crate::config::{EngineConfig, ExecutorMode, StrategyKind};
-use crate::metrics::{Health, Metrics};
+use crate::metrics::{Health, Metric, MetricList, MetricValue, Metrics};
 use crate::service::{classify, CheckpointService};
 
 /// Result of a synchronously executed transaction.
@@ -181,7 +182,7 @@ impl ShardExec {
     /// feed [`Health`] so routing quality is observable from day one.
     fn route(&self, inner: &Inner, proc: ProcId, params: &[u8]) -> (usize, OwnedMode) {
         let Some(p) = inner.registry.get(proc) else {
-            inner.health.record_routing_fallback();
+            inner.health.add(Metric::routing_fallbacks, 1);
             return (
                 0,
                 OwnedMode::Abort(AbortReason::BadParams(format!(
@@ -191,16 +192,16 @@ impl ShardExec {
         };
         match p.locks(params) {
             Err(e) => {
-                inner.health.record_routing_fallback();
+                inner.health.add(Metric::routing_fallbacks, 1);
                 (0, OwnedMode::Abort(e))
             }
             Ok(request) => match self.router.classify(&request) {
                 Route::Single(w) => {
-                    inner.health.record_single_shard_txn();
+                    inner.health.add(Metric::single_shard_txns, 1);
                     (w, OwnedMode::Single(p.clone()))
                 }
                 Route::Cross(owners) => {
-                    inner.health.record_cross_shard_txn();
+                    inner.health.add(Metric::cross_shard_txns, 1);
                     let coordinator = owners[0];
                     (
                         coordinator,
@@ -211,7 +212,7 @@ impl ShardExec {
                 // contract), so serial execution anywhere is safe; pin it
                 // to worker 0 and count the fallback.
                 Route::Unrouted => {
-                    inner.health.record_routing_fallback();
+                    inner.health.add(Metric::routing_fallbacks, 1);
                     (0, OwnedMode::Single(p.clone()))
                 }
             },
@@ -331,8 +332,9 @@ impl Inner {
     fn checkpoint_cycle_raw(self: &Arc<Self>) -> io::Result<CheckpointStats> {
         let _serial = self.checkpoint_serial.lock();
         let stats = self.strategy.checkpoint(self.as_ref(), &self.dir)?;
-        self.health.record_parts(stats.parts);
-        self.health.record_footprint(stats.bytes, stats.raw_bytes);
+        self.health.set(Metric::last_checkpoint_parts, stats.parts as u64);
+        self.health.set(Metric::last_checkpoint_bytes, stats.bytes);
+        self.health.set(Metric::last_checkpoint_raw_bytes, stats.raw_bytes);
         self.run_retention();
         if self.strategy.partial() {
             let n = self.partials_since_merge.fetch_add(1, Ordering::AcqRel) + 1;
@@ -409,8 +411,12 @@ impl Inner {
             Ok((pruned, truncated))
         })();
         match result {
-            Ok((pruned, t)) => self.health.record_retention(pruned, t.removed, t.bytes),
-            Err(_) => self.health.record_retention_failure(),
+            Ok((pruned, t)) => {
+                self.health.add(Metric::checkpoints_pruned, pruned);
+                self.health.add(Metric::log_segments_truncated, t.removed);
+                self.health.add(Metric::log_bytes_truncated, t.bytes);
+            }
+            Err(_) => self.health.add(Metric::retention_failures, 1),
         }
     }
 }
@@ -431,18 +437,7 @@ impl Database {
     /// Opens a database: builds the strategy, spawns the worker pool.
     /// Populate with [`Database::load_initial`] then call
     /// [`Database::finalize_load`] before submitting transactions.
-    ///
-    /// Refuses a config with [`EngineConfig::standby_of`] set: a standby
-    /// is not a serving engine. Open a `calc_replica::Standby` from that
-    /// config instead, and `promote()` it into a `Database` on failover.
     pub fn open(config: EngineConfig, registry: ProcRegistry) -> io::Result<Self> {
-        if config.standby_of.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "standby_of is set: open a calc_replica::Standby and promote() it \
-                 instead of serving directly over another node's durable state",
-            ));
-        }
         let log = Arc::new(CommitLog::new(config.retain_command_log));
         let strategy = config.strategy.build(config.store.clone(), log.clone());
         Self::boot(config, registry, strategy, log, false)
@@ -575,7 +570,7 @@ impl Database {
                         .spawn(move || {
                             // Serialize against checkpoint-cycle retention.
                             let _serial = inner.checkpoint_serial.lock();
-                            inner.health.record_emergency_retention();
+                            inner.health.add(Metric::emergency_retention_passes, 1);
                             inner.run_retention();
                         });
                 }
@@ -617,7 +612,6 @@ impl Database {
                     .map(|_| AtomicU64::new(0))
                     .collect::<Vec<_>>()
                     .into();
-                inner.health.install_worker_queues(depths.clone());
                 let mut senders = Vec::with_capacity(worker_count);
                 let mut receivers = Vec::with_capacity(worker_count);
                 for _ in 0..worker_count {
@@ -812,6 +806,44 @@ impl Database {
         &self.inner.health
     }
 
+    /// Every number the engine exposes, as ordered `(name, value)` pairs:
+    /// the commit counters, the store and executor, the load signal, then
+    /// [`Health::values`] and one `worker_queue_depth_<i>` per owned
+    /// worker. The `HEALTH` and `STATS` verbs print exactly
+    /// this list, so a value cannot exist on one surface and not another.
+    pub fn metric_values(&self) -> MetricList {
+        use MetricValue::{Int, Text};
+        let (m, load) = (&self.inner.metrics, &self.inner.load);
+        let mut out: MetricList = vec![
+            ("committed".into(), Int(m.committed())),
+            ("aborted".into(), Int(m.aborted())),
+            ("records".into(), Int(self.record_count() as u64)),
+            ("executor_mode".into(), Text(self.executor_mode().name())),
+            ("load_level".into(), Text(load.level().as_str())),
+            ("inflight".into(), Int(load.inflight())),
+            ("shed_requests".into(), Int(load.shed_requests())),
+            ("shed_connections".into(), Int(load.shed_connections())),
+            ("capture_yields".into(), Int(load.capture_yields())),
+            ("quarantined_files".into(), Int(self.inner.dir.quarantined_count())),
+        ];
+        out.extend(self.inner.health.values());
+        for (i, d) in self.worker_queue_depths().into_iter().enumerate() {
+            out.push((format!("worker_queue_depth_{i}").into(), Int(d)));
+        }
+        out
+    }
+
+    /// Current submission-queue depth per owned worker (empty under the
+    /// pool executor, which shares one queue).
+    pub fn worker_queue_depths(&self) -> Vec<u64> {
+        match &self.executor {
+            Executor::ShardOwned(Some(ex)) => {
+                ex.depths.iter().map(|d| d.load(Ordering::Relaxed)).collect()
+            }
+            _ => Vec::new(),
+        }
+    }
+
     /// The engine's commit-path load signal. Every commit feeds it; the
     /// checkpoint capture path paces against it, and a server front-end
     /// hangs its admission gate off it so shed/inflight counters and
@@ -911,6 +943,23 @@ impl Database {
             &self.inner.registry,
             commands,
         )?;
+        // A log-only recovery is the whole history only if the log still
+        // has its beginning. The writer starts at segment 0, retention
+        // removes lowest-first and a restarted writer opens above the
+        // highest survivor, so a lowest index above 0 means truncation
+        // ran — which it only does below a durable full checkpoint that
+        // this recovery failed to load.
+        if outcome.checkpoint_files == 0 {
+            if let Some(log_dir) = &self.inner.command_log_dir {
+                let segments = list_segments(self.inner.dir.vfs().as_ref(), log_dir)?;
+                if let Some(&(lowest_segment, _)) = segments.first().filter(|s| s.0 != 0) {
+                    return Err(calc_recovery::RecoveryError::LogTruncated {
+                        lowest_segment,
+                        quarantined: self.inner.dir.quarantined_count(),
+                    });
+                }
+            }
+        }
         Ok(outcome)
     }
 
@@ -1847,14 +1896,14 @@ mod tests {
     #[test]
     fn shard_owned_worker_queue_depths_are_exposed() {
         let db = db_with_mode(StrategyKind::Calc, "so-depths", ExecutorMode::ShardOwned);
-        let depths = db.health().worker_queue_depths();
+        let depths = db.worker_queue_depths();
         assert_eq!(depths.len(), 4, "one gauge per worker");
         // After a synchronous round-trip, nothing is left enqueued.
         db.execute(ProcId(1), add_params(1, 1, u64::MAX));
-        assert!(db.health().worker_queue_depths().iter().all(|&d| d == 0));
+        assert!(db.worker_queue_depths().iter().all(|&d| d == 0));
         // Pool mode exposes no per-worker gauges.
         let pool = db_with_mode(StrategyKind::Calc, "so-depths-pool", ExecutorMode::Pool);
-        assert!(pool.health().worker_queue_depths().is_empty());
+        assert!(pool.worker_queue_depths().is_empty());
         assert!(pool.shard_router().is_none());
     }
 

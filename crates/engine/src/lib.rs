@@ -15,7 +15,8 @@
 //! * [`metrics`] — commit/abort counters, a submission-to-commit latency
 //!   histogram (queueing included, as Figure 5 requires), the
 //!   [`metrics::Sampler`] that records throughput/memory timelines for
-//!   the figures, and the checkpointer [`metrics::Health`] state.
+//!   the figures, and [`metrics::Health`] — the one declared table of
+//!   engine counters, gauges and flags that `HEALTH`/`STATS` print.
 //! * [`service`] — the supervised checkpoint daemon: cadence, error
 //!   classification, backoff retries, and degraded mode.
 
@@ -28,7 +29,9 @@ pub mod metrics;
 pub mod recorder;
 pub mod service;
 
-pub use config::{EngineConfig, ExecutorMode, StandbyOf, StrategyKind};
+pub use config::{EngineConfig, ExecutorMode, StrategyKind};
 pub use db::{Database, SyncError, TxnOutcome};
-pub use metrics::{Health, Metrics, Sampler, TimelinePoint};
+pub use metrics::{
+    Health, Metric, MetricDesc, MetricKind, MetricList, MetricValue, Metrics, Sampler, TimelinePoint,
+};
 pub use service::{classify, CheckpointService, ErrorClass, ServiceTuning};

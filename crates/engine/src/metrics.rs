@@ -1,8 +1,9 @@
 //! Engine metrics: counters, latency histogram, checkpointer health, and
 //! timeline sampling.
 
+use std::borrow::Cow;
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,23 +17,18 @@ use crate::service::ErrorClass;
 /// Shared engine counters. Latency is measured from *submission* to
 /// commit, so queueing during quiesce periods shows up — exactly what
 /// Figure 5's CDFs require.
+#[derive(Debug, Default)]
 pub struct Metrics {
     committed: AtomicU64,
     aborted: AtomicU64,
     /// Submission-to-commit latency in nanoseconds.
     pub latency: Histogram,
-    started: Instant,
 }
 
 impl Metrics {
-    /// Fresh metrics anchored at now.
+    /// Fresh, zeroed metrics.
     pub fn new() -> Self {
-        Metrics {
-            committed: AtomicU64::new(0),
-            aborted: AtomicU64::new(0),
-            latency: Histogram::new(),
-            started: Instant::now(),
-        }
+        Self::default()
     }
 
     /// Records a committed transaction and its latency.
@@ -57,132 +53,177 @@ impl Metrics {
     pub fn aborted(&self) -> u64 {
         self.aborted.load(Ordering::Relaxed)
     }
-
-    /// Time since metrics creation.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
 }
 
-impl Default for Metrics {
-    fn default() -> Self {
-        Self::new()
-    }
+/// What a [`Metric`] measures, which fixes how it is written and printed.
+#[derive(Clone, Copy, Debug)]
+pub enum MetricKind {
+    /// Monotone lifetime total.
+    Counter,
+    /// Last-value slot.
+    Gauge,
+    /// Boolean state, printed `true`/`false`.
+    Flag,
 }
 
-impl std::fmt::Debug for Metrics {
+/// One metric's declaration, as written in the [`Health`] table.
+#[derive(Clone, Copy, Debug)]
+pub struct MetricDesc {
+    /// Key on the wire and in [`Health::values`].
+    pub name: &'static str,
+    /// Counter, gauge or flag.
+    pub kind: MetricKind,
+    /// What one unit of the value is.
+    pub unit: &'static str,
+    /// One-line description.
+    pub help: &'static str,
+}
+
+/// A metric's current value; `Display` is its wire format.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum MetricValue {
+    /// Counter or gauge.
+    Int(u64),
+    /// Flag, printed `true`/`false`.
+    Flag(bool),
+    /// Derived ratio, printed with two decimals.
+    Ratio(f64),
+    /// Enumerated state, printed by name.
+    Text(&'static str),
+}
+
+impl std::fmt::Display for MetricValue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Metrics(committed={}, aborted={}, {:?})",
-            self.committed(),
-            self.aborted(),
-            self.latency
-        )
+        match self {
+            MetricValue::Int(v) => write!(f, "{v}"),
+            MetricValue::Flag(v) => write!(f, "{v}"),
+            MetricValue::Ratio(v) => write!(f, "{v:.2}"),
+            MetricValue::Text(v) => f.write_str(v),
+        }
     }
+}
+
+/// Ordered `(name, value)` pairs — what `HEALTH`, `STATS` and tests read.
+pub type MetricList = Vec<(Cow<'static, str>, MetricValue)>;
+
+/// Declares [`Health`]'s table: `[#[getter]] name: Kind, "unit", "help";`
+/// per metric. The name is the enum variant, the wire key and (with
+/// `#[getter]`) the typed accessor; the cell, its zero initialiser and its
+/// exposition line all follow from the one line.
+macro_rules! health_metrics {
+    ($( $(#[$getter:ident])? $name:ident: $kind:ident, $unit:literal, $help:literal; )*) => {
+        /// A cell of [`Health`]'s table. The variant name is the wire key.
+        #[allow(non_camel_case_types)]
+        #[derive(Clone, Copy, Debug)]
+        pub enum Metric {
+            $( #[doc = $help] $name, )*
+        }
+
+        impl Metric {
+            /// Every declared metric, in declaration (= exposition) order.
+            pub const ALL: &'static [Metric] = &[$( Metric::$name ),*];
+
+            /// This metric's declaration.
+            pub const fn desc(self) -> MetricDesc {
+                match self {
+                    $( Metric::$name => MetricDesc {
+                        name: stringify!($name),
+                        kind: MetricKind::$kind,
+                        unit: $unit,
+                        help: $help,
+                    }, )*
+                }
+            }
+        }
+
+        impl Health {
+            $( $( health_metrics!(@$getter $name $kind $help); )? )*
+        }
+    };
+    (@getter $name:ident Flag $help:literal) => {
+        #[doc = $help]
+        pub fn $name(&self) -> bool {
+            self.get(Metric::$name) != 0
+        }
+    };
+    (@getter $name:ident $kind:ident $help:literal) => {
+        #[doc = $help]
+        pub fn $name(&self) -> u64 {
+            self.get(Metric::$name)
+        }
+    };
+}
+
+health_metrics! {
+    // --- checkpoint cycles, merges, retention ---
+    #[getter] degraded: Flag, "state", "Checkpointing is failing; commits continue and recovery replays a longer log.";
+    #[getter] degraded_entries: Counter, "transitions", "Times degraded mode has been entered.";
+    #[getter] degraded_exits: Counter, "transitions", "Times degraded mode has been exited (self-heals).";
+    #[getter] consecutive_failures: Gauge, "cycles", "Current streak of failed checkpoint cycles.";
+    #[getter] checkpoint_failures: Counter, "cycles", "Failed checkpoint cycles, lifetime total.";
+    #[getter] merge_failures: Counter, "merges", "Background partial-checkpoint merges that failed.";
+    last_checkpoint_parts: Gauge, "files", "Part files written by the most recent checkpoint cycle.";
+    #[getter] last_checkpoint_bytes: Gauge, "bytes", "Disk bytes written by the most recent checkpoint cycle (post-compression).";
+    #[getter] last_checkpoint_raw_bytes: Gauge, "bytes", "Uncompressed record-stream bytes of the most recent checkpoint cycle.";
+    #[getter] checkpoints_pruned: Counter, "checkpoints", "Superseded checkpoints pruned by retention, lifetime total.";
+    #[getter] log_segments_truncated: Counter, "segments", "Command-log segments truncated by retention, lifetime total.";
+    #[getter] log_bytes_truncated: Counter, "bytes", "Command-log bytes freed by retention, lifetime total.";
+    #[getter] retention_failures: Counter, "passes", "Retention passes that failed (the cycle had already published).";
+    // --- group commit, server connections, log ENOSPC ---
+    #[getter] commit_batches: Counter, "batches", "Group-commit batches fsynced, lifetime total.";
+    #[getter] commit_batch_records: Counter, "records", "Commit records made durable across all batches.";
+    total_connections: Counter, "connections", "Server connections accepted, lifetime total.";
+    closed_connections: Counter, "connections", "Server connections closed, lifetime total.";
+    log_read_only: Flag, "state", "The command log hit ENOSPC and writes are shed while the group committer retries.";
+    log_enospc_entries: Counter, "transitions", "Times the command log entered read-only degraded mode.";
+    emergency_retention_passes: Counter, "passes", "Emergency retention passes triggered by ENOSPC on the command log.";
+    // --- shard-owned executor ---
+    #[getter] single_shard_txns: Counter, "txns", "Transactions run lock-free on their single owning worker.";
+    #[getter] cross_shard_txns: Counter, "txns", "Transactions that spanned several owners and took the fence path.";
+    #[getter] routing_fallbacks: Counter, "txns", "Unclassifiable transactions routed to the fallback worker.";
+    // --- warm standby ---
+    #[getter] standby_applied_seq: Gauge, "seq", "Highest commit seq a warm standby has applied.";
+    standby_commits_behind: Gauge, "commits", "Commits the most recent tail poll found waiting beyond the applied watermark.";
+    standby_bytes_behind: Gauge, "bytes", "Log bytes the most recent tail poll could not yet trust or apply.";
+    #[getter] standby_rebootstraps: Counter, "rebuilds", "Times the standby rebuilt its state from the covering checkpoint.";
+    tail_errors: Counter, "errors", "Tail errors recorded (poll failures and tail-loop exits).";
+    #[getter] tail_exited: Flag, "state", "The tail loop exited for good; the applied watermark is frozen.";
+    #[getter] promoted: Flag, "state", "The standby was promoted; its lag slots are final, not live.";
 }
 
 /// Sentinel for "no timestamp recorded" in [`Health`]'s nanosecond slots.
 const NEVER: u64 = u64::MAX;
 
-/// Checkpointer health, shared between the [`crate::service::CheckpointService`],
+/// Engine health, shared between the [`crate::service::CheckpointService`],
 /// manual [`crate::Database::checkpoint_now`] calls, the background
-/// merger, and observers.
+/// merger, the group committer, a server front-end, a warm standby, and
+/// observers.
 ///
-/// All fields are monotonic counters or last-value slots so readers never
-/// block writers; timestamps are nanoseconds since construction so they
-/// fit in atomics. The stalled-cycle watchdog is computed lazily by
-/// readers ([`Health::stalled`]) instead of by a dedicated timer thread.
+/// Every number is a cell of the table declared above: recorded with
+/// [`Health::add`]/[`Health::set`], read with [`Health::get`] or a
+/// generated getter, listed by [`Health::values`]. Hand-written here is
+/// only what is logic — degraded-mode entry/exit, the two lazy watchdogs
+/// (computed by readers, not a timer thread), last-error strings, and
+/// values derived from several cells.
 pub struct Health {
     started: Instant,
-    degraded_after: u32,
+    degraded_after: u64,
     watchdog: Duration,
-    consecutive_failures: AtomicU32,
-    total_failures: AtomicU64,
-    degraded: AtomicBool,
-    degraded_entries: AtomicU64,
-    degraded_exits: AtomicU64,
-    /// Class + message of the last failed cycle.
+    cells: [AtomicU64; Metric::ALL.len()],
+    /// Per-batch fsync latency in nanoseconds.
+    fsync_latency: Histogram,
+    /// Class + message of the last classified failure: a checkpoint cycle
+    /// on a serving engine, a tail poll on a standby (which runs no cycles).
     last_error: Mutex<Option<(ErrorClass, String)>>,
+    last_merge_error: Mutex<Option<String>>,
     /// Nanos-since-start of the last successfully published checkpoint.
     last_success_nanos: AtomicU64,
     /// Nanos-since-start when the in-flight cycle began ([`NEVER`] when
-    /// no cycle is running) — the watchdog's reference point.
+    /// no cycle is running) — the cycle watchdog's reference point.
     cycle_started_nanos: AtomicU64,
-    /// Background partial-checkpoint merges that failed.
-    merge_failures: AtomicU64,
-    last_merge_error: Mutex<Option<String>>,
-    /// Part files written by the most recent checkpoint cycle (0 until
-    /// one completes).
-    last_checkpoint_parts: AtomicU64,
-    /// Disk bytes written by the most recent cycle (post-compression).
-    last_checkpoint_bytes: AtomicU64,
-    /// Uncompressed record-stream bytes of the most recent cycle.
-    last_checkpoint_raw_bytes: AtomicU64,
-    /// Superseded checkpoint chains pruned by retention, lifetime total.
-    checkpoints_pruned: AtomicU64,
-    /// Command-log segments truncated by retention, lifetime total.
-    log_segments_truncated: AtomicU64,
-    /// Command-log bytes freed by retention, lifetime total.
-    log_bytes_truncated: AtomicU64,
-    /// Retention passes (prune or truncate) that failed. Retention runs
-    /// after the cycle is durably published, so a failure never un-commits
-    /// a checkpoint — disk use just stays higher until the next pass.
-    retention_failures: AtomicU64,
-    /// Highest commit seq a warm standby has applied (0 until tailing).
-    standby_applied_seq: AtomicU64,
-    /// Commits the most recent tail poll found waiting beyond the applied
-    /// watermark — how far behind the standby had fallen between polls.
-    standby_commits_behind: AtomicU64,
-    /// Log bytes beyond the trusted tail the most recent poll could not
-    /// yet apply (an in-flight append, or untrusted bytes past a wedge).
-    standby_bytes_behind: AtomicU64,
-    /// Times the standby rebuilt its state from the covering checkpoint
-    /// after retention truncated segments below its cursor.
-    standby_rebootstraps: AtomicU64,
-    /// Tail errors recorded (poll failures and tail-thread exits).
-    tail_errors: AtomicU64,
-    /// Class + message of the most recent tail error.
-    last_tail_error: Mutex<Option<(ErrorClass, String)>>,
     /// Nanos-since-start of the most recent tail poll ([`NEVER`] until
     /// the standby starts tailing) — the tail watchdog's reference point.
     tail_heartbeat_nanos: AtomicU64,
-    /// The tail loop exited (thread death or fatal error): the applied
-    /// watermark is frozen and will never advance again.
-    tail_exited: AtomicBool,
-    /// The standby was promoted: lag slots are final, not live.
-    promoted: AtomicBool,
-    /// Group-commit batches fsynced, lifetime total.
-    commit_batches: AtomicU64,
-    /// Commit records made durable across all batches (the numerator of
-    /// the average batch size).
-    commit_batch_records: AtomicU64,
-    /// Per-batch fsync latency in nanoseconds.
-    fsync_latency: Histogram,
-    /// Server connections accepted, lifetime total.
-    connections_opened: AtomicU64,
-    /// Server connections closed, lifetime total.
-    connections_closed: AtomicU64,
-    /// The command log hit ENOSPC and the engine is shedding writes while
-    /// the group committer retries inside its heal window.
-    log_read_only: AtomicBool,
-    /// Times the command log entered read-only degraded mode (ENOSPC).
-    log_enospc_entries: AtomicU64,
-    /// Emergency retention passes triggered by ENOSPC on the command log.
-    emergency_retention_passes: AtomicU64,
-    /// Transactions the shard-owned executor ran lock-free on their
-    /// single owning worker.
-    single_shard_txns: AtomicU64,
-    /// Transactions that spanned several owners and took the cross-shard
-    /// fence path.
-    cross_shard_txns: AtomicU64,
-    /// Transactions the router could not classify (empty or undeclarable
-    /// footprint), executed on the fallback worker.
-    routing_fallbacks: AtomicU64,
-    /// Per-worker submission-queue depth gauges, installed by the engine
-    /// at boot (worker count is not known when `Health` is built). Empty
-    /// under the legacy pool executor, which has one shared queue.
-    worker_queues: Mutex<Arc<[AtomicU64]>>,
 }
 
 impl Health {
@@ -192,53 +233,77 @@ impl Health {
     pub fn new(degraded_after: u32, watchdog: Duration) -> Self {
         Health {
             started: Instant::now(),
-            degraded_after: degraded_after.max(1),
+            degraded_after: degraded_after.max(1) as u64,
             watchdog,
-            consecutive_failures: AtomicU32::new(0),
-            total_failures: AtomicU64::new(0),
-            degraded: AtomicBool::new(false),
-            degraded_entries: AtomicU64::new(0),
-            degraded_exits: AtomicU64::new(0),
+            cells: std::array::from_fn(|_| AtomicU64::new(0)),
+            fsync_latency: Histogram::new(),
             last_error: Mutex::new(None),
+            last_merge_error: Mutex::new(None),
             last_success_nanos: AtomicU64::new(NEVER),
             cycle_started_nanos: AtomicU64::new(NEVER),
-            merge_failures: AtomicU64::new(0),
-            last_merge_error: Mutex::new(None),
-            last_checkpoint_parts: AtomicU64::new(0),
-            last_checkpoint_bytes: AtomicU64::new(0),
-            last_checkpoint_raw_bytes: AtomicU64::new(0),
-            checkpoints_pruned: AtomicU64::new(0),
-            log_segments_truncated: AtomicU64::new(0),
-            log_bytes_truncated: AtomicU64::new(0),
-            retention_failures: AtomicU64::new(0),
-            standby_applied_seq: AtomicU64::new(0),
-            standby_commits_behind: AtomicU64::new(0),
-            standby_bytes_behind: AtomicU64::new(0),
-            standby_rebootstraps: AtomicU64::new(0),
-            tail_errors: AtomicU64::new(0),
-            last_tail_error: Mutex::new(None),
             tail_heartbeat_nanos: AtomicU64::new(NEVER),
-            tail_exited: AtomicBool::new(false),
-            promoted: AtomicBool::new(false),
-            commit_batches: AtomicU64::new(0),
-            commit_batch_records: AtomicU64::new(0),
-            fsync_latency: Histogram::new(),
-            connections_opened: AtomicU64::new(0),
-            connections_closed: AtomicU64::new(0),
-            log_read_only: AtomicBool::new(false),
-            log_enospc_entries: AtomicU64::new(0),
-            emergency_retention_passes: AtomicU64::new(0),
-            single_shard_txns: AtomicU64::new(0),
-            cross_shard_txns: AtomicU64::new(0),
-            routing_fallbacks: AtomicU64::new(0),
-            worker_queues: Mutex::new(Arc::from(Vec::new().into_boxed_slice())),
         }
+    }
+
+    #[inline]
+    fn cell(&self, m: Metric) -> &AtomicU64 {
+        &self.cells[m as usize]
+    }
+
+    /// Adds `n` to a counter: one relaxed RMW on a cell addressed by a
+    /// compile-time constant.
+    #[inline]
+    pub fn add(&self, m: Metric, n: u64) {
+        self.cell(m).fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Stores a gauge's new value.
+    #[inline]
+    pub fn set(&self, m: Metric, v: u64) {
+        self.cell(m).store(v, Ordering::Relaxed);
+    }
+
+    /// Reads a cell (flags as 0/1). Acquire pairs with the Release/AcqRel
+    /// writes of the flags, the failure streak and the standby watermark;
+    /// for plain counters it costs nothing extra.
+    pub fn get(&self, m: Metric) -> u64 {
+        self.cell(m).load(Ordering::Acquire)
+    }
+
+    /// Every table cell in declaration order, then the derived values
+    /// (`avg_batch_size`, `fsync_p99_us`, `active_connections`).
+    pub fn values(&self) -> MetricList {
+        let mut out: MetricList = Metric::ALL
+            .iter()
+            .map(|&m| {
+                let (desc, v) = (m.desc(), self.get(m));
+                let value = match desc.kind {
+                    MetricKind::Flag => MetricValue::Flag(v != 0),
+                    MetricKind::Counter | MetricKind::Gauge => MetricValue::Int(v),
+                };
+                (Cow::Borrowed(desc.name), value)
+            })
+            .collect();
+        out.push(("avg_batch_size".into(), MetricValue::Ratio(self.avg_batch_size())));
+        out.push(("fsync_p99_us".into(), MetricValue::Int(self.fsync_p99_us())));
+        out.push(("active_connections".into(), MetricValue::Int(self.active_connections())));
+        out
     }
 
     fn now_nanos(&self) -> u64 {
         // Saturate far below NEVER; ~584 years of uptime before wrap.
         self.started.elapsed().as_nanos().min((NEVER - 1) as u128) as u64
     }
+
+    /// Time elapsed since the instant recorded in `slot`, if any.
+    fn since(&self, slot: &AtomicU64) -> Option<Duration> {
+        match slot.load(Ordering::Acquire) {
+            NEVER => None,
+            n => Some(self.started.elapsed().saturating_sub(Duration::from_nanos(n))),
+        }
+    }
+
+    // --- checkpoint cycles ---
 
     /// A checkpoint cycle is starting (arms the watchdog).
     pub fn cycle_started(&self) {
@@ -252,9 +317,10 @@ impl Health {
         self.last_success_nanos
             .store(self.now_nanos(), Ordering::Release);
         self.cycle_started_nanos.store(NEVER, Ordering::Release);
-        self.consecutive_failures.store(0, Ordering::Release);
-        if self.degraded.swap(false, Ordering::AcqRel) {
-            self.degraded_exits.fetch_add(1, Ordering::Relaxed);
+        self.cell(Metric::consecutive_failures)
+            .store(0, Ordering::Release);
+        if self.cell(Metric::degraded).swap(0, Ordering::AcqRel) != 0 {
+            self.add(Metric::degraded_exits, 1);
         }
     }
 
@@ -263,53 +329,23 @@ impl Health {
     /// `true` if this failure newly entered degraded mode.
     pub fn cycle_failed(&self, class: ErrorClass, err: &io::Error) -> bool {
         self.cycle_started_nanos.store(NEVER, Ordering::Release);
-        let streak = self.consecutive_failures.fetch_add(1, Ordering::AcqRel) + 1;
-        self.total_failures.fetch_add(1, Ordering::Relaxed);
+        let streak = self
+            .cell(Metric::consecutive_failures)
+            .fetch_add(1, Ordering::AcqRel)
+            + 1;
+        self.add(Metric::checkpoint_failures, 1);
         *self.last_error.lock() = Some((class, err.to_string()));
         if (class == ErrorClass::Fatal || streak >= self.degraded_after)
-            && !self.degraded.swap(true, Ordering::AcqRel)
+            && self.cell(Metric::degraded).swap(1, Ordering::AcqRel) == 0
         {
-            self.degraded_entries.fetch_add(1, Ordering::Relaxed);
+            self.add(Metric::degraded_entries, 1);
             return true;
         }
         false
     }
 
-    /// A background partial-checkpoint merge failed (it will be retried
-    /// at the next merge trigger).
-    pub fn record_merge_failure(&self, err: &io::Error) {
-        self.merge_failures.fetch_add(1, Ordering::Relaxed);
-        *self.last_merge_error.lock() = Some(err.to_string());
-    }
-
-    /// Whether the engine is in degraded mode: checkpointing is failing,
-    /// but transactions keep committing and the command log keeps
-    /// growing, so recovery works — with a longer replay.
-    pub fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::Acquire)
-    }
-
-    /// Times degraded mode has been entered.
-    pub fn degraded_entries(&self) -> u64 {
-        self.degraded_entries.load(Ordering::Relaxed)
-    }
-
-    /// Times degraded mode has been exited (self-heals).
-    pub fn degraded_exits(&self) -> u64 {
-        self.degraded_exits.load(Ordering::Relaxed)
-    }
-
-    /// Current streak of failed cycles.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive_failures.load(Ordering::Acquire)
-    }
-
-    /// Total failed cycles over the engine's lifetime.
-    pub fn total_failures(&self) -> u64 {
-        self.total_failures.load(Ordering::Relaxed)
-    }
-
-    /// Class and message of the most recent cycle failure.
+    /// Class and message of the most recent cycle failure (on a standby:
+    /// the most recent tail error).
     pub fn last_error(&self) -> Option<(ErrorClass, String)> {
         self.last_error.lock().clone()
     }
@@ -317,10 +353,7 @@ impl Health {
     /// Time since the last successfully published checkpoint (`None` if
     /// none has ever published) — the recovery-replay-length proxy.
     pub fn time_since_last_success(&self) -> Option<Duration> {
-        match self.last_success_nanos.load(Ordering::Acquire) {
-            NEVER => None,
-            n => Some(self.started.elapsed().saturating_sub(Duration::from_nanos(n))),
-        }
+        self.since(&self.last_success_nanos)
     }
 
     /// Watchdog: `true` while an in-flight cycle has been running longer
@@ -328,85 +361,20 @@ impl Health {
     /// (degraded mode, retries in progress) from "a cycle is wedged and
     /// nothing is being retried at all".
     pub fn stalled(&self) -> bool {
-        match self.cycle_started_nanos.load(Ordering::Acquire) {
-            NEVER => false,
-            n => self.started.elapsed().saturating_sub(Duration::from_nanos(n)) > self.watchdog,
-        }
+        self.since(&self.cycle_started_nanos)
+            .is_some_and(|d| d > self.watchdog)
     }
 
-    /// The stalled-cycle budget.
-    pub fn watchdog(&self) -> Duration {
-        self.watchdog
+    /// A background partial-checkpoint merge failed (it will be retried
+    /// at the next merge trigger).
+    pub fn record_merge_failure(&self, err: &io::Error) {
+        self.add(Metric::merge_failures, 1);
+        *self.last_merge_error.lock() = Some(err.to_string());
     }
 
-    /// Records how many part files the just-completed checkpoint cycle
-    /// wrote (from [`calc_core::strategy::CheckpointStats::parts`]).
-    pub fn record_parts(&self, parts: usize) {
-        self.last_checkpoint_parts
-            .store(parts as u64, Ordering::Relaxed);
-    }
-
-    /// Part files written by the most recent checkpoint cycle (0 before
-    /// the first completes). With `checkpoint_threads = n` this is n for
-    /// every parallel capture; 1 indicates the serial pipeline.
-    pub fn last_checkpoint_parts(&self) -> u64 {
-        self.last_checkpoint_parts.load(Ordering::Relaxed)
-    }
-
-    /// Records the just-completed cycle's disk footprint (from
-    /// [`calc_core::strategy::CheckpointStats`]): bytes on disk and the
-    /// uncompressed stream size they encode.
-    pub fn record_footprint(&self, bytes: u64, raw_bytes: u64) {
-        self.last_checkpoint_bytes.store(bytes, Ordering::Relaxed);
-        self.last_checkpoint_raw_bytes
-            .store(raw_bytes, Ordering::Relaxed);
-    }
-
-    /// Disk bytes written by the most recent checkpoint cycle.
-    pub fn last_checkpoint_bytes(&self) -> u64 {
-        self.last_checkpoint_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Uncompressed record-stream bytes of the most recent cycle. The
-    /// ratio against [`Health::last_checkpoint_bytes`] is the cycle's
-    /// compression ratio (1.0 under codec `none`).
-    pub fn last_checkpoint_raw_bytes(&self) -> u64 {
-        self.last_checkpoint_raw_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Records one retention pass: checkpoints pruned, command-log
-    /// segments truncated, and log bytes freed.
-    pub fn record_retention(&self, pruned: u64, segments: u64, log_bytes: u64) {
-        self.checkpoints_pruned.fetch_add(pruned, Ordering::Relaxed);
-        self.log_segments_truncated
-            .fetch_add(segments, Ordering::Relaxed);
-        self.log_bytes_truncated
-            .fetch_add(log_bytes, Ordering::Relaxed);
-    }
-
-    /// A retention pass failed (the cycle itself already published).
-    pub fn record_retention_failure(&self) {
-        self.retention_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Superseded checkpoints pruned by retention, lifetime total.
-    pub fn checkpoints_pruned(&self) -> u64 {
-        self.checkpoints_pruned.load(Ordering::Relaxed)
-    }
-
-    /// Command-log segments truncated by retention, lifetime total.
-    pub fn log_segments_truncated(&self) -> u64 {
-        self.log_segments_truncated.load(Ordering::Relaxed)
-    }
-
-    /// Command-log bytes freed by retention, lifetime total.
-    pub fn log_bytes_truncated(&self) -> u64 {
-        self.log_bytes_truncated.load(Ordering::Relaxed)
-    }
-
-    /// Failed retention passes.
-    pub fn retention_failures(&self) -> u64 {
-        self.retention_failures.load(Ordering::Relaxed)
+    /// Message of the most recent merge failure.
+    pub fn last_merge_error(&self) -> Option<String> {
+        self.last_merge_error.lock().clone()
     }
 
     // --- group commit & server connections ---
@@ -415,29 +383,18 @@ impl Health {
     /// it made durable and how long its fsync took. Fed by the engine's
     /// [`calc_recovery::GroupCommitter`] batch observer.
     pub fn record_commit_batch(&self, records: u64, fsync: Duration) {
-        self.commit_batches.fetch_add(1, Ordering::Relaxed);
-        self.commit_batch_records.fetch_add(records, Ordering::Relaxed);
+        self.add(Metric::commit_batches, 1);
+        self.add(Metric::commit_batch_records, records);
         self.fsync_latency.record(fsync.as_nanos() as u64);
-    }
-
-    /// Group-commit batches fsynced, lifetime total.
-    pub fn commit_batches(&self) -> u64 {
-        self.commit_batches.load(Ordering::Relaxed)
-    }
-
-    /// Commit records made durable across all batches.
-    pub fn commit_batch_records(&self) -> u64 {
-        self.commit_batch_records.load(Ordering::Relaxed)
     }
 
     /// Mean records per fsync — the amortization factor group commit
     /// achieves (1.0 means every commit paid its own fsync).
     pub fn avg_batch_size(&self) -> f64 {
-        let batches = self.commit_batches();
-        if batches == 0 {
-            return 0.0;
+        match self.commit_batches() {
+            0 => 0.0,
+            batches => self.commit_batch_records() as f64 / batches as f64,
         }
-        self.commit_batch_records() as f64 / batches as f64
     }
 
     /// 99th-percentile batch fsync latency in microseconds (0 before the
@@ -446,126 +403,25 @@ impl Health {
         self.fsync_latency.quantile(0.99) / 1_000
     }
 
-    /// A server connection was accepted.
-    pub fn connection_opened(&self) {
-        self.connections_opened.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A server connection was closed.
-    pub fn connection_closed(&self) {
-        self.connections_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Connections currently open (opened minus closed).
+    /// Connections currently open (accepted minus closed).
     pub fn active_connections(&self) -> u64 {
-        self.connections_opened
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.connections_closed.load(Ordering::Relaxed))
+        self.get(Metric::total_connections)
+            .saturating_sub(self.get(Metric::closed_connections))
     }
-
-    /// Connections accepted over the engine's lifetime.
-    pub fn total_connections(&self) -> u64 {
-        self.connections_opened.load(Ordering::Relaxed)
-    }
-
-    // --- command-log read-only degradation (ENOSPC) ---
 
     /// The command log's read-only mode transitioned: `true` entering
     /// (ENOSPC on the log), `false` healing (space returned). Counts
     /// entries; fed by the group committer's read-only observer.
     pub fn set_log_read_only(&self, entering: bool) {
-        let was = self.log_read_only.swap(entering, Ordering::AcqRel);
-        if entering && !was {
-            self.log_enospc_entries.fetch_add(1, Ordering::Relaxed);
+        let was = self
+            .cell(Metric::log_read_only)
+            .swap(entering as u64, Ordering::AcqRel);
+        if entering && was == 0 {
+            self.add(Metric::log_enospc_entries, 1);
         }
     }
 
-    /// Whether the engine is currently shedding writes because the
-    /// command log hit ENOSPC (self-clears when the committer heals).
-    pub fn log_read_only(&self) -> bool {
-        self.log_read_only.load(Ordering::Acquire)
-    }
-
-    /// Times the command log entered read-only degraded mode.
-    pub fn log_enospc_entries(&self) -> u64 {
-        self.log_enospc_entries.load(Ordering::Relaxed)
-    }
-
-    /// An ENOSPC-triggered emergency retention pass ran (attempting to
-    /// free log segments and superseded checkpoints).
-    pub fn record_emergency_retention(&self) {
-        self.emergency_retention_passes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Emergency retention passes triggered by log ENOSPC.
-    pub fn emergency_retention_passes(&self) -> u64 {
-        self.emergency_retention_passes.load(Ordering::Relaxed)
-    }
-
-    // --- shard-owned executor ---
-
-    /// A transaction ran lock-free on its single owning worker.
-    #[inline]
-    pub fn record_single_shard_txn(&self) {
-        self.single_shard_txns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A transaction spanned several owners and took the fence path.
-    #[inline]
-    pub fn record_cross_shard_txn(&self) {
-        self.cross_shard_txns.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The router could not classify a transaction's footprint; it ran on
-    /// the fallback worker.
-    #[inline]
-    pub fn record_routing_fallback(&self) {
-        self.routing_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Lock-free single-owner transactions executed, lifetime total.
-    pub fn single_shard_txns(&self) -> u64 {
-        self.single_shard_txns.load(Ordering::Relaxed)
-    }
-
-    /// Cross-owner (fenced) transactions executed, lifetime total.
-    pub fn cross_shard_txns(&self) -> u64 {
-        self.cross_shard_txns.load(Ordering::Relaxed)
-    }
-
-    /// Unclassifiable transactions routed to the fallback worker.
-    pub fn routing_fallbacks(&self) -> u64 {
-        self.routing_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Installs the per-worker queue-depth gauges. Called once by the
-    /// shard-owned executor at boot; the gauges themselves are updated by
-    /// the dispatch path (push) and the workers (pop).
-    pub fn install_worker_queues(&self, queues: Arc<[AtomicU64]>) {
-        *self.worker_queues.lock() = queues;
-    }
-
-    /// Current submission-queue depth per worker (empty under the legacy
-    /// pool executor, which shares one queue).
-    pub fn worker_queue_depths(&self) -> Vec<u64> {
-        self.worker_queues
-            .lock()
-            .iter()
-            .map(|d| d.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Background merges that failed.
-    pub fn merge_failures(&self) -> u64 {
-        self.merge_failures.load(Ordering::Relaxed)
-    }
-
-    /// Message of the most recent merge failure.
-    pub fn last_merge_error(&self) -> Option<String> {
-        self.last_merge_error.lock().clone()
-    }
-
-    // --- warm standby lag ---
+    // --- warm standby ---
 
     /// A tail poll is running now (stamps the tail heartbeat). Called at
     /// the top of every standby poll, whether or not it makes progress.
@@ -575,28 +431,21 @@ impl Health {
     }
 
     /// Records the outcome of one standby tail poll: the applied commit
-    /// watermark, how many commits the poll found waiting (its lag at
-    /// poll start), and the log bytes it could not yet trust/apply.
+    /// watermark (monotone, even against a racy stale writer), how many
+    /// commits the poll found waiting, and the log bytes it could not yet
+    /// trust/apply.
     pub fn record_standby_lag(&self, applied_seq: u64, commits_behind: u64, bytes_behind: u64) {
-        self.standby_applied_seq
+        self.cell(Metric::standby_applied_seq)
             .fetch_max(applied_seq, Ordering::AcqRel);
-        self.standby_commits_behind
-            .store(commits_behind, Ordering::Relaxed);
-        self.standby_bytes_behind
-            .store(bytes_behind, Ordering::Relaxed);
-    }
-
-    /// Retention truncated below the standby's cursor and its state was
-    /// rebuilt from the covering checkpoint.
-    pub fn record_standby_rebootstrap(&self) {
-        self.standby_rebootstraps.fetch_add(1, Ordering::Relaxed);
+        self.set(Metric::standby_commits_behind, commits_behind);
+        self.set(Metric::standby_bytes_behind, bytes_behind);
     }
 
     /// A tail poll failed. Recoverable errors leave the loop running;
     /// pair with [`Health::record_tail_exit`] when the loop dies.
     pub fn record_tail_error(&self, class: ErrorClass, err: &io::Error) {
-        self.tail_errors.fetch_add(1, Ordering::Relaxed);
-        *self.last_tail_error.lock() = Some((class, err.to_string()));
+        self.add(Metric::tail_errors, 1);
+        *self.last_error.lock() = Some((class, err.to_string()));
     }
 
     /// The tail loop exited for good (fatal error, wedged log, or thread
@@ -604,58 +453,17 @@ impl Health {
     /// classified error, not a silently stale standby.
     pub fn record_tail_exit(&self, class: ErrorClass, err: &io::Error) {
         self.record_tail_error(class, err);
-        self.tail_exited.store(true, Ordering::Release);
+        self.cell(Metric::tail_exited).store(1, Ordering::Release);
         self.tail_heartbeat_nanos.store(NEVER, Ordering::Release);
     }
 
     /// The standby was promoted: the lag slots are zeroed (a promoted
     /// engine has no one to lag behind) and the watchdog is disarmed.
     pub fn standby_promoted(&self) {
-        self.promoted.store(true, Ordering::Release);
-        self.standby_commits_behind.store(0, Ordering::Relaxed);
-        self.standby_bytes_behind.store(0, Ordering::Relaxed);
+        self.cell(Metric::promoted).store(1, Ordering::Release);
+        self.set(Metric::standby_commits_behind, 0);
+        self.set(Metric::standby_bytes_behind, 0);
         self.tail_heartbeat_nanos.store(NEVER, Ordering::Release);
-    }
-
-    /// Highest commit seq the standby has applied.
-    pub fn standby_applied_seq(&self) -> u64 {
-        self.standby_applied_seq.load(Ordering::Acquire)
-    }
-
-    /// Commits the most recent tail poll found waiting (0 when caught up
-    /// or promoted).
-    pub fn standby_commits_behind(&self) -> u64 {
-        self.standby_commits_behind.load(Ordering::Relaxed)
-    }
-
-    /// Log bytes the most recent tail poll could not yet apply.
-    pub fn standby_bytes_behind(&self) -> u64 {
-        self.standby_bytes_behind.load(Ordering::Relaxed)
-    }
-
-    /// Checkpoint re-bootstraps forced by retention, lifetime total.
-    pub fn standby_rebootstraps(&self) -> u64 {
-        self.standby_rebootstraps.load(Ordering::Relaxed)
-    }
-
-    /// Tail errors recorded.
-    pub fn tail_errors(&self) -> u64 {
-        self.tail_errors.load(Ordering::Relaxed)
-    }
-
-    /// Class and message of the most recent tail error.
-    pub fn last_tail_error(&self) -> Option<(ErrorClass, String)> {
-        self.last_tail_error.lock().clone()
-    }
-
-    /// Whether the tail loop has exited for good.
-    pub fn tail_exited(&self) -> bool {
-        self.tail_exited.load(Ordering::Acquire)
-    }
-
-    /// Whether this standby has been promoted.
-    pub fn promoted(&self) -> bool {
-        self.promoted.load(Ordering::Acquire)
     }
 
     /// Tail watchdog: `true` when the standby *should* be polling but no
@@ -664,24 +472,8 @@ impl Health {
     /// Disarmed until the first poll, after promotion, and after a
     /// recorded tail exit (those surface via [`Health::tail_exited`]).
     pub fn tail_stalled(&self) -> bool {
-        match self.tail_heartbeat_nanos.load(Ordering::Acquire) {
-            NEVER => false,
-            n => self.started.elapsed().saturating_sub(Duration::from_nanos(n)) > self.watchdog,
-        }
-    }
-}
-
-impl std::fmt::Debug for Health {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Health(degraded={}, streak={}, total_failures={}, merge_failures={}, stalled={})",
-            self.degraded(),
-            self.consecutive_failures(),
-            self.total_failures(),
-            self.merge_failures(),
-            self.stalled()
-        )
+        self.since(&self.tail_heartbeat_nanos)
+            .is_some_and(|d| d > self.watchdog)
     }
 }
 
@@ -794,7 +586,7 @@ mod tests {
         assert!(!h.degraded());
         assert_eq!(h.degraded_exits(), 1);
         assert_eq!(h.consecutive_failures(), 0);
-        assert_eq!(h.total_failures(), 3);
+        assert_eq!(h.checkpoint_failures(), 3);
     }
 
     #[test]
@@ -819,28 +611,28 @@ mod tests {
         h.tail_heartbeat();
         h.record_standby_lag(5, 5, 0);
         assert_eq!(h.standby_applied_seq(), 5);
-        assert_eq!(h.standby_commits_behind(), 5);
+        assert_eq!(h.get(Metric::standby_commits_behind), 5);
 
         // Poll 2: the primary pulled further ahead between polls — lag
         // advances — and the tail ends mid-append (pending bytes).
         h.tail_heartbeat();
         h.record_standby_lag(40, 35, 17);
         assert_eq!(h.standby_applied_seq(), 40);
-        assert_eq!(h.standby_commits_behind(), 35);
-        assert_eq!(h.standby_bytes_behind(), 17);
+        assert_eq!(h.get(Metric::standby_commits_behind), 35);
+        assert_eq!(h.get(Metric::standby_bytes_behind), 17);
 
         // The applied watermark is monotonic even if a racy reader
         // records a stale value.
         h.record_standby_lag(12, 0, 0);
         assert_eq!(h.standby_applied_seq(), 40);
 
-        h.record_standby_rebootstrap();
+        h.add(Metric::standby_rebootstraps, 1);
         assert_eq!(h.standby_rebootstraps(), 1);
 
         h.standby_promoted();
         assert!(h.promoted());
-        assert_eq!(h.standby_commits_behind(), 0, "promotion resets lag");
-        assert_eq!(h.standby_bytes_behind(), 0);
+        assert_eq!(h.get(Metric::standby_commits_behind), 0, "promotion resets lag");
+        assert_eq!(h.get(Metric::standby_bytes_behind), 0);
         assert!(!h.tail_stalled(), "promotion disarms the tail watchdog");
         assert_eq!(
             h.standby_applied_seq(),
@@ -865,8 +657,8 @@ mod tests {
         let err = io::Error::new(io::ErrorKind::InvalidData, "sealed segment torn");
         h.record_tail_exit(ErrorClass::Fatal, &err);
         assert!(h.tail_exited());
-        assert_eq!(h.tail_errors(), 1);
-        let (class, msg) = h.last_tail_error().expect("classified error recorded");
+        assert_eq!(h.get(Metric::tail_errors), 1);
+        let (class, msg) = h.last_error().expect("classified error recorded");
         assert_eq!(class, ErrorClass::Fatal);
         assert!(msg.contains("sealed segment torn"));
         assert!(
@@ -908,39 +700,35 @@ mod tests {
     fn connection_counters_balance_open_and_close() {
         let h = Health::new(3, Duration::from_secs(1));
         assert_eq!(h.active_connections(), 0);
-        h.connection_opened();
-        h.connection_opened();
-        h.connection_opened();
+        h.add(Metric::total_connections, 3);
         assert_eq!(h.active_connections(), 3);
-        assert_eq!(h.total_connections(), 3);
-        h.connection_closed();
+        assert_eq!(h.get(Metric::total_connections), 3);
+        h.add(Metric::closed_connections, 1);
         assert_eq!(h.active_connections(), 2);
-        h.connection_closed();
-        h.connection_closed();
+        h.add(Metric::closed_connections, 1);
+        h.add(Metric::closed_connections, 1);
         assert_eq!(h.active_connections(), 0);
         // A stray double-close must not underflow.
-        h.connection_closed();
+        h.add(Metric::closed_connections, 1);
         assert_eq!(h.active_connections(), 0);
-        assert_eq!(h.total_connections(), 3, "total is monotone");
+        assert_eq!(h.get(Metric::total_connections), 3, "total is monotone");
     }
 
     #[test]
     fn log_read_only_transitions_count_entries_once() {
         let h = Health::new(3, Duration::from_secs(1));
-        assert!(!h.log_read_only());
-        assert_eq!(h.log_enospc_entries(), 0);
+        assert_eq!(h.get(Metric::log_read_only), 0);
+        assert_eq!(h.get(Metric::log_enospc_entries), 0);
         h.set_log_read_only(true);
-        assert!(h.log_read_only());
-        assert_eq!(h.log_enospc_entries(), 1);
+        assert_eq!(h.get(Metric::log_read_only), 1);
+        assert_eq!(h.get(Metric::log_enospc_entries), 1);
         // Re-entering while already read-only is not a new entry.
         h.set_log_read_only(true);
-        assert_eq!(h.log_enospc_entries(), 1);
+        assert_eq!(h.get(Metric::log_enospc_entries), 1);
         h.set_log_read_only(false);
-        assert!(!h.log_read_only());
+        assert_eq!(h.get(Metric::log_read_only), 0);
         h.set_log_read_only(true);
-        assert_eq!(h.log_enospc_entries(), 2, "a fresh entry counts again");
-        h.record_emergency_retention();
-        assert_eq!(h.emergency_retention_passes(), 1);
+        assert_eq!(h.get(Metric::log_enospc_entries), 2, "a fresh entry counts again");
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //! [`SegmentedLogWriter`] rotates to the next segment at a size threshold,
 //! so the log can be truncated while the engine runs: once a durable
 //! checkpoint's watermark covers every commit in a sealed segment,
-//! [`truncate_segments_below`] deletes it. Readers ([`read_dir_logs`],
-//! [`CommandLogStream::open_dir_with_vfs`]) walk the surviving segments in
-//! index order; the first torn or corrupt record anywhere ends the scan,
-//! because nothing after it can be trusted for replay ordering. Any other
-//! file in the directory is inert.
+//! [`truncate_segments_below`] deletes it. [`read_dir_logs`] walks the
+//! surviving segments in index order; the first torn or corrupt record
+//! anywhere ends the scan, because nothing after it can be trusted for
+//! replay ordering. Any other file in the directory is inert.
 
 use std::io::{self, BufReader, Read};
 use std::path::{Path, PathBuf};
@@ -354,93 +353,6 @@ fn read_exact_or_eof(input: &mut impl Read, buf: &mut [u8]) -> io::Result<Filled
     Ok(Filled::Full)
 }
 
-/// Streaming reader: a prefetch thread reads, CRC-checks, and decodes
-/// records ahead of the consumer through a bounded channel, so replay's
-/// single-threaded apply (commit order is mandatory) overlaps with log
-/// I/O instead of waiting for a full up-front [`read_dir_logs`].
-///
-/// Iteration ends at clean EOF or a torn/corrupt tail — same trust
-/// boundary as [`read_dir_logs`]. A real I/O error is yielded as the final
-/// `Err` item.
-pub struct CommandLogStream {
-    rx: std::sync::mpsc::Receiver<io::Result<CommitRecord>>,
-    prefetcher: Option<std::thread::JoinHandle<()>>,
-}
-
-impl CommandLogStream {
-    /// Records buffered ahead of the consumer.
-    pub const CHANNEL_DEPTH: usize = 1024;
-
-    /// Opens a segmented command-log directory for streaming: segments
-    /// are decoded in index order on the prefetch thread, with the same
-    /// trust boundary as [`read_dir_logs`] — the first torn or corrupt
-    /// record anywhere ends the stream. Listing (and the first segment
-    /// open) happens synchronously so a missing directory fails here.
-    pub fn open_dir_with_vfs(vfs: Arc<dyn Vfs>, dir: &Path) -> io::Result<Self> {
-        let segments = list_segments(vfs.as_ref(), dir)?;
-        let first = match segments.first() {
-            Some((_, path)) => Some(vfs.open_read(path)?),
-            None => None,
-        };
-        let (tx, rx) = std::sync::mpsc::sync_channel(Self::CHANNEL_DEPTH);
-        let prefetcher = std::thread::spawn(move || {
-            let mut pending = first;
-            for (_, path) in &segments {
-                let file = match pending.take() {
-                    Some(f) => f,
-                    None => match vfs.open_read(path) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
-                    },
-                };
-                let mut input = BufReader::with_capacity(1 << 20, file);
-                loop {
-                    match read_one_outcome(&mut input) {
-                        Ok(ReadOutcome::Record(rec)) => {
-                            if tx.send(Ok(rec)).is_err() {
-                                return; // consumer dropped the stream
-                            }
-                        }
-                        Ok(ReadOutcome::CleanEof) => break,
-                        Ok(ReadOutcome::Torn) => return,
-                        Err(e) => {
-                            let _ = tx.send(Err(e));
-                            return;
-                        }
-                    }
-                }
-            }
-        });
-        Ok(CommandLogStream {
-            rx,
-            prefetcher: Some(prefetcher),
-        })
-    }
-}
-
-impl Iterator for CommandLogStream {
-    type Item = io::Result<CommitRecord>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.rx.recv().ok()
-    }
-}
-
-impl Drop for CommandLogStream {
-    fn drop(&mut self) {
-        // Disconnect first so a blocked prefetcher's send fails and it
-        // exits; then reap it.
-        let (_tx, dead_rx) = std::sync::mpsc::sync_channel(0);
-        self.rx = dead_rx;
-        if let Some(h) = self.prefetcher.take() {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -518,39 +430,6 @@ mod tests {
     fn empty_log_reads_empty() {
         let (dir, _) = one_segment("empty", &[]);
         assert!(read_dir_logs(&OsVfs, &dir).unwrap().is_empty());
-        assert_eq!(
-            CommandLogStream::open_dir_with_vfs(Arc::new(OsVfs), &dir)
-                .unwrap()
-                .count(),
-            0
-        );
-    }
-
-    #[test]
-    fn stream_stops_at_torn_tail_without_an_error_item() {
-        let recs: Vec<_> = (1..=500u64).map(|i| rec(i, &i.to_le_bytes())).collect();
-        let (dir, seg) = one_segment("stream", &recs);
-        let data = std::fs::read(&seg).unwrap();
-        std::fs::write(&seg, &data[..data.len() - 3]).unwrap();
-        let torn: Vec<_> = CommandLogStream::open_dir_with_vfs(Arc::new(OsVfs), &dir)
-            .unwrap()
-            .collect();
-        assert_eq!(torn.len(), 499);
-        assert!(torn.iter().all(|r| r.is_ok()));
-    }
-
-    #[test]
-    fn dropping_stream_midway_reaps_prefetcher() {
-        // More records than the channel holds, so the prefetcher is
-        // blocked on send when the consumer walks away.
-        let recs: Vec<_> = (1..=(CommandLogStream::CHANNEL_DEPTH as u64 * 3))
-            .map(|i| rec(i, b"x"))
-            .collect();
-        let (dir, _) = one_segment("streamdrop", &recs);
-        let mut s = CommandLogStream::open_dir_with_vfs(Arc::new(OsVfs), &dir).unwrap();
-        let first = s.next().unwrap().unwrap();
-        assert_eq!(first.seq, CommitSeq(1));
-        drop(s); // must not deadlock
     }
 
     #[test]
@@ -589,17 +468,6 @@ mod tests {
         let records = read_dir_logs(&OsVfs, &dir).unwrap();
         assert_eq!(records.len(), 100);
         assert!(records.windows(2).all(|w| w[0].seq < w[1].seq));
-
-        let streamed: Vec<CommitRecord> =
-            CommandLogStream::open_dir_with_vfs(Arc::new(OsVfs), &dir)
-                .unwrap()
-                .map(|r| r.unwrap())
-                .collect();
-        assert_eq!(streamed.len(), 100);
-        assert!(streamed
-            .iter()
-            .zip(&records)
-            .all(|(a, b)| a.seq == b.seq && a.params == b.params));
     }
 
     #[test]
@@ -632,10 +500,6 @@ mod tests {
             .len();
         let full: usize = 100;
         assert!(first_seg < full, "scan must stop inside segment 1");
-        let streamed = CommandLogStream::open_dir_with_vfs(Arc::new(OsVfs), &dir)
-            .unwrap()
-            .count();
-        assert_eq!(streamed, first_seg, "stream and eager scan agree");
     }
 
     #[test]

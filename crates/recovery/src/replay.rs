@@ -4,10 +4,8 @@
 //! read and CRC-verified concurrently, entries are bucketed by key hash,
 //! and per-shard merge + store installation run one thread per shard
 //! (part-index stripes are not stable across checkpoints, so recovery
-//! re-shards by key rather than by part). Replay stays single-threaded in
-//! commit order — determinism demands it — but the command log's read,
-//! CRC check, and decode run ahead on a prefetch thread
-//! ([`crate::logfile::CommandLogStream`]).
+//! re-shards by key rather than by part). Replay is single-threaded in
+//! commit order — determinism demands it.
 
 use std::time::{Duration, Instant};
 
@@ -23,6 +21,17 @@ use calc_txn::proc::{ProcRegistry, TxnOps};
 pub enum RecoveryError {
     /// No valid full checkpoint exists in the directory.
     NoFullCheckpoint,
+    /// No checkpoint could be loaded and the command log no longer has its
+    /// beginning: retention truncated the segments a checkpoint covered,
+    /// and that checkpoint is now unreadable. Replaying the surviving tail
+    /// onto an empty store would silently drop acknowledged writes.
+    LogTruncated {
+        /// Lowest command-log segment index still on disk (the log starts
+        /// at segment 0).
+        lowest_segment: u64,
+        /// Checkpoint files this recovery attempt quarantined as corrupt.
+        quarantined: u64,
+    },
     /// The strategy's checkpoints are not transaction-consistent (Fuzzy):
     /// without a physical redo log they cannot be recovered into a
     /// consistent state — the paper's core argument (§2.1).
@@ -42,6 +51,12 @@ impl std::fmt::Display for RecoveryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RecoveryError::NoFullCheckpoint => write!(f, "no valid full checkpoint found"),
+            RecoveryError::LogTruncated { lowest_segment, quarantined } => write!(
+                f,
+                "no loadable checkpoint ({quarantined} checkpoint files quarantined) and the \
+                 command log starts at segment {lowest_segment}, not 0: the truncated prefix \
+                 existed only in the lost checkpoint"
+            ),
             RecoveryError::NotTransactionConsistent(name) => write!(
                 f,
                 "{name} checkpoints are not transaction-consistent and cannot be \
@@ -278,9 +293,8 @@ pub fn recover(
     recover_streamed(dir, strategy, registry, commands.iter().cloned().map(Ok))
 }
 
-/// [`recover`] over a streaming command source — pair with
-/// [`crate::logfile::CommandLogStream`] so log read/CRC/decode runs on
-/// the prefetch thread while this thread applies in commit order.
+/// [`recover`] over a fallible command iterator: an `Err` item (a log
+/// read failure) aborts recovery with [`RecoveryError::Io`].
 pub fn recover_streamed(
     dir: &CheckpointDir,
     strategy: &dyn CheckpointStrategy,

@@ -1,8 +1,7 @@
 //! Incremental command-log tailing for warm standbys.
 //!
-//! [`read_dir_logs`](crate::read_dir_logs) and
-//! [`CommandLogStream`](crate::logfile::CommandLogStream) replay a log
-//! directory exactly once, at startup. A warm standby instead follows a
+//! [`read_dir_logs`](crate::read_dir_logs) reads a log directory exactly
+//! once, at startup. A warm standby instead follows a
 //! *live* primary's segment directory: new records are appended behind
 //! its back, segments rotate, retention deletes sealed segments, and the
 //! newest segment routinely ends mid-record because an append is in

@@ -54,7 +54,7 @@ use calc_common::vfs::{OsVfs, Vfs};
 use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::CheckpointStrategy;
 use calc_core::throttle::Throttle;
-use calc_engine::{classify, Database, EngineConfig, ErrorClass, Health, StrategyKind};
+use calc_engine::{classify, Database, EngineConfig, ErrorClass, Health, Metric, StrategyKind};
 use calc_recovery::replay::recover_checkpoint_only;
 use calc_recovery::{apply_commit, LogTailer, RecoveryError, TailStatus};
 use calc_storage::dual::StoreConfig;
@@ -107,29 +107,6 @@ impl StandbyConfig {
             degraded_after: 3,
             watchdog: Duration::from_secs(30),
         }
-    }
-
-    /// Derives a standby config from an [`EngineConfig`] whose
-    /// [`EngineConfig::standby_of`] names the primary. Errors if the
-    /// field is unset.
-    pub fn from_engine(config: &EngineConfig) -> io::Result<Self> {
-        let of = config.standby_of.as_ref().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "EngineConfig::standby_of is not set",
-            )
-        })?;
-        Ok(StandbyConfig {
-            kind: config.strategy,
-            store: config.store.clone(),
-            checkpoint_dir: of.checkpoint_dir.clone(),
-            log_dir: of.log_dir.clone(),
-            vfs: config.vfs.clone(),
-            checkpoint_threads: config.checkpoint_threads,
-            poll_interval: of.poll_interval,
-            degraded_after: config.checkpoint_tuning.degraded_after,
-            watchdog: config.checkpoint_tuning.watchdog,
-        })
     }
 }
 
@@ -329,7 +306,7 @@ impl Standby {
                 self.applied = outcome.watermark.0;
                 self.bootstrap_watermark = outcome.watermark.0;
                 self.rebootstraps += 1;
-                self.health.record_standby_rebootstrap();
+                self.health.add(Metric::standby_rebootstraps, 1);
                 self.health.record_standby_lag(self.applied, 0, 0);
                 Ok(true)
             }
@@ -422,7 +399,7 @@ impl Standby {
                     self.log = fresh_log;
                     self.applied = outcome.watermark.0;
                     promote_rebuilt = true;
-                    self.health.record_standby_rebootstrap();
+                    self.health.add(Metric::standby_rebootstraps, 1);
                 }
                 Ok(_) | Err(RecoveryError::NoFullCheckpoint) => {}
                 Err(RecoveryError::Io(e)) => return Err(e),
@@ -568,14 +545,12 @@ impl Promoted {
     /// above the highest survivor — the durable seal), checkpoint daemon
     /// if configured. `config` supplies the serving-side knobs (workers,
     /// queue, checkpoint cadence…); its strategy/store/paths/vfs are
-    /// overridden to the promoted node's own, and `standby_of` is
-    /// cleared — this node is the primary now.
+    /// overridden to the promoted node's own.
     pub fn into_database(self, mut config: EngineConfig) -> io::Result<Database> {
         config.strategy = self.kind;
         config.checkpoint_dir = self.checkpoint_dir;
         config.command_log_dir = Some(self.log_dir);
         config.vfs = self.vfs;
-        config.standby_of = None;
         // The promoted chain already has a full ancestor (or the store is
         // empty); a base checkpoint would re-capture everything.
         config.base_checkpoint = false;

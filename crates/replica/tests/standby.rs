@@ -11,7 +11,7 @@ use calc_common::vfs::{OsVfs, Vfs};
 use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::{CheckpointStrategy, NoopEnv};
 use calc_core::throttle::Throttle;
-use calc_engine::{Database, EngineConfig, StandbyOf, StrategyKind, TxnOutcome};
+use calc_engine::{Database, EngineConfig, MetricValue, StrategyKind, TxnOutcome};
 use calc_recovery::{truncate_segments_below, SegmentedLogWriter};
 use calc_replica::{Standby, StandbyConfig, StandbyRunner};
 use calc_storage::dual::StoreConfig;
@@ -465,6 +465,14 @@ fn retention_truncation_behind_cursor_rebootstraps_without_loss() {
     let next = standby.poll().unwrap();
     assert_eq!(next.applied, 1);
     assert_eq!(standby.get(Key(99)).unwrap().as_ref(), b"after");
+
+    // Observers read the lag through the same list the wire prints.
+    let values = standby.health().values();
+    let listed = |name: &str| values.iter().find(|(n, _)| n == name).unwrap().1;
+    assert_eq!(listed("standby_applied_seq"), MetricValue::Int(standby.applied_seq()));
+    assert_eq!(listed("standby_commits_behind"), MetricValue::Int(1));
+    assert_eq!(listed("standby_bytes_behind"), MetricValue::Int(0));
+    assert_eq!(listed("standby_rebootstraps"), MetricValue::Int(1));
 }
 
 #[test]
@@ -564,19 +572,4 @@ fn runner_tails_in_background_and_hands_back_for_promotion() {
     let promoted = standby.promote().unwrap();
     assert_eq!(promoted.watermark(), last);
     assert_eq!(promoted.get(Key(2)).unwrap().as_ref(), b"two");
-}
-
-#[test]
-fn from_engine_requires_and_consumes_standby_of() {
-    let (ckpt_dir, log_dir) = tmp("from-engine");
-    let own_dir = ckpt_dir.join("own");
-    let mut config = EngineConfig::new(StrategyKind::Calc, 128, 64, own_dir);
-    assert!(StandbyConfig::from_engine(&config).is_err());
-    config.standby_of = Some(StandbyOf::new(ckpt_dir.clone(), log_dir.clone()));
-    let cfg = StandbyConfig::from_engine(&config).unwrap();
-    assert_eq!(cfg.checkpoint_dir, ckpt_dir);
-    assert_eq!(cfg.log_dir, log_dir);
-    // And the engine itself refuses to serve over the primary's state.
-    let err = Database::open(config, registry()).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }

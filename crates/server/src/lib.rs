@@ -10,7 +10,7 @@
 //! machinery itself lives in `calc_recovery::group_commit`.
 //!
 //! [`client`] is the matching blocking client, used by the examples, the
-//! multi-connection load generator in `calc-bench`, and the tests.
+//! `perfbench` wire workloads, and the tests.
 
 #![warn(missing_docs)]
 
@@ -60,8 +60,8 @@ pub fn open_or_recover(
     tune(&mut config);
     let db = calc_engine::Database::open(config, procs::registry())?;
     if had_state {
-        db.recover(&commands)
-            .map_err(|e| std::io::Error::other(format!("recovery failed: {e}")))?;
+        // The typed `RecoveryError` stays reachable through `get_ref()`.
+        db.recover(&commands).map_err(std::io::Error::other)?;
     }
     Ok(db)
 }

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use calc_common::load::Gate;
-use calc_engine::{Database, SyncError, TxnOutcome};
+use calc_engine::{Database, Metric, SyncError, TxnOutcome};
 use calc_txn::proc::params;
 
 use crate::procs;
@@ -230,7 +230,7 @@ fn accept_loop(
             continue;
         };
         conns.lock().insert(id, registry_clone);
-        db.health().connection_opened();
+        db.health().add(Metric::total_connections, 1);
         let handle = {
             let db = db.clone();
             let conns = conns.clone();
@@ -242,7 +242,7 @@ fn accept_loop(
                 .spawn(move || {
                     let _ = handle_conn(&db, stream, &gate, &config);
                     conns.lock().remove(&id);
-                    db.health().connection_closed();
+                    db.health().add(Metric::closed_connections, 1);
                 })
                 .expect("spawn connection handler")
         };
@@ -494,56 +494,20 @@ fn durable_outcome(result: Result<TxnOutcome, SyncError>) -> (u8, Vec<u8>) {
     }
 }
 
-/// `HEALTH` verb: one `key=value` per line, stable names — the group-
-/// commit and connection counters the benchmark and operators read.
+/// `HEALTH` verb: [`Database::metric_values`], one `key=value` per line.
+/// Names and formats come from the engine's metric table; nothing is
+/// listed here.
 fn health_text(db: &Database) -> String {
-    let h = db.health();
-    let m = db.metrics();
-    let load = db.load();
-    let mut out = format!(
-        "committed={}\naborted={}\nrecords={}\ncommit_batches={}\ncommit_batch_records={}\n\
-         avg_batch_size={:.2}\nfsync_p99_us={}\nactive_connections={}\ntotal_connections={}\n\
-         degraded={}\ncheckpoint_failures={}\nload_level={}\ninflight={}\nshed_requests={}\n\
-         shed_connections={}\ncapture_yields={}\nlog_read_only={}\nlog_enospc_entries={}\n\
-         emergency_retention_passes={}\nexecutor_mode={}\nsingle_shard_txns={}\n\
-         cross_shard_txns={}\nrouting_fallbacks={}\n",
-        m.committed(),
-        m.aborted(),
-        db.record_count(),
-        h.commit_batches(),
-        h.commit_batch_records(),
-        h.avg_batch_size(),
-        h.fsync_p99_us(),
-        h.active_connections(),
-        h.total_connections(),
-        h.degraded(),
-        h.total_failures(),
-        load.level(),
-        load.inflight(),
-        load.shed_requests(),
-        load.shed_connections(),
-        load.capture_yields(),
-        db.log_read_only() || h.log_read_only(),
-        h.log_enospc_entries(),
-        h.emergency_retention_passes(),
-        db.executor_mode(),
-        h.single_shard_txns(),
-        h.cross_shard_txns(),
-        h.routing_fallbacks(),
-    );
-    // Per-worker queue depths, one gauge per owned worker (empty under
-    // the pool executor, which shares a single queue).
-    for (i, d) in h.worker_queue_depths().iter().enumerate() {
-        out.push_str(&format!("worker_queue_depth_{i}={d}\n"));
-    }
-    out
+    db.metric_values()
+        .iter()
+        .map(|(name, value)| format!("{name}={value}\n"))
+        .collect()
 }
 
-/// `STATS` verb: the published checkpoints plus retention totals. Listed
-/// from manifest documents only — a per-request deep scan would re-CRC
-/// every part and rename files under the merger's GC.
+/// `STATS` verb: the published checkpoints, then the same list as
+/// `HEALTH`. Listed from manifest documents only — a per-request deep
+/// scan would re-CRC every part and rename files under the merger's GC.
 fn stats_text(db: &Database) -> String {
-    let h = db.health();
     let mut out = String::new();
     for m in db.checkpoint_dir().manifests().unwrap_or_default() {
         out.push_str(&format!(
@@ -551,14 +515,5 @@ fn stats_text(db: &Database) -> String {
             m.kind, m.id, m.records, m.watermark
         ));
     }
-    out.push_str(&format!(
-        "last_checkpoint_bytes={}\nlast_checkpoint_raw_bytes={}\ncheckpoints_pruned={}\n\
-         log_segments_truncated={}\nlog_bytes_truncated={}\n",
-        h.last_checkpoint_bytes(),
-        h.last_checkpoint_raw_bytes(),
-        h.checkpoints_pruned(),
-        h.log_segments_truncated(),
-        h.log_bytes_truncated(),
-    ));
-    out
+    out + &health_text(db)
 }

@@ -337,3 +337,187 @@ fn shutdown_under_load_loses_no_acknowledged_write() {
     }
     recovered.shutdown();
 }
+
+/// How a golden `HEALTH`/`STATS` value must parse.
+#[derive(Debug)]
+enum Format {
+    Int,
+    Bool,
+    TwoDecimals,
+    OneOf(&'static [&'static str]),
+}
+
+/// Every key `HEALTH` printed before the metric table existed, with its
+/// value format — the wire contract the table must keep.
+const HEALTH_GOLDEN: [(&str, Format); 23] = [
+    ("committed", Format::Int),
+    ("aborted", Format::Int),
+    ("records", Format::Int),
+    ("commit_batches", Format::Int),
+    ("commit_batch_records", Format::Int),
+    ("avg_batch_size", Format::TwoDecimals),
+    ("fsync_p99_us", Format::Int),
+    ("active_connections", Format::Int),
+    ("total_connections", Format::Int),
+    ("degraded", Format::Bool),
+    ("checkpoint_failures", Format::Int),
+    ("load_level", Format::OneOf(&["idle", "normal", "high", "overload"])),
+    ("inflight", Format::Int),
+    ("shed_requests", Format::Int),
+    ("shed_connections", Format::Int),
+    ("capture_yields", Format::Int),
+    ("log_read_only", Format::Bool),
+    ("log_enospc_entries", Format::Int),
+    ("emergency_retention_passes", Format::Int),
+    ("executor_mode", Format::OneOf(&["pool", "shard_owned"])),
+    ("single_shard_txns", Format::Int),
+    ("cross_shard_txns", Format::Int),
+    ("routing_fallbacks", Format::Int),
+];
+
+/// The five totals `STATS` printed after its checkpoint lines.
+const STATS_GOLDEN: [&str; 5] = [
+    "last_checkpoint_bytes",
+    "last_checkpoint_raw_bytes",
+    "checkpoints_pruned",
+    "log_segments_truncated",
+    "log_bytes_truncated",
+];
+
+/// Splits `key=value` lines, failing on a key that appears twice.
+fn unique_fields(text: &str) -> std::collections::BTreeMap<&str, &str> {
+    let mut fields = std::collections::BTreeMap::new();
+    for line in text.lines().filter(|l| !l.starts_with("checkpoint ")) {
+        let (k, v) = line.split_once('=').unwrap_or_else(|| panic!("not key=value: {line}"));
+        assert!(fields.insert(k, v).is_none(), "key {k} printed twice");
+    }
+    fields
+}
+
+/// The wire is the engine's metric table: every declared metric once, no
+/// duplicate keys, the pre-table keys and formats intact, and one value
+/// whichever way it is read.
+#[test]
+fn health_and_stats_print_the_metric_table() {
+    use calc_engine::{Metric, MetricValue};
+
+    let dir = temp_dir("metric-table");
+    let server = start_server(&dir);
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    for i in 0..20u64 {
+        c.put(i, &i.to_le_bytes()).unwrap();
+    }
+    c.checkpoint().unwrap();
+    server.db().health().add(Metric::retention_failures, 3);
+
+    let health = c.health().unwrap();
+    let fields = unique_fields(&health);
+    for m in Metric::ALL {
+        assert!(fields.contains_key(m.desc().name), "{} missing from HEALTH", m.desc().name);
+    }
+    for (key, format) in &HEALTH_GOLDEN {
+        let value = *fields.get(key).unwrap_or_else(|| panic!("HEALTH lost {key}"));
+        let ok = match format {
+            Format::Int => value.parse::<u64>().is_ok(),
+            Format::Bool => value == "true" || value == "false",
+            Format::TwoDecimals => {
+                value.parse::<f64>().is_ok() && value.split_once('.').is_some_and(|(_, d)| d.len() == 2)
+            }
+            Format::OneOf(names) => names.contains(&value),
+        };
+        assert!(ok, "HEALTH {key}={value} is not {format:?}");
+    }
+
+    let stats = c.stats().unwrap();
+    assert!(
+        stats.starts_with("checkpoint kind=full id=0 records=20 watermark="),
+        "stats: {stats}"
+    );
+    let stats_fields = unique_fields(&stats);
+    for key in STATS_GOLDEN {
+        assert!(stats_fields[key].parse::<u64>().is_ok(), "STATS {key}={}", stats_fields[key]);
+    }
+    assert!(stats_fields["last_checkpoint_bytes"].parse::<u64>().unwrap() > 0);
+    assert_eq!(stats_fields["last_checkpoint_parts"], fields["last_checkpoint_parts"]);
+
+    // One value, three readers: the engine-level list, the typed getter,
+    // the wire. (The server is idle, so the counters are not moving.)
+    let db = server.db();
+    let list = db.metric_values();
+    let listed = |name: &str| list.iter().find(|(n, _)| n == name).unwrap().1;
+    assert_eq!(listed("commit_batch_records"), MetricValue::Int(20));
+    assert_eq!(db.health().commit_batch_records(), 20);
+    assert_eq!(fields["commit_batch_records"], "20");
+    assert_eq!(listed("retention_failures"), MetricValue::Int(3));
+    assert_eq!(db.health().retention_failures(), 3);
+    assert_eq!(fields["retention_failures"], "3");
+    assert_eq!(listed("degraded"), MetricValue::Flag(db.health().degraded()));
+    assert_eq!(fields["degraded"], listed("degraded").to_string());
+
+    let db = server.shutdown();
+    Arc::try_unwrap(db).unwrap().shutdown();
+}
+
+/// Retention truncates the log below the oldest surviving full; if that
+/// full later turns out corrupt, the surviving log tail is not the whole
+/// history. Restart must refuse, not serve the tail over an empty store.
+#[test]
+fn restart_refuses_log_only_recovery_over_a_truncated_log() {
+    use calc_recovery::RecoveryError;
+
+    let dir = temp_dir("corrupt-sole-full");
+    let open = || {
+        calc_server::open_or_recover(&dir, |config| {
+            config.workers = 2;
+            config.group_commit_window = Duration::from_micros(500);
+            config.keep_checkpoints = Some(1);
+        })
+    };
+    // One server lifetime: boot over `dir`, do `work`, shut down cleanly.
+    let lifetime = |work: &dyn Fn(&mut Client)| {
+        let server = Server::start(Arc::new(open().unwrap()), "127.0.0.1:0").unwrap();
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        work(&mut c);
+        drop(c);
+        Arc::try_unwrap(server.shutdown()).unwrap().shutdown();
+    };
+    lifetime(&|c| {
+        for i in 0..50u64 {
+            c.put(i, b"acked").unwrap();
+        }
+        c.checkpoint().unwrap();
+    });
+    // This checkpoint (cycle 1) supersedes cycle 0, and retention deletes
+    // the sealed segment 0 that it covers.
+    lifetime(&|c| {
+        c.checkpoint().unwrap();
+        for i in 50..55u64 {
+            c.put(i, b"acked").unwrap();
+        }
+    });
+    assert!(!dir.join("cmdlog").join("cmdlog-000000.log").exists());
+
+    let mut flipped = 0;
+    for entry in std::fs::read_dir(dir.join("ckpts")).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name.starts_with("ckpt-0000000001-full.part-") {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xFF;
+            std::fs::write(&path, &bytes).unwrap();
+            flipped += 1;
+        }
+    }
+    assert!(flipped > 0, "cycle 1 is the sole full checkpoint");
+
+    let err = open().expect_err("50 acknowledged writes exist only in the corrupt checkpoint");
+    let typed = err.get_ref().and_then(|e| e.downcast_ref::<RecoveryError>());
+    match typed {
+        Some(RecoveryError::LogTruncated { lowest_segment, quarantined }) => {
+            assert!(*lowest_segment > 0);
+            assert_eq!(*quarantined, flipped + 1, "the parts and their manifest");
+        }
+        other => panic!("expected LogTruncated, got {other:?} ({err})"),
+    }
+}

@@ -37,9 +37,8 @@ use calc_core::strategy::{CheckpointStrategy, NoopEnv, TxnToken};
 use calc_core::throttle::Throttle;
 use calc_core::Codec;
 use calc_engine::{classify, ErrorClass, StrategyKind};
-use calc_recovery::logfile::CommandLogStream;
 use calc_recovery::{read_dir_logs, truncate_segments_below, SegmentedLogWriter};
-use calc_recovery::replay::{recover_streamed, RecoveryError};
+use calc_recovery::replay::{recover, RecoveryError};
 use calc_storage::dual::StoreConfig;
 use calc_txn::commitlog::{CommitLog, CommitRecord, PhaseStamp};
 use calc_txn::proc::TxnOps;
@@ -482,18 +481,8 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
             commands.len()
         );
     }
-    // Recovery replays through the streaming reader (log decode + CRC on
-    // the prefetch thread, apply in commit order here), exercising the
-    // same pipelined path the engine uses. The eager `commands` read
-    // above is the oracle's reference copy.
-    let streamed = match CommandLogStream::open_dir_with_vfs(vfs_dyn.clone(), &log_seg_dir) {
-        Ok(stream) => recover_streamed(&dir, fresh.as_ref(), &reg, stream),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            recover_streamed(&dir, fresh.as_ref(), &reg, std::iter::empty())
-        }
-        Err(e) => return Err(violation(spec, format!("opening segment stream: {e}"))),
-    };
-    let recovered_prefix = match streamed {
+    let recovered = recover(&dir, fresh.as_ref(), &reg, &commands);
+    let recovered_prefix = match recovered {
         Ok(outcome) => {
             if std::env::var("SIM_RECOVERY_STATS").is_ok() {
                 let s = outcome.stats;

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Full verification gate: tier-0 (clippy and rustdoc, deny warnings — a doc
-# link to a deleted item fails the gate), tier-1 (build +
+# link to a deleted item fails the gate — plus a check build of perfbench,
+# which is its own workspace, so a renamed crate API it calls would
+# otherwise go unnoticed), tier-1 (build +
 # every workspace test), tier-2 (the deterministic crash-simulation suite
 # in calc-sim, including the 64-seed smoke sweep), tier-3 (the concurrency
 # conformance suite in calc-conform at three fixed base seeds), tier-4
@@ -33,6 +35,9 @@ cargo clippy --workspace --all-targets --quiet -- -D warnings
 
 echo "== tier-0: rustdoc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
+
+echo "== tier-0: perfbench builds against the crates =="
+cargo check --release --manifest-path perfbench/Cargo.toml --quiet
 
 echo "== tier-1: release build =="
 cargo build --release --workspace --quiet

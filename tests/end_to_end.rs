@@ -224,6 +224,46 @@ fn durable_command_log_survives_crash_and_replays() {
     }
 }
 
+/// The engine-level metric list is the declared table: every [`Metric`]
+/// exactly once, no key twice, and a recorded value reads the same through
+/// the list and through its typed getter.
+#[test]
+fn metric_list_is_the_declared_table() {
+    use calc_db::engine::{Metric, MetricValue};
+
+    let dir = tmp_dir("metric-list");
+    let mut config = EngineConfig::new(StrategyKind::Calc, 1024, 16, dir.join("ckpts"));
+    config.command_log_dir = Some(dir.join("cmdlog"));
+    let db = Database::open(config, registry()).unwrap();
+    for k in 0..20u64 {
+        let outcome = db.execute_durable(BUMP, bump(k, 1)).unwrap();
+        assert!(matches!(outcome, TxnOutcome::Committed(_)));
+    }
+    let ckpt = db.checkpoint_now().unwrap();
+    db.health().add(Metric::retention_failures, 3);
+
+    let list = db.metric_values();
+    let count = |name: &str| list.iter().filter(|(n, _)| n == name).count();
+    for (name, _) in &list {
+        assert_eq!(count(name), 1, "{name} listed twice");
+    }
+    for m in Metric::ALL {
+        assert_eq!(count(m.desc().name), 1, "{} not listed", m.desc().name);
+    }
+    let listed = |name: &str| list.iter().find(|(n, _)| n == name).unwrap().1;
+    assert_eq!(listed("committed"), MetricValue::Int(20));
+    assert_eq!(listed("records"), MetricValue::Int(20));
+    assert_eq!(listed("commit_batch_records"), MetricValue::Int(20));
+    assert_eq!(db.health().commit_batch_records(), 20);
+    assert_eq!(listed("retention_failures"), MetricValue::Int(3));
+    assert_eq!(db.health().retention_failures(), 3);
+    assert_eq!(listed("last_checkpoint_parts"), MetricValue::Int(ckpt.parts as u64));
+    assert_eq!(listed("last_checkpoint_bytes"), MetricValue::Int(ckpt.bytes));
+    assert_eq!(listed("degraded"), MetricValue::Flag(false));
+    assert_eq!(listed("executor_mode"), MetricValue::Text(db.executor_mode().name()));
+    assert_eq!(listed("avg_batch_size").to_string(), format!("{:.2}", db.health().avg_batch_size()));
+}
+
 /// The production boot path over the production formats: a log-only cold
 /// start, then a checkpoint chain plus an un-checkpointed tail, then a
 /// restart after a post-recovery checkpoint. Every synced write survives
