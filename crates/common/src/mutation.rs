@@ -1,5 +1,6 @@
-//! Test-only fault switches that inject *known concurrency bugs* into the
-//! engine, so the conformance checker can prove it would catch them.
+//! Test-only fault switches that inject *known bugs* into the engine, so
+//! the oracles (the conformance checker; for `AckBeforeFsync`, calc-sim's
+//! crash oracle) can prove they would catch them.
 //!
 //! A checker that has never seen a failure proves nothing: if the oracle
 //! is vacuous (checks the wrong thing, or checks nothing under the real
@@ -35,16 +36,23 @@ pub enum Mutation {
     /// transition instead of under the log mutex — commits straddle the
     /// virtual point of consistency and checkpoint contents go wrong.
     LatePhaseStamp,
+    /// The group committer's sync thread acknowledges a batch's durability
+    /// waiters *before* the fsync that covers their records — a crash in
+    /// between loses an acknowledged write. Caught by `calc-sim`'s
+    /// `acked ⊆ recovered` crash oracle, not by the conformance checker.
+    AckBeforeFsync,
 }
 
 /// All mutations, for sweep-style tests.
-pub const ALL: [Mutation; 3] = [
+pub const ALL: [Mutation; 4] = [
     Mutation::SkipLock,
     Mutation::StaleStableRead,
     Mutation::LatePhaseStamp,
+    Mutation::AckBeforeFsync,
 ];
 
-static FLAGS: [AtomicBool; 3] = [
+static FLAGS: [AtomicBool; 4] = [
+    AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
@@ -57,6 +65,7 @@ impl Mutation {
             Mutation::SkipLock => 0,
             Mutation::StaleStableRead => 1,
             Mutation::LatePhaseStamp => 2,
+            Mutation::AckBeforeFsync => 3,
         }
     }
 
@@ -66,6 +75,7 @@ impl Mutation {
             Mutation::SkipLock => "skip-lock",
             Mutation::StaleStableRead => "stale-stable-read",
             Mutation::LatePhaseStamp => "late-phase-stamp",
+            Mutation::AckBeforeFsync => "ack-before-fsync",
         }
     }
 }

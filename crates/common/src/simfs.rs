@@ -179,6 +179,7 @@ struct SimState {
     fault_fired: bool,
     crashed: bool,
     fsyncs_dropped: u64,
+    sync_enospc: bool,
     remove_crash_at: Option<u64>,
     dir_crash_mode: DirCrashMode,
     seed: u64,
@@ -306,6 +307,9 @@ impl VfsFile for SimFile {
             st.fsyncs_dropped += 1;
             return Ok(()); // the lie: report durability without providing it
         }
+        if st.sync_enospc {
+            return Err(io::Error::from_raw_os_error(28));
+        }
         let node = st.files.get_mut(&self.inode).expect("inode live");
         node.durable_len = node.content.len();
         Ok(())
@@ -340,6 +344,7 @@ impl SimVfs {
                 fault_fired: false,
                 crashed: false,
                 fsyncs_dropped: 0,
+                sync_enospc: false,
                 remove_crash_at: None,
                 dir_crash_mode: DirCrashMode::default(),
                 seed,
@@ -357,6 +362,15 @@ impl SimVfs {
     /// not crash the filesystem; see [`TransientSpec`].
     pub fn arm_transient(&self, spec: TransientSpec) {
         self.state.lock().transient = (spec.count > 0).then_some(spec);
+    }
+
+    /// While set, every file fsync fails with `ENOSPC` and makes nothing
+    /// durable: a full disk as a *buffered* writer meets it — at flush
+    /// time, not at `write` — which is where `OsVfs`'s `BufWriter`
+    /// surfaces it for the command log. ([`TransientKind::Enospc`]
+    /// windows fail the write itself.) Clearing it models freed space.
+    pub fn set_sync_enospc(&self, full: bool) {
+        self.state.lock().sync_enospc = full;
     }
 
     /// Number of operations a transient window has failed so far.

@@ -39,6 +39,9 @@ fn spec_for(mutation: Mutation, seed: u64) -> StressSpec {
         Mutation::LatePhaseStamp => {
             StressSpec::new(StrategyKind::Calc, Scenario::CheckpointContention, seed)
         }
+        Mutation::AckBeforeFsync => {
+            unreachable!("a durability bug: calc-sim's crash oracle owns it, not this checker")
+        }
     }
 }
 

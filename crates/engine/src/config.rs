@@ -271,13 +271,18 @@ pub struct EngineConfig {
     /// Rotation threshold for command-log segments, in bytes (clamped
     /// to at least 512 B). `None` uses a 64 MiB default.
     pub log_segment_bytes: Option<u64>,
-    /// Group-commit deadline window: the first commit of a batch waits at
-    /// most this long for company before the log fsync fires. Larger
-    /// windows build bigger batches (higher throughput under many
-    /// concurrent committers) at the cost of durable-commit latency.
+    /// Group-commit window: an upper bound on how long a commit may wait
+    /// for company before the log fsync fires, reached only by batches
+    /// nobody is waiting on — it bounds the unflushed tail of
+    /// fire-and-forget commits. A batch holding a durable waiter is
+    /// fsynced as soon as the queue is drained and the company it can
+    /// expect has arrived, but no sooner than half the window after the
+    /// previous fsync started (see `calc_recovery::group_commit`): a
+    /// durable commit into an idle log costs one fsync, back-to-back
+    /// ones about half a window each.
     pub group_commit_window: std::time::Duration,
     /// Group-commit batch-size cap: the fsync fires immediately once this
-    /// many records are batched, even inside the window. `1` degenerates
+    /// many records are batched, whoever is or is not waiting. `1` degenerates
     /// to per-commit fsync (the benchmark's baseline).
     pub group_commit_max_batch: usize,
     /// Load-aware checkpoint pacing: when on (the default), capture

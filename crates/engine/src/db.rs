@@ -490,8 +490,7 @@ impl Database {
             dir.set_load_signal(load.clone());
         }
         // Durable command logging: a dedicated sync thread group-commits
-        // concurrent appends (append many, fsync once per deadline-bounded
-        // batch) — the paper's §1 "logging of transactional input is
+        // concurrent appends (append many, fsync once per batch) — the paper's §1 "logging of transactional input is
         // generally far lighter weight than full ARIES logging".
         let segment_bytes = config.log_segment_bytes.unwrap_or(64 << 20);
         let backend = match &config.command_log_dir {
@@ -519,8 +518,8 @@ impl Database {
                     max_batch: config.group_commit_max_batch.max(1),
                     ..GroupCommitConfig::default()
                 },
-                Some(Box::new(move |records, fsync| {
-                    observer_health.record_commit_batch(records as u64, fsync);
+                Some(Box::new(move |records, dwell, fsync| {
+                    observer_health.record_commit_batch(records as u64, dwell, fsync);
                 })),
                 Some(Box::new(move |entering| {
                     ro_health.set_log_read_only(entering);
@@ -857,12 +856,9 @@ impl Database {
     /// while an emergency retention pass tries to free space. Callers
     /// should reject writes (reads stay fine) until this clears.
     pub fn log_read_only(&self) -> bool {
-        self.inner
-            .cmdlog
-            .lock()
-            .as_ref()
-            .map(|gc| gc.read_only())
-            .unwrap_or(false)
+        // Mirrored into `Health` by the committer's read-only observer:
+        // no trip through the commit path's `cmdlog` mutex.
+        self.inner.health.get(Metric::log_read_only) != 0
     }
 
     /// The active checkpointing strategy.
@@ -2089,6 +2085,50 @@ mod cmdlog_tests {
                 "round {round}: flush acknowledged but records not durable"
             );
         }
+        db.shutdown();
+    }
+
+    /// `log_read_only()` is the `Health` mirror of the committer's flag
+    /// (no `cmdlog` mutex on the read): true while the log's fsync hits
+    /// ENOSPC with a durable ticket pending, false once space returns —
+    /// and the ticket resolves `Ok`, nothing acknowledged is lost.
+    #[test]
+    fn log_read_only_tracks_an_enospc_window_on_the_command_log() {
+        use calc_common::simfs::SimVfs;
+        let vfs = SimVfs::new(0xE05_10C);
+        let mut registry = ProcRegistry::new();
+        registry.register(Arc::new(SetProc));
+        let mut config = EngineConfig::new(
+            StrategyKind::Calc,
+            1024,
+            16,
+            std::path::PathBuf::from("/sim/ckpts"),
+        );
+        config.vfs = Arc::new(vfs.clone());
+        config.command_log_dir = Some(std::path::PathBuf::from("/sim/cmdlog"));
+        config.workers = 2;
+        let db = Database::open(config, registry).unwrap();
+        let put = |v: u64| params::Writer::new().u64(7).u64(v).finish();
+        db.execute_durable(ProcId(1), put(1)).expect("healthy log");
+        assert!(!db.log_read_only());
+
+        vfs.set_sync_enospc(true);
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| db.execute_durable(ProcId(1), put(2)));
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !db.log_read_only() {
+                assert!(Instant::now() < deadline, "read-only mode never published");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(!writer.is_finished(), "no acknowledgement while the disk is full");
+
+            vfs.set_sync_enospc(false);
+            let outcome = writer.join().unwrap().expect("ticket resolves Ok after the heal");
+            assert!(matches!(outcome, TxnOutcome::Committed(_)));
+        });
+        // The heal is published before the acknowledgement is sent.
+        assert!(!db.log_read_only());
+        assert_eq!(db.health().get(Metric::log_enospc_entries), 1);
         db.shutdown();
     }
 }

@@ -172,6 +172,7 @@ health_metrics! {
     // --- group commit, server connections, log ENOSPC ---
     #[getter] commit_batches: Counter, "batches", "Group-commit batches fsynced, lifetime total.";
     #[getter] commit_batch_records: Counter, "records", "Commit records made durable across all batches.";
+    commit_batch_dwell_us: Counter, "us", "Time batches spent open (opener received to fsync started), summed; mean dwell is this over commit_batches.";
     total_connections: Counter, "connections", "Server connections accepted, lifetime total.";
     closed_connections: Counter, "connections", "Server connections closed, lifetime total.";
     log_read_only: Flag, "state", "The command log hit ENOSPC and writes are shed while the group committer retries.";
@@ -380,11 +381,13 @@ impl Health {
     // --- group commit & server connections ---
 
     /// Records one successful group-commit batch: how many commit records
-    /// it made durable and how long its fsync took. Fed by the engine's
+    /// it made durable, how long it stayed open before its fsync started,
+    /// and how long the fsync took. Fed by the engine's
     /// [`calc_recovery::GroupCommitter`] batch observer.
-    pub fn record_commit_batch(&self, records: u64, fsync: Duration) {
+    pub fn record_commit_batch(&self, records: u64, dwell: Duration, fsync: Duration) {
         self.add(Metric::commit_batches, 1);
         self.add(Metric::commit_batch_records, records);
+        self.add(Metric::commit_batch_dwell_us, dwell.as_micros() as u64);
         self.fsync_latency.record(fsync.as_nanos() as u64);
     }
 
@@ -686,10 +689,11 @@ mod tests {
         assert_eq!(h.avg_batch_size(), 0.0, "no batches yet");
         assert_eq!(h.fsync_p99_us(), 0);
 
-        h.record_commit_batch(10, Duration::from_micros(500));
-        h.record_commit_batch(30, Duration::from_micros(1500));
+        h.record_commit_batch(10, Duration::from_micros(40), Duration::from_micros(500));
+        h.record_commit_batch(30, Duration::from_micros(60), Duration::from_micros(1500));
         assert_eq!(h.commit_batches(), 2);
         assert_eq!(h.commit_batch_records(), 40);
+        assert_eq!(h.get(Metric::commit_batch_dwell_us), 100, "a running sum");
         assert!((h.avg_batch_size() - 20.0).abs() < f64::EPSILON);
         // p99 lands on the slowest recorded fsync (histogram buckets are
         // approximate upward, never below the true value's bucket floor).

@@ -25,7 +25,11 @@ fn usage() -> ! {
          \x20                 [--max-inflight N] [--queue-deadline-ms N]\n\
          \x20                 [--frame-timeout-ms N] [--capacity-tps N]\n\
          \x20                 [--no-adaptive-pacing]\n\
-         \x20                 [--executor-mode pool|shard_owned] [--shards-per-worker N]"
+         \x20                 [--executor-mode pool|shard_owned] [--shards-per-worker N]\n\
+         --window-us N  upper bound on how long a commit may wait for company;\n\
+         \x20              reached only by batches nobody is waiting on; waited\n\
+         \x20              fsyncs start no closer than N/2 apart (default 2000)\n\
+         --max-batch N  fsync at once when a batch holds N records; 1 = per-commit fsync"
     );
     std::process::exit(2);
 }

@@ -47,7 +47,6 @@ fn chaos_seed(default: u64) -> u64 {
 fn open_db(dir: &std::path::Path) -> calc_engine::Database {
     calc_server::open_or_recover(dir, |c| {
         c.workers = 2;
-        c.group_commit_window = Duration::from_micros(500);
     })
     .unwrap()
 }

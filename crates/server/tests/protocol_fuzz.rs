@@ -33,7 +33,6 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
 fn start_server(dir: &std::path::Path, config: ServerConfig) -> Server {
     let db = calc_server::open_or_recover(dir, |c| {
         c.workers = 2;
-        c.group_commit_window = Duration::from_micros(500);
     })
     .unwrap();
     Server::start_with(Arc::new(db), "127.0.0.1:0", config).unwrap()

@@ -23,7 +23,6 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
 fn start_server(dir: &std::path::Path) -> Server {
     let db = calc_server::open_or_recover(dir, |config| {
         config.workers = 2;
-        config.group_commit_window = Duration::from_micros(500);
     })
     .unwrap();
     Server::start(Arc::new(db), "127.0.0.1:0").unwrap()
@@ -195,7 +194,6 @@ fn health_exposes_executor_routing_counters() {
     let db = calc_server::open_or_recover(&dir, |config| {
         config.workers = 2;
         config.executor_mode = calc_server::ExecutorMode::ShardOwned;
-        config.group_commit_window = Duration::from_micros(500);
     })
     .unwrap();
     let server = Server::start(Arc::new(db), "127.0.0.1:0").unwrap();
@@ -347,14 +345,16 @@ enum Format {
     OneOf(&'static [&'static str]),
 }
 
-/// Every key `HEALTH` printed before the metric table existed, with its
-/// value format — the wire contract the table must keep.
-const HEALTH_GOLDEN: [(&str, Format); 23] = [
+/// Every key `HEALTH` printed before the metric table existed (plus
+/// `commit_batch_dwell_us`, ISSUE 15), with its value format — the wire
+/// contract the table must keep.
+const HEALTH_GOLDEN: [(&str, Format); 24] = [
     ("committed", Format::Int),
     ("aborted", Format::Int),
     ("records", Format::Int),
     ("commit_batches", Format::Int),
     ("commit_batch_records", Format::Int),
+    ("commit_batch_dwell_us", Format::Int),
     ("avg_batch_size", Format::TwoDecimals),
     ("fsync_p99_us", Format::Int),
     ("active_connections", Format::Int),
@@ -448,6 +448,15 @@ fn health_and_stats_print_the_metric_table() {
     assert_eq!(listed("commit_batch_records"), MetricValue::Int(20));
     assert_eq!(db.health().commit_batch_records(), 20);
     assert_eq!(fields["commit_batch_records"], "20");
+    // A lone client on the shipped 2 ms window: a batch is held at most
+    // to the pacing point, half a window after the previous fsync
+    // started — never for the window itself.
+    let batches = db.health().commit_batches();
+    let dwell_us = fields["commit_batch_dwell_us"].parse::<u64>().unwrap();
+    assert!(
+        dwell_us < batches * 1_500,
+        "{batches} batches dwelt {dwell_us} us: the window is back on the durable path"
+    );
     assert_eq!(listed("retention_failures"), MetricValue::Int(3));
     assert_eq!(db.health().retention_failures(), 3);
     assert_eq!(fields["retention_failures"], "3");
@@ -469,7 +478,6 @@ fn restart_refuses_log_only_recovery_over_a_truncated_log() {
     let open = || {
         calc_server::open_or_recover(&dir, |config| {
             config.workers = 2;
-            config.group_commit_window = Duration::from_micros(500);
             config.keep_checkpoints = Some(1);
         })
     };

@@ -1,154 +1,58 @@
 //! Tier-2 crash coverage for group commit (ISSUE satellite): the durable
 //! floor after a crash must contain every commit whose ticket resolved
 //! `Ok` — acknowledgement happens strictly after the batch's fsync, so a
-//! power cut at ANY instant loses only unacknowledged work.
+//! power cut at ANY instant loses only unacknowledged work. Every way a
+//! batch can close — a drained queue, the evidence linger, the pacing
+//! point, the no-waiter window dwell, a waiter joining an open batch, the
+//! batch cap — is crashed through.
 //!
-//! Concurrent committers assign commit sequences under a shared lock
-//! (the same enqueue-under-lock discipline the engine uses, so channel
-//! order equals seq order), submit through [`GroupCommitter`], and record
-//! which waits came back `Ok`. The simulated filesystem then crashes;
-//! recovery reads the surviving segments and the oracle checks
-//! `acked ⊆ recovered` — and that the survivors form an in-order history
-//! a deterministic replay could consume.
+//! The experiment itself (concurrent committers over [`SimVfs`], the
+//! crash, the `acked ⊆ recovered` oracle) lives in `support/mod.rs`,
+//! shared with the oracle's self-test `group_commit_mutant.rs`.
 
-use std::collections::BTreeSet;
+mod support;
+
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use calc_common::simfs::SimVfs;
-use calc_common::types::{CommitSeq, TxnId};
 use calc_recovery::{read_dir_logs, GroupCommitConfig, GroupCommitter, SegmentedLogWriter};
-use calc_txn::commitlog::CommitRecord;
-use calc_txn::proc::ProcId;
 
-fn rec(seq: u64) -> CommitRecord {
-    CommitRecord {
-        seq: CommitSeq(seq),
-        txn: TxnId(seq),
-        proc: ProcId(1),
-        params: Arc::from(seq.to_le_bytes().to_vec().into_boxed_slice()),
+use support::{check_oracle, rec, run_crash, CrashSpec};
+
+fn crash_and_check(label: &str, spec: CrashSpec) {
+    let (acked, recovered) = run_crash(spec);
+    assert!(
+        !acked.is_empty(),
+        "{label}: no commit was ever acknowledged"
+    );
+    if let Err(violation) = check_oracle(&acked, &recovered) {
+        panic!("{label}: {violation}");
     }
 }
 
-/// One crash experiment: `committers` threads submit durably until the
-/// filesystem dies; the main thread force-crashes once `crash_after`
-/// batches have fsynced. Returns `(acked seqs, recovered seqs)`.
-fn run_crash(
-    seed: u64,
-    config: GroupCommitConfig,
-    committers: usize,
-    crash_after: u64,
-) -> (BTreeSet<u64>, Vec<u64>) {
-    let dir = PathBuf::from("/gc-crash/cmdlog");
-    let vfs = SimVfs::new(seed);
-    // Tiny segments so the crash also crosses rotation boundaries.
-    let writer = SegmentedLogWriter::create(Arc::new(vfs.clone()), &dir, 512).unwrap();
-    let gc = Arc::new(GroupCommitter::start(Box::new(writer), config, None));
-
-    let seq = Arc::new(Mutex::new(0u64));
-    let handles: Vec<_> = (0..committers)
-        .map(|_| {
-            let gc = gc.clone();
-            let seq = seq.clone();
-            std::thread::spawn(move || {
-                let mut acked = Vec::new();
-                loop {
-                    // Seq assignment and enqueue under one lock — the
-                    // engine's ordering discipline — then wait for the
-                    // batch fsync outside it.
-                    let ticket = {
-                        let mut next = seq.lock().unwrap();
-                        *next += 1;
-                        let s = *next;
-                        (s, gc.submit_durable(rec(s)))
-                    };
-                    match ticket.1.wait(Duration::from_secs(30)) {
-                        Ok(()) => acked.push(ticket.0),
-                        // The crash: this commit carries no promise, and
-                        // neither will any later one. Stop.
-                        Err(_) => break,
-                    }
-                }
-                acked
-            })
-        })
-        .collect();
-
-    // Let real batches accumulate, then cut the power mid-stream.
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while gc.batches() < crash_after {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "never reached {crash_after} batches"
-        );
-        std::thread::yield_now();
-    }
-    vfs.force_crash();
-
-    let mut acked = BTreeSet::new();
-    for h in handles {
-        for s in h.join().unwrap() {
-            assert!(acked.insert(s), "seq {s} acked twice");
-        }
-    }
-    drop(Arc::try_unwrap(gc).expect("committers dropped their handles"));
-
-    // Reboot: only what the crash preserved is visible.
-    vfs.recover_view();
-    let recovered = read_dir_logs(&vfs, &dir)
-        .unwrap()
-        .into_iter()
-        .map(|r| r.seq.0)
-        .collect();
-    (acked, recovered)
-}
-
-fn check_oracle(acked: &BTreeSet<u64>, recovered: &[u64], label: &str) {
-    // The durable floor covers every acknowledgement: ack-after-fsync
-    // means a resolved ticket IS a durability promise.
-    let on_disk: BTreeSet<u64> = recovered.iter().copied().collect();
-    for s in acked {
-        assert!(
-            on_disk.contains(s),
-            "{label}: seq {s} was acknowledged durable but is not on disk \
-             (acked {} / recovered {})",
-            acked.len(),
-            recovered.len()
-        );
-    }
-    // Survivors must form an in-order, gap-free history — replay cannot
-    // skip a commit — and unacknowledged survivors are fine (the batch
-    // fsynced, the crash just beat the acknowledgement).
-    for w in recovered.windows(2) {
-        assert_eq!(w[1], w[0] + 1, "{label}: recovered log has a gap or reorder");
-    }
-    if let Some(first) = recovered.first() {
-        assert_eq!(*first, 1, "{label}: recovered log must start at seq 1");
-    }
-}
-
-/// The headline sweep: group-commit batching (wide window, deep batches)
-/// crashed at several batch counts across seeds. Every acknowledged
-/// commit must be on disk after recovery.
+/// The headline sweep: group-commit batching (four committers, deep
+/// batches) crashed at several batch counts across seeds. Every
+/// acknowledged commit must be on disk after recovery.
 #[test]
 fn crash_mid_stream_durable_floor_covers_every_ack() {
     for (i, crash_after) in [1u64, 2, 4].into_iter().enumerate() {
-        let (acked, recovered) = run_crash(
-            0x6C0DEAD ^ ((i as u64) << 40),
-            GroupCommitConfig {
-                window: Duration::from_micros(200),
-                max_batch: 64,
-                ..Default::default()
+        crash_and_check(
+            &format!("crash_after={crash_after}"),
+            CrashSpec {
+                seed: 0x6C0DEAD ^ ((i as u64) << 40),
+                config: GroupCommitConfig {
+                    window: Duration::from_micros(200),
+                    max_batch: 64,
+                    ..Default::default()
+                },
+                committers: 4,
+                forgetters: 0,
+                sync_delay: Duration::ZERO,
+                crash_after,
             },
-            4,
-            crash_after,
         );
-        assert!(
-            !acked.is_empty(),
-            "crash_after={crash_after}: no commit was ever acknowledged"
-        );
-        check_oracle(&acked, &recovered, &format!("crash_after={crash_after}"));
     }
 }
 
@@ -156,18 +60,69 @@ fn crash_mid_stream_durable_floor_covers_every_ack() {
 /// baseline) honors the same contract through the same code path.
 #[test]
 fn crash_under_per_commit_fsync_honors_same_contract() {
-    let (acked, recovered) = run_crash(
-        0x6C0_BEEF,
-        GroupCommitConfig {
-            window: Duration::from_micros(50),
-            max_batch: 1,
-            ..Default::default()
+    crash_and_check(
+        "per-commit",
+        CrashSpec {
+            seed: 0x6C0_BEEF,
+            config: GroupCommitConfig {
+                window: Duration::from_micros(50),
+                max_batch: 1,
+                ..Default::default()
+            },
+            committers: 2,
+            forgetters: 0,
+            sync_delay: Duration::ZERO,
+            crash_after: 3,
         },
-        2,
-        3,
     );
-    assert!(!acked.is_empty());
-    check_oracle(&acked, &recovered, "per-commit");
+}
+
+/// A lone committer never has company: every batch closes on a drained
+/// queue once its pacing point (half a window after the previous fsync
+/// started) has passed, the first with no wait at all.
+#[test]
+fn crash_under_a_lone_committer_closing_on_drain() {
+    crash_and_check(
+        "lone",
+        CrashSpec {
+            seed: 0x6C0_10FE,
+            config: GroupCommitConfig {
+                window: Duration::from_millis(20),
+                max_batch: 64,
+                ..Default::default()
+            },
+            committers: 1,
+            forgetters: 0,
+            sync_delay: Duration::ZERO,
+            crash_after: 3,
+        },
+    );
+}
+
+/// Durable and fire-and-forget committers on one log, over an fsync slow
+/// enough to give the linger a cap: batches close by waiter evidence, by
+/// the window (no waiter), by a waiter joining an open batch and by the
+/// cap — and whichever the crash interrupts, no acknowledged commit is
+/// lost and the survivors stay gap-free.
+#[test]
+fn crash_under_mixed_durable_and_fire_and_forget_load() {
+    for (i, crash_after) in [2u64, 5].into_iter().enumerate() {
+        crash_and_check(
+            &format!("mixed crash_after={crash_after}"),
+            CrashSpec {
+                seed: 0x6C0_D1CE ^ ((i as u64) << 40),
+                config: GroupCommitConfig {
+                    window: Duration::from_micros(500),
+                    max_batch: 16,
+                    ..Default::default()
+                },
+                committers: 2,
+                forgetters: 1,
+                sync_delay: Duration::from_micros(200),
+                crash_after,
+            },
+        );
+    }
 }
 
 /// Fire-and-forget submissions (ack-before-fsync) may lose their
@@ -182,15 +137,15 @@ fn mixed_disciplines_lose_only_unacknowledged_tail() {
     let gc = GroupCommitter::start(
         Box::new(writer),
         GroupCommitConfig {
-            window: Duration::from_secs(60), // only explicit flushes close batches
+            window: Duration::from_secs(60), // an unwaited batch stays open
             max_batch: 1 << 20,
             ..Default::default()
         },
         None,
     );
 
-    // Batch 1: two fire-and-forget, one durable waiter; the flush closes
-    // the batch and its single fsync resolves the ticket for all three.
+    // Two fire-and-forget, one durable waiter: the waiter closes the
+    // batch, and the fsync that resolves its ticket covers all three.
     gc.submit(rec(1));
     gc.submit(rec(2));
     let ticket = gc.submit_durable(rec(3));
