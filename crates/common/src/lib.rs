@@ -14,9 +14,6 @@
 //!   crash mid-capture leaves a detectably-invalid file.
 //! * [`hist`] — a log-bucketed latency histogram (HDR-style) used to
 //!   produce the latency CDFs of Figure 5.
-//! * [`striped`] — striped mutexes guarding per-record version data; the
-//!   critical sections are a few instructions, preserving the paper's
-//!   "no blocking synchronization" behaviour while being data-race-free.
 //! * [`types`] — `Key`, record values, and small shared identifiers.
 //! * [`rng`] — a tiny deterministic splitmix64 generator used where
 //!   reproducibility across runs matters more than statistical quality.
@@ -48,7 +45,6 @@ pub mod perturb;
 pub mod phase;
 pub mod rng;
 pub mod simfs;
-pub mod striped;
 pub mod types;
 pub mod vfs;
 
@@ -59,6 +55,5 @@ pub use hist::Histogram;
 pub use load::{Gate, LoadLevel, LoadSignal, Permit};
 pub use phase::Phase;
 pub use simfs::{DirCrashMode, FaultKind, FaultSpec, OpCounts, SimVfs, TransientKind, TransientSpec};
-pub use striped::StripedMutex;
 pub use types::{CommitSeq, Key, TxnId, Value};
 pub use vfs::{OsVfs, Vfs, VfsFile, VfsRead};

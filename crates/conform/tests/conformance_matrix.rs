@@ -1,5 +1,6 @@
 //! The acceptance matrix: every checkpointing strategy, full and partial,
-//! survives the checkpoint-under-contention scenario at three seeds.
+//! survives the checkpoint-under-contention scenario at three seeds under
+//! both executor modes.
 //!
 //! Each run hammers the engine from 4 feeder threads under seeded
 //! schedule perturbation while the driver takes back-to-back checkpoints,
@@ -11,7 +12,7 @@
 //! seed, so overriding the base replays all of them shifted).
 
 use calc_conform::{base_seed, run_stress, Scenario, StressSpec};
-use calc_engine::StrategyKind;
+use calc_engine::{ExecutorMode, StrategyKind};
 
 fn seeds() -> [u64; 3] {
     let base = base_seed();
@@ -19,10 +20,15 @@ fn seeds() -> [u64; 3] {
 }
 
 fn matrix(kind: StrategyKind) {
-    for seed in seeds() {
-        let report = run_stress(&StressSpec::new(kind, Scenario::CheckpointContention, seed));
-        assert!(report.txns > 0);
-        assert!(report.checkpoints_verified > 1, "{report:?}");
+    for executor in ExecutorMode::ALL {
+        for seed in seeds() {
+            let report = run_stress(&StressSpec {
+                executor,
+                ..StressSpec::new(kind, Scenario::CheckpointContention, seed)
+            });
+            assert!(report.txns > 0);
+            assert!(report.checkpoints_verified > 1, "{report:?}");
+        }
     }
 }
 

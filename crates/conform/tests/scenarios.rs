@@ -1,9 +1,9 @@
 //! Scenario coverage beyond the strategy matrix: hot-key RMW chains,
 //! blind writes, and the full TPC-C mix, each on a representative
-//! strategy subset.
+//! strategy subset, under both executor modes.
 
 use calc_conform::{base_seed, run_stress, Scenario, StressSpec};
-use calc_engine::StrategyKind;
+use calc_engine::{ExecutorMode, StrategyKind};
 
 #[test]
 fn hot_key_rmw_chains() {
@@ -13,10 +13,15 @@ fn hot_key_rmw_chains() {
         .enumerate()
     {
         let seed = base ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let report = run_stress(&StressSpec::new(kind, Scenario::HotKeyRmw, seed));
-        // 70% of traffic reads before writing — the read-check must have
-        // real coverage.
-        assert!(report.reads_checked > 500, "{report:?}");
+        for executor in ExecutorMode::ALL {
+            let report = run_stress(&StressSpec {
+                executor,
+                ..StressSpec::new(kind, Scenario::HotKeyRmw, seed)
+            });
+            // 70% of traffic reads before writing — the read-check must
+            // have real coverage.
+            assert!(report.reads_checked > 500, "{report:?}");
+        }
     }
 }
 
@@ -32,8 +37,13 @@ fn blind_writes() {
     .enumerate()
     {
         let seed = base ^ (i as u64 + 11).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let report = run_stress(&StressSpec::new(kind, Scenario::BlindWrites, seed));
-        assert!(report.writes_applied > 900, "{report:?}");
+        for executor in ExecutorMode::ALL {
+            let report = run_stress(&StressSpec {
+                executor,
+                ..StressSpec::new(kind, Scenario::BlindWrites, seed)
+            });
+            assert!(report.writes_applied > 900, "{report:?}");
+        }
     }
 }
 
@@ -45,10 +55,14 @@ fn tpcc_full_mix_under_checkpointing() {
         .enumerate()
     {
         let seed = base ^ (i as u64 + 23).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut spec = StressSpec::new(kind, Scenario::TpccMix, seed);
-        spec.txns_per_feeder = 150;
-        let report = run_stress(&spec);
-        assert!(report.txns > 400, "{report:?}");
-        assert!(report.reads_checked > 1000, "{report:?}");
+        for executor in ExecutorMode::ALL {
+            let report = run_stress(&StressSpec {
+                txns_per_feeder: 150,
+                executor,
+                ..StressSpec::new(kind, Scenario::TpccMix, seed)
+            });
+            assert!(report.txns > 400, "{report:?}");
+            assert!(report.reads_checked > 1000, "{report:?}");
+        }
     }
 }

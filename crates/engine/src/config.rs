@@ -146,10 +146,12 @@ impl std::fmt::Display for StrategyKind {
     }
 }
 
-/// How the engine's worker pool executes transactions.
+/// How the engine's workers receive and isolate transactions. One worker
+/// loop serves both; the mode only chooses the queue layout and the
+/// isolation a request carries.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecutorMode {
-    /// Legacy shared pool: one submission queue, any worker takes any
+    /// The paper's §4 pool: one submission queue, any worker takes any
     /// transaction, isolation via the shared ordered-2PL lock manager.
     #[default]
     Pool,
@@ -161,6 +163,9 @@ pub enum ExecutorMode {
 }
 
 impl ExecutorMode {
+    /// Both modes, for suites whose contract is mode-independent.
+    pub const ALL: [ExecutorMode; 2] = [ExecutorMode::Pool, ExecutorMode::ShardOwned];
+
     /// Display/parse name.
     pub fn name(self) -> &'static str {
         match self {
@@ -180,10 +185,10 @@ impl ExecutorMode {
     }
 
     /// The mode named by the `EXEC_MODE` environment variable, or the
-    /// default ([`ExecutorMode::Pool`]). Lets every harness (sim,
-    /// conform, bench, verify.sh) rerun its suite under the shard-owned
-    /// executor without per-test plumbing, the same convention as
-    /// `CKPT_THREADS`/`CKPT_CODEC`.
+    /// default ([`ExecutorMode::Pool`]). Read in exactly one place —
+    /// [`EngineConfig::new`]'s default — which is how `perfbench` and the
+    /// examples select the mode; tests set
+    /// [`EngineConfig::executor_mode`] explicitly.
     pub fn from_env() -> ExecutorMode {
         std::env::var("EXEC_MODE")
             .ok()
@@ -209,9 +214,9 @@ pub struct EngineConfig {
     pub store: StoreConfig,
     /// Worker threads executing transactions.
     pub workers: usize,
-    /// How the worker pool executes transactions: the legacy shared
-    /// queue + lock manager ([`ExecutorMode::Pool`]) or thread-per-core
-    /// shard ownership ([`ExecutorMode::ShardOwned`]). Defaults to the
+    /// How workers receive and isolate transactions: one shared queue +
+    /// lock manager ([`ExecutorMode::Pool`]) or thread-per-core shard
+    /// ownership ([`ExecutorMode::ShardOwned`]). Defaults to the
     /// `EXEC_MODE` environment variable when set (`pool`/`shard_owned`),
     /// else `Pool`.
     pub executor_mode: ExecutorMode,
@@ -224,9 +229,6 @@ pub struct EngineConfig {
     /// `None` is unbounded, for open-loop latency experiments where the
     /// backlog must be allowed to grow during quiesce periods (§5.1.4).
     pub queue_capacity: Option<usize>,
-    /// Whether the in-memory commit log retains command payloads for
-    /// deterministic replay. Off for throughput experiments.
-    pub retain_command_log: bool,
     /// Directory for checkpoint files.
     pub checkpoint_dir: PathBuf,
     /// Simulated disk bandwidth in bytes/sec (0 = unlimited). The paper's
@@ -334,7 +336,6 @@ impl EngineConfig {
             executor_mode: ExecutorMode::from_env(),
             shards_per_worker: 8,
             queue_capacity: Some(4096),
-            retain_command_log: false,
             checkpoint_dir: dir,
             disk_bytes_per_sec: 0,
             checkpoint_threads,

@@ -8,10 +8,17 @@
 //!
 //! * [`config`] — [`config::EngineConfig`] and [`config::StrategyKind`]
 //!   (which of the paper's six algorithms to run, full or partial).
-//! * [`db`] — the [`db::Database`] facade: submission queue, worker pool,
-//!   admission gate (the quiesce mechanism baselines need for physical
-//!   points of consistency), checkpoint triggering, and background
-//!   merging of partial checkpoints.
+//! * [`db`] — the [`db::Database`] facade: boot and resume, the
+//!   submission API, the admission gate (the quiesce mechanism baselines
+//!   need for physical points of consistency), checkpoint triggering,
+//!   restart recovery and shutdown.
+//! * `executor` — the one worker loop: requests, their isolation (lock
+//!   set, owned shard, cross-shard fence), routing, ordered shutdown.
+//!   [`config::ExecutorMode`] picks the queue layout, not the code path.
+//! * `commit` — the transaction body every request runs: strategy hooks,
+//!   the commit-token critical section, undo on abort.
+//! * `cycle` — around a checkpoint cycle: background merging of partial
+//!   checkpoints, retention, emergency retention on a full log disk.
 //! * [`metrics`] — commit/abort counters, a submission-to-commit latency
 //!   histogram (queueing included, as Figure 5 requires), the
 //!   [`metrics::Sampler`] that records throughput/memory timelines for
@@ -22,8 +29,11 @@
 
 #![warn(missing_docs)]
 
+mod commit;
 pub mod config;
+mod cycle;
 pub mod db;
+mod executor;
 pub mod metrics;
 #[cfg(feature = "conform")]
 pub mod recorder;

@@ -120,12 +120,17 @@ pub struct RecoveryOutcome {
     pub stats: RecoveryStats,
 }
 
-/// Serial replay bridge: routes a procedure's data operations straight to
-/// the strategy (no locks — replay is single-threaded in commit order).
-struct ReplayOps<'a> {
-    strategy: &'a dyn CheckpointStrategy,
-    token: calc_core::strategy::TxnToken,
-    failed: Option<String>,
+/// Serial execution bridge: routes a procedure's data operations straight
+/// to the strategy (no locks — the caller runs one transaction at a time,
+/// in commit order). Replay uses it, and so do the serial primaries of
+/// the simulation and replication harnesses.
+pub struct ReplayOps<'a> {
+    /// The strategy operations apply to.
+    pub strategy: &'a dyn CheckpointStrategy,
+    /// The running transaction's token, from `strategy.txn_begin()`.
+    pub token: calc_core::strategy::TxnToken,
+    /// The first storage error an operation hit, if any.
+    pub failed: Option<String>,
 }
 
 impl TxnOps for ReplayOps<'_> {
@@ -342,57 +347,14 @@ mod tests {
     use calc_core::throttle::Throttle;
     use calc_storage::dual::StoreConfig;
     use calc_txn::commitlog::CommitLog;
-    use calc_txn::proc::{params, AbortReason, LockRequest, ProcId, Procedure};
+    use calc_testkit::{registry, set_u64, SetProc, SET};
+    use calc_txn::proc::Procedure;
     use calc_common::types::TxnId;
     use std::sync::Arc;
 
-    /// Deterministic test procedure: sets key K to a value derived from
-    /// params.
-    struct SetProc;
-    impl Procedure for SetProc {
-        fn id(&self) -> ProcId {
-            ProcId(1)
-        }
-        fn name(&self) -> &'static str {
-            "set"
-        }
-        fn locks(&self, p: &[u8]) -> Result<LockRequest, AbortReason> {
-            let mut r = params::Reader::new(p);
-            let key = r.u64()?;
-            Ok(LockRequest {
-                reads: vec![],
-                writes: vec![Key(key)],
-            })
-        }
-        fn run(&self, p: &[u8], ops: &mut dyn TxnOps) -> Result<(), AbortReason> {
-            let mut r = params::Reader::new(p);
-            let key = Key(r.u64()?);
-            let val = r.u64()?;
-            let bytes = val.to_le_bytes();
-            if ops.get(key).is_some() {
-                ops.put(key, &bytes);
-            } else {
-                ops.insert(key, &bytes);
-            }
-            Ok(())
-        }
-    }
-
     fn dir(name: &str) -> CheckpointDir {
-        let d = std::env::temp_dir().join(format!(
-            "calc-recovery-{}-{}-{name}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .subsec_nanos()
-        ));
-        let _ = std::fs::remove_dir_all(&d);
+        let d = calc_testkit::temp_dir(name);
         CheckpointDir::open(&d, Arc::new(Throttle::unlimited())).unwrap()
-    }
-
-    fn set_params(key: u64, val: u64) -> Arc<[u8]> {
-        params::Writer::new().u64(key).u64(val).finish()
     }
 
     fn run_set(
@@ -402,7 +364,7 @@ mod tests {
         val: u64,
     ) {
         let proc = SetProc;
-        let p = set_params(key, val);
+        let p = set_u64(key, val);
         let mut ops = ReplayOps {
             strategy,
             token: strategy.txn_begin(),
@@ -411,7 +373,7 @@ mod tests {
         proc.run(&p, &mut ops).unwrap();
         assert!(ops.failed.is_none());
         let mut token = ops.token;
-        let (seq, stamp) = log.append_commit(TxnId(key * 100 + val), ProcId(1), p);
+        let (seq, stamp) = log.append_commit(TxnId(key * 100 + val), SET, p);
         strategy.on_commit(&mut token, seq, stamp);
         strategy.txn_end(token);
     }
@@ -433,8 +395,7 @@ mod tests {
         }
 
         // Crash. Fresh strategy + recovery.
-        let mut registry = ProcRegistry::new();
-        registry.register(Arc::new(SetProc));
+        let registry = registry();
         let recovered = CalcStrategy::full(
             StoreConfig::for_records(256, 16),
             Arc::new(CommitLog::new(true)),
@@ -487,8 +448,7 @@ mod tests {
         let bytes = std::fs::read(&torn).unwrap();
         std::fs::write(&torn, &bytes[..bytes.len() / 2]).unwrap();
 
-        let mut registry = ProcRegistry::new();
-        registry.register(Arc::new(SetProc));
+        let registry = registry();
         let recovered = CalcStrategy::full(
             StoreConfig::for_records(256, 16),
             Arc::new(CommitLog::new(true)),
@@ -590,8 +550,7 @@ mod tests {
         }
         // No checkpoint was ever taken: the directory holds zero cycles.
 
-        let mut registry = ProcRegistry::new();
-        registry.register(Arc::new(SetProc));
+        let registry = registry();
         let recovered = CalcStrategy::full(
             StoreConfig::for_records(64, 16),
             Arc::new(CommitLog::new(true)),

@@ -12,84 +12,20 @@ use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::{CheckpointStrategy, NoopEnv};
 use calc_core::throttle::Throttle;
 use calc_engine::{Database, EngineConfig, MetricValue, StrategyKind, TxnOutcome};
+use calc_recovery::replay::ReplayOps;
 use calc_recovery::{truncate_segments_below, SegmentedLogWriter};
 use calc_replica::{Standby, StandbyConfig, StandbyRunner};
 use calc_storage::dual::StoreConfig;
 use calc_txn::commitlog::{CommitLog, CommitRecord};
-use calc_txn::proc::{
-    params, AbortReason, LockRequest, ProcId, ProcRegistry, Procedure, TxnOps,
-};
-
-const SET: ProcId = ProcId(7);
-const DELETE: ProcId = ProcId(8);
-
-struct SetProc;
-impl Procedure for SetProc {
-    fn id(&self) -> ProcId {
-        SET
-    }
-    fn name(&self) -> &'static str {
-        "standby-set"
-    }
-    fn locks(&self, p: &[u8]) -> Result<LockRequest, AbortReason> {
-        let mut r = params::Reader::new(p);
-        Ok(LockRequest {
-            reads: vec![],
-            writes: vec![Key(r.u64()?)],
-        })
-    }
-    fn run(&self, p: &[u8], ops: &mut dyn TxnOps) -> Result<(), AbortReason> {
-        let mut r = params::Reader::new(p);
-        let key = Key(r.u64()?);
-        let val = r.bytes()?;
-        if ops.get(key).is_some() {
-            ops.put(key, val);
-        } else {
-            ops.insert(key, val);
-        }
-        Ok(())
-    }
-}
-
-struct DeleteProc;
-impl Procedure for DeleteProc {
-    fn id(&self) -> ProcId {
-        DELETE
-    }
-    fn name(&self) -> &'static str {
-        "standby-delete"
-    }
-    fn locks(&self, p: &[u8]) -> Result<LockRequest, AbortReason> {
-        let mut r = params::Reader::new(p);
-        Ok(LockRequest {
-            reads: vec![],
-            writes: vec![Key(r.u64()?)],
-        })
-    }
-    fn run(&self, p: &[u8], ops: &mut dyn TxnOps) -> Result<(), AbortReason> {
-        let mut r = params::Reader::new(p);
-        ops.delete(Key(r.u64()?));
-        Ok(())
-    }
-}
-
-fn registry() -> ProcRegistry {
-    let mut r = ProcRegistry::new();
-    r.register(Arc::new(SetProc));
-    r.register(Arc::new(DeleteProc));
-    r
-}
+use calc_testkit::{registry, DELETE, SET};
+use calc_txn::proc::ProcId;
 
 fn store_config() -> StoreConfig {
     StoreConfig::for_records(1024, 64)
 }
 
 fn tmp(name: &str) -> (PathBuf, PathBuf) {
-    let base = std::env::temp_dir().join(format!(
-        "calc-standby-{name}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&base);
+    let base = calc_testkit::temp_dir(name);
     (base.join("ckpts"), base.join("cmdlog"))
 }
 
@@ -138,29 +74,13 @@ impl Primary {
     fn commit(&mut self, proc: ProcId, p: Arc<[u8]>) -> u64 {
         let reg = registry();
         let procedure = reg.get(proc).unwrap();
-        struct Bridge<'a> {
-            strategy: &'a dyn CheckpointStrategy,
-            token: calc_core::strategy::TxnToken,
-        }
-        impl TxnOps for Bridge<'_> {
-            fn get(&mut self, key: Key) -> Option<calc_common::types::Value> {
-                self.strategy.get(key)
-            }
-            fn put(&mut self, key: Key, value: &[u8]) {
-                self.strategy.apply_write(&mut self.token, key, value).unwrap();
-            }
-            fn insert(&mut self, key: Key, value: &[u8]) -> bool {
-                self.strategy.apply_insert(&mut self.token, key, value).unwrap()
-            }
-            fn delete(&mut self, key: Key) -> bool {
-                self.strategy.apply_delete(&mut self.token, key).is_ok()
-            }
-        }
-        let mut bridge = Bridge {
+        let mut bridge = ReplayOps {
             strategy: self.strategy.as_ref(),
             token: self.strategy.txn_begin(),
+            failed: None,
         };
         procedure.run(&p, &mut bridge).unwrap();
+        assert!(bridge.failed.is_none(), "primary op failed: {:?}", bridge.failed);
         let mut token = bridge.token;
         let txn = TxnId(self.next_txn);
         self.next_txn += 1;
@@ -179,11 +99,11 @@ impl Primary {
     }
 
     fn set(&mut self, key: u64, val: &[u8]) -> u64 {
-        self.commit(SET, params::Writer::new().u64(key).bytes(val).finish())
+        self.commit(SET, calc_testkit::set(key, val))
     }
 
     fn delete(&mut self, key: u64) -> u64 {
-        self.commit(DELETE, params::Writer::new().u64(key).finish())
+        self.commit(DELETE, calc_testkit::delete(key))
     }
 
     fn sync(&mut self) {
@@ -277,10 +197,9 @@ fn promote_seals_prefix_and_serves_through_engine() {
     let mut config = EngineConfig::new(StrategyKind::Calc, 1024, 64, ckpt_dir.clone());
     config.store = store_config();
     config.workers = 1;
-    config.retain_command_log = true;
     config.log_segment_bytes = Some(1 << 20);
     let db = promoted.into_database(config).unwrap();
-    let outcome = db.execute(SET, params::Writer::new().u64(100).bytes(b"post").finish());
+    let outcome = db.execute(SET, calc_testkit::set(100, b"post"));
     match outcome {
         TxnOutcome::Committed(seq) => assert!(
             seq.0 > last,
@@ -340,13 +259,13 @@ fn post_promotion_partials_link_into_the_recovery_chain() {
     };
     let db = promoted.into_database(engine_config()).unwrap();
     let set = |key: u64, val: &[u8]| {
-        let out = db.execute(SET, params::Writer::new().u64(key).bytes(val).finish());
+        let out = db.execute(SET, calc_testkit::set(key, val));
         assert!(matches!(out, TxnOutcome::Committed(_)));
     };
     set(100, b"post-1");
     let first = db.checkpoint_now().unwrap();
     set(101, b"post-2");
-    let out = db.execute(DELETE, params::Writer::new().u64(3).finish());
+    let out = db.execute(DELETE, calc_testkit::delete(3));
     assert!(matches!(out, TxnOutcome::Committed(_)));
     let second = db.checkpoint_now().unwrap();
     assert!(first.id > 2 && second.id > first.id);

@@ -25,7 +25,6 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use calc_common::phase::Phase;
 use calc_common::rng::SplitMix;
 use calc_common::simfs::{DirCrashMode, FaultSpec, OpCounts, SimVfs, TransientKind, TransientSpec};
 use calc_common::types::{Key, TxnId};
@@ -33,18 +32,17 @@ use calc_common::vfs::Vfs;
 use calc_common::Backoff;
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
-use calc_core::strategy::{CheckpointStrategy, NoopEnv, TxnToken};
+use calc_core::strategy::{CheckpointStrategy, NoopEnv};
 use calc_core::throttle::Throttle;
 use calc_core::Codec;
 use calc_engine::{classify, ErrorClass, StrategyKind};
+use calc_recovery::replay::{apply_commit, recover, RecoveryError, ReplayOps};
 use calc_recovery::{read_dir_logs, truncate_segments_below, SegmentedLogWriter};
-use calc_recovery::replay::{recover, RecoveryError};
 use calc_storage::dual::StoreConfig;
-use calc_txn::commitlog::{CommitLog, CommitRecord, PhaseStamp};
-use calc_txn::proc::TxnOps;
+use calc_testkit::registry;
+use calc_txn::commitlog::{CommitLog, CommitRecord};
 
 use crate::model::{gen_op, model_at, Op};
-use crate::procs::registry;
 
 const WORKLOAD_SALT: u64 = 0x5e11_ab1e_0b5e_55ed;
 const BACKOFF_SALT: u64 = 0xb0ff_b0ff_b0ff_b0ff;
@@ -149,16 +147,19 @@ impl SimSpec {
     }
 }
 
-/// An oracle violation: recovery produced a state inconsistent with every
-/// admissible commit prefix, or broke a durability promise. The message
-/// embeds the full spec so the case can be replayed.
+/// An oracle violation: the recovered (or promoted) state is inconsistent
+/// with every admissible commit prefix, or a durability promise broke.
+/// Carries the full spec so the case can be replayed.
 #[derive(Debug)]
-pub struct OracleViolation {
+pub struct Violation<S> {
     /// The spec that produced the violation.
-    pub spec: SimSpec,
+    pub spec: S,
     /// What went wrong.
     pub detail: String,
 }
+
+/// A [`run_sim`] violation.
+pub type OracleViolation = Violation<SimSpec>;
 
 impl std::fmt::Display for OracleViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -170,7 +171,14 @@ impl std::fmt::Display for OracleViolation {
     }
 }
 
-impl std::error::Error for OracleViolation {}
+impl<S: std::fmt::Debug> std::error::Error for Violation<S> where Violation<S>: std::fmt::Display {}
+
+pub(crate) fn violation<S: Clone>(spec: &S, detail: impl Into<String>) -> Violation<S> {
+    Violation {
+        spec: spec.clone(),
+        detail: detail.into(),
+    }
+}
 
 /// What one experiment did — useful for asserting a sweep actually
 /// exercised the scenarios it claims to.
@@ -200,245 +208,279 @@ pub struct SimReport {
     pub transient_hits: u64,
 }
 
-/// Serial execution bridge routing procedure ops to the strategy.
-struct Bridge<'a> {
-    strategy: &'a dyn CheckpointStrategy,
-    token: TxnToken,
-    failed: Option<String>,
-}
-
-impl TxnOps for Bridge<'_> {
-    fn get(&mut self, key: Key) -> Option<calc_common::types::Value> {
-        self.strategy.get(key)
-    }
-    fn put(&mut self, key: Key, value: &[u8]) {
-        if let Err(e) = self.strategy.apply_write(&mut self.token, key, value) {
-            self.failed = Some(format!("put {key}: {e}"));
-        }
-    }
-    fn insert(&mut self, key: Key, value: &[u8]) -> bool {
-        match self.strategy.apply_insert(&mut self.token, key, value) {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.failed = Some(format!("insert {key}: {e}"));
-                false
-            }
-        }
-    }
-    fn delete(&mut self, key: Key) -> bool {
-        self.strategy.apply_delete(&mut self.token, key).is_ok()
-    }
-}
-
-fn violation(spec: &SimSpec, detail: impl Into<String>) -> OracleViolation {
-    OracleViolation {
-        spec: spec.clone(),
-        detail: detail.into(),
-    }
-}
-
-fn store_config() -> StoreConfig {
+pub(crate) fn store_config() -> StoreConfig {
     StoreConfig::for_records(1024, 64)
 }
 
-/// Part files (and capture/load threads) per checkpoint; `CKPT_THREADS=n`
-/// sweeps the multi-part pipeline through the whole fault matrix.
-fn ckpt_threads_from_env() -> usize {
-    std::env::var("CKPT_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
+pub(crate) fn ckpt_dir() -> PathBuf {
+    PathBuf::from("/sim/ckpts")
 }
 
-/// Runs one crash experiment end to end. `Ok` means the oracle held.
-#[allow(clippy::result_large_err)] // violations are terminal and rare; no point boxing
-pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
-    let vfs = match spec.fault {
-        Some(f) => SimVfs::with_fault(spec.seed, f),
-        None => SimVfs::new(spec.seed),
-    };
-    vfs.set_dir_crash_mode(spec.dir_crash_mode);
+pub(crate) fn log_dir() -> PathBuf {
+    PathBuf::from("/sim/cmdlog")
+}
+
+impl SimSpec {
+    /// The simulated disk this experiment runs on, fault armed.
+    pub(crate) fn vfs(&self) -> SimVfs {
+        let vfs = match self.fault {
+            Some(f) => SimVfs::with_fault(self.seed, f),
+            None => SimVfs::new(self.seed),
+        };
+        vfs.set_dir_crash_mode(self.dir_crash_mode);
+        vfs
+    }
+
+    /// Part files per checkpoint: the spec's, else `CKPT_THREADS=n` (which
+    /// sweeps the multi-part pipeline through a whole fault matrix without
+    /// a second sweep binary), else 1.
+    pub(crate) fn resolved_ckpt_threads(&self) -> usize {
+        self.ckpt_threads.unwrap_or_else(|| {
+            std::env::var("CKPT_THREADS")
+                .ok()
+                .and_then(|s| s.trim().parse().ok())
+                .filter(|&n| n > 0)
+                .unwrap_or(1)
+        })
+    }
+
+    /// Opens the checkpoint directory the way this run writes and reads it.
+    fn open_dir(&self, vfs: Arc<dyn Vfs>) -> io::Result<CheckpointDir> {
+        let dir = CheckpointDir::open_with_vfs(&ckpt_dir(), Arc::new(Throttle::unlimited()), vfs)?;
+        dir.set_checkpoint_threads(self.resolved_ckpt_threads());
+        dir.set_codec(self.codec.unwrap_or_else(|| {
+            Codec::from_env().expect("CKPT_CODEC names a known codec")
+        }));
+        Ok(dir)
+    }
+}
+
+/// Where the failover experiment hooks its standby into [`run_live`];
+/// the single-node experiment runs [`NoHooks`].
+pub(crate) trait LiveHooks {
+    /// The primary's durable footprint exists (directory, log, base
+    /// checkpoint); no transaction has run. `false` abandons the run.
+    fn primary_up(&mut self) -> bool {
+        true
+    }
+    /// Transaction `i` committed and any group-commit due after it ran;
+    /// a checkpoint due after it has not started.
+    fn after_txn(&mut self, _i: u64) {}
+}
+
+struct NoHooks;
+impl LiveHooks for NoHooks {}
+
+/// What the simulated primary did before it crashed.
+#[derive(Default)]
+pub(crate) struct LiveRun {
+    /// `(seq, op)` of every transaction executed, in commit order.
+    pub(crate) committed: Vec<(u64, Op)>,
+    /// Highest commit the run honestly promised durable.
+    pub(crate) durable_floor: u64,
+    pub(crate) ckpt_failures: u64,
+    pub(crate) aborted_cycles: u64,
+}
+
+/// The simulated primary: runs the seeded workload serially against the
+/// strategy — every commit appended to a segmented command log,
+/// group-committed every `sync_every`, checkpointed (with the engine
+/// daemon's retry policy) and optionally truncated every
+/// `checkpoint_every` — until the work runs out or the armed fault makes
+/// an I/O call fail, with the spec's transient I/O errors injected along
+/// the way. Serial execution makes commit order equal submission order,
+/// so the reference model is exact.
+pub(crate) fn run_live(vfs: &SimVfs, spec: &SimSpec, hooks: &mut dyn LiveHooks) -> LiveRun {
+    let mut run = LiveRun::default();
+    live_until_crash(vfs, spec, hooks, &mut run);
+    run
+}
+
+/// [`run_live`]'s body; every early `return` is the crash taking effect.
+fn live_until_crash(vfs: &SimVfs, spec: &SimSpec, hooks: &mut dyn LiveHooks, run: &mut LiveRun) {
     if let Some(TransientPlan::Window(w)) = spec.transient {
         vfs.arm_transient(w);
     }
     let vfs_dyn: Arc<dyn Vfs> = Arc::new(vfs.clone());
-    let ckpt_dir = PathBuf::from("/sim/ckpts");
-    let log_seg_dir = PathBuf::from("/sim/cmdlog");
-    let codec = spec
-        .codec
-        .unwrap_or_else(|| Codec::from_env().expect("CKPT_CODEC names a known codec"));
-
-    let mut committed: Vec<(u64, Op)> = Vec::new();
-    let mut durable_floor = 0u64;
-    let mut ckpt_failures = 0u64;
-    let mut aborted_cycles = 0u64;
+    let Ok(dir) = spec.open_dir(vfs_dyn.clone()) else {
+        return;
+    };
+    let Ok(mut cmdlog) =
+        SegmentedLogWriter::create(vfs_dyn.clone(), &log_dir(), spec.log_segment_bytes)
+    else {
+        return;
+    };
+    let log = Arc::new(CommitLog::new(false));
+    let strategy = spec.kind.build(store_config(), log.clone());
+    // Partial strategies need a full ancestor in the recovery chain,
+    // exactly as the engine writes one after initial load.
+    if spec.kind.is_partial() && strategy.write_base_checkpoint(&dir).is_err() {
+        return;
+    }
+    if !hooks.primary_up() {
+        return;
+    }
     let reg = registry();
+    let mut rng = SplitMix::new(spec.seed ^ WORKLOAD_SALT);
+    let mut backoff = Backoff::new(
+        Duration::from_millis(1),
+        Duration::from_millis(64),
+        spec.seed ^ BACKOFF_SALT,
+    );
 
-    // ---- Phase 1: live run, ended by the fault or by running out of work.
-    'live: {
-        let dir = match CheckpointDir::open_with_vfs(
-            &ckpt_dir,
-            Arc::new(Throttle::unlimited()),
-            vfs_dyn.clone(),
-        ) {
-            Ok(d) => d,
-            Err(_) => break 'live,
+    for i in 0..spec.txns {
+        let op = gen_op(&mut rng);
+        let (proc_id, params) = op.encode();
+        let procedure = reg.get(proc_id).expect("sim procs registered");
+        let mut bridge = ReplayOps {
+            strategy: strategy.as_ref(),
+            token: strategy.txn_begin(),
+            failed: None,
         };
-        dir.set_checkpoint_threads(spec.ckpt_threads.unwrap_or_else(ckpt_threads_from_env));
-        dir.set_codec(codec);
-        let Ok(mut cmdlog) =
-            SegmentedLogWriter::create(vfs_dyn.clone(), &log_seg_dir, spec.log_segment_bytes)
-        else {
-            break 'live;
+        procedure
+            .run(&params, &mut bridge)
+            .expect("sim procs never abort");
+        assert!(bridge.failed.is_none(), "sim op failed: {:?}", bridge.failed);
+        let mut token = bridge.token;
+        let (seq, stamp) = log.append_commit(TxnId(i), proc_id, params.clone());
+        let rec = CommitRecord {
+            seq,
+            txn: TxnId(i),
+            proc: proc_id,
+            params,
         };
-        let log = Arc::new(CommitLog::new(false));
-        let strategy = spec.kind.build(store_config(), log.clone());
-        // Partial strategies need a full ancestor in the recovery chain,
-        // exactly as the engine writes one after initial load.
-        if spec.kind.is_partial() && strategy.write_base_checkpoint(&dir).is_err() {
-            break 'live;
-        }
-        let mut rng = SplitMix::new(spec.seed ^ WORKLOAD_SALT);
-        let mut backoff = Backoff::new(
-            Duration::from_millis(1),
-            Duration::from_millis(64),
-            spec.seed ^ BACKOFF_SALT,
-        );
-
-        for i in 0..spec.txns {
-            let op = gen_op(&mut rng);
-            let (proc_id, params) = op.encode();
-            let procedure = reg.get(proc_id).expect("sim procs registered");
-            let mut bridge = Bridge {
-                strategy: strategy.as_ref(),
-                token: strategy.txn_begin(),
-                failed: None,
-            };
-            procedure
-                .run(&params, &mut bridge)
-                .expect("sim procs never abort");
-            assert!(bridge.failed.is_none(), "sim op failed: {:?}", bridge.failed);
-            let mut token = bridge.token;
-            let (seq, stamp) = log.append_commit(TxnId(i), proc_id, params.clone());
-            let rec = CommitRecord {
-                seq,
-                txn: TxnId(i),
-                proc: proc_id,
-                params,
-            };
-            // Recorded as committed *before* the append: the op already
-            // executed against the primary's state, and whether it turns
-            // durable is decided by how many of its log bytes survive the
-            // crash — prefix semantics cover both outcomes. Pushing after
-            // a successful append would make a torn-but-fully-surviving
-            // final record (executed, written, never acked) read as a
-            // resurrected write at the oracle.
-            committed.push((seq.0, op));
-            if cmdlog.append(&rec).is_err() {
-                strategy.txn_end(token);
-                break 'live;
-            }
-            strategy.on_commit(&mut token, seq, stamp);
+        // Recorded as committed *before* the append: the op already
+        // executed against the primary's state, and whether it turns
+        // durable is decided by how many of its log bytes survive the
+        // crash — prefix semantics cover both outcomes. Pushing after
+        // a successful append would make a torn-but-fully-surviving
+        // final record (executed, written, never acked) read as a
+        // resurrected write at the oracle.
+        run.committed.push((seq.0, op));
+        if cmdlog.append(&rec).is_err() {
             strategy.txn_end(token);
+            return;
+        }
+        strategy.on_commit(&mut token, seq, stamp);
+        strategy.txn_end(token);
 
-            if (i + 1) % spec.sync_every == 0 {
-                match cmdlog.sync() {
-                    // A durability promise only counts while no fsync has
-                    // ever been dropped: one lying fsync voids the chain
-                    // (the post-fsync-failure world cannot be trusted).
-                    Ok(()) if vfs.fsyncs_dropped() == 0 => durable_floor = seq.0,
-                    Ok(()) => {}
-                    Err(_) => break 'live,
-                }
+        if (i + 1) % spec.sync_every == 0 {
+            match cmdlog.sync() {
+                // A durability promise only counts while no fsync has
+                // ever been dropped: one lying fsync voids the chain
+                // (the post-fsync-failure world cannot be trusted).
+                Ok(()) if vfs.fsyncs_dropped() == 0 => run.durable_floor = seq.0,
+                Ok(()) => {}
+                Err(_) => return,
             }
-            if (i + 1) % spec.checkpoint_every == 0 {
-                if let Some(TransientPlan::EveryCheckpoint { kind, skip, count }) = spec.transient {
-                    vfs.arm_transient(TransientSpec {
-                        kind,
-                        from: vfs.counts().data_ops() + skip,
-                        count,
-                    });
-                }
-                // Mirror the engine's supervised daemon: a failed cycle is
-                // harmless (the strategy rolled its coverage forward), so
-                // transient and disk-full errors retry under the same
-                // seeded backoff policy. Delays are recorded by the
-                // backoff's jitter stream but not slept — simulated time.
-                backoff.reset();
-                let mut attempts = 0u32;
-                loop {
-                    match strategy.checkpoint(&NoopEnv, &dir) {
-                        Ok(stats) => {
-                            if vfs.fsyncs_dropped() == 0 {
-                                durable_floor = durable_floor.max(stats.watermark.0);
-                            }
-                            // Retention, under the same honesty gate as the
-                            // durability floor: one lying fsync voids the
-                            // publish chain the truncation floor rests on.
-                            if spec.truncate_log && vfs.fsyncs_dropped() == 0 {
-                                let floor = dir.scan().ok().and_then(|metas| {
-                                    metas
-                                        .iter()
-                                        .filter(|m| m.kind == CheckpointKind::Full)
-                                        .map(|m| m.watermark)
-                                        .min()
-                                });
-                                if let Some(floor) = floor {
-                                    let _ = truncate_segments_below(
-                                        vfs_dyn.as_ref(),
-                                        &log_seg_dir,
-                                        floor,
-                                    );
-                                }
-                            }
-                            break;
+        }
+        hooks.after_txn(i);
+        if (i + 1) % spec.checkpoint_every == 0 {
+            if let Some(TransientPlan::EveryCheckpoint { kind, skip, count }) = spec.transient {
+                vfs.arm_transient(TransientSpec {
+                    kind,
+                    from: vfs.counts().data_ops() + skip,
+                    count,
+                });
+            }
+            // Mirror the engine's supervised daemon: a failed cycle is
+            // harmless (the strategy rolled its coverage forward), so
+            // transient and disk-full errors retry under the same
+            // seeded backoff policy. Delays are recorded by the
+            // backoff's jitter stream but not slept — simulated time.
+            backoff.reset();
+            let mut attempts = 0u32;
+            loop {
+                match strategy.checkpoint(&NoopEnv, &dir) {
+                    Ok(stats) => {
+                        if vfs.fsyncs_dropped() == 0 {
+                            run.durable_floor = run.durable_floor.max(stats.watermark.0);
                         }
-                        Err(e) => {
-                            ckpt_failures += 1;
-                            aborted_cycles = strategy.aborted_cycles();
-                            match classify(&e) {
-                                ErrorClass::Fatal => break 'live,
-                                _ if attempts < spec.ckpt_retries => {
-                                    attempts += 1;
-                                    let _delay = backoff.next_delay();
-                                }
-                                // Degraded: give up on this cycle and run
-                                // on — the command log alone keeps every
-                                // commit recoverable.
-                                _ => break,
+                        // Retention, under the same honesty gate as the
+                        // durability floor: one lying fsync voids the
+                        // publish chain the truncation floor rests on.
+                        if spec.truncate_log && vfs.fsyncs_dropped() == 0 {
+                            let floor = dir.scan().ok().and_then(|metas| {
+                                metas
+                                    .iter()
+                                    .filter(|m| m.kind == CheckpointKind::Full)
+                                    .map(|m| m.watermark)
+                                    .min()
+                            });
+                            if let Some(floor) = floor {
+                                let _ =
+                                    truncate_segments_below(vfs_dyn.as_ref(), &log_dir(), floor);
                             }
+                        }
+                        break;
+                    }
+                    Err(e) => {
+                        run.ckpt_failures += 1;
+                        run.aborted_cycles = strategy.aborted_cycles();
+                        match classify(&e) {
+                            ErrorClass::Fatal => return,
+                            _ if attempts < spec.ckpt_retries => {
+                                attempts += 1;
+                                let _delay = backoff.next_delay();
+                            }
+                            // Degraded: give up on this cycle and run
+                            // on — the command log alone keeps every
+                            // commit recoverable.
+                            _ => break,
                         }
                     }
                 }
             }
         }
-        // Clean end of workload: one final honest group-commit, then the
-        // power cut below.
-        if cmdlog.sync().is_ok() && vfs.fsyncs_dropped() == 0 {
-            if let Some((seq, _)) = committed.last() {
-                durable_floor = durable_floor.max(*seq);
-            }
+    }
+    // Clean end of workload: one final honest group-commit, then the
+    // caller cuts the power.
+    if cmdlog.sync().is_ok() && vfs.fsyncs_dropped() == 0 {
+        if let Some((seq, _)) = run.committed.last() {
+            run.durable_floor = run.durable_floor.max(*seq);
         }
     }
+}
+
+/// Runs one crash experiment end to end. `Ok` means the oracle held.
+#[allow(clippy::result_large_err)] // violations are terminal and rare; no point boxing
+pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
+    let vfs = spec.vfs();
+    let vfs_dyn: Arc<dyn Vfs> = Arc::new(vfs.clone());
+
+    // ---- Phase 1: live run, ended by the fault or by running out of work.
+    let run = run_live(&vfs, spec, &mut NoHooks);
+    let (committed, durable_floor) = (run.committed, run.durable_floor);
 
     let crashed_mid_run = vfs.crashed();
     if !crashed_mid_run {
         vfs.force_crash();
     }
-    let counts = vfs.counts();
+    // Everything but the recovery verdict, which `finish` fills in.
+    let report = SimReport {
+        committed: committed.len() as u64,
+        crashed_mid_run,
+        recovered_prefix: 0,
+        durable_floor,
+        counts: vfs.counts(),
+        refused_not_tc: false,
+        ckpt_failures: run.ckpt_failures,
+        aborted_cycles: run.aborted_cycles,
+        transient_hits: 0,
+    };
+    let finish = |recovered_prefix, refused_not_tc| SimReport {
+        recovered_prefix,
+        refused_not_tc,
+        transient_hits: vfs.transient_hits(),
+        ..report.clone()
+    };
 
     // ---- Phase 2: reboot the disk and recover.
     vfs.recover_view();
-    let dir = CheckpointDir::open_with_vfs(
-        &ckpt_dir,
-        Arc::new(Throttle::unlimited()),
-        vfs_dyn.clone(),
-    )
-    .map_err(|e| violation(spec, format!("reopening checkpoint dir after crash: {e}")))?;
-    dir.set_checkpoint_threads(spec.ckpt_threads.unwrap_or_else(ckpt_threads_from_env));
-    dir.set_codec(codec);
-    let commands = match read_dir_logs(vfs_dyn.as_ref(), &log_seg_dir) {
+    let dir = spec
+        .open_dir(vfs_dyn.clone())
+        .map_err(|e| violation(spec, format!("reopening checkpoint dir after crash: {e}")))?;
+    let commands = match read_dir_logs(vfs_dyn.as_ref(), &log_dir()) {
         Ok(c) => c,
         Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(violation(spec, format!("reading durable log segments: {e}"))),
@@ -450,11 +492,12 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
         }
     }
 
+    let reg = registry();
     let fresh = spec.kind.build(store_config(), Arc::new(CommitLog::new(false)));
     let log_tail = commands.last().map(|c| c.seq.0).unwrap_or(0);
     if std::env::var("SIM_DEBUG").is_ok() {
         eprintln!("[sim-debug] post-crash dir listing:");
-        if let Ok(names) = vfs.read_dir(&ckpt_dir) {
+        if let Ok(names) = vfs.read_dir(&ckpt_dir()) {
             for n in names {
                 eprintln!("[sim-debug]   {}", n.display());
             }
@@ -500,17 +543,7 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
                 // For fuzzy checkpointing the refusal IS the oracle: a
                 // non-transaction-consistent image must not be recovered
                 // without a physical redo log (§2.1 of the paper).
-                return Ok(SimReport {
-                    committed: committed.len() as u64,
-                    crashed_mid_run,
-                    recovered_prefix: 0,
-                    durable_floor,
-                    counts,
-                    refused_not_tc: true,
-                    ckpt_failures,
-                    aborted_cycles,
-                    transient_hits: vfs.transient_hits(),
-                });
+                return Ok(finish(0, true));
             }
             return Err(violation(
                 spec,
@@ -521,24 +554,8 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
             // Legal when no checkpoint ever became durable: recovery is
             // replay of the whole durable log from an empty store.
             for rec in &commands {
-                let procedure = reg
-                    .get(rec.proc)
-                    .ok_or_else(|| violation(spec, format!("unknown proc {}", rec.proc.0)))?;
-                let mut bridge = Bridge {
-                    strategy: fresh.as_ref(),
-                    token: fresh.txn_begin(),
-                    failed: None,
-                };
-                procedure
-                    .run(&rec.params, &mut bridge)
-                    .map_err(|e| violation(spec, format!("log-only replay aborted: {e:?}")))?;
-                let mut token = bridge.token;
-                let stamp = PhaseStamp {
-                    cycle: 0,
-                    phase: Phase::Rest,
-                };
-                fresh.on_commit(&mut token, rec.seq, stamp);
-                fresh.txn_end(token);
+                apply_commit(fresh.as_ref(), &reg, rec)
+                    .map_err(|e| violation(spec, format!("log-only replay failed: {e}")))?;
             }
             log_tail
         }
@@ -561,33 +578,28 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
         ));
     }
     let expected = model_at(&committed, recovered_prefix);
-    check_state_equals(spec, fresh.as_ref(), &expected, recovered_prefix)?;
+    check_state_equals(spec, "recovered", fresh.as_ref(), &expected, recovered_prefix)?;
 
-    Ok(SimReport {
-        committed: committed.len() as u64,
-        crashed_mid_run,
-        recovered_prefix,
-        durable_floor,
-        counts,
-        refused_not_tc: false,
-        ckpt_failures,
-        aborted_cycles,
-        transient_hits: vfs.transient_hits(),
-    })
+    Ok(finish(recovered_prefix, false))
 }
 
+/// The exact-state compare both oracles end in: `strategy` (the
+/// `what` — "recovered" or "promoted" — store) must hold exactly the
+/// model's records at `prefix`. Catches lost writes and resurrected
+/// deletes alike.
 #[allow(clippy::result_large_err)]
-fn check_state_equals(
-    spec: &SimSpec,
+pub(crate) fn check_state_equals<S: Clone>(
+    spec: &S,
+    what: &str,
     strategy: &dyn CheckpointStrategy,
     expected: &BTreeMap<u64, Vec<u8>>,
     prefix: u64,
-) -> Result<(), OracleViolation> {
+) -> Result<(), Violation<S>> {
     if strategy.record_count() != expected.len() {
         return Err(violation(
             spec,
             format!(
-                "recovered record count {} != model count {} at prefix {prefix}",
+                "{what} record count {} != model count {} at prefix {prefix}",
                 strategy.record_count(),
                 expected.len()
             ),
@@ -600,7 +612,7 @@ fn check_state_equals(
                 return Err(violation(
                     spec,
                     format!(
-                        "key {k} diverged at prefix {prefix}: recovered {} bytes, model {} bytes",
+                        "key {k} diverged at prefix {prefix}: {what} {} bytes, model {} bytes",
                         got.len(),
                         v.len()
                     ),
@@ -609,7 +621,7 @@ fn check_state_equals(
             None => {
                 return Err(violation(
                     spec,
-                    format!("key {k} missing after recovery at prefix {prefix}"),
+                    format!("key {k} missing from the {what} state at prefix {prefix}"),
                 ))
             }
         }

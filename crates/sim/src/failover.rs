@@ -6,7 +6,8 @@
 //!
 //! 1. A primary runs the seeded serial workload — segmented command log,
 //!    periodic checkpoints, optional retention truncation — over a
-//!    [`SimVfs`], with one fault armed (or a power cut at the end).
+//!    [`calc_common::simfs::SimVfs`], with one fault armed (or a power cut
+//!    at the end).
 //! 2. A [`Standby`] shares the same filesystem, bootstraps from whatever
 //!    checkpoint chain exists when it opens, and polls the log tail
 //!    every [`FailoverSpec::poll_every`] transactions. A large
@@ -14,7 +15,7 @@
 //!    truncate segments out from under the standby's cursor — the
 //!    tailer×retention race — while a small one keeps the standby hot.
 //! 3. The primary crashes (fault or power cut). The disk reboots to its
-//!    survivable state ([`SimVfs::recover_view`]); the standby — a
+//!    survivable state (`SimVfs::recover_view`); the standby — a
 //!    separate node whose memory survives — drains the remaining trusted
 //!    log bytes and [`Standby::promote`]s.
 //! 4. The oracle: the promoted state must equal the serial reference
@@ -27,66 +28,29 @@
 //! reprint the spec for replay.
 
 use std::io;
-use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
-use calc_common::rng::SplitMix;
-use calc_common::simfs::{DirCrashMode, FaultSpec, OpCounts, SimVfs};
-use calc_common::types::{Key, TxnId};
+use calc_common::simfs::OpCounts;
 use calc_common::vfs::Vfs;
-use calc_common::Backoff;
-use calc_core::file::CheckpointKind;
-use calc_core::manifest::CheckpointDir;
-use calc_core::strategy::{CheckpointStrategy, NoopEnv};
-use calc_core::throttle::Throttle;
-use calc_core::Codec;
-use calc_engine::{classify, ErrorClass, StrategyKind};
-use calc_recovery::{truncate_segments_below, SegmentedLogWriter};
+use calc_engine::StrategyKind;
 use calc_replica::{Standby, StandbyConfig};
-use calc_storage::dual::StoreConfig;
-use calc_txn::commitlog::{CommitLog, CommitRecord};
-use calc_txn::proc::TxnOps;
+use calc_testkit::registry;
 
-use crate::model::{gen_op, model_at, Op};
-use crate::procs::registry;
-
-const WORKLOAD_SALT: u64 = 0x5e11_ab1e_0b5e_55ed;
-const BACKOFF_SALT: u64 = 0xb0ff_b0ff_b0ff_b0ff;
+use crate::driver::{
+    check_state_equals, ckpt_dir, log_dir, run_live, store_config, violation, LiveHooks, SimSpec,
+    Violation,
+};
+use crate::model::model_at;
 
 /// Specification of one two-node failover experiment.
 #[derive(Clone, Debug)]
 pub struct FailoverSpec {
-    /// Seed driving workload generation and every crash-time draw.
-    pub seed: u64,
-    /// Strategy under test (primary and standby run the same one).
-    pub kind: StrategyKind,
-    /// Fault to arm, if any. `None` = clean run ending in a power cut.
-    pub fault: Option<FaultSpec>,
-    /// Transactions to attempt.
-    pub txns: u64,
-    /// Checkpoint after every N transactions.
-    pub checkpoint_every: u64,
-    /// Group-commit the command log after every N transactions.
-    pub sync_every: u64,
+    /// The primary: seed, strategy (the standby runs the same one), armed
+    /// fault, workload and checkpoint cadence, retention. Segmentation is
+    /// mandatory for a standby — the tailer speaks the segmented format.
+    pub primary: SimSpec,
     /// The standby polls the log tail after every N transactions.
     pub poll_every: u64,
-    /// How pending directory entries behave at crash time.
-    pub dir_crash_mode: DirCrashMode,
-    /// Command-log segment rotation threshold (segmentation is mandatory
-    /// for a standby — the tailer speaks the segmented format).
-    pub log_segment_bytes: u64,
-    /// After each honestly-durable checkpoint, truncate sealed segments
-    /// below the oldest surviving full's watermark.
-    pub truncate_log: bool,
-    /// Checkpoint-part codec. `None` reads `CKPT_CODEC` from the
-    /// environment (default `none`).
-    pub codec: Option<Codec>,
-    /// Part files (and capture/load threads) per checkpoint. `None`
-    /// reads `CKPT_THREADS` (default 1).
-    pub ckpt_threads: Option<usize>,
-    /// Retries per checkpoint cycle before running degraded.
-    pub ckpt_retries: u32,
 }
 
 impl FailoverSpec {
@@ -95,59 +59,38 @@ impl FailoverSpec {
     /// retention on.
     pub fn smoke(kind: StrategyKind, seed: u64) -> Self {
         FailoverSpec {
-            seed,
-            kind,
-            fault: None,
-            txns: 48,
-            checkpoint_every: 12,
-            sync_every: 8,
+            primary: SimSpec {
+                txns: 48,
+                checkpoint_every: 12,
+                log_segment_bytes: 512,
+                truncate_log: true,
+                ..SimSpec::smoke(kind, seed)
+            },
             poll_every: 4,
-            dir_crash_mode: DirCrashMode::Seeded,
-            log_segment_bytes: 512,
-            truncate_log: true,
-            codec: None,
-            ckpt_threads: None,
-            ckpt_retries: 3,
-        }
-    }
-
-    /// The same experiment with one armed fault.
-    pub fn with_fault(kind: StrategyKind, seed: u64, fault: FaultSpec) -> Self {
-        FailoverSpec {
-            fault: Some(fault),
-            ..Self::smoke(kind, seed)
         }
     }
 }
 
 /// A promotion-oracle violation; the message embeds the full spec.
-#[derive(Debug)]
-pub struct FailoverViolation {
-    /// The spec that produced the violation.
-    pub spec: FailoverSpec,
-    /// What went wrong.
-    pub detail: String,
-}
+pub type FailoverViolation = Violation<FailoverSpec>;
 
 impl std::fmt::Display for FailoverViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "failover oracle violation [seed={:#x} kind={} fault={:?} mode={:?} poll_every={}]: {}",
-            self.spec.seed,
-            self.spec.kind,
-            self.spec.fault,
-            self.spec.dir_crash_mode,
+            self.spec.primary.seed,
+            self.spec.primary.kind,
+            self.spec.primary.fault,
+            self.spec.primary.dir_crash_mode,
             self.spec.poll_every,
             self.detail
         )
     }
 }
 
-impl std::error::Error for FailoverViolation {}
-
 /// What one failover experiment did.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FailoverReport {
     /// Transactions that committed on the primary before the crash.
     pub committed: u64,
@@ -179,253 +122,97 @@ pub struct FailoverReport {
     pub refused_not_tc: bool,
 }
 
-/// Serial execution bridge routing procedure ops to the strategy.
-struct Bridge<'a> {
-    strategy: &'a dyn CheckpointStrategy,
-    token: calc_core::strategy::TxnToken,
-    failed: Option<String>,
-}
-
-impl TxnOps for Bridge<'_> {
-    fn get(&mut self, key: Key) -> Option<calc_common::types::Value> {
-        self.strategy.get(key)
-    }
-    fn put(&mut self, key: Key, value: &[u8]) {
-        if let Err(e) = self.strategy.apply_write(&mut self.token, key, value) {
-            self.failed = Some(format!("put {key}: {e}"));
-        }
-    }
-    fn insert(&mut self, key: Key, value: &[u8]) -> bool {
-        match self.strategy.apply_insert(&mut self.token, key, value) {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.failed = Some(format!("insert {key}: {e}"));
-                false
-            }
-        }
-    }
-    fn delete(&mut self, key: Key) -> bool {
-        self.strategy.apply_delete(&mut self.token, key).is_ok()
-    }
-}
-
-fn violation(spec: &FailoverSpec, detail: impl Into<String>) -> FailoverViolation {
-    FailoverViolation {
-        spec: spec.clone(),
-        detail: detail.into(),
-    }
-}
-
-fn store_config() -> StoreConfig {
-    StoreConfig::for_records(1024, 64)
-}
-
-fn ckpt_threads_from_env() -> usize {
-    std::env::var("CKPT_THREADS")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
-}
-
-fn standby_config(spec: &FailoverSpec, vfs: Arc<dyn Vfs>) -> StandbyConfig {
-    let mut cfg = StandbyConfig::new(
-        spec.kind,
-        store_config(),
-        PathBuf::from("/sim/ckpts"),
-        PathBuf::from("/sim/cmdlog"),
-    );
+fn standby_config(primary: &SimSpec, vfs: Arc<dyn Vfs>) -> StandbyConfig {
+    let mut cfg = StandbyConfig::new(primary.kind, store_config(), ckpt_dir(), log_dir());
     cfg.vfs = vfs;
-    cfg.checkpoint_threads = spec.ckpt_threads.unwrap_or_else(ckpt_threads_from_env);
+    cfg.checkpoint_threads = primary.resolved_ckpt_threads();
     cfg
+}
+
+/// The standby riding along the primary's live run.
+struct StandbyHooks {
+    poll_every: u64,
+    config: StandbyConfig,
+    standby: Option<Standby>,
+    polls: u64,
+    /// `Standby::open` refused the strategy (the Fuzzy oracle).
+    refused: bool,
+}
+
+impl StandbyHooks {
+    fn poll(&mut self) {
+        if let Some(s) = self.standby.as_mut() {
+            // A poll error during the live phase is transient from the
+            // standby's view (the cursor held); the next poll retries.
+            // The crash itself surfaces as primary-side errors.
+            self.polls += 1;
+            let _ = s.poll();
+        }
+    }
+}
+
+impl LiveHooks for StandbyHooks {
+    /// The standby comes up once the primary's durable footprint exists.
+    /// A refusal here is the Fuzzy oracle; an IO error means the fault
+    /// already fired (late standby, handled after reboot).
+    fn primary_up(&mut self) -> bool {
+        match Standby::open(self.config.clone(), registry()) {
+            Ok(s) => self.standby = Some(s),
+            Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
+                self.refused = true;
+                return false;
+            }
+            Err(_) => {}
+        }
+        // Anchor poll: pin the cursor to the current lowest segment so
+        // later retention genuinely races it.
+        self.poll();
+        true
+    }
+
+    /// The standby polls *before* the primary's checkpoint-and-truncate
+    /// step: a continuously-polling standby observes a rotation before
+    /// retention can remove the sealed segment its cursor sat in, so a
+    /// hot standby deterministically rides through retention. Laggy
+    /// standbys (large `poll_every`) still cross the truncation race at
+    /// arbitrary points.
+    fn after_txn(&mut self, i: u64) {
+        if (i + 1).is_multiple_of(self.poll_every) {
+            self.poll();
+        }
+    }
 }
 
 /// Runs one failover experiment end to end. `Ok` means the promotion
 /// oracle held.
 #[allow(clippy::result_large_err)] // violations are terminal and rare
 pub fn run_failover(spec: &FailoverSpec) -> Result<FailoverReport, FailoverViolation> {
-    let vfs = match spec.fault {
-        Some(f) => SimVfs::with_fault(spec.seed, f),
-        None => SimVfs::new(spec.seed),
-    };
-    vfs.set_dir_crash_mode(spec.dir_crash_mode);
-    let vfs_dyn: Arc<dyn Vfs> = Arc::new(vfs.clone());
-    let ckpt_dir = PathBuf::from("/sim/ckpts");
-    let log_seg_dir = PathBuf::from("/sim/cmdlog");
-    let codec = spec
-        .codec
-        .unwrap_or_else(|| Codec::from_env().expect("CKPT_CODEC names a known codec"));
-
-    let mut committed: Vec<(u64, Op)> = Vec::new();
-    let mut durable_floor = 0u64;
-    let mut standby: Option<Standby> = None;
-    let mut standby_polls = 0u64;
-    let reg = registry();
+    let primary = &spec.primary;
+    let vfs = primary.vfs();
 
     // ---- Phase 1: live run on the primary, standby tailing alongside.
-    'live: {
-        let dir = match CheckpointDir::open_with_vfs(
-            &ckpt_dir,
-            Arc::new(Throttle::unlimited()),
-            vfs_dyn.clone(),
-        ) {
-            Ok(d) => d,
-            Err(_) => break 'live,
-        };
-        dir.set_checkpoint_threads(spec.ckpt_threads.unwrap_or_else(ckpt_threads_from_env));
-        dir.set_codec(codec);
-        let mut cmdlog =
-            match SegmentedLogWriter::create(vfs_dyn.clone(), &log_seg_dir, spec.log_segment_bytes)
-            {
-                Ok(w) => w,
-                Err(_) => break 'live,
-            };
-        let log = Arc::new(CommitLog::new(false));
-        let strategy = spec.kind.build(store_config(), log.clone());
-        if spec.kind.is_partial() && strategy.write_base_checkpoint(&dir).is_err() {
-            break 'live;
-        }
-
-        // The standby comes up once the primary's durable footprint
-        // exists. A refusal here is the Fuzzy oracle; an IO error means
-        // the fault already fired (late standby, handled after reboot).
-        match Standby::open(standby_config(spec, vfs_dyn.clone()), registry()) {
-            Ok(s) => standby = Some(s),
-            Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
-                return Ok(FailoverReport {
-                    committed: 0,
-                    crashed_mid_run: false,
-                    promoted_prefix: 0,
-                    durable_floor: 0,
-                    counts: vfs.counts(),
-                    standby_polls: 0,
-                    rebootstraps: 0,
-                    promote_rebuilt: false,
-                    lost_prefix_events: 0,
-                    commits_applied: 0,
-                    late_standby: false,
-                    refused_not_tc: true,
-                })
-            }
-            Err(_) => {}
-        }
-        if let Some(s) = standby.as_mut() {
-            // Anchor poll: pin the cursor to the current lowest segment
-            // so later retention genuinely races it.
-            standby_polls += 1;
-            let _ = s.poll();
-        }
-
-        let mut rng = SplitMix::new(spec.seed ^ WORKLOAD_SALT);
-        let mut backoff = Backoff::new(
-            Duration::from_millis(1),
-            Duration::from_millis(64),
-            spec.seed ^ BACKOFF_SALT,
-        );
-
-        for i in 0..spec.txns {
-            let op = gen_op(&mut rng);
-            let (proc_id, params) = op.encode();
-            let procedure = reg.get(proc_id).expect("sim procs registered");
-            let mut bridge = Bridge {
-                strategy: strategy.as_ref(),
-                token: strategy.txn_begin(),
-                failed: None,
-            };
-            procedure
-                .run(&params, &mut bridge)
-                .expect("sim procs never abort");
-            assert!(bridge.failed.is_none(), "sim op failed: {:?}", bridge.failed);
-            let mut token = bridge.token;
-            let (seq, stamp) = log.append_commit(TxnId(i), proc_id, params.clone());
-            let rec = CommitRecord {
-                seq,
-                txn: TxnId(i),
-                proc: proc_id,
-                params,
-            };
-            // Recorded as committed *before* the append: the op already
-            // executed against the primary's state, and whether it turns
-            // durable is decided by how many of its log bytes survive the
-            // crash — prefix semantics cover both outcomes. Pushing after
-            // a successful append would make a torn-but-fully-surviving
-            // final record (executed, written, never acked) read as a
-            // resurrected write at the oracle.
-            committed.push((seq.0, op));
-            if cmdlog.append(&rec).is_err() {
-                strategy.txn_end(token);
-                break 'live;
-            }
-            strategy.on_commit(&mut token, seq, stamp);
-            strategy.txn_end(token);
-
-            if (i + 1) % spec.sync_every == 0 {
-                match cmdlog.sync() {
-                    Ok(()) if vfs.fsyncs_dropped() == 0 => durable_floor = seq.0,
-                    Ok(()) => {}
-                    Err(_) => break 'live,
-                }
-            }
-            // The standby polls *before* the primary's checkpoint-and-
-            // truncate step: a continuously-polling standby observes a
-            // rotation before retention can remove the sealed segment its
-            // cursor sat in, so a hot standby deterministically rides
-            // through retention. Laggy standbys (large poll_every) still
-            // cross the truncation race at arbitrary points.
-            if (i + 1) % spec.poll_every == 0 {
-                if let Some(s) = standby.as_mut() {
-                    // A poll error during the live phase is transient
-                    // from the standby's view (the cursor held); the
-                    // next poll retries. The crash itself surfaces as
-                    // primary-side errors above.
-                    standby_polls += 1;
-                    let _ = s.poll();
-                }
-            }
-            if (i + 1) % spec.checkpoint_every == 0 {
-                backoff.reset();
-                let mut attempts = 0u32;
-                loop {
-                    match strategy.checkpoint(&NoopEnv, &dir) {
-                        Ok(stats) => {
-                            if vfs.fsyncs_dropped() == 0 {
-                                durable_floor = durable_floor.max(stats.watermark.0);
-                            }
-                            if spec.truncate_log && vfs.fsyncs_dropped() == 0 {
-                                let floor = dir.scan().ok().and_then(|metas| {
-                                    metas
-                                        .iter()
-                                        .filter(|m| m.kind == CheckpointKind::Full)
-                                        .map(|m| m.watermark)
-                                        .min()
-                                });
-                                if let Some(floor) = floor {
-                                    let _ = truncate_segments_below(
-                                        vfs_dyn.as_ref(),
-                                        &log_seg_dir,
-                                        floor,
-                                    );
-                                }
-                            }
-                            break;
-                        }
-                        Err(e) => match classify(&e) {
-                            ErrorClass::Fatal => break 'live,
-                            _ if attempts < spec.ckpt_retries => {
-                                attempts += 1;
-                                let _delay = backoff.next_delay();
-                            }
-                            _ => break,
-                        },
-                    }
-                }
-            }
-        }
-        if cmdlog.sync().is_ok() && vfs.fsyncs_dropped() == 0 {
-            if let Some((seq, _)) = committed.last() {
-                durable_floor = durable_floor.max(*seq);
-            }
-        }
+    let mut hooks = StandbyHooks {
+        poll_every: spec.poll_every,
+        config: standby_config(primary, Arc::new(vfs.clone())),
+        standby: None,
+        polls: 0,
+        refused: false,
+    };
+    let run = run_live(&vfs, primary, &mut hooks);
+    let (committed, durable_floor) = (run.committed, run.durable_floor);
+    let StandbyHooks {
+        config,
+        standby,
+        polls: standby_polls,
+        refused,
+        ..
+    } = hooks;
+    if refused {
+        return Ok(FailoverReport {
+            counts: vfs.counts(),
+            refused_not_tc: true,
+            ..FailoverReport::default()
+        });
     }
 
     let crashed_mid_run = vfs.crashed();
@@ -443,7 +230,7 @@ pub fn run_failover(spec: &FailoverSpec) -> Result<FailoverReport, FailoverViola
         // The fault fired before the standby came up: it starts now,
         // against the post-crash durable state — promotion degenerates
         // to a bootstrap, which must still satisfy the oracle.
-        None => Standby::open(standby_config(spec, vfs_dyn.clone()), registry())
+        None => Standby::open(config, registry())
             .map_err(|e| violation(spec, format!("opening standby after crash: {e}")))?,
     };
     let promoted = standby
@@ -462,7 +249,13 @@ pub fn run_failover(spec: &FailoverSpec) -> Result<FailoverReport, FailoverViola
         ));
     }
     let expected = model_at(&committed, promoted_prefix);
-    check_state_equals(spec, promoted.strategy().as_ref(), &expected, promoted_prefix)?;
+    check_state_equals(
+        spec,
+        "promoted",
+        promoted.strategy().as_ref(),
+        &expected,
+        promoted_prefix,
+    )?;
 
     Ok(FailoverReport {
         committed: committed.len() as u64,
@@ -478,45 +271,4 @@ pub fn run_failover(spec: &FailoverSpec) -> Result<FailoverReport, FailoverViola
         late_standby,
         refused_not_tc: false,
     })
-}
-
-#[allow(clippy::result_large_err)]
-fn check_state_equals(
-    spec: &FailoverSpec,
-    strategy: &dyn CheckpointStrategy,
-    expected: &std::collections::BTreeMap<u64, Vec<u8>>,
-    prefix: u64,
-) -> Result<(), FailoverViolation> {
-    if strategy.record_count() != expected.len() {
-        return Err(violation(
-            spec,
-            format!(
-                "promoted record count {} != model count {} at prefix {prefix}",
-                strategy.record_count(),
-                expected.len()
-            ),
-        ));
-    }
-    for (k, v) in expected {
-        match strategy.get(Key(*k)) {
-            Some(got) if got[..] == v[..] => {}
-            Some(got) => {
-                return Err(violation(
-                    spec,
-                    format!(
-                        "key {k} diverged at prefix {prefix}: promoted {} bytes, model {} bytes",
-                        got.len(),
-                        v.len()
-                    ),
-                ))
-            }
-            None => {
-                return Err(violation(
-                    spec,
-                    format!("key {k} missing after promotion at prefix {prefix}"),
-                ))
-            }
-        }
-    }
-    Ok(())
 }

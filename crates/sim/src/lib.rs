@@ -29,8 +29,9 @@
 pub mod driver;
 pub mod failover;
 pub mod model;
-pub mod procs;
 
-pub use driver::{base_seed, run_sim, OracleViolation, SimReport, SimSpec, TransientPlan};
+pub use driver::{
+    base_seed, run_sim, OracleViolation, SimReport, SimSpec, TransientPlan, Violation,
+};
 pub use failover::{run_failover, FailoverReport, FailoverSpec, FailoverViolation};
 pub use model::{gen_op, model_at, Op};

@@ -10,9 +10,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use calc_common::rng::SplitMix;
-use calc_txn::proc::{params, ProcId};
-
-use crate::procs::{DELETE, SET};
+use calc_testkit::{DELETE, SET};
+use calc_txn::proc::ProcId;
 
 /// One workload operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -27,8 +26,8 @@ impl Op {
     /// The procedure id + encoded parameters executing this operation.
     pub fn encode(&self) -> (ProcId, Arc<[u8]>) {
         match self {
-            Op::Set(k, v) => (SET, params::Writer::new().u64(*k).bytes(v).finish()),
-            Op::Delete(k) => (DELETE, params::Writer::new().u64(*k).finish()),
+            Op::Set(k, v) => (SET, calc_testkit::set(*k, v)),
+            Op::Delete(k) => (DELETE, calc_testkit::delete(*k)),
         }
     }
 }

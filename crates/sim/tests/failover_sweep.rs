@@ -44,7 +44,7 @@ fn all_strategies_clean_failover_or_refusal() {
                 continue;
             }
             assert!(!report.refused_not_tc, "{kind} wrongly refused");
-            assert_eq!(report.committed, spec.txns, "{kind}: clean run lost txns");
+            assert_eq!(report.committed, spec.primary.txns, "{kind}: clean run lost txns");
             assert!(
                 report.promoted_prefix >= report.durable_floor,
                 "{kind}: {report:?}"
@@ -82,11 +82,11 @@ fn sweep(kind: StrategyKind, seed: u64, step: u64, poll_every: u64) -> u64 {
         while at < total {
             for mode in [DirCrashMode::Seeded, DirCrashMode::RemovesOnly] {
                 let mut spec = spec0.clone();
-                spec.fault = Some(FaultSpec {
+                spec.primary.fault = Some(FaultSpec {
                     kind: fault_kind,
                     at,
                 });
-                spec.dir_crash_mode = mode;
+                spec.primary.dir_crash_mode = mode;
                 let report = run_failover(&spec).unwrap_or_else(|v| panic!("{v}"));
                 if report.crashed_mid_run {
                     fired += 1;
@@ -128,7 +128,7 @@ fn retention_outruns_cursor_forces_rebootstrap() {
     let mut spec = FailoverSpec::smoke(StrategyKind::Calc, seed(0x5F00));
     spec.poll_every = 1 << 20; // anchor poll only
     let report = run_failover(&spec).unwrap_or_else(|v| panic!("{v}"));
-    assert_eq!(report.committed, spec.txns);
+    assert_eq!(report.committed, spec.primary.txns);
     assert!(
         report.rebootstraps >= 1,
         "retention never outran the cursor — race not exercised: {report:?}"
@@ -147,14 +147,14 @@ fn hot_standby_rides_through_retention_undisturbed() {
     let mut spec = FailoverSpec::smoke(StrategyKind::Calc, seed(0x6F00));
     spec.poll_every = 1;
     let report = run_failover(&spec).unwrap_or_else(|v| panic!("{v}"));
-    assert_eq!(report.committed, spec.txns);
+    assert_eq!(report.committed, spec.primary.txns);
     assert_eq!(
         report.lost_prefix_events, 0,
         "a hot standby must never lose its prefix to retention: {report:?}"
     );
     assert_eq!(report.rebootstraps, 0, "{report:?}");
     assert!(
-        report.commits_applied >= spec.txns,
+        report.commits_applied >= spec.primary.txns,
         "hot standby should have tailed every commit live: {report:?}"
     );
 }

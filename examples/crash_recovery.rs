@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use calc_db::common::vfs::OsVfs;
 use calc_db::core::calc::CalcStrategy;
 use calc_db::core::strategy::CheckpointStrategy;
 use calc_db::engine::{Database, EngineConfig, StrategyKind};
@@ -23,7 +24,7 @@ use calc_db::txn::commitlog::CommitLog;
 use calc_db::txn::proc::{
     params, AbortReason, LockRequest, ProcId, ProcRegistry, Procedure, TxnOps,
 };
-use calc_db::{CommitSeq, Key};
+use calc_db::Key;
 
 /// Append-counter procedure: `counter[key] += delta`.
 struct Bump;
@@ -74,10 +75,11 @@ fn registry() -> ProcRegistry {
 fn main() {
     let dir = std::env::temp_dir().join(format!("calc-crash-recovery-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
+    let (ckpts, log_dir) = (dir.join("ckpts"), dir.join("cmdlog"));
 
     // ---- Before the crash -------------------------------------------
-    let mut config = EngineConfig::new(StrategyKind::PCalc, 10_000, 16, dir.clone());
-    config.retain_command_log = true; // the durable command log
+    let mut config = EngineConfig::new(StrategyKind::PCalc, 10_000, 16, ckpts.clone());
+    config.command_log_dir = Some(log_dir.clone()); // the durable command log
     config.merge_batch = Some(4);
     let db = Database::open(config, registry()).expect("open");
 
@@ -109,18 +111,18 @@ fn main() {
     );
     let expected: Vec<_> = (0..1000u64).map(|k| db.get(Key(k))).collect();
 
-    // Persist the command log the way a real deployment would (group
-    // commit); here we snapshot it at crash time.
-    let commands = db.commit_log().commits_after(CommitSeq::ZERO);
-    println!("command log holds {} commit records", commands.len());
+    // Everything group-committed and fsynced by now survives the crash.
+    db.sync_command_log().expect("command log fsync");
 
     // ---- CRASH -------------------------------------------------------
     drop(db); // all volatile state gone: stores, stable versions, bits
     println!("\n*** crash ***\n");
 
     // ---- Recovery ----------------------------------------------------
+    let commands = recovery::read_dir_logs(&OsVfs, &log_dir).expect("read command log");
+    println!("command log holds {} commit records", commands.len());
     let ckpt_dir = calc_db::core::manifest::CheckpointDir::open(
-        &dir,
+        &ckpts,
         Arc::new(calc_db::core::throttle::Throttle::unlimited()),
     )
     .expect("open checkpoint dir");

@@ -118,7 +118,6 @@ fn registry() -> ProcRegistry {
 
 fn open(dir: &std::path::Path) -> Database {
     let mut config = EngineConfig::new(StrategyKind::PCalc, 100_000, 64, dir.join("ckpts"));
-    config.retain_command_log = true;
     config.merge_batch = Some(4);
     // ISSUE 6 knobs, drivable from the shell: `CKPT_CODEC=rle` compresses
     // checkpoint parts; the segmented on-disk command log (tiny segments,
@@ -136,8 +135,7 @@ fn main() {
     std::fs::create_dir_all(&dir).unwrap();
     let mut db = open(&dir);
     db.finalize_load(true).unwrap();
-    // Keep a mirror of the command log across `crash` (in a real
-    // deployment this is the on-disk command log).
+    // What `crash` found on the on-disk command log, for `recover`.
     let mut saved_commands = Vec::new();
     let mut names: std::collections::BTreeSet<String> = Default::default();
 
@@ -243,20 +241,17 @@ fn main() {
                 );
             }
             "crash" => {
-                // Snapshot what the log still retains: commits truncated
-                // behind `keep_checkpoints` are covered by durable
-                // checkpoints, exactly as on a real disk.
-                saved_commands = db
-                    .commit_log()
-                    .entries()
-                    .into_iter()
-                    .filter_map(|e| match e {
-                        calc_db::txn::LogEntry::Commit(c) => Some(c),
-                        _ => None,
-                    })
-                    .collect();
+                // Dropping the engine flushes the group committer, so the
+                // segments hold every commit not yet truncated behind
+                // `keep_checkpoints` — and those are covered by durable
+                // checkpoints.
                 drop(db);
-                db = open(&dir); // empty store, same checkpoint dir
+                saved_commands = calc_db::recovery::read_dir_logs(
+                    &calc_db::common::vfs::OsVfs,
+                    &dir.join("cmdlog"),
+                )
+                .expect("read command log");
+                db = open(&dir); // empty store, same directories
                 println!(
                     "*** crashed; in-memory state dropped ({} commands survive on the log) ***",
                     saved_commands.len()

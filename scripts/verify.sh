@@ -2,15 +2,17 @@
 # Full verification gate: tier-0 (clippy and rustdoc, deny warnings — a doc
 # link to a deleted item fails the gate — plus a check build of perfbench,
 # which is its own workspace, so a renamed crate API it calls would
-# otherwise go unnoticed), tier-1 (build +
-# every workspace test), tier-2 (the deterministic crash-simulation suite
-# in calc-sim, including the 64-seed smoke sweep), tier-3 (the concurrency
-# conformance suite in calc-conform at three fixed base seeds), tier-4
-# (the transient-fault sweep, run serially and again with 4-way parallel
-# checkpoint capture). Tiers 2-4 also rerun under the thread-per-core
-# shard-owned executor (EXEC_MODE=shard_owned), so both execution paths
-# hold the same crash/serializability contracts. Tier-5 (the two-node warm-standby failover
-# sweep at three fixed base seeds), tier-6 (the calc-server suite:
+# otherwise go unnoticed), tier-1 (build + every workspace test), tier-2
+# (the deterministic crash-simulation suite in calc-sim, including the
+# 64-seed smoke sweep, plain and with compressed parts), tier-3 (the
+# concurrency conformance suite in calc-conform at three fixed base seeds;
+# every test iterates both executor modes in-suite, so the pool and the
+# shard-owned layout hold the same serializability contract), tier-4 (the
+# transient-fault sweep, run serially and again with 4-way parallel
+# checkpoint capture; like tier-2 it drives strategies serially and opens
+# no engine, so it has no executor to vary), tier-5 (the two-node
+# warm-standby failover sweep at three fixed base seeds), tier-6 (the
+# calc-server suite:
 # wire-protocol round trips over real TCP, the shutdown-under-load
 # durability test, and the kill-9 smoke — the real server binary on an
 # ephemeral port, concurrent writers, SIGKILL mid-traffic, restart over
@@ -51,16 +53,10 @@ cargo test --package calc-sim --quiet
 echo "== tier-2: crash-simulation sweep, compressed parts (CKPT_CODEC=rle) =="
 CKPT_CODEC=rle cargo test --package calc-sim --quiet
 
-echo "== tier-2: crash-simulation sweep, shard-owned executor (EXEC_MODE=shard_owned) =="
-EXEC_MODE=shard_owned cargo test --package calc-sim --quiet
-
-echo "== tier-3: concurrency conformance (calc-conform, 3 base seeds, both executors) =="
+echo "== tier-3: concurrency conformance (calc-conform, 3 base seeds, both executors in-suite) =="
 for seed in 0xC0F0202600000000 0x5EEDFACE00000001 0xA5A5A5A500000002; do
-    for mode in pool shard_owned; do
-        echo "  -- CONFORM_SEED=${seed} EXEC_MODE=${mode}"
-        CONFORM_SEED="${seed}" EXEC_MODE="${mode}" \
-            cargo test --package calc-conform --quiet
-    done
+    echo "  -- CONFORM_SEED=${seed}"
+    CONFORM_SEED="${seed}" cargo test --package calc-conform --quiet
 done
 
 echo "== tier-4: transient-fault sweep (calc-sim fault_sweep, 3 base seeds) =="
@@ -71,10 +67,6 @@ done
 
 echo "== tier-4: transient-fault sweep, 4-way parallel capture =="
 CKPT_THREADS=4 SIM_RECOVERY_STATS=1 \
-    cargo test --package calc-sim --test fault_sweep --quiet
-
-echo "== tier-4: transient-fault sweep, shard-owned executor =="
-EXEC_MODE=shard_owned FAULT_SEED=0xFA175EED00000000 \
     cargo test --package calc-sim --test fault_sweep --quiet
 
 echo "== tier-5: warm-standby failover sweep (calc-sim failover_sweep, 3 base seeds) =="

@@ -88,8 +88,9 @@ fn full_stack_checkpoint_and_recovery_for_every_tc_strategy() {
             continue; // not transaction-consistent; covered below
         }
         let dir = tmp_dir(&format!("fullstack-{}", kind.name()));
-        let mut config = EngineConfig::new(kind, 8192, 16, dir.clone());
-        config.retain_command_log = true;
+        let log_dir = dir.join("cmdlog");
+        let mut config = EngineConfig::new(kind, 8192, 16, dir.join("ckpts"));
+        config.command_log_dir = Some(log_dir.clone());
         config.workers = 4;
         let db = Database::open(config, registry()).unwrap();
         for k in 0..500u64 {
@@ -140,7 +141,8 @@ fn full_stack_checkpoint_and_recovery_for_every_tc_strategy() {
             StoreConfig::for_records(8192, 16),
             Arc::new(CommitLog::new(false)),
         );
-        let commands = dbc.commit_log().commits_after(CommitSeq::ZERO);
+        dbc.sync_command_log().unwrap();
+        let commands = recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
         let outcome = recovery::recover(dbc.checkpoint_dir(), &fresh, &registry(), &commands)
             .unwrap_or_else(|e| panic!("{}: recovery failed: {e}", kind.name()));
         assert!(outcome.loaded_records > 0, "{}", kind.name());
@@ -403,8 +405,10 @@ fn tpcc_money_conserved_across_checkpoint_and_recovery() {
     let dir = tmp_dir("tpcc-recover");
     let mut registry = ProcRegistry::new();
     TpccWorkload::register(&mut registry);
-    let mut ec = EngineConfig::new(StrategyKind::PCalc, config.capacity_hint(5000), 140, dir);
-    ec.retain_command_log = true;
+    let log_dir = dir.join("cmdlog");
+    let mut ec =
+        EngineConfig::new(StrategyKind::PCalc, config.capacity_hint(5000), 140, dir.join("ckpts"));
+    ec.command_log_dir = Some(log_dir.clone());
     ec.workers = 4;
     let db = Database::open(ec, registry).unwrap();
     let mut wl = TpccWorkload::new(config.clone(), 9);
@@ -431,7 +435,8 @@ fn tpcc_money_conserved_across_checkpoint_and_recovery() {
         StoreConfig::for_records(config.capacity_hint(5000), 140),
         Arc::new(CommitLog::new(false)),
     );
-    let commands = db.commit_log().commits_after(CommitSeq::ZERO);
+    db.sync_command_log().unwrap();
+    let commands = recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
     recovery::recover(db.checkpoint_dir(), &fresh, &registry2, &commands).unwrap();
     for w in 0..config.warehouses {
         let live = tables::Warehouse::decode(&db.get(keys::warehouse(w)).unwrap()).unwrap();

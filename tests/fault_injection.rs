@@ -3,6 +3,7 @@
 //! paper's durability argument says it should (fall back to the previous
 //! checkpoint + replay; never load torn data).
 
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use calc_db::common::vfs::OsVfs;
@@ -11,63 +12,24 @@ use calc_db::core::strategy::CheckpointStrategy;
 use calc_db::engine::{Database, EngineConfig, StrategyKind};
 use calc_db::recovery;
 use calc_db::storage::dual::StoreConfig;
-use calc_db::txn::commitlog::CommitLog;
-use calc_db::txn::proc::{
-    params, AbortReason, LockRequest, ProcId, ProcRegistry, Procedure, TxnOps,
-};
-use calc_db::{CommitSeq, Key};
+use calc_db::txn::commitlog::{CommitLog, CommitRecord};
+use calc_db::Key;
+use calc_testkit::{registry, set_u64 as set, SET};
 
-struct SetProc;
-const SET: ProcId = ProcId(1);
-
-impl Procedure for SetProc {
-    fn id(&self) -> ProcId {
-        SET
-    }
-    fn name(&self) -> &'static str {
-        "set"
-    }
-    fn locks(&self, p: &[u8]) -> Result<LockRequest, AbortReason> {
-        let mut r = params::Reader::new(p);
-        Ok(LockRequest {
-            reads: vec![],
-            writes: vec![Key(r.u64()?)],
-        })
-    }
-    fn run(&self, p: &[u8], ops: &mut dyn TxnOps) -> Result<(), AbortReason> {
-        let mut r = params::Reader::new(p);
-        let key = Key(r.u64()?);
-        let v = r.u64()?.to_le_bytes();
-        if ops.get(key).is_some() {
-            ops.put(key, &v);
-        } else {
-            ops.insert(key, &v);
-        }
-        Ok(())
-    }
+/// An engine over a fresh scratch directory with a durable command log,
+/// and the log's directory.
+fn open_logged(name: &str, records: usize) -> (Database, PathBuf) {
+    let base = calc_testkit::temp_dir(name);
+    let log_dir = base.join("cmdlog");
+    let mut config = EngineConfig::new(StrategyKind::Calc, records, 16, base.join("ckpts"));
+    config.command_log_dir = Some(log_dir.clone());
+    (Database::open(config, registry()).unwrap(), log_dir)
 }
 
-fn set(k: u64, v: u64) -> Arc<[u8]> {
-    params::Writer::new().u64(k).u64(v).finish()
-}
-
-fn registry() -> ProcRegistry {
-    let mut r = ProcRegistry::new();
-    r.register(Arc::new(SetProc));
-    r
-}
-
-fn tmp_dir(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "calc-fault-{}-{}-{name}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .subsec_nanos()
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    d
+/// The durable command log as recovery would read it after a crash now.
+fn logged_commands(db: &Database, log_dir: &Path) -> Vec<CommitRecord> {
+    db.sync_command_log().unwrap();
+    recovery::read_dir_logs(&OsVfs, log_dir).unwrap()
 }
 
 fn fresh_calc() -> CalcStrategy {
@@ -82,10 +44,7 @@ fn fresh_calc() -> CalcStrategy {
 /// reconstructs the exact final state.
 #[test]
 fn corrupted_newest_checkpoint_falls_back_and_replays() {
-    let dir = tmp_dir("fallback");
-    let mut config = EngineConfig::new(StrategyKind::Calc, 2048, 16, dir);
-    config.retain_command_log = true;
-    let db = Database::open(config, registry()).unwrap();
+    let (db, log_dir) = open_logged("fallback", 2048);
     for k in 0..100u64 {
         db.load_initial(Key(k), &0u64.to_le_bytes()).unwrap();
     }
@@ -116,7 +75,7 @@ fn corrupted_newest_checkpoint_falls_back_and_replays() {
 
     // …and replay from the older watermark reproduces the exact state.
     let recovered = fresh_calc();
-    let commands = db.commit_log().commits_after(CommitSeq::ZERO);
+    let commands = logged_commands(&db, &log_dir);
     let outcome =
         recovery::recover(db.checkpoint_dir(), &recovered, &registry(), &commands).unwrap();
     assert_eq!(outcome.watermark, first.watermark);
@@ -129,12 +88,9 @@ fn corrupted_newest_checkpoint_falls_back_and_replays() {
 /// Debris of a capture that died before its manifest rename is invisible.
 #[test]
 fn crash_mid_capture_leaves_only_previous_checkpoint() {
-    let dir = tmp_dir("midcapture");
-    let db = Database::open(
-        EngineConfig::new(StrategyKind::Calc, 1024, 16, dir.clone()),
-        registry(),
-    )
-    .unwrap();
+    let dir = calc_testkit::temp_dir("midcapture");
+    let db = Database::open(EngineConfig::new(StrategyKind::Calc, 1024, 16, dir), registry())
+        .unwrap();
     for k in 0..20u64 {
         db.load_initial(Key(k), &7u64.to_le_bytes()).unwrap();
     }
@@ -166,12 +122,7 @@ fn crash_mid_capture_leaves_only_previous_checkpoint() {
 /// replays the surviving prefix and lands at that prefix's state.
 #[test]
 fn torn_command_log_replays_surviving_prefix() {
-    let dir = tmp_dir("tornlog");
-    std::fs::create_dir_all(&dir).unwrap();
-    let log_dir = dir.join("cmdlog");
-    let mut config = EngineConfig::new(StrategyKind::Calc, 1024, 16, dir.clone());
-    config.retain_command_log = true;
-    let db = Database::open(config, registry()).unwrap();
+    let (db, log_dir) = open_logged("tornlog", 1024);
     for k in 0..10u64 {
         db.load_initial(Key(k), &0u64.to_le_bytes()).unwrap();
     }
@@ -179,15 +130,8 @@ fn torn_command_log_replays_surviving_prefix() {
     for i in 0..20u64 {
         db.execute(SET, set(i % 10, 100 + i));
     }
-    // Persist the command log, then tear the tail.
-    {
-        let mut w =
-            recovery::SegmentedLogWriter::create(Arc::new(OsVfs), &log_dir, 64 << 20).unwrap();
-        for rec in db.commit_log().commits_after(CommitSeq::ZERO) {
-            w.append(&rec).unwrap();
-        }
-        w.sync().unwrap();
-    }
+    // Flush the command log, then tear the tail.
+    db.sync_command_log().unwrap();
     let log_path = log_dir.join(recovery::logfile::segment_file_name(0));
     let bytes = std::fs::read(&log_path).unwrap();
     std::fs::write(&log_path, &bytes[..bytes.len() - 13]).unwrap();
@@ -216,10 +160,7 @@ fn torn_command_log_replays_surviving_prefix() {
 /// still produces a consistent prefix state (no torn data ever loaded).
 #[test]
 fn double_failure_still_yields_consistent_prefix() {
-    let dir = tmp_dir("double");
-    let mut config = EngineConfig::new(StrategyKind::Calc, 1024, 16, dir);
-    config.retain_command_log = true;
-    let db = Database::open(config, registry()).unwrap();
+    let (db, log_dir) = open_logged("double", 1024);
     for k in 0..30u64 {
         db.load_initial(Key(k), &0u64.to_le_bytes()).unwrap();
     }
@@ -241,7 +182,7 @@ fn double_failure_still_yields_consistent_prefix() {
     std::fs::write(&newest.path, &bytes).unwrap();
 
     // Drop the last 10 commits from the log.
-    let mut commands = db.commit_log().commits_after(CommitSeq::ZERO);
+    let mut commands = logged_commands(&db, &log_dir);
     commands.truncate(commands.len() - 10);
 
     let recovered = fresh_calc();

@@ -21,64 +21,8 @@ use calc_db::engine::{Database, EngineConfig, StrategyKind, TxnOutcome};
 use calc_db::recovery;
 use calc_db::storage::dual::StoreConfig;
 use calc_db::txn::commitlog::CommitLog;
-use calc_db::txn::proc::{
-    params, AbortReason, LockRequest, ProcId, ProcRegistry, Procedure, TxnOps,
-};
 use calc_db::Key;
-
-const SET: ProcId = ProcId(1);
-const DELETE: ProcId = ProcId(2);
-
-struct SetProc;
-impl Procedure for SetProc {
-    fn id(&self) -> ProcId {
-        SET
-    }
-    fn name(&self) -> &'static str {
-        "set"
-    }
-    fn locks(&self, p: &[u8]) -> Result<LockRequest, AbortReason> {
-        let mut r = params::Reader::new(p);
-        Ok(LockRequest {
-            reads: vec![],
-            writes: vec![Key(r.u64()?)],
-        })
-    }
-    fn run(&self, p: &[u8], ops: &mut dyn TxnOps) -> Result<(), AbortReason> {
-        let mut r = params::Reader::new(p);
-        let key = Key(r.u64()?);
-        let val = r.bytes()?;
-        if ops.get(key).is_some() {
-            ops.put(key, val);
-        } else {
-            ops.insert(key, val);
-        }
-        Ok(())
-    }
-}
-
-struct DeleteProc;
-impl Procedure for DeleteProc {
-    fn id(&self) -> ProcId {
-        DELETE
-    }
-    fn name(&self) -> &'static str {
-        "delete"
-    }
-    fn locks(&self, p: &[u8]) -> Result<LockRequest, AbortReason> {
-        let mut r = params::Reader::new(p);
-        Ok(LockRequest {
-            reads: vec![],
-            writes: vec![Key(r.u64()?)],
-        })
-    }
-    fn run(&self, p: &[u8], ops: &mut dyn TxnOps) -> Result<(), AbortReason> {
-        let mut r = params::Reader::new(p);
-        let key = Key(r.u64()?);
-        ops.delete(key);
-        Ok(())
-    }
-}
+use calc_testkit::{registry, DELETE, SET};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -104,23 +48,8 @@ fn gen_ops(rng: &mut SplitMix, max_len: u64) -> Vec<Op> {
         .collect()
 }
 
-fn registry() -> ProcRegistry {
-    let mut r = ProcRegistry::new();
-    r.register(Arc::new(SetProc));
-    r.register(Arc::new(DeleteProc));
-    r
-}
-
 fn run_scenario(kind: StrategyKind, ops: &[Op], case: &str) {
-    let dir = std::env::temp_dir().join(format!(
-        "calc-proptest-{}-{}-{case}",
-        std::process::id(),
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
-            .as_nanos()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = calc_testkit::temp_dir(case);
     let mut config = EngineConfig::new(kind, 4096, 64, dir);
     config.workers = 1; // commit order == submission order → exact model
     let db = Database::open(config, registry()).unwrap();
@@ -132,12 +61,12 @@ fn run_scenario(kind: StrategyKind, ops: &[Op], case: &str) {
     for op in ops {
         match op {
             Op::Set(k, v) => {
-                let p = params::Writer::new().u64(*k).bytes(v).finish();
+                let p = calc_testkit::set(*k, v);
                 assert!(matches!(db.execute(SET, p), TxnOutcome::Committed(_)));
                 model.insert(*k, v.clone());
             }
             Op::Delete(k) => {
-                let p = params::Writer::new().u64(*k).finish();
+                let p = calc_testkit::delete(*k);
                 assert!(matches!(db.execute(DELETE, p), TxnOutcome::Committed(_)));
                 model.remove(k);
             }
