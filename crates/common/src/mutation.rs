@@ -1,6 +1,7 @@
 //! Test-only fault switches that inject *known bugs* into the engine, so
-//! the oracles (the conformance checker; for `AckBeforeFsync`, calc-sim's
-//! crash oracle) can prove they would catch them.
+//! the oracles (the conformance checker; for `AckBeforeFsync` and
+//! `OldestWinsOnLoad`, calc-sim's crash and recovery oracles) can prove
+//! they would catch them.
 //!
 //! A checker that has never seen a failure proves nothing: if the oracle
 //! is vacuous (checks the wrong thing, or checks nothing under the real
@@ -41,17 +42,24 @@ pub enum Mutation {
     /// between loses an acknowledged write. Caught by `calc-sim`'s
     /// `acked ⊆ recovered` crash oracle, not by the conformance checker.
     AckBeforeFsync,
+    /// Restart's checkpoint loader walks the recovery chain oldest →
+    /// newest while still keeping the first value installed for a key — a
+    /// stale full-checkpoint value beats the partial that superseded it.
+    /// Caught by `calc-sim`'s recovery oracle (recovered state == model).
+    OldestWinsOnLoad,
 }
 
 /// All mutations, for sweep-style tests.
-pub const ALL: [Mutation; 4] = [
+pub const ALL: [Mutation; 5] = [
     Mutation::SkipLock,
     Mutation::StaleStableRead,
     Mutation::LatePhaseStamp,
     Mutation::AckBeforeFsync,
+    Mutation::OldestWinsOnLoad,
 ];
 
-static FLAGS: [AtomicBool; 4] = [
+static FLAGS: [AtomicBool; 5] = [
+    AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
@@ -66,6 +74,7 @@ impl Mutation {
             Mutation::StaleStableRead => 1,
             Mutation::LatePhaseStamp => 2,
             Mutation::AckBeforeFsync => 3,
+            Mutation::OldestWinsOnLoad => 4,
         }
     }
 
@@ -76,6 +85,7 @@ impl Mutation {
             Mutation::StaleStableRead => "stale-stable-read",
             Mutation::LatePhaseStamp => "late-phase-stamp",
             Mutation::AckBeforeFsync => "ack-before-fsync",
+            Mutation::OldestWinsOnLoad => "oldest-wins-on-load",
         }
     }
 }

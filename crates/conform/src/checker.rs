@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use calc_common::types::{CommitSeq, Value};
+use calc_common::vfs::OsVfs;
 use calc_core::file::{CheckpointKind, RecordEntry};
 use calc_core::manifest::CheckpointMeta;
 use calc_engine::recorder::{RecordedHistory, RecordedOp, RecordedTxn};
@@ -241,9 +242,13 @@ fn verify_checkpoint(
     check_state: bool,
     report: &mut ConformReport,
 ) -> Result<(), Violation> {
-    let entries = meta
-        .read_all()
-        .map_err(|e| violation(format!("checkpoint id {} unreadable: {e}", meta.id)))?;
+    let unreadable = |e| violation(format!("checkpoint id {} unreadable: {e}", meta.id));
+    // The shape restart's parallel loader relies on; last-event-wins
+    // materialization below would mask a breach of it.
+    if let Some(breach) = meta.shape_violation(&OsVfs).map_err(unreadable)? {
+        return Err(violation(breach));
+    }
+    let entries = meta.read_all().map_err(unreadable)?;
     match meta.kind {
         CheckpointKind::Full => {
             let mut image = BTreeMap::new();

@@ -42,8 +42,8 @@ fn spec_for(mutation: Mutation, executor: ExecutorMode, seed: u64) -> StressSpec
         Mutation::LatePhaseStamp => {
             StressSpec::new(StrategyKind::Calc, Scenario::CheckpointContention, seed)
         }
-        Mutation::AckBeforeFsync => {
-            unreachable!("a durability bug: calc-sim's crash oracle owns it, not this checker")
+        Mutation::AckBeforeFsync | Mutation::OldestWinsOnLoad => {
+            unreachable!("a durability/restart bug: calc-sim's oracles own it, not this checker")
         }
     };
     StressSpec { executor, ..spec }

@@ -35,7 +35,7 @@
 //! consistency). Within one file, a tombstone precedes any re-insertion of
 //! the same key, so sequential replay (last event wins) is correct.
 
-use std::io::{self, BufReader, Read, Seek, SeekFrom};
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -120,6 +120,16 @@ impl RecordEntry {
             RecordEntry::Tombstone(k) => *k,
         }
     }
+}
+
+/// One record as [`CheckpointReader::next_borrowed`] hands it out: the
+/// value still lies in the reader's buffer, valid until the next call.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum RecordRef<'a> {
+    /// A record value.
+    Value(Key, &'a [u8]),
+    /// A deletion marker (partial checkpoints only).
+    Tombstone(Key),
 }
 
 /// Streaming checkpoint writer. Writes go through an optional byte
@@ -398,13 +408,28 @@ pub struct FileHeader {
     pub codec: Codec,
 }
 
+/// Bytes the reader pulls from the file per read: the CRC kernel and the
+/// disk both want long runs, and a record larger than this grows the
+/// buffer to fit.
+const READ_CHUNK: usize = 1 << 20;
+
 /// Streaming, CRC-validating checkpoint reader.
+///
+/// The file is read 1 MiB (`READ_CHUNK`) at a time into one buffer the reader
+/// owns; each chunk is folded into the body CRC as it arrives and records
+/// are decoded in place, so [`CheckpointReader::next_borrowed`] hands out
+/// values without copying or allocating.
 pub struct CheckpointReader {
-    input: BufReader<Box<dyn VfsRead>>,
+    input: Box<dyn VfsRead>,
     header: FileHeader,
     remaining: u64,
     crc: Crc32,
     expected_crc: u32,
+    /// Body bytes (between header and footer) not yet read from `input`.
+    unread: u64,
+    /// `buf[pos..]` holds the body bytes read and CRC'd but not consumed.
+    buf: Vec<u8>,
+    pos: usize,
     /// Decompressed bytes of the current block and the read cursor into
     /// it (v2 only; empty under codec `none`).
     block: Vec<u8>,
@@ -462,7 +487,12 @@ impl CheckpointReader {
 
         let mut crc = Crc32::new();
         crc.update(&header);
+        let mut unread = len - (HEADER_LEN + FOOTER_LEN) as u64;
         let codec = if version == VERSION_COMPRESSED {
+            if unread == 0 {
+                return Err(invalid("file too short for the codec byte"));
+            }
+            unread -= 1;
             let mut codec_byte = [0u8; 1];
             file.read_exact(&mut codec_byte)?;
             crc.update(&codec_byte);
@@ -471,7 +501,7 @@ impl CheckpointReader {
             Codec::None
         };
         Ok(CheckpointReader {
-            input: BufReader::with_capacity(1 << 20, file),
+            input: file,
             header: FileHeader {
                 kind,
                 id,
@@ -482,6 +512,9 @@ impl CheckpointReader {
             remaining: records,
             crc,
             expected_crc,
+            unread,
+            buf: Vec::new(),
+            pos: 0,
             block: Vec::new(),
             block_pos: 0,
         })
@@ -499,95 +532,117 @@ impl CheckpointReader {
         self.expected_crc
     }
 
+    /// Makes `n` contiguous unconsumed body bytes available at
+    /// `buf[pos..]`, reading the file a chunk at a time and folding each
+    /// chunk into the body CRC in one run. The footer bounds the read, so
+    /// a corrupt length field fails here instead of sizing an allocation.
+    fn fill(&mut self, n: usize) -> io::Result<()> {
+        let have = self.buf.len() - self.pos;
+        if have >= n {
+            return Ok(());
+        }
+        if (n - have) as u64 > self.unread {
+            return Err(invalid("record runs past the footer"));
+        }
+        self.buf.copy_within(self.pos.., 0);
+        self.pos = 0;
+        let take = ((n.max(READ_CHUNK) - have) as u64).min(self.unread) as usize;
+        self.buf.resize(have + take, 0);
+        self.input.read_exact(&mut self.buf[have..])?;
+        self.crc.update(&self.buf[have..]);
+        self.unread -= take as u64;
+        Ok(())
+    }
+
     /// Loads and validates the next compressed frame into `self.block`
     /// (v2 only). The per-frame CRC is checked *before* the codec runs,
     /// so a corrupted block fails closed here.
     fn fill_block(&mut self) -> io::Result<()> {
-        let mut head = [0u8; FRAME_HEAD_LEN];
-        self.input.read_exact(&mut head)?;
-        self.crc.update(&head);
+        self.fill(FRAME_HEAD_LEN)?;
+        let head = &self.buf[self.pos..self.pos + FRAME_HEAD_LEN];
         let raw_len = u32::from_le_bytes(head[0..4].try_into().unwrap());
         let comp_len = u32::from_le_bytes(head[4..8].try_into().unwrap());
         let block_crc = u32::from_le_bytes(head[8..12].try_into().unwrap());
+        self.pos += FRAME_HEAD_LEN;
         if raw_len == 0 || raw_len > FRAME_LEN_LIMIT || comp_len == 0 || comp_len > FRAME_LEN_LIMIT
         {
             return Err(invalid("implausible compressed frame head"));
         }
-        let mut comp = vec![0u8; comp_len as usize];
-        self.input.read_exact(&mut comp)?;
-        self.crc.update(&comp);
-        if calc_common::crc::crc32(&comp) != block_crc {
+        self.fill(comp_len as usize)?;
+        let comp = &self.buf[self.pos..self.pos + comp_len as usize];
+        if calc_common::crc::crc32(comp) != block_crc {
             return Err(invalid("compressed block CRC mismatch"));
         }
-        self.block = self.header.codec.decompress(&comp, raw_len as usize)?;
+        self.block = self.header.codec.decompress(comp, raw_len as usize)?;
+        self.pos += comp_len as usize;
         self.block_pos = 0;
         Ok(())
     }
 
-    /// Copies `n` bytes out of the current block, refilling it from the
-    /// next frame when exhausted. Records never straddle frames, so a
-    /// refill mid-record means the file is corrupt.
-    fn read_from_block(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        if buf.is_empty() {
-            return Ok(());
+    /// The next `n` bytes of the record stream, borrowed: straight from
+    /// the read buffer under codec `none`, from the current decompressed
+    /// block otherwise (refilled from the next frame when exhausted —
+    /// records never straddle frames, so a refill mid-record means the
+    /// file is corrupt).
+    fn take(&mut self, n: usize) -> io::Result<&[u8]> {
+        if self.header.codec == Codec::None {
+            self.fill(n)?;
+            self.pos += n;
+            return Ok(&self.buf[self.pos - n..self.pos]);
         }
-        if self.block_pos == self.block.len() {
+        if n > 0 && self.block_pos == self.block.len() {
             self.fill_block()?;
         }
-        let end = self.block_pos + buf.len();
+        let end = self.block_pos + n;
         if end > self.block.len() {
             return Err(invalid("record straddles a compressed block boundary"));
         }
-        buf.copy_from_slice(&self.block[self.block_pos..end]);
         self.block_pos = end;
-        Ok(())
+        Ok(&self.block[end - n..end])
     }
 
-    /// Reads the next record; `None` at end. The final call verifies the
-    /// CRC and fails if the body was corrupted.
-    pub fn next_record(&mut self) -> io::Result<Option<RecordEntry>> {
+    /// Reads the next record without copying its value; `None` at end.
+    /// The final call verifies the CRC and fails if the body was
+    /// corrupted.
+    pub fn next_borrowed(&mut self) -> io::Result<Option<RecordRef<'_>>> {
         if self.remaining == 0 {
             if self.block_pos != self.block.len() {
                 return Err(invalid("trailing bytes after last record in block"));
+            }
+            if self.pos != self.buf.len() || self.unread != 0 {
+                return Err(invalid("trailing bytes between last record and footer"));
             }
             if self.crc.finish() != self.expected_crc {
                 return Err(invalid("CRC mismatch — corrupted checkpoint body"));
             }
             return Ok(None);
         }
-        let compressed = self.header.codec != Codec::None;
-        let mut head = [0u8; 13];
-        if compressed {
-            self.read_from_block(&mut head)?;
-        } else {
-            self.input.read_exact(&mut head)?;
-            self.crc.update(&head);
-        }
+        let head = self.take(13)?;
         let flag = head[0];
         let key = Key(u64::from_le_bytes(head[1..9].try_into().unwrap()));
         let len = u32::from_le_bytes(head[9..13].try_into().unwrap()) as usize;
         self.remaining -= 1;
         match flag {
-            1 => Ok(Some(RecordEntry::Tombstone(key))),
-            0 => {
-                let mut buf = vec![0u8; len];
-                if compressed {
-                    self.read_from_block(&mut buf)?;
-                } else {
-                    self.input.read_exact(&mut buf)?;
-                    self.crc.update(&buf);
-                }
-                Ok(Some(RecordEntry::Value(key, buf.into_boxed_slice())))
-            }
+            1 => Ok(Some(RecordRef::Tombstone(key))),
+            0 => Ok(Some(RecordRef::Value(key, self.take(len)?))),
             other => Err(invalid(&format!("bad record flag {other}"))),
         }
     }
 
-    /// Consumes every record without materializing values, verifying the
-    /// CRC. A file whose footer survived but whose body was corrupted or
-    /// torn fails here, not at load time.
+    /// [`CheckpointReader::next_borrowed`] with the value copied out.
+    pub fn next_record(&mut self) -> io::Result<Option<RecordEntry>> {
+        Ok(self.next_borrowed()?.map(|record| match record {
+            RecordRef::Value(key, value) => RecordEntry::Value(key, value.into()),
+            RecordRef::Tombstone(key) => RecordEntry::Tombstone(key),
+        }))
+    }
+
+    /// Consumes every record, verifying structure and CRC without copying
+    /// a value: under codec `none` the only allocation is the read buffer
+    /// itself. A file whose footer survived but whose body was corrupted
+    /// or torn fails here, not at load time.
     pub fn verify(mut self) -> io::Result<FileHeader> {
-        while self.next_record()?.is_some() {}
+        while self.next_borrowed()?.is_some() {}
         Ok(self.header)
     }
 

@@ -22,6 +22,7 @@
 //! replacement is durably published — "old checkpoints are discarded only
 //! once they have been collapsed."
 
+use std::collections::HashMap;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -29,11 +30,12 @@ use std::sync::Arc;
 
 use calc_common::crc::crc32;
 use calc_common::load::{LoadLevel, LoadSignal};
-use calc_common::types::CommitSeq;
+use calc_common::types::{CommitSeq, Key};
 use calc_common::vfs::{OsVfs, Vfs};
 
 use crate::codec::Codec;
-use crate::file::{CheckpointKind, CheckpointReader, CheckpointWriter, RecordEntry};
+use crate::file::{CheckpointKind, CheckpointReader, CheckpointWriter, RecordEntry, RecordRef};
+use crate::partition::for_each_part;
 use crate::throttle::Throttle;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"CALCMFST";
@@ -123,6 +125,43 @@ impl CheckpointMeta {
     /// Reads every record across all parts on the real filesystem.
     pub fn read_all(&self) -> io::Result<Vec<RecordEntry>> {
         self.read_all_with_vfs(&OsVfs)
+    }
+
+    /// The oracle of the shape restart's loader relies on, for the test
+    /// harnesses to hold every published cycle against: a cycle is a
+    /// snapshot at one point, so no key has two values in it (its parts
+    /// are installed in parallel, first one wins), and every tombstone
+    /// sits in part 0 ahead of that part's values. `Some` describes the
+    /// first violation — a capture bug that last-event-wins would mask.
+    pub fn shape_violation(&self, vfs: &dyn Vfs) -> io::Result<Option<String>> {
+        let cycle = format!("cycle {} ({})", self.id, self.kind);
+        let mut value_part: HashMap<Key, usize> = HashMap::new();
+        for (k, part) in self.parts.iter().enumerate() {
+            let mut reader = CheckpointReader::open_with_vfs(vfs, &part.path)?;
+            let mut seen_value = false;
+            while let Some(record) = reader.next_borrowed()? {
+                match record {
+                    RecordRef::Tombstone(key) if k != 0 || seen_value => {
+                        return Ok(Some(format!(
+                            "{cycle}: tombstone of key {key} in part {k}{}; tombstones \
+                             belong in part 0 ahead of its values",
+                            if seen_value { " after a value" } else { "" },
+                        )));
+                    }
+                    RecordRef::Tombstone(_) => {}
+                    RecordRef::Value(key, _) => {
+                        seen_value = true;
+                        if let Some(first) = value_part.insert(key, k) {
+                            return Ok(Some(format!(
+                                "{cycle}: key {key} has a value in part {first} and another \
+                                 in part {k}"
+                            )));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -470,9 +509,9 @@ impl CheckpointDir {
     /// The *effective* part count / capture thread pool size: the
     /// configured value, clamped down by the attached load signal so
     /// capture parallelism never competes with an overloaded foreground.
-    /// Every strategy, the merger, and recovery replay size their pools
-    /// through this one accessor, so load-aware clamping covers all of
-    /// them:
+    /// Every strategy's capture, the merger's output, restart's
+    /// validation scan and recovery's part loader size their pools through
+    /// this one accessor, so load-aware clamping covers all of them:
     ///
     /// * [`LoadLevel::Overload`] → 1 thread (capture proceeds, serially);
     /// * [`LoadLevel::High`] → half the configured threads;
@@ -654,9 +693,16 @@ impl CheckpointDir {
         }
     }
 
-    /// Validates one manifest's cycle. Returns the meta, or `None` after
+    /// Validates one manifest's cycle, its parts checked concurrently on
+    /// at most `threads` workers. Returns the meta, or `None` after
     /// quarantining whichever files of the cycle exist.
-    fn validate_manifest(&self, path: &Path, id: u64, kind: CheckpointKind) -> Option<CheckpointMeta> {
+    fn validate_manifest(
+        &self,
+        path: &Path,
+        id: u64,
+        kind: CheckpointKind,
+        threads: usize,
+    ) -> Option<CheckpointMeta> {
         let Some(doc) = self.named_manifest(path, id, kind) else {
             // An unreadable manifest condemns only itself: its part
             // names cannot be trusted, and orphaned parts are invisible
@@ -665,23 +711,25 @@ impl CheckpointDir {
             return None;
         };
         let meta = self.meta_of(path, &doc);
-        let valid = meta.parts.iter().zip(&doc.parts).all(|(part, entry)| {
-            CheckpointReader::open_with_vfs(self.vfs.as_ref(), &part.path)
-                .and_then(|r| {
-                    if r.expected_crc() != entry.crc {
-                        return Err(invalid("part digest does not match manifest"));
-                    }
-                    r.verify()
-                })
-                .map(|h| {
-                    h.id == id
-                        && h.kind == kind
-                        && h.watermark == doc.watermark
-                        && h.records == entry.records
-                        && h.codec == doc.codec
-                })
-                .unwrap_or(false)
-        });
+        let valid = for_each_part(meta.parts.len(), threads, |k| {
+            let entry = &doc.parts[k];
+            let r = CheckpointReader::open_with_vfs(self.vfs.as_ref(), &meta.parts[k].path)?;
+            if r.expected_crc() != entry.crc {
+                return Err(invalid("part digest does not match manifest"));
+            }
+            let h = r.verify()?;
+            if h.id == id
+                && h.kind == kind
+                && h.watermark == doc.watermark
+                && h.records == entry.records
+                && h.codec == doc.codec
+            {
+                Ok(())
+            } else {
+                Err(invalid("part header does not match manifest"))
+            }
+        })
+        .is_ok();
         if !valid {
             // One missing or corrupt part condemns the whole cycle: a
             // snapshot with a hole is worse than falling back to the
@@ -701,13 +749,24 @@ impl CheckpointDir {
     /// `(id, kind)` with Full ordered before Partial at equal id (a merged
     /// full supersedes the same-id partial). Cycles with a missing or
     /// corrupt part are quarantined wholesale; part files with no manifest
-    /// are uncommitted debris and are ignored.
+    /// are uncommitted debris and are ignored. Validation runs on the
+    /// calling thread only: retention, GC and the merger call this beside
+    /// the foreground.
     pub fn scan(&self) -> io::Result<Vec<CheckpointMeta>> {
+        self.scan_on(1)
+    }
+
+    /// The one deep-validation pass behind [`CheckpointDir::scan`],
+    /// [`CheckpointDir::recovery_chain`] and
+    /// [`CheckpointDir::restart_chain`]: every part of every published
+    /// cycle is opened and CRC'd exactly once, a cycle's parts on at most
+    /// `threads` workers.
+    fn scan_on(&self, threads: usize) -> io::Result<Vec<CheckpointMeta>> {
         let mut out: Vec<CheckpointMeta> = self
             .entries()?
             .into_iter()
             .filter(|e| e.3 == NameClass::Manifest)
-            .filter_map(|(path, id, kind, _)| self.validate_manifest(&path, id, kind))
+            .filter_map(|(path, id, kind, _)| self.validate_manifest(&path, id, kind, threads))
             .collect();
         out.sort_by_key(chain_order);
         if let Some(max_id) = out.iter().map(|m| m.id).max() {
@@ -799,29 +858,24 @@ impl CheckpointDir {
     /// silently drop every write only the missing checkpoint captured.
     /// Everything from the hole on is excluded; command-log replay from the
     /// shorter chain's watermark covers the difference.
+    ///
+    /// Validates on the calling thread, like [`CheckpointDir::scan`]: the
+    /// merger's `collapse` calls this beside the foreground.
     pub fn recovery_chain(&self) -> io::Result<Option<(CheckpointMeta, Vec<CheckpointMeta>)>> {
-        let all = self.scan()?;
-        let Some(full) = all
-            .iter()
-            .filter(|m| m.kind == CheckpointKind::Full)
-            .max_by_key(|m| m.id)
-            .cloned()
-        else {
-            return Ok(None);
-        };
-        let mut partials: Vec<CheckpointMeta> = Vec::new();
-        let mut prev = full.id;
-        for m in all {
-            if m.kind != CheckpointKind::Partial || m.id <= full.id {
-                continue;
-            }
-            if m.parent != Some(prev) {
-                break;
-            }
-            prev = m.id;
-            partials.push(m);
-        }
-        Ok(Some((full, partials)))
+        Ok(match chain_of(self.scan_on(1)?) {
+            RestartChain::Chain(full, partials) => Some((full, partials)),
+            RestartChain::Empty | RestartChain::NoFull => None,
+        })
+    }
+
+    /// [`CheckpointDir::recovery_chain`] as a restart or a standby
+    /// bootstrap wants it: validated on
+    /// [`CheckpointDir::checkpoint_threads`] workers (nothing else is
+    /// running yet), and telling a directory with no valid cycle at all —
+    /// a cold start — from one that holds cycles but no full, all from the
+    /// one scan.
+    pub fn restart_chain(&self) -> io::Result<RestartChain> {
+        Ok(chain_of(self.scan_on(self.checkpoint_threads())?))
     }
 
     /// Deletes every cycle of `all` with `id < below` except the one whose
@@ -904,6 +958,50 @@ impl CheckpointDir {
         }
         self.remove_below(&all, full_ids[full_ids.len() - keep], None)
     }
+}
+
+/// What one deep scan leaves a restart to load.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RestartChain {
+    /// No valid cycle at all: no checkpoint ever completed (or none
+    /// survived validation), so the command log carries the whole history.
+    Empty,
+    /// Valid cycles, but no full checkpoint among them: the chain is
+    /// broken, not merely young.
+    NoFull,
+    /// The newest valid full plus its unbroken run of newer partials,
+    /// ascending.
+    Chain(CheckpointMeta, Vec<CheckpointMeta>),
+}
+
+/// Picks the recovery chain out of a scan (see
+/// [`CheckpointDir::recovery_chain`] for the rule).
+fn chain_of(all: Vec<CheckpointMeta>) -> RestartChain {
+    let Some(full) = all
+        .iter()
+        .filter(|m| m.kind == CheckpointKind::Full)
+        .max_by_key(|m| m.id)
+        .cloned()
+    else {
+        return if all.is_empty() {
+            RestartChain::Empty
+        } else {
+            RestartChain::NoFull
+        };
+    };
+    let mut partials: Vec<CheckpointMeta> = Vec::new();
+    let mut prev = full.id;
+    for m in all {
+        if m.kind != CheckpointKind::Partial || m.id <= full.id {
+            continue;
+        }
+        if m.parent != Some(prev) {
+            break;
+        }
+        prev = m.id;
+        partials.push(m);
+    }
+    RestartChain::Chain(full, partials)
 }
 
 /// Sort key of the scan order: ascending id, Full before Partial at equal

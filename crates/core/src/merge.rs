@@ -15,15 +15,12 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use calc_common::types::{Key, Value};
 use calc_common::vfs::{OsVfs, Vfs};
 
-use crate::file::{CheckpointKind, CheckpointReader, RecordEntry};
+use crate::file::{CheckpointKind, RecordEntry};
 use crate::manifest::{CheckpointDir, CheckpointMeta};
 use crate::partition::{capture_parts, ShardPartition};
 
@@ -57,8 +54,10 @@ pub fn apply_entry(state: &mut BTreeMap<Key, Value>, entry: RecordEntry) {
     }
 }
 
-/// Streams a full checkpoint plus ordered partials into a single state
-/// map. Shared by the background merger and crash recovery.
+/// Streams a full checkpoint plus ordered partials, oldest first, into a
+/// single state map: the background merger's `collapse`, and the serial
+/// reference the test oracles hold restart's direct loader against
+/// (recovery itself builds no map — see `calc_recovery::replay`).
 pub fn materialize_chain(
     full: &CheckpointMeta,
     partials: &[CheckpointMeta],
@@ -82,124 +81,6 @@ pub fn materialize_chain_with_vfs(
         }
     }
     Ok(state)
-}
-
-/// Reads one checkpoint file and buckets its entries by key hash,
-/// preserving in-file order within each bucket.
-fn bucket_file(vfs: &dyn Vfs, path: &Path, shards: usize) -> io::Result<Vec<Vec<RecordEntry>>> {
-    let mut out = vec![Vec::new(); shards];
-    for entry in CheckpointReader::open_with_vfs(vfs, path)?.read_all()? {
-        out[(entry.key().0 as usize) % shards].push(entry);
-    }
-    Ok(out)
-}
-
-/// Wall-clock split of a sharded materialization, surfaced through
-/// recovery's progress stats.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct MaterializeTiming {
-    /// Phase A: reading part files and bucketing entries by key hash.
-    pub read: Duration,
-    /// Phase B: per-shard last-event-wins merge.
-    pub merge: Duration,
-}
-
-/// One file's entries bucketed by key-hash shard, parked in a slot until
-/// phase B merges it in chain order.
-type BucketSlot = Mutex<Option<io::Result<Vec<Vec<RecordEntry>>>>>;
-
-/// Shard-parallel [`materialize_chain`]: loads every part of the chain in
-/// parallel and merges per key-hash shard, returning `threads` sub-maps
-/// whose disjoint union is the chain's state (shard `r` holds exactly the
-/// keys with `key % threads == r`), plus the per-phase timing.
-///
-/// Part-index stripes are **not** stable across checkpoints (the store
-/// grows, dirty sets differ), so merging part `k` of one file into part
-/// `k` of the next would be wrong. Instead phase A reads files in
-/// parallel, bucketing entries by key hash while preserving in-file
-/// order; phase B merges each shard's buckets in chain order (full first,
-/// then partials ascending, parts in index order within a file set) with
-/// last-event-wins semantics — the same order the serial path applies.
-pub fn materialize_chain_sharded_with_vfs(
-    vfs: &dyn Vfs,
-    full: &CheckpointMeta,
-    partials: &[CheckpointMeta],
-    threads: usize,
-) -> io::Result<(Vec<BTreeMap<Key, Value>>, MaterializeTiming)> {
-    let shards = threads.max(1);
-    let mut paths: Vec<&Path> = full.parts.iter().map(|p| p.path.as_path()).collect();
-    for p in partials {
-        paths.extend(p.parts.iter().map(|q| q.path.as_path()));
-    }
-    let mut timing = MaterializeTiming::default();
-    let read_start = Instant::now();
-
-    // Phase A: parallel per-file read + hash bucketing.
-    let buckets: Vec<Vec<Vec<RecordEntry>>> = if shards == 1 || paths.len() <= 1 {
-        let mut out = Vec::with_capacity(paths.len());
-        for path in &paths {
-            out.push(bucket_file(vfs, path, shards)?);
-        }
-        out
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<BucketSlot> = paths.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|s| {
-            for _ in 0..shards.min(paths.len()) {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(path) = paths.get(i) else { break };
-                    let r = bucket_file(vfs, path, shards);
-                    *slots[i].lock().unwrap() = Some(r);
-                });
-            }
-        });
-        let mut out = Vec::with_capacity(paths.len());
-        for slot in slots {
-            out.push(slot.into_inner().unwrap().expect("worker filled slot")?);
-        }
-        out
-    };
-
-    timing.read = read_start.elapsed();
-    let merge_start = Instant::now();
-
-    // Transpose to per-shard bucket lists, keeping chain order.
-    let mut per_shard: Vec<Vec<Vec<RecordEntry>>> =
-        (0..shards).map(|_| Vec::with_capacity(buckets.len())).collect();
-    for file_buckets in buckets {
-        for (r, b) in file_buckets.into_iter().enumerate() {
-            per_shard[r].push(b);
-        }
-    }
-
-    // Phase B: per-shard last-event-wins merge, one thread per shard.
-    let merge_shard = |chunks: Vec<Vec<RecordEntry>>| -> BTreeMap<Key, Value> {
-        let mut m = BTreeMap::new();
-        for chunk in chunks {
-            for entry in chunk {
-                apply_entry(&mut m, entry);
-            }
-        }
-        m
-    };
-    let maps = if shards == 1 {
-        let only = per_shard.pop().expect("one shard");
-        vec![merge_shard(only)]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = per_shard
-                .into_iter()
-                .map(|chunks| s.spawn(move || merge_shard(chunks)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("merge thread panicked"))
-                .collect::<Vec<_>>()
-        })
-    };
-    timing.merge = merge_start.elapsed();
-    Ok((maps, timing))
 }
 
 /// Collapses the newest full checkpoint with all newer partials into a new
@@ -373,32 +254,6 @@ mod tests {
         assert_eq!(state.len(), 2);
         assert_eq!(&state[&Key(1)][..], b"v3");
         assert_eq!(&state[&Key(2)][..], b"w2");
-    }
-
-    #[test]
-    fn sharded_materialization_matches_serial() {
-        let d = dir("sharded");
-        d.set_checkpoint_threads(3);
-        write_full(&d, 0, &[(1, b"a0"), (2, b"b0"), (3, b"c0"), (64, b"z0")]);
-        write_partial(&d, 1, &[(1, Some(b"a1")), (3, None)]);
-        write_partial(&d, 2, &[(3, Some(b"c2")), (2, None), (65, Some(b"y2"))]);
-        let (full, partials) = d.recovery_chain().unwrap().unwrap();
-        let serial = materialize_chain(&full, &partials).unwrap();
-        for threads in [1usize, 2, 4, 7] {
-            let (maps, _timing) =
-                materialize_chain_sharded_with_vfs(&OsVfs, &full, &partials, threads).unwrap();
-            assert_eq!(maps.len(), threads);
-            // Shard r holds exactly the keys hashing to r, and the union
-            // equals the serial result.
-            let mut union = BTreeMap::new();
-            for (r, m) in maps.into_iter().enumerate() {
-                for (k, v) in m {
-                    assert_eq!(k.0 as usize % threads, r, "key {k:?} in wrong shard");
-                    assert!(union.insert(k, v).is_none(), "key {k:?} in two shards");
-                }
-            }
-            assert_eq!(union, serial, "threads={threads}");
-        }
     }
 
     #[test]

@@ -2,19 +2,26 @@
 //! stripes, written to `N` part files by `N` threads.
 //!
 //! Every strategy's capture (CALC full/partial, the quiesce baselines,
-//! IPP, Zigzag) and recovery's part loader funnel through this layer so
-//! the partitioning scheme, the thread pool, and the abort semantics are
-//! implemented exactly once. The contract:
+//! IPP, Zigzag) funnels through this layer so the partitioning scheme, the
+//! thread pool, and the abort semantics are implemented exactly once;
+//! deep validation and recovery's part loader borrow its worker pool
+//! ([`for_each_part`]). The contract:
 //!
 //! * **Partitioning** — [`ShardPartition`] splits `total` items (slots,
 //!   dirty-list entries) into `parts` contiguous stripes whose union is
 //!   exactly `0..total` and which differ in size by at most one. Stripe
 //!   `k` feeds part file `k`. The assignment is *not* stable across
-//!   checkpoints (the store grows, dirty sets differ), which is why
-//!   recovery re-shards by key hash instead of merging per part index.
+//!   checkpoints (the store grows, dirty sets differ), so part `k` of one
+//!   cycle says nothing about part `k` of the next: recovery installs the
+//!   chain newest cycle first and lets the store answer "already have
+//!   this key", whichever part it came from.
+//! * **One value per key per cycle** — a cycle is a snapshot at one
+//!   point, so no key is written twice across its parts; recovery loads a
+//!   cycle's parts in parallel and keeps whichever value arrives first.
 //! * **Tombstones** — written to part 0 ahead of every value, so a reader
 //!   applying parts in index order (and files in chain order) still sees
-//!   delete-before-reinsert.
+//!   delete-before-reinsert; recovery folds a cycle's tombstones in only
+//!   after all of its parts, for the same reason.
 //! * **All-or-nothing** — if any stripe's scan or write fails, a cancel
 //!   flag stops the siblings, every part file is removed, and no manifest
 //!   is ever written: the cycle never becomes visible. The caller then
@@ -23,7 +30,7 @@
 
 use std::io;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use calc_common::types::{CommitSeq, Key};
 
@@ -173,6 +180,47 @@ where
     pending.publish(writers)
 }
 
+/// Runs `job(k)` for every part index `k < parts` on at most `threads`
+/// workers — the calling thread and up to `threads - 1` scoped ones — that
+/// pull indices from a shared counter, and returns the results in index
+/// order. The first error stops the hand-out of further indices and is the
+/// one returned (the lowest-indexed, if several parts fail). Deep
+/// validation and recovery's part loader size their pools through this.
+pub fn for_each_part<T, E, F>(parts: usize, threads: usize, job: F) -> Result<Vec<T>, E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(usize) -> Result<T, E> + Sync,
+{
+    let next = AtomicUsize::new(0);
+    let failed = AtomicBool::new(false);
+    let worker = || {
+        let mut done = Vec::new();
+        while !failed.load(Ordering::Relaxed) {
+            let k = next.fetch_add(1, Ordering::Relaxed);
+            if k >= parts {
+                break;
+            }
+            let r = job(k);
+            if r.is_err() {
+                failed.store(true, Ordering::Relaxed);
+            }
+            done.push((k, r));
+        }
+        done
+    };
+    let mut done = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads.min(parts)).map(|_| s.spawn(worker)).collect();
+        let mut done = worker();
+        for h in helpers {
+            done.extend(h.join().expect("part worker panicked"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(k, _)| k);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
 /// The error a cancelled stripe should return when it observes the cancel
 /// flag: [`io::ErrorKind::Interrupted`], which [`capture_parts`] treats as
 /// a symptom rather than a root cause.
@@ -209,6 +257,24 @@ mod tests {
                 assert!(covered.iter().all(|&c| c), "gap (total={total} parts={parts})");
                 assert!(max_len - min_len <= 1, "imbalance (total={total} parts={parts})");
             }
+        }
+    }
+
+    #[test]
+    fn for_each_part_orders_results_and_stops_at_an_error() {
+        for threads in [1usize, 2, 5, 64] {
+            let squares = for_each_part(20, threads, |k| Ok::<_, ()>(k * k)).unwrap();
+            assert_eq!(squares, (0..20).map(|k| k * k).collect::<Vec<_>>());
+            assert_eq!(for_each_part(0, threads, |_| Err::<(), _>("unreached")), Ok(vec![]));
+
+            let ran = AtomicUsize::new(0);
+            let err = for_each_part(1000, threads, |k| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if k >= 3 { Err(k) } else { Ok(()) }
+            })
+            .unwrap_err();
+            assert_eq!(err, 3, "the lowest-indexed failure is the one reported");
+            assert!(ran.load(Ordering::Relaxed) < 1000, "an error stops the hand-out");
         }
     }
 

@@ -144,8 +144,12 @@ pub trait CheckpointStrategy: Send + Sync {
 
     /// Bulk-loads a record outside any transaction (initial population /
     /// recovery). Not thread-safe with concurrent transactions; concurrent
-    /// `load_initial` calls on **distinct keys** are allowed (parallel
-    /// recovery installs key-hash shards on separate threads).
+    /// `load_initial` calls on **distinct keys** are allowed (recovery
+    /// installs the parts of one checkpoint cycle on separate threads). A
+    /// key that is already resident is answered with
+    /// [`StoreError::DuplicateKey`] and the resident record left as it is:
+    /// recovery walks the chain newest first and relies on that to keep
+    /// the newest value.
     fn load_initial(&self, key: Key, value: &[u8]) -> Result<(), StoreError>;
 
     /// Reads the latest committed value (the caller holds the logical

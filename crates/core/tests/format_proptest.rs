@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use calc_common::rng::SplitMix;
 use calc_common::types::{CommitSeq, Key, Value};
+use calc_common::vfs::OsVfs;
 use calc_core::file::{CheckpointKind, CheckpointReader, CheckpointWriter, RecordEntry};
 use calc_core::manifest::CheckpointDir;
 use calc_core::merge::{apply_entry, collapse, materialize_chain};
@@ -220,10 +221,15 @@ fn collapse_equals_model_replay() {
                 );
             }
         }
-        // Collapse and compare to the model.
+        // Collapse (into 1–3 parts) and compare to the model. The inputs
+        // above repeat keys and scatter tombstones on purpose — collapse
+        // is last-event-wins over file order — but what it publishes must
+        // have the shape restart's loader relies on.
+        dir.set_checkpoint_threads(1 + (case % 3) as usize);
         collapse(&dir).unwrap().unwrap();
         let (full, rest) = dir.recovery_chain().unwrap().unwrap();
         assert!(rest.is_empty(), "seed {seed:#x}");
+        assert_eq!(full.shape_violation(&OsVfs).unwrap(), None, "seed {seed:#x}");
         let got = materialize_chain(&full, &[]).unwrap();
         assert_eq!(got, model, "seed {seed:#x}");
         std::fs::remove_dir_all(&root).ok();
@@ -309,4 +315,96 @@ fn compressed_parts_roundtrip_across_codecs() {
         }
         std::fs::remove_dir_all(&root).ok();
     }
+}
+
+/// What `capture_parts` publishes has the loader's shape at every part
+/// count, and the oracle that says so can fail: a repeated value and a
+/// misplaced tombstone are each reported with the cycle, key and parts.
+#[test]
+fn cycle_shape_oracle_accepts_captures_and_names_breaches() {
+    let shape = |dir: &CheckpointDir| {
+        dir.scan().unwrap()[0].shape_violation(&OsVfs).unwrap()
+    };
+    for parts in [1usize, 2, 3, 7] {
+        let dir = CheckpointDir::open(&tmp("shape-ok"), Arc::new(Throttle::unlimited())).unwrap();
+        let tombstones = [Key(900), Key(5)];
+        capture_parts(&dir, CheckpointKind::Partial, 1, CommitSeq(1), &tombstones, parts, |k, w, _| {
+            (0..40u64)
+                .filter(|key| *key as usize % parts == k)
+                .try_for_each(|key| w.write_record(Key(key), b"v"))
+        })
+        .unwrap();
+        assert_eq!(shape(&dir), None, "parts {parts}");
+    }
+
+    let dir = CheckpointDir::open(&tmp("shape-dup"), Arc::new(Throttle::unlimited())).unwrap();
+    capture_parts(&dir, CheckpointKind::Full, 2, CommitSeq(2), &[], 3, |k, w, _| {
+        w.write_record(Key(if k == 1 { 70 } else { 7 }), b"v")
+    })
+    .unwrap();
+    let breach = shape(&dir).expect("key 7 is in parts 0 and 2");
+    assert!(breach.contains("cycle 2") && breach.contains("key 7"), "{breach}");
+    assert!(breach.contains("part 0") && breach.contains("part 2"), "{breach}");
+
+    let dir = CheckpointDir::open(&tmp("shape-tomb"), Arc::new(Throttle::unlimited())).unwrap();
+    capture_parts(&dir, CheckpointKind::Partial, 3, CommitSeq(3), &[], 2, |k, w, _| {
+        w.write_record(Key(k as u64), b"v")?;
+        if k == 1 {
+            w.write_tombstone(Key(44))?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let breach = shape(&dir).expect("tombstone in part 1");
+    assert!(breach.contains("cycle 3") && breach.contains("key 44"), "{breach}");
+    assert!(breach.contains("part 1"), "{breach}");
+}
+
+/// A part and its manifest as the one-table CRC build (commit 5442021)
+/// wrote them: partial cycle 3, watermark 77, tombstone 9, then keys 1,
+/// 0xDEADBEEF with an empty value, 2. The CRC is a format contract —
+/// these bytes must validate and decode under every build, so a table bug
+/// cannot pass by being self-consistent.
+#[test]
+fn golden_part_and_manifest_still_validate_and_decode() {
+    const GOLDEN_PART: [u8; 131] = [
+        0x43, 0x41, 0x4c, 0x43, 0x43, 0x4b, 0x50, 0x54, 0x01, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+        0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x61, 0x6c, 0x70, 0x68, 0x61,
+        0x00, 0xef, 0xbe, 0xad, 0xde, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x19, 0x00, 0x00, 0x00, 0x74, 0x68, 0x65, 0x20,
+        0x71, 0x75, 0x69, 0x63, 0x6b, 0x20, 0x62, 0x72, 0x6f, 0x77, 0x6e, 0x20, 0x66, 0x6f, 0x78,
+        0x20, 0x6a, 0x75, 0x6d, 0x70, 0x73, 0x43, 0x4b, 0x50, 0x54, 0x45, 0x4e, 0x44, 0x2e, 0x04,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc4, 0x91, 0x9c, 0x9d,
+    ];
+    const GOLDEN_MANIFEST: [u8; 65] = [
+        0x43, 0x41, 0x4c, 0x43, 0x4d, 0x46, 0x53, 0x54, 0x01, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff,
+        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x83, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc4, 0x91, 0x9c,
+        0x9d, 0xa9, 0xee, 0xc5, 0x92,
+    ];
+    let root = tmp("golden");
+    std::fs::create_dir_all(&root).unwrap();
+    std::fs::write(root.join("ckpt-0000000003-part.part-0"), GOLDEN_PART).unwrap();
+    std::fs::write(root.join("ckpt-0000000003-part.manifest"), GOLDEN_MANIFEST).unwrap();
+    let dir = CheckpointDir::open(&root, Arc::new(Throttle::unlimited())).unwrap();
+    let metas = dir.scan().unwrap();
+    assert_eq!(dir.quarantined_count(), 0, "golden cycle failed validation");
+    assert_eq!(metas.len(), 1);
+    assert_eq!((metas[0].id, metas[0].kind), (3, CheckpointKind::Partial));
+    assert_eq!(metas[0].watermark, CommitSeq(77));
+    assert_eq!(metas[0].parent, None);
+    let value = |k: u64, v: &[u8]| RecordEntry::Value(Key(k), v.to_vec().into_boxed_slice());
+    assert_eq!(
+        metas[0].read_all().unwrap(),
+        vec![
+            RecordEntry::Tombstone(Key(9)),
+            value(1, b"alpha"),
+            value(0xDEAD_BEEF, b""),
+            value(2, b"the quick brown fox jumps"),
+        ]
+    );
+    std::fs::remove_dir_all(&root).ok();
 }

@@ -11,8 +11,8 @@
 //!   registry lookup nor a `locks()` call.
 //! * [`ExecutorMode::ShardOwned`] is the N-queue case: worker `i` owns a
 //!   contiguous stripe of shards ([`ShardRouter`], aligned with the
-//!   checkpoint pipeline's `ShardPartition` striping and recovery's
-//!   `key % shards` bucketing) and is the only receiver of queue `i`. The
+//!   checkpoint pipeline's `ShardPartition` striping) and is the only
+//!   receiver of queue `i`. The
 //!   submitting thread classifies the request's footprint: a single-owner
 //!   footprint ([`Isolation::Single`]) runs lock-free on its owner —
 //!   owner serialism replaces per-key latching; a footprint spanning

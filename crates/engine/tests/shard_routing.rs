@@ -1,9 +1,8 @@
 //! Cross-checks the shard-owned executor's routing arithmetic against the
 //! rest of the system's partitioning, across crate boundaries:
 //!
-//! * `ShardRouter::shard_of` must agree with recovery's `key % shards`
-//!   bucketing (`calc_core::merge` writes checkpoint part files with the
-//!   same modulus), and
+//! * `ShardRouter::shard_of` must be the plain `key % shards` for every
+//!   key, large ones included, and
 //! * `ShardRouter::owner_of_shard` must agree with the contiguous striping
 //!   `calc_core::partition::ShardPartition` uses to split capture work
 //!   over checkpoint threads.
@@ -39,7 +38,7 @@ fn owner_striping_matches_checkpoint_shard_partition() {
 }
 
 #[test]
-fn key_bucketing_matches_recovery_shard_modulus() {
+fn shard_of_is_the_plain_modulus_for_any_key() {
     let workers = 4;
     let spw = 8;
     let router = ShardRouter::new(workers, spw);

@@ -213,10 +213,11 @@ impl SegmentedLogWriter {
 /// later segments hold later commits, and replay must not skip a gap.
 pub fn read_dir_logs(vfs: &dyn Vfs, dir: &Path) -> io::Result<Vec<CommitRecord>> {
     let mut out = Vec::new();
+    let mut body = Vec::new();
     for (_, path) in list_segments(vfs, dir)? {
         let mut input = BufReader::with_capacity(1 << 20, vfs.open_read(&path)?);
         loop {
-            match read_one_outcome(&mut input)? {
+            match read_one_outcome(&mut input, &mut body)? {
                 ReadOutcome::Record(rec) => out.push(rec),
                 ReadOutcome::CleanEof => break,
                 ReadOutcome::Torn => return Ok(out),
@@ -260,6 +261,7 @@ pub fn truncate_segments_below(
         return Ok(TruncateStats::default());
     };
     let mut stats = TruncateStats::default();
+    let mut body = Vec::new();
     for (i, path) in &segments {
         if *i == active {
             break;
@@ -267,7 +269,7 @@ pub fn truncate_segments_below(
         let mut input = BufReader::with_capacity(1 << 20, vfs.open_read(path)?);
         let mut last_seq = None;
         let clean = loop {
-            match read_one_outcome(&mut input)? {
+            match read_one_outcome(&mut input, &mut body)? {
                 ReadOutcome::Record(rec) => last_seq = Some(rec.seq),
                 ReadOutcome::CleanEof => break true,
                 ReadOutcome::Torn => break false,
@@ -298,7 +300,10 @@ pub(crate) enum ReadOutcome {
 }
 
 /// Decodes the next record from `input`; `Err` only on real I/O failure.
-pub(crate) fn read_one_outcome(input: &mut impl Read) -> io::Result<ReadOutcome> {
+/// `body` is the caller's scratch buffer, reused from record to record:
+/// the record is read into it, CRC'd in one run, and only the parameters
+/// are copied out.
+pub(crate) fn read_one_outcome(input: &mut impl Read, body: &mut Vec<u8>) -> io::Result<ReadOutcome> {
     let mut head = [0u8; 8];
     match read_exact_or_eof(input, &mut head)? {
         Filled::Full => {}
@@ -310,23 +315,20 @@ pub(crate) fn read_one_outcome(input: &mut impl Read) -> io::Result<ReadOutcome>
     if !(18..=(1 << 30)).contains(&len) {
         return Ok(ReadOutcome::Torn); // implausible: torn write
     }
-    let mut body = vec![0u8; len];
-    match read_exact_or_eof(input, &mut body)? {
-        Filled::Full => {}
-        Filled::Empty | Filled::Partial => return Ok(ReadOutcome::Torn),
-    }
-    if crc32(&body) != expected_crc {
+    // Bounded by what the file holds, not by `len`: a torn head must not
+    // size the buffer.
+    body.clear();
+    if input.by_ref().take(len as u64).read_to_end(body)? < len {
         return Ok(ReadOutcome::Torn);
     }
-    let seq = CommitSeq(u64::from_le_bytes(body[0..8].try_into().unwrap()));
-    let txn = TxnId(u64::from_le_bytes(body[8..16].try_into().unwrap()));
-    let proc = ProcId(u16::from_le_bytes(body[16..18].try_into().unwrap()));
-    let params: Arc<[u8]> = Arc::from(body[18..].to_vec().into_boxed_slice());
+    if crc32(body) != expected_crc {
+        return Ok(ReadOutcome::Torn);
+    }
     Ok(ReadOutcome::Record(CommitRecord {
-        seq,
-        txn,
-        proc,
-        params,
+        seq: CommitSeq(u64::from_le_bytes(body[0..8].try_into().unwrap())),
+        txn: TxnId(u64::from_le_bytes(body[8..16].try_into().unwrap())),
+        proc: ProcId(u16::from_le_bytes(body[16..18].try_into().unwrap())),
+        params: Arc::from(&body[18..]),
     }))
 }
 
@@ -424,6 +426,40 @@ mod tests {
         data[mid] ^= 0xFF;
         std::fs::write(&seg, &data).unwrap();
         assert!(read_dir_logs(&OsVfs, &dir).unwrap().len() < 10);
+    }
+
+    /// A segment as the one-table CRC build (commit 5442021) wrote it. The
+    /// per-record CRC is a format contract: these bytes must decode in
+    /// full under every build.
+    #[test]
+    fn golden_segment_still_decodes() {
+        const GOLDEN_SEGMENT: [u8; 122] = [
+            0x19, 0x00, 0x00, 0x00, 0xb0, 0x84, 0x7e, 0x3f, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x00, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x73, 0x65,
+            0x74, 0x20, 0x6b, 0x3d, 0x31, 0x12, 0x00, 0x00, 0x00, 0xde, 0xe7, 0xbc, 0x7e, 0x02,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+            0x00, 0x02, 0x00, 0x37, 0x00, 0x00, 0x00, 0xfd, 0x15, 0xb4, 0x15, 0x05, 0x00, 0x00,
+            0x00, 0x00, 0x00, 0x00, 0x00, 0x32, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05,
+            0x00, 0x61, 0x20, 0x6c, 0x6f, 0x6e, 0x67, 0x65, 0x72, 0x20, 0x70, 0x61, 0x72, 0x61,
+            0x6d, 0x65, 0x74, 0x65, 0x72, 0x20, 0x62, 0x6c, 0x6f, 0x62, 0x2c, 0x20, 0x33, 0x37,
+            0x20, 0x62, 0x79, 0x74, 0x65, 0x73, 0x2e, 0x2e, 0x2e, 0x2e,
+        ];
+        let dir = tmpdir("golden");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(segment_file_name(0)), GOLDEN_SEGMENT).unwrap();
+        let records = read_dir_logs(&OsVfs, &dir).unwrap();
+        let got: Vec<(u64, u64, u16, &[u8])> = records
+            .iter()
+            .map(|r| (r.seq.0, r.txn.0, r.proc.0, &r.params[..]))
+            .collect();
+        assert_eq!(
+            got,
+            vec![
+                (1, 10, 1, &b"set k=1"[..]),
+                (2, 20, 2, &b""[..]),
+                (5, 50, 5, &b"a longer parameter blob, 37 bytes...."[..]),
+            ]
+        );
     }
 
     #[test]
@@ -530,7 +566,8 @@ mod tests {
             let mut input =
                 BufReader::with_capacity(1 << 20, OsVfs.open_read(&segs[0].1).unwrap());
             let mut last = 0;
-            while let ReadOutcome::Record(r) = read_one_outcome(&mut input).unwrap() {
+            let mut body = Vec::new();
+            while let ReadOutcome::Record(r) = read_one_outcome(&mut input, &mut body).unwrap() {
                 last = r.seq.0;
             }
             last

@@ -1,18 +1,26 @@
 //! Checkpoint loading and deterministic command-log replay.
 //!
-//! Loading is shard-parallel: every part file in the recovery chain is
-//! read and CRC-verified concurrently, entries are bucketed by key hash,
-//! and per-shard merge + store installation run one thread per shard
-//! (part-index stripes are not stable across checkpoints, so recovery
-//! re-shards by key rather than by part). Replay is single-threaded in
-//! commit order — determinism demands it.
+//! Loading installs the recovery chain straight from the part readers:
+//! after one deep-validation scan has accepted (or quarantined) every
+//! cycle, the chain is walked **newest first** — last partial … first
+//! partial, full — and each cycle's parts stream, in parallel, from
+//! [`CheckpointReader::next_borrowed`] into
+//! [`CheckpointStrategy::load_initial`]. A key the store already holds was
+//! decided by a newer cycle and is skipped; a cycle's tombstones join the
+//! set of dead keys once all of its parts are in, and a value whose key is
+//! dead is skipped. No intermediate map or entry list is built: the store
+//! is the only copy. Replay is single-threaded in commit order —
+//! determinism demands it.
 
+use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use calc_common::types::{CommitSeq, Key, Value};
-use calc_core::manifest::CheckpointDir;
-use calc_core::merge::materialize_chain_sharded_with_vfs;
+use calc_core::file::{CheckpointReader, RecordRef};
+use calc_core::manifest::{CheckpointDir, CheckpointMeta, RestartChain};
+use calc_core::partition::for_each_part;
 use calc_core::strategy::CheckpointStrategy;
+use calc_storage::dual::StoreError;
 use calc_txn::commitlog::CommitRecord;
 use calc_txn::proc::{ProcRegistry, TxnOps};
 
@@ -45,6 +53,14 @@ pub enum RecoveryError {
     Io(std::io::Error),
     /// Store error while loading.
     Store(calc_storage::dual::StoreError),
+    /// The strategy handed to the loader already holds records. The
+    /// loader keeps the first value it installs for a key (the newest
+    /// cycle's), which is only right into an empty store: a resident
+    /// record would silently win over the whole chain.
+    StrategyNotEmpty {
+        /// Records the strategy held.
+        records: usize,
+    },
 }
 
 impl std::fmt::Display for RecoveryError {
@@ -66,6 +82,10 @@ impl std::fmt::Display for RecoveryError {
             RecoveryError::ReplayDiverged(m) => write!(f, "replay diverged: {m}"),
             RecoveryError::Io(e) => write!(f, "io error: {e}"),
             RecoveryError::Store(e) => write!(f, "store error: {e}"),
+            RecoveryError::StrategyNotEmpty { records } => write!(
+                f,
+                "checkpoints load into an empty strategy only; this one holds {records} records"
+            ),
         }
     }
 }
@@ -88,15 +108,17 @@ impl From<calc_storage::dual::StoreError> for RecoveryError {
 /// formerly invisible progress: the sim driver prints this).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryStats {
-    /// Reading + CRC-verifying + hash-bucketing the chain's part files.
+    /// The fused read + install pass: every part of the chain read,
+    /// CRC-verified and streamed into the store, summed over cycles.
     pub part_load: Duration,
-    /// Per-shard last-event-wins merge and store installation.
+    /// The residue between cycles — folding each cycle's tombstones into
+    /// the dead-key set (≈ 0; nothing is merged).
     pub merge: Duration,
     /// Deterministic command-log replay.
     pub replay: Duration,
     /// Part files read.
     pub parts_loaded: usize,
-    /// Worker threads the load/merge phases ran on.
+    /// Cap on the workers that validated and loaded a cycle's parts.
     pub threads: usize,
 }
 
@@ -111,8 +133,8 @@ pub struct RecoveryOutcome {
     pub watermark: CommitSeq,
     /// Transactions replayed from the command log.
     pub replayed: u64,
-    /// Time spent loading + merging checkpoints — the "recovery time"
-    /// annotated on Figure 4(b).
+    /// Time spent validating (the deep scan) and loading checkpoints —
+    /// the "recovery time" annotated on Figure 4(b).
     pub load_duration: Duration,
     /// Time spent replaying.
     pub replay_duration: Duration,
@@ -160,73 +182,110 @@ impl TxnOps for ReplayOps<'_> {
 }
 
 /// Loads the newest recovery chain into a **fresh** strategy instance
-/// (checkpoint-only mode, paper use cases 1–2 of §1). Part files load and
-/// merge on `dir.checkpoint_threads()` workers; installation into the
-/// store runs one thread per key-hash shard (disjoint keys, which
-/// [`CheckpointStrategy::load_initial`] permits concurrently).
+/// (checkpoint-only mode, paper use cases 1–2 of §1); a strategy that
+/// already holds records is refused. One deep scan validates every cycle
+/// to completion first — a corrupt part quarantines its whole cycle and
+/// the chain falls back before the store is touched — then the chain's
+/// parts are installed newest cycle first, a cycle's parts in parallel on
+/// at most `dir.checkpoint_threads()` workers; a key an earlier (newer)
+/// cycle installed is answered by [`CheckpointStrategy::load_initial`]
+/// with [`StoreError::DuplicateKey`] and skipped.
 pub fn recover_checkpoint_only(
     dir: &CheckpointDir,
     strategy: &dyn CheckpointStrategy,
 ) -> Result<RecoveryOutcome, RecoveryError> {
     let start = Instant::now();
-    let Some((full, partials)) = dir.recovery_chain()? else {
-        return Err(RecoveryError::NoFullCheckpoint);
-    };
-    let watermark = partials.last().map(|p| p.watermark).unwrap_or(full.watermark);
-    let files = 1 + partials.len();
-    let parts_loaded =
-        full.parts.len() + partials.iter().map(|p| p.parts.len()).sum::<usize>();
-    let threads = dir.checkpoint_threads();
-    let (shards, timing) =
-        materialize_chain_sharded_with_vfs(dir.vfs().as_ref(), &full, &partials, threads)?;
+    match dir.restart_chain()? {
+        RestartChain::Chain(full, partials) => install_chain(dir, strategy, &full, &partials, start),
+        RestartChain::Empty | RestartChain::NoFull => Err(RecoveryError::NoFullCheckpoint),
+    }
+}
 
-    // Install each shard's sub-map; keys are disjoint across shards.
-    let install_start = Instant::now();
+/// Installs an already validated chain; `start` is when its scan began, so
+/// the outcome's `load_duration` covers validation too.
+fn install_chain(
+    dir: &CheckpointDir,
+    strategy: &dyn CheckpointStrategy,
+    full: &CheckpointMeta,
+    partials: &[CheckpointMeta],
+    start: Instant,
+) -> Result<RecoveryOutcome, RecoveryError> {
+    let records = strategy.record_count();
+    if records != 0 {
+        return Err(RecoveryError::StrategyNotEmpty { records });
+    }
+    let threads = dir.checkpoint_threads();
+    let mut newest_first: Vec<&CheckpointMeta> = partials.iter().rev().collect();
+    newest_first.push(full);
+    // Seeded bug for the restart oracles' self-test: first-installed-wins
+    // over the chain walked oldest first, so a stale value beats its
+    // successor.
+    #[cfg(feature = "mutation-hooks")]
+    if calc_common::mutation::armed(calc_common::mutation::Mutation::OldestWinsOnLoad) {
+        newest_first.reverse();
+    }
+
+    let mut stats = RecoveryStats {
+        threads,
+        ..RecoveryStats::default()
+    };
     let mut loaded = 0u64;
-    if shards.len() == 1 {
-        for (key, value) in &shards[0] {
-            strategy.load_initial(*key, value)?;
-            loaded += 1;
+    // Keys a newer cycle deleted (and did not re-create).
+    let mut dead: HashSet<Key> = HashSet::new();
+    for cycle in newest_first {
+        let load_start = Instant::now();
+        let parts = for_each_part(cycle.parts.len(), threads, |k| {
+            load_part(dir, &cycle.parts[k].path, strategy, &dead)
+        })?;
+        stats.part_load += load_start.elapsed();
+        stats.parts_loaded += parts.len();
+        // Only now: within the cycle a tombstone precedes the key's
+        // re-insertion, so the cycle's own values were not to be shadowed.
+        let fold_start = Instant::now();
+        for (installed, tombstones) in parts {
+            loaded += installed;
+            dead.extend(tombstones);
         }
-    } else {
-        let results = std::thread::scope(|s| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|shard| {
-                    s.spawn(move || -> Result<u64, RecoveryError> {
-                        let mut n = 0u64;
-                        for (key, value) in shard {
-                            strategy.load_initial(*key, value)?;
-                            n += 1;
-                        }
-                        Ok(n)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("install thread panicked"))
-                .collect::<Vec<_>>()
-        });
-        for r in results {
-            loaded += r?;
-        }
+        stats.merge += fold_start.elapsed();
     }
     Ok(RecoveryOutcome {
         loaded_records: loaded,
-        checkpoint_files: files,
-        watermark,
+        checkpoint_files: 1 + partials.len(),
+        watermark: partials.last().map_or(full.watermark, |p| p.watermark),
         replayed: 0,
         load_duration: start.elapsed(),
         replay_duration: Duration::ZERO,
-        stats: RecoveryStats {
-            part_load: timing.read,
-            merge: timing.merge + install_start.elapsed(),
-            replay: Duration::ZERO,
-            parts_loaded,
-            threads,
-        },
+        stats,
     })
+}
+
+/// Streams one part into the store: values whose key is neither dead nor
+/// already resident are installed, tombstones are handed back for the
+/// caller to fold in once the whole cycle has joined. The reader's final
+/// call re-checks the part's CRC, so a file that changed after validation
+/// fails the load.
+fn load_part(
+    dir: &CheckpointDir,
+    path: &std::path::Path,
+    strategy: &dyn CheckpointStrategy,
+    dead: &HashSet<Key>,
+) -> Result<(u64, Vec<Key>), RecoveryError> {
+    let mut reader = CheckpointReader::open_with_vfs(dir.vfs().as_ref(), path)?;
+    let mut installed = 0u64;
+    let mut tombstones = Vec::new();
+    while let Some(record) = reader.next_borrowed()? {
+        match record {
+            RecordRef::Tombstone(key) => tombstones.push(key),
+            RecordRef::Value(key, _) if dead.contains(&key) => {}
+            RecordRef::Value(key, value) => match strategy.load_initial(key, value) {
+                Ok(()) => installed += 1,
+                // A newer cycle already decided this key.
+                Err(StoreError::DuplicateKey(_)) => {}
+                Err(e) => return Err(e.into()),
+            },
+        }
+    }
+    Ok((installed, tombstones))
 }
 
 /// Deterministically re-applies one committed record through the
@@ -309,11 +368,12 @@ pub fn recover_streamed(
     if !strategy.transaction_consistent() {
         return Err(RecoveryError::NotTransactionConsistent(strategy.name()));
     }
-    let mut outcome = match recover_checkpoint_only(dir, strategy) {
-        Ok(outcome) => outcome,
+    let start = Instant::now();
+    let mut outcome = match dir.restart_chain()? {
+        RestartChain::Chain(full, partials) => install_chain(dir, strategy, &full, &partials, start)?,
         // Log-only cold start: no checkpoint ever completed, so the log
         // alone carries the whole history and replay starts from empty.
-        Err(RecoveryError::NoFullCheckpoint) if dir.scan()?.is_empty() => RecoveryOutcome {
+        RestartChain::Empty => RecoveryOutcome {
             loaded_records: 0,
             checkpoint_files: 0,
             watermark: CommitSeq::ZERO,
@@ -322,7 +382,7 @@ pub fn recover_streamed(
             replay_duration: Duration::ZERO,
             stats: RecoveryStats::default(),
         },
-        Err(e) => return Err(e),
+        RestartChain::NoFull => return Err(RecoveryError::NoFullCheckpoint),
     };
     let replay_start = Instant::now();
     for rec in commands {

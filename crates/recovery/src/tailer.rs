@@ -188,8 +188,9 @@ impl LogTailer {
             };
             file.seek(SeekFrom::Start(self.offset))?;
             let mut input = BufReader::with_capacity(64 << 10, file);
+            let mut body = Vec::new();
             loop {
-                match read_one_outcome(&mut input)? {
+                match read_one_outcome(&mut input, &mut body)? {
                     ReadOutcome::Record(rec) => {
                         // 8-byte head + seq/txn/proc (18) + params.
                         let consumed = 8 + 18 + rec.params.len() as u64;

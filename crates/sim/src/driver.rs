@@ -568,6 +568,18 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
     };
 
     // ---- Phase 3: the oracle.
+    // Every cycle that survived validation has the shape restart's
+    // parallel loader relies on (one value per key, tombstones first).
+    let survivors = dir
+        .scan()
+        .map_err(|e| violation(spec, format!("rescanning after recovery: {e}")))?;
+    for meta in &survivors {
+        match meta.shape_violation(vfs_dyn.as_ref()) {
+            Ok(None) => {}
+            Ok(Some(breach)) => return Err(violation(spec, breach)),
+            Err(e) => return Err(violation(spec, format!("cycle {} unreadable: {e}", meta.id))),
+        }
+    }
     if recovered_prefix < durable_floor {
         return Err(violation(
             spec,

@@ -7,9 +7,9 @@
 //! deadlock-free). The partitioning must line up with the rest of the
 //! system or the executor's "ownership" would be a fiction:
 //!
-//! * **key → shard** is `key % num_shards` — the exact modulus sharded
-//!   recovery uses to re-bucket checkpoint entries (`calc-core::merge`)
-//!   and the dual store uses for its shard index.
+//! * **key → shard** is `key % num_shards`, a pure function of the key:
+//!   anything that partitions logged commands by footprint (a
+//!   shard-parallel replay, ROADMAP item 2) can use it as is.
 //! * **shard → worker** is contiguous striping with the same arithmetic
 //!   as `calc-core::partition::ShardPartition`: worker `k` owns stripe
 //!   `k` of `0..num_shards`, stripes differ in size by at most one, and
@@ -83,8 +83,7 @@ impl ShardRouter {
         self.shards
     }
 
-    /// The shard owning `key`: `key % num_shards`, the same modulus
-    /// sharded recovery buckets checkpoint entries with.
+    /// The shard owning `key`: `key % num_shards`.
     #[inline]
     pub fn shard_of(&self, key: Key) -> usize {
         (key.0 as usize) % self.shards
@@ -155,9 +154,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_modulus_matches_recovery_bucketing() {
-        // Recovery re-shards checkpoint entries with `key % shards`
-        // (calc-core::merge). The router must use the identical modulus.
+    fn shard_is_the_key_modulo_the_shard_count() {
         let r = ShardRouter::new(3, 4);
         assert_eq!(r.num_shards(), 12);
         for k in 0..100u64 {
