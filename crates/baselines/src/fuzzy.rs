@@ -34,13 +34,20 @@ use calc_storage::mem::{MemCounter, MemoryStats};
 use calc_storage::SlotId;
 use calc_txn::commitlog::{CommitLog, PhaseStamp};
 
+use calc_core::cycle::{
+    base_checkpoint, capture_live, capture_slots, undo_live, Slots, Tombstones,
+};
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
-use calc_core::partition::{capture_parts, ShardPartition};
 use calc_core::strategy::{
-    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoImage, UndoRec, WriteKind,
-    WriteRec,
+    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoRec, WriteKind,
 };
+
+use crate::live;
+
+fn dirty_table_path(dir: &CheckpointDir, id: u64) -> std::path::PathBuf {
+    dir.path().join(format!(".dirtytab-{id:010}"))
+}
 
 /// Per-slot snapshot entries: `(raw key, value)` under a slot mutex.
 type SnapshotArray = Box<[Mutex<Option<(u64, Value)>>]>;
@@ -51,7 +58,7 @@ pub struct FuzzyStrategy {
     log: Arc<CommitLog>,
     partial: bool,
     tracker: BitVecTracker,
-    tombstones: [Mutex<Vec<Key>>; 2],
+    tombstones: Tombstones,
     upcoming: AtomicU64,
     /// Full variant only: the in-memory "latest snapshot" copy, indexed by
     /// slot.
@@ -79,7 +86,7 @@ impl FuzzyStrategy {
             log,
             partial,
             tracker: BitVecTracker::new(capacity),
-            tombstones: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
+            tombstones: Tombstones::default(),
             upcoming: AtomicU64::new(0),
             snapshot: (!partial).then(|| (0..capacity).map(|_| Mutex::new(None)).collect()),
             snapshot_mem: MemCounter::new(),
@@ -112,8 +119,7 @@ impl FuzzyStrategy {
         id: u64,
         dirty: &[SlotId],
     ) -> io::Result<()> {
-        let path = dir.path().join(format!(".dirtytab-{id:010}"));
-        let mut out = dir.vfs().create(&path)?;
+        let mut out = dir.vfs().create(&dirty_table_path(dir, id))?;
         let mut bytes = 0usize;
         for slot in dirty {
             out.write_all(&slot.to_le_bytes())?;
@@ -171,20 +177,7 @@ impl CheckpointStrategy for FuzzyStrategy {
         key: Key,
         value: &[u8],
     ) -> Result<Option<Value>, StoreError> {
-        let mut g = self
-            .store
-            .locked_slot_of(key)
-            .ok_or(StoreError::KeyNotFound(key))?;
-        let slot = g.slot();
-        let old = g.set_live(value);
-        drop(g);
-        token.writes.push(WriteRec {
-            key,
-            slot,
-            kind: WriteKind::Update,
-            created_stable: false,
-        });
-        Ok(old)
+        live::write(&self.store, token, key, value)
     }
 
     fn apply_insert(
@@ -193,40 +186,11 @@ impl CheckpointStrategy for FuzzyStrategy {
         key: Key,
         value: &[u8],
     ) -> Result<bool, StoreError> {
-        match self.store.insert(key, value) {
-            Ok(slot) => {
-                token.writes.push(WriteRec {
-                    key,
-                    slot,
-                    kind: WriteKind::Insert,
-                    created_stable: false,
-                });
-                Ok(true)
-            }
-            Err(StoreError::DuplicateKey(_)) => Ok(false),
-            Err(e) => Err(e),
-        }
+        live::insert(&self.store, token, key, value)
     }
 
     fn apply_delete(&self, token: &mut TxnToken, key: Key) -> Result<Option<Value>, StoreError> {
-        let mut g = self
-            .store
-            .locked_slot_of(key)
-            .ok_or(StoreError::KeyNotFound(key))?;
-        if g.live().is_none() {
-            return Err(StoreError::KeyNotFound(key));
-        }
-        let slot = g.slot();
-        let old = g.clear_live();
-        self.store.unlink(key)?;
-        drop(g);
-        token.writes.push(WriteRec {
-            key,
-            slot,
-            kind: WriteKind::Delete,
-            created_stable: false,
-        });
-        Ok(old)
+        live::delete(&self.store, token, key)
     }
 
     fn on_commit(&self, token: &mut TxnToken, _seq: CommitSeq, _commit: PhaseStamp) {
@@ -234,7 +198,7 @@ impl CheckpointStrategy for FuzzyStrategy {
         for w in &token.writes {
             self.tracker.mark(w.slot, interval);
             if w.kind == WriteKind::Delete {
-                self.tombstones[(interval & 1) as usize].lock().push(w.key);
+                self.tombstones.push(interval, w.key);
                 // The full variant's snapshot must drop the record too
                 // (the flush only visits dirty *live* slots).
                 self.snapshot_set(w.slot, None);
@@ -245,29 +209,7 @@ impl CheckpointStrategy for FuzzyStrategy {
     }
 
     fn on_abort(&self, token: &mut TxnToken, undo: &[UndoRec]) {
-        let n = token.writes.len();
-        debug_assert_eq!(undo.len(), n);
-        for (i, u) in undo.iter().enumerate() {
-            let w = &token.writes[n - 1 - i];
-            match &u.img {
-                UndoImage::Restore(v) => {
-                    let mut g = self.store.lock_slot(w.slot);
-                    g.set_live(v);
-                }
-                UndoImage::Remove => {
-                    let _ = self.store.unlink(u.key);
-                    let mut g = self.store.lock_slot(w.slot);
-                    g.clear_live();
-                    g.release_if_vacant();
-                }
-                UndoImage::Reinsert(v) => {
-                    let mut g = self.store.lock_slot(w.slot);
-                    g.set_live(v);
-                    drop(g);
-                    self.store.relink(u.key, w.slot);
-                }
-            }
-        }
+        undo_live(&self.store, token, undo);
         let interval = self.upcoming.load(Ordering::Acquire);
         for w in &token.writes {
             self.tracker.mark(w.slot, interval);
@@ -286,16 +228,14 @@ impl CheckpointStrategy for FuzzyStrategy {
         let quiesce = env.quiesced(&mut || {
             watermark = self.log.last_seq();
             dirty = self.tracker.dirty_slots(id, self.store.slot_high_water());
-            tombs = std::mem::take(&mut *self.tombstones[(id & 1) as usize].lock());
+            tombs = self.tombstones.take(id);
             if let Err(e) = self.persist_dirty_table(dir, id, &dirty) {
                 // Harmless failure before the interval flipped: re-queue
                 // the drained tombstones (no commit can race this — we are
                 // quiesced) and drop the half-written dirty table; the
                 // retry of interval `id` is then identical to this attempt.
-                self.tombstones[(id & 1) as usize].lock().extend(tombs.drain(..));
-                let _ = dir
-                    .vfs()
-                    .remove_file(&dir.path().join(format!(".dirtytab-{id:010}")));
+                self.tombstones.requeue(id, std::mem::take(&mut tombs));
+                let _ = dir.vfs().remove_file(&dirty_table_path(dir, id));
                 self.aborted.fetch_add(1, Ordering::Relaxed);
                 return Err(e);
             }
@@ -304,31 +244,8 @@ impl CheckpointStrategy for FuzzyStrategy {
         })?;
 
         // Asynchronous flush: reads CURRENT live values — the fuzziness.
-        let kind = if self.partial {
-            CheckpointKind::Partial
-        } else {
-            CheckpointKind::Full
-        };
-        let threads = dir.checkpoint_threads();
-        let result = if self.partial {
-            let split = ShardPartition::over(dirty.len(), threads);
-            capture_parts(dir, kind, id, watermark, &tombs, threads, |part, w, _cancel| {
-                for &slot in &dirty[split.range(part)] {
-                    let extracted = {
-                        let g = self.store.lock_slot(slot);
-                        if g.in_use() {
-                            g.live().map(|l| (g.key(), l.to_vec()))
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some((key, v)) = extracted {
-                        w.write_record(key, &v)?;
-                    }
-                }
-                Ok(())
-            })
-        } else {
+        let kind = CheckpointKind::of(self.partial);
+        let result = if let Some(snapshot) = &self.snapshot {
             // Merge dirty records into the in-memory snapshot (serial —
             // it is pure memory work), then stripe the snapshot write
             // over the capture threads.
@@ -343,95 +260,46 @@ impl CheckpointStrategy for FuzzyStrategy {
                 };
                 self.snapshot_set(slot, current);
             }
-            let snapshot = self.snapshot.as_ref().expect("full variant");
-            let split = ShardPartition::over(self.store.slot_high_water(), threads);
-            capture_parts(dir, kind, id, watermark, &[], threads, |part, w, _cancel| {
-                for slot in split.range(part) {
-                    let e = snapshot[slot].lock();
-                    if let Some((k, v)) = e.as_ref() {
-                        w.write_record(Key(*k), v)?;
-                    }
-                }
-                Ok(())
+            let slots = Slots::Range(self.store.slot_high_water());
+            capture_slots(dir, kind, id, watermark, &[], slots, |slot| {
+                let e = snapshot[slot as usize].lock();
+                e.as_ref().map(|(k, v)| (Key(*k), v.clone()))
             })
+        } else {
+            capture_live(
+                dir,
+                &self.store,
+                kind,
+                id,
+                watermark,
+                &tombs,
+                Slots::List(&dirty),
+            )
         };
-        let summary = match result {
-            Ok(s) => s,
-            Err(e) => {
-                // The interval already flipped (commits now mark id + 1),
-                // so roll the failed cycle's consumed state *forward*:
-                // re-mark its dirty set and tombstones into id + 1 — the
-                // next flush reads then-current live values, which cover
-                // everything this one would have (snapshot merges, where
-                // already done, are idempotent) — and drop the now-orphaned
-                // dirty table.
-                for &slot in &dirty {
-                    self.tracker.mark(slot, id + 1);
-                }
-                self.tombstones[((id + 1) & 1) as usize].lock().extend(tombs);
-                let _ = dir
-                    .vfs()
-                    .remove_file(&dir.path().join(format!(".dirtytab-{id:010}")));
-                self.tracker.clear(id);
-                self.aborted.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
+        if result.is_err() {
+            // The interval already flipped (commits now mark id + 1),
+            // so roll the failed cycle's consumed state *forward*:
+            // re-mark its dirty set and tombstones into id + 1 — the
+            // next flush reads then-current live values, which cover
+            // everything this one would have (snapshot merges, where
+            // already done, are idempotent) — and drop the now-orphaned
+            // dirty table.
+            for &slot in &dirty {
+                self.tracker.mark(slot, id + 1);
             }
-        };
+            self.tombstones.requeue(id + 1, tombs);
+            let _ = dir.vfs().remove_file(&dirty_table_path(dir, id));
+            self.aborted.fetch_add(1, Ordering::Relaxed);
+        }
         self.tracker.clear(id);
-        Ok(CheckpointStats {
-            id,
-            kind,
-            watermark,
-            records: summary.records,
-            bytes: summary.bytes,
-            raw_bytes: summary.raw_bytes,
-            duration: start.elapsed(),
-            quiesce,
-            parts: summary.parts,
-        })
+        Ok(CheckpointStats::new(
+            id, kind, watermark, result?, start, quiesce,
+        ))
     }
 
     fn write_base_checkpoint(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {
-        let start = Instant::now();
         let id = self.upcoming.fetch_add(1, Ordering::AcqRel);
-        let watermark = self.log.last_seq();
-        let threads = dir.checkpoint_threads();
-        let split = ShardPartition::over(self.store.slot_high_water(), threads);
-        let summary = capture_parts(
-            dir,
-            CheckpointKind::Full,
-            id,
-            watermark,
-            &[],
-            threads,
-            |part, w, _cancel| {
-                for slot in split.range(part) {
-                    let extracted = {
-                        let g = self.store.lock_slot(slot as SlotId);
-                        if g.in_use() {
-                            g.live().map(|l| (g.key(), l.to_vec()))
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some((key, v)) = extracted {
-                        w.write_record(key, &v)?;
-                    }
-                }
-                Ok(())
-            },
-        )?;
-        Ok(CheckpointStats {
-            id,
-            kind: CheckpointKind::Full,
-            watermark,
-            records: summary.records,
-            bytes: summary.bytes,
-            raw_bytes: summary.raw_bytes,
-            duration: start.elapsed(),
-            quiesce: std::time::Duration::ZERO,
-            parts: summary.parts,
-        })
+        base_checkpoint(dir, &self.store, id, self.log.last_seq())
     }
 
     fn resume_checkpoint_ids(&self, next_id: u64) {

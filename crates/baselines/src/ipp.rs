@@ -13,7 +13,7 @@
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -24,12 +24,12 @@ use calc_storage::triple::TripleStore;
 use calc_storage::SlotId;
 use calc_txn::commitlog::{CommitLog, PhaseStamp};
 
+use calc_core::cycle::{capture_slots, Slots, Tombstones};
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
-use calc_core::partition::{capture_parts, ShardPartition};
+use calc_core::partition::ShardPartition;
 use calc_core::strategy::{
     CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoImage, UndoRec, WriteKind,
-    WriteRec,
 };
 
 /// Interleaved Ping-Pong. See module docs.
@@ -37,7 +37,7 @@ pub struct IppStrategy {
     store: TripleStore,
     log: Arc<CommitLog>,
     partial: bool,
-    tombstones: [Mutex<Vec<Key>>; 2],
+    tombstones: Tombstones,
     upcoming: AtomicU64,
     /// High-water mark sealed at each flip (scan bound).
     sealed_high_water: AtomicU64,
@@ -61,7 +61,7 @@ impl IppStrategy {
             store: TripleStore::new(config, !partial),
             log,
             partial,
-            tombstones: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
+            tombstones: Tombstones::default(),
             upcoming: AtomicU64::new(0),
             sealed_high_water: AtomicU64::new(0),
             aborted: AtomicU64::new(0),
@@ -120,12 +120,7 @@ impl CheckpointStrategy for IppStrategy {
     ) -> Result<Option<Value>, StoreError> {
         let old = self.store.write(key, value)?;
         let slot = self.store.slot_of(key).expect("written key is linked");
-        token.writes.push(WriteRec {
-            key,
-            slot,
-            kind: WriteKind::Update,
-            created_stable: false,
-        });
+        token.record(key, slot, WriteKind::Update);
         Ok(old)
     }
 
@@ -137,12 +132,7 @@ impl CheckpointStrategy for IppStrategy {
     ) -> Result<bool, StoreError> {
         match self.store.insert(key, value) {
             Ok(slot) => {
-                token.writes.push(WriteRec {
-                    key,
-                    slot,
-                    kind: WriteKind::Insert,
-                    created_stable: false,
-                });
+                token.record(key, slot, WriteKind::Insert);
                 Ok(true)
             }
             Err(StoreError::DuplicateKey(_)) => Ok(false),
@@ -153,12 +143,7 @@ impl CheckpointStrategy for IppStrategy {
     fn apply_delete(&self, token: &mut TxnToken, key: Key) -> Result<Option<Value>, StoreError> {
         let slot = self.store.slot_of(key).ok_or(StoreError::KeyNotFound(key))?;
         let old = self.store.delete(key)?;
-        token.writes.push(WriteRec {
-            key,
-            slot,
-            kind: WriteKind::Delete,
-            created_stable: false,
-        });
+        token.record(key, slot, WriteKind::Delete);
         Ok(old)
     }
 
@@ -169,17 +154,15 @@ impl CheckpointStrategy for IppStrategy {
             let interval = self.upcoming.load(Ordering::Acquire);
             for w in &token.writes {
                 if w.kind == WriteKind::Delete {
-                    self.tombstones[(interval & 1) as usize].lock().push(w.key);
+                    self.tombstones.push(interval, w.key);
                 }
             }
         }
     }
 
     fn on_abort(&self, token: &mut TxnToken, undo: &[UndoRec]) {
-        let n = token.writes.len();
-        debug_assert_eq!(undo.len(), n);
-        for (i, u) in undo.iter().enumerate() {
-            let _w = &token.writes[n - 1 - i];
+        debug_assert_eq!(undo.len(), token.writes.len());
+        for u in undo {
             match &u.img {
                 UndoImage::Restore(v) => {
                     // Normal write path: re-dirties the record with its old
@@ -209,17 +192,13 @@ impl CheckpointStrategy for IppStrategy {
             self.sealed_high_water
                 .store(self.store.slot_high_water() as u64, Ordering::Release);
             if self.partial {
-                tombs = std::mem::take(&mut *self.tombstones[(id & 1) as usize].lock());
+                tombs = self.tombstones.take(id);
             }
             self.upcoming.fetch_add(1, Ordering::Release);
             Ok(())
         })?;
 
-        let kind = if self.partial {
-            CheckpointKind::Partial
-        } else {
-            CheckpointKind::Full
-        };
+        let kind = CheckpointKind::of(self.partial);
         let hw = self.sealed_high_water.load(Ordering::Acquire) as usize;
         let threads = dir.checkpoint_threads();
         // pIPP only: values drained from the retired array so far. The
@@ -230,20 +209,14 @@ impl CheckpointStrategy for IppStrategy {
         // below restores it even if the write that followed failed.
         let consumed: Mutex<Vec<(SlotId, Key, Value)>> = Mutex::new(Vec::new());
         let result = if self.partial {
-            let split = ShardPartition::over(hw, threads);
-            capture_parts(dir, kind, id, watermark, &tombs, threads, |part, w, _cancel| {
-                for slot in split.range(part) {
-                    if let Some((key, Some(v))) =
-                        self.store.consume_retired(slot as SlotId, retired)
-                    {
-                        // (A `None` value is a deletion observed via the
-                        // retired copy itself: covered by the tombstone
-                        // buffer, nothing to write.)
-                        consumed.lock().push((slot as SlotId, key, v.clone()));
-                        w.write_record(key, &v)?;
-                    }
-                }
-                Ok(())
+            capture_slots(dir, kind, id, watermark, &tombs, Slots::Range(hw), |slot| {
+                // (A `None` value is a deletion observed via the retired
+                // copy itself: covered by the tombstone buffer, nothing
+                // to write.)
+                let (key, v) = self.store.consume_retired(slot, retired)?;
+                let v = v?;
+                consumed.lock().push((slot, key, v.clone()));
+                Some((key, v))
             })
         } else {
             // Merge the retired dirty values into the snapshot — striped
@@ -267,12 +240,11 @@ impl CheckpointStrategy for IppStrategy {
                 });
             }
             let entries = self.store.snapshot_entries();
-            let esplit = ShardPartition::over(entries.len(), threads);
-            capture_parts(dir, kind, id, watermark, &[], threads, |part, w, _cancel| {
-                for (key, v) in &entries[esplit.range(part)] {
-                    w.write_record(*key, v)?;
-                }
-                Ok(())
+            // The snapshot's entries, addressed by index rather than slot.
+            let items = Slots::Range(entries.len());
+            capture_slots(dir, kind, id, watermark, &[], items, |i| {
+                let (key, v) = &entries[i as usize];
+                Some((*key, v))
             })
         };
         let summary = match result {
@@ -291,7 +263,7 @@ impl CheckpointStrategy for IppStrategy {
                     for (slot, key, v) in &consumed {
                         self.store.restore_to_current(*slot, *key, v);
                     }
-                    self.tombstones[((id + 1) & 1) as usize].lock().extend(tombs);
+                    self.tombstones.requeue(id + 1, tombs);
                 } else {
                     // Full IPP: completing the snapshot merge is the whole
                     // restore — the next full checkpoint rewrites the
@@ -304,17 +276,9 @@ impl CheckpointStrategy for IppStrategy {
                 return Err(e);
             }
         };
-        Ok(CheckpointStats {
-            id,
-            kind,
-            watermark,
-            records: summary.records,
-            bytes: summary.bytes,
-            raw_bytes: summary.raw_bytes,
-            duration: start.elapsed(),
-            quiesce,
-            parts: summary.parts,
-        })
+        Ok(CheckpointStats::new(
+            id, kind, watermark, summary, start, quiesce,
+        ))
     }
 
     fn write_base_checkpoint(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {
@@ -324,35 +288,19 @@ impl CheckpointStrategy for IppStrategy {
         if !self.partial {
             self.store.seed_snapshot();
         }
-        let threads = dir.checkpoint_threads();
-        let split = ShardPartition::over(self.store.slot_high_water(), threads);
-        let summary = capture_parts(
-            dir,
-            CheckpointKind::Full,
+        let slots = Slots::Range(self.store.slot_high_water());
+        let kind = CheckpointKind::Full;
+        let summary = capture_slots(dir, kind, id, watermark, &[], slots, |slot| {
+            self.store.get_by_slot(slot)
+        })?;
+        Ok(CheckpointStats::new(
             id,
+            kind,
             watermark,
-            &[],
-            threads,
-            |part, w, _cancel| {
-                for slot in split.range(part) {
-                    if let Some((key, v)) = self.store.get_by_slot(slot as SlotId) {
-                        w.write_record(key, &v)?;
-                    }
-                }
-                Ok(())
-            },
-        )?;
-        Ok(CheckpointStats {
-            id,
-            kind: CheckpointKind::Full,
-            watermark,
-            records: summary.records,
-            bytes: summary.bytes,
-            raw_bytes: summary.raw_bytes,
-            duration: start.elapsed(),
-            quiesce: std::time::Duration::ZERO,
-            parts: summary.parts,
-        })
+            summary,
+            start,
+            Duration::ZERO,
+        ))
     }
 
     fn resume_checkpoint_ids(&self, next_id: u64) {

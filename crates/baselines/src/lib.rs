@@ -39,6 +39,7 @@
 
 pub mod fuzzy;
 pub mod ipp;
+mod live;
 pub mod mvcc;
 pub mod naive;
 pub mod zigzag;

@@ -25,20 +25,21 @@ use std::collections::{BTreeSet, HashMap};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
 use calc_common::types::{CommitSeq, Key, Value};
 use calc_storage::dual::{StoreConfig, StoreError};
 use calc_storage::mem::{MemCounter, MemoryStats};
+use calc_storage::slots::shard_index;
 use calc_txn::commitlog::{CommitLog, PhaseStamp};
 
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::partition::{capture_parts, ShardPartition};
 use calc_core::strategy::{
-    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoRec, WriteKind, WriteRec,
+    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoRec, WriteKind,
 };
 
 /// One committed version: `None` value = deletion tombstone.
@@ -146,8 +147,7 @@ impl MvccStrategy {
 
     #[inline]
     fn shard_of(&self, key: Key) -> &ChainShard {
-        let h = key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
-        &self.shards[h as usize & self.shard_mask]
+        &self.shards[shard_index(key, self.shard_mask)]
     }
 
     /// Total committed versions currently held (the memory-cost metric).
@@ -265,12 +265,7 @@ impl CheckpointStrategy for MvccStrategy {
                 Ok(old)
             })
             .ok_or(StoreError::KeyNotFound(key))??;
-        token.writes.push(WriteRec {
-            key,
-            slot: 0,
-            kind: WriteKind::Update,
-            created_stable: false,
-        });
+        token.record(key, 0, WriteKind::Update);
         Ok(old)
     }
 
@@ -290,12 +285,7 @@ impl CheckpointStrategy for MvccStrategy {
         });
         if inserted {
             self.live_records.fetch_add(1, Ordering::Relaxed);
-            token.writes.push(WriteRec {
-                key,
-                slot: 0,
-                kind: WriteKind::Insert,
-                created_stable: false,
-            });
+            token.record(key, 0, WriteKind::Insert);
         }
         Ok(inserted)
     }
@@ -312,12 +302,7 @@ impl CheckpointStrategy for MvccStrategy {
             })
             .ok_or(StoreError::KeyNotFound(key))??;
         self.live_records.fetch_sub(1, Ordering::Relaxed);
-        token.writes.push(WriteRec {
-            key,
-            slot: 0,
-            kind: WriteKind::Delete,
-            created_stable: false,
-        });
+        token.record(key, 0, WriteKind::Delete);
         Ok(old)
     }
 
@@ -415,17 +400,14 @@ impl CheckpointStrategy for MvccStrategy {
                 }
             }
         }
-        Ok(CheckpointStats {
+        Ok(CheckpointStats::new(
             id,
-            kind: CheckpointKind::Full,
+            CheckpointKind::Full,
             watermark,
-            records: summary.records,
-            bytes: summary.bytes,
-            raw_bytes: summary.raw_bytes,
-            duration: start.elapsed(),
-            quiesce: std::time::Duration::ZERO,
-            parts: summary.parts,
-        })
+            summary,
+            start,
+            Duration::ZERO,
+        ))
     }
 
     fn write_base_checkpoint(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {

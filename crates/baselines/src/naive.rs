@@ -10,9 +10,7 @@
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
+use std::time::Instant;
 
 use calc_common::types::{CommitSeq, Key, Value};
 use calc_storage::dirty::{BitVecTracker, DirtyTracker};
@@ -20,13 +18,14 @@ use calc_storage::dual::{DualVersionStore, StoreConfig, StoreError};
 use calc_storage::mem::MemoryStats;
 use calc_txn::commitlog::{CommitLog, PhaseStamp};
 
+use calc_core::cycle::{base_checkpoint, capture_live, undo_live, Slots, Tombstones};
 use calc_core::file::CheckpointKind;
-use calc_core::manifest::{CheckpointDir, PublishSummary};
-use calc_core::partition::{capture_parts, ShardPartition};
+use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::{
-    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoImage, UndoRec, WriteKind,
-    WriteRec,
+    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoRec, WriteKind,
 };
+
+use crate::live;
 
 /// Naive Snapshot. The store is the same dual-version engine CALC uses,
 /// but only live versions are ever touched.
@@ -35,7 +34,7 @@ pub struct NaiveStrategy {
     log: Arc<CommitLog>,
     partial: bool,
     tracker: Option<BitVecTracker>,
-    tombstones: [Mutex<Vec<Key>>; 2],
+    tombstones: Tombstones,
     /// Id of the upcoming checkpoint; commits mark this interval.
     /// Incremented inside the quiesced section, so no commit can straddle
     /// it.
@@ -62,7 +61,7 @@ impl NaiveStrategy {
             log,
             partial,
             tracker: partial.then(|| BitVecTracker::new(capacity)),
-            tombstones: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
+            tombstones: Tombstones::default(),
             upcoming: AtomicU64::new(0),
             aborted: AtomicU64::new(0),
         }
@@ -71,43 +70,6 @@ impl NaiveStrategy {
     /// The underlying store (tests / diagnostics).
     pub fn store(&self) -> &DualVersionStore {
         &self.store
-    }
-
-    /// Full scan striped over `checkpoint_threads` capture threads (the
-    /// database is quiesced, so the only concurrency is among the scan
-    /// threads themselves, on disjoint slot ranges).
-    fn write_full_scan(
-        &self,
-        dir: &CheckpointDir,
-        id: u64,
-        watermark: CommitSeq,
-    ) -> io::Result<PublishSummary> {
-        let threads = dir.checkpoint_threads();
-        let split = ShardPartition::over(self.store.slot_high_water(), threads);
-        capture_parts(
-            dir,
-            CheckpointKind::Full,
-            id,
-            watermark,
-            &[],
-            threads,
-            |part, w, _cancel| {
-                for slot in split.range(part) {
-                    let extracted = {
-                        let g = self.store.lock_slot(slot as calc_storage::SlotId);
-                        if g.in_use() {
-                            g.live().map(|l| (g.key(), l.to_vec()))
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some((key, v)) = extracted {
-                        w.write_record(key, &v)?;
-                    }
-                }
-                Ok(())
-            },
-        )
     }
 }
 
@@ -155,20 +117,7 @@ impl CheckpointStrategy for NaiveStrategy {
         key: Key,
         value: &[u8],
     ) -> Result<Option<Value>, StoreError> {
-        let mut g = self
-            .store
-            .locked_slot_of(key)
-            .ok_or(StoreError::KeyNotFound(key))?;
-        let slot = g.slot();
-        let old = g.set_live(value);
-        drop(g);
-        token.writes.push(WriteRec {
-            key,
-            slot,
-            kind: WriteKind::Update,
-            created_stable: false,
-        });
-        Ok(old)
+        live::write(&self.store, token, key, value)
     }
 
     fn apply_insert(
@@ -177,40 +126,11 @@ impl CheckpointStrategy for NaiveStrategy {
         key: Key,
         value: &[u8],
     ) -> Result<bool, StoreError> {
-        match self.store.insert(key, value) {
-            Ok(slot) => {
-                token.writes.push(WriteRec {
-                    key,
-                    slot,
-                    kind: WriteKind::Insert,
-                    created_stable: false,
-                });
-                Ok(true)
-            }
-            Err(StoreError::DuplicateKey(_)) => Ok(false),
-            Err(e) => Err(e),
-        }
+        live::insert(&self.store, token, key, value)
     }
 
     fn apply_delete(&self, token: &mut TxnToken, key: Key) -> Result<Option<Value>, StoreError> {
-        let mut g = self
-            .store
-            .locked_slot_of(key)
-            .ok_or(StoreError::KeyNotFound(key))?;
-        if g.live().is_none() {
-            return Err(StoreError::KeyNotFound(key));
-        }
-        let slot = g.slot();
-        let old = g.clear_live();
-        self.store.unlink(key)?;
-        drop(g);
-        token.writes.push(WriteRec {
-            key,
-            slot,
-            kind: WriteKind::Delete,
-            created_stable: false,
-        });
-        Ok(old)
+        live::delete(&self.store, token, key)
     }
 
     fn on_commit(&self, token: &mut TxnToken, _seq: CommitSeq, _commit: PhaseStamp) {
@@ -221,7 +141,7 @@ impl CheckpointStrategy for NaiveStrategy {
             }
             if w.kind == WriteKind::Delete {
                 if self.partial {
-                    self.tombstones[(interval & 1) as usize].lock().push(w.key);
+                    self.tombstones.push(interval, w.key);
                 }
                 let g = self.store.lock_slot(w.slot);
                 g.release_if_vacant();
@@ -230,29 +150,7 @@ impl CheckpointStrategy for NaiveStrategy {
     }
 
     fn on_abort(&self, token: &mut TxnToken, undo: &[UndoRec]) {
-        let n = token.writes.len();
-        debug_assert_eq!(undo.len(), n);
-        for (i, u) in undo.iter().enumerate() {
-            let w = &token.writes[n - 1 - i];
-            match &u.img {
-                UndoImage::Restore(v) => {
-                    let mut g = self.store.lock_slot(w.slot);
-                    g.set_live(v);
-                }
-                UndoImage::Remove => {
-                    let _ = self.store.unlink(u.key);
-                    let mut g = self.store.lock_slot(w.slot);
-                    g.clear_live();
-                    g.release_if_vacant();
-                }
-                UndoImage::Reinsert(v) => {
-                    let mut g = self.store.lock_slot(w.slot);
-                    g.set_live(v);
-                    drop(g);
-                    self.store.relink(u.key, w.slot);
-                }
-            }
-        }
+        undo_live(&self.store, token, undo);
         if let Some(t) = &self.tracker {
             let interval = self.upcoming.load(Ordering::Acquire);
             for w in &token.writes {
@@ -265,105 +163,49 @@ impl CheckpointStrategy for NaiveStrategy {
     fn checkpoint(&self, env: &dyn EngineEnv, dir: &CheckpointDir) -> io::Result<CheckpointStats> {
         let start = Instant::now();
         let id = self.upcoming.load(Ordering::Acquire);
-        let mut summary = PublishSummary {
-            records: 0,
-            bytes: 0,
-            raw_bytes: 0,
-            parts: 0,
-        };
-        let mut watermark = CommitSeq::ZERO;
+        let kind = CheckpointKind::of(self.partial);
+        let mut captured = None;
         // The entire checkpoint runs with the database exclusively locked.
         let quiesce = env.quiesced(&mut || {
-            watermark = self.log.last_seq();
-            if self.partial {
-                let tracker = self.tracker.as_ref().expect("partial");
+            let watermark = self.log.last_seq();
+            let high_water = self.store.slot_high_water();
+            let result = if let Some(tracker) = &self.tracker {
                 // Drained up front so the failure path can restore them
                 // (under quiesce no commit can race the push-back).
-                let tombs = std::mem::take(&mut *self.tombstones[(id & 1) as usize].lock());
-                let threads = dir.checkpoint_threads();
-                let dirty = tracker.dirty_slots(id, self.store.slot_high_water());
-                let split = ShardPartition::over(dirty.len(), threads);
-                let result = capture_parts(
-                    dir,
-                    CheckpointKind::Partial,
-                    id,
-                    watermark,
-                    &tombs,
-                    threads,
-                    |part, w, _cancel| {
-                        for &slot in &dirty[split.range(part)] {
-                            let extracted = {
-                                let g = self.store.lock_slot(slot);
-                                if g.in_use() {
-                                    g.live().map(|l| (g.key(), l.to_vec()))
-                                } else {
-                                    None
-                                }
-                            };
-                            if let Some((key, v)) = extracted {
-                                w.write_record(key, &v)?;
-                            }
-                        }
-                        Ok(())
-                    },
-                );
+                let tombs = self.tombstones.take(id);
+                let dirty = tracker.dirty_slots(id, high_water);
+                let slots = Slots::List(&dirty);
+                let result = capture_live(dir, &self.store, kind, id, watermark, &tombs, slots);
                 match result {
-                    Ok(s) => {
-                        summary = s;
-                        tracker.clear(id);
-                    }
-                    Err(e) => {
-                        // Harmless failure: the dirty tracker was read
-                        // non-destructively and `upcoming` never moved, so
-                        // re-queuing the tombstones makes the retry of
-                        // interval `id` identical to this attempt.
-                        self.tombstones[(id & 1) as usize].lock().extend(tombs);
-                        self.aborted.fetch_add(1, Ordering::Relaxed);
-                        return Err(e);
-                    }
+                    Ok(_) => tracker.clear(id),
+                    // The dirty tracker was read non-destructively and
+                    // `upcoming` never moved, so re-queuing the tombstones
+                    // makes the retry of interval `id` identical to this
+                    // attempt.
+                    Err(_) => self.tombstones.requeue(id, tombs),
                 }
+                result
             } else {
-                summary = self.write_full_scan(dir, id, watermark).inspect_err(|_| {
-                    // Nothing was consumed; the retry is a fresh scan.
-                    self.aborted.fetch_add(1, Ordering::Relaxed);
-                })?;
-            }
+                // Nothing is consumed; a retry is a fresh scan.
+                let slots = Slots::Range(high_water);
+                capture_live(dir, &self.store, kind, id, watermark, &[], slots)
+            };
+            let summary = result.inspect_err(|_| {
+                self.aborted.fetch_add(1, Ordering::Relaxed);
+            })?;
+            captured = Some((watermark, summary));
             self.upcoming.fetch_add(1, Ordering::Release);
             Ok(())
         })?;
-        Ok(CheckpointStats {
-            id,
-            kind: if self.partial {
-                CheckpointKind::Partial
-            } else {
-                CheckpointKind::Full
-            },
-            watermark,
-            records: summary.records,
-            bytes: summary.bytes,
-            raw_bytes: summary.raw_bytes,
-            duration: start.elapsed(),
-            quiesce,
-            parts: summary.parts,
-        })
+        let (watermark, summary) = captured.expect("the quiesced section ran");
+        Ok(CheckpointStats::new(
+            id, kind, watermark, summary, start, quiesce,
+        ))
     }
 
     fn write_base_checkpoint(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {
-        let start = Instant::now();
         let id = self.upcoming.fetch_add(1, Ordering::AcqRel);
-        let watermark = self.log.last_seq();
-        let summary = self.write_full_scan(dir, id, watermark)?;
-        Ok(CheckpointStats {
-            id,
-            kind: CheckpointKind::Full,
-            watermark,
-            records: summary.records,
-            bytes: summary.bytes,
-            raw_bytes: summary.raw_bytes,
-            duration: start.elapsed(),
-            quiesce: Duration::ZERO,
-            parts: summary.parts,
-        })
+        base_checkpoint(dir, &self.store, id, self.log.last_seq())
     }
 
     fn resume_checkpoint_ids(&self, next_id: u64) {

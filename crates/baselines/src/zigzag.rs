@@ -12,7 +12,7 @@
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -24,12 +24,11 @@ use calc_storage::zigzag::ZigzagStore;
 use calc_storage::SlotId;
 use calc_txn::commitlog::{CommitLog, PhaseStamp};
 
+use calc_core::cycle::{capture_slots, Slots, Tombstones};
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
-use calc_core::partition::{self, capture_parts, ShardPartition, CANCEL_POLL_STRIDE};
 use calc_core::strategy::{
     CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoImage, UndoRec, WriteKind,
-    WriteRec,
 };
 
 /// Zig-Zag. See module docs.
@@ -38,7 +37,7 @@ pub struct ZigzagStrategy {
     log: Arc<CommitLog>,
     partial: bool,
     tracker: Option<BitVecTracker>,
-    tombstones: [Mutex<Vec<Key>>; 2],
+    tombstones: Tombstones,
     upcoming: AtomicU64,
     /// True while an asynchronous capture scan is in flight: deletes must
     /// preserve the checkpointer's copy.
@@ -71,7 +70,7 @@ impl ZigzagStrategy {
             log,
             partial,
             tracker: partial.then(|| BitVecTracker::new(capacity)),
-            tombstones: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
+            tombstones: Tombstones::default(),
             upcoming: AtomicU64::new(0),
             capture_active: AtomicBool::new(false),
             deferred_reclaim: Mutex::new(Vec::new()),
@@ -132,12 +131,7 @@ impl CheckpointStrategy for ZigzagStrategy {
     ) -> Result<Option<Value>, StoreError> {
         let old = self.store.write(key, value)?;
         let slot = self.store.slot_of(key).expect("written key is linked");
-        token.writes.push(WriteRec {
-            key,
-            slot,
-            kind: WriteKind::Update,
-            created_stable: false,
-        });
+        token.record(key, slot, WriteKind::Update);
         Ok(old)
     }
 
@@ -150,12 +144,7 @@ impl CheckpointStrategy for ZigzagStrategy {
         let fresh_only = self.capture_active.load(Ordering::Acquire);
         match self.store.insert_opts(key, value, fresh_only) {
             Ok(slot) => {
-                token.writes.push(WriteRec {
-                    key,
-                    slot,
-                    kind: WriteKind::Insert,
-                    created_stable: false,
-                });
+                token.record(key, slot, WriteKind::Insert);
                 Ok(true)
             }
             Err(StoreError::DuplicateKey(_)) => Ok(false),
@@ -170,12 +159,7 @@ impl CheckpointStrategy for ZigzagStrategy {
         if active {
             self.deferred_reclaim.lock().push(slot);
         }
-        token.writes.push(WriteRec {
-            key,
-            slot,
-            kind: WriteKind::Delete,
-            created_stable: false,
-        });
+        token.record(key, slot, WriteKind::Delete);
         Ok(old)
     }
 
@@ -186,16 +170,14 @@ impl CheckpointStrategy for ZigzagStrategy {
                 t.mark(w.slot, interval);
             }
             if w.kind == WriteKind::Delete && self.partial {
-                self.tombstones[(interval & 1) as usize].lock().push(w.key);
+                self.tombstones.push(interval, w.key);
             }
         }
     }
 
     fn on_abort(&self, token: &mut TxnToken, undo: &[UndoRec]) {
-        let n = token.writes.len();
-        debug_assert_eq!(undo.len(), n);
-        for (i, u) in undo.iter().enumerate() {
-            let w = &token.writes[n - 1 - i];
+        debug_assert_eq!(undo.len(), token.writes.len());
+        for (u, w) in undo.iter().zip(token.writes.iter().rev()) {
             match &u.img {
                 UndoImage::Restore(v) => {
                     // Rolling back through the normal write path is safe:
@@ -238,7 +220,7 @@ impl CheckpointStrategy for ZigzagStrategy {
             self.sealed_high_water
                 .store(self.store.slot_high_water(), Ordering::Release);
             if self.partial {
-                tombs = std::mem::take(&mut *self.tombstones[(id & 1) as usize].lock());
+                tombs = self.tombstones.take(id);
             }
             self.capture_active.store(true, Ordering::Release);
             self.upcoming.fetch_add(1, Ordering::Release);
@@ -246,129 +228,68 @@ impl CheckpointStrategy for ZigzagStrategy {
         })?;
 
         // Asynchronous scan of the copies no writer touches.
-        let kind = if self.partial {
-            CheckpointKind::Partial
-        } else {
-            CheckpointKind::Full
-        };
+        let kind = CheckpointKind::of(self.partial);
         let hw = self.sealed_high_water.load(Ordering::Acquire);
         // The scan reads the dirty set non-destructively and clears it
         // only after a successful publish, so a failed cycle can roll its
         // coverage forward into interval id + 1.
-        let dirty: Vec<SlotId> = if self.partial {
-            self.tracker.as_ref().expect("partial").dirty_slots(id, hw)
-        } else {
-            Vec::new()
+        let dirty: Vec<SlotId> = match &self.tracker {
+            Some(tracker) => tracker.dirty_slots(id, hw),
+            None => Vec::new(),
         };
-        let threads = dir.checkpoint_threads();
-        let result = if self.partial {
-            let split = ShardPartition::over(dirty.len(), threads);
-            capture_parts(dir, kind, id, watermark, &tombs, threads, |part, w, cancel| {
-                for (i, &slot) in dirty[split.range(part)].iter().enumerate() {
-                    if i % CANCEL_POLL_STRIDE == 0 && cancel.load(Ordering::Relaxed) {
-                        return Err(partition::cancelled());
-                    }
-                    if let Some((key, v)) = self.store.checkpoint_copy(slot) {
-                        w.write_record(key, &v)?;
-                    }
-                }
-                Ok(())
-            })
+        let slots = if self.partial {
+            Slots::List(&dirty)
         } else {
-            let split = ShardPartition::over(hw, threads);
-            capture_parts(dir, kind, id, watermark, &[], threads, |part, w, cancel| {
-                for (i, slot) in split.range(part).enumerate() {
-                    if i % CANCEL_POLL_STRIDE == 0 && cancel.load(Ordering::Relaxed) {
-                        return Err(partition::cancelled());
-                    }
-                    if let Some((key, v)) = self.store.checkpoint_copy(slot as SlotId) {
-                        w.write_record(key, &v)?;
-                    }
-                }
-                Ok(())
-            })
+            Slots::Range(hw)
         };
-        let summary = match result {
-            Ok(s) => s,
-            Err(e) => {
+        let result = capture_slots(dir, kind, id, watermark, &tombs, slots, |slot| {
+            self.store.checkpoint_copy(slot)
+        });
+        if let Some(tracker) = &self.tracker {
+            if result.is_err() {
                 // Harmless failure: checkpoint_copy never mutates, so the
                 // committed values still live in the store — re-marking
                 // the dirty set (and re-queuing tombstones) into interval
                 // id + 1 makes the next cycle's capture cover everything
                 // this one would have, at its own later flip point.
-                if self.partial {
-                    let tracker = self.tracker.as_ref().expect("partial");
-                    for &slot in &dirty {
-                        tracker.mark(slot, id + 1);
-                    }
-                    self.tombstones[((id + 1) & 1) as usize].lock().extend(tombs);
-                    tracker.clear(id);
+                for &slot in &dirty {
+                    tracker.mark(slot, id + 1);
                 }
-                self.capture_active.store(false, Ordering::Release);
-                for slot in std::mem::take(&mut *self.deferred_reclaim.lock()) {
-                    self.store.reclaim_after_capture(slot);
-                }
-                self.aborted.fetch_add(1, Ordering::Relaxed);
-                return Err(e);
+                self.tombstones.requeue(id + 1, tombs);
             }
-        };
-        if let Some(tracker) = &self.tracker {
             tracker.clear(id);
         }
-
         self.capture_active.store(false, Ordering::Release);
         for slot in std::mem::take(&mut *self.deferred_reclaim.lock()) {
             self.store.reclaim_after_capture(slot);
         }
-        Ok(CheckpointStats {
-            id,
-            kind,
-            watermark,
-            records: summary.records,
-            bytes: summary.bytes,
-            raw_bytes: summary.raw_bytes,
-            duration: start.elapsed(),
-            quiesce,
-            parts: summary.parts,
-        })
+        let summary = result.inspect_err(|_| {
+            self.aborted.fetch_add(1, Ordering::Relaxed);
+        })?;
+        Ok(CheckpointStats::new(
+            id, kind, watermark, summary, start, quiesce,
+        ))
     }
 
     fn write_base_checkpoint(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {
         let start = Instant::now();
         let id = self.upcoming.fetch_add(1, Ordering::AcqRel);
         let watermark = self.log.last_seq();
-        let threads = dir.checkpoint_threads();
-        let split = ShardPartition::over(self.store.slot_high_water(), threads);
-        let summary = capture_parts(
-            dir,
-            CheckpointKind::Full,
+        let slots = Slots::Range(self.store.slot_high_water());
+        let kind = CheckpointKind::Full;
+        // At load time both copies hold the loaded value and there is no
+        // concurrent writer, so the checkpointer's copy is the record.
+        let summary = capture_slots(dir, kind, id, watermark, &[], slots, |slot| {
+            self.store.checkpoint_copy(slot)
+        })?;
+        Ok(CheckpointStats::new(
             id,
+            kind,
             watermark,
-            &[],
-            threads,
-            |part, w, _cancel| {
-                // At load time the read copy is the authoritative one; there
-                // is no concurrent writer, so reading via get() by key is
-                // equivalent — but go slot-wise for a single pass.
-                for slot in split.range(part) {
-                    if let Some((key, v)) = self.store.checkpoint_copy(slot as SlotId) {
-                        w.write_record(key, &v)?;
-                    }
-                }
-                Ok(())
-            },
-        )?;
-        Ok(CheckpointStats {
-            id,
-            kind: CheckpointKind::Full,
-            watermark,
-            records: summary.records,
-            bytes: summary.bytes,
-            raw_bytes: summary.raw_bytes,
-            duration: start.elapsed(),
-            quiesce: std::time::Duration::ZERO,
-            parts: summary.parts,
-        })
+            summary,
+            start,
+            Duration::ZERO,
+        ))
     }
 
     fn resume_checkpoint_ids(&self, next_id: u64) {

@@ -42,24 +42,22 @@
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-use parking_lot::Mutex;
+use std::time::{Duration, Instant};
 
 use calc_common::phase::Phase;
 use calc_common::types::{CommitSeq, Key, Value};
 use calc_storage::dirty::{BitVecTracker, DirtyTracker};
-use calc_storage::dual::{DualVersionStore, StoreConfig, StoreError};
+use calc_storage::dual::{DualSlotGuard, DualVersionStore, StoreConfig, StoreError};
 use calc_storage::mem::MemoryStats;
+use calc_storage::SlotId;
 use calc_txn::commitlog::{CommitLog, PhaseStamp};
 
+use crate::cycle::{base_checkpoint, capture_slots, undo_live, Slots, Tombstones};
 use crate::file::CheckpointKind;
 use crate::manifest::{CheckpointDir, PublishSummary};
-use crate::partition::{self, capture_parts, ShardPartition, CANCEL_POLL_STRIDE};
 use crate::phase::PhaseController;
 use crate::strategy::{
-    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoImage, UndoRec, WriteKind,
-    WriteRec,
+    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoRec, WriteKind, WriteRec,
 };
 
 /// CALC / pCALC. Construct with [`CalcStrategy::full`] or
@@ -69,10 +67,8 @@ pub struct CalcStrategy {
     phases: PhaseController,
     partial: bool,
     tracker: Option<BitVecTracker>,
-    /// Tombstone buffers for partial checkpoints, indexed by
-    /// `checkpoint interval & 1` (same double-buffering discipline as the
-    /// dirty tracker).
-    tombstones: [Mutex<Vec<Key>>; 2],
+    /// Deletions awaiting the partial checkpoint of their interval.
+    tombstones: Tombstones,
     /// `stable_status` polarity generation at the start of the current
     /// full-checkpoint cycle; with [`PolarityBitVec::generation`] it lets
     /// [`CalcStrategy::settle_insert_bit`] decide on which side of
@@ -104,7 +100,7 @@ impl CalcStrategy {
             phases: PhaseController::new(log),
             partial,
             tracker: partial.then(|| BitVecTracker::new(capacity)),
-            tombstones: [Mutex::new(Vec::new()), Mutex::new(Vec::new())],
+            tombstones: Tombstones::default(),
             cycle_start_gen: AtomicU64::new(0),
             aborted: AtomicU64::new(0),
         }
@@ -113,6 +109,18 @@ impl CalcStrategy {
     /// The underlying store (tests / diagnostics).
     pub fn store(&self) -> &DualVersionStore {
         &self.store
+    }
+
+    /// Whether `token` itself inserted the record occupying `slot` —
+    /// i.e. the slot's live value is this transaction's own uncommitted
+    /// write, so it must never be copied as a checkpoint pre-image.
+    /// (Slots are not reused within a transaction: deletes release them
+    /// only at commit, so a slot id is unambiguous here.)
+    fn self_inserted(token: &TxnToken, slot: SlotId) -> bool {
+        token
+            .writes
+            .iter()
+            .any(|w| w.slot == slot && w.kind == WriteKind::Insert)
     }
 
     /// Settles a freshly inserted slot's status bit against the *current*
@@ -139,18 +147,6 @@ impl CalcStrategy {
     /// checkpointer's generation store (release-ordered via the
     /// transition) and the `g1 == start` comparison cannot use a stale
     /// previous-cycle value while `g1` is current.
-    /// Whether `token` itself inserted the record occupying `slot` —
-    /// i.e. the slot's live value is this transaction's own uncommitted
-    /// write, so it must never be copied as a checkpoint pre-image.
-    /// (Slots are not reused within a transaction: deletes release them
-    /// only at commit, so a slot id is unambiguous here.)
-    fn self_inserted(token: &TxnToken, slot: calc_storage::SlotId) -> bool {
-        token
-            .writes
-            .iter()
-            .any(|w| w.slot == slot && w.kind == WriteKind::Insert)
-    }
-
     fn settle_insert_bit(&self, slot: usize) {
         let status = self.store.stable_status();
         loop {
@@ -175,55 +171,6 @@ impl CalcStrategy {
         &self.phases
     }
 
-    /// Writes a full base checkpoint of the current state — used right
-    /// after initial load, before any transactions run, so that partial
-    /// checkpoints always have a full ancestor to merge onto. Bumps the
-    /// cycle counter so the first runtime checkpoint gets a distinct id.
-    pub fn write_base_checkpoint(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {
-        let start = Instant::now();
-        let id = self.phases.log().current_stamp().cycle;
-        let watermark = self.phases.log().last_seq();
-        let threads = dir.checkpoint_threads();
-        let split = ShardPartition::over(self.store.slot_high_water(), threads);
-        let summary = capture_parts(
-            dir,
-            CheckpointKind::Full,
-            id,
-            watermark,
-            &[],
-            threads,
-            |k, w, _cancel| {
-                for slot in split.range(k) {
-                    let extracted = {
-                        let g = self.store.lock_slot(slot as calc_storage::SlotId);
-                        if g.in_use() {
-                            g.live().map(|l| (g.key(), l.to_vec()))
-                        } else {
-                            None
-                        }
-                    };
-                    if let Some((key, v)) = extracted {
-                        w.write_record(key, &v)?;
-                    }
-                }
-                Ok(())
-            },
-        )?;
-        // Rest→Rest transition: no phase change, cycle += 1.
-        self.phases.transition(Phase::Rest);
-        Ok(CheckpointStats {
-            id,
-            kind: CheckpointKind::Full,
-            watermark,
-            records: summary.records,
-            bytes: summary.bytes,
-            raw_bytes: summary.raw_bytes,
-            duration: start.elapsed(),
-            quiesce: std::time::Duration::ZERO,
-            parts: summary.parts,
-        })
-    }
-
     /// The fallible disk portion of a full cycle: begin N parts → striped
     /// scan from `checkpoint_threads` capture threads → publish the
     /// manifest. On `Err` every part file has been removed and nothing
@@ -238,73 +185,60 @@ impl CalcStrategy {
         watermark: CommitSeq,
     ) -> io::Result<PublishSummary> {
         let status = self.store.stable_status();
-        let threads = dir.checkpoint_threads();
-        let split = ShardPartition::over(self.store.slot_high_water(), threads);
-        capture_parts(
+        let slots = Slots::Range(self.store.slot_high_water());
+        capture_slots(
             dir,
             CheckpointKind::Full,
             id,
             watermark,
             &[],
-            threads,
-            |part, w, cancel| {
-                for (i, slot) in split.range(part).enumerate() {
-                    if i % CANCEL_POLL_STRIDE == 0 && cancel.load(Ordering::Relaxed) {
-                        return Err(partition::cancelled());
-                    }
-                    let slot = slot as calc_storage::SlotId;
-                    let extracted = {
-                        let mut g = self.store.lock_slot(slot);
-                        if !g.in_use() {
-                            // Normalize vacant slots so the polarity swap leaves
-                            // every bit reading not-available.
-                            status.mark(slot as usize);
-                            None
-                        } else if status.is_marked(slot as usize) {
-                            // Post-point writers (or the resolve-commit hook)
-                            // preserved an explicit stable version; an available
-                            // bit without one is a record inserted after the point
-                            // of consistency — excluded.
-                            if g.has_stable() {
-                                let key = g.key();
-                                let v = g.stable().expect("checked").to_vec();
-                                g.erase_stable();
-                                if g.live().is_none() {
-                                    // Deleted after the point: captured, now gone.
-                                    g.release_if_vacant();
-                                }
-                                Some((key, v))
-                            } else {
-                                None
-                            }
-                        } else {
-                            status.mark(slot as usize);
-                            let key = g.key();
-                            if g.has_stable() {
-                                let v = g.stable().expect("checked").to_vec();
-                                g.erase_stable();
-                                if g.live().is_none() {
-                                    g.release_if_vacant();
-                                }
-                                Some((key, v))
-                            } else if let Some(live) = g.live() {
-                                Some((key, live.to_vec()))
-                            } else {
-                                // Unreachable in the protocol (a record with no
-                                // versions is released at delete-commit), but stay
-                                // defensive.
-                                g.release_if_vacant();
-                                None
-                            }
-                        }
-                    };
-                    if let Some((key, v)) = extracted {
-                        w.write_record(key, &v)?;
+            slots,
+            |slot| {
+                let g = self.store.lock_slot(slot);
+                if !g.in_use() {
+                    // Normalize vacant slots so the polarity swap leaves
+                    // every bit reading not-available.
+                    status.mark(slot as usize);
+                    None
+                } else if status.is_marked(slot as usize) {
+                    // Post-point writers (or the resolve-commit hook)
+                    // preserved an explicit stable version; an available
+                    // bit without one is a record inserted after the point
+                    // of consistency — excluded.
+                    self.take_stable(g)
+                } else {
+                    status.mark(slot as usize);
+                    if g.has_stable() {
+                        self.take_stable(g)
+                    } else if let Some(live) = g.live() {
+                        Some((g.key(), live.to_vec()))
+                    } else {
+                        // Unreachable in the protocol (a record with no
+                        // versions is released at delete-commit), but stay
+                        // defensive.
+                        g.release_if_vacant();
+                        None
                     }
                 }
-                Ok(())
             },
         )
+    }
+
+    /// Moves a slot's stable version (if it has one) into the checkpoint:
+    /// copies it out, erases it, resets the status bit where no polarity
+    /// swap will (pCALC), and reclaims the slot if the record was deleted
+    /// after the point of consistency — captured, now gone.
+    fn take_stable(&self, mut g: DualSlotGuard<'_>) -> Option<(Key, Vec<u8>)> {
+        let v = g.stable()?.to_vec();
+        let key = g.key();
+        g.erase_stable();
+        if self.partial {
+            self.store.stable_status().unmark(g.slot() as usize);
+        }
+        if g.live().is_none() {
+            g.release_if_vacant();
+        }
+        Some((key, v))
     }
 
     /// Harmless-failure restore for a full cycle that died during capture
@@ -326,11 +260,31 @@ impl CalcStrategy {
             }
             status.mark(slot as usize);
         }
+        self.finish_full();
+        self.aborted.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// CAPTURE → COMPLETE → REST of a full cycle. All bits now read
+    /// available and no stable versions remain:
+    /// `SwapAvailableAndNotAvailable` makes every bit read not-available
+    /// in O(1) (§2.2.5).
+    fn finish_full(&self) {
         self.phases.transition(Phase::Complete);
         self.phases.drain_others(Phase::Complete);
-        status.swap_polarity();
+        self.store.stable_status().swap_polarity();
         self.phases.transition(Phase::Rest);
-        self.aborted.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// REST → PREPARE → RESOLVE → CAPTURE, draining the transactions of
+    /// each phase left behind. Returns the RESOLVE transition's sequence:
+    /// the virtual point of consistency.
+    fn advance_to_capture(&self) -> CommitSeq {
+        self.phases.transition(Phase::Prepare);
+        self.phases.drain_others(Phase::Prepare);
+        let watermark = self.phases.transition(Phase::Resolve);
+        self.phases.drain_others(Phase::Resolve);
+        self.phases.transition(Phase::Capture);
+        watermark
     }
 
     fn checkpoint_full(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {
@@ -343,41 +297,19 @@ impl CalcStrategy {
         // read this value or a newer one in `settle_insert_bit`.
         self.cycle_start_gen
             .store(self.store.stable_status().generation(), Ordering::SeqCst);
-        self.phases.transition(Phase::Prepare);
-        self.phases.drain_others(Phase::Prepare);
-        // The virtual point of consistency.
-        let watermark = self.phases.transition(Phase::Resolve);
-        self.phases.drain_others(Phase::Resolve);
-        self.phases.transition(Phase::Capture);
-
-        let status = self.store.stable_status();
-        let summary = match self.capture_full(dir, id, watermark) {
-            Ok(s) => s,
-            Err(e) => {
-                self.abort_cycle_full();
-                return Err(e);
-            }
-        };
-
-        self.phases.transition(Phase::Complete);
-        self.phases.drain_others(Phase::Complete);
-        // All bits now read available and no stable versions remain:
-        // SwapAvailableAndNotAvailable makes every bit read not-available
-        // in O(1) (§2.2.5).
-        status.swap_polarity();
-        self.phases.transition(Phase::Rest);
-
-        Ok(CheckpointStats {
+        let watermark = self.advance_to_capture();
+        let summary = self.capture_full(dir, id, watermark).inspect_err(|_| {
+            self.abort_cycle_full();
+        })?;
+        self.finish_full();
+        Ok(CheckpointStats::new(
             id,
-            kind: CheckpointKind::Full,
+            CheckpointKind::Full,
             watermark,
-            records: summary.records,
-            bytes: summary.bytes,
-            raw_bytes: summary.raw_bytes,
-            duration: start.elapsed(),
-            quiesce: std::time::Duration::ZERO,
-            parts: summary.parts,
-        })
+            summary,
+            start,
+            Duration::ZERO,
+        ))
     }
 
     /// The fallible disk portion of a partial cycle: begin N parts →
@@ -395,58 +327,35 @@ impl CalcStrategy {
     ) -> io::Result<PublishSummary> {
         let tracker = self.tracker.as_ref().expect("partial mode has a tracker");
         let status = self.store.stable_status();
-        let threads = dir.checkpoint_threads();
         let dirty = tracker.dirty_slots(id, high_water);
-        let split = ShardPartition::over(dirty.len(), threads);
         // Tombstones land in part 0 ahead of every value (capture_parts'
         // contract): within one partial checkpoint a tombstone must
         // precede any same-key re-insertion so merge replay, which walks
         // parts in index order, stays last-event-wins.
-        capture_parts(
+        let slots = Slots::List(&dirty);
+        capture_slots(
             dir,
             CheckpointKind::Partial,
             id,
             watermark,
             tombs,
-            threads,
-            |part, w, cancel| {
-                for (i, &slot) in dirty[split.range(part)].iter().enumerate() {
-                    if i % CANCEL_POLL_STRIDE == 0 && cancel.load(Ordering::Relaxed) {
-                        return Err(partition::cancelled());
-                    }
-                    let extracted = {
-                        let mut g = self.store.lock_slot(slot);
-                        if !g.in_use() {
-                            // Freed by a pre-point delete; its tombstone is
-                            // already in the file.
-                            None
-                        } else if status.is_marked(slot as usize) {
-                            if g.has_stable() {
-                                let key = g.key();
-                                let v = g.stable().expect("checked").to_vec();
-                                g.erase_stable();
-                                // No polarity swap in pCALC: reset explicitly.
-                                status.unmark(slot as usize);
-                                if g.live().is_none() {
-                                    g.release_if_vacant();
-                                }
-                                Some((key, v))
-                            } else {
-                                // Insert-after-point (possibly on a reused slot):
-                                // belongs to the next checkpoint; leave its bit.
-                                None
-                            }
-                        } else {
-                            // Dirty but never written after the point: live IS the
-                            // point-of-consistency value.
-                            g.live().map(|l| (g.key(), l.to_vec()))
-                        }
-                    };
-                    if let Some((key, v)) = extracted {
-                        w.write_record(key, &v)?;
-                    }
+            slots,
+            |slot| {
+                let g = self.store.lock_slot(slot);
+                if !g.in_use() {
+                    // Freed by a pre-point delete; its tombstone is already
+                    // in the file.
+                    None
+                } else if status.is_marked(slot as usize) {
+                    // Without a stable version this is an insert after the
+                    // point (possibly on a reused slot): it belongs to the
+                    // next checkpoint, and its bit stays.
+                    self.take_stable(g)
+                } else {
+                    // Dirty but never written after the point: live IS the
+                    // point-of-consistency value.
+                    g.live().map(|l| (g.key(), l.to_vec()))
                 }
-                Ok(())
             },
         )
     }
@@ -458,23 +367,34 @@ impl CalcStrategy {
     /// scan may even have erased some of their captured stable versions
     /// already). Everything is rolled **forward** into interval `id + 1`:
     /// dirty bits re-marked, tombstones re-queued, then the cycle is
-    /// completed file-lessly (Complete → cleanup pass → clear → Rest) so
-    /// the next partial checkpoint covers the union of both intervals.
+    /// completed file-lessly ([`CalcStrategy::finish_partial`]) so the
+    /// next partial checkpoint covers the union of both intervals.
     fn abort_cycle_partial(&self, id: u64, tombs: Vec<Key>, high_water: usize) {
         let tracker = self.tracker.as_ref().expect("partial mode has a tracker");
-        let status = self.store.stable_status();
-        // Re-mark before the cleanup pass below reads interval id + 1, so
-        // one pass normalizes the union of both intervals' slots.
+        // Re-mark before the cleanup pass reads interval id + 1, so one
+        // pass normalizes the union of both intervals' slots.
         for slot in tracker.dirty_slots(id, high_water) {
             tracker.mark(slot, id + 1);
         }
-        self.tombstones[((id + 1) & 1) as usize].lock().extend(tombs);
+        self.tombstones.requeue(id + 1, tombs);
+        self.finish_partial(id);
+        self.aborted.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// CAPTURE → COMPLETE → REST of a partial cycle, published or failed.
+    /// Post-point writers left provisional stable versions + available
+    /// bits on slots belonging to the *next* checkpoint interval. They
+    /// hold values as of THIS cycle's point, which the next checkpoint
+    /// must not reuse — its capture reads live values (or the pre-images
+    /// its own post-point writers create) — so erase them and reset the
+    /// bits. O(dirty), preserving pCALC's no-full-scan property. Safe
+    /// here: capture-started transactions have drained, and
+    /// complete/rest-started writers never create stable versions.
+    fn finish_partial(&self, id: u64) {
+        let tracker = self.tracker.as_ref().expect("partial mode has a tracker");
+        let status = self.store.stable_status();
         self.phases.transition(Phase::Complete);
         self.phases.drain_others(Phase::Complete);
-        // Same cleanup pass as the success path: provisional stable
-        // versions hold values as of the *failed* cycle's point, which the
-        // next cycle must not reuse — its capture reads live values (or
-        // pre-images its own post-point writers create).
         for slot in tracker.dirty_slots(id + 1, self.store.slot_high_water()) {
             let mut g = self.store.lock_slot(slot);
             if g.in_use() {
@@ -485,25 +405,16 @@ impl CalcStrategy {
         }
         tracker.clear(id);
         self.phases.transition(Phase::Rest);
-        self.aborted.fetch_add(1, Ordering::Relaxed);
     }
 
     fn checkpoint_partial(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {
         let start = Instant::now();
-        let tracker = self.tracker.as_ref().expect("partial mode has a tracker");
         let id = self.phases.log().current_stamp().cycle;
-
-        self.phases.transition(Phase::Prepare);
-        self.phases.drain_others(Phase::Prepare);
-        let watermark = self.phases.transition(Phase::Resolve);
-        self.phases.drain_others(Phase::Resolve);
-        self.phases.transition(Phase::Capture);
-
-        let status = self.store.stable_status();
+        let watermark = self.advance_to_capture();
         // Tombstones are drained *before* the fallible disk work so the
         // failure path below can re-queue them wherever the cycle dies
         // (even in `begin`).
-        let tombs = std::mem::take(&mut *self.tombstones[(id & 1) as usize].lock());
+        let tombs = self.tombstones.take(id);
         let high_water = self.store.slot_high_water();
         let summary = match self.capture_partial(dir, id, watermark, &tombs, high_water) {
             Ok(s) => s,
@@ -512,38 +423,15 @@ impl CalcStrategy {
                 return Err(e);
             }
         };
-
-        self.phases.transition(Phase::Complete);
-        self.phases.drain_others(Phase::Complete);
-        // End-of-cycle cleanup: post-point writers left provisional stable
-        // versions + available bits on slots belonging to the *next*
-        // checkpoint interval. They hold values as of THIS checkpoint's
-        // point, which the next checkpoint must not reuse — erase them and
-        // reset the bits. O(dirty), preserving pCALC's no-full-scan
-        // property. Safe here: capture-started transactions have drained,
-        // and complete/rest-started writers never create stable versions.
-        for slot in tracker.dirty_slots(id + 1, self.store.slot_high_water()) {
-            let mut g = self.store.lock_slot(slot);
-            if g.in_use() {
-                g.erase_stable();
-            }
-            status.unmark(slot as usize);
-            drop(g);
-        }
-        tracker.clear(id);
-        self.phases.transition(Phase::Rest);
-
-        Ok(CheckpointStats {
+        self.finish_partial(id);
+        Ok(CheckpointStats::new(
             id,
-            kind: CheckpointKind::Partial,
+            CheckpointKind::Partial,
             watermark,
-            records: summary.records,
-            bytes: summary.bytes,
-            raw_bytes: summary.raw_bytes,
-            duration: start.elapsed(),
-            quiesce: std::time::Duration::ZERO,
-            parts: summary.parts,
-        })
+            summary,
+            start,
+            Duration::ZERO,
+        ))
     }
 }
 
@@ -764,7 +652,7 @@ impl CheckpointStrategy for CalcStrategy {
             }
             if w.kind == WriteKind::Delete {
                 if self.partial {
-                    self.tombstones[(interval & 1) as usize].lock().push(w.key);
+                    self.tombstones.push(interval, w.key);
                 }
                 // Pre-point deletes (and post-point deletes whose slot was
                 // already captured) leave no versions behind: reclaim.
@@ -775,32 +663,7 @@ impl CheckpointStrategy for CalcStrategy {
     }
 
     fn on_abort(&self, token: &mut TxnToken, undo: &[UndoRec]) {
-        // `undo` is newest-first, one entry per write record:
-        // undo[i] rolls back token.writes[len - 1 - i].
-        debug_assert_eq!(undo.len(), token.writes.len());
-        let n = token.writes.len();
-        for (i, u) in undo.iter().enumerate() {
-            let w = &token.writes[n - 1 - i];
-            debug_assert_eq!(w.key, u.key);
-            match &u.img {
-                UndoImage::Restore(v) => {
-                    let mut g = self.store.lock_slot(w.slot);
-                    g.set_live(v);
-                }
-                UndoImage::Remove => {
-                    let _ = self.store.unlink(u.key);
-                    let mut g = self.store.lock_slot(w.slot);
-                    g.clear_live();
-                    g.release_if_vacant();
-                }
-                UndoImage::Reinsert(v) => {
-                    let mut g = self.store.lock_slot(w.slot);
-                    g.set_live(v);
-                    drop(g);
-                    self.store.relink(u.key, w.slot);
-                }
-            }
-        }
+        undo_live(&self.store, token, undo);
         // A prepare-started abort discards the provisional pre-images it
         // created (live has been restored to the same value, so nothing is
         // lost). Resolve/capture-started aborts KEEP their stable versions
@@ -834,7 +697,12 @@ impl CheckpointStrategy for CalcStrategy {
     }
 
     fn write_base_checkpoint(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {
-        CalcStrategy::write_base_checkpoint(self, dir)
+        let log = self.phases.log();
+        let stats = base_checkpoint(dir, &self.store, log.current_stamp().cycle, log.last_seq())?;
+        // Rest→Rest transition: no phase change, cycle += 1, so the first
+        // runtime checkpoint gets a distinct id.
+        self.phases.transition(Phase::Rest);
+        Ok(stats)
     }
 
     fn aborted_cycles(&self) -> u64 {

@@ -75,6 +75,15 @@ pub enum CheckpointKind {
 }
 
 impl CheckpointKind {
+    /// The kind a strategy's `partial` flag selects.
+    pub fn of(partial: bool) -> Self {
+        if partial {
+            CheckpointKind::Partial
+        } else {
+            CheckpointKind::Full
+        }
+    }
+
     pub(crate) fn to_byte(self) -> u8 {
         match self {
             CheckpointKind::Full => 0,

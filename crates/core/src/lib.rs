@@ -12,6 +12,8 @@
 //! * [`strategy`] — the [`strategy::CheckpointStrategy`] trait that the
 //!   engine executes transactions through; CALC and every baseline
 //!   implement it.
+//! * [`cycle`] — the cycle scaffold the strategies share: tombstone
+//!   buffers, the one capture loop, live-version rollback.
 //! * [`calc`] — the CALC algorithm itself ([`calc::CalcStrategy`]), in
 //!   both full and partial (pCALC, §2.3) modes.
 //! * [`mod@file`] — the checkpoint file format: length-prefixed records with
@@ -35,6 +37,7 @@
 
 pub mod calc;
 pub mod codec;
+pub mod cycle;
 pub mod file;
 pub mod manifest;
 pub mod merge;

@@ -793,6 +793,27 @@ impl CheckpointDir {
         Ok(out)
     }
 
+    /// The sequence below which command-log segments may be truncated: the
+    /// lowest watermark among the published full checkpoints, read from
+    /// their manifests ([`CheckpointDir::manifests`]: no part is opened,
+    /// nothing is quarantined). `None` while no full is published.
+    ///
+    /// Every chain still on disk roots at a full whose watermark is at or
+    /// above this floor, so whichever chain a restart ends up loading —
+    /// the newest, or an older one after the newest is found torn and
+    /// quarantined — finds its whole replay window in the surviving
+    /// segments. A full that deep validation would reject still counts,
+    /// which can only lower the floor: truncation errs towards keeping
+    /// log.
+    pub fn truncation_floor(&self) -> io::Result<Option<CommitSeq>> {
+        Ok(self
+            .manifests()?
+            .iter()
+            .filter(|m| m.kind == CheckpointKind::Full)
+            .map(|m| m.watermark)
+            .min())
+    }
+
     /// Seeds the next checkpoint's parent link from the newest readable
     /// manifest, for a handle taking over a directory it will not deep-scan
     /// (standby promotion); otherwise its first partial would record no

@@ -12,7 +12,7 @@
 
 use std::io;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use calc_common::types::{CommitSeq, Key, Value};
 use calc_storage::dual::StoreError;
@@ -21,7 +21,7 @@ use calc_storage::SlotId;
 use calc_txn::commitlog::PhaseStamp;
 
 use crate::file::CheckpointKind;
-use crate::manifest::CheckpointDir;
+use crate::manifest::{CheckpointDir, PublishSummary};
 
 /// What a transaction did to one key (recorded by the strategy during
 /// apply, consumed by the commit/abort hooks).
@@ -58,6 +58,19 @@ pub struct TxnToken {
     pub stamp: PhaseStamp,
     /// Write footprint, appended by the `apply_*` calls.
     pub writes: Vec<WriteRec>,
+}
+
+impl TxnToken {
+    /// Appends a write that created no stable version (every strategy but
+    /// CALC, which builds its [`WriteRec`]s itself) to the footprint.
+    pub fn record(&mut self, key: Key, slot: SlotId, kind: WriteKind) {
+        self.writes.push(WriteRec {
+            key,
+            slot,
+            kind,
+            created_stable: false,
+        });
+    }
 }
 
 /// The inverse image of one write, kept by the executor for rollback.
@@ -98,7 +111,7 @@ pub struct NoopEnv;
 
 impl EngineEnv for NoopEnv {
     fn quiesced(&self, f: &mut dyn FnMut() -> io::Result<()>) -> io::Result<Duration> {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         f()?;
         Ok(start.elapsed())
     }
@@ -126,6 +139,31 @@ pub struct CheckpointStats {
     pub quiesce: Duration,
     /// Part files written.
     pub parts: usize,
+}
+
+impl CheckpointStats {
+    /// The stats of a cycle that began at `start`, held the system
+    /// quiesced for `quiesce` and published `summary`.
+    pub fn new(
+        id: u64,
+        kind: CheckpointKind,
+        watermark: CommitSeq,
+        summary: PublishSummary,
+        start: Instant,
+        quiesce: Duration,
+    ) -> Self {
+        CheckpointStats {
+            id,
+            kind,
+            watermark,
+            records: summary.records,
+            bytes: summary.bytes,
+            raw_bytes: summary.raw_bytes,
+            duration: start.elapsed(),
+            quiesce,
+            parts: summary.parts,
+        }
+    }
 }
 
 /// A checkpointing algorithm integrated with the execution engine. See

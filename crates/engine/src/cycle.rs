@@ -8,7 +8,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use calc_core::file::CheckpointKind;
 use calc_core::merge::collapse;
 use calc_core::strategy::CheckpointStats;
 use calc_recovery::{truncate_segments_below, TruncateStats};
@@ -91,15 +90,12 @@ impl Inner {
     }
 
     /// Post-cycle retention: prune superseded checkpoint chains down to
-    /// `keep_checkpoints` fulls, then truncate command-log segments below
-    /// the *oldest surviving full's* watermark.
-    ///
+    /// `keep_checkpoints` fulls (deep-validated — deleting the only valid
+    /// chain on the word of a manifest is not safe), then truncate
+    /// command-log segments below [`calc_core::CheckpointDir::truncation_floor`]: the
+    /// *oldest surviving full's* watermark, read from the manifests alone.
     /// That floor — not the just-published cycle's watermark — is what
-    /// makes truncation safe against corruption discovered later: if the
-    /// newest cycle turns out torn at recovery and is quarantined,
-    /// recovery falls back to an older chain, and every chain still on
-    /// disk roots at a full whose watermark is at or above the floor, so
-    /// the replay window it needs is fully covered by surviving segments.
+    /// keeps truncation safe against corruption discovered later.
     ///
     /// Runs only after the cycle durably published; a retention failure
     /// is therefore recorded in [`crate::Health`] but never fails the
@@ -115,14 +111,7 @@ impl Inner {
             };
             let mut truncated = TruncateStats::default();
             if let Some(log_dir) = &self.command_log_dir {
-                let floor = self
-                    .dir
-                    .scan()?
-                    .iter()
-                    .filter(|m| m.kind == CheckpointKind::Full)
-                    .map(|m| m.watermark)
-                    .min();
-                if let Some(floor) = floor {
+                if let Some(floor) = self.dir.truncation_floor()? {
                     truncated = truncate_segments_below(self.dir.vfs().as_ref(), log_dir, floor)?;
                 }
             }

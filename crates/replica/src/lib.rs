@@ -164,7 +164,13 @@ impl Standby {
             cfg.vfs.clone(),
         )?;
         dir.set_checkpoint_threads(cfg.checkpoint_threads.max(1));
-        let (strategy, log, watermark) = bootstrap(&cfg, &dir)?;
+        let (strategy, log, watermark) = match rebuild_from_chain(&cfg, &dir)? {
+            Some(rebuilt) => rebuilt,
+            None => {
+                let log = Arc::new(CommitLog::new(false));
+                (cfg.kind.build(cfg.store.clone(), log.clone()), log, 0)
+            }
+        };
         if !strategy.transaction_consistent() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -297,22 +303,27 @@ impl Standby {
     ///
     /// Either way no commit is skipped and no error surfaces.
     fn handle_lost_prefix(&mut self) -> io::Result<bool> {
-        let fresh_log = Arc::new(CommitLog::new(false));
-        let fresh = self.cfg.kind.build(self.cfg.store.clone(), fresh_log.clone());
-        match recover_checkpoint_only(&self.dir, fresh.as_ref()) {
-            Ok(outcome) if outcome.watermark.0 > self.applied => {
-                self.strategy = fresh;
-                self.log = fresh_log;
-                self.applied = outcome.watermark.0;
-                self.bootstrap_watermark = outcome.watermark.0;
-                self.rebootstraps += 1;
+        let rebuilt = self.adopt_chain_if_ahead()?;
+        if rebuilt {
+            self.bootstrap_watermark = self.applied;
+            self.rebootstraps += 1;
+            self.health.record_standby_lag(self.applied, 0, 0);
+        }
+        Ok(rebuilt)
+    }
+
+    /// Rebuilds state from the checkpoint chain and adopts it if — and
+    /// only if — it materializes past the applied watermark.
+    fn adopt_chain_if_ahead(&mut self) -> io::Result<bool> {
+        match rebuild_from_chain(&self.cfg, &self.dir)? {
+            Some((strategy, log, watermark)) if watermark > self.applied => {
+                self.strategy = strategy;
+                self.log = log;
+                self.applied = watermark;
                 self.health.add(Metric::standby_rebootstraps, 1);
-                self.health.record_standby_lag(self.applied, 0, 0);
                 Ok(true)
             }
-            Ok(_) | Err(RecoveryError::NoFullCheckpoint) => Ok(false),
-            Err(RecoveryError::Io(e)) => Err(e),
-            Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
+            _ => Ok(false),
         }
     }
 
@@ -389,23 +400,7 @@ impl Standby {
         // quarantines it and falls back to an older prefix), and
         // replacing live-applied state with that fallback would itself
         // lose commits.
-        let mut promote_rebuilt = false;
-        if chain_claim > self.applied {
-            let fresh_log = Arc::new(CommitLog::new(false));
-            let fresh = self.cfg.kind.build(self.cfg.store.clone(), fresh_log.clone());
-            match recover_checkpoint_only(&self.dir, fresh.as_ref()) {
-                Ok(outcome) if outcome.watermark.0 > self.applied => {
-                    self.strategy = fresh;
-                    self.log = fresh_log;
-                    self.applied = outcome.watermark.0;
-                    promote_rebuilt = true;
-                    self.health.add(Metric::standby_rebootstraps, 1);
-                }
-                Ok(_) | Err(RecoveryError::NoFullCheckpoint) => {}
-                Err(RecoveryError::Io(e)) => return Err(e),
-                Err(e) => return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-            }
-        }
+        let promote_rebuilt = chain_claim > self.applied && self.adopt_chain_if_ahead()?;
         // Resume the id space above every id the old primary consumed,
         // preserving the parity of the standby's current stamp cycle:
         // partial strategies queue tombstones into a parity-indexed
@@ -640,17 +635,17 @@ impl Drop for StandbyRunner {
     }
 }
 
-/// Loads the newest durable chain into a fresh strategy. An empty or
-/// checkpoint-less directory is legal (watermark 0, empty store).
-fn bootstrap(
-    cfg: &StandbyConfig,
-    dir: &CheckpointDir,
-) -> io::Result<(Arc<dyn CheckpointStrategy>, Arc<CommitLog>, u64)> {
+/// A strategy, its commit log, and the watermark of the chain loaded into it.
+type Rebuilt = (Arc<dyn CheckpointStrategy>, Arc<CommitLog>, u64);
+
+/// Loads the newest durable chain into a fresh strategy; `None` if the
+/// directory holds no full checkpoint.
+fn rebuild_from_chain(cfg: &StandbyConfig, dir: &CheckpointDir) -> io::Result<Option<Rebuilt>> {
     let log = Arc::new(CommitLog::new(false));
     let strategy = cfg.kind.build(cfg.store.clone(), log.clone());
     match recover_checkpoint_only(dir, strategy.as_ref()) {
-        Ok(outcome) => Ok((strategy, log, outcome.watermark.0)),
-        Err(RecoveryError::NoFullCheckpoint) => Ok((strategy, log, 0)),
+        Ok(outcome) => Ok(Some((strategy, log, outcome.watermark.0))),
+        Err(RecoveryError::NoFullCheckpoint) => Ok(None),
         Err(RecoveryError::Io(e)) => Err(e),
         Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
     }

@@ -30,7 +30,6 @@ use calc_common::simfs::{DirCrashMode, FaultSpec, OpCounts, SimVfs, TransientKin
 use calc_common::types::{Key, TxnId};
 use calc_common::vfs::Vfs;
 use calc_common::Backoff;
-use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::{CheckpointStrategy, NoopEnv};
 use calc_core::throttle::Throttle;
@@ -400,14 +399,7 @@ fn live_until_crash(vfs: &SimVfs, spec: &SimSpec, hooks: &mut dyn LiveHooks, run
                         // durability floor: one lying fsync voids the
                         // publish chain the truncation floor rests on.
                         if spec.truncate_log && vfs.fsyncs_dropped() == 0 {
-                            let floor = dir.scan().ok().and_then(|metas| {
-                                metas
-                                    .iter()
-                                    .filter(|m| m.kind == CheckpointKind::Full)
-                                    .map(|m| m.watermark)
-                                    .min()
-                            });
-                            if let Some(floor) = floor {
+                            if let Ok(Some(floor)) = dir.truncation_floor() {
                                 let _ =
                                     truncate_segments_below(vfs_dyn.as_ref(), &log_dir(), floor);
                             }

@@ -19,16 +19,14 @@
 //! The Naive and Fuzzy baselines reuse this store, touching only the live
 //! version.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 
 use calc_common::bitvec::PolarityBitVec;
 use calc_common::types::{Key, Value};
 
 use crate::mem::{MemCounter, MemoryStats};
 use crate::pool::{BufferPool, PoolValue};
+use crate::slots::SlotTable;
 use crate::SlotId;
 
 /// Sizing parameters for a store.
@@ -103,41 +101,23 @@ const EMPTY_SLOT: SlotInner = SlotInner {
 
 /// The dual-version store. See module docs.
 pub struct DualVersionStore {
-    shards: Box<[RwLock<HashMap<u64, SlotId>>]>,
-    shard_mask: usize,
+    pub(crate) table: SlotTable,
     slots: Box<[Mutex<SlotInner>]>,
-    high_water: AtomicUsize,
-    free_slots: Mutex<Vec<SlotId>>,
     stable_status: PolarityBitVec,
     pool: BufferPool,
     live_mem: MemCounter,
-    record_count: AtomicUsize,
 }
 
 impl DualVersionStore {
     /// Creates an empty store.
     pub fn new(config: StoreConfig) -> Self {
-        let n_shards = config.shards.max(1).next_power_of_two();
         DualVersionStore {
-            shards: (0..n_shards)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            shard_mask: n_shards - 1,
+            table: SlotTable::new(config.capacity, config.shards),
             slots: (0..config.capacity).map(|_| Mutex::new(EMPTY_SLOT)).collect(),
-            high_water: AtomicUsize::new(0),
-            free_slots: Mutex::new(Vec::new()),
             stable_status: PolarityBitVec::new(config.capacity),
             pool: BufferPool::new(config.pool_buf_capacity, config.pool_prealloc),
             live_mem: MemCounter::new(),
-            record_count: AtomicUsize::new(0),
         }
-    }
-
-    #[inline]
-    fn shard_of(&self, key: Key) -> &RwLock<HashMap<u64, SlotId>> {
-        // splitmix-style mix so sequential keys spread across shards.
-        let h = key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
-        &self.shards[h as usize & self.shard_mask]
     }
 
     /// Maximum record count.
@@ -147,7 +127,7 @@ impl DualVersionStore {
 
     /// Current record count (linked keys).
     pub fn len(&self) -> usize {
-        self.record_count.load(Ordering::Relaxed)
+        self.table.len()
     }
 
     /// Whether the store holds no records.
@@ -157,7 +137,7 @@ impl DualVersionStore {
 
     /// Highest slot index ever allocated; scans cover `0..slot_high_water()`.
     pub fn slot_high_water(&self) -> usize {
-        self.high_water.load(Ordering::Acquire)
+        self.table.high_water()
     }
 
     /// The `stable_status` polarity bit vector (§2.2 / §2.2.5).
@@ -167,7 +147,7 @@ impl DualVersionStore {
 
     /// Resolves a key to its slot, if linked.
     pub fn slot_of(&self, key: Key) -> Option<SlotId> {
-        self.shard_of(key).read().get(&key.0).copied()
+        self.table.slot_of(key)
     }
 
     /// Reads the live version of `key`.
@@ -194,18 +174,6 @@ impl DualVersionStore {
         }
     }
 
-    fn alloc_slot(&self) -> Result<SlotId, StoreError> {
-        if let Some(s) = self.free_slots.lock().pop() {
-            return Ok(s);
-        }
-        let idx = self.high_water.fetch_add(1, Ordering::AcqRel);
-        if idx >= self.slots.len() {
-            self.high_water.fetch_sub(1, Ordering::AcqRel);
-            return Err(StoreError::CapacityExceeded);
-        }
-        Ok(idx as SlotId)
-    }
-
     /// Inserts a new record, returning its slot. Fails on duplicates.
     /// The slot's `stable_status` bit is left **unmarked** — appropriate
     /// outside a checkpoint window; use
@@ -228,46 +196,37 @@ impl DualVersionStore {
         value: &[u8],
         marked: bool,
     ) -> Result<SlotId, StoreError> {
-        // Reserve the map entry first so concurrent inserts of the same key
-        // cannot double-allocate (transaction locks normally prevent this,
-        // but the store stays safe without them).
-        {
-            let shard = self.shard_of(key).read();
-            if shard.contains_key(&key.0) {
-                return Err(StoreError::DuplicateKey(key));
-            }
-        }
-        let slot = self.alloc_slot()?;
-        {
-            let mut g = self.slots[slot as usize].lock();
-            debug_assert!(!g.in_use, "allocated slot still in use");
-            g.key = key.0;
-            g.in_use = true;
-            g.live = Some(value.to_vec().into_boxed_slice());
-            debug_assert!(g.stable.is_none());
-            if marked {
-                self.stable_status.mark(slot as usize);
-            } else {
-                self.stable_status.unmark(slot as usize);
-            }
-        }
+        self.table.insert(
+            key,
+            false,
+            |slot| self.fill(slot, key, value, marked),
+            |slot| self.vacate(slot),
+        )
+    }
+
+    /// The fill step of [`SlotTable::insert`].
+    pub(crate) fn fill(&self, slot: SlotId, key: Key, value: &[u8], marked: bool) {
+        let mut g = self.slots[slot as usize].lock();
+        debug_assert!(!g.in_use, "allocated slot still in use");
+        debug_assert!(g.stable.is_none());
+        g.key = key.0;
+        g.in_use = true;
+        g.live = Some(value.to_vec().into_boxed_slice());
         self.live_mem.add(value.len());
-        {
-            let mut shard = self.shard_of(key).write();
-            if let Some(theirs) = shard.insert(key.0, slot) {
-                // Lost a race with a concurrent insert of the same key
-                // (callers normally prevent this with transaction locks).
-                // Restore their mapping and roll back our slot.
-                shard.insert(key.0, theirs);
-                drop(shard);
-                let mut g = self.lock_slot(slot);
-                g.clear_live();
-                g.release_if_vacant();
-                return Err(StoreError::DuplicateKey(key));
-            }
+        if marked {
+            self.stable_status.mark(slot as usize);
+        } else {
+            self.stable_status.unmark(slot as usize);
         }
-        self.record_count.fetch_add(1, Ordering::Relaxed);
-        Ok(slot)
+    }
+
+    /// Undoes [`DualVersionStore::fill`] for an insert that lost the race
+    /// to publish.
+    pub(crate) fn vacate(&self, slot: SlotId) {
+        let mut g = self.lock_slot(slot);
+        g.clear_live();
+        g.inner.in_use = false;
+        g.inner.key = 0;
     }
 
     /// Removes the key→slot mapping so no new transaction can reach the
@@ -275,25 +234,14 @@ impl DualVersionStore {
     /// reclaims it (a post-point-of-consistency delete must keep its stable
     /// version around for the capture thread).
     pub fn unlink(&self, key: Key) -> Result<SlotId, StoreError> {
-        let mut shard = self.shard_of(key).write();
-        match shard.remove(&key.0) {
-            Some(slot) => {
-                self.record_count.fetch_sub(1, Ordering::Relaxed);
-                Ok(slot)
-            }
-            None => Err(StoreError::KeyNotFound(key)),
-        }
+        self.table.unlink(key)
     }
 
     /// Restores a key→slot mapping removed by [`DualVersionStore::unlink`]
     /// — used when rolling back an aborted delete. The caller must hold
     /// the record's logical lock and the slot must still carry the key.
     pub fn relink(&self, key: Key, slot: SlotId) {
-        let mut shard = self.shard_of(key).write();
-        let prev = shard.insert(key.0, slot);
-        debug_assert!(prev.is_none(), "relink over an existing mapping");
-        drop(shard);
-        self.record_count.fetch_add(1, Ordering::Relaxed);
+        self.table.relink(key, slot)
     }
 
     /// Resolves `key` and locks its slot, retrying if the slot is freed
@@ -457,10 +405,7 @@ impl<'a> DualSlotGuard<'a> {
         if self.inner.live.is_none() && self.inner.stable.is_none() && self.inner.in_use {
             self.inner.in_use = false;
             self.inner.key = 0;
-            let slot = self.slot;
-            // Push to the free list while still holding the slot mutex; an
-            // allocator that pops it will block on the mutex until we drop.
-            self.store.free_slots.lock().push(slot);
+            self.store.table.free(self.slot);
             true
         } else {
             false

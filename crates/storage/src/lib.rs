@@ -4,6 +4,10 @@
 //! checkpointing strategy imposes its own physical record layout, so this
 //! crate provides one store per layout plus the shared machinery:
 //!
+//! * [`slots`] — the **slot table** all three stores embed: sharded
+//!   key → slot index, high-water/free-list allocator, record count and
+//!   the insert-publication protocol. A store adds only its slot
+//!   contents.
 //! * [`dual`] — the **dual-version store** used by CALC/pCALC (one live
 //!   version, one optional stable version per record, plus the
 //!   polarity-swapping `stable_status` bit vector of §2.2) and by the Naive
@@ -36,6 +40,7 @@ pub mod dirty;
 pub mod dual;
 pub mod mem;
 pub mod pool;
+pub mod slots;
 pub mod triple;
 pub mod zigzag;
 
@@ -43,6 +48,7 @@ pub use dirty::{BitVecTracker, BloomTracker, DirtyTracker, HashSetTracker};
 pub use dual::{DualSlotGuard, DualVersionStore, StoreConfig};
 pub use mem::MemoryStats;
 pub use pool::BufferPool;
+pub use slots::SlotTable;
 pub use triple::TripleStore;
 pub use zigzag::ZigzagStore;
 

@@ -22,16 +22,16 @@
 //! checkpoint consumes its dirty bit, so workloads with insert/delete
 //! churn need `O(deletes per checkpoint interval)` spare slot capacity.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 use calc_common::bitvec::AtomicBitVec;
 use calc_common::types::{Key, Value};
 
 use crate::dual::{StoreConfig, StoreError};
 use crate::mem::{MemCounter, MemoryStats};
+use crate::slots::SlotTable;
 use crate::SlotId;
 
 struct IppSlot {
@@ -56,8 +56,7 @@ type SnapshotArray = Box<[Mutex<Option<(u64, Value)>>]>;
 
 /// The IPP store. See module docs.
 pub struct TripleStore {
-    shards: Box<[RwLock<HashMap<u64, SlotId>>]>,
-    shard_mask: usize,
+    pub(crate) table: SlotTable,
     slots: Box<[Mutex<IppSlot>]>,
     dirty: [AtomicBitVec; 2],
     /// Index (0=even, 1=odd) of the array currently receiving writes.
@@ -65,24 +64,17 @@ pub struct TripleStore {
     /// Last consistent snapshot (full-IPP only): the in-memory checkpoint
     /// that retired dirty values merge into.
     snapshot: Option<SnapshotArray>,
-    high_water: AtomicUsize,
-    free_slots: Mutex<Vec<SlotId>>,
     state_mem: MemCounter,
     pingpong_mem: MemCounter,
     snapshot_mem: MemCounter,
-    record_count: AtomicUsize,
 }
 
 impl TripleStore {
     /// Creates an empty store. `with_snapshot` enables the in-memory last
     /// consistent snapshot required by full-IPP; pIPP runs without it.
     pub fn new(config: StoreConfig, with_snapshot: bool) -> Self {
-        let n_shards = config.shards.max(1).next_power_of_two();
         TripleStore {
-            shards: (0..n_shards)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            shard_mask: n_shards - 1,
+            table: SlotTable::new(config.capacity, config.shards),
             slots: (0..config.capacity).map(|_| Mutex::new(EMPTY)).collect(),
             dirty: [
                 AtomicBitVec::new(config.capacity),
@@ -92,19 +84,10 @@ impl TripleStore {
             current: AtomicBool::new(true),
             snapshot: with_snapshot
                 .then(|| (0..config.capacity).map(|_| Mutex::new(None)).collect()),
-            high_water: AtomicUsize::new(0),
-            free_slots: Mutex::new(Vec::new()),
             state_mem: MemCounter::new(),
             pingpong_mem: MemCounter::new(),
             snapshot_mem: MemCounter::new(),
-            record_count: AtomicUsize::new(0),
         }
-    }
-
-    #[inline]
-    fn shard_of(&self, key: Key) -> &RwLock<HashMap<u64, SlotId>> {
-        let h = key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
-        &self.shards[h as usize & self.shard_mask]
     }
 
     /// Index of the array currently receiving writes.
@@ -115,7 +98,7 @@ impl TripleStore {
 
     /// Current record count.
     pub fn len(&self) -> usize {
-        self.record_count.load(Ordering::Relaxed)
+        self.table.len()
     }
 
     /// Whether the store holds no records.
@@ -130,12 +113,12 @@ impl TripleStore {
 
     /// Highest allocated slot index.
     pub fn slot_high_water(&self) -> usize {
-        self.high_water.load(Ordering::Acquire)
+        self.table.high_water()
     }
 
     /// Resolves a key to its slot.
     pub fn slot_of(&self, key: Key) -> Option<SlotId> {
-        self.shard_of(key).read().get(&key.0).copied()
+        self.table.slot_of(key)
     }
 
     /// Reads the application state by slot (bulk scans; returns the key
@@ -163,51 +146,32 @@ impl TripleStore {
     /// Inserts a record: application state + current-array copy, with the
     /// dirty bit set (the record must appear in the next checkpoint).
     pub fn insert(&self, key: Key, value: &[u8]) -> Result<SlotId, StoreError> {
-        {
-            let shard = self.shard_of(key).read();
-            if shard.contains_key(&key.0) {
-                return Err(StoreError::DuplicateKey(key));
-            }
-        }
-        let slot = {
-            if let Some(s) = self.free_slots.lock().pop() {
-                s
-            } else {
-                let idx = self.high_water.fetch_add(1, Ordering::AcqRel);
-                if idx >= self.slots.len() {
-                    self.high_water.fetch_sub(1, Ordering::AcqRel);
-                    return Err(StoreError::CapacityExceeded);
-                }
-                idx as SlotId
-            }
-        };
-        let cur = self.current_array();
-        {
-            let mut g = self.slots[slot as usize].lock();
-            g.key = key.0;
-            g.in_use = true;
-            g.state = Some(value.to_vec().into_boxed_slice());
-            g.pingpong = [None, None];
-            g.pingpong[cur] = Some(value.to_vec().into_boxed_slice());
-            self.dirty[cur].set(slot as usize, true);
-            self.dirty[1 - cur].set(slot as usize, false);
-        }
-        self.state_mem.add(value.len());
-        self.pingpong_mem.add(value.len());
-        {
-            let mut shard = self.shard_of(key).write();
-            if let Some(theirs) = shard.insert(key.0, slot) {
-                shard.insert(key.0, theirs);
-                drop(shard);
-                self.discard_slot(slot);
-                return Err(StoreError::DuplicateKey(key));
-            }
-        }
-        self.record_count.fetch_add(1, Ordering::Relaxed);
-        Ok(slot)
+        self.table.insert(
+            key,
+            false,
+            |slot| self.fill(slot, key, value),
+            |slot| self.vacate(slot),
+        )
     }
 
-    fn discard_slot(&self, slot: SlotId) {
+    /// The fill step of [`SlotTable::insert`].
+    pub(crate) fn fill(&self, slot: SlotId, key: Key, value: &[u8]) {
+        let cur = self.current_array();
+        let mut g = self.slots[slot as usize].lock();
+        g.key = key.0;
+        g.in_use = true;
+        g.state = Some(value.to_vec().into_boxed_slice());
+        g.pingpong = [None, None];
+        g.pingpong[cur] = Some(value.to_vec().into_boxed_slice());
+        self.dirty[cur].set(slot as usize, true);
+        self.dirty[1 - cur].set(slot as usize, false);
+        self.state_mem.add(value.len());
+        self.pingpong_mem.add(value.len());
+    }
+
+    /// Undoes [`TripleStore::fill`] for an insert that lost the race to
+    /// publish.
+    pub(crate) fn vacate(&self, slot: SlotId) {
         let mut g = self.slots[slot as usize].lock();
         if let Some(old) = g.state.take() {
             self.state_mem.sub(old.len());
@@ -219,7 +183,6 @@ impl TripleStore {
         }
         g.in_use = false;
         g.key = 0;
-        self.free_slots.lock().push(slot);
     }
 
     /// Updates a record: writes application state **and** the current
@@ -251,16 +214,7 @@ impl TripleStore {
     /// current array with a `None` copy + dirty bit, so the deletion is
     /// propagated to the next checkpoint as a tombstone.
     pub fn delete(&self, key: Key) -> Result<Option<Value>, StoreError> {
-        let slot = {
-            let mut shard = self.shard_of(key).write();
-            match shard.remove(&key.0) {
-                Some(slot) => {
-                    self.record_count.fetch_sub(1, Ordering::Relaxed);
-                    slot
-                }
-                None => return Err(StoreError::KeyNotFound(key)),
-            }
-        };
+        let slot = self.table.unlink(key)?;
         let cur = self.current_array();
         let mut g = self.slots[slot as usize].lock();
         let undo = g.state.clone();
@@ -332,7 +286,7 @@ impl TripleStore {
             if !other_dirty {
                 g.in_use = false;
                 g.key = 0;
-                self.free_slots.lock().push(slot);
+                self.table.free(slot);
             }
         }
         Some((key, value))

@@ -15,16 +15,14 @@
 //! standing memory cost of Figure 6 and the bit-vector bookkeeping on every
 //! write (the ~4% rest overhead of §5.1.1) follow from that.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard};
 
 use calc_common::bitvec::AtomicBitVec;
 use calc_common::types::{Key, Value};
 
 use crate::dual::{StoreConfig, StoreError};
 use crate::mem::{MemCounter, MemoryStats};
+use crate::slots::SlotTable;
 use crate::SlotId;
 
 struct ZzSlot {
@@ -41,50 +39,32 @@ const EMPTY: ZzSlot = ZzSlot {
 
 /// The Zig-Zag store. See module docs.
 pub struct ZigzagStore {
-    shards: Box<[RwLock<HashMap<u64, SlotId>>]>,
-    shard_mask: usize,
+    pub(crate) table: SlotTable,
     slots: Box<[Mutex<ZzSlot>]>,
     mr: AtomicBitVec,
     mw: AtomicBitVec,
-    high_water: AtomicUsize,
-    free_slots: Mutex<Vec<SlotId>>,
-    primary_mem: MemCounter,
-    secondary_mem: MemCounter,
-    record_count: AtomicUsize,
+    /// Bytes and count of copy 0 (reported as live) and copy 1 (extra).
+    mem: [MemCounter; 2],
 }
 
 impl ZigzagStore {
     /// Creates an empty store. `MR` is initialized to zeros and `MW` to
     /// ones, as in the paper.
     pub fn new(config: StoreConfig) -> Self {
-        let n_shards = config.shards.max(1).next_power_of_two();
         let mw = AtomicBitVec::new(config.capacity);
         mw.set_all();
         ZigzagStore {
-            shards: (0..n_shards)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            shard_mask: n_shards - 1,
+            table: SlotTable::new(config.capacity, config.shards),
             slots: (0..config.capacity).map(|_| Mutex::new(EMPTY)).collect(),
             mr: AtomicBitVec::new(config.capacity),
             mw,
-            high_water: AtomicUsize::new(0),
-            free_slots: Mutex::new(Vec::new()),
-            primary_mem: MemCounter::new(),
-            secondary_mem: MemCounter::new(),
-            record_count: AtomicUsize::new(0),
+            mem: [MemCounter::new(), MemCounter::new()],
         }
-    }
-
-    #[inline]
-    fn shard_of(&self, key: Key) -> &RwLock<HashMap<u64, SlotId>> {
-        let h = key.0.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
-        &self.shards[h as usize & self.shard_mask]
     }
 
     /// Current record count.
     pub fn len(&self) -> usize {
-        self.record_count.load(Ordering::Relaxed)
+        self.table.len()
     }
 
     /// Whether the store holds no records.
@@ -99,12 +79,12 @@ impl ZigzagStore {
 
     /// Highest allocated slot index (scan bound).
     pub fn slot_high_water(&self) -> usize {
-        self.high_water.load(Ordering::Acquire)
+        self.table.high_water()
     }
 
     /// Resolves a key to its slot.
     pub fn slot_of(&self, key: Key) -> Option<SlotId> {
-        self.shard_of(key).read().get(&key.0).copied()
+        self.table.slot_of(key)
     }
 
     /// Reads `AS[key][MR[key]]` — the latest committed version.
@@ -136,67 +116,45 @@ impl ZigzagStore {
         value: &[u8],
         fresh_only: bool,
     ) -> Result<SlotId, StoreError> {
-        {
-            let shard = self.shard_of(key).read();
-            if shard.contains_key(&key.0) {
-                return Err(StoreError::DuplicateKey(key));
-            }
-        }
-        let slot = {
-            let reused = if fresh_only {
-                None
-            } else {
-                self.free_slots.lock().pop()
-            };
-            if let Some(s) = reused {
-                s
-            } else {
-                let idx = self.high_water.fetch_add(1, Ordering::AcqRel);
-                if idx >= self.slots.len() {
-                    self.high_water.fetch_sub(1, Ordering::AcqRel);
-                    return Err(StoreError::CapacityExceeded);
-                }
-                idx as SlotId
-            }
-        };
-        {
-            let mut g = self.slots[slot as usize].lock();
-            g.key = key.0;
-            g.in_use = true;
-            g.versions[0] = Some(value.to_vec().into_boxed_slice());
-            g.versions[1] = Some(value.to_vec().into_boxed_slice());
-            // Reset the bits for a reused slot: read copy 0, write copy 1.
-            self.mr.set(slot as usize, false);
-            self.mw.set(slot as usize, true);
-        }
-        self.primary_mem.add(value.len());
-        self.secondary_mem.add(value.len());
-        {
-            let mut shard = self.shard_of(key).write();
-            if let Some(theirs) = shard.insert(key.0, slot) {
-                shard.insert(key.0, theirs);
-                drop(shard);
-                self.discard_slot(slot);
-                return Err(StoreError::DuplicateKey(key));
-            }
-        }
-        self.record_count.fetch_add(1, Ordering::Relaxed);
-        Ok(slot)
+        self.table.insert(
+            key,
+            fresh_only,
+            |slot| self.fill(slot, key, value),
+            |slot| self.vacate(slot),
+        )
     }
 
-    fn discard_slot(&self, slot: SlotId) {
+    /// The fill step of [`SlotTable::insert`].
+    pub(crate) fn fill(&self, slot: SlotId, key: Key, value: &[u8]) {
         let mut g = self.slots[slot as usize].lock();
-        for v in g.versions.iter_mut() {
-            if let Some(old) = v.take() {
-                // Which counter it came from is ambiguous here; both copies
-                // are same-sized so split evenly.
-                self.primary_mem.sub(old.len() / 2 + old.len() % 2);
-                self.secondary_mem.sub(old.len() / 2);
+        g.key = key.0;
+        g.in_use = true;
+        for (version, mem) in g.versions.iter_mut().zip(&self.mem) {
+            *version = Some(value.to_vec().into_boxed_slice());
+            mem.add(value.len());
+        }
+        // Reset the bits for a reused slot: read copy 0, write copy 1.
+        self.mr.set(slot as usize, false);
+        self.mw.set(slot as usize, true);
+    }
+
+    /// Undoes [`ZigzagStore::fill`] for an insert that lost the race to
+    /// publish.
+    pub(crate) fn vacate(&self, slot: SlotId) {
+        self.clear(&mut self.slots[slot as usize].lock());
+    }
+
+    /// Empties a slot: drops whichever copies it still holds, each from
+    /// its own counter, and marks it vacant. Handing the slot back to the
+    /// table is the caller's job.
+    fn clear(&self, g: &mut ZzSlot) {
+        for (version, mem) in g.versions.iter_mut().zip(&self.mem) {
+            if let Some(old) = version.take() {
+                mem.sub(old.len());
             }
         }
         g.in_use = false;
         g.key = 0;
-        self.free_slots.lock().push(slot);
     }
 
     /// Updates a record: writes `AS[key][MW[key]]`, then sets
@@ -211,10 +169,9 @@ impl ZigzagStore {
         let w = self.mw.get(slot as usize) as usize;
         let undo = g.versions[r].clone();
         let new = value.to_vec().into_boxed_slice();
-        let counter = if w == 0 { &self.primary_mem } else { &self.secondary_mem };
-        counter.add(new.len());
+        self.mem[w].add(new.len());
         if let Some(old) = g.versions[w].replace(new) {
-            counter.sub(old.len());
+            self.mem[w].sub(old.len());
         }
         self.mr.set(slot as usize, w == 1);
         Ok(undo)
@@ -225,36 +182,21 @@ impl ZigzagStore {
     /// left for [`ZigzagStore::reclaim_after_capture`]. At rest both copies
     /// are cleared and the slot is reclaimed immediately.
     pub fn delete(&self, key: Key, checkpoint_active: bool) -> Result<Option<Value>, StoreError> {
-        let slot = self.unlink(key)?;
+        let slot = self.table.unlink(key)?;
         let mut g = self.slots[slot as usize].lock();
         let r = self.mr.get(slot as usize) as usize;
         let w = self.mw.get(slot as usize) as usize;
         let undo = g.versions[r].clone();
-        let counter = |i: usize| if i == 0 { &self.primary_mem } else { &self.secondary_mem };
-        if let Some(old) = g.versions[w].take() {
-            counter(w).sub(old.len());
-        }
         self.mr.set(slot as usize, w == 1);
-        if !checkpoint_active {
-            if let Some(old) = g.versions[1 - w].take() {
-                counter(1 - w).sub(old.len());
+        if checkpoint_active {
+            if let Some(old) = g.versions[w].take() {
+                self.mem[w].sub(old.len());
             }
-            g.in_use = false;
-            g.key = 0;
-            self.free_slots.lock().push(slot);
+        } else {
+            self.clear(&mut g);
+            self.table.free(slot);
         }
         Ok(undo)
-    }
-
-    fn unlink(&self, key: Key) -> Result<SlotId, StoreError> {
-        let mut shard = self.shard_of(key).write();
-        match shard.remove(&key.0) {
-            Some(slot) => {
-                self.record_count.fetch_sub(1, Ordering::Relaxed);
-                Ok(slot)
-            }
-            None => Err(StoreError::KeyNotFound(key)),
-        }
     }
 
     /// Begins a checkpoint at a physical point of consistency (the caller
@@ -285,21 +227,8 @@ impl ZigzagStore {
         }
         let r = self.mr.get(slot as usize) as usize;
         if g.versions[r].is_none() {
-            let counter = |i: usize| {
-                if i == 0 {
-                    &self.primary_mem
-                } else {
-                    &self.secondary_mem
-                }
-            };
-            for i in 0..2 {
-                if let Some(old) = g.versions[i].take() {
-                    counter(i).sub(old.len());
-                }
-            }
-            g.in_use = false;
-            g.key = 0;
-            self.free_slots.lock().push(slot);
+            self.clear(&mut g);
+            self.table.free(slot);
         }
     }
 
@@ -312,10 +241,10 @@ impl ZigzagStore {
     /// line of Figure 6.
     pub fn memory(&self) -> MemoryStats {
         MemoryStats {
-            live_bytes: self.primary_mem.bytes(),
-            live_count: self.primary_mem.count(),
-            extra_bytes: self.secondary_mem.bytes(),
-            extra_count: self.secondary_mem.count(),
+            live_bytes: self.mem[0].bytes(),
+            live_count: self.mem[0].count(),
+            extra_bytes: self.mem[1].bytes(),
+            extra_count: self.mem[1].count(),
             overhead_bytes: self.mr.heap_bytes() + self.mw.heap_bytes(),
         }
     }
