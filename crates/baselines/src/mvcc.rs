@@ -447,19 +447,17 @@ impl std::fmt::Debug for MvccStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use calc_common::types::TxnId;
     use calc_core::strategy::NoopEnv;
     use calc_core::throttle::Throttle;
-    use calc_txn::proc::ProcId;
 
     fn setup() -> (MvccStrategy, Arc<CommitLog>) {
-        let log = Arc::new(CommitLog::new(false));
+        let log = Arc::new(CommitLog::default());
         let s = MvccStrategy::new(StoreConfig::for_records(256, 32), log.clone());
         (s, log)
     }
 
     fn commit(s: &MvccStrategy, log: &CommitLog, token: &mut TxnToken) -> CommitSeq {
-        let (seq, stamp) = log.append_commit(TxnId(0), ProcId(0), Arc::from(&b""[..]));
+        let (seq, stamp) = log.append_commit();
         s.on_commit(token, seq, stamp);
         seq
     }
@@ -611,8 +609,7 @@ mod tests {
                         let mut tok = s.txn_begin();
                         let val = t * 1_000_000 + i;
                         s.apply_write(&mut tok, Key(k), &val.to_le_bytes()).unwrap();
-                        let (seq, stamp) =
-                            log.append_commit(TxnId(val), ProcId(0), Arc::from(&b""[..]));
+                        let (seq, stamp) = log.append_commit();
                         s.on_commit(&mut tok, seq, stamp);
                         journal.lock().push((seq, k, val));
                         drop(guard);

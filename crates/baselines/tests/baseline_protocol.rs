@@ -19,7 +19,7 @@ use parking_lot::RwLock;
 
 use calc_baselines::{FuzzyStrategy, IppStrategy, NaiveStrategy, ZigzagStrategy};
 use calc_common::rng::SplitMix;
-use calc_common::types::{CommitSeq, Key, TxnId, Value};
+use calc_common::types::{CommitSeq, Key, Value};
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::merge::{apply_entry, materialize_chain};
@@ -28,7 +28,6 @@ use calc_core::throttle::Throttle;
 use calc_storage::dual::StoreConfig;
 use calc_txn::commitlog::CommitLog;
 use calc_txn::locks::{LockManager, LockMode};
-use calc_txn::proc::ProcId;
 
 /// Test engine env: an admission RwLock. Workers hold read access per
 /// transaction; `quiesced` takes write access (blocking new transactions
@@ -72,7 +71,7 @@ struct Harness {
 }
 
 fn build(make: impl FnOnce(StoreConfig, Arc<CommitLog>) -> Arc<dyn CheckpointStrategy>, n_keys: u64) -> Harness {
-    let log = Arc::new(CommitLog::new(false));
+    let log = Arc::new(CommitLog::default());
     // Generous slot headroom: IPP (always) and Zig-Zag (during capture)
     // retain a deleted record's slot until the next checkpoint consumes
     // its dirty bit, so insert/delete churn needs O(deletes per
@@ -154,9 +153,7 @@ fn run_txn(h: &Harness, rng: &mut SplitMix, thread: u64, iter: u64, key_space: u
         undo.reverse();
         h.strategy.on_abort(&mut token, &undo);
     } else {
-        let (seq, stamp) =
-            h.log
-                .append_commit(TxnId(thread * 1_000_000 + iter), ProcId(0), Arc::from(&b""[..]));
+        let (seq, stamp) = h.log.append_commit();
         h.strategy.on_commit(&mut token, seq, stamp);
         h.journal.lock().push((seq, ops));
     }
@@ -337,7 +334,7 @@ fn fuzzy_full_weak_guarantees() {
 
 #[test]
 fn fuzzy_reports_not_transaction_consistent() {
-    let log = Arc::new(CommitLog::new(false));
+    let log = Arc::new(CommitLog::default());
     let f = FuzzyStrategy::partial(StoreConfig::for_records(16, 16), log);
     assert!(!f.transaction_consistent());
 }

@@ -4,14 +4,13 @@
 
 use std::sync::Arc;
 
-use calc_common::types::{Key, TxnId};
+use calc_common::types::Key;
 use calc_core::calc::CalcStrategy;
 use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::{CheckpointStrategy, NoopEnv};
 use calc_core::throttle::Throttle;
 use calc_storage::dual::StoreConfig;
 use calc_txn::commitlog::CommitLog;
-use calc_txn::proc::ProcId;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 const N: u64 = 200_000;
@@ -23,7 +22,7 @@ fn dir(name: &str) -> CheckpointDir {
 }
 
 fn make(partial: bool) -> (CalcStrategy, Arc<CommitLog>) {
-    let log = Arc::new(CommitLog::new(false));
+    let log = Arc::new(CommitLog::default());
     let s = if partial {
         CalcStrategy::partial(StoreConfig::for_records(N as usize + 16, 128), log.clone())
     } else {
@@ -43,7 +42,7 @@ fn touch(s: &CalcStrategy, log: &CommitLog, frac: f64) {
     for k in 0..n {
         s.apply_write(&mut token, Key(k), &payload).unwrap();
     }
-    let (seq, stamp) = log.append_commit(TxnId(0), ProcId(0), Arc::from(&b""[..]));
+    let (seq, stamp) = log.append_commit();
     s.on_commit(&mut token, seq, stamp);
     s.txn_end(token);
 }

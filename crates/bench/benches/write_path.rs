@@ -28,7 +28,7 @@ fn populate(s: &dyn CheckpointStrategy) {
 fn bench_rest(c: &mut Criterion) {
     let mut g = c.benchmark_group("apply_write_at_rest");
     g.throughput(Throughput::Elements(1));
-    let log = || Arc::new(CommitLog::new(false));
+    let log = || Arc::new(CommitLog::default());
     let config = || StoreConfig::for_records(N as usize + 16, 128);
     let strategies: Vec<(&str, Arc<dyn CheckpointStrategy>)> = vec![
         ("CALC", Arc::new(CalcStrategy::full(config(), log()))),
@@ -63,7 +63,7 @@ fn bench_during_checkpoint_window(c: &mut Criterion) {
     // batch by cycling keys).
     let mut g = c.benchmark_group("apply_write_in_window");
     g.throughput(Throughput::Elements(1));
-    let log = Arc::new(CommitLog::new(false));
+    let log = Arc::new(CommitLog::default());
     let calc = CalcStrategy::full(StoreConfig::for_records(N as usize + 16, 128), log.clone());
     populate(&calc);
     log.append_phase_transition(Phase::Prepare);

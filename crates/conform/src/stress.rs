@@ -179,7 +179,7 @@ fn run_inner(spec: &StressSpec, armed: Option<Mutation>) -> Result<ConformReport
     };
     config.workers = 4;
     config.executor_mode = spec.executor;
-    let base_checkpoint = config.base_checkpoint;
+    let base_checkpoint = config.strategy.is_partial();
     config.recorder = Some(recorder.clone());
     let db = Database::open(config, registry).expect("open database");
 

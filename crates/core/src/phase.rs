@@ -122,7 +122,7 @@ mod tests {
     use std::sync::atomic::AtomicBool;
 
     fn controller() -> PhaseController {
-        PhaseController::new(Arc::new(CommitLog::new(false)))
+        PhaseController::new(Arc::new(CommitLog::default()))
     }
 
     #[test]

@@ -16,9 +16,11 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
+use calc_common::phase::Phase;
 use calc_common::rng::SplitMix;
-use calc_common::types::{CommitSeq, Key, TxnId, Value};
+use calc_common::types::{CommitSeq, Key, Value};
 use calc_core::calc::CalcStrategy;
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
@@ -28,7 +30,6 @@ use calc_core::throttle::Throttle;
 use calc_storage::dual::StoreConfig;
 use calc_txn::commitlog::CommitLog;
 use calc_txn::locks::{LockManager, LockMode};
-use calc_txn::proc::ProcId;
 
 /// One journaled committed operation.
 #[derive(Clone, Debug)]
@@ -103,7 +104,7 @@ struct Harness {
 }
 
 fn build(partial: bool, n_keys: u64) -> Harness {
-    let log = Arc::new(CommitLog::new(false));
+    let log = Arc::new(CommitLog::default());
     let config = StoreConfig::for_records((n_keys as usize) * 4, 32);
     let strategy = Arc::new(if partial {
         CalcStrategy::partial(config, log.clone())
@@ -198,9 +199,7 @@ fn run_txn(
         undo.reverse();
         h.strategy.on_abort(&mut token, &undo);
     } else {
-        let (seq, stamp) = h
-            .log
-            .append_commit(TxnId(thread * 1_000_000 + iter), ProcId(0), Arc::from(&b""[..]));
+        let (seq, stamp) = h.log.append_commit();
         h.strategy.on_commit(&mut token, seq, stamp);
         h.journal.entries.lock().push((seq, ops));
     }
@@ -241,13 +240,23 @@ fn stress(
         })
         .collect();
 
-    let mut stats = Vec::new();
-    for _ in 0..checkpoints {
-        std::thread::sleep(std::time::Duration::from_millis(30));
-        stats.push(h.strategy.checkpoint(&NoopEnv, &dir).unwrap());
-    }
+    // The cycles run on their own thread so that every wait of this test
+    // has a deadline: a wedged drain fails with the protocol's state
+    // instead of hanging the suite.
+    let checkpointer = {
+        let (h, dir) = (h.clone(), dir.clone());
+        std::thread::spawn(move || {
+            for _ in 0..checkpoints {
+                std::thread::sleep(Duration::from_millis(30));
+                h.strategy.checkpoint(&NoopEnv, &dir).unwrap();
+            }
+        })
+    };
+    wait_until(&h, "the checkpoint cycles finish", || checkpointer.is_finished());
+    checkpointer.join().unwrap();
     stop.store(true, Ordering::Relaxed);
     for w in workers {
+        wait_until(&h, "a worker exits", || w.is_finished());
         w.join().unwrap();
     }
 
@@ -375,9 +384,7 @@ fn consecutive_checkpoints_remain_consistent() {
                 .apply_write(&mut token, Key(k), &v)
                 .unwrap();
         }
-        let (seq, stamp) = h
-            .log
-            .append_commit(TxnId(round), ProcId(0), Arc::from(&b""[..]));
+        let (seq, stamp) = h.log.append_commit();
         h.strategy.on_commit(&mut token, seq, stamp);
         h.strategy.txn_end(token);
 
@@ -399,15 +406,35 @@ fn consecutive_checkpoints_remain_consistent() {
     }
 }
 
-/// Spins until the commit log reports `phase`, panicking after ~10s.
-fn spin_until_phase(log: &CommitLog, phase: calc_common::phase::Phase) {
-    for _ in 0..1_000_000 {
-        if log.current_stamp().phase == phase {
-            return;
+/// How long any wait in this file may last. Generous: the point is to
+/// fail with a diagnosis under CPU contention, not to time the protocol.
+const WAIT_DEADLINE: Duration = Duration::from_secs(120);
+
+/// Polls `cond` until it holds; past the deadline, panics with the
+/// published stamp and how many transactions are still registered under
+/// each phase — what a wedged drain looks like from outside.
+fn wait_until(h: &Harness, what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + WAIT_DEADLINE;
+    while !cond() {
+        if Instant::now() >= deadline {
+            let phases = h.strategy.phases();
+            let active: Vec<String> = Phase::ALL
+                .iter()
+                .map(|&p| format!("{p}={}", phases.active_in(p)))
+                .collect();
+            panic!(
+                "waited {WAIT_DEADLINE:?} until {what}: stamp {}, active_in [{}]",
+                h.log.current_stamp(),
+                active.join(" ")
+            );
         }
-        std::thread::yield_now();
+        std::thread::sleep(Duration::from_micros(200));
     }
-    panic!("phase {phase:?} never reached");
+}
+
+/// Waits until the commit log reports `phase`.
+fn spin_until_phase(h: &Harness, phase: Phase) {
+    wait_until(h, &format!("phase {phase}"), || h.log.current_stamp().phase == phase);
 }
 
 /// Regression: a PREPARE-started transaction that inserts a key and then
@@ -420,7 +447,6 @@ fn spin_until_phase(log: &CommitLog, phase: calc_common::phase::Phase) {
 /// (pCALC ghost record under checkpoint contention); affects full CALC
 /// identically.
 fn self_insert_preimage_case(partial: bool) {
-    use calc_common::phase::Phase;
     let h = Arc::new(build(partial, 4));
     let dir = Arc::new(dirs(if partial { "selfins-p" } else { "selfins-f" }));
     if partial {
@@ -435,7 +461,7 @@ fn self_insert_preimage_case(partial: bool) {
     let checkpointer =
         std::thread::spawn(move || hc.strategy.checkpoint(&NoopEnv, &dc).unwrap().watermark);
 
-    spin_until_phase(&h.log, Phase::Prepare);
+    spin_until_phase(&h, Phase::Prepare);
     let mut t1 = h.strategy.txn_begin();
     assert_eq!(t1.stamp.phase, Phase::Prepare);
     assert!(h.strategy.apply_insert(&mut t1, ghost, b"own-insert").unwrap());
@@ -444,10 +470,8 @@ fn self_insert_preimage_case(partial: bool) {
     // Release the PREPARE drain; the checkpointer takes the point of
     // consistency and then blocks in the RESOLVE drain on t1.
     h.strategy.txn_end(t0);
-    spin_until_phase(&h.log, Phase::Resolve);
-    let (seq, stamp) = h
-        .log
-        .append_commit(TxnId(0xBAD), ProcId(0), Arc::from(&b""[..]));
+    spin_until_phase(&h, Phase::Resolve);
+    let (seq, stamp) = h.log.append_commit();
     assert_eq!(stamp.phase, Phase::Resolve);
     h.strategy.on_commit(&mut t1, seq, stamp);
     h.strategy.txn_end(t1);
@@ -489,7 +513,6 @@ fn partial_checkpoint_excludes_self_inserted_preimage() {
 /// whose watermark covered its commit. Found by the conformance harness
 /// (TPC-C order rows missing from full CALC checkpoints).
 fn complete_started_insert_case(partial: bool) {
-    use calc_common::phase::Phase;
     let h = Arc::new(build(partial, 4));
     let dir = Arc::new(dirs(if partial { "lateins-p" } else { "lateins-f" }));
     if partial {
@@ -502,13 +525,13 @@ fn complete_started_insert_case(partial: bool) {
     let checkpointer =
         std::thread::spawn(move || hc.strategy.checkpoint(&NoopEnv, &dc).unwrap().watermark);
 
-    spin_until_phase(&h.log, Phase::Prepare);
+    spin_until_phase(&h, Phase::Prepare);
     let t1 = h.strategy.txn_begin(); // Prepare-started: holds the RESOLVE drain
     h.strategy.txn_end(t0);
-    spin_until_phase(&h.log, Phase::Resolve);
+    spin_until_phase(&h, Phase::Resolve);
     let t2 = h.strategy.txn_begin(); // Resolve-started: holds the COMPLETE drain
     h.strategy.txn_end(t1);
-    spin_until_phase(&h.log, Phase::Complete);
+    spin_until_phase(&h, Phase::Complete);
 
     // The polarity swap (full) / cleanup (partial) cannot run until t2
     // ends, so this insert deterministically lands inside the COMPLETE
@@ -516,9 +539,7 @@ fn complete_started_insert_case(partial: bool) {
     let mut t3 = h.strategy.txn_begin();
     assert_eq!(t3.stamp.phase, Phase::Complete);
     assert!(h.strategy.apply_insert(&mut t3, key, b"late-insert").unwrap());
-    let (seq, stamp) = h
-        .log
-        .append_commit(TxnId(0x1A7E), ProcId(0), Arc::from(&b""[..]));
+    let (seq, stamp) = h.log.append_commit();
     assert_eq!(stamp.phase, Phase::Complete);
     h.strategy.on_commit(&mut t3, seq, stamp);
     h.strategy.txn_end(t3);

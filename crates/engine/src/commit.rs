@@ -50,33 +50,28 @@ pub(crate) fn run_transaction(
     let (outcome, ticket) = match (result, failed) {
         (Ok(()), None) => {
             let txn_id = TxnId(inner.txn_counter.fetch_add(1, Ordering::Relaxed));
-            // Sequence assignment and the durable-log enqueue must be one
-            // atomic step: otherwise two workers can hand the sync thread
-            // records out of seq order, and deterministic replay (which
-            // consumes the log front to back) would reorder commits. The
-            // enqueue never blocks on the disk, so holding the lock across
-            // it costs a channel send, not an fsync.
-            let (seq, stamp, ticket) = {
-                let cmdlog = inner.cmdlog.lock();
-                let (seq, stamp) = inner
-                    .log
-                    .append_commit(txn_id, req.proc, req.params.clone());
-                let ticket = cmdlog.as_ref().map(|gc| {
-                    let rec = CommitRecord {
-                        seq,
-                        txn: txn_id,
-                        proc: req.proc,
-                        params: req.params.clone(),
-                    };
-                    if req.durable {
-                        Some(gc.submit_durable(rec))
-                    } else {
-                        gc.submit(rec);
-                        None
-                    }
-                });
-                (seq, stamp, ticket.flatten())
-            };
+            // Sequence assignment, the stamp read and the durable-log
+            // enqueue are one atomic step — the commit log's section, the
+            // only lock on this path: otherwise two workers can hand the
+            // sync thread records out of seq order, and deterministic
+            // replay (which consumes the log front to back) would reorder
+            // commits. The enqueue never blocks on the disk, so the section
+            // costs a channel send, not an fsync.
+            let (seq, stamp, ticket) = inner.log.append_commit_with(|seq, _| {
+                let gc = inner.cmdlog.as_ref()?;
+                let rec = CommitRecord {
+                    seq,
+                    txn: txn_id,
+                    proc: req.proc,
+                    params: req.params.clone(),
+                };
+                if req.durable {
+                    Some(gc.submit_durable(rec))
+                } else {
+                    gc.submit(rec);
+                    None
+                }
+            });
             inner.strategy.on_commit(&mut token, seq, stamp);
             #[cfg(feature = "conform")]
             if let Some(rec) = inner.recorder.as_ref() {

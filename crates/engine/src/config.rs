@@ -240,9 +240,6 @@ pub struct EngineConfig {
     /// pre-parts single-writer pipeline (files still go through the
     /// manifest format, just with one part).
     pub checkpoint_threads: usize,
-    /// Write a full base checkpoint right after initial load (needed by
-    /// partial strategies so the recovery chain has a full ancestor).
-    pub base_checkpoint: bool,
     /// Collapse partial checkpoints in a background thread after every N
     /// partials (`None` disables; Figure 4 sweeps 4/8/16).
     pub merge_batch: Option<usize>,
@@ -339,7 +336,6 @@ impl EngineConfig {
             checkpoint_dir: dir,
             disk_bytes_per_sec: 0,
             checkpoint_threads,
-            base_checkpoint: strategy.is_partial(),
             merge_batch: None,
             checkpoint_interval: None,
             checkpoint_tuning: ServiceTuning::default(),
@@ -386,7 +382,7 @@ mod tests {
 
     #[test]
     fn build_produces_matching_names() {
-        let log = Arc::new(CommitLog::new(false));
+        let log = Arc::new(CommitLog::default());
         for k in StrategyKind::ALL_CHECKPOINTING {
             let s = k.build(StoreConfig::for_records(16, 16), log.clone());
             assert_eq!(s.name(), k.name(), "strategy name mismatch for {k:?}");

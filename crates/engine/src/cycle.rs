@@ -6,8 +6,6 @@ use std::io;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use calc_core::merge::collapse;
 use calc_core::strategy::CheckpointStats;
 use calc_recovery::{truncate_segments_below, TruncateStats};
@@ -15,32 +13,21 @@ use calc_recovery::{truncate_segments_below, TruncateStats};
 use crate::db::Inner;
 use crate::metrics::Metric;
 
-/// Slot for the ENOSPC emergency-retention trigger. The group-commit
-/// read-only observer captures it before `Inner` exists; boot fills it
-/// in ([`arm_emergency_retention`]) once the engine is constructed.
-pub(crate) type RetentionTrigger = Arc<Mutex<Option<Box<dyn Fn() + Send + Sync>>>>;
-
-/// Arms the emergency-retention trigger: ENOSPC on the command log kicks
-/// a detached retention pass (prune superseded chains, truncate covered
-/// segments) to free space inside the committer's heal window. Holds only
-/// a Weak ref so shutdown is never pinned.
-pub(crate) fn arm_emergency_retention(inner: &Arc<Inner>, slot: &RetentionTrigger) {
-    let weak = Arc::downgrade(inner);
-    *slot.lock() = Some(Box::new(move || {
-        if let Some(inner) = weak.upgrade() {
-            let _ = std::thread::Builder::new()
-                .name("calc-emergency-retention".into())
-                .spawn(move || {
-                    // Serialize against checkpoint-cycle retention.
-                    let _serial = inner.checkpoint_serial.lock();
-                    inner.health.add(Metric::emergency_retention_passes, 1);
-                    inner.run_retention();
-                });
-        }
-    }));
-}
-
 impl Inner {
+    /// ENOSPC on the command log kicks a detached retention pass (prune
+    /// superseded chains, truncate covered segments) to free space inside
+    /// the committer's heal window.
+    pub(crate) fn spawn_emergency_retention(self: Arc<Self>) {
+        let _ = std::thread::Builder::new()
+            .name("calc-emergency-retention".into())
+            .spawn(move || {
+                // Serialize against checkpoint-cycle retention.
+                let _serial = self.checkpoint_serial.lock();
+                self.health.add(Metric::emergency_retention_passes, 1);
+                self.run_retention();
+            });
+    }
+
     /// One checkpoint cycle: run the strategy's capture, and on success
     /// trigger (or retry) the background merge. Health accounting lives
     /// in the callers (`Database::checkpoint_now` and the service
@@ -86,7 +73,11 @@ impl Inner {
                 }
             })
             .expect("spawn merger");
-        self.mergers.lock().push(handle);
+        // Reap as we go: a long-running server merges forever, and only
+        // shutdown joins what is left here.
+        let mut mergers = self.mergers.lock();
+        mergers.retain(|h| !h.is_finished());
+        mergers.push(handle);
     }
 
     /// Post-cycle retention: prune superseded checkpoint chains down to

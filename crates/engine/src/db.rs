@@ -6,7 +6,7 @@
 
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Sender};
@@ -27,7 +27,6 @@ use calc_txn::proc::{AbortReason, ProcId, ProcRegistry};
 use calc_txn::route::ShardRouter;
 
 use crate::config::{EngineConfig, ExecutorMode, StrategyKind};
-use crate::cycle::{arm_emergency_retention, RetentionTrigger};
 use crate::executor::{join_bounded, Executor, Reply, Request, SHUTDOWN_JOIN_TIMEOUT};
 use crate::metrics::{Health, Metric, MetricList, MetricValue, Metrics};
 use crate::service::{classify, CheckpointService};
@@ -66,14 +65,16 @@ pub(crate) struct Inner {
     pub(crate) txn_counter: AtomicU64,
     pub(crate) checkpoint_serial: Mutex<()>,
     pub(crate) merge_serial: Arc<Mutex<()>>,
-    /// In-flight background merger threads, joined before the database is
-    /// dropped so no merge races a post-run inspection of the checkpoint
-    /// directory.
+    /// In-flight background merger threads (finished ones are reaped at
+    /// the next spawn), joined before the database is dropped so no merge
+    /// races a post-run inspection of the checkpoint directory.
     pub(crate) mergers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Durable command log behind a group-commit sync thread (None when
-    /// command logging is off). Taken (dropped) at shutdown so the sync
-    /// thread drains the queue and performs the final fsync.
-    pub(crate) cmdlog: Mutex<Option<GroupCommitter>>,
+    /// command logging is off). Fixed at boot and closed at shutdown (the
+    /// sync thread drains the queue and performs the final fsync); commits
+    /// enqueue on it from inside the commit log's section, so it needs no
+    /// lock of its own.
+    pub(crate) cmdlog: Option<GroupCommitter>,
     pub(crate) partials_since_merge: AtomicU64,
     pub(crate) merge_batch: Option<usize>,
     /// Checkpointer health, shared with the service daemon and observers.
@@ -117,9 +118,7 @@ impl Database {
     /// Populate with [`Database::load_initial`] then call
     /// [`Database::finalize_load`] before submitting transactions.
     pub fn open(config: EngineConfig, registry: ProcRegistry) -> io::Result<Self> {
-        // No in-memory retention: the command log recovery replays is
-        // the durable one under `command_log_dir`.
-        let log = Arc::new(CommitLog::new(false));
+        let log = Arc::new(CommitLog::default());
         let strategy = config.strategy.build(config.store.clone(), log.clone());
         Self::boot(config, registry, strategy, log, false)
     }
@@ -184,59 +183,60 @@ impl Database {
             config.checkpoint_tuning.degraded_after,
             config.checkpoint_tuning.watchdog,
         ));
-        // The read-only observer fires from the sync thread before `Inner`
-        // exists, so the emergency-retention trigger goes through a slot
-        // filled in after construction.
-        let retention_trigger: RetentionTrigger = Arc::new(Mutex::new(None));
-        let cmdlog = backend.map(|b| {
-            let observer_health = health.clone();
-            let ro_health = health.clone();
-            let ro_trigger = retention_trigger.clone();
-            GroupCommitter::start_with(
-                Box::new(b),
-                GroupCommitConfig {
-                    window: config.group_commit_window,
-                    max_batch: config.group_commit_max_batch.max(1),
-                    ..GroupCommitConfig::default()
-                },
-                Some(Box::new(move |records, dwell, fsync| {
-                    observer_health.record_commit_batch(records as u64, dwell, fsync);
-                })),
-                Some(Box::new(move |entering| {
-                    ro_health.set_log_read_only(entering);
-                    if entering {
-                        if let Some(trigger) = ro_trigger.lock().as_ref() {
-                            trigger();
+        // The committer's observers run on its sync thread: the batch
+        // observer feeds `Health`, the read-only observer also kicks the
+        // emergency retention pass — through a `Weak`, so the sync thread
+        // never pins the engine it belongs to.
+        let inner = Arc::new_cyclic(|weak: &Weak<Inner>| {
+            let cmdlog = backend.map(|b| {
+                let observer_health = health.clone();
+                let ro_health = health.clone();
+                let ro_inner = weak.clone();
+                GroupCommitter::start_with(
+                    Box::new(b),
+                    GroupCommitConfig {
+                        window: config.group_commit_window,
+                        max_batch: config.group_commit_max_batch.max(1),
+                        ..GroupCommitConfig::default()
+                    },
+                    Some(Box::new(move |records, dwell, fsync| {
+                        observer_health.record_commit_batch(records as u64, dwell, fsync);
+                    })),
+                    Some(Box::new(move |entering| {
+                        ro_health.set_log_read_only(entering);
+                        if entering {
+                            if let Some(inner) = ro_inner.upgrade() {
+                                inner.spawn_emergency_retention();
+                            }
                         }
-                    }
-                })),
-            )
+                    })),
+                )
+            });
+            Inner {
+                strategy,
+                log,
+                locks: LockManager::new(1024),
+                registry,
+                gate: RwLock::new(()),
+                dir,
+                metrics: Arc::new(Metrics::new()),
+                load,
+                txn_counter: AtomicU64::new(1),
+                checkpoint_serial: Mutex::new(()),
+                merge_serial: Arc::new(Mutex::new(())),
+                mergers: Mutex::new(Vec::new()),
+                cmdlog,
+                partials_since_merge: AtomicU64::new(0),
+                merge_batch: config.merge_batch,
+                health,
+                merge_retry_pending: AtomicBool::new(false),
+                command_log_dir: config.command_log_dir.clone(),
+                keep_checkpoints: config.keep_checkpoints,
+                kind: config.strategy,
+                #[cfg(feature = "conform")]
+                recorder: config.recorder.clone(),
+            }
         });
-        let inner = Arc::new(Inner {
-            strategy,
-            log,
-            locks: LockManager::new(1024),
-            registry,
-            gate: RwLock::new(()),
-            dir,
-            metrics: Arc::new(Metrics::new()),
-            load,
-            txn_counter: AtomicU64::new(1),
-            checkpoint_serial: Mutex::new(()),
-            merge_serial: Arc::new(Mutex::new(())),
-            mergers: Mutex::new(Vec::new()),
-            cmdlog: Mutex::new(cmdlog),
-            partials_since_merge: AtomicU64::new(0),
-            merge_batch: config.merge_batch,
-            health,
-            merge_retry_pending: AtomicBool::new(false),
-            command_log_dir: config.command_log_dir.clone(),
-            keep_checkpoints: config.keep_checkpoints,
-            kind: config.strategy,
-            #[cfg(feature = "conform")]
-            recorder: config.recorder.clone(),
-        });
-        arm_emergency_retention(&inner, &retention_trigger);
 
         let service = config.checkpoint_interval.map(|interval| {
             let cycle_inner = inner.clone();
@@ -265,8 +265,9 @@ impl Database {
         self.inner.strategy.load_initial(key, value)
     }
 
-    /// Finishes initial load: writes the base full checkpoint when the
-    /// configuration asks for one.
+    /// Finishes initial load: writes the base full checkpoint when asked
+    /// to (partial strategies need one, so the recovery chain has a full
+    /// ancestor).
     pub fn finalize_load(&self, base_checkpoint: bool) -> io::Result<Option<CheckpointStats>> {
         if base_checkpoint {
             Ok(Some(self.inner.strategy.write_base_checkpoint(&self.inner.dir)?))
@@ -440,8 +441,7 @@ impl Database {
     /// while an emergency retention pass tries to free space. Callers
     /// should reject writes (reads stay fine) until this clears.
     pub fn log_read_only(&self) -> bool {
-        // Mirrored into `Health` by the committer's read-only observer:
-        // no trip through the commit path's `cmdlog` mutex.
+        // Mirrored into `Health` by the committer's read-only observer.
         self.inner.health.get(Metric::log_read_only) != 0
     }
 
@@ -556,10 +556,12 @@ impl Database {
         for h in self.inner.mergers.lock().drain(..) {
             join_bounded(h, "merger");
         }
-        // Drop the group committer last: its Drop closes the channel, the
-        // sync thread drains the remaining queue and performs the final
-        // batch fsync, so the on-disk log is complete when drop returns.
-        drop(self.inner.cmdlog.lock().take());
+        // Close the group committer last: the sync thread drains the
+        // remaining queue and performs the final batch fsync, so the
+        // on-disk log is complete when this returns.
+        if let Some(gc) = &self.inner.cmdlog {
+            gc.close();
+        }
     }
 
     /// Forces an fsync of the durable command log: sends a flush request
@@ -573,16 +575,13 @@ impl Database {
     /// is intact, so the caller (not this method) decides whether that
     /// is fatal.
     pub fn sync_command_log(&self) -> Result<(), SyncError> {
-        // Enqueue the flush under the lock (ordered against in-flight
-        // commit enqueues), wait on the ticket outside it.
-        let ticket = {
-            let guard = self.inner.cmdlog.lock();
-            match guard.as_ref() {
-                Some(gc) => gc.flush(),
-                None => return Ok(()),
-            }
+        let Some(gc) = &self.inner.cmdlog else {
+            return Ok(());
         };
-        ticket.wait(SHUTDOWN_JOIN_TIMEOUT)
+        // The committer's queue is FIFO and a commit is enqueued before its
+        // `execute` returns, so a plain flush is behind every commit the
+        // caller can know about — it needs no turn in the commit section.
+        gc.flush().wait(SHUTDOWN_JOIN_TIMEOUT)
     }
 }
 
@@ -608,6 +607,32 @@ impl std::fmt::Debug for Database {
 mod tests {
     use super::*;
     use calc_testkit::{registry, set_u64, SET};
+
+    #[test]
+    fn finished_mergers_are_reaped_not_accumulated() {
+        let mut config = EngineConfig::new(
+            StrategyKind::PCalc,
+            256,
+            16,
+            calc_testkit::temp_dir("merger-reap"),
+        );
+        config.workers = 1;
+        config.merge_batch = Some(1);
+        let db = Database::open(config, registry()).unwrap();
+        db.load_initial(Key(0), &0u64.to_le_bytes()).unwrap();
+        db.finalize_load(true).unwrap();
+        for round in 0..8u64 {
+            db.execute(SET, set_u64(0, round));
+            db.checkpoint_now().unwrap();
+            // Every cycle spawned a merger; let it finish before the next.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !db.inner.mergers.lock().iter().all(|h| h.is_finished()) {
+                assert!(Instant::now() < deadline, "merger {round} never finished");
+                std::thread::yield_now();
+            }
+            assert_eq!(db.inner.mergers.lock().len(), 1, "handles pile up (round {round})");
+        }
+    }
 
     #[test]
     fn failed_background_merge_is_reported_and_retried() {

@@ -19,9 +19,12 @@
 //!   owners ([`Isolation::Cross`]) goes to the lowest involved owner,
 //!   which fences the others for the duration of the commit.
 //!
-//! Every arm ends in [`run_transaction`], which assigns the commit
-//! sequence and enqueues on the durable log under the single `cmdlog`
-//! mutex, so channel order equals seq order and deterministic replay, the
+//! Every arm ends in [`run_transaction`], whose one critical section is
+//! the commit log's (`calc_txn::commitlog::CommitLog::append_commit_with`):
+//! the sequence is assigned, the phase stamp read and the record enqueued
+//! on the durable log under that single lock, owned by the sequencer — the
+//! engine wraps no lock of its own around the group committer. Channel
+//! order therefore equals seq order, and deterministic replay, the
 //! conformance checker, group commit and standby replay see
 //! byte-identical commit-token streams whatever the mode.
 //!

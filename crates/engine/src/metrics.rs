@@ -744,7 +744,7 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         let strategy: Arc<dyn CheckpointStrategy> = Arc::new(CalcStrategy::full(
             StoreConfig::for_records(16, 16),
-            Arc::new(CommitLog::new(false)),
+            Arc::new(CommitLog::default()),
         ));
         strategy.load_initial(calc_common::types::Key(1), b"x").unwrap();
         let sampler = Sampler::start(metrics.clone(), strategy, Duration::from_millis(10));

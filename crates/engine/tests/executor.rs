@@ -349,29 +349,45 @@ fn shard_owned_concurrent_submissions_all_commit() {
 }
 
 #[test]
-fn shard_owned_commit_log_stays_in_seq_order() {
-    // The commit-token invariant: the durable command log must be
-    // strictly seq-ordered even when commits come from different owner
-    // threads and fenced cross-shard commits.
-    let (db, log_dir) = logged_db("so-order", ExecutorMode::ShardOwned);
-    for k in 0..8u64 {
-        db.execute(ProcId(1), add_params(k, 100, u64::MAX));
-    }
-    for i in 0..200u64 {
-        db.submit(ProcId(2), transfer_params(i % 8, (i + 3) % 8, 0));
-        db.submit(ProcId(1), add_params(i % 8, 1, u64::MAX));
-    }
-    let metrics = db.metrics().clone();
-    db.shutdown(); // drains the queues, final fsync
-    let records = calc_recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
-    assert_eq!(records.len() as u64, metrics.committed());
-    for pair in records.windows(2) {
-        assert!(
-            pair[0].seq < pair[1].seq,
-            "commit log out of order: {:?} then {:?}",
-            pair[0].seq,
-            pair[1].seq
-        );
+fn commit_log_stays_in_seq_order() {
+    // The commit-token invariant: the durable command log is strictly
+    // seq-ordered whichever threads the commits come from — pool workers,
+    // different owners, fenced cross-shard commits — and across the phase
+    // tokens of a checkpoint running at the same time.
+    for mode in ExecutorMode::ALL {
+        let (db, log_dir) = logged_db(&format!("seq-order-{}", mode.name()), mode);
+        let db = Arc::new(db);
+        for k in 0..8u64 {
+            db.execute(ProcId(1), add_params(k, 100, u64::MAX));
+        }
+        let checkpointer = {
+            let db = db.clone();
+            std::thread::spawn(move || db.checkpoint_now().unwrap())
+        };
+        let mut i = 0u64;
+        while i < 200 || !checkpointer.is_finished() {
+            db.submit(ProcId(2), transfer_params(i % 8, (i + 3) % 8, 0));
+            db.submit(ProcId(1), add_params(i % 8, 1, u64::MAX));
+            i += 1;
+        }
+        checkpointer.join().unwrap();
+        // One commit certainly behind the cycle's last phase token.
+        db.execute(ProcId(1), add_params(0, 1, u64::MAX));
+        let metrics = db.metrics().clone();
+        Arc::try_unwrap(db).unwrap().shutdown(); // drains the queues, final fsync
+        let records = calc_recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
+        assert_eq!(records.len() as u64, metrics.committed(), "{mode:?}");
+        for pair in records.windows(2) {
+            assert!(
+                pair[0].seq < pair[1].seq,
+                "{mode:?}: commit log out of order: {:?} then {:?}",
+                pair[0].seq,
+                pair[1].seq
+            );
+        }
+        // The cycle's phase tokens took seqs between the commits.
+        let span = records.last().unwrap().seq.0 - records[0].seq.0 + 1;
+        assert!(span > records.len() as u64, "{mode:?}: phase tokens missing from the seq space");
     }
 }
 

@@ -37,7 +37,7 @@ fn end_to_end_recovery_via_engine() {
     // "Crash": recover into a fresh strategy.
     let recovered = calc_core::calc::CalcStrategy::full(
         calc_storage::dual::StoreConfig::for_records(1024, 16),
-        Arc::new(CommitLog::new(false)),
+        Arc::new(CommitLog::default()),
     );
     let commands = logged_commands(&db, &log_dir);
     let outcome =

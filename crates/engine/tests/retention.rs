@@ -79,7 +79,7 @@ fn retention_bounds_disk_and_preserves_recovery() {
 
     let recovered = calc_core::calc::CalcStrategy::full(
         calc_storage::dual::StoreConfig::for_records(4096, 16),
-        Arc::new(CommitLog::new(false)),
+        Arc::new(CommitLog::default()),
     );
     let dir = CheckpointDir::open(&ckpt_dir, Arc::new(Throttle::unlimited())).unwrap();
     calc_recovery::recover(&dir, &recovered, &registry(), &commands).unwrap();

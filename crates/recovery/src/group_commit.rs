@@ -196,6 +196,9 @@ enum Msg {
     /// Close the current batch immediately, fsync, and acknowledge —
     /// the `sync_command_log` handshake.
     Flush(AckSender),
+    /// [`GroupCommitter::close`]: fsync what is batched, acknowledge like
+    /// a flush, and exit as if every sender had been dropped.
+    Close(AckSender),
 }
 
 /// A claim check for one commit's durability: wait on it *outside* any
@@ -242,11 +245,11 @@ struct Stats {
 /// fsyncs once per batch. See the module docs for the acknowledgement
 /// disciplines.
 ///
-/// Dropping the committer closes the channel; the sync thread drains the
-/// queue, performs a final fsync, and exits — so the on-disk log is
-/// complete when drop returns.
+/// [`GroupCommitter::close`] (which dropping the committer also runs)
+/// ends the stream: the sync thread drains the queue, performs a final
+/// fsync, and exits — so the on-disk log is complete when it returns.
 pub struct GroupCommitter {
-    tx: Option<Sender<Msg>>,
+    tx: Sender<Msg>,
     dead: Arc<AtomicBool>,
     read_only: Arc<AtomicBool>,
     stats: Arc<Stats>,
@@ -295,7 +298,7 @@ impl GroupCommitter {
             })
             .expect("spawn group-commit sync thread");
         GroupCommitter {
-            tx: Some(tx),
+            tx,
             dead,
             read_only,
             stats,
@@ -303,14 +306,10 @@ impl GroupCommitter {
         }
     }
 
-    fn tx(&self) -> &Sender<Msg> {
-        self.tx.as_ref().expect("sender present until drop")
-    }
-
     /// Enqueues a commit fire-and-forget (ack-before-fsync): the record
     /// becomes durable with its batch, but nothing waits for it.
     pub fn submit(&self, rec: CommitRecord) {
-        let _ = self.tx().send(Msg::Commit { rec, ack: None });
+        let _ = self.tx.send(Msg::Commit { rec, ack: None });
     }
 
     /// Enqueues a commit and returns a ticket whose `wait` blocks until
@@ -324,7 +323,7 @@ impl GroupCommitter {
         }
         let (ack_tx, ack_rx) = bounded(1);
         if self
-            .tx()
+            .tx
             .send(Msg::Commit {
                 rec,
                 ack: Some(ack_tx),
@@ -346,12 +345,27 @@ impl GroupCommitter {
             return DurabilityTicket::dead();
         }
         let (ack_tx, ack_rx) = bounded(1);
-        if self.tx().send(Msg::Flush(ack_tx)).is_err() {
+        if self.tx.send(Msg::Flush(ack_tx)).is_err() {
             return DurabilityTicket::dead();
         }
         DurabilityTicket {
             rx: Some(ack_rx),
             dead: false,
+        }
+    }
+
+    /// Ends the stream through a shared handle: everything enqueued
+    /// before this call is appended and fsynced (or the logger is dead)
+    /// when it returns, and the sync thread exits; `Drop` joins it.
+    /// Idempotent. No submitter may run concurrently: the sync thread
+    /// stops reading at the close, so a record that lands behind it is
+    /// lost without an error (its ticket, if any, reports a dead logger) —
+    /// the engine joins its workers first.
+    pub fn close(&self) {
+        let (ack_tx, ack_rx) = bounded(1);
+        if self.tx.send(Msg::Close(ack_tx)).is_ok() {
+            // An error is the sync thread dropping the ack on its way out.
+            let _ = ack_rx.recv();
         }
     }
 
@@ -392,11 +406,9 @@ impl GroupCommitter {
 
 impl Drop for GroupCommitter {
     fn drop(&mut self) {
-        // Close the channel: the sync thread drains the remaining queue,
-        // fsyncs, and exits.
-        drop(self.tx.take());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+        self.close();
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
         }
     }
 }
@@ -491,12 +503,13 @@ fn sync_loop(
     loop {
         // A waiter already queued when the previous fsync returned proves
         // a second durable committer is in play; otherwise block for an
-        // opener. A disconnect here means a clean shutdown with nothing
-        // pending (every prior batch was synced).
+        // opener. A disconnect or a close here means a clean shutdown with
+        // nothing pending (every prior batch was synced).
         let queued = rx.recv_timeout(Duration::ZERO).ok();
         let overlapped = matches!(queued, Some(Msg::Commit { ack: Some(_), .. }));
         let target = if overlapped { prev_waiters.max(2) } else { prev_waiters };
-        let Some(mut msg) = queued.or_else(|| rx.recv().ok()) else {
+        let opener = queued.or_else(|| rx.recv().ok());
+        let Some(mut msg) = opener.filter(|m| !matches!(m, Msg::Close(_))) else {
             return;
         };
         let opened = Instant::now();
@@ -531,6 +544,11 @@ fn sync_loop(
                 }
                 Msg::Flush(a) => {
                     flush = Some(a);
+                    break;
+                }
+                Msg::Close(a) => {
+                    flush = Some(a);
+                    disconnected = true;
                     break;
                 }
             }
@@ -607,21 +625,25 @@ fn sync_loop(
             Some(_) => {
                 // The log is broken: stop persisting, fail this batch's
                 // waiters, then keep draining until shutdown closes the
-                // channel so queued and future tickets observe a dead
-                // logger immediately instead of wedging until timeout.
+                // stream (unless this very batch was closed by it) so
+                // queued and future tickets observe a dead logger
+                // immediately instead of wedging until timeout.
                 dead.store(true, Ordering::Release);
                 for ack in acks.into_iter().chain(flush) {
                     let _ = ack.send(Err(SyncError::LoggerDied));
                 }
-                while let Ok(msg) = rx.recv() {
-                    match msg {
-                        Msg::Commit { ack: Some(a), .. } | Msg::Flush(a) => {
+                if disconnected {
+                    return;
+                }
+                loop {
+                    match rx.recv() {
+                        Ok(Msg::Commit { ack: Some(a), .. } | Msg::Flush(a)) => {
                             let _ = a.send(Err(SyncError::LoggerDied));
                         }
-                        Msg::Commit { ack: None, .. } => {}
+                        Ok(Msg::Commit { ack: None, .. }) => {}
+                        Ok(Msg::Close(_)) | Err(_) => return,
                     }
                 }
-                return;
             }
         }
     }
@@ -1059,6 +1081,45 @@ mod tests {
         drop(gc);
         let recovered = read_dir_logs(&vfs, &PathBuf::from("/gc/heal")).unwrap();
         assert_eq!(recovered.len(), 2, "every acknowledged record durable");
+    }
+
+    /// `close` works through a shared handle, makes what was enqueued
+    /// durable, is idempotent, and returns even when it finds the batch
+    /// it closes unsyncable (the close itself must end the dead drain).
+    #[test]
+    fn close_through_a_shared_handle_drains_and_survives_a_failed_final_sync() {
+        let vfs = SimVfs::new(0x6C0_C105);
+        let open_window = GroupCommitConfig {
+            window: Duration::from_secs(60), // an unwaited batch stays open
+            ..fast_retry_config()
+        };
+        let gc = std::sync::Arc::new(GroupCommitter::start(
+            seg_backend(&vfs, "/gc/close"),
+            open_window,
+            None,
+        ));
+        gc.submit(rec(1));
+        gc.submit(rec(2));
+        gc.close();
+        gc.close();
+        let recovered = read_dir_logs(&vfs, &PathBuf::from("/gc/close")).unwrap();
+        assert_eq!(recovered.len(), 2, "close fsyncs the open batch");
+        let late = gc.submit_durable(rec(3)).wait(Duration::from_secs(30));
+        assert!(
+            matches!(late, Err(SyncError::LoggerExited | SyncError::LoggerDied)),
+            "a closed logger fails fast, got {late:?}"
+        );
+
+        let backend = Box::new(ScriptedSyncBackend {
+            inner: seg_backend(&vfs, "/gc/close-dead"),
+            script: Box::new(|_| Some(io::Error::other("disk is gone"))),
+            appends: Default::default(),
+            attempts: Default::default(),
+        });
+        let gc = GroupCommitter::start(backend, open_window, None);
+        gc.submit(rec(1));
+        gc.close(); // hangs here if the dead drain waits for a second close
+        assert!(gc.is_dead());
     }
 
     /// A *persistent* sync failure still yields the typed logger death —

@@ -417,12 +417,8 @@ mod tests {
         CheckpointDir::open(&d, Arc::new(Throttle::unlimited())).unwrap()
     }
 
-    fn run_set(
-        strategy: &CalcStrategy,
-        log: &CommitLog,
-        key: u64,
-        val: u64,
-    ) {
+    /// Runs one `SET` on the primary and returns its command-log record.
+    fn run_set(strategy: &CalcStrategy, log: &CommitLog, key: u64, val: u64) -> CommitRecord {
         let proc = SetProc;
         let p = set_u64(key, val);
         let mut ops = ReplayOps {
@@ -433,34 +429,40 @@ mod tests {
         proc.run(&p, &mut ops).unwrap();
         assert!(ops.failed.is_none());
         let mut token = ops.token;
-        let (seq, stamp) = log.append_commit(TxnId(key * 100 + val), SET, p);
+        let (seq, stamp) = log.append_commit();
         strategy.on_commit(&mut token, seq, stamp);
         strategy.txn_end(token);
+        CommitRecord {
+            seq,
+            txn: TxnId(key * 100 + val),
+            proc: SET,
+            params: p,
+        }
     }
 
     #[test]
     fn checkpoint_then_replay_reconstructs_state() {
-        let log = Arc::new(CommitLog::new(true));
+        let log = Arc::new(CommitLog::default());
+        let mut commands = Vec::new();
         let primary = CalcStrategy::full(StoreConfig::for_records(256, 16), log.clone());
         let d = dir("replay");
 
         // 10 pre-checkpoint transactions.
         for k in 0..10 {
-            run_set(&primary, &log, k, k * 2);
+            commands.push(run_set(&primary, &log, k, k * 2));
         }
         let stats = primary.checkpoint(&NoopEnv, &d).unwrap();
         // 5 post-checkpoint transactions (3 new keys, 2 overwrites).
         for k in 8..13 {
-            run_set(&primary, &log, k, 1000 + k);
+            commands.push(run_set(&primary, &log, k, 1000 + k));
         }
 
         // Crash. Fresh strategy + recovery.
         let registry = registry();
         let recovered = CalcStrategy::full(
             StoreConfig::for_records(256, 16),
-            Arc::new(CommitLog::new(true)),
+            Arc::new(CommitLog::default()),
         );
-        let commands = log.commits_after(CommitSeq::ZERO);
         let outcome = recover(&d, &recovered, &registry, &commands).unwrap();
         assert_eq!(outcome.loaded_records, 10);
         assert_eq!(outcome.replayed, 5);
@@ -484,22 +486,23 @@ mod tests {
     /// replay — and lose nothing.
     #[test]
     fn torn_part_quarantines_cycle_and_falls_back_to_previous_full() {
-        let log = Arc::new(CommitLog::new(true));
+        let log = Arc::new(CommitLog::default());
+        let mut commands = Vec::new();
         let primary = CalcStrategy::full(StoreConfig::for_records(256, 16), log.clone());
         let d = dir("tornpart");
         d.set_checkpoint_threads(4);
 
         for k in 0..10 {
-            run_set(&primary, &log, k, k * 2);
+            commands.push(run_set(&primary, &log, k, k * 2));
         }
         let first = primary.checkpoint(&NoopEnv, &d).unwrap();
         for k in 10..15 {
-            run_set(&primary, &log, k, 1000 + k);
+            commands.push(run_set(&primary, &log, k, 1000 + k));
         }
         let second = primary.checkpoint(&NoopEnv, &d).unwrap();
         assert_eq!(second.parts, 4);
         for k in 15..18 {
-            run_set(&primary, &log, k, 2000 + k);
+            commands.push(run_set(&primary, &log, k, 2000 + k));
         }
 
         // Tear one part of the newest full: drop its tail (footer and
@@ -511,9 +514,8 @@ mod tests {
         let registry = registry();
         let recovered = CalcStrategy::full(
             StoreConfig::for_records(256, 16),
-            Arc::new(CommitLog::new(true)),
+            Arc::new(CommitLog::default()),
         );
-        let commands = log.commits_after(CommitSeq::ZERO);
         let outcome = recover(&d, &recovered, &registry, &commands).unwrap();
 
         // Fell back to full #0: 10 loaded records, the older watermark,
@@ -563,7 +565,7 @@ mod tests {
 
         let recovered = CalcStrategy::full(
             StoreConfig::for_records(256, 16),
-            Arc::new(CommitLog::new(false)),
+            Arc::new(CommitLog::default()),
         );
         let outcome = recover_checkpoint_only(&d, &recovered).unwrap();
         assert_eq!(outcome.loaded_records, 49);
@@ -577,7 +579,7 @@ mod tests {
 
     #[test]
     fn checkpoint_only_loses_post_checkpoint_txns() {
-        let log = Arc::new(CommitLog::new(false));
+        let log = Arc::new(CommitLog::default());
         let primary = CalcStrategy::full(StoreConfig::for_records(64, 16), log.clone());
         let d = dir("ckptonly");
         for k in 0..5 {
@@ -588,7 +590,7 @@ mod tests {
 
         let recovered = CalcStrategy::full(
             StoreConfig::for_records(64, 16),
-            Arc::new(CommitLog::new(false)),
+            Arc::new(CommitLog::default()),
         );
         let outcome = recover_checkpoint_only(&d, &recovered).unwrap();
         assert_eq!(outcome.loaded_records, 5);
@@ -602,20 +604,20 @@ mod tests {
     /// smoke hits exactly this window on a freshly started server.)
     #[test]
     fn log_only_cold_start_replays_everything_from_empty() {
-        let log = Arc::new(CommitLog::new(true));
+        let log = Arc::new(CommitLog::default());
+        let mut commands = Vec::new();
         let primary = CalcStrategy::full(StoreConfig::for_records(64, 16), log.clone());
         let d = dir("coldstart");
         for k in 0..7 {
-            run_set(&primary, &log, k, 10 + k);
+            commands.push(run_set(&primary, &log, k, 10 + k));
         }
         // No checkpoint was ever taken: the directory holds zero cycles.
 
         let registry = registry();
         let recovered = CalcStrategy::full(
             StoreConfig::for_records(64, 16),
-            Arc::new(CommitLog::new(true)),
+            Arc::new(CommitLog::default()),
         );
-        let commands = log.commits_after(CommitSeq::ZERO);
         let outcome = recover(&d, &recovered, &registry, &commands).unwrap();
         assert_eq!(outcome.loaded_records, 0);
         assert_eq!(outcome.checkpoint_files, 0);
@@ -634,7 +636,7 @@ mod tests {
     fn recovery_without_full_checkpoint_fails() {
         let recovered = CalcStrategy::full(
             StoreConfig::for_records(16, 16),
-            Arc::new(CommitLog::new(false)),
+            Arc::new(CommitLog::default()),
         );
         let d = dir("nofull");
         let err = recover_checkpoint_only(&d, &recovered).unwrap_err();
@@ -643,19 +645,19 @@ mod tests {
 
     #[test]
     fn unknown_procedure_fails_replay() {
-        let log = Arc::new(CommitLog::new(true));
+        let log = Arc::new(CommitLog::default());
+        let mut commands = Vec::new();
         let primary = CalcStrategy::full(StoreConfig::for_records(64, 16), log.clone());
         let d = dir("unknownproc");
-        run_set(&primary, &log, 1, 1);
+        commands.push(run_set(&primary, &log, 1, 1));
         primary.checkpoint(&NoopEnv, &d).unwrap();
-        run_set(&primary, &log, 2, 2);
+        commands.push(run_set(&primary, &log, 2, 2));
 
         let registry = ProcRegistry::new(); // empty!
         let recovered = CalcStrategy::full(
             StoreConfig::for_records(64, 16),
-            Arc::new(CommitLog::new(false)),
+            Arc::new(CommitLog::default()),
         );
-        let commands = log.commits_after(CommitSeq::ZERO);
         let err = recover(&d, &recovered, &registry, &commands).unwrap_err();
         assert!(matches!(err, RecoveryError::UnknownProcedure(1)));
     }
@@ -663,7 +665,7 @@ mod tests {
     #[test]
     fn fuzzy_recovery_refused() {
         use calc_txn::proc::ProcRegistry;
-        let log = Arc::new(CommitLog::new(false));
+        let log = Arc::new(CommitLog::default());
         let fuzzy = calc_baselines_stub::fuzzy_stub(log);
         let d = dir("fuzzyrefuse");
         let err = recover(&d, fuzzy.as_ref(), &ProcRegistry::new(), &[]).unwrap_err();

@@ -25,7 +25,7 @@ use calc_storage::dual::StoreConfig;
 use calc_txn::commitlog::CommitLog;
 
 fn fresh() -> CalcStrategy {
-    CalcStrategy::full(StoreConfig::for_records(4096, 16), Arc::new(CommitLog::new(false)))
+    CalcStrategy::full(StoreConfig::for_records(4096, 16), Arc::new(CommitLog::default()))
 }
 
 fn open(name: &str) -> CheckpointDir {

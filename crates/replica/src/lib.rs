@@ -167,7 +167,7 @@ impl Standby {
         let (strategy, log, watermark) = match rebuild_from_chain(&cfg, &dir)? {
             Some(rebuilt) => rebuilt,
             None => {
-                let log = Arc::new(CommitLog::new(false));
+                let log = Arc::new(CommitLog::default());
                 (cfg.kind.build(cfg.store.clone(), log.clone()), log, 0)
             }
         };
@@ -546,9 +546,6 @@ impl Promoted {
         config.checkpoint_dir = self.checkpoint_dir;
         config.command_log_dir = Some(self.log_dir);
         config.vfs = self.vfs;
-        // The promoted chain already has a full ancestor (or the store is
-        // empty); a base checkpoint would re-capture everything.
-        config.base_checkpoint = false;
         Database::resume(config, self.registry, self.strategy, self.log)
     }
 }
@@ -641,7 +638,7 @@ type Rebuilt = (Arc<dyn CheckpointStrategy>, Arc<CommitLog>, u64);
 /// Loads the newest durable chain into a fresh strategy; `None` if the
 /// directory holds no full checkpoint.
 fn rebuild_from_chain(cfg: &StandbyConfig, dir: &CheckpointDir) -> io::Result<Option<Rebuilt>> {
-    let log = Arc::new(CommitLog::new(false));
+    let log = Arc::new(CommitLog::default());
     let strategy = cfg.kind.build(cfg.store.clone(), log.clone());
     match recover_checkpoint_only(dir, strategy.as_ref()) {
         Ok(outcome) => Ok(Some((strategy, log, outcome.watermark.0))),

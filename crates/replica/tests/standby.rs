@@ -59,7 +59,7 @@ impl Primary {
         let dir =
             CheckpointDir::open_with_vfs(ckpt_dir, Arc::new(Throttle::unlimited()), vfs.clone())
                 .unwrap();
-        let log = Arc::new(CommitLog::new(false));
+        let log = Arc::new(CommitLog::default());
         let strategy = kind.build(store_config(), log.clone());
         let writer = SegmentedLogWriter::create(vfs, log_dir, segment_bytes).unwrap();
         Primary {
@@ -84,7 +84,7 @@ impl Primary {
         let mut token = bridge.token;
         let txn = TxnId(self.next_txn);
         self.next_txn += 1;
-        let (seq, stamp) = self.log.append_commit(txn, proc, p.clone());
+        let (seq, stamp) = self.log.append_commit();
         self.writer
             .append(&CommitRecord {
                 seq,

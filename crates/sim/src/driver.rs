@@ -309,7 +309,7 @@ fn live_until_crash(vfs: &SimVfs, spec: &SimSpec, hooks: &mut dyn LiveHooks, run
     else {
         return;
     };
-    let log = Arc::new(CommitLog::new(false));
+    let log = Arc::new(CommitLog::default());
     let strategy = spec.kind.build(store_config(), log.clone());
     // Partial strategies need a full ancestor in the recovery chain,
     // exactly as the engine writes one after initial load.
@@ -341,22 +341,24 @@ fn live_until_crash(vfs: &SimVfs, spec: &SimSpec, hooks: &mut dyn LiveHooks, run
             .expect("sim procs never abort");
         assert!(bridge.failed.is_none(), "sim op failed: {:?}", bridge.failed);
         let mut token = bridge.token;
-        let (seq, stamp) = log.append_commit(TxnId(i), proc_id, params.clone());
-        let rec = CommitRecord {
-            seq,
-            txn: TxnId(i),
-            proc: proc_id,
-            params,
-        };
-        // Recorded as committed *before* the append: the op already
-        // executed against the primary's state, and whether it turns
-        // durable is decided by how many of its log bytes survive the
-        // crash — prefix semantics cover both outcomes. Pushing after
-        // a successful append would make a torn-but-fully-surviving
-        // final record (executed, written, never acked) read as a
-        // resurrected write at the oracle.
-        run.committed.push((seq.0, op));
-        if cmdlog.append(&rec).is_err() {
+        // The engine's commit section: the log append runs inside the
+        // sequencer's append. The op is recorded as committed *before*
+        // the append: it already executed against the primary's state,
+        // and whether it turns durable is decided by how many of its log
+        // bytes survive the crash — prefix semantics cover both outcomes.
+        // Pushing after a successful append would make a
+        // torn-but-fully-surviving final record (executed, written, never
+        // acked) read as a resurrected write at the oracle.
+        let (seq, stamp, appended) = log.append_commit_with(|seq, _| {
+            run.committed.push((seq.0, op));
+            cmdlog.append(&CommitRecord {
+                seq,
+                txn: TxnId(i),
+                proc: proc_id,
+                params,
+            })
+        });
+        if appended.is_err() {
             strategy.txn_end(token);
             return;
         }
@@ -485,7 +487,7 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
     }
 
     let reg = registry();
-    let fresh = spec.kind.build(store_config(), Arc::new(CommitLog::new(false)));
+    let fresh = spec.kind.build(store_config(), Arc::new(CommitLog::default()));
     let log_tail = commands.last().map(|c| c.seq.0).unwrap_or(0);
     if std::env::var("SIM_DEBUG").is_ok() {
         eprintln!("[sim-debug] post-crash dir listing:");

@@ -154,7 +154,7 @@ fn torn_compressed_block_quarantines_cycle_and_falls_back() {
 
     let fresh = CalcStrategy::full(
         StoreConfig::for_records(1024, 16),
-        Arc::new(CommitLog::new(false)),
+        Arc::new(CommitLog::default()),
     );
     let outcome = recover_checkpoint_only(&dir, &fresh).unwrap();
     assert_eq!(

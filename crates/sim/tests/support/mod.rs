@@ -2,10 +2,10 @@
 //! `group_commit_crash.rs` (the contract) and `group_commit_mutant.rs`
 //! (proof that the oracle can fail).
 //!
-//! Concurrent committers assign commit sequences under a shared lock
-//! (the same enqueue-under-lock discipline the engine uses, so channel
-//! order equals seq order), submit through [`GroupCommitter`], and record
-//! which waits came back `Ok`. The simulated filesystem then crashes;
+//! Concurrent committers take their commit sequences from a
+//! [`CommitLog`] and submit to the [`GroupCommitter`] inside its section
+//! (the engine's own commit point, so channel order equals seq order), and
+//! record which waits came back `Ok`. The simulated filesystem then crashes;
 //! recovery reads the surviving segments and the oracle checks
 //! `acked ⊆ recovered` — and that the survivors form an in-order history
 //! a deterministic replay could consume.
@@ -13,7 +13,7 @@
 use std::collections::BTreeSet;
 use std::io;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use calc_common::simfs::SimVfs;
@@ -21,7 +21,7 @@ use calc_common::types::{CommitSeq, TxnId};
 use calc_recovery::{
     read_dir_logs, GroupCommitConfig, GroupCommitter, LogBackend, SegmentedLogWriter,
 };
-use calc_txn::commitlog::CommitRecord;
+use calc_txn::commitlog::{CommitLog, CommitRecord};
 use calc_txn::proc::ProcId;
 
 pub fn rec(seq: u64) -> CommitRecord {
@@ -77,25 +77,20 @@ pub fn run_crash(spec: CrashSpec) -> (BTreeSet<u64>, Vec<u64>) {
     };
     let gc = Arc::new(GroupCommitter::start(Box::new(backend), spec.config, None));
 
-    let seq = Arc::new(Mutex::new(0u64));
+    let log = Arc::new(CommitLog::default());
     let handles: Vec<_> = (0..spec.committers)
         .map(|_| {
             let gc = gc.clone();
-            let seq = seq.clone();
+            let log = log.clone();
             std::thread::spawn(move || {
                 let mut acked = Vec::new();
                 loop {
-                    // Seq assignment and enqueue under one lock — the
-                    // engine's ordering discipline — then wait for the
-                    // batch fsync outside it.
-                    let ticket = {
-                        let mut next = seq.lock().unwrap();
-                        *next += 1;
-                        let s = *next;
-                        (s, gc.submit_durable(rec(s)))
-                    };
-                    match ticket.1.wait(Duration::from_secs(30)) {
-                        Ok(()) => acked.push(ticket.0),
+                    // Seq assignment and enqueue in the commit section,
+                    // then wait for the batch fsync outside it.
+                    let (seq, _, ticket) =
+                        log.append_commit_with(|seq, _| gc.submit_durable(rec(seq.0)));
+                    match ticket.wait(Duration::from_secs(30)) {
+                        Ok(()) => acked.push(seq.0),
                         // The crash: this commit carries no promise, and
                         // neither will any later one. Stop.
                         Err(_) => break,
@@ -108,15 +103,11 @@ pub fn run_crash(spec: CrashSpec) -> (BTreeSet<u64>, Vec<u64>) {
     let forgetters: Vec<_> = (0..spec.forgetters)
         .map(|_| {
             let gc = gc.clone();
-            let seq = seq.clone();
+            let log = log.clone();
             let vfs = vfs.clone();
             std::thread::spawn(move || {
                 while !vfs.crashed() {
-                    {
-                        let mut next = seq.lock().unwrap();
-                        *next += 1;
-                        gc.submit(rec(*next));
-                    }
+                    log.append_commit_with(|seq, _| gc.submit(rec(seq.0)));
                     // Paced, so the unbounded queue stays short.
                     std::thread::sleep(Duration::from_micros(50));
                 }

@@ -1,4 +1,5 @@
-//! The commit log — and, in the same structure, the command log.
+//! The commit log: the sequencer of commit and phase-transition tokens,
+//! and the owner of the engine's one commit critical section.
 //!
 //! §2.2 of the paper assumes "there exists a commit-log, and each
 //! transaction commits by atomically appending a commit token to this log
@@ -8,18 +9,22 @@
 //! determined which phase the system was in when a particular transaction
 //! committed."
 //!
-//! Both properties are provided by a single mutex: commit tokens and
-//! phase-transition tokens are appended under it, and the current phase is
-//! published from inside the same critical section, so a transaction's
-//! commit sequence number totally orders it against every phase
-//! transition.
+//! Both properties are provided by a single mutex, the *section*: commit
+//! tokens and phase-transition tokens take their sequence numbers under
+//! it, and the current phase is published from inside it, so a
+//! transaction's commit sequence totally orders it against every phase
+//! transition and the stamp it is handed is the phase of the last
+//! transition with a smaller sequence.
 //!
-//! The log doubles as the paper's §1/§3 *command log* (VoltDB-style): each
-//! commit token optionally carries `(procedure id, parameters)`, which is
-//! everything deterministic replay needs. Retention is configurable —
-//! throughput experiments run with retention off (only the sequence
-//! counter and phase linearization remain), recovery uses it on — and
-//! replayed prefixes can be truncated.
+//! The log stores nothing. A token is a `(seq, stamp)` pair handed back to
+//! the committer; the command log recovery replays is the durable
+//! `cmdlog-<i>.log` segment directory written by `calc-recovery`. What ties
+//! the two together is [`CommitLog::append_commit_with`]: the caller's
+//! enqueue onto the durable log runs *inside* the section, so the order
+//! records reach the sync thread — the log's byte order — is seq order,
+//! gap-free, across every worker and across phase tokens. That is the only
+//! lock between sequence assignment and the durable-log enqueue; the
+//! enqueue is a channel send, never an fsync.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -81,8 +86,10 @@ impl std::fmt::Display for PhaseStamp {
     }
 }
 
-/// A commit token: the transaction's identity plus (optionally) the
-/// command-log payload for deterministic replay.
+/// One command-log record: a commit token's sequence plus the
+/// `(procedure id, parameters)` payload deterministic replay needs. Built
+/// by the committer inside [`CommitLog::append_commit_with`] and handed to
+/// the durable log; the sequencer itself never sees one.
 #[derive(Clone, Debug)]
 pub struct CommitRecord {
     /// Commit sequence — position in the serial order.
@@ -95,59 +102,22 @@ pub struct CommitRecord {
     pub params: Arc<[u8]>,
 }
 
-/// One entry in the log.
-#[derive(Clone, Debug)]
-pub enum LogEntry {
-    /// A transaction commit token.
-    Commit(CommitRecord),
-    /// A CALC phase-transition token.
-    PhaseTransition {
-        /// Log position of the transition.
-        seq: CommitSeq,
-        /// The phase being entered.
-        phase: Phase,
-    },
-}
-
-impl LogEntry {
-    /// The entry's log position.
-    pub fn seq(&self) -> CommitSeq {
-        match self {
-            LogEntry::Commit(c) => c.seq,
-            LogEntry::PhaseTransition { seq, .. } => *seq,
-        }
-    }
-}
-
-struct LogInner {
-    entries: Vec<LogEntry>,
-    /// Sequence of the first retained entry (earlier entries truncated).
-    base_seq: CommitSeq,
-}
-
-/// The commit/command log. See module docs.
+/// The commit-token sequencer. See module docs.
 pub struct CommitLog {
-    inner: Mutex<LogInner>,
-    /// Next sequence to hand out. Read lock-free for watermarks.
+    /// The commit critical section: sequence assignment, the stamp read or
+    /// publish, and a committer's durable-log enqueue all happen under it.
+    section: Mutex<()>,
+    /// Next sequence to hand out. Written under `section`; read lock-free
+    /// for watermarks.
     next_seq: AtomicU64,
-    /// Current phase stamp, published from inside the append critical
-    /// section.
+    /// Current phase stamp. Written under `section`; read lock-free.
     stamp: AtomicU64,
-    /// Whether commit payloads are retained for replay.
-    retain: bool,
-    /// Commits counted even when not retained.
-    commit_count: AtomicU64,
 }
 
-impl CommitLog {
-    /// Creates a log. `retain` controls whether commit payloads are kept
-    /// in memory for deterministic replay.
-    pub fn new(retain: bool) -> Self {
+impl Default for CommitLog {
+    fn default() -> Self {
         CommitLog {
-            inner: Mutex::new(LogInner {
-                entries: Vec::new(),
-                base_seq: CommitSeq(1),
-            }),
+            section: Mutex::new(()),
             next_seq: AtomicU64::new(1),
             stamp: AtomicU64::new(
                 PhaseStamp {
@@ -156,26 +126,38 @@ impl CommitLog {
                 }
                 .encode(),
             ),
-            retain,
-            commit_count: AtomicU64::new(0),
         }
     }
+}
 
-    /// Whether payloads are retained.
-    pub fn retains(&self) -> bool {
-        self.retain
+impl CommitLog {
+    /// Vestigial: `retain` selected an in-memory command-log mode that no
+    /// longer exists. The parameter survives only because the frozen
+    /// `perfbench/` calls `CommitLog::new(false)`; everything else uses
+    /// [`CommitLog::default`].
+    ///
+    /// # Panics
+    /// Panics if `retain` is `true`.
+    pub fn new(retain: bool) -> Self {
+        assert!(
+            !retain,
+            "CommitLog retains nothing: the command log is calc-recovery's segment directory"
+        );
+        Self::default()
     }
 
-    /// Appends a commit token. Returns the commit sequence and the phase
-    /// stamp the system carried at the instant of the append — the commit
-    /// phase used by CALC's commit hook.
-    pub fn append_commit(
+    /// Appends a commit token and runs `enqueue` with its sequence and
+    /// stamp *inside* the append critical section. The stamp is the one
+    /// the system carried at the instant of the append — the commit phase
+    /// CALC's commit hook needs. Whatever `enqueue` hands to a durable log
+    /// therefore arrives in seq order, and no phase transition can slip
+    /// between the sequence assignment and the stamp read. `enqueue` must
+    /// not block on I/O: every other committer waits behind it.
+    pub fn append_commit_with<R>(
         &self,
-        txn: TxnId,
-        proc: ProcId,
-        params: Arc<[u8]>,
-    ) -> (CommitSeq, PhaseStamp) {
-        let mut inner = self.inner.lock();
+        enqueue: impl FnOnce(CommitSeq, PhaseStamp) -> R,
+    ) -> (CommitSeq, PhaseStamp, R) {
+        let _section = self.section.lock();
         let seq = CommitSeq(self.next_seq.fetch_add(1, Ordering::AcqRel));
         #[allow(unused_mut)]
         let mut stamp = PhaseStamp::decode(self.stamp.load(Ordering::Relaxed));
@@ -184,21 +166,19 @@ impl CommitLog {
             && stamp.phase == Phase::Prepare
         {
             // Seeded bug: report the stamp as if it had been read *after*
-            // a racing PREPARE→RESOLVE transition instead of under the log
-            // mutex. The commit's updates then get classified to the wrong
-            // side of the virtual point of consistency.
+            // a racing PREPARE→RESOLVE transition instead of inside the
+            // section. The commit's updates then get classified to the
+            // wrong side of the virtual point of consistency.
             stamp.phase = Phase::Resolve;
         }
-        if self.retain {
-            inner.entries.push(LogEntry::Commit(CommitRecord {
-                seq,
-                txn,
-                proc,
-                params,
-            }));
-        }
-        drop(inner);
-        self.commit_count.fetch_add(1, Ordering::Relaxed);
+        let out = enqueue(seq, stamp);
+        (seq, stamp, out)
+    }
+
+    /// [`CommitLog::append_commit_with`] with nothing to enqueue: a bare
+    /// commit token (engines without a durable log, protocol tests).
+    pub fn append_commit(&self) -> (CommitSeq, PhaseStamp) {
+        let (seq, stamp, ()) = self.append_commit_with(|_, _| ());
         (seq, stamp)
     }
 
@@ -209,7 +189,7 @@ impl CommitLog {
     /// virtual point of consistency watermark: commits with `seq <` this
     /// value are in the checkpoint, commits after are not.
     pub fn append_phase_transition(&self, phase: Phase) -> CommitSeq {
-        let mut inner = self.inner.lock();
+        let _section = self.section.lock();
         let seq = CommitSeq(self.next_seq.fetch_add(1, Ordering::AcqRel));
         let old = PhaseStamp::decode(self.stamp.load(Ordering::Relaxed));
         let new = PhaseStamp {
@@ -217,9 +197,6 @@ impl CommitLog {
             phase,
         };
         self.stamp.store(new.encode(), Ordering::Relaxed);
-        if self.retain {
-            inner.entries.push(LogEntry::PhaseTransition { seq, phase });
-        }
         seq
     }
 
@@ -228,7 +205,7 @@ impl CommitLog {
     /// commits and checkpoints never collide with pre-crash artifacts.
     /// Monotone (never moves backwards); must run before transactions.
     pub fn advance_to(&self, seq: CommitSeq, cycle: u64) {
-        let _inner = self.inner.lock();
+        let _section = self.section.lock();
         let next = self.next_seq.load(Ordering::Acquire).max(seq.0 + 1);
         self.next_seq.store(next, Ordering::Release);
         let old = PhaseStamp::decode(self.stamp.load(Ordering::Relaxed));
@@ -258,65 +235,15 @@ impl CommitLog {
     pub fn last_seq(&self) -> CommitSeq {
         CommitSeq(self.next_seq.load(Ordering::Acquire) - 1)
     }
-
-    /// Total commit tokens appended (independent of retention).
-    pub fn commit_count(&self) -> u64 {
-        self.commit_count.load(Ordering::Relaxed)
-    }
-
-    /// Commit records with `seq > watermark`, in order — the replay input
-    /// for recovery from a checkpoint taken at `watermark`.
-    ///
-    /// # Panics
-    /// Panics if the log does not retain payloads, or if entries above the
-    /// watermark have been truncated.
-    pub fn commits_after(&self, watermark: CommitSeq) -> Vec<CommitRecord> {
-        assert!(self.retain, "commits_after requires a retaining log");
-        let inner = self.inner.lock();
-        assert!(
-            watermark.0 + 1 >= inner.base_seq.0,
-            "entries after {watermark} were truncated (base {})",
-            inner.base_seq
-        );
-        inner
-            .entries
-            .iter()
-            .filter_map(|e| match e {
-                LogEntry::Commit(c) if c.seq > watermark => Some(c.clone()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Full entry snapshot (tests / diagnostics).
-    pub fn entries(&self) -> Vec<LogEntry> {
-        self.inner.lock().entries.clone()
-    }
-
-    /// Drops entries with `seq <= watermark` (after they are covered by a
-    /// durable checkpoint).
-    pub fn truncate_through(&self, watermark: CommitSeq) {
-        let mut inner = self.inner.lock();
-        inner.entries.retain(|e| e.seq() > watermark);
-        if watermark.next() > inner.base_seq {
-            inner.base_seq = watermark.next();
-        }
-    }
-
-    /// Retained entry count.
-    pub fn retained_len(&self) -> usize {
-        self.inner.lock().entries.len()
-    }
 }
 
 impl std::fmt::Debug for CommitLog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "CommitLog(commits={}, retained={}, phase={})",
-            self.commit_count(),
-            self.retained_len(),
-            self.current_phase()
+            "CommitLog(last_seq={}, stamp={})",
+            self.last_seq(),
+            self.current_stamp()
         )
     }
 }
@@ -325,49 +252,44 @@ impl std::fmt::Debug for CommitLog {
 mod tests {
     use super::*;
 
-    fn params(b: &[u8]) -> Arc<[u8]> {
-        Arc::from(b.to_vec().into_boxed_slice())
-    }
-
     #[test]
     fn sequences_are_monotone_and_dense() {
-        let log = CommitLog::new(true);
-        let (s1, _) = log.append_commit(TxnId(1), ProcId(0), params(b"a"));
-        let (s2, _) = log.append_commit(TxnId(2), ProcId(0), params(b"b"));
+        let log = CommitLog::default();
+        let (s1, _) = log.append_commit();
+        let (s2, _) = log.append_commit();
         let s3 = log.append_phase_transition(Phase::Prepare);
         assert_eq!(s1, CommitSeq(1));
         assert_eq!(s2, CommitSeq(2));
         assert_eq!(s3, CommitSeq(3));
         assert_eq!(log.last_seq(), CommitSeq(3));
-        assert_eq!(log.commit_count(), 2);
     }
 
     #[test]
     fn commit_phase_reflects_transitions() {
-        let log = CommitLog::new(false);
-        let (_, s) = log.append_commit(TxnId(1), ProcId(0), params(b""));
+        let log = CommitLog::default();
+        let (_, s) = log.append_commit();
         assert_eq!(s.phase, Phase::Rest);
         assert_eq!(s.cycle, 0);
         log.append_phase_transition(Phase::Prepare);
-        let (_, s) = log.append_commit(TxnId(2), ProcId(0), params(b""));
+        let (_, s) = log.append_commit();
         assert_eq!(s.phase, Phase::Prepare);
         log.append_phase_transition(Phase::Resolve);
-        let (_, s) = log.append_commit(TxnId(3), ProcId(0), params(b""));
+        let (_, s) = log.append_commit();
         assert_eq!(s.phase, Phase::Resolve);
         assert_eq!(log.current_phase(), Phase::Resolve);
     }
 
     #[test]
     fn cycle_increments_on_rest_and_interval_mapping() {
-        let log = CommitLog::new(false);
+        let log = CommitLog::default();
         assert_eq!(log.current_stamp().cycle, 0);
         // Pre-point commit in cycle 0 → checkpoint interval 0.
         log.append_phase_transition(Phase::Prepare);
-        let (_, s) = log.append_commit(TxnId(1), ProcId(0), params(b""));
+        let (_, s) = log.append_commit();
         assert_eq!(s.checkpoint_interval(), 0);
         // Post-point commit in cycle 0 → checkpoint interval 1.
         log.append_phase_transition(Phase::Resolve);
-        let (_, s) = log.append_commit(TxnId(2), ProcId(0), params(b""));
+        let (_, s) = log.append_commit();
         assert_eq!(s.checkpoint_interval(), 1);
         log.append_phase_transition(Phase::Capture);
         log.append_phase_transition(Phase::Complete);
@@ -376,7 +298,7 @@ mod tests {
         assert_eq!(s.cycle, 1);
         assert_eq!(s.phase, Phase::Rest);
         // Rest commit in cycle 1 → checkpoint interval 1.
-        let (_, s) = log.append_commit(TxnId(3), ProcId(0), params(b""));
+        let (_, s) = log.append_commit();
         assert_eq!(s.checkpoint_interval(), 1);
     }
 
@@ -391,88 +313,106 @@ mod tests {
     }
 
     #[test]
-    fn commits_after_watermark() {
-        let log = CommitLog::new(true);
-        log.append_commit(TxnId(1), ProcId(7), params(b"one"));
-        let watermark = log.append_phase_transition(Phase::Resolve);
-        log.append_commit(TxnId(2), ProcId(7), params(b"two"));
-        log.append_commit(TxnId(3), ProcId(8), params(b"three"));
-        let replay = log.commits_after(watermark);
-        assert_eq!(replay.len(), 2);
-        assert_eq!(replay[0].txn, TxnId(2));
-        assert_eq!(&replay[0].params[..], b"two");
-        assert_eq!(replay[1].proc, ProcId(8));
+    #[should_panic(expected = "retains nothing")]
+    fn retaining_mode_is_rejected() {
+        let _ = CommitLog::new(true);
     }
 
     #[test]
-    fn non_retaining_log_stores_nothing() {
-        let log = CommitLog::new(false);
-        for i in 0..100 {
-            log.append_commit(TxnId(i), ProcId(0), params(b"x"));
+    fn enqueue_runs_inside_the_section_in_seq_order() {
+        // Four committers push the seq they were handed onto a shared
+        // queue from inside the section while phase tokens interleave: the
+        // queue must come out strictly increasing (with the tokens as
+        // gaps), and nothing else can enter the section while an enqueue
+        // runs.
+        let log = Arc::new(CommitLog::default());
+        let queue = Arc::new(Mutex::new(Vec::new()));
+        let committers: Vec<_> = (0..4)
+            .map(|_| {
+                let (log, queue) = (log.clone(), queue.clone());
+                std::thread::spawn(move || {
+                    for _ in 0..2_000 {
+                        log.append_commit_with(|seq, _| {
+                            assert_eq!(log.last_seq(), seq, "a token was appended mid-enqueue");
+                            queue.lock().push(seq.0);
+                        });
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..50 {
+            for p in [Phase::Prepare, Phase::Resolve, Phase::Capture, Phase::Complete, Phase::Rest] {
+                log.append_phase_transition(p);
+            }
         }
-        assert_eq!(log.retained_len(), 0);
-        assert_eq!(log.commit_count(), 100);
-    }
-
-    #[test]
-    fn truncate_through_drops_prefix() {
-        let log = CommitLog::new(true);
-        for i in 0..10 {
-            log.append_commit(TxnId(i), ProcId(0), params(b""));
+        for h in committers {
+            h.join().unwrap();
         }
-        log.truncate_through(CommitSeq(5));
-        assert_eq!(log.retained_len(), 5);
-        let replay = log.commits_after(CommitSeq(5));
-        assert_eq!(replay.len(), 5);
-        assert_eq!(replay[0].seq, CommitSeq(6));
-    }
-
-    #[test]
-    #[should_panic(expected = "truncated")]
-    fn commits_after_truncated_watermark_panics() {
-        let log = CommitLog::new(true);
-        for i in 0..10 {
-            log.append_commit(TxnId(i), ProcId(0), params(b""));
-        }
-        log.truncate_through(CommitSeq(5));
-        log.commits_after(CommitSeq(3));
+        let queue = queue.lock();
+        assert!(queue.windows(2).all(|w| w[0] < w[1]), "enqueue order != seq order");
+        assert_eq!(queue.len(), 8_000);
+        assert_eq!(log.last_seq().0, 8_000 + 250);
     }
 
     #[test]
     fn concurrent_appends_linearize_against_phase_transitions() {
         use std::sync::atomic::AtomicBool;
-        let log = Arc::new(CommitLog::new(true));
+        let log = Arc::new(CommitLog::default());
         let stop = Arc::new(AtomicBool::new(false));
-        let committers: Vec<_> = (0..4u64)
-            .map(|t| {
+        let committers: Vec<_> = (0..4)
+            .map(|_| {
                 let log = log.clone();
                 let stop = stop.clone();
                 std::thread::spawn(move || {
-                    let mut i = 0u64;
+                    // Each committer keeps the tokens it was handed.
+                    let mut mine = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
-                        log.append_commit(TxnId(t * 1_000_000 + i), ProcId(0), params(b""));
-                        i += 1;
+                        mine.push(log.append_commit());
                     }
+                    mine
                 })
             })
             .collect();
-        // Drive a full phase cycle while commits stream in.
-        for p in [Phase::Prepare, Phase::Resolve, Phase::Capture, Phase::Complete, Phase::Rest] {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            log.append_phase_transition(p);
+        // Drive two full phase cycles while commits stream in; the driver
+        // keeps each transition's seq and the stamp it published.
+        let mut transitions = Vec::new();
+        for cycle in 0..2u64 {
+            for phase in [Phase::Prepare, Phase::Resolve, Phase::Capture, Phase::Complete, Phase::Rest] {
+                std::thread::sleep(std::time::Duration::from_millis(3));
+                let seq = log.append_phase_transition(phase);
+                let cycle = cycle + (phase == Phase::Rest) as u64;
+                transitions.push((seq, PhaseStamp { cycle, phase }));
+            }
         }
         stop.store(true, Ordering::Relaxed);
-        for h in committers {
-            h.join().unwrap();
+        let commits: Vec<(CommitSeq, PhaseStamp)> = committers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        assert!(commits.len() > transitions.len(), "committers never ran");
+
+        // Every commit's stamp is the one published by the last transition
+        // with a smaller seq (REST of cycle 0 before the first) — the
+        // property `Mutation::LatePhaseStamp` breaks.
+        for &(seq, stamp) in &commits {
+            let expected = transitions
+                .iter()
+                .rev()
+                .find(|(t, _)| *t < seq)
+                .map_or(PhaseStamp { cycle: 0, phase: Phase::Rest }, |&(_, s)| s);
+            assert_eq!(stamp, expected, "commit {seq} carries the wrong stamp");
         }
-        // Invariant: walking the log, every commit token's recorded-at
-        // phase (reconstructable from the preceding transition token) is
-        // consistent; sequences are strictly increasing and dense.
-        let entries = log.entries();
-        let mut last = 0u64;
-        for e in &entries {
-            assert_eq!(e.seq().0, last + 1, "sequence gap");
-            last = e.seq().0;
-        }
+        // Seqs are unique and dense across both token kinds.
+        let mut seqs: Vec<u64> = commits
+            .iter()
+            .map(|(s, _)| s.0)
+            .chain(transitions.iter().map(|(s, _)| s.0))
+            .collect();
+        seqs.sort_unstable();
+        assert!(
+            seqs.iter().copied().eq(1..=seqs.len() as u64),
+            "sequence gap or duplicate"
+        );
+        assert_eq!(log.last_seq().0, seqs.len() as u64);
     }
 }

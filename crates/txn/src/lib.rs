@@ -15,10 +15,11 @@
 //!   atomically appending a commit token to this log before releasing any
 //!   of its locks" (§2.2). Phase-transition tokens are appended to the same
 //!   log, which is what lets CALC determine unambiguously which phase the
-//!   system was in when any transaction committed. The same structure
-//!   doubles as the *command log* (VoltDB-style, §1): each commit token
-//!   carries the procedure id and parameters, so deterministic replay can
-//!   reconstruct post-checkpoint state.
+//!   system was in when any transaction committed. It is a sequencer and
+//!   stores nothing: the *command log* (VoltDB-style, §1) is
+//!   `calc-recovery`'s segment directory, and a committer enqueues its
+//!   [`commitlog::CommitRecord`] there from inside the append's critical
+//!   section, so the durable log's byte order is commit order.
 //! * [`proc`] — the stored-procedure framework: pre-declared lock sets, a
 //!   [`proc::TxnOps`] data interface, and a registry for replay.
 //! * [`route`] — shard-footprint classification for the thread-per-core
@@ -32,7 +33,7 @@ pub mod locks;
 pub mod proc;
 pub mod route;
 
-pub use commitlog::{CommitLog, CommitRecord, LogEntry, PhaseStamp};
+pub use commitlog::{CommitLog, CommitRecord, PhaseStamp};
 pub use locks::{LockManager, LockMode, LockSetGuard};
 pub use proc::{AbortReason, LockRequest, ProcId, ProcRegistry, Procedure, TxnOps};
 pub use route::{Route, ShardRouter};

@@ -128,7 +128,7 @@ fn main() {
     .expect("open checkpoint dir");
     let fresh = CalcStrategy::partial(
         StoreConfig::for_records(10_000, 16),
-        Arc::new(CommitLog::new(false)),
+        Arc::new(CommitLog::default()),
     );
     let outcome =
         recovery::recover(&ckpt_dir, &fresh, &registry(), &commands).expect("recovery");

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Full verification gate: tier-0 (clippy and rustdoc, deny warnings — a doc
-# link to a deleted item fails the gate — plus a check build of perfbench,
-# which is its own workspace, so a renamed crate API it calls would
-# otherwise go unnoticed), then tier-1 (build + every workspace test).
+# Full verification gate: tier-0 (a grep that the engine wraps no lock of
+# its own around the group committer — the commit log's section is the
+# one commit point; clippy and rustdoc, deny warnings — a doc link to a
+# deleted item fails the gate — plus a check build of perfbench, which is
+# its own workspace, so a renamed crate API it calls would otherwise go
+# unnoticed), then tier-1 (build + every workspace test).
 #
 # Tier-1 owns every suite's *default* seed. `cargo test --workspace` already
 # runs, with no seed variable set:
@@ -36,6 +38,12 @@
 # overriding CONFORM_SEED replays the whole suite shifted to that base.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== tier-0: one commit point (no lock around the group committer) =="
+if grep -rn "cmdlog.lock()" crates/engine/src; then
+    echo "verify: the commit log's section is the only lock on the commit path" >&2
+    exit 1
+fi
 
 echo "== tier-0: clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --quiet -- -D warnings

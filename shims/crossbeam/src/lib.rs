@@ -219,8 +219,13 @@ pub mod channel {
                 .unwrap_or_else(PoisonError::into_inner);
             g.receivers -= 1;
             if g.receivers == 0 {
+                // Like crossbeam: nobody can receive what is still queued,
+                // so drop it now (outside the lock) and not when the last
+                // sender goes — a queued reply handle must disconnect.
+                let unread = std::mem::take(&mut g.buf);
                 drop(g);
                 self.0.not_full.notify_all();
+                drop(unread);
             }
         }
     }
@@ -376,6 +381,16 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(5)),
             Err(RecvTimeoutError::Disconnected)
         );
+    }
+
+    #[test]
+    fn dropping_the_last_receiver_drops_what_is_queued() {
+        let (tx, rx) = unbounded();
+        let (reply_tx, reply_rx) = bounded::<()>(1);
+        tx.send(reply_tx).unwrap();
+        drop(rx);
+        assert!(reply_rx.recv().is_err(), "the queued reply handle must be gone");
+        assert!(tx.send(bounded(1).0).is_err());
     }
 
     #[test]

@@ -67,8 +67,8 @@
 //! | [`baselines`] | Naive, Fuzzy, IPP, Zig-Zag (+ partial variants) |
 //! | [`engine`] | `Database`, executor, admission gate, metrics |
 //! | [`storage`] | dual-version / triple-copy / zig-zag stores, dirty trackers |
-//! | [`txn`] | lock manager, commit/command log, procedures |
-//! | [`recovery`] | checkpoint load + deterministic replay, durable command log |
+//! | [`txn`] | lock manager, commit log (token sequencer), procedures |
+//! | [`recovery`] | checkpoint load + deterministic replay, the command log |
 //! | [`workload`] | the paper's microbenchmark and TPC-C |
 //! | [`common`] | bit vectors (polarity swap), bloom filter, CRC-32, histograms |
 

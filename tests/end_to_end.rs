@@ -139,7 +139,7 @@ fn full_stack_checkpoint_and_recovery_for_every_tc_strategy() {
         // strategy-agnostic) and replay the command log.
         let fresh = CalcStrategy::full(
             StoreConfig::for_records(8192, 16),
-            Arc::new(CommitLog::new(false)),
+            Arc::new(CommitLog::default()),
         );
         dbc.sync_command_log().unwrap();
         let commands = recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
@@ -174,7 +174,7 @@ fn fuzzy_checkpoints_are_refused_by_recovery() {
 
     let fresh = calc_db::baselines::FuzzyStrategy::partial(
         StoreConfig::for_records(1024, 16),
-        Arc::new(CommitLog::new(false)),
+        Arc::new(CommitLog::default()),
     );
     let err = recovery::recover(db.checkpoint_dir(), &fresh, &registry(), &[]).unwrap_err();
     assert!(matches!(
@@ -216,7 +216,7 @@ fn durable_command_log_survives_crash_and_replays() {
     let ckpt_dir = CheckpointDir::open(&ckpt_dir_path, Arc::new(Throttle::unlimited())).unwrap();
     let fresh = CalcStrategy::full(
         StoreConfig::for_records(1024, 16),
-        Arc::new(CommitLog::new(false)),
+        Arc::new(CommitLog::default()),
     );
     let outcome = recovery::recover(&ckpt_dir, &fresh, &registry(), &commands).unwrap();
     assert_eq!(outcome.watermark, ckpt.watermark);
@@ -332,6 +332,74 @@ fn server_boot_path_recovers_across_three_restarts() {
     }
 }
 
+/// The commit point end to end, under both executors: ack-before-fsync
+/// and ack-after-fsync commits race a checkpoint, the process dies, and
+/// the command log on disk is strictly seq-ordered (phase tokens leave
+/// gaps, never reorder) and restarts to exactly what was committed.
+#[test]
+fn concurrent_commits_and_a_checkpoint_log_in_seq_order_and_restart_to_the_model() {
+    use calc_db::engine::ExecutorMode;
+    use calc_server::procs;
+    const THREADS: u64 = 4;
+    const ROUNDS: u64 = 150;
+    for mode in ExecutorMode::ALL {
+        let dir = tmp_dir(&format!("commit-point-{}", mode.name()));
+        let boot = || {
+            calc_server::open_or_recover(&dir, |c| {
+                c.workers = 2;
+                c.executor_mode = mode;
+            })
+            .unwrap()
+        };
+        let db = boot();
+        std::thread::scope(|s| {
+            // Each thread owns its keys and overwrites them in rounds, so
+            // the model is every key's last round; odd threads wait for
+            // the fsync, even ones do not.
+            for t in 0..THREADS {
+                let db = &db;
+                s.spawn(move || {
+                    for i in 0..ROUNDS {
+                        let p = params::Writer::new()
+                            .u64(t * 100 + i % 10)
+                            .bytes(&i.to_le_bytes())
+                            .finish();
+                        let outcome = if t % 2 == 1 {
+                            db.execute_durable(procs::PUT, p).unwrap()
+                        } else {
+                            db.execute(procs::PUT, p)
+                        };
+                        assert!(matches!(outcome, TxnOutcome::Committed(_)));
+                    }
+                });
+            }
+            s.spawn(|| db.checkpoint_now().unwrap());
+        });
+        // Die without a sync: dropping the engine is the only flush.
+        drop(db);
+
+        let commands = recovery::read_dir_logs(&OsVfs, &dir.join("cmdlog")).unwrap();
+        assert_eq!(commands.len() as u64, THREADS * ROUNDS, "{mode:?}");
+        assert!(
+            commands.windows(2).all(|w| w[0].seq < w[1].seq),
+            "{mode:?}: command log out of seq order"
+        );
+        let db = boot();
+        assert_eq!(db.record_count() as u64, THREADS * 10, "{mode:?}");
+        for t in 0..THREADS {
+            for k in 0..10u64 {
+                let last = ROUNDS - 10 + k;
+                assert_eq!(
+                    db.get(Key(t * 100 + k)).as_deref(),
+                    Some(&last.to_le_bytes()[..]),
+                    "{mode:?}: key {}",
+                    t * 100 + k
+                );
+            }
+        }
+    }
+}
+
 /// Files named like the retired single-file formats are inert: never
 /// parsed, claimed, quarantined or deleted, whatever bytes they hold.
 #[test]
@@ -433,7 +501,7 @@ fn tpcc_money_conserved_across_checkpoint_and_recovery() {
     TpccWorkload::register(&mut registry2);
     let fresh = CalcStrategy::partial(
         StoreConfig::for_records(config.capacity_hint(5000), 140),
-        Arc::new(CommitLog::new(false)),
+        Arc::new(CommitLog::default()),
     );
     db.sync_command_log().unwrap();
     let commands = recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
@@ -464,7 +532,7 @@ fn checkpoint_files_are_portable_across_strategies() {
 
     let calc = CalcStrategy::full(
         StoreConfig::for_records(1024, 16),
-        Arc::new(CommitLog::new(false)),
+        Arc::new(CommitLog::default()),
     );
     let outcome = recovery::recover_checkpoint_only(db.checkpoint_dir(), &calc).unwrap();
     assert_eq!(outcome.loaded_records, 100);

@@ -35,7 +35,7 @@ fn logged_commands(db: &Database, log_dir: &Path) -> Vec<CommitRecord> {
 fn fresh_calc() -> CalcStrategy {
     CalcStrategy::full(
         StoreConfig::for_records(2048, 16),
-        Arc::new(CommitLog::new(false)),
+        Arc::new(CommitLog::default()),
     )
 }
 

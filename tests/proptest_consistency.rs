@@ -92,7 +92,7 @@ fn run_scenario(kind: StrategyKind, ops: &[Op], case: &str) {
     if let Some(expected) = snapshots.last() {
         let fresh = CalcStrategy::full(
             StoreConfig::for_records(4096, 64),
-            Arc::new(CommitLog::new(false)),
+            Arc::new(CommitLog::default()),
         );
         let outcome = recovery::recover_checkpoint_only(db.checkpoint_dir(), &fresh).unwrap();
         assert_eq!(
