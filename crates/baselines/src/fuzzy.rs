@@ -28,7 +28,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use calc_common::types::{CommitSeq, Key, Value};
-use calc_storage::dirty::{BitVecTracker, DirtyTracker};
+use calc_storage::dirty::BitVecTracker;
 use calc_storage::dual::{DualVersionStore, StoreConfig, StoreError};
 use calc_storage::mem::{MemCounter, MemoryStats};
 use calc_storage::SlotId;

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use calc_common::types::{CommitSeq, Key, Value};
-use calc_storage::dirty::{BitVecTracker, DirtyTracker};
+use calc_storage::dirty::BitVecTracker;
 use calc_storage::dual::{DualVersionStore, StoreConfig, StoreError};
 use calc_storage::mem::MemoryStats;
 use calc_txn::commitlog::{CommitLog, PhaseStamp};

@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use calc_common::types::{CommitSeq, Key, Value};
-use calc_storage::dirty::{BitVecTracker, DirtyTracker};
+use calc_storage::dirty::BitVecTracker;
 use calc_storage::dual::{StoreConfig, StoreError};
 use calc_storage::mem::MemoryStats;
 use calc_storage::zigzag::ZigzagStore;

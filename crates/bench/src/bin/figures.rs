@@ -16,7 +16,7 @@ use calc_bench::figures::{self, FigureOpts};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures <fig2a|fig2b|fig2c|fig3a|fig3b|fig3c|fig4a|fig4b|fig5|fig6|fig7a|fig7b|fig8|all>\n\
+        "usage: figures <fig2a|fig2b|fig2c|fig3a|fig3b|fig3c|fig4a|fig4b|fig5|fig6|fig7a|fig7b|fig8|ablation-mvcc|all>\n\
          \t[--seconds N] [--records N] [--warehouses N] [--workers N]\n\
          \t[--feeders N] [--disk-mbps N] [--out DIR] [--seed N]"
     );
@@ -75,7 +75,9 @@ fn main() {
         }
         "fig7b" => figures::fig7b(&opts),
         "fig8" => figures::fig8(&opts),
-        "ablation-mvcc" => figures::ablation_mvcc(&opts),
+        "ablation-mvcc" => {
+            figures::ablation_mvcc(&opts);
+        }
         "all" => figures::all(&opts),
         _ => usage(),
     }

@@ -853,7 +853,7 @@ pub fn fig8(opts: &FigureOpts) {
 /// grows with the *update count* rather than the record count, which is
 /// the paper's reason for rejecting it in memory-constrained main-memory
 /// systems.
-pub fn ablation_mvcc(opts: &FigureOpts) {
+pub fn ablation_mvcc(opts: &FigureOpts) -> Vec<RunResult> {
     eprintln!("ablation-mvcc: CALC vs full multi-versioning");
     let at = vec![Duration::from_secs_f64(opts.seconds * 0.5)];
     let results = run_set(
@@ -868,7 +868,7 @@ pub fn ablation_mvcc(opts: &FigureOpts) {
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|r| {
-            let peak = r.timeline.iter().map(|p| p.mem_bytes).max().unwrap_or(0);
+            let peak = r.peak_mem_bytes();
             let rest = r.timeline.last().map(|p| p.mem_bytes).unwrap_or(0);
             vec![
                 r.kind.name().to_string(),
@@ -890,12 +890,7 @@ pub fn ablation_mvcc(opts: &FigureOpts) {
             vec![
                 r.kind.name().to_string(),
                 r.committed.to_string(),
-                r.timeline
-                    .iter()
-                    .map(|p| p.mem_bytes)
-                    .max()
-                    .unwrap_or(0)
-                    .to_string(),
+                r.peak_mem_bytes().to_string(),
                 r.timeline
                     .last()
                     .map(|p| p.mem_bytes)
@@ -905,9 +900,10 @@ pub fn ablation_mvcc(opts: &FigureOpts) {
         }),
     )
     .expect("write csv");
+    results
 }
 
-/// Runs every figure.
+/// Runs every figure and the ablation.
 pub fn all(opts: &FigureOpts) {
     fig2c(opts); // includes 2a + 2b
     fig3c(opts); // includes 3a + 3b
@@ -917,4 +913,5 @@ pub fn all(opts: &FigureOpts) {
     fig6(opts);
     fig7b(opts); // includes 7a
     fig8(opts);
+    ablation_mvcc(opts);
 }

@@ -147,6 +147,11 @@ impl RunResult {
     pub fn mean_tps(&self, duration: Duration) -> f64 {
         self.committed as f64 / duration.as_secs_f64()
     }
+
+    /// Highest sampled memory footprint of the run, in bytes.
+    pub fn peak_mem_bytes(&self) -> usize {
+        self.timeline.iter().map(|p| p.mem_bytes).max().unwrap_or(0)
+    }
 }
 
 /// Runs one experiment to completion.

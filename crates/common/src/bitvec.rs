@@ -68,15 +68,6 @@ impl AtomicBitVec {
         prev & mask != 0
     }
 
-    /// Atomically sets bit `idx` to 1; returns `true` if this call changed
-    /// it (i.e. the bit was previously 0). Useful for "first writer wins"
-    /// protocols such as dirty-key tracking.
-    #[inline]
-    pub fn test_and_set(&self, idx: usize) -> bool {
-        let (word, mask) = self.locate(idx);
-        word.fetch_or(mask, Ordering::AcqRel) & mask == 0
-    }
-
     /// Clears every bit. This is the full scan that [`PolarityBitVec`]
     /// exists to avoid on the hot path; it is still used by the partial
     /// checkpointers to clear the *inactive* dirty vector during a
@@ -301,14 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn test_and_set_first_wins() {
-        let bv = AtomicBitVec::new(10);
-        assert!(bv.test_and_set(3));
-        assert!(!bv.test_and_set(3));
-        assert!(bv.get(3));
-    }
-
-    #[test]
     fn iter_ones_yields_sorted_indices() {
         let bv = AtomicBitVec::new(200);
         let set = [0usize, 1, 63, 64, 120, 199];
@@ -388,7 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_test_and_set_exactly_one_winner() {
+    fn concurrent_set_has_exactly_one_winner_per_bit() {
         let bv = Arc::new(AtomicBitVec::new(1024));
         let mut handles = Vec::new();
         let winners = Arc::new(AtomicU64::new(0));
@@ -397,7 +380,7 @@ mod tests {
             let winners = winners.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..1024 {
-                    if bv.test_and_set(i) {
+                    if !bv.set(i, true) {
                         winners.fetch_add(1, Ordering::Relaxed);
                     }
                 }

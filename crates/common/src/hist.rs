@@ -118,21 +118,6 @@ impl Histogram {
         out
     }
 
-    /// Merges another histogram into this one.
-    pub fn merge(&self, other: &Histogram) {
-        for (a, b) in self.buckets.iter().zip(other.buckets.iter()) {
-            let v = b.load(Ordering::Relaxed);
-            if v > 0 {
-                a.fetch_add(v, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum
-            .fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
 
     /// Clears all recorded data.
     pub fn reset(&self) {
@@ -220,17 +205,6 @@ mod tests {
             last = frac;
         }
         assert!((last - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(10);
-        b.record(1_000_000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), 1_000_000);
     }
 
     #[test]

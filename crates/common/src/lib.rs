@@ -8,8 +8,6 @@
 //!   trick (§2.2.5): after a checkpoint cycle every `stable_status` bit is
 //!   left in the *available* state, and instead of scanning the whole
 //!   vector to reset it, the *meaning* of 0/1 is flipped.
-//! * [`bloom`] — a split-block bloom filter, one of the three dirty-key
-//!   tracker designs evaluated in §2.3 of the paper.
 //! * [`crc`] — CRC-32 (IEEE), used to checksum checkpoint files so that a
 //!   crash mid-capture leaves a detectably-invalid file.
 //! * [`hist`] — a log-bucketed latency histogram (HDR-style) used to
@@ -35,7 +33,6 @@
 
 pub mod backoff;
 pub mod bitvec;
-pub mod bloom;
 pub mod crc;
 pub mod hist;
 pub mod load;
@@ -50,7 +47,6 @@ pub mod vfs;
 
 pub use backoff::Backoff;
 pub use bitvec::{AtomicBitVec, PolarityBitVec};
-pub use bloom::BloomFilter;
 pub use hist::Histogram;
 pub use load::{Gate, LoadLevel, LoadSignal, Permit};
 pub use phase::Phase;

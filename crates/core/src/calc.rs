@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use calc_common::phase::Phase;
 use calc_common::types::{CommitSeq, Key, Value};
-use calc_storage::dirty::{BitVecTracker, DirtyTracker};
+use calc_storage::dirty::BitVecTracker;
 use calc_storage::dual::{DualSlotGuard, DualVersionStore, StoreConfig, StoreError};
 use calc_storage::mem::MemoryStats;
 use calc_storage::SlotId;

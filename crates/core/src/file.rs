@@ -349,11 +349,6 @@ impl CheckpointWriter {
         self.count
     }
 
-    /// Bytes written so far (pre-footer).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
     /// Seals the footer, flushes, and fsyncs. Returns the file's
     /// [`PartSummary`] (record count, byte size, and the record-stream
     /// CRC that doubles as the file's digest in multi-part manifests).

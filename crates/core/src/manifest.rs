@@ -473,11 +473,6 @@ impl CheckpointDir {
         let _ = self.load.set(signal);
     }
 
-    /// The attached load signal, if adaptive pacing is on.
-    pub fn load_signal(&self) -> Option<&Arc<LoadSignal>> {
-        self.load.get()
-    }
-
     /// Sets the block codec future checkpoints are written with. Existing
     /// checkpoints are untouched — files and manifests are
     /// self-describing, so mixed-codec directories recover fine.

@@ -19,8 +19,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::utils::CachePadded;
-
 use calc_common::phase::Phase;
 use calc_common::types::CommitSeq;
 use calc_txn::commitlog::{CommitLog, PhaseStamp};
@@ -28,15 +26,20 @@ use calc_txn::commitlog::{CommitLog, PhaseStamp};
 /// Per-phase active-transaction accounting plus transition driving.
 pub struct PhaseController {
     log: Arc<CommitLog>,
-    active: [CachePadded<AtomicUsize>; Phase::COUNT],
+    active: [PhaseCount; Phase::COUNT],
 }
+
+/// One phase's counter on cache lines of its own: every `begin`/`end`
+/// writes its phase's word, and neighbouring phases must not share it.
+#[repr(align(128))]
+struct PhaseCount(AtomicUsize);
 
 impl PhaseController {
     /// Creates a controller over the given commit log.
     pub fn new(log: Arc<CommitLog>) -> Self {
         PhaseController {
             log,
-            active: std::array::from_fn(|_| CachePadded::new(AtomicUsize::new(0))),
+            active: std::array::from_fn(|_| PhaseCount(AtomicUsize::new(0))),
         }
     }
 
@@ -45,28 +48,32 @@ impl PhaseController {
         &self.log
     }
 
+    fn count(&self, phase: Phase) -> &AtomicUsize {
+        &self.active[phase.index()].0
+    }
+
     /// Registers a transaction: returns the stamp (cycle + phase) it
     /// started under. Must be paired with [`PhaseController::end`].
     pub fn begin(&self) -> PhaseStamp {
         loop {
             let stamp = self.log.current_stamp();
-            self.active[stamp.phase.index()].fetch_add(1, Ordering::SeqCst);
+            self.count(stamp.phase).fetch_add(1, Ordering::SeqCst);
             if self.log.current_stamp() == stamp {
                 return stamp;
             }
-            self.active[stamp.phase.index()].fetch_sub(1, Ordering::SeqCst);
+            self.count(stamp.phase).fetch_sub(1, Ordering::SeqCst);
         }
     }
 
     /// Deregisters a transaction started with the given stamp.
     pub fn end(&self, stamp: PhaseStamp) {
-        let prev = self.active[stamp.phase.index()].fetch_sub(1, Ordering::SeqCst);
+        let prev = self.count(stamp.phase).fetch_sub(1, Ordering::SeqCst);
         debug_assert!(prev > 0, "phase counter underflow");
     }
 
     /// Number of active transactions that started in `phase`.
     pub fn active_in(&self, phase: Phase) -> usize {
-        self.active[phase.index()].load(Ordering::SeqCst)
+        self.count(phase).load(Ordering::SeqCst)
     }
 
     /// Appends a phase-transition token (linearized against commits) and

@@ -11,7 +11,6 @@
 //! checkpoint cycle itself is [`CheckpointStrategy::checkpoint`].
 
 use std::io;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use calc_common::types::{CommitSeq, Key, Value};
@@ -264,6 +263,3 @@ pub trait CheckpointStrategy: Send + Sync {
     /// action — the engine advances the log — hence the default no-op.
     fn resume_checkpoint_ids(&self, _next_id: u64) {}
 }
-
-/// Shared handle type used across the engine.
-pub type DynStrategy = Arc<dyn CheckpointStrategy>;

@@ -49,11 +49,6 @@ impl Throttle {
         }
     }
 
-    /// The paper's disk: ~150 MB/s sequential.
-    pub fn paper_disk() -> Self {
-        Throttle::new(150 * 1024 * 1024)
-    }
-
     /// Configured rate (0 = unlimited).
     pub fn bytes_per_sec(&self) -> u64 {
         self.bytes_per_sec

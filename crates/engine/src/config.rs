@@ -220,10 +220,6 @@ pub struct EngineConfig {
     /// `EXEC_MODE` environment variable when set (`pool`/`shard_owned`),
     /// else `Pool`.
     pub executor_mode: ExecutorMode,
-    /// Shards per worker for the shard-owned executor (total routing
-    /// shards = `workers * shards_per_worker`). More shards smooth load
-    /// imbalance across owners; ignored under [`ExecutorMode::Pool`].
-    pub shards_per_worker: usize,
     /// Submission queue capacity: `Some(n)` gives a bounded queue whose
     /// backpressure produces closed-loop (peak-throughput) behaviour;
     /// `None` is unbounded, for open-loop latency experiments where the
@@ -331,7 +327,6 @@ impl EngineConfig {
                 .map(|n| n.get().saturating_sub(1).max(1))
                 .unwrap_or(4),
             executor_mode: ExecutorMode::from_env(),
-            shards_per_worker: 8,
             queue_capacity: Some(4096),
             checkpoint_dir: dir,
             disk_bytes_per_sec: 0,

@@ -26,7 +26,7 @@ use calc_txn::locks::LockManager;
 use calc_txn::proc::{AbortReason, ProcId, ProcRegistry};
 use calc_txn::route::ShardRouter;
 
-use crate::config::{EngineConfig, ExecutorMode, StrategyKind};
+use crate::config::{EngineConfig, ExecutorMode};
 use crate::executor::{join_bounded, Executor, Reply, Request, SHUTDOWN_JOIN_TIMEOUT};
 use crate::metrics::{Health, Metric, MetricList, MetricValue, Metrics};
 use crate::service::{classify, CheckpointService};
@@ -88,7 +88,6 @@ pub(crate) struct Inner {
     /// Retention depth: prune published chains down to this many fulls
     /// after each successful cycle (`None` keeps everything).
     pub(crate) keep_checkpoints: Option<usize>,
-    pub(crate) kind: StrategyKind,
     #[cfg(feature = "conform")]
     pub(crate) recorder: Option<Arc<crate::recorder::HistoryRecorder>>,
 }
@@ -232,7 +231,6 @@ impl Database {
                 merge_retry_pending: AtomicBool::new(false),
                 command_log_dir: config.command_log_dir.clone(),
                 keep_checkpoints: config.keep_checkpoints,
-                kind: config.strategy,
                 #[cfg(feature = "conform")]
                 recorder: config.recorder.clone(),
             }
@@ -455,11 +453,6 @@ impl Database {
         &self.inner.dir
     }
 
-    /// The configured strategy kind.
-    pub fn strategy_kind(&self) -> StrategyKind {
-        self.inner.kind
-    }
-
     /// The active executor mode.
     pub fn executor_mode(&self) -> ExecutorMode {
         self.executor.mode()
@@ -606,6 +599,7 @@ impl std::fmt::Debug for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StrategyKind;
     use calc_testkit::{registry, set_u64, SET};
 
     #[test]

@@ -182,6 +182,10 @@ pub(crate) fn join_bounded(handle: std::thread::JoinHandle<()>, what: &str) {
     let _ = handle.join();
 }
 
+/// Routing shards per worker under shard ownership (total = workers ×
+/// this): enough that hot shards spread over the owners.
+const SHARDS_PER_WORKER: usize = 8;
+
 /// The queues, the optional shard routing, and the worker threads.
 pub(crate) struct Executor {
     /// One queue under the pool, one per worker under shard ownership.
@@ -197,7 +201,7 @@ impl Executor {
         let routing = match config.executor_mode {
             ExecutorMode::Pool => None,
             ExecutorMode::ShardOwned => Some(Routing {
-                router: ShardRouter::new(worker_count, config.shards_per_worker),
+                router: ShardRouter::new(worker_count, SHARDS_PER_WORKER),
                 depths: (0..worker_count).map(|_| AtomicU64::new(0)).collect(),
             }),
         };

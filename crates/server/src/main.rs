@@ -25,7 +25,7 @@ fn usage() -> ! {
          \x20                 [--max-inflight N] [--queue-deadline-ms N]\n\
          \x20                 [--frame-timeout-ms N] [--capacity-tps N]\n\
          \x20                 [--no-adaptive-pacing]\n\
-         \x20                 [--executor-mode pool|shard_owned] [--shards-per-worker N]\n\
+         \x20                 [--executor-mode pool|shard_owned]\n\
          --window-us N  upper bound on how long a commit may wait for company;\n\
          \x20              reached only by batches nobody is waiting on; waited\n\
          \x20              fsyncs start no closer than N/2 apart (default 2000)\n\
@@ -47,7 +47,6 @@ fn main() {
     let mut capacity_tps: Option<u64> = None;
     let mut adaptive_pacing = true;
     let mut executor_mode: Option<calc_engine::config::ExecutorMode> = None;
-    let mut shards_per_worker: Option<usize> = None;
 
     while let Some(flag) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -81,9 +80,6 @@ fn main() {
                         .unwrap_or_else(|| usage()),
                 )
             }
-            "--shards-per-worker" => {
-                shards_per_worker = Some(value().parse().unwrap_or_else(|_| usage()))
-            }
             _ => usage(),
         }
     }
@@ -108,9 +104,6 @@ fn main() {
         // Flag wins over the EXEC_MODE environment default.
         if let Some(mode) = executor_mode {
             config.executor_mode = mode;
-        }
-        if let Some(spw) = shards_per_worker {
-            config.shards_per_worker = spw.max(1);
         }
     })
     .expect("open or recover engine");

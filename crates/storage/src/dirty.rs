@@ -5,11 +5,10 @@
 //! evaluates three data structures — a hash table, a bit vector, and a
 //! bloom filter — and settles on the bit vector ("the additional work
 //! required by the other approaches was slightly more costly than the
-//! performance savings from improved cache locality"). All three are
-//! implemented here behind [`DirtyTracker`] so the `dirty_trackers` bench
-//! can reproduce that ablation; production code uses [`BitVecTracker`].
+//! performance savings from improved cache locality"); [`BitVecTracker`]
+//! is that design and the only one kept here.
 //!
-//! Every tracker keeps **two buffers** so the retired one can be cleared
+//! The tracker keeps **two buffers** so the retired one can be cleared
 //! during the checkpoint period, off the critical path, with no blocking
 //! synchronization (§2.3: "atomically cleared ... by keeping two copies of
 //! the structure, and flipping a bit specifying which is active"). Rather
@@ -21,40 +20,16 @@
 //! point of consistency always marks the checkpoint being captured, and one
 //! just after always marks the next, regardless of scheduling.
 
-use std::collections::HashSet;
-
-use parking_lot::Mutex;
-
 use calc_common::bitvec::AtomicBitVec;
-use calc_common::bloom::BloomFilter;
 
 use crate::SlotId;
 
-/// A double-buffered tracker of possibly-modified slots, addressed by
-/// checkpoint interval. Intervals `i` and `i + 2` share a buffer, so buffer
-/// `i & 1` must be cleared (via [`DirtyTracker::clear`]) after checkpoint
-/// `i` is captured and before interval `i + 2` begins — pCALC does this
-/// during the following checkpoint period.
-pub trait DirtyTracker: Send + Sync {
-    /// Marks `slot` as modified within `interval`.
-    fn mark(&self, slot: SlotId, interval: u64);
-
-    /// Whether `slot` is marked in `interval` (false positives allowed for
-    /// the bloom variant; false negatives never).
-    fn is_dirty(&self, slot: SlotId, interval: u64) -> bool;
-
-    /// Snapshot of `interval`'s dirty slot ids below `slot_limit` (the
-    /// store's high-water mark), sorted ascending.
-    fn dirty_slots(&self, interval: u64, slot_limit: usize) -> Vec<SlotId>;
-
-    /// Clears `interval`'s buffer for reuse by `interval + 2`.
-    fn clear(&self, interval: u64);
-
-    /// Approximate heap footprint in bytes (for the ablation bench).
-    fn heap_bytes(&self) -> usize;
-}
-
-/// The paper's chosen design: one bit per record slot, two copies.
+/// One bit per record slot, two copies: a double-buffered tracker of
+/// possibly-modified slots, addressed by checkpoint interval. Intervals
+/// `i` and `i + 2` share a buffer, so buffer `i & 1` must be cleared (via
+/// [`BitVecTracker::clear`]) after checkpoint `i` is captured and before
+/// interval `i + 2` begins — pCALC does this during the following
+/// checkpoint period.
 pub struct BitVecTracker {
     bufs: [AtomicBitVec; 2],
 }
@@ -66,18 +41,20 @@ impl BitVecTracker {
             bufs: [AtomicBitVec::new(capacity), AtomicBitVec::new(capacity)],
         }
     }
-}
 
-impl DirtyTracker for BitVecTracker {
-    fn mark(&self, slot: SlotId, interval: u64) {
+    /// Marks `slot` as modified within `interval`.
+    pub fn mark(&self, slot: SlotId, interval: u64) {
         self.bufs[(interval & 1) as usize].set(slot as usize, true);
     }
 
-    fn is_dirty(&self, slot: SlotId, interval: u64) -> bool {
+    /// Whether `slot` is marked in `interval`.
+    pub fn is_dirty(&self, slot: SlotId, interval: u64) -> bool {
         self.bufs[(interval & 1) as usize].get(slot as usize)
     }
 
-    fn dirty_slots(&self, interval: u64, slot_limit: usize) -> Vec<SlotId> {
+    /// Snapshot of `interval`'s dirty slot ids below `slot_limit` (the
+    /// store's high-water mark), sorted ascending.
+    pub fn dirty_slots(&self, interval: u64, slot_limit: usize) -> Vec<SlotId> {
         self.bufs[(interval & 1) as usize]
             .iter_ones()
             .take_while(|&s| s < slot_limit)
@@ -85,112 +62,14 @@ impl DirtyTracker for BitVecTracker {
             .collect()
     }
 
-    fn clear(&self, interval: u64) {
+    /// Clears `interval`'s buffer for reuse by `interval + 2`.
+    pub fn clear(&self, interval: u64) {
         self.bufs[(interval & 1) as usize].clear_all();
     }
 
-    fn heap_bytes(&self) -> usize {
+    /// Heap footprint in bytes (part of every strategy's `memory()`).
+    pub fn heap_bytes(&self) -> usize {
         self.bufs[0].heap_bytes() * 2
-    }
-}
-
-/// The hash-table alternative: exact, no space for untouched records, but
-/// every mark takes a lock + hash insert.
-pub struct HashSetTracker {
-    bufs: [Mutex<HashSet<SlotId>>; 2],
-}
-
-impl HashSetTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        HashSetTracker {
-            bufs: [Mutex::new(HashSet::new()), Mutex::new(HashSet::new())],
-        }
-    }
-}
-
-impl Default for HashSetTracker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DirtyTracker for HashSetTracker {
-    fn mark(&self, slot: SlotId, interval: u64) {
-        self.bufs[(interval & 1) as usize].lock().insert(slot);
-    }
-
-    fn is_dirty(&self, slot: SlotId, interval: u64) -> bool {
-        self.bufs[(interval & 1) as usize].lock().contains(&slot)
-    }
-
-    fn dirty_slots(&self, interval: u64, slot_limit: usize) -> Vec<SlotId> {
-        let mut v: Vec<SlotId> = self.bufs[(interval & 1) as usize]
-            .lock()
-            .iter()
-            .copied()
-            .filter(|&s| (s as usize) < slot_limit)
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    fn clear(&self, interval: u64) {
-        self.bufs[(interval & 1) as usize].lock().clear();
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.bufs
-            .iter()
-            .map(|b| b.lock().capacity() * std::mem::size_of::<SlotId>() * 2)
-            .sum()
-    }
-}
-
-/// The bloom-filter alternative: smaller than the bit vector when the dirty
-/// set is sparse, at the cost of false positives (unchanged records that
-/// get needlessly re-checkpointed). Because membership iteration is not
-/// possible, `dirty_slots` probes every slot id — the extra work the paper
-/// cites against this design.
-pub struct BloomTracker {
-    bufs: [BloomFilter; 2],
-}
-
-impl BloomTracker {
-    /// Creates a tracker expecting roughly `expected_dirty` dirty slots per
-    /// checkpoint interval.
-    pub fn new(expected_dirty: usize) -> Self {
-        BloomTracker {
-            bufs: [
-                BloomFilter::new(expected_dirty, 10),
-                BloomFilter::new(expected_dirty, 10),
-            ],
-        }
-    }
-}
-
-impl DirtyTracker for BloomTracker {
-    fn mark(&self, slot: SlotId, interval: u64) {
-        self.bufs[(interval & 1) as usize].insert(slot as u64);
-    }
-
-    fn is_dirty(&self, slot: SlotId, interval: u64) -> bool {
-        self.bufs[(interval & 1) as usize].may_contain(slot as u64)
-    }
-
-    fn dirty_slots(&self, interval: u64, slot_limit: usize) -> Vec<SlotId> {
-        let buf = &self.bufs[(interval & 1) as usize];
-        (0..slot_limit as SlotId)
-            .filter(|&s| buf.may_contain(s as u64))
-            .collect()
-    }
-
-    fn clear(&self, interval: u64) {
-        self.bufs[(interval & 1) as usize].clear();
-    }
-
-    fn heap_bytes(&self) -> usize {
-        self.bufs.iter().map(|b| b.heap_bytes()).sum()
     }
 }
 
@@ -198,7 +77,7 @@ impl DirtyTracker for BloomTracker {
 mod tests {
     use super::*;
 
-    fn exercise(t: &dyn DirtyTracker) {
+    fn exercise(t: &BitVecTracker) {
         // Pre-point commits mark interval 0; post-point commits interval 1.
         t.mark(3, 0);
         t.mark(7, 0);
@@ -227,16 +106,6 @@ mod tests {
     }
 
     #[test]
-    fn hashset_tracker_lifecycle() {
-        exercise(&HashSetTracker::new());
-    }
-
-    #[test]
-    fn bloom_tracker_lifecycle() {
-        exercise(&BloomTracker::new(64));
-    }
-
-    #[test]
     fn intervals_two_apart_share_a_buffer() {
         let t = BitVecTracker::new(16);
         t.mark(5, 0);
@@ -250,21 +119,6 @@ mod tests {
         t.mark(5, 0);
         t.mark(90, 0);
         assert_eq!(t.dirty_slots(0, 50), vec![5]);
-    }
-
-    #[test]
-    fn bloom_never_misses() {
-        let t = BloomTracker::new(1000);
-        for s in (0..1000).step_by(3) {
-            t.mark(s, 4);
-        }
-        for s in (0..1000).step_by(3) {
-            assert!(t.is_dirty(s, 4));
-        }
-        let listed = t.dirty_slots(4, 1000);
-        for s in (0..1000).step_by(3) {
-            assert!(listed.contains(&s));
-        }
     }
 
     #[test]

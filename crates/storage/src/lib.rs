@@ -21,9 +21,9 @@
 //!   the `MR`/`MW` bit vectors, §4.1.4).
 //! * [`pool`] — the pre-allocated buffer pool for stable record versions
 //!   (§5.1.6: avoids alloc/free churn during checkpoint periods).
-//! * [`dirty`] — the three dirty-key tracker designs evaluated in §2.3
-//!   (bit vector, hash set, bloom filter), double-buffered so the inactive
-//!   side can be cleared off the critical path.
+//! * [`dirty`] — the dirty-key tracker §2.3 settles on (one bit per
+//!   slot), double-buffered so the inactive side can be cleared off the
+//!   critical path.
 //! * [`mem`] — atomic memory accounting, feeding Figure 6.
 //!
 //! Synchronization model: each record slot's version data sits behind its
@@ -44,7 +44,7 @@ pub mod slots;
 pub mod triple;
 pub mod zigzag;
 
-pub use dirty::{BitVecTracker, BloomTracker, DirtyTracker, HashSetTracker};
+pub use dirty::BitVecTracker;
 pub use dual::{DualSlotGuard, DualVersionStore, StoreConfig};
 pub use mem::MemoryStats;
 pub use pool::BufferPool;

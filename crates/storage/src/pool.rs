@@ -13,23 +13,22 @@
 //! actual stable-version pressure, and it caps its retained free list so a
 //! burst does not pin memory forever.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::VecDeque;
 
-use crossbeam::queue::SegQueue;
+use parking_lot::Mutex;
 
 use crate::mem::MemCounter;
 
 /// A fixed-capacity, freelist-backed buffer pool.
 ///
-/// The free list is a lock-free queue: during a CALC checkpoint window
-/// every worker's first write of a record acquires a stable buffer and
-/// the capture thread releases them, all concurrently — a mutex here
-/// serializes the entire write path of the system.
+/// The free list is a FIFO under one mutex, held for a single push or
+/// pop: during a CALC checkpoint window every worker's first write of a
+/// record acquires a stable buffer and the capture thread releases them,
+/// all concurrently, so the copy into the buffer happens outside the lock.
 pub struct BufferPool {
     buf_capacity: usize,
     max_retained: usize,
-    free: SegQueue<Box<[u8]>>,
-    retained: AtomicUsize,
+    free: Mutex<VecDeque<Box<[u8]>>>,
     /// Outstanding (acquired, not yet released) values.
     outstanding: MemCounter,
 }
@@ -73,15 +72,13 @@ impl BufferPool {
     /// `prealloc` buffers allocated eagerly and at most
     /// `max(prealloc, 1024)` retained on the free list.
     pub fn new(buf_capacity: usize, prealloc: usize) -> Self {
-        let free = SegQueue::new();
-        for _ in 0..prealloc {
-            free.push(vec![0u8; buf_capacity].into_boxed_slice());
-        }
+        let free = (0..prealloc)
+            .map(|_| vec![0u8; buf_capacity].into_boxed_slice())
+            .collect();
         BufferPool {
             buf_capacity,
             max_retained: prealloc.max(1024),
-            free,
-            retained: AtomicUsize::new(prealloc),
+            free: Mutex::new(free),
             outstanding: MemCounter::new(),
         }
     }
@@ -91,13 +88,8 @@ impl BufferPool {
     pub fn acquire(&self, data: &[u8]) -> PoolValue {
         self.outstanding.add(data.len());
         if data.len() <= self.buf_capacity {
-            let mut buf = match self.free.pop() {
-                Some(b) => {
-                    self.retained.fetch_sub(1, Ordering::Relaxed);
-                    b
-                }
-                None => vec![0u8; self.buf_capacity].into_boxed_slice(),
-            };
+            let idle = self.free.lock().pop_front();
+            let mut buf = idle.unwrap_or_else(|| vec![0u8; self.buf_capacity].into_boxed_slice());
             buf[..data.len()].copy_from_slice(data);
             PoolValue {
                 buf,
@@ -116,9 +108,11 @@ impl BufferPool {
     /// Returns a value's buffer to the pool.
     pub fn release(&self, v: PoolValue) {
         self.outstanding.sub(v.len);
-        if v.pooled && self.retained.load(Ordering::Relaxed) < self.max_retained {
-            self.retained.fetch_add(1, Ordering::Relaxed);
-            self.free.push(v.buf);
+        if v.pooled {
+            let mut free = self.free.lock();
+            if free.len() < self.max_retained {
+                free.push_back(v.buf);
+            }
         }
     }
 
@@ -134,7 +128,7 @@ impl BufferPool {
 
     /// Number of buffers idle on the free list.
     pub fn free_buffers(&self) -> usize {
-        self.free.len()
+        self.free.lock().len()
     }
 
     /// Per-buffer capacity.

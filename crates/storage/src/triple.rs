@@ -236,11 +236,6 @@ impl TripleStore {
         old as usize
     }
 
-    /// Dirty bit vector of the given array.
-    pub fn dirty_bits(&self, array: usize) -> &AtomicBitVec {
-        &self.dirty[array]
-    }
-
     /// Consumes one retired dirty entry: returns `(key, Some(value))` for
     /// an update or `(key, None)` for a deletion as of the point of
     /// consistency, clears the dirty bit, merges into the snapshot (if

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Full verification gate: tier-0 (a grep that the engine wraps no lock of
 # its own around the group committer — the commit log's section is the
-# one commit point; clippy and rustdoc, deny warnings — a doc link to a
-# deleted item fails the gate — plus a check build of perfbench, which is
-# its own workspace, so a renamed crate API it calls would otherwise go
-# unnoticed), then tier-1 (build + every workspace test).
+# one commit point; a grep that no third benchmark harness comes back —
+# no `[[bench]]` target, no `criterion`, only the two shims; clippy and
+# rustdoc, deny warnings — a doc link to a deleted item fails the gate —
+# plus a check build of perfbench, which is its own workspace, so a
+# renamed crate API it calls would otherwise go unnoticed), then tier-1
+# (build + every workspace test).
 #
 # Tier-1 owns every suite's *default* seed. `cargo test --workspace` already
 # runs, with no seed variable set:
@@ -42,6 +44,16 @@ cd "$(dirname "$0")/.."
 echo "== tier-0: one commit point (no lock around the group committer) =="
 if grep -rn "cmdlog.lock()" crates/engine/src; then
     echo "verify: the commit log's section is the only lock on the commit path" >&2
+    exit 1
+fi
+
+echo "== tier-0: two benchmark harnesses (perfbench, figures), two shims =="
+if grep -n '\[\[bench\]\]\|criterion' Cargo.toml crates/*/Cargo.toml shims/*/Cargo.toml perfbench/Cargo.toml; then
+    echo "verify: performance numbers come from perfbench or figures; no [[bench]] targets, no criterion" >&2
+    exit 1
+fi
+if [ "$(echo shims/*)" != "shims/crossbeam shims/parking_lot" ]; then
+    echo "verify: shims/ holds only crossbeam and parking_lot, found: $(echo shims/*)" >&2
     exit 1
 fi
 

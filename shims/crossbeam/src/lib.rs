@@ -1,11 +1,11 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
-//! Provides the exact API subset the workspace uses:
-//! [`channel`] (MPMC bounded/unbounded channels), [`queue::SegQueue`], and
-//! [`utils::CachePadded`]. Implementations favour simplicity over the
-//! lock-free performance of the real crate — a mutex + condvars is plenty
-//! for the submission-queue and command-log paths here, whose costs are
-//! dominated by transaction execution and IO.
+//! Provides the exact API subset the workspace uses: [`channel`], the
+//! MPMC bounded/unbounded channels the executor and the group committer
+//! run on. The implementation favours simplicity over the lock-free
+//! performance of the real crate — a mutex + condvars is plenty for the
+//! submission-queue and command-log paths here, whose costs are dominated
+//! by transaction execution and IO.
 
 /// MPMC channels with the crossbeam-channel surface.
 pub mod channel {
@@ -231,99 +231,9 @@ pub mod channel {
     }
 }
 
-/// Concurrent queues.
-pub mod queue {
-    use std::collections::VecDeque;
-    use std::sync::{Mutex, PoisonError};
-
-    /// An unbounded MPMC queue (mutex-backed stand-in for crossbeam's
-    /// segmented lock-free queue).
-    pub struct SegQueue<T>(Mutex<VecDeque<T>>);
-
-    impl<T> SegQueue<T> {
-        /// Creates an empty queue.
-        pub const fn new() -> Self {
-            SegQueue(Mutex::new(VecDeque::new()))
-        }
-
-        /// Appends an element.
-        pub fn push(&self, value: T) {
-            self.0
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push_back(value);
-        }
-
-        /// Removes the oldest element, if any.
-        pub fn pop(&self) -> Option<T> {
-            self.0
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .pop_front()
-        }
-
-        /// Number of queued elements.
-        pub fn len(&self) -> usize {
-            self.0.lock().unwrap_or_else(PoisonError::into_inner).len()
-        }
-
-        /// Whether the queue is empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Default for SegQueue<T> {
-        fn default() -> Self {
-            SegQueue::new()
-        }
-    }
-}
-
-/// Low-level utilities.
-pub mod utils {
-    use std::ops::{Deref, DerefMut};
-
-    /// Pads and aligns a value to 128 bytes so neighbouring values never
-    /// share a cache line (false-sharing avoidance).
-    #[derive(Default, Debug)]
-    #[repr(align(128))]
-    pub struct CachePadded<T> {
-        value: T,
-    }
-
-    impl<T> CachePadded<T> {
-        /// Wraps a value.
-        pub const fn new(value: T) -> Self {
-            CachePadded { value }
-        }
-
-        /// Unwraps the value.
-        pub fn into_inner(self) -> T {
-            self.value
-        }
-    }
-
-    impl<T> Deref for CachePadded<T> {
-        type Target = T;
-        #[inline]
-        fn deref(&self) -> &T {
-            &self.value
-        }
-    }
-
-    impl<T> DerefMut for CachePadded<T> {
-        #[inline]
-        fn deref_mut(&mut self) -> &mut T {
-            &mut self.value
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::channel::{bounded, unbounded, RecvTimeoutError};
-    use super::queue::SegQueue;
     use std::time::Duration;
 
     #[test]
@@ -391,15 +301,5 @@ mod tests {
         drop(rx);
         assert!(reply_rx.recv().is_err(), "the queued reply handle must be gone");
         assert!(tx.send(bounded(1).0).is_err());
-    }
-
-    #[test]
-    fn segqueue_fifo() {
-        let q = SegQueue::new();
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
     }
 }
