@@ -56,7 +56,8 @@ pub(crate) fn run_transaction(
             // sync thread records out of seq order, and deterministic
             // replay (which consumes the log front to back) would reorder
             // commits. The enqueue never blocks on the disk, so the section
-            // costs a channel send, not an fsync.
+            // costs a push onto the committer's staging queue (and a
+            // wake-up of its sync thread only for cause), not an fsync.
             let (seq, stamp, ticket) = inner.log.append_commit_with(|seq, _| {
                 let gc = inner.cmdlog.as_ref()?;
                 let rec = CommitRecord {

@@ -413,6 +413,11 @@ impl Database {
             ("capture_yields".into(), Int(load.capture_yields())),
             ("quarantined_files".into(), Int(self.inner.dir.quarantined_count())),
         ];
+        // The committer counts its own wake-ups; the table cell mirrors
+        // that count, brought up to date whenever the list is read.
+        if let Some(gc) = &self.inner.cmdlog {
+            self.inner.health.set(Metric::commit_wakeups, gc.wakeups());
+        }
         out.extend(self.inner.health.values());
         for (i, d) in self.worker_queue_depths().into_iter().enumerate() {
             out.push((format!("worker_queue_depth_{i}").into(), Int(d)));

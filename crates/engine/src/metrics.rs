@@ -173,6 +173,7 @@ health_metrics! {
     #[getter] commit_batches: Counter, "batches", "Group-commit batches fsynced, lifetime total.";
     #[getter] commit_batch_records: Counter, "records", "Commit records made durable across all batches.";
     commit_batch_dwell_us: Counter, "us", "Time batches spent open (opener received to fsync started), summed; mean dwell is this over commit_batches.";
+    commit_wakeups: Counter, "wakeups", "Times a committer had to wake the group-commit sync thread: at most once per batch for fire-and-forget commits, at most once per commit when each is waited on.";
     total_connections: Counter, "connections", "Server connections accepted, lifetime total.";
     closed_connections: Counter, "connections", "Server connections closed, lifetime total.";
     log_read_only: Flag, "state", "The command log hit ENOSPC and writes are shed while the group committer retries.";

@@ -10,7 +10,9 @@ use std::time::{Duration, Instant};
 
 use calc_common::simfs::{SimVfs, TransientKind, TransientSpec};
 use calc_common::vfs::OsVfs;
-use calc_engine::{Database, EngineConfig, Metric, StrategyKind, SyncError, TxnOutcome};
+use calc_engine::{
+    Database, EngineConfig, Metric, MetricValue, StrategyKind, SyncError, TxnOutcome,
+};
 use calc_testkit::{registry, set_u64, SET};
 use calc_txn::proc::ProcId;
 
@@ -97,6 +99,47 @@ fn sync_command_log_flush_handshake_is_deterministic() {
             "round {round}: flush acknowledged but records not durable"
         );
     }
+    db.shutdown();
+}
+
+/// The count the wake rule rests on, made by the program: fire-and-forget
+/// commits wake the sync thread about once per batch — to open it; the
+/// flush at the end is one more — not once per commit, and the log they
+/// leave is complete and in seq order.
+#[test]
+fn fire_and_forget_commits_wake_the_sync_thread_per_batch_not_per_commit() {
+    const N: u64 = 10_000;
+    let (mut config, log_dir) = logged_config(StrategyKind::Calc, 1024, "cmdlog-wakeups");
+    config.workers = 2;
+    let db = Database::open(config, registry()).unwrap();
+    for i in 0..N {
+        db.submit(SET, set_u64(i % 512, i));
+    }
+    // A commit is counted after it is staged, so this is the drain.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while db.metrics().committed() < N {
+        assert!(Instant::now() < deadline, "the submissions never drained");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    db.sync_command_log().expect("flush handshake");
+
+    let list = db.metric_values();
+    let listed = |name: &str| match list.iter().find(|(n, _)| n == name) {
+        Some((_, MetricValue::Int(v))) => *v,
+        other => panic!("{name}: {other:?}"),
+    };
+    let (wakeups, batches) = (listed("commit_wakeups"), listed("commit_batches"));
+    assert_eq!(listed("commit_batch_records"), N);
+    assert!(batches * 2 <= N, "{batches} batches for {N} commits: nothing was batched");
+    assert!(
+        wakeups <= batches + 2,
+        "{wakeups} wake-ups for {batches} batches of {N} fire-and-forget commits"
+    );
+    assert_eq!(db.health().get(Metric::commit_wakeups), wakeups, "the table cell is the list's");
+
+    let records = calc_recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
+    assert_eq!(records.len() as u64, N, "the flush covered every commit");
+    assert!(records.windows(2).all(|w| w[0].seq < w[1].seq), "log out of seq order");
     db.shutdown();
 }
 

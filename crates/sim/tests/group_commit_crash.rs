@@ -4,7 +4,8 @@
 //! power cut at ANY instant loses only unacknowledged work. Every way a
 //! batch can close — a drained queue, the evidence linger, the pacing
 //! point, the no-waiter window dwell, a waiter joining an open batch, the
-//! batch cap — is crashed through.
+//! batch cap — is crashed through, and so is the inside of a dwell, where
+//! submissions are staged in the committer and not yet appended.
 //!
 //! The experiment itself (concurrent committers over [`SimVfs`], the
 //! crash, the `acked ⊆ recovered` oracle) lives in `support/mod.rs`,
@@ -19,7 +20,7 @@ use std::time::Duration;
 use calc_common::simfs::SimVfs;
 use calc_recovery::{read_dir_logs, GroupCommitConfig, GroupCommitter, SegmentedLogWriter};
 
-use support::{check_oracle, rec, run_crash, CrashSpec};
+use support::{check_oracle, rec, run_crash, run_crash_into_next, CrashSpec};
 
 fn crash_and_check(label: &str, spec: CrashSpec) {
     let (acked, recovered) = run_crash(spec);
@@ -122,6 +123,71 @@ fn crash_under_mixed_durable_and_fire_and_forget_load() {
                 crash_after,
             },
         );
+    }
+}
+
+/// Staged, not yet appended: fire-and-forget committers only, under a
+/// window long enough that the crash lands mid-dwell — the sync thread
+/// asleep on an open batch, a few dozen records staged behind its opener.
+/// Nothing was promised, so nothing acknowledged can be missing; what
+/// survives must still be a gap-free prefix of the seq order.
+#[test]
+fn crash_mid_dwell_of_a_fire_and_forget_batch_leaves_a_gap_free_prefix() {
+    for (i, crash_after) in [1u64, 3].into_iter().enumerate() {
+        let (acked, recovered) = run_crash_into_next(
+            CrashSpec {
+                seed: 0x6C0_57A6 ^ ((i as u64) << 40),
+                config: GroupCommitConfig {
+                    window: Duration::from_millis(20),
+                    max_batch: 1 << 20,
+                    ..Default::default()
+                },
+                committers: 0,
+                forgetters: 2,
+                sync_delay: Duration::ZERO,
+                crash_after,
+            },
+            Duration::from_millis(5),
+        );
+        assert!(acked.is_empty(), "nobody waited, nobody was acknowledged");
+        assert!(
+            recovered.len() as u64 >= crash_after,
+            "crash_after={crash_after}: {} records survived {crash_after} fsynced batches",
+            recovered.len()
+        );
+        if let Err(violation) = check_oracle(&acked, &recovered) {
+            panic!("mid-dwell crash_after={crash_after}: {violation}");
+        }
+    }
+}
+
+/// The mixed load again, with the crash inside a dwell: the sync thread
+/// is asleep to its pacing point or linger cap with the forgetter's
+/// records staged behind it. No acknowledged commit is lost and the
+/// survivors stay gap-free.
+#[test]
+fn crash_mid_dwell_under_mixed_durable_and_fire_and_forget_load() {
+    for (i, crash_after) in [2u64, 5].into_iter().enumerate() {
+        let window = Duration::from_micros(500);
+        let (acked, recovered) = run_crash_into_next(
+            CrashSpec {
+                seed: 0x6C0_D3E1 ^ ((i as u64) << 40),
+                config: GroupCommitConfig {
+                    window,
+                    max_batch: 16,
+                    ..Default::default()
+                },
+                committers: 2,
+                forgetters: 1,
+                sync_delay: Duration::from_micros(200),
+                crash_after,
+            },
+            window / 4,
+        );
+        assert!(!acked.is_empty(), "mixed mid-dwell: no commit was ever acknowledged");
+        if let Err(violation) = check_oracle(&acked, &recovered) {
+            panic!("mixed mid-dwell crash_after={crash_after}: {violation}");
+        }
     }
 }
 

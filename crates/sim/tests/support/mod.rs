@@ -4,7 +4,7 @@
 //!
 //! Concurrent committers take their commit sequences from a
 //! [`CommitLog`] and submit to the [`GroupCommitter`] inside its section
-//! (the engine's own commit point, so channel order equals seq order), and
+//! (the engine's own commit point, so staged order equals seq order), and
 //! record which waits came back `Ok`. The simulated filesystem then crashes;
 //! recovery reads the surviving segments and the oracle checks
 //! `acked ⊆ recovered` — and that the survivors form an in-order history
@@ -68,6 +68,14 @@ impl LogBackend for SlowSync {
 /// Runs `spec` until the filesystem dies. Returns `(acked seqs,
 /// recovered seqs)`.
 pub fn run_crash(spec: CrashSpec) -> (BTreeSet<u64>, Vec<u64>) {
+    run_crash_into_next(spec, Duration::ZERO)
+}
+
+/// [`run_crash`] with the power cut `into_next` after the
+/// `crash_after`-th batch fsynced: a fraction of the window puts the crash
+/// inside the next batch's dwell, where submissions sit staged in the
+/// committer, not yet appended.
+pub fn run_crash_into_next(spec: CrashSpec, into_next: Duration) -> (BTreeSet<u64>, Vec<u64>) {
     let dir = PathBuf::from("/gc-crash/cmdlog");
     let vfs = SimVfs::new(spec.seed);
     // Tiny segments so the crash also crosses rotation boundaries.
@@ -125,6 +133,7 @@ pub fn run_crash(spec: CrashSpec) -> (BTreeSet<u64>, Vec<u64>) {
         );
         std::thread::yield_now();
     }
+    std::thread::sleep(into_next);
     vfs.force_crash();
 
     let mut acked = BTreeSet::new();

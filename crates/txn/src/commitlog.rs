@@ -24,7 +24,8 @@
 //! records reach the sync thread — the log's byte order — is seq order,
 //! gap-free, across every worker and across phase tokens. That is the only
 //! lock between sequence assignment and the durable-log enqueue; the
-//! enqueue is a channel send, never an fsync.
+//! enqueue is a push onto the group committer's staging queue — a wake-up
+//! of its sync thread only when that thread has to act — never an fsync.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full verification gate: tier-0 (a grep that the engine wraps no lock of
 # its own around the group committer — the commit log's section is the
-# one commit point; a grep that no third benchmark harness comes back —
+# one commit point; a grep that the committer's queue is its own staging
+# buffer, not a channel that wakes the sync thread per record; a grep
+# that no third benchmark harness comes back —
 # no `[[bench]]` target, no `criterion`, only the two shims; clippy and
 # rustdoc, deny warnings — a doc link to a deleted item fails the gate —
 # plus a check build of perfbench, which is its own workspace, so a
@@ -44,6 +46,12 @@ cd "$(dirname "$0")/.."
 echo "== tier-0: one commit point (no lock around the group committer) =="
 if grep -rn "cmdlog.lock()" crates/engine/src; then
     echo "verify: the commit log's section is the only lock on the commit path" >&2
+    exit 1
+fi
+
+echo "== tier-0: commit records are staged, not sent (no channel under the group committer) =="
+if grep -n 'unbounded' crates/recovery/src/group_commit.rs; then
+    echo "verify: committers stage under the queue's own lock and wake the sync thread only for cause" >&2
     exit 1
 fi
 

@@ -266,6 +266,46 @@ fn metric_list_is_the_declared_table() {
     assert_eq!(listed("avg_batch_size").to_string(), format!("{:.2}", db.health().avg_batch_size()));
 }
 
+/// Fire-and-forget commits wake the group committer's sync thread per
+/// batch, not per commit (the tier-1 cut of the engine suite's
+/// `fire_and_forget_commits_wake_the_sync_thread_per_batch_not_per_commit`),
+/// and the log they leave is complete and in seq order.
+#[test]
+fn fire_and_forget_commits_wake_the_sync_thread_per_batch() {
+    use calc_db::engine::MetricValue;
+    const N: u64 = 1_000;
+
+    let dir = tmp_dir("commit-wakeups");
+    let mut config = EngineConfig::new(StrategyKind::Calc, 1024, 16, dir.join("ckpts"));
+    config.command_log_dir = Some(dir.join("cmdlog"));
+    config.workers = 2;
+    let db = Database::open(config, registry()).unwrap();
+    for i in 0..N {
+        db.submit(BUMP, bump(i % 64, 1));
+    }
+    // A commit is counted after it is staged, so this is the drain.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while db.metrics().committed() < N {
+        assert!(std::time::Instant::now() < deadline, "the submissions never drained");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    db.sync_command_log().unwrap();
+
+    let list = db.metric_values();
+    let listed = |name: &str| match list.iter().find(|(n, _)| n == name) {
+        Some((_, MetricValue::Int(v))) => *v,
+        other => panic!("{name}: {other:?}"),
+    };
+    let (wakeups, batches) = (listed("commit_wakeups"), listed("commit_batches"));
+    assert_eq!(listed("commit_batch_records"), N);
+    assert!(batches * 2 <= N, "{batches} batches for {N} commits: nothing was batched");
+    assert!(wakeups <= batches + 2, "{wakeups} wake-ups for {batches} batches");
+
+    let commands = recovery::read_dir_logs(&OsVfs, &dir.join("cmdlog")).unwrap();
+    assert_eq!(commands.len() as u64, N);
+    assert!(commands.windows(2).all(|w| w[0].seq < w[1].seq), "log out of seq order");
+}
+
 /// The production boot path over the production formats: a log-only cold
 /// start, then a checkpoint chain plus an un-checkpointed tail, then a
 /// restart after a post-recovery checkpoint. Every synced write survives
