@@ -48,10 +48,6 @@ pub enum Site {
     StableInstall,
     /// Just after a checkpoint phase-transition token is appended.
     PhaseTransition,
-    /// Owner hand-off points of the shard-owned executor: a request
-    /// dispatched to its owning worker, a fence participant parking, and
-    /// a coordinator releasing its fence.
-    OwnerHandoff,
 }
 
 impl Site {
@@ -62,7 +58,6 @@ impl Site {
             Site::LockRelease => 0x9e37_79b9_0000_0002,
             Site::StableInstall => 0x9e37_79b9_0000_0003,
             Site::PhaseTransition => 0x9e37_79b9_0000_0004,
-            Site::OwnerHandoff => 0x9e37_79b9_0000_0005,
         }
     }
 }

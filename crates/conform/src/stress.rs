@@ -21,7 +21,7 @@ use calc_common::perturb;
 use calc_common::rng::SplitMix;
 use calc_common::types::Key;
 use calc_engine::recorder::HistoryRecorder;
-use calc_engine::{Database, EngineConfig, ExecutorMode, StrategyKind};
+use calc_engine::{Database, EngineConfig, StrategyKind};
 use calc_txn::proc::{ProcId, ProcRegistry};
 use calc_workload::tpcc::procs::STOCK_LEVEL_PROC;
 use calc_workload::tpcc::{TpccConfig, TpccWorkload};
@@ -84,15 +84,10 @@ pub struct StressSpec {
     pub feeders: usize,
     /// Transactions each feeder executes (synchronously, back-to-back).
     pub txns_per_feeder: usize,
-    /// Executor the engine runs the scenario on. Both modes owe the same
-    /// serializability contract, so every suite iterates
-    /// [`ExecutorMode::ALL`].
-    pub executor: ExecutorMode,
 }
 
 impl StressSpec {
-    /// A spec with the default scale — 4 feeders × 250 transactions —
-    /// on the pool executor.
+    /// A spec with the default scale — 4 feeders × 250 transactions.
     pub fn new(kind: StrategyKind, scenario: Scenario, seed: u64) -> Self {
         StressSpec {
             kind,
@@ -100,7 +95,6 @@ impl StressSpec {
             seed,
             feeders: 4,
             txns_per_feeder: 250,
-            executor: ExecutorMode::Pool,
         }
     }
 }
@@ -127,9 +121,9 @@ pub fn run_stress(spec: &StressSpec) -> ConformReport {
     match run_inner(spec, None) {
         Ok(report) => report,
         Err(v) => panic!(
-            "conformance violation on a clean run of {} / {:?} / {} — replay with \
+            "conformance violation on a clean run of {} / {:?} — replay with \
              CONFORM_SEED={:#x} cargo test -p calc-conform: {v}",
-            spec.kind, spec.scenario, spec.executor, spec.seed,
+            spec.kind, spec.scenario, spec.seed,
         ),
     }
 }
@@ -149,12 +143,11 @@ fn run_inner(spec: &StressSpec, armed: Option<Mutation>) -> Result<ConformReport
     }
 
     let dir = std::env::temp_dir().join(format!(
-        "calc-conform-{}-{}-{}-{}-{}-{:x}",
+        "calc-conform-{}-{}-{}-{}-{:x}",
         std::process::id(),
         RUN_COUNTER.fetch_add(1, Ordering::Relaxed),
         spec.kind.name(),
         spec.scenario.tag(),
-        spec.executor,
         spec.seed,
     ));
     let _ = std::fs::remove_dir_all(&dir);
@@ -178,7 +171,6 @@ fn run_inner(spec: &StressSpec, armed: Option<Mutation>) -> Result<ConformReport
         }
     };
     config.workers = 4;
-    config.executor_mode = spec.executor;
     let base_checkpoint = config.strategy.is_partial();
     config.recorder = Some(recorder.clone());
     let db = Database::open(config, registry).expect("open database");

@@ -1,6 +1,5 @@
 //! The acceptance matrix: every checkpointing strategy, full and partial,
-//! survives the checkpoint-under-contention scenario at three seeds under
-//! both executor modes.
+//! survives the checkpoint-under-contention scenario at three seeds.
 //!
 //! Each run hammers the engine from 4 feeder threads under seeded
 //! schedule perturbation while the driver takes back-to-back checkpoints,
@@ -12,7 +11,7 @@
 //! seed, so overriding the base replays all of them shifted).
 
 use calc_conform::{base_seed, run_stress, Scenario, StressSpec};
-use calc_engine::{ExecutorMode, StrategyKind};
+use calc_engine::StrategyKind;
 
 fn seeds() -> [u64; 3] {
     let base = base_seed();
@@ -20,15 +19,10 @@ fn seeds() -> [u64; 3] {
 }
 
 fn matrix(kind: StrategyKind) {
-    for executor in ExecutorMode::ALL {
-        for seed in seeds() {
-            let report = run_stress(&StressSpec {
-                executor,
-                ..StressSpec::new(kind, Scenario::CheckpointContention, seed)
-            });
-            assert!(report.txns > 0);
-            assert!(report.checkpoints_verified > 1, "{report:?}");
-        }
+    for seed in seeds() {
+        let report = run_stress(&StressSpec::new(kind, Scenario::CheckpointContention, seed));
+        assert!(report.txns > 0);
+        assert!(report.checkpoints_verified > 1, "{report:?}");
     }
 }
 

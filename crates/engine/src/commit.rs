@@ -1,4 +1,4 @@
-//! The commit section: the one transaction body every executor arm runs
+//! The commit section: the one transaction body every worker runs
 //! ([`run_transaction`]) and the [`ExecOps`] bridge that turns procedure
 //! operations into strategy apply hooks with undo images.
 
@@ -15,19 +15,17 @@ use crate::db::{Inner, TxnOutcome};
 use crate::executor::{Reply, Request};
 
 /// The transaction body: strategy hooks, commit-token append, and
-/// metrics — identical whatever isolation the request ran under (`guard`
-/// is the lock set of a `Locked` request, `None` on an owner), so the
-/// commit-token stream (and everything downstream of it: deterministic
-/// replay, conformance, group commit, standby tailing) is byte-compatible
-/// across executor modes. For a durable request that commits, the second
-/// element is the commit's [`calc_recovery::DurabilityTicket`] — the worker never waits
-/// on it (a worker parked on an fsync would stall every request behind
-/// one batch); the submitting thread does.
+/// metrics, run while the request's declared lock set (`guard`) is held
+/// and released only after commit processing. For a durable request that
+/// commits, the second element is the commit's
+/// [`calc_recovery::DurabilityTicket`] — the worker never waits on it (a
+/// worker parked on an fsync would stall every request behind one
+/// batch); the submitting thread does.
 pub(crate) fn run_transaction(
     inner: &Inner,
     req: &Request,
     proc: &dyn Procedure,
-    guard: Option<LockSetGuard<'_>>,
+    guard: LockSetGuard<'_>,
 ) -> Reply {
     let mut token = inner.strategy.txn_begin();
     #[cfg(feature = "conform")]

@@ -146,60 +146,21 @@ impl std::fmt::Display for StrategyKind {
     }
 }
 
-/// How the engine's workers receive and isolate transactions. One worker
-/// loop serves both; the mode only chooses the queue layout and the
-/// isolation a request carries.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// A one-variant remnant: the engine has one executor, the paper's §4
+/// pool. It survives only because `perfbench` records
+/// `cfg.executor_mode.name()` in its result JSON and is frozen; it goes
+/// at the next perfbench unfreeze, with [`EngineConfig::executor_mode`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExecutorMode {
     /// The paper's §4 pool: one submission queue, any worker takes any
     /// transaction, isolation via the shared ordered-2PL lock manager.
-    #[default]
     Pool,
-    /// Thread-per-core shard ownership: each worker owns a contiguous
-    /// stripe of shards, transactions route to their footprint's owner,
-    /// and single-owner transactions run lock-free (serial on the owner).
-    /// Cross-owner transactions briefly fence the involved owners.
-    ShardOwned,
 }
 
 impl ExecutorMode {
-    /// Both modes, for suites whose contract is mode-independent.
-    pub const ALL: [ExecutorMode; 2] = [ExecutorMode::Pool, ExecutorMode::ShardOwned];
-
-    /// Display/parse name.
+    /// The name `perfbench` records.
     pub fn name(self) -> &'static str {
-        match self {
-            ExecutorMode::Pool => "pool",
-            ExecutorMode::ShardOwned => "shard_owned",
-        }
-    }
-
-    /// Parses a name as printed by [`ExecutorMode::name`]
-    /// (case-insensitive; `-` and `_` are interchangeable).
-    pub fn parse(s: &str) -> Option<ExecutorMode> {
-        match s.to_ascii_lowercase().replace('-', "_").as_str() {
-            "pool" => Some(ExecutorMode::Pool),
-            "shard_owned" => Some(ExecutorMode::ShardOwned),
-            _ => None,
-        }
-    }
-
-    /// The mode named by the `EXEC_MODE` environment variable, or the
-    /// default ([`ExecutorMode::Pool`]). Read in exactly one place —
-    /// [`EngineConfig::new`]'s default — which is how `perfbench` and the
-    /// examples select the mode; tests set
-    /// [`EngineConfig::executor_mode`] explicitly.
-    pub fn from_env() -> ExecutorMode {
-        std::env::var("EXEC_MODE")
-            .ok()
-            .and_then(|s| ExecutorMode::parse(&s))
-            .unwrap_or_default()
-    }
-}
-
-impl std::fmt::Display for ExecutorMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+        "pool"
     }
 }
 
@@ -214,11 +175,9 @@ pub struct EngineConfig {
     pub store: StoreConfig,
     /// Worker threads executing transactions.
     pub workers: usize,
-    /// How workers receive and isolate transactions: one shared queue +
-    /// lock manager ([`ExecutorMode::Pool`]) or thread-per-core shard
-    /// ownership ([`ExecutorMode::ShardOwned`]). Defaults to the
-    /// `EXEC_MODE` environment variable when set (`pool`/`shard_owned`),
-    /// else `Pool`.
+    /// Always [`ExecutorMode::Pool`]; the engine reads nothing from it.
+    /// A remnant kept only for `perfbench`, which records its name; it
+    /// goes at the next perfbench unfreeze.
     pub executor_mode: ExecutorMode,
     /// Submission queue capacity: `Some(n)` gives a bounded queue whose
     /// backpressure produces closed-loop (peak-throughput) behaviour;
@@ -326,7 +285,7 @@ impl EngineConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get().saturating_sub(1).max(1))
                 .unwrap_or(4),
-            executor_mode: ExecutorMode::from_env(),
+            executor_mode: ExecutorMode::Pool,
             queue_capacity: Some(4096),
             checkpoint_dir: dir,
             disk_bytes_per_sec: 0,
@@ -383,18 +342,5 @@ mod tests {
             assert_eq!(s.name(), k.name(), "strategy name mismatch for {k:?}");
             assert_eq!(s.partial(), k.is_partial());
         }
-    }
-
-    #[test]
-    fn executor_mode_parse_roundtrip() {
-        for m in [ExecutorMode::Pool, ExecutorMode::ShardOwned] {
-            assert_eq!(ExecutorMode::parse(m.name()), Some(m));
-            assert_eq!(format!("{m}"), m.name());
-        }
-        assert_eq!(ExecutorMode::parse("shard-owned"), Some(ExecutorMode::ShardOwned));
-        assert_eq!(ExecutorMode::parse("SHARD_OWNED"), Some(ExecutorMode::ShardOwned));
-        assert_eq!(ExecutorMode::parse("Pool"), Some(ExecutorMode::Pool));
-        assert_eq!(ExecutorMode::parse("bogus"), None);
-        assert_eq!(ExecutorMode::default(), ExecutorMode::Pool);
     }
 }

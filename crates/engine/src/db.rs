@@ -24,9 +24,8 @@ use calc_storage::dual::StoreError;
 use calc_txn::commitlog::{CommitLog, CommitRecord};
 use calc_txn::locks::LockManager;
 use calc_txn::proc::{AbortReason, ProcId, ProcRegistry};
-use calc_txn::route::ShardRouter;
 
-use crate::config::{EngineConfig, ExecutorMode};
+use crate::config::EngineConfig;
 use crate::executor::{join_bounded, Executor, Reply, Request, SHUTDOWN_JOIN_TIMEOUT};
 use crate::metrics::{Health, Metric, MetricList, MetricValue, Metrics};
 use crate::service::{classify, CheckpointService};
@@ -283,16 +282,13 @@ impl Database {
         durable: bool,
         reply: Option<Sender<Reply>>,
     ) {
-        self.executor.dispatch(
-            &self.inner,
-            Request {
-                proc,
-                params,
-                submitted: Instant::now(),
-                durable,
-                reply,
-            },
-        );
+        self.executor.dispatch(Request {
+            proc,
+            params,
+            submitted: Instant::now(),
+            durable,
+            reply,
+        });
     }
 
     /// Submits a transaction fire-and-forget. Blocks when the bounded
@@ -394,9 +390,8 @@ impl Database {
     }
 
     /// Every number the engine exposes, as ordered `(name, value)` pairs:
-    /// the commit counters, the store and executor, the load signal, then
-    /// [`Health::values`] and one `worker_queue_depth_<i>` per owned
-    /// worker. The `HEALTH` and `STATS` verbs print exactly
+    /// the commit counters, the store, the load signal, then
+    /// [`Health::values`]. The `HEALTH` and `STATS` verbs print exactly
     /// this list, so a value cannot exist on one surface and not another.
     pub fn metric_values(&self) -> MetricList {
         use MetricValue::{Int, Text};
@@ -405,7 +400,6 @@ impl Database {
             ("committed".into(), Int(m.committed())),
             ("aborted".into(), Int(m.aborted())),
             ("records".into(), Int(self.record_count() as u64)),
-            ("executor_mode".into(), Text(self.executor_mode().name())),
             ("load_level".into(), Text(load.level().as_str())),
             ("inflight".into(), Int(load.inflight())),
             ("shed_requests".into(), Int(load.shed_requests())),
@@ -419,16 +413,7 @@ impl Database {
             self.inner.health.set(Metric::commit_wakeups, gc.wakeups());
         }
         out.extend(self.inner.health.values());
-        for (i, d) in self.worker_queue_depths().into_iter().enumerate() {
-            out.push((format!("worker_queue_depth_{i}").into(), Int(d)));
-        }
         out
-    }
-
-    /// Current submission-queue depth per owned worker (empty under the
-    /// pool executor, which shares one queue).
-    pub fn worker_queue_depths(&self) -> Vec<u64> {
-        self.executor.queue_depths()
     }
 
     /// The engine's commit-path load signal. Every commit feeds it; the
@@ -456,16 +441,6 @@ impl Database {
     /// The checkpoint directory.
     pub fn checkpoint_dir(&self) -> &CheckpointDir {
         &self.inner.dir
-    }
-
-    /// The active executor mode.
-    pub fn executor_mode(&self) -> ExecutorMode {
-        self.executor.mode()
-    }
-
-    /// The shard router (`None` under the pool, which owns no shards).
-    pub fn shard_router(&self) -> Option<ShardRouter> {
-        self.executor.router()
     }
 
     /// Recovers this (freshly opened, unused) database from its checkpoint

@@ -12,9 +12,8 @@
 //!   submission API, the admission gate (the quiesce mechanism baselines
 //!   need for physical points of consistency), checkpoint triggering,
 //!   restart recovery and shutdown.
-//! * `executor` — the one worker loop: requests, their isolation (lock
-//!   set, owned shard, cross-shard fence), routing, ordered shutdown.
-//!   [`config::ExecutorMode`] picks the queue layout, not the code path.
+//! * `executor` — the paper's worker pool: one submission queue, workers
+//!   that take each request's declared lock set, shutdown by drain.
 //! * `commit` — the transaction body every request runs: strategy hooks,
 //!   the commit-token critical section, undo on abort.
 //! * `cycle` — around a checkpoint cycle: background merging of partial

@@ -179,10 +179,6 @@ health_metrics! {
     log_read_only: Flag, "state", "The command log hit ENOSPC and writes are shed while the group committer retries.";
     log_enospc_entries: Counter, "transitions", "Times the command log entered read-only degraded mode.";
     emergency_retention_passes: Counter, "passes", "Emergency retention passes triggered by ENOSPC on the command log.";
-    // --- shard-owned executor ---
-    #[getter] single_shard_txns: Counter, "txns", "Transactions run lock-free on their single owning worker.";
-    #[getter] cross_shard_txns: Counter, "txns", "Transactions that spanned several owners and took the fence path.";
-    #[getter] routing_fallbacks: Counter, "txns", "Unclassifiable transactions routed to the fallback worker.";
     // --- warm standby ---
     #[getter] standby_applied_seq: Gauge, "seq", "Highest commit seq a warm standby has applied.";
     standby_commits_behind: Gauge, "commits", "Commits the most recent tail poll found waiting beyond the applied watermark.";

@@ -1,19 +1,18 @@
 //! The executor through the public API: commit, abort and rollback,
-//! concurrent submission, checkpoints and shutdown under load — under
-//! both [`ExecutorMode`]s — plus what only shard ownership has (routing
-//! counters, cross-shard fences, queue-depth gauges) and the contract
-//! that ties the modes together: the same requests produce the same
-//! commit-token stream, counters and store image.
+//! concurrent submission, checkpoints and shutdown under load, and a
+//! fixed request sequence checked against a serial model of the same
+//! procedures: store image, outcome counters and commit-token stream.
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use calc_common::types::Key;
 use calc_common::vfs::OsVfs;
-use calc_engine::{Database, EngineConfig, ExecutorMode, StrategyKind, TxnOutcome};
+use calc_engine::{Database, EngineConfig, StrategyKind, TxnOutcome};
 use calc_txn::proc::{params, AbortReason, LockRequest, ProcId, ProcRegistry, Procedure, TxnOps};
 
 use common::{logged_commands, logged_config};
@@ -58,9 +57,8 @@ impl Procedure for AddProc {
     }
 }
 
-/// Moves `delta` from one counter to another — a two-key footprint
-/// that spans owners whenever the keys hash to different workers, so
-/// it exercises the cross-shard fence path under `shard_owned`.
+/// Moves `delta` from one counter to another; aborts before writing if
+/// the source holds less than `delta`.
 struct TransferProc;
 impl Procedure for TransferProc {
     fn id(&self) -> ProcId {
@@ -104,18 +102,16 @@ fn registry() -> ProcRegistry {
     registry
 }
 
-fn db_with_mode(kind: StrategyKind, name: &str, mode: ExecutorMode) -> Database {
+fn open_db(kind: StrategyKind, name: &str) -> Database {
     let mut config = EngineConfig::new(kind, 1024, 16, calc_testkit::temp_dir(name));
     config.workers = 4;
-    config.executor_mode = mode;
     Database::open(config, registry()).unwrap()
 }
 
 /// A four-worker engine with a durable command log, and the log's directory.
-fn logged_db(name: &str, mode: ExecutorMode) -> (Database, std::path::PathBuf) {
+fn logged_db(name: &str) -> (Database, std::path::PathBuf) {
     let (mut config, log_dir) = logged_config(StrategyKind::Calc, 1024, name);
     config.workers = 4;
-    config.executor_mode = mode;
     (Database::open(config, registry()).unwrap(), log_dir)
 }
 
@@ -137,38 +133,34 @@ fn counter(v: Option<calc_common::types::Value>) -> u64 {
 
 #[test]
 fn execute_commits_and_reads_back() {
-    for mode in ExecutorMode::ALL {
-        let db = db_with_mode(StrategyKind::Calc, "exec", mode);
-        let out = db.execute(ProcId(1), add_params(7, 5, 100));
-        assert!(matches!(out, TxnOutcome::Committed(_)));
-        assert_eq!(counter(db.get(Key(7))), 5);
-        let out = db.execute(ProcId(1), add_params(7, 10, 100));
-        assert!(matches!(out, TxnOutcome::Committed(_)));
-        assert_eq!(counter(db.get(Key(7))), 15);
-        assert_eq!(db.metrics().committed(), 2);
-    }
+    let db = open_db(StrategyKind::Calc, "exec");
+    let out = db.execute(ProcId(1), add_params(7, 5, 100));
+    assert!(matches!(out, TxnOutcome::Committed(_)));
+    assert_eq!(counter(db.get(Key(7))), 5);
+    let out = db.execute(ProcId(1), add_params(7, 10, 100));
+    assert!(matches!(out, TxnOutcome::Committed(_)));
+    assert_eq!(counter(db.get(Key(7))), 15);
+    assert_eq!(db.metrics().committed(), 2);
 }
 
 #[test]
 fn aborted_transaction_rolls_back() {
-    for mode in ExecutorMode::ALL {
-        let db = db_with_mode(StrategyKind::Calc, "abort", mode);
-        db.execute(ProcId(1), add_params(1, 50, 100));
-        // 50 + 60 = 110 > 100 → abort; value must stay 50.
-        let out = db.execute(ProcId(1), add_params(1, 60, 100));
-        assert!(matches!(out, TxnOutcome::Aborted(AbortReason::Logic(_))));
-        assert_eq!(counter(db.get(Key(1))), 50);
-        assert_eq!(db.metrics().aborted(), 1);
-        // Aborted insert leaves no record.
-        let out = db.execute(ProcId(1), add_params(2, 999, 100));
-        assert!(matches!(out, TxnOutcome::Aborted(_)));
-        assert!(db.get(Key(2)).is_none());
-    }
+    let db = open_db(StrategyKind::Calc, "abort");
+    db.execute(ProcId(1), add_params(1, 50, 100));
+    // 50 + 60 = 110 > 100 → abort; value must stay 50.
+    let out = db.execute(ProcId(1), add_params(1, 60, 100));
+    assert!(matches!(out, TxnOutcome::Aborted(AbortReason::Logic(_))));
+    assert_eq!(counter(db.get(Key(1))), 50);
+    assert_eq!(db.metrics().aborted(), 1);
+    // Aborted insert leaves no record.
+    let out = db.execute(ProcId(1), add_params(2, 999, 100));
+    assert!(matches!(out, TxnOutcome::Aborted(_)));
+    assert!(db.get(Key(2)).is_none());
 }
 
 #[test]
 fn unknown_procedure_aborts() {
-    let db = db_with_mode(StrategyKind::Calc, "unknown", ExecutorMode::Pool);
+    let db = open_db(StrategyKind::Calc, "unknown");
     let out = db.execute(ProcId(99), add_params(1, 1, 10));
     assert!(matches!(
         out,
@@ -178,7 +170,7 @@ fn unknown_procedure_aborts() {
 
 #[test]
 fn concurrent_submissions_all_commit() {
-    let db = db_with_mode(StrategyKind::Calc, "concurrent", ExecutorMode::Pool);
+    let db = open_db(StrategyKind::Calc, "concurrent");
     for i in 0..1000u64 {
         db.submit(ProcId(1), add_params(i % 10, 1, u64::MAX));
     }
@@ -199,44 +191,38 @@ fn concurrent_submissions_all_commit() {
 
 #[test]
 fn checkpoint_under_load_every_strategy() {
-    for mode in ExecutorMode::ALL {
-        for kind in StrategyKind::ALL_CHECKPOINTING {
-            let db = Arc::new(db_with_mode(
-                kind,
-                &format!("underload-{}", kind.name()),
-                mode,
-            ));
-            for k in 0..100u64 {
-                db.load_initial(Key(k), &0u64.to_le_bytes()).unwrap();
-            }
-            db.finalize_load(kind.is_partial()).unwrap();
-            let stop = Arc::new(AtomicBool::new(false));
-            let feeder = {
-                let db = db.clone();
-                let stop = stop.clone();
-                std::thread::spawn(move || {
-                    let mut i = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        db.submit(ProcId(1), add_params(i % 100, 1, u64::MAX));
-                        i += 1;
-                    }
-                })
-            };
-            std::thread::sleep(Duration::from_millis(20));
-            let stats = db
-                .checkpoint_now()
-                .unwrap_or_else(|e| panic!("checkpoint failed for {} / {mode}: {e}", kind.name()));
-            assert!(stats.records > 0 || kind.is_partial());
-            stop.store(true, Ordering::Relaxed);
-            feeder.join().unwrap();
-            // Checkpoint file exists and validates.
-            let metas = db.checkpoint_dir().scan().unwrap();
-            assert!(
-                !metas.is_empty(),
-                "{} / {mode}: no checkpoint published",
-                kind.name()
-            );
+    for kind in StrategyKind::ALL_CHECKPOINTING {
+        let db = Arc::new(open_db(kind, &format!("underload-{}", kind.name())));
+        for k in 0..100u64 {
+            db.load_initial(Key(k), &0u64.to_le_bytes()).unwrap();
         }
+        db.finalize_load(kind.is_partial()).unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let feeder = {
+            let db = db.clone();
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let mut i = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    db.submit(ProcId(1), add_params(i % 100, 1, u64::MAX));
+                    i += 1;
+                }
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        let stats = db
+            .checkpoint_now()
+            .unwrap_or_else(|e| panic!("checkpoint failed for {}: {e}", kind.name()));
+        assert!(stats.records > 0 || kind.is_partial());
+        stop.store(true, Ordering::Relaxed);
+        feeder.join().unwrap();
+        // Checkpoint file exists and validates.
+        let metas = db.checkpoint_dir().scan().unwrap();
+        assert!(
+            !metas.is_empty(),
+            "{}: no checkpoint published",
+            kind.name()
+        );
     }
 }
 
@@ -246,228 +232,67 @@ fn shutdown_under_load_drains_and_completes() {
     // transaction and return promptly — regression test for the
     // bounded join: a wedged worker now panics with a diagnosis
     // instead of hanging the suite forever.
-    for mode in ExecutorMode::ALL {
-        let db = db_with_mode(StrategyKind::Calc, "shutdown-load", mode);
-        for i in 0..5000u64 {
-            db.submit(ProcId(1), add_params(i % 64, 1, u64::MAX));
-        }
-        let metrics = db.metrics().clone();
-        let start = Instant::now();
-        db.shutdown();
-        assert!(
-            start.elapsed() < Duration::from_secs(60),
-            "{mode}: shutdown took {:?} under load",
-            start.elapsed()
-        );
-        assert_eq!(
-            metrics.committed(),
-            5000,
-            "{mode}: shutdown dropped queued txns"
-        );
-    }
-}
-
-#[test]
-fn shard_owned_single_key_txns_run_lock_free_and_count() {
-    let db = db_with_mode(StrategyKind::Calc, "so-single", ExecutorMode::ShardOwned);
-    assert_eq!(db.executor_mode(), ExecutorMode::ShardOwned);
-    for i in 0..200u64 {
-        let out = db.execute(ProcId(1), add_params(i % 16, 1, u64::MAX));
-        assert!(matches!(out, TxnOutcome::Committed(_)));
-    }
-    for k in 0..16u64 {
-        assert_eq!(counter(db.get(Key(k))), 200 / 16 + u64::from(k < 200 % 16));
-    }
-    let health = db.health();
-    assert_eq!(health.single_shard_txns(), 200);
-    assert_eq!(health.cross_shard_txns(), 0);
-    assert_eq!(health.routing_fallbacks(), 0);
-    assert_eq!(db.metrics().committed(), 200);
-}
-
-#[test]
-fn shard_owned_cross_shard_transfers_conserve_total() {
-    let db = db_with_mode(StrategyKind::Calc, "so-cross", ExecutorMode::ShardOwned);
-    let router = db.shard_router().expect("shard-owned router");
-    const KEYS: u64 = 16;
-    for k in 0..KEYS {
-        db.execute(ProcId(1), add_params(k, 1000, u64::MAX));
-    }
-    // Mix of genuinely cross-owner pairs and same-owner pairs, fired
-    // from several submitter threads so fences interleave with
-    // single-owner traffic.
-    let mut cross = 0u64;
-    let mut handles = Vec::new();
-    let db = Arc::new(db);
-    for t in 0..4u64 {
-        let db = db.clone();
-        handles.push(std::thread::spawn(move || {
-            for i in 0..150u64 {
-                let from = (t * 37 + i) % KEYS;
-                let to = (t * 37 + i * 11 + 1) % KEYS;
-                if from != to {
-                    db.execute(ProcId(2), transfer_params(from, to, 1));
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    for i in 0..KEYS {
-        for j in 0..KEYS {
-            if i != j && router.owner_of_key(Key(i)) != router.owner_of_key(Key(j)) {
-                cross += 1;
-            }
-        }
-    }
-    assert!(cross > 0, "workload never crossed owners; widen KEYS");
-    assert!(
-        db.health().cross_shard_txns() > 0,
-        "no fence path exercised"
-    );
-    let total: u64 = (0..KEYS).map(|k| counter(db.get(Key(k)))).sum();
-    assert_eq!(total, KEYS * 1000, "transfers must conserve the total");
-}
-
-#[test]
-fn shard_owned_concurrent_submissions_all_commit() {
-    let db = db_with_mode(
-        StrategyKind::Calc,
-        "so-concurrent",
-        ExecutorMode::ShardOwned,
-    );
-    for i in 0..1000u64 {
-        db.submit(ProcId(1), add_params(i % 10, 1, u64::MAX));
+    let db = open_db(StrategyKind::Calc, "shutdown-load");
+    for i in 0..5000u64 {
+        db.submit(ProcId(1), add_params(i % 64, 1, u64::MAX));
     }
     let metrics = db.metrics().clone();
-    let strategy = db.strategy().clone();
+    let start = Instant::now();
     db.shutdown();
-    assert_eq!(metrics.committed(), 1000);
-    let total: u64 = (0..10u64).map(|k| counter(strategy.get(Key(k)))).sum();
-    assert_eq!(total, 1000);
+    assert!(
+        start.elapsed() < Duration::from_secs(60),
+        "shutdown took {:?} under load",
+        start.elapsed()
+    );
+    assert_eq!(metrics.committed(), 5000, "shutdown dropped queued txns");
 }
 
 #[test]
 fn commit_log_stays_in_seq_order() {
     // The commit-token invariant: the durable command log is strictly
-    // seq-ordered whichever threads the commits come from — pool workers,
-    // different owners, fenced cross-shard commits — and across the phase
-    // tokens of a checkpoint running at the same time.
-    for mode in ExecutorMode::ALL {
-        let (db, log_dir) = logged_db(&format!("seq-order-{}", mode.name()), mode);
-        let db = Arc::new(db);
-        for k in 0..8u64 {
-            db.execute(ProcId(1), add_params(k, 100, u64::MAX));
-        }
-        let checkpointer = {
-            let db = db.clone();
-            std::thread::spawn(move || db.checkpoint_now().unwrap())
-        };
-        let mut i = 0u64;
-        while i < 200 || !checkpointer.is_finished() {
-            db.submit(ProcId(2), transfer_params(i % 8, (i + 3) % 8, 0));
-            db.submit(ProcId(1), add_params(i % 8, 1, u64::MAX));
-            i += 1;
-        }
-        checkpointer.join().unwrap();
-        // One commit certainly behind the cycle's last phase token.
-        db.execute(ProcId(1), add_params(0, 1, u64::MAX));
-        let metrics = db.metrics().clone();
-        Arc::try_unwrap(db).unwrap().shutdown(); // drains the queues, final fsync
-        let records = calc_recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
-        assert_eq!(records.len() as u64, metrics.committed(), "{mode:?}");
-        for pair in records.windows(2) {
-            assert!(
-                pair[0].seq < pair[1].seq,
-                "{mode:?}: commit log out of order: {:?} then {:?}",
-                pair[0].seq,
-                pair[1].seq
-            );
-        }
-        // The cycle's phase tokens took seqs between the commits.
-        let span = records.last().unwrap().seq.0 - records[0].seq.0 + 1;
-        assert!(span > records.len() as u64, "{mode:?}: phase tokens missing from the seq space");
+    // seq-ordered whichever workers the commits come from, and across the
+    // phase tokens of a checkpoint running at the same time.
+    let (db, log_dir) = logged_db("seq-order");
+    let db = Arc::new(db);
+    for k in 0..8u64 {
+        db.execute(ProcId(1), add_params(k, 100, u64::MAX));
     }
-}
-
-#[test]
-fn shard_owned_unknown_procedure_aborts_and_counts_fallback() {
-    let db = db_with_mode(StrategyKind::Calc, "so-unknown", ExecutorMode::ShardOwned);
-    let out = db.execute(ProcId(99), add_params(1, 1, 10));
-    assert!(matches!(
-        out,
-        TxnOutcome::Aborted(AbortReason::BadParams(_))
-    ));
-    assert_eq!(db.health().routing_fallbacks(), 1);
-    // Parity with the pool: a request that never resolved does not reach
-    // the outcome metrics in either mode.
-    assert_eq!(db.metrics().aborted(), 0);
-}
-
-#[test]
-fn shard_owned_checkpoint_quiesces_across_fences() {
-    // A checkpoint's quiesce (gate.write) must interleave safely with
-    // cross-shard fences: coordinators take gate.read only once every
-    // co-owner is parked, so the writer can never wedge between them.
-    let db = Arc::new(db_with_mode(
-        StrategyKind::Calc,
-        "so-quiesce",
-        ExecutorMode::ShardOwned,
-    ));
-    for k in 0..12u64 {
-        db.execute(ProcId(1), add_params(k, 1000, u64::MAX));
-    }
-    let stop = Arc::new(AtomicBool::new(false));
-    let feeder = {
+    let checkpointer = {
         let db = db.clone();
-        let stop = stop.clone();
-        std::thread::spawn(move || {
-            let mut i = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                db.execute(ProcId(2), transfer_params(i % 12, (i * 7 + 1) % 12, 1));
-                i += 1;
-            }
-        })
+        std::thread::spawn(move || db.checkpoint_now().unwrap())
     };
-    for _ in 0..5 {
-        db.checkpoint_now().unwrap();
+    let mut i = 0u64;
+    while i < 200 || !checkpointer.is_finished() {
+        db.submit(ProcId(2), transfer_params(i % 8, (i + 3) % 8, 0));
+        db.submit(ProcId(1), add_params(i % 8, 1, u64::MAX));
+        i += 1;
     }
-    stop.store(true, Ordering::Relaxed);
-    feeder.join().unwrap();
-    let total: u64 = (0..12u64).map(|k| counter(db.get(Key(k)))).sum();
-    assert_eq!(total, 12 * 1000);
-    assert!(!db.checkpoint_dir().scan().unwrap().is_empty());
-}
-
-#[test]
-fn shard_owned_worker_queue_depths_are_exposed() {
-    let db = db_with_mode(StrategyKind::Calc, "so-depths", ExecutorMode::ShardOwned);
-    let depths = db.worker_queue_depths();
-    assert_eq!(depths.len(), 4, "one gauge per worker");
-    // After a synchronous round-trip, nothing is left enqueued.
-    db.execute(ProcId(1), add_params(1, 1, u64::MAX));
-    assert!(db.worker_queue_depths().iter().all(|&d| d == 0));
-    // Pool mode exposes no per-worker gauges.
-    let pool = db_with_mode(StrategyKind::Calc, "so-depths-pool", ExecutorMode::Pool);
-    assert!(pool.worker_queue_depths().is_empty());
-    assert!(pool.shard_router().is_none());
-}
-
-/// What one mode made of [`mixed_sequence`]: the durable commit-token
-/// stream, the outcome counters and the store image.
-#[derive(Debug, PartialEq)]
-struct RunImage {
-    log: Vec<(u64, ProcId, Vec<u8>)>,
-    committed: u64,
-    aborted: u64,
-    records: usize,
-    store: Vec<Option<u64>>,
+    checkpointer.join().unwrap();
+    // One commit certainly behind the cycle's last phase token.
+    db.execute(ProcId(1), add_params(0, 1, u64::MAX));
+    let metrics = db.metrics().clone();
+    Arc::try_unwrap(db).unwrap().shutdown(); // drains the queue, final fsync
+    let records = calc_recovery::read_dir_logs(&OsVfs, &log_dir).unwrap();
+    assert_eq!(records.len() as u64, metrics.committed());
+    for pair in records.windows(2) {
+        assert!(
+            pair[0].seq < pair[1].seq,
+            "commit log out of order: {:?} then {:?}",
+            pair[0].seq,
+            pair[1].seq
+        );
+    }
+    // The cycle's phase tokens took seqs between the commits.
+    let span = records.last().unwrap().seq.0 - records[0].seq.0 + 1;
+    assert!(
+        span > records.len() as u64,
+        "phase tokens missing from the seq space"
+    );
 }
 
 /// One fixed single-threaded request sequence covering every way a
-/// request can end: single-shard commits (insert and update), cross-shard
-/// commits, logic aborts after a write (rollback), aborts before any
+/// request can end: commits that insert and that update, two-key
+/// transfers, logic aborts after a write (rollback), aborts before any
 /// write, an unknown procedure and an undeclarable footprint.
 fn mixed_sequence() -> Vec<(ProcId, Arc<[u8]>)> {
     const KEYS: u64 = 24;
@@ -492,98 +317,108 @@ fn mixed_sequence() -> Vec<(ProcId, Arc<[u8]>)> {
     seq
 }
 
-fn run_mixed_sequence(mode: ExecutorMode) -> RunImage {
-    let (db, log_dir) = logged_db(&format!("equiv-{mode}"), mode);
+/// [`AddProc`] and [`TransferProc`] executed one request at a time over a
+/// map: what the engine must be left with after the same requests.
+#[derive(Default)]
+struct SerialModel {
+    store: BTreeMap<u64, u64>,
+    committed: u64,
+    /// The procedure ran and rolled back.
+    aborted: u64,
+    /// Never resolved to a procedure and a footprint (unknown procedure,
+    /// undeclarable params): the caller sees an abort, the abort counter
+    /// does not.
+    rejected: u64,
+}
+
+impl SerialModel {
+    fn get(&self, key: u64) -> u64 {
+        self.store.get(&key).copied().unwrap_or(0)
+    }
+
+    fn apply(&mut self, proc: ProcId, p: &[u8]) {
+        let mut r = params::Reader::new(p);
+        let mut arg = || r.u64().ok();
+        // `None`: rejected; `Some(None)`: aborted; else the writes.
+        let writes = match proc {
+            ProcId(1) => arg().map(|key| {
+                let (delta, limit) = (arg().unwrap(), arg().unwrap());
+                let next = self.get(key) + delta;
+                (next <= limit).then(|| vec![(key, next)])
+            }),
+            // `put` updates and never inserts, so a transfer into an
+            // absent key aborts too.
+            ProcId(2) => arg().map(|from| {
+                let (to, delta) = (arg().unwrap(), arg().unwrap());
+                let src = self.get(from);
+                (src >= delta && self.store.contains_key(&to))
+                    .then(|| vec![(from, src - delta), (to, self.get(to) + delta)])
+            }),
+            _ => None,
+        };
+        match writes {
+            None => self.rejected += 1,
+            Some(None) => self.aborted += 1,
+            Some(Some(writes)) => {
+                self.store.extend(writes);
+                self.committed += 1;
+            }
+        }
+    }
+}
+
+#[test]
+fn mixed_sequence_matches_the_serial_model() {
+    let (db, log_dir) = logged_db("serial-model");
+    let mut model = SerialModel::default();
     let mut outcomes = (0u64, 0u64);
     for (proc, params) in mixed_sequence() {
+        model.apply(proc, &params);
         match db.execute(proc, params) {
             TxnOutcome::Committed(_) => outcomes.0 += 1,
             TxnOutcome::Aborted(_) => outcomes.1 += 1,
         }
     }
     assert!(
-        outcomes.0 > 50 && outcomes.1 > 50,
-        "sequence is not mixed: {outcomes:?}"
+        model.committed > 50 && model.aborted > 50 && model.rejected > 0,
+        "sequence is not mixed: {} committed, {} aborted, {} rejected",
+        model.committed,
+        model.aborted,
+        model.rejected
     );
-    if mode == ExecutorMode::ShardOwned {
-        assert!(db.health().cross_shard_txns() > 0, "no fence exercised");
+    assert_eq!(outcomes, (model.committed, model.aborted + model.rejected));
+    assert_eq!(db.metrics().committed(), model.committed);
+    assert_eq!(db.metrics().aborted(), model.aborted);
+
+    let store: BTreeMap<u64, u64> = (0..32u64)
+        .filter_map(|k| db.get(Key(k)).map(|v| (k, counter(Some(v)))))
+        .collect();
+    assert_eq!(
+        store, model.store,
+        "store image differs from the serial model"
+    );
+    assert_eq!(db.record_count(), model.store.len());
+
+    let log = logged_commands(&db, &log_dir);
+    assert_eq!(
+        log.len() as u64,
+        model.committed,
+        "one log record per commit"
+    );
+    for pair in log.windows(2) {
         assert!(
-            db.health().routing_fallbacks() > 0,
-            "no routing-time abort exercised"
+            pair[0].seq < pair[1].seq,
+            "commit log out of order: {:?} then {:?}",
+            pair[0].seq,
+            pair[1].seq
         );
     }
-    let log = logged_commands(&db, &log_dir)
-        .into_iter()
-        .map(|r| (r.seq.0, r.proc, r.params.to_vec()))
-        .collect::<Vec<_>>();
-    assert_eq!(log.len() as u64, outcomes.0, "{mode}: one token per commit");
-    RunImage {
-        log,
-        committed: db.metrics().committed(),
-        aborted: db.metrics().aborted(),
-        records: db.record_count(),
-        store: (0..32u64)
-            .map(|k| db.get(Key(k)).map(|v| counter(Some(v))))
-            .collect(),
-    }
-}
-
-#[test]
-fn both_modes_produce_the_same_log_counters_and_store() {
-    let pool = run_mixed_sequence(ExecutorMode::Pool);
-    let owned = run_mixed_sequence(ExecutorMode::ShardOwned);
-    assert_eq!(pool, owned);
-}
-
-#[test]
-fn shard_owned_shutdown_drains_a_backlog_of_cross_shard_transfers() {
-    let db = db_with_mode(StrategyKind::Calc, "so-shutdown", ExecutorMode::ShardOwned);
-    const KEYS: u64 = 16;
-    for k in 0..KEYS {
-        db.execute(ProcId(1), add_params(k, 1_000_000, u64::MAX));
-    }
-    // Four submitters leave every owner's queue deep in fenced transfers
-    // (and fences from lower owners) at the moment shutdown starts.
-    std::thread::scope(|s| {
-        for t in 0..4u64 {
-            let db = &db;
-            s.spawn(move || {
-                for i in 0..750u64 {
-                    let from = (t * 5 + i) % KEYS;
-                    db.submit(
-                        ProcId(2),
-                        transfer_params(from, (from + 1 + i % 7) % KEYS, 1),
-                    );
-                }
-            });
-        }
-    });
-    assert!(
-        db.health().cross_shard_txns() > 0,
-        "no fence path exercised"
-    );
-    let (metrics, strategy) = (db.metrics().clone(), db.strategy().clone());
-    let start = Instant::now();
-    db.shutdown();
-    assert!(
-        start.elapsed() < Duration::from_secs(30),
-        "shutdown took {:?}",
-        start.elapsed()
-    );
-    assert_eq!(
-        metrics.committed(),
-        KEYS + 3000,
-        "shutdown dropped a queued transfer"
-    );
-    let total: u64 = (0..KEYS).map(|k| counter(strategy.get(Key(k)))).sum();
-    assert_eq!(total, KEYS * 1_000_000);
 }
 
 #[test]
 fn pool_shutdown_drains_a_full_bounded_queue() {
-    // Every worker shares the queue, so any of them may pop any drain
-    // marker: shutdown must queue all markers before joining anyone, and
-    // the markers must wait their turn behind a queue that is full.
+    // Shutdown drops the queue's sender while the queue is full: every
+    // worker must drain what is buffered before it sees the disconnect.
     let mut config = EngineConfig::new(
         StrategyKind::Calc,
         1024,
@@ -592,7 +427,6 @@ fn pool_shutdown_drains_a_full_bounded_queue() {
     );
     config.workers = 4;
     config.queue_capacity = Some(8);
-    config.executor_mode = ExecutorMode::Pool;
     let db = Database::open(config, registry()).unwrap();
     for i in 0..3000u64 {
         db.submit(ProcId(1), add_params(i % 64, 1, u64::MAX));

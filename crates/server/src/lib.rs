@@ -19,7 +19,6 @@ pub mod procs;
 pub mod protocol;
 pub mod server;
 
-pub use calc_engine::ExecutorMode;
 pub use client::{key_of, Client, ClientConfig, KvError, KvResult};
 pub use server::{Server, ServerConfig};
 

@@ -25,7 +25,6 @@ fn usage() -> ! {
          \x20                 [--max-inflight N] [--queue-deadline-ms N]\n\
          \x20                 [--frame-timeout-ms N] [--capacity-tps N]\n\
          \x20                 [--no-adaptive-pacing]\n\
-         \x20                 [--executor-mode pool|shard_owned]\n\
          --window-us N  upper bound on how long a commit may wait for company;\n\
          \x20              reached only by batches nobody is waiting on; waited\n\
          \x20              fsyncs start no closer than N/2 apart (default 2000)\n\
@@ -46,7 +45,6 @@ fn main() {
     let mut server_config = calc_server::ServerConfig::default();
     let mut capacity_tps: Option<u64> = None;
     let mut adaptive_pacing = true;
-    let mut executor_mode: Option<calc_engine::config::ExecutorMode> = None;
 
     while let Some(flag) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -74,12 +72,6 @@ fn main() {
             }
             "--capacity-tps" => capacity_tps = value().parse().ok(),
             "--no-adaptive-pacing" => adaptive_pacing = false,
-            "--executor-mode" => {
-                executor_mode = Some(
-                    calc_engine::config::ExecutorMode::parse(&value())
-                        .unwrap_or_else(|| usage()),
-                )
-            }
             _ => usage(),
         }
     }
@@ -100,10 +92,6 @@ fn main() {
         config.adaptive_pacing = adaptive_pacing;
         if let Some(tps) = capacity_tps {
             config.load_capacity_tps = tps;
-        }
-        // Flag wins over the EXEC_MODE environment default.
-        if let Some(mode) = executor_mode {
-            config.executor_mode = mode;
         }
     })
     .expect("open or recover engine");

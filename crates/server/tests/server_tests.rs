@@ -189,54 +189,6 @@ fn open_or_recover_propagates_log_read_errors() {
 }
 
 #[test]
-fn health_exposes_executor_routing_counters() {
-    let dir = temp_dir("exec-health");
-    let db = calc_server::open_or_recover(&dir, |config| {
-        config.workers = 2;
-        config.executor_mode = calc_server::ExecutorMode::ShardOwned;
-    })
-    .unwrap();
-    let server = Server::start(Arc::new(db), "127.0.0.1:0").unwrap();
-    let mut c = Client::connect(server.local_addr()).unwrap();
-    for i in 0..10u64 {
-        c.put(i, &i.to_le_bytes()).unwrap();
-    }
-    // MPUT over several keys exercises the cross-shard path.
-    let pairs: Vec<(u64, Vec<u8>)> = (0..8u64).map(|i| (i * 31, vec![1])).collect();
-    c.mput(&pairs).unwrap();
-
-    let fields = c.health_fields().unwrap();
-    assert_eq!(fields["executor_mode"], "shard_owned");
-    let single: u64 = fields["single_shard_txns"].parse().unwrap();
-    assert!(single >= 10, "single-key puts counted: {fields:?}");
-    let cross: u64 = fields["cross_shard_txns"].parse().unwrap();
-    assert!(cross >= 1, "mput spans owners: {fields:?}");
-    assert_eq!(fields["routing_fallbacks"], "0");
-    assert!(
-        fields.contains_key("worker_queue_depth_0")
-            && fields.contains_key("worker_queue_depth_1"),
-        "per-worker depth gauges exposed: {fields:?}"
-    );
-
-    // The pool executor reports its mode and no per-worker gauges.
-    let db = server.shutdown();
-    Arc::try_unwrap(db).unwrap().shutdown();
-    let dir = temp_dir("exec-health-pool");
-    let db = calc_server::open_or_recover(&dir, |config| {
-        config.workers = 2;
-        config.executor_mode = calc_server::ExecutorMode::Pool;
-    })
-    .unwrap();
-    let server = Server::start(Arc::new(db), "127.0.0.1:0").unwrap();
-    let mut c = Client::connect(server.local_addr()).unwrap();
-    let fields = c.health_fields().unwrap();
-    assert_eq!(fields["executor_mode"], "pool");
-    assert!(!fields.contains_key("worker_queue_depth_0"));
-    let db = server.shutdown();
-    Arc::try_unwrap(db).unwrap().shutdown();
-}
-
-#[test]
 fn malformed_requests_get_bad_request_and_connection_survives() {
     use calc_server::protocol::{read_frame, status, write_frame};
     use std::net::TcpStream;
@@ -348,7 +300,7 @@ enum Format {
 /// Every key `HEALTH` printed before the metric table existed (plus
 /// `commit_batch_dwell_us`, ISSUE 15), with its value format — the wire
 /// contract the table must keep.
-const HEALTH_GOLDEN: [(&str, Format); 24] = [
+const HEALTH_GOLDEN: [(&str, Format); 20] = [
     ("committed", Format::Int),
     ("aborted", Format::Int),
     ("records", Format::Int),
@@ -369,10 +321,6 @@ const HEALTH_GOLDEN: [(&str, Format); 24] = [
     ("log_read_only", Format::Bool),
     ("log_enospc_entries", Format::Int),
     ("emergency_retention_passes", Format::Int),
-    ("executor_mode", Format::OneOf(&["pool", "shard_owned"])),
-    ("single_shard_txns", Format::Int),
-    ("cross_shard_txns", Format::Int),
-    ("routing_fallbacks", Format::Int),
 ];
 
 /// The five totals `STATS` printed after its checkpoint lines.

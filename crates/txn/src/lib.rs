@@ -22,18 +22,13 @@
 //!   section, so the durable log's byte order is commit order.
 //! * [`proc`] — the stored-procedure framework: pre-declared lock sets, a
 //!   [`proc::TxnOps`] data interface, and a registry for replay.
-//! * [`route`] — shard-footprint classification for the thread-per-core
-//!   executor: the same pre-declared lock sets, mapped onto shard owners
-//!   so single-owner transactions can skip the lock manager entirely.
 
 #![warn(missing_docs)]
 
 pub mod commitlog;
 pub mod locks;
 pub mod proc;
-pub mod route;
 
 pub use commitlog::{CommitLog, CommitRecord, PhaseStamp};
 pub use locks::{LockManager, LockMode, LockSetGuard};
 pub use proc::{AbortReason, LockRequest, ProcId, ProcRegistry, Procedure, TxnOps};
-pub use route::{Route, ShardRouter};

@@ -28,22 +28,6 @@ fn tag(t: Table) -> u64 {
     (t as u64) << 56
 }
 
-/// Which table a key belongs to (`None` for malformed tags).
-pub fn table_of(key: Key) -> Option<Table> {
-    match key.0 >> 56 {
-        1 => Some(Table::Warehouse),
-        2 => Some(Table::District),
-        3 => Some(Table::Customer),
-        4 => Some(Table::Stock),
-        5 => Some(Table::Item),
-        6 => Some(Table::Order),
-        7 => Some(Table::OrderLine),
-        8 => Some(Table::NewOrder),
-        9 => Some(Table::History),
-        _ => None,
-    }
-}
-
 /// `WAREHOUSE(w)` — `w` in bits 0..16.
 pub fn warehouse(w: u32) -> Key {
     debug_assert!(w < (1 << 16));
@@ -131,15 +115,6 @@ mod tests {
         for h in 0..8 {
             assert!(seen.insert(history(h)));
         }
-    }
-
-    #[test]
-    fn table_of_roundtrip() {
-        assert_eq!(table_of(warehouse(3)), Some(Table::Warehouse));
-        assert_eq!(table_of(customer(1, 2, 3)), Some(Table::Customer));
-        assert_eq!(table_of(order_line(1, 2, 3, 4)), Some(Table::OrderLine));
-        assert_eq!(table_of(history(42)), Some(Table::History));
-        assert_eq!(table_of(calc_common::types::Key(0)), None);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 # one commit point; a grep that the committer's queue is its own staging
 # buffer, not a channel that wakes the sync thread per record; a grep
 # that no third benchmark harness comes back —
-# no `[[bench]]` target, no `criterion`, only the two shims; clippy and
+# no `[[bench]]` target, no `criterion`, only the two shims; a grep that
+# the deleted shard-owned executor stays deleted; clippy and
 # rustdoc, deny warnings — a doc link to a deleted item fails the gate —
 # plus a check build of perfbench, which is its own workspace, so a
 # renamed crate API it calls would otherwise go unnoticed), then tier-1
@@ -18,8 +19,8 @@
 #                warm-standby failover sweep (tier-5), the adaptive-pacing
 #                regressions (tier-7) and the group-commit and loader mutants;
 #   calc-conform at CONFORM_SEED=0xC0F0202600000000 — the concurrency
-#                conformance suite and its mutation smoke (tier-3; every
-#                test iterates both executor modes in-suite);
+#                conformance suite and its mutation smoke (tier-3), on
+#                the one executor, the paper's worker pool;
 #   calc-server  — wire-protocol round trips over real TCP, shutdown under
 #                load, the kill-9 smoke (tier-6), and the chaos/overload
 #                suite at its default CHAOS_SEED.
@@ -65,6 +66,14 @@ if [ "$(echo shims/*)" != "shims/crossbeam shims/parking_lot" ]; then
     exit 1
 fi
 
+echo "== tier-0: one executor (the worker pool; no shard ownership) =="
+# (This file names the patterns, so it is the one file not searched.)
+if grep -rnE --exclude=verify.sh 'ShardOwned|shard_owned|EXEC_MODE|OwnerHandoff|ShardRouter' \
+    crates src tests examples scripts; then
+    echo "verify: the shard-owned executor was deleted; the pool is the only executor" >&2
+    exit 1
+fi
+
 echo "== tier-0: clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
@@ -83,7 +92,7 @@ cargo test --workspace --quiet
 echo "== tier-2: crash-simulation sweep, compressed parts (CKPT_CODEC=rle) =="
 CKPT_CODEC=rle cargo test --package calc-sim --quiet
 
-echo "== tier-3: concurrency conformance (calc-conform, 2 more base seeds, both executors in-suite) =="
+echo "== tier-3: concurrency conformance (calc-conform, 2 more base seeds) =="
 for seed in 0x5EEDFACE00000001 0xA5A5A5A500000002; do
     echo "  -- CONFORM_SEED=${seed}"
     CONFORM_SEED="${seed}" cargo test --package calc-conform --quiet

@@ -1,7 +1,7 @@
 //! Offline stand-in for the `crossbeam` crate.
 //!
 //! Provides the exact API subset the workspace uses: [`channel`], the
-//! MPMC bounded/unbounded channels the executor's submission queues and
+//! MPMC bounded/unbounded channels the executor's submission queue and
 //! the one-shot reply and durability-acknowledgement handles run on. The
 //! implementation favours simplicity over the lock-free performance of
 //! the real crate: a mutex + condvars, and a `send` that signals

@@ -262,7 +262,6 @@ fn metric_list_is_the_declared_table() {
     assert_eq!(listed("last_checkpoint_parts"), MetricValue::Int(ckpt.parts as u64));
     assert_eq!(listed("last_checkpoint_bytes"), MetricValue::Int(ckpt.bytes));
     assert_eq!(listed("degraded"), MetricValue::Flag(false));
-    assert_eq!(listed("executor_mode"), MetricValue::Text(db.executor_mode().name()));
     assert_eq!(listed("avg_batch_size").to_string(), format!("{:.2}", db.health().avg_batch_size()));
 }
 
@@ -372,70 +371,61 @@ fn server_boot_path_recovers_across_three_restarts() {
     }
 }
 
-/// The commit point end to end, under both executors: ack-before-fsync
+/// The commit point end to end: ack-before-fsync
 /// and ack-after-fsync commits race a checkpoint, the process dies, and
 /// the command log on disk is strictly seq-ordered (phase tokens leave
 /// gaps, never reorder) and restarts to exactly what was committed.
 #[test]
 fn concurrent_commits_and_a_checkpoint_log_in_seq_order_and_restart_to_the_model() {
-    use calc_db::engine::ExecutorMode;
     use calc_server::procs;
     const THREADS: u64 = 4;
     const ROUNDS: u64 = 150;
-    for mode in ExecutorMode::ALL {
-        let dir = tmp_dir(&format!("commit-point-{}", mode.name()));
-        let boot = || {
-            calc_server::open_or_recover(&dir, |c| {
-                c.workers = 2;
-                c.executor_mode = mode;
-            })
-            .unwrap()
-        };
-        let db = boot();
-        std::thread::scope(|s| {
-            // Each thread owns its keys and overwrites them in rounds, so
-            // the model is every key's last round; odd threads wait for
-            // the fsync, even ones do not.
-            for t in 0..THREADS {
-                let db = &db;
-                s.spawn(move || {
-                    for i in 0..ROUNDS {
-                        let p = params::Writer::new()
-                            .u64(t * 100 + i % 10)
-                            .bytes(&i.to_le_bytes())
-                            .finish();
-                        let outcome = if t % 2 == 1 {
-                            db.execute_durable(procs::PUT, p).unwrap()
-                        } else {
-                            db.execute(procs::PUT, p)
-                        };
-                        assert!(matches!(outcome, TxnOutcome::Committed(_)));
-                    }
-                });
-            }
-            s.spawn(|| db.checkpoint_now().unwrap());
-        });
-        // Die without a sync: dropping the engine is the only flush.
-        drop(db);
-
-        let commands = recovery::read_dir_logs(&OsVfs, &dir.join("cmdlog")).unwrap();
-        assert_eq!(commands.len() as u64, THREADS * ROUNDS, "{mode:?}");
-        assert!(
-            commands.windows(2).all(|w| w[0].seq < w[1].seq),
-            "{mode:?}: command log out of seq order"
-        );
-        let db = boot();
-        assert_eq!(db.record_count() as u64, THREADS * 10, "{mode:?}");
+    let dir = tmp_dir("commit-point");
+    let boot = || calc_server::open_or_recover(&dir, |c| c.workers = 2).unwrap();
+    let db = boot();
+    std::thread::scope(|s| {
+        // Each thread owns its keys and overwrites them in rounds, so the
+        // model is every key's last round; odd threads wait for the
+        // fsync, even ones do not.
         for t in 0..THREADS {
-            for k in 0..10u64 {
-                let last = ROUNDS - 10 + k;
-                assert_eq!(
-                    db.get(Key(t * 100 + k)).as_deref(),
-                    Some(&last.to_le_bytes()[..]),
-                    "{mode:?}: key {}",
-                    t * 100 + k
-                );
-            }
+            let db = &db;
+            s.spawn(move || {
+                for i in 0..ROUNDS {
+                    let p = params::Writer::new()
+                        .u64(t * 100 + i % 10)
+                        .bytes(&i.to_le_bytes())
+                        .finish();
+                    let outcome = if t % 2 == 1 {
+                        db.execute_durable(procs::PUT, p).unwrap()
+                    } else {
+                        db.execute(procs::PUT, p)
+                    };
+                    assert!(matches!(outcome, TxnOutcome::Committed(_)));
+                }
+            });
+        }
+        s.spawn(|| db.checkpoint_now().unwrap());
+    });
+    // Die without a sync: dropping the engine is the only flush.
+    drop(db);
+
+    let commands = recovery::read_dir_logs(&OsVfs, &dir.join("cmdlog")).unwrap();
+    assert_eq!(commands.len() as u64, THREADS * ROUNDS);
+    assert!(
+        commands.windows(2).all(|w| w[0].seq < w[1].seq),
+        "command log out of seq order"
+    );
+    let db = boot();
+    assert_eq!(db.record_count() as u64, THREADS * 10);
+    for t in 0..THREADS {
+        for k in 0..10u64 {
+            let last = ROUNDS - 10 + k;
+            assert_eq!(
+                db.get(Key(t * 100 + k)).as_deref(),
+                Some(&last.to_le_bytes()[..]),
+                "key {}",
+                t * 100 + k
+            );
         }
     }
 }
