@@ -148,10 +148,22 @@ impl CheckpointStrategy for FuzzyStrategy {
         self.partial
     }
 
-    fn load_initial(&self, key: Key, value: &[u8]) -> Result<(), StoreError> {
-        let slot = self.store.insert(key, value)?;
-        self.snapshot_set(slot, Some((key.0, value.to_vec().into_boxed_slice())));
-        Ok(())
+    /// Record by record: each installed record also seeds its slot's
+    /// snapshot entry, and a fuzzy chain is never restarted from (it is
+    /// not transaction-consistent), so only the initial load comes here.
+    fn load_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
+        let mut installed = 0;
+        for &(key, value) in records {
+            match self.store.insert(key, value) {
+                Ok(slot) => {
+                    self.snapshot_set(slot, Some((key.0, value.into())));
+                    installed += 1;
+                }
+                Err(StoreError::DuplicateKey(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(installed)
     }
 
     fn get(&self, key: Key) -> Option<Value> {

@@ -206,28 +206,28 @@ impl CheckpointStrategy for MvccStrategy {
         false
     }
 
-    fn load_initial(&self, key: Key, value: &[u8]) -> Result<(), StoreError> {
-        let v = Some(value.to_vec().into_boxed_slice());
-        self.record_version_alloc(&v);
-        let dup = self.ensure_chain(key, |chain| {
-            if chain.latest_committed().is_some() {
-                true
-            } else {
+    /// Record by record: each key has its own version chain, so there is
+    /// no slot run to reserve.
+    fn load_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
+        let mut installed = 0;
+        for &(key, value) in records {
+            let fresh = self.ensure_chain(key, |chain| {
+                if chain.latest_committed().is_some() {
+                    return false;
+                }
+                let v = Some(value.into());
+                self.record_version_alloc(&v);
                 chain.versions.push(Version {
                     seq: CommitSeq::ZERO,
                     value: v,
                 });
-                false
-            }
-        });
-        if dup {
-            // The closure dropped the version without pushing it.
-            self.version_mem
-                .sub(value.len() + std::mem::size_of::<Version>());
-            return Err(StoreError::DuplicateKey(key));
+                true
+            });
+            installed += usize::from(fresh);
         }
-        self.live_records.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        self.live_records
+            .fetch_add(installed as u64, Ordering::Relaxed);
+        Ok(installed)
     }
 
     fn get(&self, key: Key) -> Option<Value> {
@@ -478,7 +478,7 @@ mod tests {
     #[test]
     fn versions_accumulate_and_reads_see_latest() {
         let (s, log) = setup();
-        s.load_initial(Key(1), b"v0").unwrap();
+        s.load_batch(&[(Key(1), &b"v0"[..])]).unwrap();
         for i in 1..=5u64 {
             let mut t = s.txn_begin();
             s.apply_write(&mut t, Key(1), format!("v{i}").as_bytes())
@@ -493,7 +493,7 @@ mod tests {
     #[test]
     fn checkpoint_captures_watermark_and_gc_reclaims() {
         let (s, log) = setup();
-        s.load_initial(Key(1), b"v0").unwrap();
+        s.load_batch(&[(Key(1), &b"v0"[..])]).unwrap();
         let mut t = s.txn_begin();
         s.apply_write(&mut t, Key(1), b"v1").unwrap();
         commit(&s, &log, &mut t);
@@ -522,7 +522,7 @@ mod tests {
     #[test]
     fn pending_version_invisible_until_commit_and_dropped_on_abort() {
         let (s, log) = setup();
-        s.load_initial(Key(1), b"committed").unwrap();
+        s.load_batch(&[(Key(1), &b"committed"[..])]).unwrap();
         let mut t = s.txn_begin();
         s.apply_write(&mut t, Key(1), b"mine").unwrap();
         // Own write visible to the transaction (via get), which models
@@ -564,7 +564,7 @@ mod tests {
         // checkpoints.
         let (s, log) = setup();
         for k in 0..100u64 {
-            s.load_initial(Key(k), &[0u8; 50]).unwrap();
+            s.load_batch(&[(Key(k), &[0u8; 50][..])]).unwrap();
         }
         for round in 0..10 {
             for k in 0..100u64 {
@@ -589,7 +589,7 @@ mod tests {
         let (s, log) = setup();
         let s = Arc::new(s);
         for k in 0..50u64 {
-            s.load_initial(Key(k), &0u64.to_le_bytes()).unwrap();
+            s.load_batch(&[(Key(k), &0u64.to_le_bytes()[..])]).unwrap();
         }
         let stop = Arc::new(AtomicBool::new(false));
         let journal = Arc::new(Mutex::new(Vec::<(CommitSeq, u64, u64)>::new()));

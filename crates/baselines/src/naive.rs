@@ -90,8 +90,8 @@ impl CheckpointStrategy for NaiveStrategy {
         self.partial
     }
 
-    fn load_initial(&self, key: Key, value: &[u8]) -> Result<(), StoreError> {
-        self.store.insert(key, value).map(|_| ())
+    fn load_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
+        self.store.install_batch(records)
     }
 
     fn get(&self, key: Key) -> Option<Value> {

@@ -102,8 +102,8 @@ impl CheckpointStrategy for ZigzagStrategy {
         self.partial
     }
 
-    fn load_initial(&self, key: Key, value: &[u8]) -> Result<(), StoreError> {
-        self.store.insert(key, value).map(|_| ())
+    fn load_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
+        self.store.install_batch(records)
     }
 
     fn get(&self, key: Key) -> Option<Value> {

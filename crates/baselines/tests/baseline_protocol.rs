@@ -82,7 +82,7 @@ fn build(make: impl FnOnce(StoreConfig, Arc<CommitLog>) -> Arc<dyn CheckpointStr
     let mut initial = BTreeMap::new();
     for k in 0..n_keys {
         let v: Value = format!("init-{k}").into_bytes().into_boxed_slice();
-        strategy.load_initial(Key(k), &v).unwrap();
+        strategy.load_batch(&[(Key(k), &v[..])]).unwrap();
         initial.insert(Key(k), v);
     }
     Harness {

@@ -56,10 +56,16 @@ impl AtomicBitVec {
         word.load(Ordering::Acquire) & mask != 0
     }
 
-    /// Sets bit `idx` to `value`, returning the previous value.
+    /// Sets bit `idx` to `value`, returning the previous value. A bit that
+    /// already holds `value` is only read: threads setting bits that share
+    /// a line (a restart's lanes, workers re-dirtying hot records) then do
+    /// not bounce it.
     #[inline]
     pub fn set(&self, idx: usize, value: bool) -> bool {
         let (word, mask) = self.locate(idx);
+        if (word.load(Ordering::Acquire) & mask != 0) == value {
+            return value;
+        }
         let prev = if value {
             word.fetch_or(mask, Ordering::AcqRel)
         } else {

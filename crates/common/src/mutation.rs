@@ -1,7 +1,7 @@
 //! Test-only fault switches that inject *known bugs* into the engine, so
-//! the oracles (the conformance checker; for `AckBeforeFsync` and
-//! `OldestWinsOnLoad`, calc-sim's crash and recovery oracles) can prove
-//! they would catch them.
+//! the oracles (the conformance checker; for `AckBeforeFsync`,
+//! `OldestWinsOnLoad` and `SkipLaneBarrier`, calc-sim's crash and recovery
+//! oracles) can prove they would catch them.
 //!
 //! A checker that has never seen a failure proves nothing: if the oracle
 //! is vacuous (checks the wrong thing, or checks nothing under the real
@@ -47,18 +47,25 @@ pub enum Mutation {
     /// stale full-checkpoint value beats the partial that superseded it.
     /// Caught by `calc-sim`'s recovery oracle (recovered state == model).
     OldestWinsOnLoad,
+    /// Restart's replay driver hands a command whose lock keys span lanes
+    /// to its first key's lane instead of draining every lane first — it
+    /// races the other lanes' commands on its keys. Caught by `calc-sim`'s
+    /// lane replay oracle (recovered state == model).
+    SkipLaneBarrier,
 }
 
 /// All mutations, for sweep-style tests.
-pub const ALL: [Mutation; 5] = [
+pub const ALL: [Mutation; 6] = [
     Mutation::SkipLock,
     Mutation::StaleStableRead,
     Mutation::LatePhaseStamp,
     Mutation::AckBeforeFsync,
     Mutation::OldestWinsOnLoad,
+    Mutation::SkipLaneBarrier,
 ];
 
-static FLAGS: [AtomicBool; 5] = [
+static FLAGS: [AtomicBool; 6] = [
+    AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
@@ -75,6 +82,7 @@ impl Mutation {
             Mutation::LatePhaseStamp => 2,
             Mutation::AckBeforeFsync => 3,
             Mutation::OldestWinsOnLoad => 4,
+            Mutation::SkipLaneBarrier => 5,
         }
     }
 
@@ -86,6 +94,7 @@ impl Mutation {
             Mutation::LatePhaseStamp => "late-phase-stamp",
             Mutation::AckBeforeFsync => "ack-before-fsync",
             Mutation::OldestWinsOnLoad => "oldest-wins-on-load",
+            Mutation::SkipLaneBarrier => "skip-lane-barrier",
         }
     }
 }

@@ -39,7 +39,7 @@ fn spec_for(mutation: Mutation, seed: u64) -> StressSpec {
         Mutation::LatePhaseStamp => {
             StressSpec::new(StrategyKind::Calc, Scenario::CheckpointContention, seed)
         }
-        Mutation::AckBeforeFsync | Mutation::OldestWinsOnLoad => {
+        Mutation::AckBeforeFsync | Mutation::OldestWinsOnLoad | Mutation::SkipLaneBarrier => {
             unreachable!("a durability/restart bug: calc-sim's oracles own it, not this checker")
         }
     }

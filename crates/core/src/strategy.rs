@@ -179,15 +179,16 @@ pub trait CheckpointStrategy: Send + Sync {
     /// snapshots.
     fn partial(&self) -> bool;
 
-    /// Bulk-loads a record outside any transaction (initial population /
-    /// recovery). Not thread-safe with concurrent transactions; concurrent
-    /// `load_initial` calls on **distinct keys** are allowed (recovery
-    /// installs the parts of one checkpoint cycle on separate threads). A
-    /// key that is already resident is answered with
-    /// [`StoreError::DuplicateKey`] and the resident record left as it is:
-    /// recovery walks the chain newest first and relies on that to keep
-    /// the newest value.
-    fn load_initial(&self, key: Key, value: &[u8]) -> Result<(), StoreError>;
+    /// Bulk-loads a batch of records outside any transaction (initial
+    /// population / recovery) and returns how many it installed. Not
+    /// thread-safe with concurrent transactions; concurrent calls are
+    /// allowed (recovery installs the parts of one checkpoint cycle on
+    /// separate threads). A key that is already resident is skipped and
+    /// the resident record left as it is: recovery walks the chain newest
+    /// first and relies on that to keep the newest value. An arena that
+    /// runs out installs what fits and reports
+    /// [`StoreError::CapacityExceeded`].
+    fn load_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError>;
 
     /// Reads the latest committed value (the caller holds the logical
     /// lock).

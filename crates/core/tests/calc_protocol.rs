@@ -114,7 +114,7 @@ fn build(partial: bool, n_keys: u64) -> Harness {
     let mut initial = BTreeMap::new();
     for k in 0..n_keys {
         let v: Value = format!("init-{k}").into_bytes().into_boxed_slice();
-        strategy.load_initial(Key(k), &v).unwrap();
+        strategy.load_batch(&[(Key(k), &v[..])]).unwrap();
         initial.insert(Key(k), v);
     }
     Harness {

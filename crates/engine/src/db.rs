@@ -253,13 +253,18 @@ impl Database {
         })
     }
 
-    /// Bulk-loads a record (before any transactions run).
+    /// Bulk-loads a record (before any transactions run): a one-record
+    /// [`CheckpointStrategy::load_batch`]. A key already loaded is
+    /// [`StoreError::DuplicateKey`].
     pub fn load_initial(&self, key: Key, value: &[u8]) -> Result<(), StoreError> {
         #[cfg(feature = "conform")]
         if let Some(rec) = self.inner.recorder.as_ref() {
             rec.record_initial(key, value);
         }
-        self.inner.strategy.load_initial(key, value)
+        match self.inner.strategy.load_batch(&[(key, value)])? {
+            0 => Err(StoreError::DuplicateKey(key)),
+            _ => Ok(()),
+        }
     }
 
     /// Finishes initial load: writes the base full checkpoint when asked

@@ -743,7 +743,9 @@ mod tests {
             StoreConfig::for_records(16, 16),
             Arc::new(CommitLog::default()),
         ));
-        strategy.load_initial(calc_common::types::Key(1), b"x").unwrap();
+        strategy
+            .load_batch(&[(calc_common::types::Key(1), &b"x"[..])])
+            .unwrap();
         let sampler = Sampler::start(metrics.clone(), strategy, Duration::from_millis(10));
         for _ in 0..50 {
             metrics.record_commit(Duration::from_micros(10));

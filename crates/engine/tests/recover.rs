@@ -6,14 +6,12 @@
 
 mod common;
 
-use std::io;
 use std::sync::Arc;
 
 use calc_common::types::Key;
-use calc_common::vfs::OsVfs;
 use calc_core::strategy::CheckpointStrategy;
 use calc_engine::{Database, StrategyKind, TxnOutcome};
-use calc_testkit::{registry, set_u64, SET};
+use calc_testkit::{registry, set_u64, CountingVfs, SET};
 use calc_txn::commitlog::CommitLog;
 
 use common::{logged_commands, logged_config};
@@ -115,40 +113,6 @@ fn database_recover_resumes_ids_and_sequences() {
     }
 }
 
-/// Real filesystem, counting `open_read` calls per path.
-#[derive(Debug, Default)]
-struct CountingVfs {
-    opens: parking_lot::Mutex<std::collections::BTreeMap<std::path::PathBuf, usize>>,
-}
-
-impl calc_common::vfs::Vfs for CountingVfs {
-    fn create(&self, path: &std::path::Path) -> io::Result<Box<dyn calc_common::vfs::VfsFile>> {
-        OsVfs.create(path)
-    }
-    fn open_read(&self, path: &std::path::Path) -> io::Result<Box<dyn calc_common::vfs::VfsRead>> {
-        *self.opens.lock().entry(path.to_path_buf()).or_default() += 1;
-        OsVfs.open_read(path)
-    }
-    fn rename(&self, from: &std::path::Path, to: &std::path::Path) -> io::Result<()> {
-        OsVfs.rename(from, to)
-    }
-    fn remove_file(&self, path: &std::path::Path) -> io::Result<()> {
-        OsVfs.remove_file(path)
-    }
-    fn read_dir(&self, dir: &std::path::Path) -> io::Result<Vec<std::path::PathBuf>> {
-        OsVfs.read_dir(dir)
-    }
-    fn create_dir_all(&self, dir: &std::path::Path) -> io::Result<()> {
-        OsVfs.create_dir_all(dir)
-    }
-    fn sync_dir(&self, dir: &std::path::Path) -> io::Result<()> {
-        OsVfs.sync_dir(dir)
-    }
-    fn len(&self, path: &std::path::Path) -> io::Result<u64> {
-        OsVfs.len(path)
-    }
-}
-
 /// One validation pass per restart: `recover` seals the id/seq spaces
 /// from claims (manifest documents and names), so the recovery chain's
 /// scan is the only CRC pass over the part files.
@@ -177,7 +141,7 @@ fn restart_opens_each_part_once_to_validate_and_once_to_load() {
     let outcome = db.recover(&commands).unwrap();
     assert_eq!(outcome.checkpoint_files, 3);
     assert_eq!(db.get(Key(7)), Some(99u64.to_le_bytes().into()));
-    let opens = vfs.opens.lock();
+    let opens = vfs.opens();
     let parts: Vec<_> = opens
         .iter()
         .filter(|(p, _)| p.to_string_lossy().contains(".part-"))

@@ -8,8 +8,9 @@
 //! 2. **Checkpoint + deterministic replay** (command logging, VoltDB
 //!    style): after loading, replay the command log from the checkpoint's
 //!    virtual-point-of-consistency watermark. Stored procedures are
-//!    deterministic functions of their parameters, so serial replay in
-//!    commit order reproduces the exact pre-crash state.
+//!    deterministic functions of their parameters, so replay in commit
+//!    order — per key, in lanes that follow the lock footprint — reproduces
+//!    the exact pre-crash state.
 //! 3. **pCALC**: if the newest checkpoint is partial, first collapse the
 //!    recovery chain (newest full + newer partials, §3.2) — the
 //!    runtime-vs-recovery-time tradeoff Figure 4 quantifies.
@@ -27,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod group_commit;
+mod lanes;
 pub mod logfile;
 pub mod replay;
 pub mod tailer;
@@ -34,6 +36,7 @@ pub mod tailer;
 pub use group_commit::{
     BatchObserver, DurabilityTicket, GroupCommitConfig, GroupCommitter, LogBackend, SyncError,
 };
+pub use lanes::LANE_BATCH;
 pub use logfile::{read_dir_logs, truncate_segments_below, SegmentedLogWriter, TruncateStats};
 pub use replay::{apply_commit, recover, recover_checkpoint_only, RecoveryError, RecoveryOutcome};
 pub use tailer::{LogTailer, TailPoll, TailStatus};

@@ -1,28 +1,51 @@
-//! Checkpoint loading and deterministic command-log replay.
+//! Checkpoint loading and command-log replay, both in per-key lanes on
+//! `dir.checkpoint_threads()` threads (see the `lanes` module: a key's lane
+//! is the index's shard mix, so lanes never share a shard).
 //!
-//! Loading installs the recovery chain straight from the part readers:
+//! **Loading** installs the recovery chain straight from the part readers:
 //! after one deep-validation scan has accepted (or quarantined) every
 //! cycle, the chain is walked **newest first** — last partial … first
-//! partial, full — and each cycle's parts stream, in parallel, from
-//! [`CheckpointReader::next_borrowed`] into
-//! [`CheckpointStrategy::load_initial`]. A key the store already holds was
-//! decided by a newer cycle and is skipped; a cycle's tombstones join the
-//! set of dead keys once all of its parts are in, and a value whose key is
-//! dead is skipped. No intermediate map or entry list is built: the store
-//! is the only copy. Replay is single-threaded in commit order —
-//! determinism demands it.
+//! partial, full. A cycle's parts are read in parallel, and each value
+//! goes to its key's lane, which installs it with
+//! [`CheckpointStrategy::load_batch`]. A key the store already holds was
+//! decided by a newer cycle and is skipped before it takes a slot; a
+//! cycle's tombstones join the set of dead keys once all of its parts are
+//! in, and a value whose key is dead is skipped. No intermediate map or
+//! entry list is built: the store is the only copy.
+//!
+//! **Replay** follows each command's declared lock footprint
+//! ([`Procedure::locks`]): if every key maps to one lane, the command joins
+//! that lane's FIFO; if its keys span lanes, or `locks` fails, it is a
+//! barrier — every lane drains, the command is applied alone, and replay
+//! continues. The argument is the executor's ordered 2PL: two transactions
+//! that conflict are serialized through a lock key they share, and the log
+//! holds them in that order. So two commands that share a lock key share a
+//! lane (whose FIFO keeps their log order) or are split by a barrier, and
+//! two that share none touched no common record — a procedure touches only
+//! what it locks or what a lock it holds guards (TPC-C's order keys,
+//! derived under the district lock) — so their relative order cannot
+//! change the result. The driver thread routes the commands, applies lane
+//! 0's batches and the barriers, so a log in which every command is a
+//! barrier wakes no lane thread; with one thread it applies everything
+//! itself, in log order. The first failure in log order is returned, once
+//! every lane has stopped.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
+
+use parking_lot::{Mutex, RwLock};
 
 use calc_common::types::{CommitSeq, Key, Value};
 use calc_core::file::{CheckpointReader, RecordRef};
 use calc_core::manifest::{CheckpointDir, CheckpointMeta, RestartChain};
-use calc_core::partition::for_each_part;
 use calc_core::strategy::CheckpointStrategy;
-use calc_storage::dual::StoreError;
 use calc_txn::commitlog::CommitRecord;
+#[cfg(doc)]
+use calc_txn::proc::Procedure;
 use calc_txn::proc::{ProcRegistry, TxnOps};
+
+use crate::lanes::{key_lane, LanePool, LANE_BATCH};
 
 /// Why recovery failed.
 #[derive(Debug)]
@@ -114,11 +137,13 @@ pub struct RecoveryStats {
     /// The residue between cycles — folding each cycle's tombstones into
     /// the dead-key set (≈ 0; nothing is merged).
     pub merge: Duration,
-    /// Deterministic command-log replay.
+    /// Command-log replay, wall time across all lanes.
     pub replay: Duration,
     /// Part files read.
     pub parts_loaded: usize,
-    /// Cap on the workers that validated and loaded a cycle's parts.
+    /// `dir.checkpoint_threads()` at restart: the cap on the workers that
+    /// validated and loaded a cycle's parts, and the number of replay
+    /// lanes.
     pub threads: usize,
 }
 
@@ -136,16 +161,16 @@ pub struct RecoveryOutcome {
     /// Time spent validating (the deep scan) and loading checkpoints —
     /// the "recovery time" annotated on Figure 4(b).
     pub load_duration: Duration,
-    /// Time spent replaying.
+    /// Time spent replaying (wall time).
     pub replay_duration: Duration,
     /// Per-phase breakdown.
     pub stats: RecoveryStats,
 }
 
-/// Serial execution bridge: routes a procedure's data operations straight
-/// to the strategy (no locks — the caller runs one transaction at a time,
-/// in commit order). Replay uses it, and so do the serial primaries of
-/// the simulation and replication harnesses.
+/// Lock-free execution bridge: routes a procedure's data operations
+/// straight to the strategy (no locks — the caller orders transactions
+/// that touch a common key: replay by its lanes, the serial primaries of
+/// the simulation and replication harnesses by running one at a time).
 pub struct ReplayOps<'a> {
     /// The strategy operations apply to.
     pub strategy: &'a dyn CheckpointStrategy,
@@ -188,8 +213,7 @@ impl TxnOps for ReplayOps<'_> {
 /// the chain falls back before the store is touched — then the chain's
 /// parts are installed newest cycle first, a cycle's parts in parallel on
 /// at most `dir.checkpoint_threads()` workers; a key an earlier (newer)
-/// cycle installed is answered by [`CheckpointStrategy::load_initial`]
-/// with [`StoreError::DuplicateKey`] and skipped.
+/// cycle installed is skipped by [`CheckpointStrategy::load_batch`].
 pub fn recover_checkpoint_only(
     dir: &CheckpointDir,
     strategy: &dyn CheckpointStrategy,
@@ -229,27 +253,55 @@ fn install_chain(
         threads,
         ..RecoveryStats::default()
     };
-    let mut loaded = 0u64;
-    // Keys a newer cycle deleted (and did not re-create).
-    let mut dead: HashSet<Key> = HashSet::new();
-    for cycle in newest_first {
-        let load_start = Instant::now();
-        let parts = for_each_part(cycle.parts.len(), threads, |k| {
-            load_part(dir, &cycle.parts[k].path, strategy, &dead)
-        })?;
-        stats.part_load += load_start.elapsed();
-        stats.parts_loaded += parts.len();
-        // Only now: within the cycle a tombstone precedes the key's
-        // re-insertion, so the cycle's own values were not to be shadowed.
-        let fold_start = Instant::now();
-        for (installed, tombstones) in parts {
-            loaded += installed;
-            dead.extend(tombstones);
+    let installed = AtomicU64::new(0);
+    let failed = Mutex::new(None);
+    // Keys a newer cycle deleted (and did not re-create), and the current
+    // cycle's tombstones, folded in only once all of its parts are in:
+    // within a cycle a tombstone precedes the key's re-insertion, so the
+    // cycle's own values are not to be shadowed.
+    let dead = RwLock::new(HashSet::new());
+    let tombstones = Mutex::new(Vec::new());
+    let next_part = AtomicUsize::new(0);
+    let load = |lanes: &LanePool<Load>, lane: usize, job: Load| {
+        let done = match job {
+            Load::Parts(cycle) => {
+                std::iter::from_fn(|| cycle.parts.get(next_part.fetch_add(1, Ordering::Relaxed)))
+                    .try_for_each(|part| {
+                        let keys = read_part(dir, &part.path, &dead.read(), lanes, lane)?;
+                        tombstones.lock().extend(keys);
+                        Ok(())
+                    })
+            }
+            Load::Batch(batch) => batch.install(strategy).map(|n| {
+                installed.fetch_add(n, Ordering::Relaxed);
+            }),
+        };
+        if let Err(e) = done {
+            failed.lock().get_or_insert(e);
         }
-        stats.merge += fold_start.elapsed();
-    }
+    };
+    LanePool::run(threads, &load, |lanes| {
+        for cycle in newest_first {
+            let load_start = Instant::now();
+            next_part.store(0, Ordering::Relaxed);
+            // Every lane reads; the driver (lane 0) starts last.
+            for lane in (0..lanes.lanes()).rev() {
+                lanes.send(0, lane, Load::Parts(cycle));
+            }
+            lanes.drain();
+            stats.part_load += load_start.elapsed();
+            stats.parts_loaded += cycle.parts.len();
+            if let Some(e) = failed.lock().take() {
+                return Err(e);
+            }
+            let fold_start = Instant::now();
+            dead.write().extend(tombstones.lock().drain(..));
+            stats.merge += fold_start.elapsed();
+        }
+        Ok(())
+    })?;
     Ok(RecoveryOutcome {
-        loaded_records: loaded,
+        loaded_records: installed.into_inner(),
         checkpoint_files: 1 + partials.len(),
         watermark: partials.last().map_or(full.watermark, |p| p.watermark),
         replayed: 0,
@@ -259,39 +311,81 @@ fn install_chain(
     })
 }
 
-/// Streams one part into the store: values whose key is neither dead nor
-/// already resident are installed, tombstones are handed back for the
-/// caller to fold in once the whole cycle has joined. The reader's final
-/// call re-checks the part's CRC, so a file that changed after validation
-/// fails the load.
-fn load_part(
+/// A job of the chain install: read the cycle's parts, claimed one at a
+/// time, until none is left; or install a batch of one lane's values.
+enum Load<'c> {
+    Parts(&'c CheckpointMeta),
+    Batch(LoadBuffer),
+}
+
+/// Reads one part on `lane`'s thread: every value whose key is not dead
+/// goes, [`LANE_BATCH`] at a time, to its key's lane — installed here if
+/// that is `lane`, while what other lanes hand this one is installed in
+/// between. The tombstones are handed back. The reader's final call
+/// re-checks the part's CRC, so a file that changed after validation fails
+/// the load.
+fn read_part(
     dir: &CheckpointDir,
     path: &std::path::Path,
-    strategy: &dyn CheckpointStrategy,
     dead: &HashSet<Key>,
-) -> Result<(u64, Vec<Key>), RecoveryError> {
+    lanes: &LanePool<Load>,
+    lane: usize,
+) -> Result<Vec<Key>, RecoveryError> {
     let mut reader = CheckpointReader::open_with_vfs(dir.vfs().as_ref(), path)?;
-    let mut installed = 0u64;
+    let mut batches: Vec<LoadBuffer> = (0..lanes.lanes()).map(|_| LoadBuffer::default()).collect();
     let mut tombstones = Vec::new();
     while let Some(record) = reader.next_borrowed()? {
         match record {
             RecordRef::Tombstone(key) => tombstones.push(key),
             RecordRef::Value(key, _) if dead.contains(&key) => {}
-            RecordRef::Value(key, value) => match strategy.load_initial(key, value) {
-                Ok(()) => installed += 1,
-                // A newer cycle already decided this key.
-                Err(StoreError::DuplicateKey(_)) => {}
-                Err(e) => return Err(e.into()),
-            },
+            RecordRef::Value(key, value) => {
+                let to = key_lane(key, batches.len());
+                batches[to].push(key, value);
+                if batches[to].ends.len() == LANE_BATCH {
+                    lanes.send(lane, to, Load::Batch(std::mem::take(&mut batches[to])));
+                    lanes.help(lane);
+                }
+            }
         }
     }
-    Ok((installed, tombstones))
+    for (to, batch) in batches.into_iter().enumerate() {
+        if !batch.ends.is_empty() {
+            lanes.send(lane, to, Load::Batch(batch));
+        }
+    }
+    Ok(tombstones)
+}
+
+/// Values copied out of the reader's buffer (valid for one record only)
+/// until a batch is full: every key with the end of its value in `bytes`.
+#[derive(Default)]
+struct LoadBuffer {
+    ends: Vec<(Key, usize)>,
+    bytes: Vec<u8>,
+}
+
+impl LoadBuffer {
+    fn push(&mut self, key: Key, value: &[u8]) {
+        self.bytes.extend_from_slice(value);
+        self.ends.push((key, self.bytes.len()));
+    }
+
+    /// Hands the buffered records to the store.
+    fn install(&self, strategy: &dyn CheckpointStrategy) -> Result<u64, RecoveryError> {
+        let mut start = 0;
+        let records: Vec<(Key, &[u8])> = self
+            .ends
+            .iter()
+            .map(|&(key, end)| (key, &self.bytes[std::mem::replace(&mut start, end)..end]))
+            .collect();
+        Ok(strategy.load_batch(&records)? as u64)
+    }
 }
 
 /// Deterministically re-applies one committed record through the
 /// registry, stamping the commit with the strategy's *current* phase
-/// stamp. This is the single-record unit [`recover_streamed`] loops
-/// over, exposed so a warm standby (`calc-replica`) can apply a live
+/// stamp. This is the single-record unit [`recover_streamed`]'s lanes
+/// apply, exposed so a warm standby (`calc-replica`) can apply a live
 /// log tail incrementally with identical semantics to one-shot replay.
 pub fn apply_commit(
     strategy: &dyn CheckpointStrategy,
@@ -384,18 +478,142 @@ pub fn recover_streamed(
         },
         RestartChain::NoFull => return Err(RecoveryError::NoFullCheckpoint),
     };
+    let threads = dir.checkpoint_threads();
     let replay_start = Instant::now();
-    for rec in commands {
-        let rec = rec?;
-        if rec.seq <= outcome.watermark {
-            continue; // already reflected in the checkpoint
-        }
-        apply_commit(strategy, registry, &rec)?;
-        outcome.replayed += 1;
-    }
+    let replay = Replay {
+        strategy,
+        registry,
+        stop_at: AtomicU64::new(u64::MAX),
+        failed: Mutex::new(None),
+    };
+    outcome.replayed = replay.run(threads, outcome.watermark, commands)?;
     outcome.replay_duration = replay_start.elapsed();
     outcome.stats.replay = outcome.replay_duration;
+    outcome.stats.threads = threads;
     Ok(outcome)
+}
+
+/// A command and its position in the log, which orders failures.
+type Entry = (u64, CommitRecord);
+
+/// What the replay driver and the lanes share (see module docs).
+struct Replay<'a> {
+    strategy: &'a dyn CheckpointStrategy,
+    registry: &'a ProcRegistry,
+    /// Log position of the earliest failure so far: no lane applies a
+    /// command past it.
+    stop_at: AtomicU64,
+    failed: Mutex<Option<(u64, RecoveryError)>>,
+}
+
+impl Replay<'_> {
+    /// Replays the commands past `watermark` on `threads` lanes; returns
+    /// how many were replayed, or the first failure in log order.
+    fn run(
+        self,
+        threads: usize,
+        watermark: CommitSeq,
+        commands: impl IntoIterator<Item = std::io::Result<CommitRecord>>,
+    ) -> Result<u64, RecoveryError> {
+        let apply = |_: &LanePool<Vec<Entry>>, _: usize, batch: Vec<Entry>| self.apply(&batch);
+        let driven = LanePool::run(threads, &apply, |lanes| {
+            self.drive(lanes, watermark, commands)
+        });
+        match self.failed.into_inner() {
+            Some((_, e)) => Err(e),
+            None => driven,
+        }
+    }
+
+    /// The driver: routes each command to its lane's pending batch, hands
+    /// full batches off, and turns every barrier into drain + apply.
+    fn drive(
+        &self,
+        lanes: &LanePool<Vec<Entry>>,
+        watermark: CommitSeq,
+        commands: impl IntoIterator<Item = std::io::Result<CommitRecord>>,
+    ) -> Result<u64, RecoveryError> {
+        let mut pending: Vec<Vec<Entry>> = (0..lanes.lanes()).map(|_| Vec::new()).collect();
+        // A barrier: the lanes apply what they were handed, then the
+        // driver applies what it still holds (lanes share no keys, so
+        // their order does not matter).
+        let drain = |pending: &mut Vec<Vec<Entry>>| {
+            lanes.drain();
+            pending
+                .iter_mut()
+                .for_each(|batch| self.apply(&std::mem::take(batch)));
+        };
+        let mut replayed = 0;
+        for (pos, rec) in (0u64..).zip(commands) {
+            let rec = match rec {
+                Ok(rec) => rec,
+                Err(e) => {
+                    drain(&mut pending);
+                    return Err(e.into());
+                }
+            };
+            if rec.seq <= watermark {
+                continue; // already reflected in the checkpoint
+            }
+            if self.stop_at.load(Ordering::Relaxed) != u64::MAX {
+                break;
+            }
+            replayed += 1;
+            match self.lane_of(&rec, lanes.lanes()) {
+                Some(lane) => {
+                    pending[lane].push((pos, rec));
+                    if pending[lane].len() == LANE_BATCH {
+                        lanes.send(0, lane, std::mem::take(&mut pending[lane]));
+                    }
+                }
+                None => {
+                    drain(&mut pending);
+                    self.apply(&[(pos, rec)]);
+                }
+            }
+        }
+        drain(&mut pending);
+        Ok(replayed)
+    }
+
+    /// The lane every lock key of `rec` maps to, or `None` for a barrier.
+    fn lane_of(&self, rec: &CommitRecord, lanes: usize) -> Option<usize> {
+        if lanes == 1 {
+            return Some(0);
+        }
+        let locks = self.registry.get(rec.proc)?.locks(&rec.params).ok()?;
+        let mut keys = locks.writes.iter().chain(&locks.reads);
+        let first = key_lane(*keys.next()?, lanes);
+        if keys.all(|&key| key_lane(key, lanes) == first) {
+            return Some(first);
+        }
+        // Seeded bug for the replay oracle's self-test: a command that
+        // spans lanes runs in its first key's lane, unordered against
+        // the other lanes' commands on its keys.
+        #[cfg(feature = "mutation-hooks")]
+        if calc_common::mutation::armed(calc_common::mutation::Mutation::SkipLaneBarrier) {
+            return Some(first);
+        }
+        None
+    }
+
+    /// Applies `batch` in order, up to the first failure (or the earliest
+    /// one another lane has recorded).
+    fn apply(&self, batch: &[Entry]) {
+        for (pos, rec) in batch {
+            if *pos > self.stop_at.load(Ordering::Relaxed) {
+                return;
+            }
+            if let Err(e) = apply_commit(self.strategy, self.registry, rec) {
+                let mut failed = self.failed.lock();
+                if !matches!(&*failed, Some((first, _)) if first < pos) {
+                    *failed = Some((*pos, e));
+                }
+                self.stop_at.fetch_min(*pos, Ordering::Relaxed);
+                return;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -693,12 +911,11 @@ mod tests {
             fn partial(&self) -> bool {
                 false
             }
-            fn load_initial(
+            fn load_batch(
                 &self,
-                key: Key,
-                value: &[u8],
-            ) -> Result<(), calc_storage::dual::StoreError> {
-                self.0.load_initial(key, value)
+                records: &[(Key, &[u8])],
+            ) -> Result<usize, calc_storage::dual::StoreError> {
+                self.0.load_batch(records)
             }
             fn get(&self, key: Key) -> Option<Value> {
                 self.0.get(key)

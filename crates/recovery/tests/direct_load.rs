@@ -12,7 +12,7 @@ use std::sync::{Arc, Mutex};
 
 use calc_common::rng::SplitMix;
 use calc_common::types::{CommitSeq, Key};
-use calc_common::vfs::{OsVfs, Vfs, VfsFile, VfsRead};
+use calc_common::vfs::{Vfs, VfsFile, VfsRead};
 use calc_core::calc::CalcStrategy;
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
@@ -22,6 +22,7 @@ use calc_core::strategy::CheckpointStrategy;
 use calc_core::throttle::Throttle;
 use calc_recovery::{recover, recover_checkpoint_only, RecoveryError};
 use calc_storage::dual::StoreConfig;
+use calc_testkit::CountingVfs;
 use calc_txn::commitlog::CommitLog;
 
 fn fresh() -> CalcStrategy {
@@ -147,12 +148,12 @@ fn direct_load_matches_serial_materialization() {
     }
 }
 
-/// An [`OsVfs`] that watches the part files being read: how often each was
-/// opened, how many were open at once, and — armed with a victim — cuts
-/// that part in half just before its second open.
+/// A [`CountingVfs`] that also watches the part files being read: how many
+/// were open at once, and — armed with a victim — cuts that part in half
+/// just before its second open.
 #[derive(Debug, Default)]
 struct ProbeVfs {
-    opens: Mutex<HashMap<PathBuf, usize>>,
+    counting: CountingVfs,
     open_now: Arc<AtomicUsize>,
     most_open: Arc<AtomicUsize>,
     cut_before_reopen: Mutex<Option<PathBuf>>,
@@ -181,37 +182,36 @@ impl Drop for ProbedRead {
     }
 }
 
+fn is_part(path: &Path) -> bool {
+    path.to_string_lossy().contains(".part-")
+}
+
 impl ProbeVfs {
     fn part_opens(&self) -> HashMap<String, usize> {
-        self.opens
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(p, n)| (p.file_name().unwrap().to_string_lossy().into_owned(), *n))
+        self.counting
+            .opens()
+            .into_iter()
+            .filter(|(p, _)| is_part(p))
+            .map(|(p, n)| (p.file_name().unwrap().to_string_lossy().into_owned(), n))
             .collect()
     }
 }
 
 impl Vfs for ProbeVfs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
-        OsVfs.create(path)
+        self.counting.create(path)
     }
 
     fn open_read(&self, path: &Path) -> io::Result<Box<dyn VfsRead>> {
-        if !path.to_string_lossy().contains(".part-") {
-            return OsVfs.open_read(path);
+        if !is_part(path) {
+            return self.counting.open_read(path);
         }
-        let nth = {
-            let mut opens = self.opens.lock().unwrap();
-            let n = opens.entry(path.to_path_buf()).or_insert(0);
-            *n += 1;
-            *n
-        };
+        let nth = self.counting.opens_of(path) + 1;
         if nth == 2 && self.cut_before_reopen.lock().unwrap().as_deref() == Some(path) {
             let len = std::fs::metadata(path)?.len();
             std::fs::OpenOptions::new().write(true).open(path)?.set_len(len / 2)?;
         }
-        let inner = OsVfs.open_read(path)?;
+        let inner = self.counting.open_read(path)?;
         let now = self.open_now.fetch_add(1, Ordering::SeqCst) + 1;
         self.most_open.fetch_max(now, Ordering::SeqCst);
         Ok(Box::new(ProbedRead {
@@ -221,27 +221,27 @@ impl Vfs for ProbeVfs {
     }
 
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        OsVfs.rename(from, to)
+        self.counting.rename(from, to)
     }
 
     fn remove_file(&self, path: &Path) -> io::Result<()> {
-        OsVfs.remove_file(path)
+        self.counting.remove_file(path)
     }
 
     fn read_dir(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
-        OsVfs.read_dir(dir)
+        self.counting.read_dir(dir)
     }
 
     fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        OsVfs.create_dir_all(dir)
+        self.counting.create_dir_all(dir)
     }
 
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        OsVfs.sync_dir(dir)
+        self.counting.sync_dir(dir)
     }
 
     fn len(&self, path: &Path) -> io::Result<u64> {
-        OsVfs.len(path)
+        self.counting.len(path)
     }
 }
 
@@ -292,7 +292,7 @@ fn a_strategy_that_holds_records_is_refused() {
     let dir = open("direct-nonempty");
     publish_counting(&dir, CheckpointKind::Full, 0, 10, 2);
     let store = fresh();
-    store.load_initial(Key(3), b"resident").unwrap();
+    store.load_batch(&[(Key(3), &b"resident"[..])]).unwrap();
     let err = recover_checkpoint_only(&dir, &store).unwrap_err();
     assert!(matches!(err, RecoveryError::StrategyNotEmpty { records: 1 }), "{err}");
     assert_eq!(store.record_count(), 1, "nothing was installed");
@@ -361,4 +361,30 @@ fn a_restart_opens_each_part_at_most_twice() {
     let outcome = recover(&dir, &fresh(), &registry, &[]).unwrap();
     assert_eq!(outcome.checkpoint_files, 0);
     assert!(probe.part_opens().is_empty());
+}
+
+/// A key a newer cycle installed is dropped before it takes a slot, so a
+/// restart over a chain without deletes leaves no hole in the arena for
+/// the next capture scan to walk: the high-water mark is the record count.
+#[test]
+fn a_delete_free_chain_installs_without_holes() {
+    let dir = open("direct-dense");
+    publish_counting(&dir, CheckpointKind::Full, 0, 2_000, 3);
+    publish_counting(&dir, CheckpointKind::Partial, 1, 700, 2);
+    publish_counting(&dir, CheckpointKind::Partial, 2, 300, 2);
+    for threads in [1usize, 2, 4] {
+        dir.set_checkpoint_threads(threads);
+        let store = fresh();
+        let outcome = recover_checkpoint_only(&dir, &store).unwrap();
+        assert_eq!(outcome.loaded_records, 2_000, "threads {threads}");
+        assert_eq!(store.record_count(), 2_000, "threads {threads}");
+        assert_eq!(
+            store.store().slot_high_water(),
+            store.record_count(),
+            "threads {threads}"
+        );
+        assert_eq!(store.get(Key(5)), Some((2_005u64).to_le_bytes().into()));
+        assert_eq!(store.get(Key(500)), Some((1_500u64).to_le_bytes().into()));
+        assert_eq!(store.get(Key(1_500)), Some((1_500u64).to_le_bytes().into()));
+    }
 }

@@ -199,12 +199,30 @@ impl DualVersionStore {
         self.table.insert(
             key,
             false,
-            |slot| self.fill(slot, key, value, marked),
+            |slot| {
+                self.fill(slot, key, value, marked);
+                self.count_filled(1, value.len());
+            },
             |slot| self.vacate(slot),
         )
     }
 
-    /// The fill step of [`SlotTable::insert`].
+    /// Installs a batch of records into a store at rest (initial load,
+    /// restart) through [`SlotTable::install_batch`]: resident keys are
+    /// skipped, and the memory counter is touched once. Returns how many
+    /// were installed.
+    pub fn install_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
+        self.table.install_batch(
+            records,
+            |slot, key, value| self.fill(slot, key, value, false),
+            |count, bytes| self.count_filled(count, bytes),
+            |slot| self.vacate(slot),
+        )
+    }
+
+    /// The fill step of [`SlotTable::insert`] and
+    /// [`SlotTable::install_batch`]; the caller counts the value's bytes
+    /// with [`DualVersionStore::count_filled`].
     pub(crate) fn fill(&self, slot: SlotId, key: Key, value: &[u8], marked: bool) {
         let mut g = self.slots[slot as usize].lock();
         debug_assert!(!g.in_use, "allocated slot still in use");
@@ -212,12 +230,16 @@ impl DualVersionStore {
         g.key = key.0;
         g.in_use = true;
         g.live = Some(value.to_vec().into_boxed_slice());
-        self.live_mem.add(value.len());
         if marked {
             self.stable_status.mark(slot as usize);
         } else {
             self.stable_status.unmark(slot as usize);
         }
+    }
+
+    /// Counts `count` filled records of `bytes` in total.
+    pub(crate) fn count_filled(&self, count: usize, bytes: usize) {
+        self.live_mem.add_many(count, bytes);
     }
 
     /// Undoes [`DualVersionStore::fill`] for an insert that lost the race
@@ -360,10 +382,14 @@ impl<'a> DualSlotGuard<'a> {
     /// transaction undo).
     pub fn set_live(&mut self, value: &[u8]) -> Option<Value> {
         let new = value.to_vec().into_boxed_slice();
-        self.store.live_mem.add(new.len());
+        let new_len = new.len();
         let old = self.inner.live.replace(new);
-        if let Some(ref o) = old {
-            self.store.live_mem.sub(o.len());
+        match &old {
+            // An overwrite moves the byte total only, and only by the
+            // difference: replay lanes overwriting in parallel would
+            // otherwise bounce the counter's line on every write.
+            Some(o) => self.store.live_mem.replace(o.len(), new_len),
+            None => self.store.live_mem.add(new_len),
         }
         old
     }

@@ -32,6 +32,26 @@ impl MemCounter {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records `count` allocations totalling `bytes` — one pair of
+    /// read-modify-writes for a whole batch instead of one per value.
+    #[inline]
+    pub fn add_many(&self, count: usize, bytes: usize) {
+        self.bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.count.fetch_add(count, Ordering::Relaxed);
+    }
+
+    /// Records that one value of `old` bytes was replaced by one of
+    /// `new` bytes: the count is unchanged, and a same-size overwrite
+    /// writes nothing.
+    #[inline]
+    pub fn replace(&self, old: usize, new: usize) {
+        if new > old {
+            self.bytes.fetch_add(new - old, Ordering::Relaxed);
+        } else if old > new {
+            self.bytes.fetch_sub(old - new, Ordering::Relaxed);
+        }
+    }
+
     /// Records a release of `n` bytes.
     #[inline]
     pub fn sub(&self, n: usize) {

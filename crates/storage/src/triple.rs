@@ -149,12 +149,31 @@ impl TripleStore {
         self.table.insert(
             key,
             false,
-            |slot| self.fill(slot, key, value),
+            |slot| {
+                self.fill(slot, key, value);
+                self.count_filled(1, value.len());
+            },
             |slot| self.vacate(slot),
         )
     }
 
-    /// The fill step of [`SlotTable::insert`].
+    /// Installs a batch of records into a store at rest (initial load,
+    /// restart) through [`SlotTable::install_batch`]: resident keys are
+    /// skipped, the rest are inserted as [`TripleStore::insert`] would,
+    /// with the memory counters touched once. Returns how many were
+    /// installed.
+    pub fn install_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
+        self.table.install_batch(
+            records,
+            |slot, key, value| self.fill(slot, key, value),
+            |count, bytes| self.count_filled(count, bytes),
+            |slot| self.vacate(slot),
+        )
+    }
+
+    /// The fill step of [`SlotTable::insert`] and
+    /// [`SlotTable::install_batch`]; the caller counts the value's bytes
+    /// with [`TripleStore::count_filled`].
     pub(crate) fn fill(&self, slot: SlotId, key: Key, value: &[u8]) {
         let cur = self.current_array();
         let mut g = self.slots[slot as usize].lock();
@@ -165,8 +184,13 @@ impl TripleStore {
         g.pingpong[cur] = Some(value.to_vec().into_boxed_slice());
         self.dirty[cur].set(slot as usize, true);
         self.dirty[1 - cur].set(slot as usize, false);
-        self.state_mem.add(value.len());
-        self.pingpong_mem.add(value.len());
+    }
+
+    /// Counts `count` filled records of `bytes` in total: a state copy
+    /// and a current-array copy each.
+    pub(crate) fn count_filled(&self, count: usize, bytes: usize) {
+        self.state_mem.add_many(count, bytes);
+        self.pingpong_mem.add_many(count, bytes);
     }
 
     /// Undoes [`TripleStore::fill`] for an insert that lost the race to

@@ -119,23 +119,47 @@ impl ZigzagStore {
         self.table.insert(
             key,
             fresh_only,
-            |slot| self.fill(slot, key, value),
+            |slot| {
+                self.fill(slot, key, value);
+                self.count_filled(1, value.len());
+            },
             |slot| self.vacate(slot),
         )
     }
 
-    /// The fill step of [`SlotTable::insert`].
+    /// Installs a batch of records into a store at rest (initial load,
+    /// restart) through [`SlotTable::install_batch`]: resident keys are
+    /// skipped, the rest get both copies in fresh slots, with the memory
+    /// counters touched once. Returns how many were installed.
+    pub fn install_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
+        self.table.install_batch(
+            records,
+            |slot, key, value| self.fill(slot, key, value),
+            |count, bytes| self.count_filled(count, bytes),
+            |slot| self.vacate(slot),
+        )
+    }
+
+    /// The fill step of [`SlotTable::insert`] and
+    /// [`SlotTable::install_batch`]; the caller counts the value's bytes
+    /// with [`ZigzagStore::count_filled`].
     pub(crate) fn fill(&self, slot: SlotId, key: Key, value: &[u8]) {
         let mut g = self.slots[slot as usize].lock();
         g.key = key.0;
         g.in_use = true;
-        for (version, mem) in g.versions.iter_mut().zip(&self.mem) {
+        for version in g.versions.iter_mut() {
             *version = Some(value.to_vec().into_boxed_slice());
-            mem.add(value.len());
         }
         // Reset the bits for a reused slot: read copy 0, write copy 1.
         self.mr.set(slot as usize, false);
         self.mw.set(slot as usize, true);
+    }
+
+    /// Counts `count` filled records of `bytes` in total, once per copy.
+    pub(crate) fn count_filled(&self, count: usize, bytes: usize) {
+        for mem in &self.mem {
+            mem.add_many(count, bytes);
+        }
     }
 
     /// Undoes [`ZigzagStore::fill`] for an insert that lost the race to

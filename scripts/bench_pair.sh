@@ -19,6 +19,9 @@
 #
 # `bench --runs` cannot be restricted to one workload, so the runs are
 # driven from here and folded into the result-file format with python3.
+# Both sides also go to BENCH_<base-short-rev>.json at the repo root, with
+# the seeds, nproc, the run seconds and both revs: the committed trajectory
+# `scripts/trajectory.py <workload> <metric>` reads.
 # Environment: RUNS (default 10), SEED (first seed, default 1000).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -62,10 +65,17 @@ for w in $workloads; do
     done
 done
 
-python3 - "$root" $workloads <<'EOF'
-import json, statistics, sys
+base_short=$(git rev-parse --short "$base_rev")
+change_short=$(git rev-parse --short HEAD)
+if [ -n "$(git status --porcelain --untracked-files=no)" ]; then
+    change_short="$change_short+dirty"
+fi
+python3 - "$root" "$base_short" "$change_short" "$seed" "$runs" "$seconds" $workloads <<'EOF'
+import datetime, json, os, statistics, sys
 
-root, workloads = sys.argv[1], sys.argv[2:]
+root, base_rev, change_rev = sys.argv[1:4]
+first_seed, runs, seconds = int(sys.argv[4]), int(sys.argv[5]), float(sys.argv[6])
+workloads = sys.argv[7:]
 metrics = json.load(open("BENCHMARK.json"))["end_to_end"]
 
 def spread(values):
@@ -93,6 +103,21 @@ for side in ("base", "change"):
                       "end_to_end": table, "per_layer": {}}
     sides[side] = entries
     json.dump({"workloads": entries}, open(f"{root}/{side}.json", "w"))
+
+trajectory = {
+    "date": datetime.datetime.now(datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+    "base_rev": base_rev,
+    "change_rev": change_rev,
+    "nproc": os.cpu_count(),
+    "run_seconds": seconds,
+    "seeds": list(range(first_seed, first_seed + runs)),
+    "base": sides["base"],
+    "change": sides["change"],
+}
+with open(f"BENCH_{base_rev}.json", "w") as out:
+    json.dump(trajectory, out, indent=1, sort_keys=True)
+    out.write("\n")
+print(f"wrote BENCH_{base_rev}.json")
 
 for w in workloads:
     print(f"\n== {w}")

@@ -17,15 +17,23 @@
 #                — the crash-simulation suite incl. the 64-seed smoke sweep
 #                (tier-2), the transient-fault sweep (tier-4), the
 #                warm-standby failover sweep (tier-5), the adaptive-pacing
-#                regressions (tier-7) and the group-commit and loader mutants;
+#                regressions (tier-7) and the group-commit, loader and lane
+#                mutants;
 #   calc-conform at CONFORM_SEED=0xC0F0202600000000 — the concurrency
 #                conformance suite and its mutation smoke (tier-3), on
 #                the one executor, the paper's worker pool;
 #   calc-server  — wire-protocol round trips over real TCP, shutdown under
 #                load, the kill-9 smoke (tier-6), and the chaos/overload
 #                suite at its default CHAOS_SEED.
+# Six seeded mutants prove those oracles can fail, each caught by its
+# owning suite in tier-1: skip-lock, stale-stable-read and late-phase-stamp
+# by calc-conform's mutation smoke; ack-before-fsync, oldest-wins-on-load
+# and skip-lane-barrier by calc-sim's group_commit_mutant, loader_mutant and
+# lane_mutant. Tier-0 checks that each still has its suite.
 # The later tiers therefore run only what tier-1 does not: tier-2 the
-# crash-simulation suite again with compressed parts; tiers 3, 4 and 5
+# crash-simulation suite again with compressed parts, and again with
+# two-part checkpoints, so every restart loads and replays on two lanes
+# (tier-1's default is one); tiers 3, 4 and 5
 # their two *other* base seeds; tier-4 once more with 4-way parallel
 # capture (like tier-2 it drives strategies serially and opens no engine,
 # so it has no executor to vary); tier-7 the wire fuzzer (garbage opcodes,
@@ -74,6 +82,18 @@ if grep -rnE --exclude=verify.sh 'ShardOwned|shard_owned|EXEC_MODE|OwnerHandoff|
     exit 1
 fi
 
+echo "== tier-0: every seeded mutant has an owning suite =="
+for mutant in SkipLock StaleStableRead LatePhaseStamp AckBeforeFsync OldestWinsOnLoad SkipLaneBarrier; do
+    if ! grep -rqE "(assert_detected|arm)\(Mutation::${mutant}\)" crates/conform/tests crates/sim/tests; then
+        echo "verify: mutant ${mutant} is armed by no test" >&2
+        exit 1
+    fi
+done
+if [ "$(grep -c '^    Mutation::' crates/common/src/mutation.rs)" != 6 ]; then
+    echo "verify: mutation::ALL no longer lists the six mutants named here" >&2
+    exit 1
+fi
+
 echo "== tier-0: clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 
@@ -91,6 +111,9 @@ cargo test --workspace --quiet
 
 echo "== tier-2: crash-simulation sweep, compressed parts (CKPT_CODEC=rle) =="
 CKPT_CODEC=rle cargo test --package calc-sim --quiet
+
+echo "== tier-2: crash-simulation sweep, two-lane restarts (CKPT_THREADS=2) =="
+CKPT_THREADS=2 cargo test --package calc-sim --quiet
 
 echo "== tier-3: concurrency conformance (calc-conform, 2 more base seeds) =="
 for seed in 0x5EEDFACE00000001 0xA5A5A5A500000002; do
