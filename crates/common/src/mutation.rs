@@ -1,7 +1,7 @@
 //! Test-only fault switches that inject *known bugs* into the engine, so
 //! the oracles (the conformance checker; for `AckBeforeFsync`,
-//! `OldestWinsOnLoad` and `SkipLaneBarrier`, calc-sim's crash and recovery
-//! oracles) can prove they would catch them.
+//! `OldestWinsOnLoad`, `SkipLaneBarrier` and `SkipTailSegment`, calc-sim's
+//! crash and recovery oracles) can prove they would catch them.
 //!
 //! A checker that has never seen a failure proves nothing: if the oracle
 //! is vacuous (checks the wrong thing, or checks nothing under the real
@@ -52,19 +52,26 @@ pub enum Mutation {
     /// races the other lanes' commands on its keys. Caught by `calc-sim`'s
     /// lane replay oracle (recovered state == model).
     SkipLaneBarrier,
+    /// The log tailer, which every restart and standby reads the log
+    /// through, steps over a sealed segment at a clean end of the one
+    /// before it — that segment's commits are never applied. Caught by
+    /// `calc-sim`'s restart oracle (promoted state == model).
+    SkipTailSegment,
 }
 
 /// All mutations, for sweep-style tests.
-pub const ALL: [Mutation; 6] = [
+pub const ALL: [Mutation; 7] = [
     Mutation::SkipLock,
     Mutation::StaleStableRead,
     Mutation::LatePhaseStamp,
     Mutation::AckBeforeFsync,
     Mutation::OldestWinsOnLoad,
     Mutation::SkipLaneBarrier,
+    Mutation::SkipTailSegment,
 ];
 
-static FLAGS: [AtomicBool; 6] = [
+static FLAGS: [AtomicBool; 7] = [
+    AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
     AtomicBool::new(false),
@@ -83,6 +90,7 @@ impl Mutation {
             Mutation::AckBeforeFsync => 3,
             Mutation::OldestWinsOnLoad => 4,
             Mutation::SkipLaneBarrier => 5,
+            Mutation::SkipTailSegment => 6,
         }
     }
 
@@ -95,6 +103,7 @@ impl Mutation {
             Mutation::AckBeforeFsync => "ack-before-fsync",
             Mutation::OldestWinsOnLoad => "oldest-wins-on-load",
             Mutation::SkipLaneBarrier => "skip-lane-barrier",
+            Mutation::SkipTailSegment => "skip-tail-segment",
         }
     }
 }

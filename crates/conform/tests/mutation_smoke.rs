@@ -39,7 +39,10 @@ fn spec_for(mutation: Mutation, seed: u64) -> StressSpec {
         Mutation::LatePhaseStamp => {
             StressSpec::new(StrategyKind::Calc, Scenario::CheckpointContention, seed)
         }
-        Mutation::AckBeforeFsync | Mutation::OldestWinsOnLoad | Mutation::SkipLaneBarrier => {
+        Mutation::AckBeforeFsync
+        | Mutation::OldestWinsOnLoad
+        | Mutation::SkipLaneBarrier
+        | Mutation::SkipTailSegment => {
             unreachable!("a durability/restart bug: calc-sim's oracles own it, not this checker")
         }
     }

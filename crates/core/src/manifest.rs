@@ -811,9 +811,10 @@ impl CheckpointDir {
 
     /// Seeds the next checkpoint's parent link from the newest readable
     /// manifest, for a handle taking over a directory it will not deep-scan
-    /// (standby promotion); otherwise its first partial would record no
-    /// parent and end the recovery chain. A restart must *not* call this:
-    /// its [`CheckpointDir::recovery_chain`] scan seeds the link from
+    /// (a promoted standby, restarts included); otherwise its first partial
+    /// would record no parent and end the recovery chain. A handle about
+    /// to validate the chain itself must *not* call this: its
+    /// [`CheckpointDir::recovery_chain`] scan seeds the link from
     /// validated cycles only, and may be about to quarantine the newest.
     pub fn adopt_published_manifests(&self) -> io::Result<()> {
         if let Some(newest) = self.manifests()?.iter().map(|m| m.id).max() {

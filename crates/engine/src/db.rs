@@ -18,7 +18,6 @@ use calc_core::manifest::CheckpointDir;
 use calc_core::merge::{collapse, MergeStats};
 use calc_core::strategy::{CheckpointStats, CheckpointStrategy, EngineEnv};
 use calc_core::throttle::Throttle;
-use calc_recovery::logfile::list_segments;
 use calc_recovery::{GroupCommitConfig, GroupCommitter, SegmentedLogWriter};
 use calc_storage::dual::StoreError;
 use calc_txn::commitlog::{CommitLog, CommitRecord};
@@ -29,6 +28,7 @@ use crate::config::EngineConfig;
 use crate::executor::{join_bounded, Executor, Reply, Request, SHUTDOWN_JOIN_TIMEOUT};
 use crate::metrics::{Health, Metric, MetricList, MetricValue, Metrics};
 use crate::service::{classify, CheckpointService};
+use crate::standby::{check_log_complete, seal};
 
 /// Result of a synchronously executed transaction.
 #[derive(Clone, Debug)]
@@ -122,8 +122,9 @@ impl Database {
     }
 
     /// Opens a serving database around an *already populated* strategy —
-    /// the promotion path of a warm standby. The caller (normally
-    /// `calc_replica::Promoted::into_database`) has already loaded the
+    /// the promotion path of a standby, which is also a restart's. The
+    /// caller (normally [`crate::standby::Promoted::into_database`]) has
+    /// already loaded the
     /// checkpoint chain, applied the log tail, and resumed the commit-seq
     /// and checkpoint-id spaces on `strategy` and `log`; this spawns the
     /// worker pool and, when [`EngineConfig::command_log_dir`] is set,
@@ -156,8 +157,9 @@ impl Database {
         dir.set_checkpoint_threads(config.checkpoint_threads);
         dir.set_codec(config.codec);
         if resumed {
-            // The caller loaded the chain through its own handle; a restart
-            // gets the parent link from `recover`'s validating scan instead.
+            // The caller loaded the chain through its own handle, whose
+            // scan has already quarantined what failed validation;
+            // `Database::recover` gets the parent link from its own scan.
             dir.adopt_published_manifests()?;
         }
         // The commit path feeds this signal; capture workers (pool sizing
@@ -449,64 +451,26 @@ impl Database {
     }
 
     /// Recovers this (freshly opened, unused) database from its checkpoint
-    /// directory plus a command log: loads the newest recovery chain,
-    /// deterministically replays `commands` past the watermark, then
-    /// resumes the commit-sequence and checkpoint-id spaces so nothing
-    /// post-recovery collides with pre-crash artifacts. The procedures in
-    /// the registry must match the pre-crash ones (determinism contract).
+    /// directory plus `commands`, a log already read into memory: loads
+    /// the newest recovery chain and replays `commands` past its watermark
+    /// ([`calc_recovery::recover`]), then applies a restart's
+    /// truncated-log rule and its seal (see [`crate::standby`]). A
+    /// restart from disk is [`crate::standby::Standby`]'s, which streams
+    /// the log instead. The procedures in the registry must match the
+    /// pre-crash ones (determinism contract).
     pub fn recover(
         &self,
         commands: &[CommitRecord],
     ) -> Result<calc_recovery::RecoveryOutcome, calc_recovery::RecoveryError> {
-        // Resume the id/seq spaces BEFORE replaying: replay stamps each
-        // commit with the strategy's current phase stamp, and partial
-        // strategies dirty-mark that stamp's checkpoint interval. The next
-        // partial checkpoint (id max_id+1) advances its watermark past the
-        // replayed commits, so their marks must land in ITS interval — if
-        // the log still read cycle 0 here, the replayed writes would be
-        // invisible to it and lost on the next crash.
-        //
-        // Claims, not a deep scan: seal above every cycle with a durable
-        // trace, valid or not (the standby-promotion rule); `recover` below
-        // stays the one CRC pass.
-        let claims = self.inner.dir.claims()?;
-        let max_id = claims.iter().map(|c| c.id).max().unwrap_or(0);
-        let chain_watermark = claims
-            .iter()
-            .map(|c| c.watermark)
-            .max()
-            .unwrap_or(CommitSeq::ZERO);
-        let max_seq = commands
-            .iter()
-            .map(|c| c.seq)
-            .max()
-            .unwrap_or(chain_watermark)
-            .max(chain_watermark);
-        self.inner.log.advance_to(max_seq, max_id + 1);
-        self.inner.strategy.resume_checkpoint_ids(max_id + 1);
-        let outcome = calc_recovery::recover(
-            &self.inner.dir,
-            self.inner.strategy.as_ref(),
-            &self.inner.registry,
-            commands,
-        )?;
-        // A log-only recovery is the whole history only if the log still
-        // has its beginning. The writer starts at segment 0, retention
-        // removes lowest-first and a restarted writer opens above the
-        // highest survivor, so a lowest index above 0 means truncation
-        // ran — which it only does below a durable full checkpoint that
-        // this recovery failed to load.
-        if outcome.checkpoint_files == 0 {
-            if let Some(log_dir) = &self.inner.command_log_dir {
-                let segments = list_segments(self.inner.dir.vfs().as_ref(), log_dir)?;
-                if let Some(&(lowest_segment, _)) = segments.first().filter(|s| s.0 != 0) {
-                    return Err(calc_recovery::RecoveryError::LogTruncated {
-                        lowest_segment,
-                        quarantined: self.inner.dir.quarantined_count(),
-                    });
-                }
-            }
+        let inner = &self.inner;
+        let strategy = inner.strategy.as_ref();
+        let outcome = calc_recovery::recover(&inner.dir, strategy, &inner.registry, commands)?;
+        if let (0, Some(log_dir)) = (outcome.checkpoint_files, &inner.command_log_dir) {
+            check_log_complete(&inner.dir, log_dir)?;
         }
+        let replayed = commands.iter().map(|c| c.seq).max().unwrap_or(CommitSeq::ZERO);
+        let applied = outcome.watermark.max(replayed).0;
+        seal(&inner.dir.claims()?, &inner.log, strategy, applied, true);
         Ok(outcome)
     }
 

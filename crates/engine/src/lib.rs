@@ -25,6 +25,8 @@
 //!   engine counters, gauges and flags that `HEALTH`/`STATS` print.
 //! * [`service`] — the supervised checkpoint daemon: cadence, error
 //!   classification, backoff retries, and degraded mode.
+//! * [`standby`] — the warm standby, and restart: a restart is the node's
+//!   own standby, drained and promoted into a serving [`db::Database`].
 
 #![warn(missing_docs)]
 
@@ -37,6 +39,7 @@ pub mod metrics;
 #[cfg(feature = "conform")]
 pub mod recorder;
 pub mod service;
+pub mod standby;
 
 pub use config::{EngineConfig, ExecutorMode, StrategyKind};
 pub use db::{Database, SyncError, TxnOutcome};

@@ -4,13 +4,18 @@
 //! with a power-of-two lane count no two lanes ever touch one shard of the
 //! index, and work on different lanes shares no lock word. A [`LanePool`]
 //! applies the jobs handed to each lane in order: lane 0 on the calling
-//! thread (the driver), every other lane on a thread of its own that lives
-//! as long as the pool. A job may hand further jobs to other lanes.
-//! Batches, not items, cross threads, so a hand-off costs at most one
-//! wake-up per batch. The driver doing lane 0's share keeps that share's
-//! allocations in its own malloc arena, as a serial restart would.
+//! thread (the driver), every other lane on a thread of its own. The lane
+//! threads start the first time the driver hands a job to another lane and
+//! then live as long as the pool; until then the driver applies every job
+//! itself, so a pass that never hands work off (an idle standby poll)
+//! starts no thread. A job may hand further jobs to other lanes. Batches,
+//! not items, cross threads, so a hand-off costs at most one wake-up per
+//! batch. The driver doing lane 0's share keeps that share's allocations in
+//! its own malloc arena, as a serial restart would.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread::Scope;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -38,6 +43,8 @@ pub(crate) struct LanePool<'a, B> {
     apply: Apply<'a, B>,
     /// Lanes 1.., one thread each.
     queues: Vec<LaneQueue<B>>,
+    /// Whether the lane threads run.
+    started: AtomicBool,
     shared: Mutex<Shared<B>>,
     /// Signalled when a lane thread finishes a job, and when a job is
     /// queued for lane 0.
@@ -61,10 +68,22 @@ struct Shared<B> {
     panicked: bool,
 }
 
+/// The driver's handle on a running pool: lane 0, and the scope the lane
+/// threads start in.
+pub(crate) struct Driver<'s, 'e, 'a, B> {
+    pool: &'e LanePool<'a, B>,
+    scope: &'s Scope<'s, 'e>,
+}
+
 impl<'a, B: Send> LanePool<'a, B> {
     /// Runs `driver` as lane 0 of a pool of `lanes` lanes that apply each
-    /// job with `apply`, and joins the lane threads once it returns.
-    pub(crate) fn run<R>(lanes: usize, apply: Apply<'a, B>, driver: impl FnOnce(&Self) -> R) -> R {
+    /// job with `apply`, and joins the lane threads, if they started, once
+    /// it returns.
+    pub(crate) fn run<R>(
+        lanes: usize,
+        apply: Apply<'a, B>,
+        driver: impl FnOnce(&Driver<'_, '_, 'a, B>) -> R,
+    ) -> R {
         let pool = LanePool {
             apply,
             queues: (1..lanes.max(1))
@@ -73,6 +92,7 @@ impl<'a, B: Send> LanePool<'a, B> {
                     ready: Condvar::new(),
                 })
                 .collect(),
+            started: AtomicBool::new(false),
             shared: Mutex::new(Shared {
                 in_flight: 0,
                 lane0: VecDeque::new(),
@@ -80,20 +100,11 @@ impl<'a, B: Send> LanePool<'a, B> {
             }),
             progress: Condvar::new(),
         };
-        std::thread::scope(|s| {
-            for (lane, queue) in (1..).zip(&pool.queues) {
-                let pool = &pool;
-                s.spawn(move || {
-                    while let Some(job) = queue.pop() {
-                        let _done = Applied(pool);
-                        (pool.apply)(pool, lane, job);
-                    }
-                });
-            }
+        std::thread::scope(|scope| {
             // Closes the queues however the driver leaves, so the scope
             // never waits on a lane thread parked for more work.
             let _close = Close(&pool.queues);
-            driver(&pool)
+            driver(&Driver { pool: &pool, scope })
         })
     }
 
@@ -103,11 +114,12 @@ impl<'a, B: Send> LanePool<'a, B> {
     }
 
     /// Hands `job` to `lane` from lane `from` (the driver is lane 0). A job
-    /// for the sender's own lane is applied on the spot. The driver waits,
-    /// applying what lane 0 was handed, until fewer than [`LANE_DEPTH`]
-    /// jobs per lane thread are in flight; a lane thread never waits.
+    /// for the sender's own lane, or any job before the lane threads
+    /// start, is applied on the spot. The driver waits, applying what lane
+    /// 0 was handed, until fewer than [`LANE_DEPTH`] jobs per lane thread
+    /// are in flight; a lane thread never waits.
     pub(crate) fn send(&self, from: usize, lane: usize, job: B) {
-        if lane == from {
+        if lane == from || !self.started.load(Ordering::Relaxed) {
             return (self.apply)(self, lane, job);
         }
         let mut shared = match from {
@@ -141,12 +153,6 @@ impl<'a, B: Send> LanePool<'a, B> {
         }
     }
 
-    /// The driver's barrier: applies what lane 0 was handed until every
-    /// job handed off so far, and every job those handed on, is applied.
-    pub(crate) fn drain(&self) {
-        drop(self.wait(|s| s.in_flight == 0));
-    }
-
     /// The driver's wait for `done`, applying lane 0's jobs meanwhile.
     fn wait(&self, done: impl Fn(&Shared<B>) -> bool) -> MutexGuard<'_, Shared<B>> {
         loop {
@@ -159,6 +165,36 @@ impl<'a, B: Send> LanePool<'a, B> {
                 self.progress.wait(&mut shared);
             }
         }
+    }
+}
+
+impl<B: Send> Driver<'_, '_, '_, B> {
+    /// Number of lanes.
+    pub(crate) fn lanes(&self) -> usize {
+        self.pool.lanes()
+    }
+
+    /// Hands `job` to `lane` from lane 0 ([`LanePool::send`]). The first
+    /// job for another lane starts the lane threads.
+    pub(crate) fn send(&self, lane: usize, job: B) {
+        if lane != 0 && !self.pool.started.swap(true, Ordering::Relaxed) {
+            for (lane, queue) in (1..).zip(&self.pool.queues) {
+                let pool = self.pool;
+                self.scope.spawn(move || {
+                    while let Some(job) = queue.pop() {
+                        let _done = Applied(pool);
+                        (pool.apply)(pool, lane, job);
+                    }
+                });
+            }
+        }
+        self.pool.send(0, lane, job)
+    }
+
+    /// The driver's barrier: applies what lane 0 was handed until every
+    /// job handed off so far, and every job those handed on, is applied.
+    pub(crate) fn drain(&self) {
+        drop(self.pool.wait(|s| s.in_flight == 0));
     }
 }
 

@@ -38,5 +38,7 @@ pub use group_commit::{
 };
 pub use lanes::LANE_BATCH;
 pub use logfile::{read_dir_logs, truncate_segments_below, SegmentedLogWriter, TruncateStats};
-pub use replay::{apply_commit, recover, recover_checkpoint_only, RecoveryError, RecoveryOutcome};
+pub use replay::{
+    apply_commit, recover, recover_checkpoint_only, replay_feed, RecoveryError, RecoveryOutcome,
+};
 pub use tailer::{LogTailer, TailPoll, TailStatus};

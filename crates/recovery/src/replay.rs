@@ -13,7 +13,10 @@
 //! in, and a value whose key is dead is skipped. No intermediate map or
 //! entry list is built: the store is the only copy.
 //!
-//! **Replay** follows each command's declared lock footprint
+//! **Replay** has one driver, [`replay_feed`], which takes its commands
+//! from a feed: [`recover_streamed`] feeds it an iterator, a standby's poll
+//! feeds it what `LogTailer::poll` reads. It follows each command's
+//! declared lock footprint
 //! ([`Procedure::locks`]): if every key maps to one lane, the command joins
 //! that lane's FIFO; if its keys span lanes, or `locks` fails, it is a
 //! barrier — every lane drains, the command is applied alone, and replay
@@ -27,8 +30,10 @@
 //! change the result. The driver thread routes the commands, applies lane
 //! 0's batches and the barriers, so a log in which every command is a
 //! barrier wakes no lane thread; with one thread it applies everything
-//! itself, in log order. The first failure in log order is returned, once
-//! every lane has stopped.
+//! itself, in log order. A failure to apply is permanent: the feed is told
+//! to stop, and the first failure in log order is returned. Every lane has
+//! drained before the driver returns, `Ok` or `Err`, so a poll never
+//! returns with a record it read still unapplied.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -45,7 +50,7 @@ use calc_txn::commitlog::CommitRecord;
 use calc_txn::proc::Procedure;
 use calc_txn::proc::{ProcRegistry, TxnOps};
 
-use crate::lanes::{key_lane, LanePool, LANE_BATCH};
+use crate::lanes::{key_lane, Driver, LanePool, LANE_BATCH};
 
 /// Why recovery failed.
 #[derive(Debug)]
@@ -127,8 +132,8 @@ impl From<calc_storage::dual::StoreError> for RecoveryError {
     }
 }
 
-/// Per-phase progress breakdown of a recovery run (the fix for replay's
-/// formerly invisible progress: the sim driver prints this).
+/// Per-phase progress breakdown of a recovery run (perfbench's traced
+/// `recovery_layers` probe reports it).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryStats {
     /// The fused read + install pass: every part of the chain read,
@@ -286,7 +291,7 @@ fn install_chain(
             next_part.store(0, Ordering::Relaxed);
             // Every lane reads; the driver (lane 0) starts last.
             for lane in (0..lanes.lanes()).rev() {
-                lanes.send(0, lane, Load::Parts(cycle));
+                lanes.send(lane, Load::Parts(cycle));
             }
             lanes.drain();
             stats.part_load += load_start.elapsed();
@@ -384,9 +389,9 @@ impl LoadBuffer {
 
 /// Deterministically re-applies one committed record through the
 /// registry, stamping the commit with the strategy's *current* phase
-/// stamp. This is the single-record unit [`recover_streamed`]'s lanes
-/// apply, exposed so a warm standby (`calc-replica`) can apply a live
-/// log tail incrementally with identical semantics to one-shot replay.
+/// stamp. This is the single-record unit [`replay_feed`]'s lanes apply,
+/// exposed so a harness can drive a serial primary with the same
+/// semantics.
 pub fn apply_commit(
     strategy: &dyn CheckpointStrategy,
     registry: &ProcRegistry,
@@ -451,8 +456,9 @@ pub fn recover(
     recover_streamed(dir, strategy, registry, commands.iter().cloned().map(Ok))
 }
 
-/// [`recover`] over a fallible command iterator: an `Err` item (a log
-/// read failure) aborts recovery with [`RecoveryError::Io`].
+/// [`recover`] over a fallible command iterator, fed to [`replay_feed`]:
+/// an `Err` item (a log read failure) aborts recovery with
+/// [`RecoveryError::Io`].
 pub fn recover_streamed(
     dir: &CheckpointDir,
     strategy: &dyn CheckpointStrategy,
@@ -480,100 +486,109 @@ pub fn recover_streamed(
     };
     let threads = dir.checkpoint_threads();
     let replay_start = Instant::now();
-    let replay = Replay {
-        strategy,
-        registry,
-        stop_at: AtomicU64::new(u64::MAX),
-        failed: Mutex::new(None),
-    };
-    outcome.replayed = replay.run(threads, outcome.watermark, commands)?;
+    let watermark = outcome.watermark;
+    let mut replayed = 0;
+    replay_feed(strategy, registry, threads, |sink| {
+        for rec in commands {
+            let rec = rec?;
+            if rec.seq <= watermark {
+                continue; // already reflected in the checkpoint
+            }
+            if !sink(rec) {
+                break;
+            }
+            replayed += 1;
+        }
+        Ok::<_, std::io::Error>(())
+    })??;
+    outcome.replayed = replayed;
     outcome.replay_duration = replay_start.elapsed();
     outcome.stats.replay = outcome.replay_duration;
     outcome.stats.threads = threads;
     Ok(outcome)
 }
 
-/// A command and its position in the log, which orders failures.
+/// The one lane driver (see module docs), behind [`recover_streamed`] and
+/// the standby's poll: replays every command `feed` hands its sink, in
+/// order, on `threads` lanes, and returns what `feed` returned. The sink
+/// answers `false` once a command has failed to apply, and the feed should
+/// stop. Every lane has drained when this returns, and the first apply
+/// failure in feed order, if any, is returned instead of the feed's value.
+pub fn replay_feed<T>(
+    strategy: &dyn CheckpointStrategy,
+    registry: &ProcRegistry,
+    threads: usize,
+    feed: impl FnOnce(&mut dyn FnMut(CommitRecord) -> bool) -> T,
+) -> Result<T, RecoveryError> {
+    let replay = Replay {
+        strategy,
+        registry,
+        stop_at: AtomicU64::new(u64::MAX),
+        failed: Mutex::new(None),
+    };
+    let apply = |_: &LanePool<Vec<Entry>>, _: usize, batch: Vec<Entry>| replay.apply(&batch);
+    let fed = LanePool::run(threads, &apply, |lanes| replay.drive(lanes, feed));
+    match replay.failed.into_inner() {
+        Some((_, e)) => Err(e),
+        None => Ok(fed),
+    }
+}
+
+/// A command and its position in the feed, which orders failures.
 type Entry = (u64, CommitRecord);
 
 /// What the replay driver and the lanes share (see module docs).
 struct Replay<'a> {
     strategy: &'a dyn CheckpointStrategy,
     registry: &'a ProcRegistry,
-    /// Log position of the earliest failure so far: no lane applies a
+    /// Feed position of the earliest failure so far: no lane applies a
     /// command past it.
     stop_at: AtomicU64,
     failed: Mutex<Option<(u64, RecoveryError)>>,
 }
 
 impl Replay<'_> {
-    /// Replays the commands past `watermark` on `threads` lanes; returns
-    /// how many were replayed, or the first failure in log order.
-    fn run(
-        self,
-        threads: usize,
-        watermark: CommitSeq,
-        commands: impl IntoIterator<Item = std::io::Result<CommitRecord>>,
-    ) -> Result<u64, RecoveryError> {
-        let apply = |_: &LanePool<Vec<Entry>>, _: usize, batch: Vec<Entry>| self.apply(&batch);
-        let driven = LanePool::run(threads, &apply, |lanes| {
-            self.drive(lanes, watermark, commands)
-        });
-        match self.failed.into_inner() {
-            Some((_, e)) => Err(e),
-            None => driven,
-        }
-    }
-
-    /// The driver: routes each command to its lane's pending batch, hands
-    /// full batches off, and turns every barrier into drain + apply.
-    fn drive(
+    /// The driver: routes each command the feed hands it to its lane's
+    /// pending batch, hands full batches off, and turns every barrier into
+    /// drain + apply; drains once more when the feed returns.
+    fn drive<T>(
         &self,
-        lanes: &LanePool<Vec<Entry>>,
-        watermark: CommitSeq,
-        commands: impl IntoIterator<Item = std::io::Result<CommitRecord>>,
-    ) -> Result<u64, RecoveryError> {
+        lanes: &Driver<'_, '_, '_, Vec<Entry>>,
+        feed: impl FnOnce(&mut dyn FnMut(CommitRecord) -> bool) -> T,
+    ) -> T {
         let mut pending: Vec<Vec<Entry>> = (0..lanes.lanes()).map(|_| Vec::new()).collect();
-        // A barrier: the lanes apply what they were handed, then the
-        // driver applies what it still holds (lanes share no keys, so
-        // their order does not matter).
-        let drain = |pending: &mut Vec<Vec<Entry>>| {
-            lanes.drain();
-            pending
-                .iter_mut()
-                .for_each(|batch| self.apply(&std::mem::take(batch)));
-        };
-        let mut replayed = 0;
-        for (pos, rec) in (0u64..).zip(commands) {
-            let rec = match rec {
-                Ok(rec) => rec,
-                Err(e) => {
-                    drain(&mut pending);
-                    return Err(e.into());
-                }
-            };
-            if rec.seq <= watermark {
-                continue; // already reflected in the checkpoint
-            }
+        let mut pos = 0u64;
+        let fed = feed(&mut |rec: CommitRecord| {
             if self.stop_at.load(Ordering::Relaxed) != u64::MAX {
-                break;
+                return false;
             }
-            replayed += 1;
             match self.lane_of(&rec, lanes.lanes()) {
                 Some(lane) => {
                     pending[lane].push((pos, rec));
                     if pending[lane].len() == LANE_BATCH {
-                        lanes.send(0, lane, std::mem::take(&mut pending[lane]));
+                        lanes.send(lane, std::mem::take(&mut pending[lane]));
                     }
                 }
                 None => {
-                    drain(&mut pending);
+                    self.barrier(lanes, &mut pending);
                     self.apply(&[(pos, rec)]);
                 }
             }
-        }
-        drain(&mut pending);
-        Ok(replayed)
+            pos += 1;
+            true
+        });
+        self.barrier(lanes, &mut pending);
+        fed
+    }
+
+    /// The lanes apply what they were handed, then the driver applies what
+    /// it still holds (lanes share no keys, so their order does not
+    /// matter).
+    fn barrier(&self, lanes: &Driver<'_, '_, '_, Vec<Entry>>, pending: &mut [Vec<Entry>]) {
+        lanes.drain();
+        pending
+            .iter_mut()
+            .for_each(|batch| self.apply(&std::mem::take(batch)));
     }
 
     /// The lane every lock key of `rec` maps to, or `None` for a barrier.

@@ -204,6 +204,17 @@ impl LogTailer {
                             // creating its successor: a higher listed
                             // index proves this one is complete.
                             idx += 1;
+                            // Seeded bug for the restart oracles'
+                            // self-test: the cursor jumps over the next
+                            // segment whenever that one is sealed too.
+                            #[cfg(feature = "mutation-hooks")]
+                            if idx + 1 < segments.len()
+                                && calc_common::mutation::armed(
+                                    calc_common::mutation::Mutation::SkipTailSegment,
+                                )
+                            {
+                                idx += 1;
+                            }
                             self.seg = segments[idx].0;
                             self.offset = 0;
                             continue 'segments;

@@ -492,3 +492,56 @@ fn runner_tails_in_background_and_hands_back_for_promotion() {
     assert_eq!(promoted.watermark(), last);
     assert_eq!(promoted.get(Key(2)).unwrap().as_ref(), b"two");
 }
+
+/// A poll replays through the one lane driver: at 1, 2 and 4 lanes, a log
+/// of sets, deletes and multi-key sets over a hot key set, appended in
+/// chunks with a poll after each, leaves the standby exactly where a
+/// serial `apply_commit` loop over the same records leaves a store.
+#[test]
+fn laned_polls_match_a_serial_apply_loop() {
+    use calc_common::rng::SplitMix;
+    use calc_common::types::CommitSeq;
+    use calc_recovery::apply_commit;
+    use calc_testkit::MSET;
+    const HOT: u64 = 16;
+    const CHUNK: u64 = 400;
+    for lanes in [1, 2, 4] {
+        let (ckpt_dir, log_dir) = tmp("laned-polls");
+        let mut writer = SegmentedLogWriter::create(Arc::new(OsVfs), &log_dir, 4096).unwrap();
+        let serial = StrategyKind::Calc.build(store_config(), Arc::new(CommitLog::default()));
+        let reg = registry();
+        let mut cfg = standby_config(&ckpt_dir, &log_dir);
+        cfg.checkpoint_threads = lanes;
+        let mut standby = Standby::open(cfg, registry()).unwrap();
+        let mut rng = SplitMix::new(0x1A4E_5000 + lanes as u64);
+        let mut seq = 0u64;
+        for _ in 0..6 {
+            for _ in 0..CHUNK {
+                seq += 1;
+                let key = rng.next_below(HOT);
+                let value = seq.to_le_bytes();
+                let (proc, params) = match rng.next_below(10) {
+                    0..=5 => (SET, calc_testkit::set(key, &value)),
+                    6..=7 => (DELETE, calc_testkit::delete(key)),
+                    _ => (MSET, calc_testkit::mset(&[(key, &value), (rng.next_below(HOT), b"m")])),
+                };
+                let rec = CommitRecord {
+                    seq: CommitSeq(seq),
+                    txn: TxnId(seq),
+                    proc,
+                    params,
+                };
+                apply_commit(serial.as_ref(), &reg, &rec).unwrap();
+                writer.append(&rec).unwrap();
+            }
+            writer.sync().unwrap();
+            let poll = standby.poll().unwrap();
+            assert_eq!((poll.applied, poll.applied_seq), (CHUNK, seq), "{lanes} lanes");
+        }
+        for k in 0..HOT {
+            assert_eq!(standby.get(Key(k)), serial.get(Key(k)), "{lanes} lanes: key {k}");
+        }
+        assert_eq!(standby.record_count(), serial.record_count(), "{lanes} lanes");
+        assert_eq!(standby.applied_seq(), seq, "{lanes} lanes");
+    }
+}

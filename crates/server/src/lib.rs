@@ -22,45 +22,53 @@ pub mod server;
 pub use client::{key_of, Client, ClientConfig, KvError, KvResult};
 pub use server::{Server, ServerConfig};
 
-/// Opens (or recovers) a calc-server engine over `dir`: checkpoints under
-/// `dir/ckpts`, segmented command log under `dir/cmdlog`. If durable
-/// state exists from a previous run, it is recovered — checkpoint chain
-/// loaded, log tail replayed — before the engine starts serving, so every
-/// write acknowledged before a crash is visible after restart.
+/// Opens (or restarts) a calc-server engine over `dir`: checkpoints under
+/// `dir/ckpts`, segmented command log under `dir/cmdlog`. If either holds
+/// a file from a previous run, the engine restarts as the node's own
+/// standby, drained and promoted ([`calc_engine::standby`]): checkpoint
+/// chain loaded, log tail streamed and replayed, id and seq spaces sealed,
+/// all before the engine starts serving, so every write acknowledged
+/// before a crash is visible after restart. A log that cannot be read
+/// fails the boot, and a typed `RecoveryError` stays reachable through the
+/// error's `get_ref()`. `tune` must leave a command log configured.
 pub fn open_or_recover(
     dir: &std::path::Path,
     mut tune: impl FnMut(&mut calc_engine::EngineConfig),
 ) -> std::io::Result<calc_engine::Database> {
-    use calc_common::vfs::OsVfs;
-
-    let ckpt_dir = dir.join("ckpts");
-    let log_dir = dir.join("cmdlog");
-    // Read surviving log records BEFORE the engine opens: opening creates
-    // a fresh active segment (never appending into survivors), and replay
-    // wants only the pre-crash records.
-    // A missing directory is a cold start; a log that exists but cannot
-    // be read must fail the boot — serving without it would silently drop
-    // acknowledged writes.
-    let commands = if log_dir.is_dir() {
-        calc_recovery::read_dir_logs(&OsVfs, &log_dir)?
-    } else {
-        Vec::new()
-    };
-    let had_state = !commands.is_empty()
-        || std::fs::read_dir(&ckpt_dir).map(|mut d| d.next().is_some()).unwrap_or(false);
+    use calc_engine::standby::{Standby, StandbyConfig};
+    use std::io;
 
     let mut config = calc_engine::EngineConfig::new(
         calc_engine::StrategyKind::Calc,
         1 << 20,
         64,
-        ckpt_dir,
+        dir.join("ckpts"),
     );
-    config.command_log_dir = Some(log_dir);
+    config.command_log_dir = Some(dir.join("cmdlog"));
     tune(&mut config);
-    let db = calc_engine::Database::open(config, procs::registry())?;
-    if had_state {
-        // The typed `RecoveryError` stays reachable through `get_ref()`.
-        db.recover(&commands).map_err(std::io::Error::other)?;
+    let log_dir = config.command_log_dir.clone().ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, "a restartable engine needs a command log")
+    })?;
+    let vfs = config.vfs.clone();
+    let holds_files = |dir: &std::path::Path| match vfs.read_dir(dir) {
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
+        listed => listed.map(|files| !files.is_empty()),
+    };
+    if !(holds_files(&config.checkpoint_dir)? || holds_files(&log_dir)?) {
+        return calc_engine::Database::open(config, procs::registry());
     }
-    Ok(db)
+    // A node that crashed before its log directory existed restarts from
+    // its checkpoints alone: its standby tails an empty log.
+    vfs.create_dir_all(&log_dir)?;
+    let mut standby = StandbyConfig::new(
+        config.strategy,
+        config.store.clone(),
+        config.checkpoint_dir.clone(),
+        log_dir,
+    );
+    standby.vfs = vfs;
+    standby.checkpoint_threads = config.checkpoint_threads;
+    Standby::open(standby, procs::registry())?
+        .promote()?
+        .into_database(config)
 }

@@ -9,9 +9,10 @@
 //!    the submission order, so the reference model is exact.
 //! 3. Crash — either because the armed fault fired mid-run, or by
 //!    cutting power at the end of the workload.
-//! 4. Reboot the simulated disk ([`SimVfs::recover_view`]), run real
-//!    recovery (`calc_recovery::recover`), and check the oracle:
-//!    the recovered store must equal the reference model at some
+//! 4. Reboot the simulated disk ([`SimVfs::recover_view`]), restart the
+//!    way the server does — the node's own standby, opened, drained and
+//!    promoted (`calc_engine::standby`) — and check the oracle: the
+//!    recovered store must equal the reference model at some
 //!    commit-consistent prefix `S`, and `S` must be at least the durable
 //!    floor — the highest commit the system honestly promised durable
 //!    (via an un-dropped fsync chain) before the crash.
@@ -19,7 +20,6 @@
 //! Everything is a pure function of `(spec.seed, spec)` — a failing case
 //! reprints its spec so it can be replayed exactly.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -31,11 +31,12 @@ use calc_common::types::{Key, TxnId};
 use calc_common::vfs::Vfs;
 use calc_common::Backoff;
 use calc_core::manifest::CheckpointDir;
-use calc_core::strategy::{CheckpointStrategy, NoopEnv};
+use calc_core::strategy::NoopEnv;
 use calc_core::throttle::Throttle;
 use calc_core::Codec;
+use calc_engine::standby::{Promoted, Standby, StandbyConfig};
 use calc_engine::{classify, ErrorClass, StrategyKind};
-use calc_recovery::replay::{apply_commit, recover, RecoveryError, ReplayOps};
+use calc_recovery::replay::{RecoveryError, ReplayOps};
 use calc_recovery::{read_dir_logs, truncate_segments_below, SegmentedLogWriter};
 use calc_storage::dual::StoreConfig;
 use calc_testkit::registry;
@@ -252,6 +253,15 @@ impl SimSpec {
         }));
         Ok(dir)
     }
+
+    /// A standby of this run's node, over `vfs`: what a restart opens, and
+    /// what the failover experiment tails the primary with.
+    pub(crate) fn standby_config(&self, vfs: Arc<dyn Vfs>) -> StandbyConfig {
+        let mut cfg = StandbyConfig::new(self.kind, store_config(), ckpt_dir(), log_dir());
+        cfg.vfs = vfs;
+        cfg.checkpoint_threads = self.resolved_ckpt_threads();
+        cfg
+    }
 }
 
 /// Where the failover experiment hooks its standby into [`run_live`];
@@ -450,115 +460,45 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
     if !crashed_mid_run {
         vfs.force_crash();
     }
-    // Everything but the recovery verdict, which `finish` fills in.
-    let report = SimReport {
+    let counts = vfs.counts();
+    let finish = |recovered_prefix, refused_not_tc| SimReport {
         committed: committed.len() as u64,
         crashed_mid_run,
-        recovered_prefix: 0,
+        recovered_prefix,
         durable_floor,
-        counts: vfs.counts(),
-        refused_not_tc: false,
+        counts,
+        refused_not_tc,
         ckpt_failures: run.ckpt_failures,
         aborted_cycles: run.aborted_cycles,
-        transient_hits: 0,
-    };
-    let finish = |recovered_prefix, refused_not_tc| SimReport {
-        recovered_prefix,
-        refused_not_tc,
         transient_hits: vfs.transient_hits(),
-        ..report.clone()
     };
 
-    // ---- Phase 2: reboot the disk and recover.
+    // ---- Phase 2: reboot the disk and restart: the node's own standby,
+    // drained and promoted.
     vfs.recover_view();
     let dir = spec
         .open_dir(vfs_dyn.clone())
         .map_err(|e| violation(spec, format!("reopening checkpoint dir after crash: {e}")))?;
-    let commands = match read_dir_logs(vfs_dyn.as_ref(), &log_dir()) {
-        Ok(c) => c,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(violation(spec, format!("reading durable log segments: {e}"))),
-    };
+    let commands = read_dir_logs(vfs_dyn.as_ref(), &log_dir())
+        .map_err(|e| violation(spec, format!("reading durable log segments: {e}")))?;
     // Serial-driver invariant: the durable log is a prefix of commit order.
     for pair in commands.windows(2) {
         if pair[0].seq >= pair[1].seq {
             return Err(violation(spec, "durable command log out of order"));
         }
     }
-
-    let reg = registry();
-    let fresh = spec.kind.build(store_config(), Arc::new(CommitLog::default()));
-    let log_tail = commands.last().map(|c| c.seq.0).unwrap_or(0);
-    if std::env::var("SIM_DEBUG").is_ok() {
-        eprintln!("[sim-debug] post-crash dir listing:");
-        if let Ok(names) = vfs.read_dir(&ckpt_dir()) {
-            for n in names {
-                eprintln!("[sim-debug]   {}", n.display());
-            }
+    let promoted = match restart(spec, vfs_dyn.clone()) {
+        Ok(promoted) => promoted,
+        // For fuzzy checkpointing the refusal IS the oracle: a
+        // non-transaction-consistent image must not be recovered without a
+        // physical redo log (§2.1 of the paper). Any other refusal fails.
+        Err(e)
+            if refused_not_tc(&e)
+                && matches!(spec.kind, StrategyKind::Fuzzy | StrategyKind::PFuzzy) =>
+        {
+            return Ok(finish(0, true))
         }
-        match dir.scan() {
-            Ok(metas) => {
-                for m in &metas {
-                    eprintln!(
-                        "[sim-debug] scan: id={} kind={:?} watermark={} parts={} read_all={:?}",
-                        m.id,
-                        m.kind,
-                        m.watermark.0,
-                        m.parts.len(),
-                        m.read_all_with_vfs(&vfs).map(|e| e.len())
-                    );
-                }
-            }
-            Err(e) => eprintln!("[sim-debug] scan error: {e}"),
-        }
-        eprintln!(
-            "[sim-debug] quarantined={} log_tail={} commands={}",
-            dir.quarantined_count(),
-            log_tail,
-            commands.len()
-        );
-    }
-    let recovered = recover(&dir, fresh.as_ref(), &reg, &commands);
-    let recovered_prefix = match recovered {
-        Ok(outcome) => {
-            if std::env::var("SIM_RECOVERY_STATS").is_ok() {
-                let s = outcome.stats;
-                eprintln!(
-                    "[sim] recovery[{}]: parts_loaded={} threads={} part_load={:?} merge={:?} \
-                     replay={:?} replayed={}",
-                    spec.kind, s.parts_loaded, s.threads, s.part_load, s.merge, s.replay,
-                    outcome.replayed
-                );
-            }
-            outcome.watermark.0.max(log_tail)
-        }
-        Err(RecoveryError::NotTransactionConsistent(_)) => {
-            if matches!(spec.kind, StrategyKind::Fuzzy | StrategyKind::PFuzzy) {
-                // For fuzzy checkpointing the refusal IS the oracle: a
-                // non-transaction-consistent image must not be recovered
-                // without a physical redo log (§2.1 of the paper).
-                return Ok(finish(0, true));
-            }
-            return Err(violation(
-                spec,
-                "transaction-consistent strategy refused by recovery",
-            ));
-        }
-        Err(RecoveryError::NoFullCheckpoint) => {
-            // Legal when no checkpoint ever became durable: recovery is
-            // replay of the whole durable log from an empty store.
-            for rec in &commands {
-                apply_commit(fresh.as_ref(), &reg, rec)
-                    .map_err(|e| violation(spec, format!("log-only replay failed: {e}")))?;
-            }
-            log_tail
-        }
-        Err(e) => {
-            return Err(violation(
-                spec,
-                format!("recovery failed on a legal crash state: {e}"),
-            ))
-        }
+        Err(e) => return Err(violation(spec, format!("restart failed on a legal crash state: {e}"))),
     };
 
     // ---- Phase 3: the oracle.
@@ -574,65 +514,74 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
             Err(e) => return Err(violation(spec, format!("cycle {} unreadable: {e}", meta.id))),
         }
     }
-    if recovered_prefix < durable_floor {
-        return Err(violation(
-            spec,
-            format!(
-                "durability broken: recovered prefix {recovered_prefix} < durable floor \
-                 {durable_floor} (a commit the system promised durable was lost)"
-            ),
-        ));
-    }
-    let expected = model_at(&committed, recovered_prefix);
-    check_state_equals(spec, "recovered", fresh.as_ref(), &expected, recovered_prefix)?;
-
+    // A restart applies the whole surviving log (`read_dir_logs` stops at
+    // the first torn record, as the tailer does): a prefix below its last
+    // record dropped records that the seal would then reissue.
+    let floor = durable_floor.max(commands.last().map_or(0, |c| c.seq.0));
+    let recovered_prefix = check_promoted(spec, "recovered", &promoted, &committed, floor)?;
     Ok(finish(recovered_prefix, false))
 }
 
-/// The exact-state compare both oracles end in: `strategy` (the
-/// `what` — "recovered" or "promoted" — store) must hold exactly the
-/// model's records at `prefix`. Catches lost writes and resurrected
-/// deletes alike.
+/// A restart over the rebooted disk: the node's own standby, opened,
+/// drained and promoted.
+pub(crate) fn restart(spec: &SimSpec, vfs: Arc<dyn Vfs>) -> io::Result<Promoted> {
+    Standby::open(spec.standby_config(vfs), registry())?.promote()
+}
+
+/// Whether `e` is the standby's typed refusal of a strategy whose
+/// checkpoints are not transaction-consistent.
+pub(crate) fn refused_not_tc(e: &io::Error) -> bool {
+    e.get_ref()
+        .and_then(|e| e.downcast_ref::<RecoveryError>())
+        .is_some_and(|e| matches!(e, RecoveryError::NotTransactionConsistent(_)))
+}
+
+/// The one exact-state oracle both experiments end in: the `what` —
+/// "recovered" or "promoted" — store's prefix is at least `floor`, and the
+/// store holds exactly the model's records at that prefix. Catches lost
+/// writes and resurrected deletes alike. Returns the prefix.
 #[allow(clippy::result_large_err)]
-pub(crate) fn check_state_equals<S: Clone>(
+pub(crate) fn check_promoted<S: Clone>(
     spec: &S,
     what: &str,
-    strategy: &dyn CheckpointStrategy,
-    expected: &BTreeMap<u64, Vec<u8>>,
-    prefix: u64,
-) -> Result<(), Violation<S>> {
-    if strategy.record_count() != expected.len() {
+    promoted: &Promoted,
+    committed: &[(u64, Op)],
+    floor: u64,
+) -> Result<u64, Violation<S>> {
+    let prefix = promoted.watermark();
+    if prefix < floor {
         return Err(violation(
             spec,
             format!(
-                "{what} record count {} != model count {} at prefix {prefix}",
-                strategy.record_count(),
-                expected.len()
+                "durability broken: {what} prefix {prefix} < durable floor {floor} \
+                 (a commit promised durable, or still in the log, was lost)"
             ),
         ));
     }
-    for (k, v) in expected {
+    let expected = model_at(committed, prefix);
+    let strategy = promoted.strategy();
+    let differs = |detail| Err(violation(spec, format!("{what} state ≠ model: {detail}")));
+    if strategy.record_count() != expected.len() {
+        return differs(format!(
+            "{} records, model {} at prefix {prefix}",
+            strategy.record_count(),
+            expected.len()
+        ));
+    }
+    for (k, v) in &expected {
         match strategy.get(Key(*k)) {
             Some(got) if got[..] == v[..] => {}
             Some(got) => {
-                return Err(violation(
-                    spec,
-                    format!(
-                        "key {k} diverged at prefix {prefix}: {what} {} bytes, model {} bytes",
-                        got.len(),
-                        v.len()
-                    ),
+                return differs(format!(
+                    "key {k} diverged at prefix {prefix}: {} bytes, model {} bytes",
+                    got.len(),
+                    v.len()
                 ))
             }
-            None => {
-                return Err(violation(
-                    spec,
-                    format!("key {k} missing from the {what} state at prefix {prefix}"),
-                ))
-            }
+            None => return differs(format!("key {k} missing at prefix {prefix}")),
         }
     }
-    Ok(())
+    Ok(prefix)
 }
 
 /// Base seed for test sweeps; override with `SIM_SEED=<u64>` (decimal or

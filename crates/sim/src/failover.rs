@@ -2,7 +2,7 @@
 //! shared fault-injecting filesystem, with a promotion oracle.
 //!
 //! [`run_failover`] extends [`crate::driver::run_sim`]'s single-node
-//! experiment to the replication topology `calc-replica` implements:
+//! experiment to the replication topology `calc_engine::standby` implements:
 //!
 //! 1. A primary runs the seeded serial workload — segmented command log,
 //!    periodic checkpoints, optional retention truncation — over a
@@ -27,20 +27,16 @@
 //! Everything is a pure function of `(spec.seed, spec)`; violations
 //! reprint the spec for replay.
 
-use std::io;
 use std::sync::Arc;
 
 use calc_common::simfs::OpCounts;
-use calc_common::vfs::Vfs;
+use calc_engine::standby::{Standby, StandbyConfig};
 use calc_engine::StrategyKind;
-use calc_replica::{Standby, StandbyConfig};
 use calc_testkit::registry;
 
 use crate::driver::{
-    check_state_equals, ckpt_dir, log_dir, run_live, store_config, violation, LiveHooks, SimSpec,
-    Violation,
+    check_promoted, refused_not_tc, restart, run_live, violation, LiveHooks, SimSpec, Violation,
 };
-use crate::model::model_at;
 
 /// Specification of one two-node failover experiment.
 #[derive(Clone, Debug)]
@@ -122,13 +118,6 @@ pub struct FailoverReport {
     pub refused_not_tc: bool,
 }
 
-fn standby_config(primary: &SimSpec, vfs: Arc<dyn Vfs>) -> StandbyConfig {
-    let mut cfg = StandbyConfig::new(primary.kind, store_config(), ckpt_dir(), log_dir());
-    cfg.vfs = vfs;
-    cfg.checkpoint_threads = primary.resolved_ckpt_threads();
-    cfg
-}
-
 /// The standby riding along the primary's live run.
 struct StandbyHooks {
     poll_every: u64,
@@ -158,7 +147,7 @@ impl LiveHooks for StandbyHooks {
     fn primary_up(&mut self) -> bool {
         match Standby::open(self.config.clone(), registry()) {
             Ok(s) => self.standby = Some(s),
-            Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
+            Err(e) if refused_not_tc(&e) => {
                 self.refused = true;
                 return false;
             }
@@ -193,7 +182,7 @@ pub fn run_failover(spec: &FailoverSpec) -> Result<FailoverReport, FailoverViola
     // ---- Phase 1: live run on the primary, standby tailing alongside.
     let mut hooks = StandbyHooks {
         poll_every: spec.poll_every,
-        config: standby_config(primary, Arc::new(vfs.clone())),
+        config: primary.standby_config(Arc::new(vfs.clone())),
         standby: None,
         polls: 0,
         refused: false,
@@ -201,7 +190,6 @@ pub fn run_failover(spec: &FailoverSpec) -> Result<FailoverReport, FailoverViola
     let run = run_live(&vfs, primary, &mut hooks);
     let (committed, durable_floor) = (run.committed, run.durable_floor);
     let StandbyHooks {
-        config,
         standby,
         polls: standby_polls,
         refused,
@@ -225,37 +213,17 @@ pub fn run_failover(spec: &FailoverSpec) -> Result<FailoverReport, FailoverViola
     // the primary's crash) drains the surviving trusted log and promotes.
     vfs.recover_view();
     let late_standby = standby.is_none();
-    let standby = match standby {
-        Some(s) => s,
+    let promoted = match standby {
+        Some(standby) => standby.promote(),
         // The fault fired before the standby came up: it starts now,
-        // against the post-crash durable state — promotion degenerates
-        // to a bootstrap, which must still satisfy the oracle.
-        None => Standby::open(config, registry())
-            .map_err(|e| violation(spec, format!("opening standby after crash: {e}")))?,
-    };
-    let promoted = standby
-        .promote()
-        .map_err(|e| violation(spec, format!("promotion failed on a legal crash state: {e}")))?;
-    let promoted_prefix = promoted.watermark();
+        // against the post-crash durable state — a restart, which must
+        // still satisfy the oracle.
+        None => restart(primary, Arc::new(vfs.clone())),
+    }
+    .map_err(|e| violation(spec, format!("promotion failed on a legal crash state: {e}")))?;
 
     // ---- Phase 3: the promotion oracle.
-    if promoted_prefix < durable_floor {
-        return Err(violation(
-            spec,
-            format!(
-                "durability broken across failover: promoted prefix {promoted_prefix} < durable \
-                 floor {durable_floor} (a commit the primary promised durable was lost)"
-            ),
-        ));
-    }
-    let expected = model_at(&committed, promoted_prefix);
-    check_state_equals(
-        spec,
-        "promoted",
-        promoted.strategy().as_ref(),
-        &expected,
-        promoted_prefix,
-    )?;
+    let promoted_prefix = check_promoted(spec, "promoted", &promoted, &committed, durable_floor)?;
 
     Ok(FailoverReport {
         committed: committed.len() as u64,

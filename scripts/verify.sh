@@ -5,7 +5,8 @@
 # buffer, not a channel that wakes the sync thread per record; a grep
 # that no third benchmark harness comes back —
 # no `[[bench]]` target, no `criterion`, only the two shims; a grep that
-# the deleted shard-owned executor stays deleted; clippy and
+# the deleted shard-owned executor stays deleted; greps that restart has
+# one seal rule and never reads the log into a Vec; clippy and
 # rustdoc, deny warnings — a doc link to a deleted item fails the gate —
 # plus a check build of perfbench, which is its own workspace, so a
 # renamed crate API it calls would otherwise go unnoticed), then tier-1
@@ -17,19 +18,21 @@
 #                — the crash-simulation suite incl. the 64-seed smoke sweep
 #                (tier-2), the transient-fault sweep (tier-4), the
 #                warm-standby failover sweep (tier-5), the adaptive-pacing
-#                regressions (tier-7) and the group-commit, loader and lane
-#                mutants;
+#                regressions (tier-7) and the group-commit, loader, lane and
+#                tail mutants; every restart in it is the server's, the
+#                node's own standby drained and promoted;
 #   calc-conform at CONFORM_SEED=0xC0F0202600000000 — the concurrency
 #                conformance suite and its mutation smoke (tier-3), on
 #                the one executor, the paper's worker pool;
 #   calc-server  — wire-protocol round trips over real TCP, shutdown under
 #                load, the kill-9 smoke (tier-6), and the chaos/overload
 #                suite at its default CHAOS_SEED.
-# Six seeded mutants prove those oracles can fail, each caught by its
+# Seven seeded mutants prove those oracles can fail, each caught by its
 # owning suite in tier-1: skip-lock, stale-stable-read and late-phase-stamp
-# by calc-conform's mutation smoke; ack-before-fsync, oldest-wins-on-load
-# and skip-lane-barrier by calc-sim's group_commit_mutant, loader_mutant and
-# lane_mutant. Tier-0 checks that each still has its suite.
+# by calc-conform's mutation smoke; ack-before-fsync, oldest-wins-on-load,
+# skip-lane-barrier and skip-tail-segment by calc-sim's group_commit_mutant,
+# loader_mutant, lane_mutant and tail_mutant. Tier-0 checks that each still
+# has its suite.
 # The later tiers therefore run only what tier-1 does not: tier-2 the
 # crash-simulation suite again with compressed parts, and again with
 # two-part checkpoints, so every restart loads and replays on two lanes
@@ -82,15 +85,27 @@ if grep -rnE --exclude=verify.sh 'ShardOwned|shard_owned|EXEC_MODE|OwnerHandoff|
     exit 1
 fi
 
+echo "== tier-0: one restart path (one seal rule; restarts stream the log) =="
+if [ "$(grep -rn 'advance_to(' crates/*/src | grep -vc 'fn advance_to(')" != 1 ]; then
+    grep -rn 'advance_to(' crates/*/src >&2
+    echo "verify: the id/seq spaces resume in one place, the shared seal" >&2
+    exit 1
+fi
+if grep -rn 'read_dir_logs' crates/engine/src crates/server/src; then
+    echo "verify: a restart streams the log through the standby's tailer, never a Vec" >&2
+    exit 1
+fi
+
 echo "== tier-0: every seeded mutant has an owning suite =="
-for mutant in SkipLock StaleStableRead LatePhaseStamp AckBeforeFsync OldestWinsOnLoad SkipLaneBarrier; do
+for mutant in SkipLock StaleStableRead LatePhaseStamp AckBeforeFsync OldestWinsOnLoad SkipLaneBarrier \
+    SkipTailSegment; do
     if ! grep -rqE "(assert_detected|arm)\(Mutation::${mutant}\)" crates/conform/tests crates/sim/tests; then
         echo "verify: mutant ${mutant} is armed by no test" >&2
         exit 1
     fi
 done
-if [ "$(grep -c '^    Mutation::' crates/common/src/mutation.rs)" != 6 ]; then
-    echo "verify: mutation::ALL no longer lists the six mutants named here" >&2
+if [ "$(grep -c '^    Mutation::' crates/common/src/mutation.rs)" != 7 ]; then
+    echo "verify: mutation::ALL no longer lists the seven mutants named here" >&2
     exit 1
 fi
 
@@ -128,8 +143,7 @@ for seed in 0xBADD15C000000001 0x0E05BC0000000002; do
 done
 
 echo "== tier-4: transient-fault sweep, 4-way parallel capture =="
-CKPT_THREADS=4 SIM_RECOVERY_STATS=1 \
-    cargo test --package calc-sim --test fault_sweep --quiet
+CKPT_THREADS=4 cargo test --package calc-sim --test fault_sweep --quiet
 
 echo "== tier-5: warm-standby failover sweep (calc-sim failover_sweep, 2 more base seeds) =="
 for seed in 0x57A4DB1700000001 0xFA110E4200000002; do

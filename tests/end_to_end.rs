@@ -430,6 +430,121 @@ fn concurrent_commits_and_a_checkpoint_log_in_seq_order_and_restart_to_the_model
     }
 }
 
+/// A restart is the node's own standby, drained and promoted: over a
+/// two-part pCALC chain it opens each part exactly twice, once to
+/// validate and once to load — the promotion's seal reads claims only.
+#[test]
+fn server_restart_opens_each_part_once_to_validate_and_once_to_load() {
+    use calc_server::procs;
+    use calc_testkit::CountingVfs;
+    let dir = tmp_dir("restart-opens");
+    let tune = |c: &mut EngineConfig| {
+        c.workers = 2;
+        c.strategy = StrategyKind::PCalc;
+        c.checkpoint_threads = 2;
+    };
+    let put = |db: &Database, key: u64, value: u64| {
+        let p = params::Writer::new().u64(key).bytes(&value.to_le_bytes()).finish();
+        assert!(matches!(db.execute(procs::PUT, p), TxnOutcome::Committed(_)));
+    };
+    let db = calc_server::open_or_recover(&dir, tune).unwrap();
+    for k in 0..50u64 {
+        db.load_initial(Key(k), &0u64.to_le_bytes()).unwrap();
+    }
+    db.finalize_load(true).unwrap();
+    for round in 1..=2u64 {
+        for k in 0..20u64 {
+            put(&db, k, round);
+        }
+        db.checkpoint_now().unwrap();
+    }
+    put(&db, 7, 99);
+    drop(db);
+
+    let vfs = Arc::new(CountingVfs::default());
+    let counting = vfs.clone();
+    let db = calc_server::open_or_recover(&dir, move |c| {
+        tune(c);
+        c.vfs = counting.clone();
+    })
+    .unwrap();
+    assert_eq!(db.record_count(), 50);
+    assert_eq!(db.get(Key(7)).as_deref(), Some(&99u64.to_le_bytes()[..]));
+    assert_eq!(db.get(Key(8)).as_deref(), Some(&2u64.to_le_bytes()[..]));
+    let opens = vfs.opens();
+    let parts: Vec<_> = opens
+        .iter()
+        .filter(|(p, _)| p.to_string_lossy().contains(".part-"))
+        .collect();
+    assert_eq!(parts.len(), 6, "3 cycles x 2 parts: {parts:?}");
+    for (path, n) in parts {
+        assert_eq!(*n, 2, "{} opened {n} times", path.display());
+    }
+}
+
+/// Retention truncated the log below the sole full checkpoint, and that
+/// checkpoint is corrupt: the surviving log tail is not the whole history,
+/// so a standby over the directory must refuse to promote it, exactly as a
+/// restart does.
+#[test]
+fn a_standby_refuses_a_log_tail_whose_beginning_is_gone() {
+    use calc_db::engine::standby::{Standby, StandbyConfig};
+    use calc_server::procs;
+    let dir = tmp_dir("standby-truncated");
+    let lifetime = |work: &dyn Fn(&Database)| {
+        let db = calc_server::open_or_recover(&dir, |c| {
+            c.workers = 2;
+            c.keep_checkpoints = Some(1);
+        })
+        .unwrap();
+        work(&db);
+        db.shutdown();
+    };
+    let put = |db: &Database, key: u64| {
+        let p = params::Writer::new().u64(key).bytes(b"acked").finish();
+        assert!(matches!(db.execute_durable(procs::PUT, p).unwrap(), TxnOutcome::Committed(_)));
+    };
+    lifetime(&|db| {
+        (0..50).for_each(|k| put(db, k));
+        db.checkpoint_now().unwrap();
+    });
+    // Cycle 1 supersedes cycle 0, and retention deletes the sealed
+    // segment 0 that it covers.
+    lifetime(&|db| {
+        db.checkpoint_now().unwrap();
+        (50..55).for_each(|k| put(db, k));
+    });
+    let log_dir = dir.join("cmdlog");
+    assert!(!log_dir.join("cmdlog-000000.log").exists());
+    let mut flipped = 0;
+    for entry in std::fs::read_dir(dir.join("ckpts")).unwrap() {
+        let path = entry.unwrap().path();
+        if path.to_string_lossy().contains("ckpt-0000000001-full.part-") {
+            let mut bytes = std::fs::read(&path).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xFF;
+            std::fs::write(&path, &bytes).unwrap();
+            flipped += 1;
+        }
+    }
+    assert!(flipped > 0, "cycle 1 is the sole full checkpoint");
+
+    // The server's store, strategy and directories.
+    let c = EngineConfig::new(StrategyKind::Calc, 1 << 20, 64, dir.join("ckpts"));
+    let cfg = StandbyConfig::new(c.strategy, c.store, c.checkpoint_dir, log_dir);
+    let err = match Standby::open(cfg, procs::registry()).and_then(Standby::promote) {
+        Ok(promoted) => panic!("promoted a {}-record tail", promoted.record_count()),
+        Err(e) => e,
+    };
+    match err.get_ref().and_then(|e| e.downcast_ref::<recovery::RecoveryError>()) {
+        Some(recovery::RecoveryError::LogTruncated { lowest_segment, quarantined }) => {
+            assert!(*lowest_segment > 0);
+            assert_eq!(*quarantined, flipped + 1, "the parts and their manifest");
+        }
+        other => panic!("expected LogTruncated, got {other:?} ({err})"),
+    }
+}
+
 /// Files named like the retired single-file formats are inert: never
 /// parsed, claimed, quarantined or deleted, whatever bytes they hold.
 #[test]
