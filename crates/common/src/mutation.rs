@@ -1,8 +1,8 @@
 //! Test-only fault switches that inject *known bugs* into the engine, so
 //! the oracles (the conformance checker; for `AckBeforeFsync`,
-//! `OldestWinsOnLoad`, `SkipLaneBarrier`, `SkipTailSegment` and
-//! `SkipTailTrim`, calc-sim's crash and recovery oracles) can prove they
-//! would catch them.
+//! `OldestWinsOnLoad`, `SkipLaneBarrier`, `SkipTailSegment`,
+//! `SkipTailTrim` and `TruncateAboveFloor`, calc-sim's crash and recovery
+//! oracles) can prove they would catch them.
 //!
 //! A checker that has never seen a failure proves nothing: if the oracle
 //! is vacuous (checks the wrong thing, or checks nothing under the real
@@ -64,10 +64,15 @@ pub enum Mutation {
     /// wedges there, dropping every commit the first restart's lifetime
     /// acknowledged. Caught by `calc-sim`'s second-lifetime oracle.
     SkipTailTrim,
+    /// Engine retention truncates command-log segments below the *newest*
+    /// full's watermark instead of the oldest surviving full's — a restart
+    /// that falls back past a torn newest full finds part of its replay
+    /// window deleted. Caught by `calc-sim`'s `retention_mutant.rs`.
+    TruncateAboveFloor,
 }
 
 /// All mutations, for sweep-style tests.
-pub const ALL: [Mutation; 8] = [
+pub const ALL: [Mutation; 9] = [
     Mutation::SkipLock,
     Mutation::StaleStableRead,
     Mutation::LatePhaseStamp,
@@ -76,34 +81,12 @@ pub const ALL: [Mutation; 8] = [
     Mutation::SkipLaneBarrier,
     Mutation::SkipTailSegment,
     Mutation::SkipTailTrim,
+    Mutation::TruncateAboveFloor,
 ];
 
-static FLAGS: [AtomicBool; 8] = [
-    AtomicBool::new(false),
-    AtomicBool::new(false),
-    AtomicBool::new(false),
-    AtomicBool::new(false),
-    AtomicBool::new(false),
-    AtomicBool::new(false),
-    AtomicBool::new(false),
-    AtomicBool::new(false),
-];
+static FLAGS: [AtomicBool; 9] = [const { AtomicBool::new(false) }; 9];
 
 impl Mutation {
-    #[inline]
-    fn idx(self) -> usize {
-        match self {
-            Mutation::SkipLock => 0,
-            Mutation::StaleStableRead => 1,
-            Mutation::LatePhaseStamp => 2,
-            Mutation::AckBeforeFsync => 3,
-            Mutation::OldestWinsOnLoad => 4,
-            Mutation::SkipLaneBarrier => 5,
-            Mutation::SkipTailSegment => 6,
-            Mutation::SkipTailTrim => 7,
-        }
-    }
-
     /// Human-readable name for diagnostics.
     pub fn name(self) -> &'static str {
         match self {
@@ -115,6 +98,7 @@ impl Mutation {
             Mutation::SkipLaneBarrier => "skip-lane-barrier",
             Mutation::SkipTailSegment => "skip-tail-segment",
             Mutation::SkipTailTrim => "skip-tail-trim",
+            Mutation::TruncateAboveFloor => "truncate-above-floor",
         }
     }
 }
@@ -122,7 +106,7 @@ impl Mutation {
 /// Arms a mutation process-wide. Test harnesses must serialize around
 /// this (the flags are global).
 pub fn arm(m: Mutation) {
-    FLAGS[m.idx()].store(true, Ordering::SeqCst);
+    FLAGS[m as usize].store(true, Ordering::SeqCst);
 }
 
 /// Disarms all mutations.
@@ -137,7 +121,7 @@ pub fn disarm_all() {
 /// call site is absent otherwise.
 #[inline]
 pub fn armed(m: Mutation) -> bool {
-    FLAGS[m.idx()].load(Ordering::Relaxed)
+    FLAGS[m as usize].load(Ordering::Relaxed)
 }
 
 #[cfg(test)]

@@ -43,7 +43,8 @@ fn spec_for(mutation: Mutation, seed: u64) -> StressSpec {
         | Mutation::OldestWinsOnLoad
         | Mutation::SkipLaneBarrier
         | Mutation::SkipTailSegment
-        | Mutation::SkipTailTrim => {
+        | Mutation::SkipTailTrim
+        | Mutation::TruncateAboveFloor => {
             unreachable!("a durability/restart bug: calc-sim's oracles own it, not this checker")
         }
     }

@@ -195,20 +195,18 @@ pub struct EngineConfig {
     /// pre-parts single-writer pipeline (files still go through the
     /// manifest format, just with one part).
     pub checkpoint_threads: usize,
-    /// Collapse partial checkpoints in a background thread after every N
+    /// Collapse partial checkpoints on the checkpoint worker after every N
     /// partials (`None` disables; Figure 4 sweeps 4/8/16).
     pub merge_batch: Option<usize>,
-    /// Cadence of the supervised checkpoint daemon
-    /// ([`crate::service::CheckpointService`]): `Some(d)` spawns a
-    /// background thread that runs a checkpoint cycle every `d`, retrying
+    /// Cadence of the checkpoint worker's own cycles (see
+    /// [`crate::service`]): `Some(d)` runs a cycle every `d`, retrying
     /// failures under backoff and reporting via [`crate::Database::health`].
     /// `None` (the default) leaves checkpointing to explicit
     /// [`crate::Database::checkpoint_now`] calls, as the benchmark
     /// schedules require.
     pub checkpoint_interval: Option<std::time::Duration>,
     /// Retry backoff, degraded-mode threshold, and stalled-cycle watchdog
-    /// for checkpoint cycles (used by the daemon and by health accounting
-    /// on manual cycles).
+    /// for the checkpoint worker's cycles, scheduled and manual alike.
     pub checkpoint_tuning: ServiceTuning,
     /// Durable command log (VoltDB-style, §1 of the paper): when set, a
     /// group-commit sync thread appends every commit's `(seq, proc,

@@ -1,21 +1,21 @@
 //! The `Database` facade: boot and resume, the submission API, the
 //! admission gate, checkpoint triggering, restart recovery and shutdown.
 //! Transactions run on the executor (`executor.rs`); their commit section
-//! is `commit.rs`; what surrounds a checkpoint cycle (background merge,
-//! retention) is `cycle.rs`.
+//! is `commit.rs`; checkpoint cycles, merges and retention run on the
+//! checkpoint worker (`service.rs`).
 
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Sender};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use calc_common::load::LoadSignal;
 use calc_common::types::{CommitSeq, Key, Value};
 use calc_core::manifest::CheckpointDir;
-use calc_core::merge::{collapse, MergeStats};
+use calc_core::merge::MergeStats;
 use calc_core::strategy::{CheckpointStats, CheckpointStrategy, EngineEnv};
 use calc_core::throttle::Throttle;
 use calc_recovery::{GroupCommitConfig, GroupCommitter, SegmentedLogWriter};
@@ -25,9 +25,9 @@ use calc_txn::locks::LockManager;
 use calc_txn::proc::{AbortReason, ProcId, ProcRegistry};
 
 use crate::config::EngineConfig;
-use crate::executor::{join_bounded, Executor, Reply, Request, SHUTDOWN_JOIN_TIMEOUT};
+use crate::executor::{Executor, Reply, Request, SHUTDOWN_JOIN_TIMEOUT};
 use crate::metrics::{Health, Metric, MetricList, MetricValue, Metrics};
-use crate::service::{classify, CheckpointService};
+use crate::service::{Job, Worker};
 use crate::standby::{check_log_complete, seal};
 
 /// Result of a synchronously executed transaction.
@@ -62,25 +62,14 @@ pub(crate) struct Inner {
     /// the server can hang its [`calc_common::Gate`] off the same signal.
     pub(crate) load: Arc<LoadSignal>,
     pub(crate) txn_counter: AtomicU64,
-    pub(crate) checkpoint_serial: Mutex<()>,
-    pub(crate) merge_serial: Arc<Mutex<()>>,
-    /// In-flight background merger threads (finished ones are reaped at
-    /// the next spawn), joined before the database is dropped so no merge
-    /// races a post-run inspection of the checkpoint directory.
-    pub(crate) mergers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     /// Durable command log behind a group-commit sync thread (None when
     /// command logging is off). Fixed at boot and closed at shutdown (the
     /// sync thread drains the queue and performs the final fsync); commits
     /// enqueue on it from inside the commit log's section, so it needs no
     /// lock of its own.
     pub(crate) cmdlog: Option<GroupCommitter>,
-    pub(crate) partials_since_merge: AtomicU64,
-    pub(crate) merge_batch: Option<usize>,
-    /// Checkpointer health, shared with the service daemon and observers.
+    /// Checkpointer health, shared with the checkpoint worker and observers.
     pub(crate) health: Arc<Health>,
-    /// Set when a background merge failed; the next checkpoint cycle
-    /// retries the merge even off the batch boundary.
-    pub(crate) merge_retry_pending: AtomicBool,
     /// Segmented command-log directory, when segmentation is on; the
     /// retention step truncates covered segments here after each cycle.
     pub(crate) command_log_dir: Option<std::path::PathBuf>,
@@ -106,9 +95,8 @@ impl EngineEnv for Inner {
 pub struct Database {
     inner: Arc<Inner>,
     executor: Executor,
-    /// The supervised checkpoint daemon, when
-    /// [`EngineConfig::checkpoint_interval`] is set.
-    service: Option<CheckpointService>,
+    /// The one thread that runs checkpoint cycles, merges and retention.
+    worker: Arc<Worker>,
 }
 
 impl Database {
@@ -184,74 +172,54 @@ impl Database {
             config.checkpoint_tuning.watchdog,
         ));
         // The committer's observers run on its sync thread: the batch
-        // observer feeds `Health`, the read-only observer also kicks the
-        // emergency retention pass — through a `Weak`, so the sync thread
-        // never pins the engine it belongs to.
-        let inner = Arc::new_cyclic(|weak: &Weak<Inner>| {
-            let cmdlog = backend.map(|b| {
-                let observer_health = health.clone();
-                let ro_health = health.clone();
-                let ro_inner = weak.clone();
-                GroupCommitter::start_with(
-                    Box::new(b),
-                    GroupCommitConfig {
-                        window: config.group_commit_window,
-                        max_batch: config.group_commit_max_batch.max(1),
-                        ..GroupCommitConfig::default()
-                    },
-                    Some(Box::new(move |records, dwell, fsync| {
-                        observer_health.record_commit_batch(records as u64, dwell, fsync);
-                    })),
-                    Some(Box::new(move |entering| {
-                        ro_health.set_log_read_only(entering);
-                        if entering {
-                            if let Some(inner) = ro_inner.upgrade() {
-                                inner.spawn_emergency_retention();
-                            }
-                        }
-                    })),
-                )
-            });
-            Inner {
-                strategy,
-                log,
-                locks: LockManager::new(1024),
-                registry,
-                gate: RwLock::new(()),
-                dir,
-                metrics: Arc::new(Metrics::new()),
-                load,
-                txn_counter: AtomicU64::new(1),
-                checkpoint_serial: Mutex::new(()),
-                merge_serial: Arc::new(Mutex::new(())),
-                mergers: Mutex::new(Vec::new()),
-                cmdlog,
-                partials_since_merge: AtomicU64::new(0),
-                merge_batch: config.merge_batch,
-                health,
-                merge_retry_pending: AtomicBool::new(false),
-                command_log_dir: config.command_log_dir.clone(),
-                keep_checkpoints: config.keep_checkpoints,
-                #[cfg(feature = "conform")]
-                recorder: config.recorder.clone(),
-            }
-        });
-
-        let service = config.checkpoint_interval.map(|interval| {
-            let cycle_inner = inner.clone();
-            CheckpointService::start(
-                interval,
-                config.checkpoint_tuning.clone(),
-                inner.health.clone(),
-                move || cycle_inner.checkpoint_cycle_raw().map(|_| ()),
+        // observer feeds `Health`, the read-only observer also queues an
+        // emergency retention pass on the checkpoint worker.
+        let worker = Arc::new(Worker::default());
+        let cmdlog = backend.map(|b| {
+            let observer_health = health.clone();
+            let ro_health = health.clone();
+            let ro_worker = worker.clone();
+            GroupCommitter::start_with(
+                Box::new(b),
+                GroupCommitConfig {
+                    window: config.group_commit_window,
+                    max_batch: config.group_commit_max_batch.max(1),
+                    ..GroupCommitConfig::default()
+                },
+                Some(Box::new(move |records, dwell, fsync| {
+                    observer_health.record_commit_batch(records as u64, dwell, fsync);
+                })),
+                Some(Box::new(move |entering| {
+                    ro_health.set_log_read_only(entering);
+                    if entering {
+                        ro_worker.emergency();
+                    }
+                })),
             )
         });
-
+        let inner = Arc::new(Inner {
+            strategy,
+            log,
+            locks: LockManager::new(1024),
+            registry,
+            gate: RwLock::new(()),
+            dir,
+            metrics: Arc::new(Metrics::new()),
+            load,
+            txn_counter: AtomicU64::new(1),
+            cmdlog,
+            health,
+            command_log_dir: config.command_log_dir.clone(),
+            keep_checkpoints: config.keep_checkpoints,
+            #[cfg(feature = "conform")]
+            recorder: config.recorder.clone(),
+        });
+        worker.start(inner.clone(), inner.health.clone(), &config);
         let executor = Executor::start(&inner, &config);
         Ok(Database {
             inner,
             executor,
-            service,
+            worker,
         })
     }
 
@@ -359,29 +327,26 @@ impl Database {
         self.inner.strategy.record_count()
     }
 
-    /// Runs one checkpoint cycle now (blocking until capture completes).
-    /// With `merge_batch` configured, every Nth partial checkpoint also
-    /// kicks off a background collapse. The outcome is recorded in
-    /// [`Database::health`] exactly like a daemon-driven cycle, so manual
-    /// successes also heal degraded mode.
+    /// Runs one checkpoint cycle on the checkpoint worker, behind any job
+    /// already queued there, and waits for its outcome. With `merge_batch`
+    /// configured, every Nth partial checkpoint also queues a merge. The
+    /// outcome is recorded in [`Database::health`] like a scheduled
+    /// cycle's, so manual successes also heal degraded mode.
     pub fn checkpoint_now(&self) -> io::Result<CheckpointStats> {
-        self.inner.health.cycle_started();
-        match self.inner.checkpoint_cycle_raw() {
-            Ok(stats) => {
-                self.inner.health.cycle_succeeded();
-                Ok(stats)
-            }
-            Err(e) => {
-                self.inner.health.cycle_failed(classify(&e), &e);
-                Err(e)
-            }
-        }
+        self.worker.ask(Job::Cycle)
     }
 
-    /// Synchronously collapses partial checkpoints (blocks until done).
+    /// Collapses partial checkpoints on the checkpoint worker and waits
+    /// for it.
     pub fn collapse_partials(&self) -> io::Result<Option<MergeStats>> {
-        let _g = self.inner.merge_serial.lock();
-        collapse(&self.inner.dir)
+        self.worker.ask(Job::Merge)
+    }
+
+    /// Waits until the checkpoint worker's queue is empty and it is idle —
+    /// no cycle, merge or retention pass in flight. Call before inspecting
+    /// the checkpoint directory externally.
+    pub fn wait_checkpoint_idle(&self) {
+        self.worker.wait_idle();
     }
 
     /// Engine metrics.
@@ -474,14 +439,6 @@ impl Database {
         Ok(outcome)
     }
 
-    /// Waits for any in-flight background merges to finish. Call before
-    /// inspecting the checkpoint directory externally.
-    pub fn join_mergers(&self) {
-        for h in self.inner.mergers.lock().drain(..) {
-            let _ = h.join();
-        }
-    }
-
     /// Waits for the submission queue to drain and workers to go idle,
     /// then stops them. Consumes the database.
     pub fn shutdown(mut self) {
@@ -489,15 +446,10 @@ impl Database {
     }
 
     fn stop_threads(&mut self) {
-        // Stop the checkpoint daemon first so no new cycle starts while
-        // the workers drain.
-        if let Some(svc) = self.service.take() {
-            svc.stop();
-        }
+        // Stop the checkpoint worker first so no new job starts while the
+        // workers drain.
+        self.worker.stop();
         self.executor.stop();
-        for h in self.inner.mergers.lock().drain(..) {
-            join_bounded(h, "merger");
-        }
         // Close the group committer last: the sync thread drains the
         // remaining queue and performs the final batch fsync, so the
         // on-disk log is complete when this returns.
@@ -549,32 +501,44 @@ impl std::fmt::Debug for Database {
 mod tests {
     use super::*;
     use crate::config::StrategyKind;
+    use crate::service::CheckpointWork;
     use calc_testkit::{registry, set_u64, SET};
+    use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
-    #[test]
-    fn finished_mergers_are_reaped_not_accumulated() {
-        let mut config = EngineConfig::new(
-            StrategyKind::PCalc,
-            256,
-            16,
-            calc_testkit::temp_dir("merger-reap"),
-        );
-        config.workers = 1;
-        config.merge_batch = Some(1);
-        let db = Database::open(config, registry()).unwrap();
-        db.load_initial(Key(0), &0u64.to_le_bytes()).unwrap();
-        db.finalize_load(true).unwrap();
-        for round in 0..8u64 {
-            db.execute(SET, set_u64(0, round));
-            db.checkpoint_now().unwrap();
-            // Every cycle spawned a merger; let it finish before the next.
-            let deadline = Instant::now() + Duration::from_secs(30);
-            while !db.inner.mergers.lock().iter().all(|h| h.is_finished()) {
-                assert!(Instant::now() < deadline, "merger {round} never finished");
-                std::thread::yield_now();
-            }
-            assert_eq!(db.inner.mergers.lock().len(), 1, "handles pile up (round {round})");
+    /// The engine's own jobs with a test's hand on them: a merge waits
+    /// for `merges`, and a cycle panics while `panic_cycles` is set.
+    struct Rigged {
+        inner: Arc<Inner>,
+        merges: Mutex<()>,
+        panic_cycles: AtomicBool,
+    }
+
+    impl CheckpointWork for Rigged {
+        fn cycle(&self) -> io::Result<CheckpointStats> {
+            assert!(!self.panic_cycles.load(Ordering::Acquire), "scripted cycle panic");
+            self.inner.cycle()
         }
+        fn merge(&self) -> io::Result<Option<MergeStats>> {
+            let _held = self.merges.lock();
+            self.inner.merge()
+        }
+        fn retention(&self) {
+            self.inner.retention()
+        }
+    }
+
+    /// Swaps `db`'s checkpoint worker for one running [`Rigged`] jobs.
+    fn rig(db: &mut Database, config: &EngineConfig) -> Arc<Rigged> {
+        db.worker.stop();
+        let rigged = Arc::new(Rigged {
+            inner: db.inner.clone(),
+            merges: Mutex::new(()),
+            panic_cycles: AtomicBool::new(false),
+        });
+        db.worker = Arc::default();
+        db.worker.start(rigged.clone(), db.inner.health.clone(), config);
+        rigged
     }
 
     #[test]
@@ -590,16 +554,17 @@ mod tests {
         config.vfs = Arc::new(vfs.clone());
         config.workers = 2;
         config.merge_batch = Some(2);
-        let db = Database::open(config, registry()).unwrap();
+        let mut db = Database::open(config.clone(), registry()).unwrap();
+        let rigged = rig(&mut db, &config);
         for k in 0..32u64 {
             db.load_initial(Key(k), &0u64.to_le_bytes()).unwrap();
         }
         db.finalize_load(true).unwrap();
 
-        // Park the merger behind its serial lock so the ENOSPC window can
-        // be armed after the triggering checkpoints' own writes, making
-        // the failure deterministic.
-        let parked = db.inner.merge_serial.lock();
+        // Hold the merge the second partial queues so the ENOSPC window
+        // can be armed after the triggering checkpoints' own writes,
+        // making the failure deterministic.
+        let parked = rigged.merges.lock();
         for round in 0..2u64 {
             db.execute(SET, set_u64(round, 1));
             db.checkpoint_now().unwrap();
@@ -610,7 +575,7 @@ mod tests {
             count: u64::MAX,
         });
         drop(parked);
-        db.join_mergers();
+        db.wait_checkpoint_idle();
         assert_eq!(db.health().merge_failures(), 1, "collapse error swallowed");
         let msg = db.health().last_merge_error().expect("merge error recorded");
         assert!(!msg.is_empty());
@@ -624,9 +589,44 @@ mod tests {
         });
         db.execute(SET, set_u64(9, 1));
         db.checkpoint_now().unwrap();
-        db.join_mergers();
+        db.wait_checkpoint_idle();
         assert_eq!(db.health().merge_failures(), 1, "retry failed again");
         let (full, _) = db.checkpoint_dir().recovery_chain().unwrap().unwrap();
         assert!(full.id > 0, "retried merge did not produce a collapsed full");
+    }
+
+    #[test]
+    fn a_panicking_job_is_fail_stop_for_the_worker_not_a_hang() {
+        let mut config = EngineConfig::new(
+            StrategyKind::PCalc,
+            256,
+            16,
+            calc_testkit::temp_dir("worker-panic"),
+        );
+        config.merge_batch = Some(1);
+        let mut db = Database::open(config.clone(), registry()).unwrap();
+        let rigged = rig(&mut db, &config);
+        db.load_initial(Key(0), &0u64.to_le_bytes()).unwrap();
+        db.finalize_load(true).unwrap();
+        db.checkpoint_now().expect("healthy cycle");
+
+        rigged.panic_cycles.store(true, Ordering::Release);
+        let err = db.checkpoint_now().expect_err("the panicking cycle's waiter");
+        assert!(err.to_string().contains("scripted cycle panic"), "{err}");
+
+        // Fail fast, not block: the worker is gone.
+        let start = Instant::now();
+        assert!(db.checkpoint_now().is_err());
+        assert!(db.collapse_partials().is_err());
+        db.wait_checkpoint_idle();
+        assert!(start.elapsed() < Duration::from_secs(10));
+        assert!(db.health().degraded(), "a dead worker must read degraded");
+        let (class, msg) = db.health().last_error().expect("the panic is recorded");
+        assert_eq!(class, crate::ErrorClass::Fatal);
+        assert!(msg.contains("panicked") && msg.contains("scripted cycle panic"), "{msg}");
+
+        // Transactions still commit, and shutdown still completes.
+        assert!(matches!(db.execute(SET, set_u64(0, 1)), TxnOutcome::Committed(_)));
+        db.shutdown();
     }
 }

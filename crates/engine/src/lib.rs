@@ -16,15 +16,14 @@
 //!   that take each request's declared lock set, shutdown by drain.
 //! * `commit` — the transaction body every request runs: strategy hooks,
 //!   the commit-token critical section, undo on abort.
-//! * `cycle` — around a checkpoint cycle: background merging of partial
-//!   checkpoints, retention, emergency retention on a full log disk.
 //! * [`metrics`] — commit/abort counters, a submission-to-commit latency
 //!   histogram (queueing included, as Figure 5 requires), the
 //!   [`metrics::Sampler`] that records throughput/memory timelines for
 //!   the figures, and [`metrics::Health`] — the one declared table of
 //!   engine counters, gauges and flags that `HEALTH`/`STATS` print.
-//! * [`service`] — the supervised checkpoint daemon: cadence, error
-//!   classification, backoff retries, and degraded mode.
+//! * [`service`] — the checkpoint worker, one thread per database that
+//!   runs every cycle, merge of partials and retention pass from one
+//!   queue: cadence, error classification, backoff, and degraded mode.
 //! * [`standby`] — the warm standby, and restart: a restart is the node's
 //!   own standby, drained and promoted into a serving [`db::Database`].
 
@@ -32,7 +31,6 @@
 
 mod commit;
 pub mod config;
-mod cycle;
 pub mod db;
 mod executor;
 pub mod metrics;
@@ -46,4 +44,4 @@ pub use db::{Database, SyncError, TxnOutcome};
 pub use metrics::{
     Health, Metric, MetricDesc, MetricKind, MetricList, MetricValue, Metrics, Sampler, TimelinePoint,
 };
-pub use service::{classify, CheckpointService, ErrorClass, ServiceTuning};
+pub use service::{classify, ErrorClass, ServiceTuning};

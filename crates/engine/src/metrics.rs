@@ -192,10 +192,9 @@ health_metrics! {
 /// Sentinel for "no timestamp recorded" in [`Health`]'s nanosecond slots.
 const NEVER: u64 = u64::MAX;
 
-/// Engine health, shared between the [`crate::service::CheckpointService`],
-/// manual [`crate::Database::checkpoint_now`] calls, the background
-/// merger, the group committer, a server front-end, a warm standby, and
-/// observers.
+/// Engine health, shared between the checkpoint worker (every cycle,
+/// merge and retention pass), the group committer, a server front-end, a
+/// warm standby, and observers.
 ///
 /// Every number is a cell of the table declared above: recorded with
 /// [`Health::add`]/[`Health::set`], read with [`Health::get`] or a

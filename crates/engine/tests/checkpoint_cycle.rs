@@ -26,7 +26,7 @@ fn merge_batch_triggers_background_collapse() {
     }
     // Wait for the background mergers, then verify the chain got shorter
     // than 4 partials.
-    db.join_mergers();
+    db.wait_checkpoint_idle();
     let (full, partials) = db.checkpoint_dir().recovery_chain().unwrap().unwrap();
     assert!(
         full.id > 0,

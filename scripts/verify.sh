@@ -6,7 +6,9 @@
 # that no third benchmark harness comes back —
 # no `[[bench]]` target, no `criterion`, only the two shims; a grep that
 # the deleted shard-owned executor stays deleted; greps that restart has
-# one seal rule and never reads the log into a Vec; clippy and
+# one seal rule and never reads the log into a Vec; a grep that the
+# checkpoint daemon, per-merge and emergency threads and the locks that
+# ordered them stay deleted (one checkpoint worker); clippy and
 # rustdoc, deny warnings — a doc link to a deleted item fails the gate —
 # plus a check build of perfbench, which is its own workspace, so a
 # renamed crate API it calls would otherwise go unnoticed), then tier-1
@@ -19,7 +21,7 @@
 #                (tier-2), the transient-fault sweep (tier-4), the
 #                warm-standby failover sweep (tier-5), the adaptive-pacing
 #                regressions (tier-7) and the group-commit, loader, lane,
-#                tail and tail-trim mutants; every restart in it is the
+#                tail, tail-trim and retention mutants; every restart in it is the
 #                server's, the node's own standby drained and promoted, and
 #                every crash experiment ends in a second lifetime on the
 #                promoted engine and one more restart;
@@ -29,12 +31,13 @@
 #   calc-server  — wire-protocol round trips over real TCP, shutdown under
 #                load, the kill-9 smoke (tier-6), and the chaos/overload
 #                suite at its default CHAOS_SEED.
-# Eight seeded mutants prove those oracles can fail, each caught by its
+# Nine seeded mutants prove those oracles can fail, each caught by its
 # owning suite in tier-1: skip-lock, stale-stable-read and late-phase-stamp
 # by calc-conform's mutation smoke; ack-before-fsync, oldest-wins-on-load,
-# skip-lane-barrier, skip-tail-segment and skip-tail-trim by calc-sim's
-# group_commit_mutant, loader_mutant, lane_mutant, tail_mutant and
-# tail_trim_mutant. Tier-0 checks that each still has its suite.
+# skip-lane-barrier, skip-tail-segment, skip-tail-trim and
+# truncate-above-floor by calc-sim's group_commit_mutant, loader_mutant,
+# lane_mutant, tail_mutant, tail_trim_mutant and retention_mutant. Tier-0
+# checks that each still has its suite.
 # The later tiers therefore run only what tier-1 does not: tier-2 the
 # crash-simulation suite again with compressed parts, and again with
 # two-part checkpoints, so every restart loads and replays on two lanes
@@ -98,16 +101,25 @@ if grep -rn 'read_dir_logs' crates/engine/src crates/server/src; then
     exit 1
 fi
 
+echo "== tier-0: one checkpoint worker (no daemon, no per-job threads, no ordering locks) =="
+# (This file names the patterns, so it is the one file not searched.)
+if grep -rnE --exclude=verify.sh \
+    'CheckpointService|calc-merger|calc-emergency-retention|merge_serial|checkpoint_serial|merge_retry_pending' \
+    crates/engine/src; then
+    echo "verify: every cycle, merge and retention pass runs on the one checkpoint worker" >&2
+    exit 1
+fi
+
 echo "== tier-0: every seeded mutant has an owning suite =="
 for mutant in SkipLock StaleStableRead LatePhaseStamp AckBeforeFsync OldestWinsOnLoad SkipLaneBarrier \
-    SkipTailSegment SkipTailTrim; do
+    SkipTailSegment SkipTailTrim TruncateAboveFloor; do
     if ! grep -rqE "(assert_detected|arm)\(Mutation::${mutant}\)" crates/conform/tests crates/sim/tests; then
         echo "verify: mutant ${mutant} is armed by no test" >&2
         exit 1
     fi
 done
-if [ "$(grep -c '^    Mutation::' crates/common/src/mutation.rs)" != 8 ]; then
-    echo "verify: mutation::ALL no longer lists the eight mutants named here" >&2
+if [ "$(grep -c '^    Mutation::' crates/common/src/mutation.rs)" != 9 ]; then
+    echo "verify: mutation::ALL no longer lists the nine mutants named here" >&2
     exit 1
 fi
 
