@@ -28,6 +28,8 @@
 //!   (free when disabled; see `calc-conform`).
 //! * [`mutation`] — test-only seeded-bug switches (behind the
 //!   `mutation-hooks` feature) proving the conformance oracle has teeth.
+//! * [`prefetch`] — cache-line prefetch hints, so a transaction's
+//!   records are fetched together before it runs.
 
 #![warn(missing_docs)]
 
@@ -40,6 +42,7 @@ pub mod load;
 pub mod mutation;
 pub mod perturb;
 pub mod phase;
+pub mod prefetch;
 pub mod rng;
 pub mod simfs;
 pub mod types;

@@ -171,6 +171,9 @@ fn run_inner(spec: &StressSpec, armed: Option<Mutation>) -> Result<ConformReport
         }
     };
     config.workers = 4;
+    // The checker holds every cycle the run published against the model,
+    // so retention must not prune any of them.
+    config.keep_checkpoints = None;
     let base_checkpoint = config.strategy.is_partial();
     config.recorder = Some(recorder.clone());
     let db = Database::open(config, registry).expect("open database");

@@ -460,6 +460,10 @@ impl CheckpointStrategy for CalcStrategy {
         self.store.get(key)
     }
 
+    fn prefetch(&self, keys: &[Key]) {
+        self.store.prefetch(keys);
+    }
+
     fn record_count(&self) -> usize {
         self.store.len()
     }

@@ -18,6 +18,7 @@ use calc_storage::dual::StoreError;
 use calc_storage::mem::MemoryStats;
 use calc_storage::SlotId;
 use calc_txn::commitlog::PhaseStamp;
+use calc_txn::proc::LockRequest;
 
 use crate::file::CheckpointKind;
 use crate::manifest::{CheckpointDir, PublishSummary};
@@ -165,6 +166,17 @@ impl CheckpointStats {
     }
 }
 
+/// Hands a transaction's declared footprint to
+/// [`CheckpointStrategy::prefetch`] before it runs — the executor before
+/// it takes the locks, replay before it applies a command. A one-key
+/// footprint is skipped: its one miss has nothing to overlap with.
+pub fn prefetch_footprint(strategy: &dyn CheckpointStrategy, footprint: &LockRequest) {
+    if footprint.writes.len() + footprint.reads.len() > 1 {
+        strategy.prefetch(&footprint.writes);
+        strategy.prefetch(&footprint.reads);
+    }
+}
+
 /// A checkpointing algorithm integrated with the execution engine. See
 /// module docs.
 pub trait CheckpointStrategy: Send + Sync {
@@ -193,6 +205,12 @@ pub trait CheckpointStrategy: Send + Sync {
     /// Reads the latest committed value (the caller holds the logical
     /// lock).
     fn get(&self, key: Key) -> Option<Value>;
+
+    /// A hint that a transaction is about to touch `keys`: the strategy
+    /// may start loading their records into cache, so the misses overlap.
+    /// It must not block, and it changes nothing observable. The default
+    /// does nothing.
+    fn prefetch(&self, _keys: &[Key]) {}
 
     /// Number of live records.
     fn record_count(&self) -> usize;

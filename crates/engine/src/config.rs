@@ -254,8 +254,12 @@ pub struct EngineConfig {
     /// keeps the version-1 byte-identical format).
     pub codec: calc_core::Codec,
     /// Retention: after each successful cycle, prune published checkpoint
-    /// chains down to the newest N fulls (plus their partials). `None`
-    /// keeps everything, the pre-retention behaviour.
+    /// chains down to the newest N fulls (plus their partials), and
+    /// truncate command-log segments wholly below the oldest survivor's
+    /// watermark. The default, 2, bounds disk and log: one full to
+    /// restart from, and an older one to fall back to — with its whole
+    /// replay window — if the newest turns out unreadable. `None` keeps
+    /// every checkpoint and never truncates the log.
     pub keep_checkpoints: Option<usize>,
     /// The filesystem all durable state is written through. Defaults to
     /// the real one ([`OsVfs`]); crash-simulation tests substitute a
@@ -298,7 +302,7 @@ impl EngineConfig {
             adaptive_pacing: true,
             load_capacity_tps: 0,
             codec: calc_core::Codec::None,
-            keep_checkpoints: None,
+            keep_checkpoints: Some(2),
             vfs: Arc::new(OsVfs),
             #[cfg(feature = "conform")]
             recorder: None,
@@ -340,5 +344,11 @@ mod tests {
             assert_eq!(s.name(), k.name(), "strategy name mismatch for {k:?}");
             assert_eq!(s.partial(), k.is_partial());
         }
+    }
+
+    #[test]
+    fn shipped_retention_keeps_two_fulls() {
+        let config = EngineConfig::new(StrategyKind::Calc, 16, 16, PathBuf::from("unused"));
+        assert_eq!(config.keep_checkpoints, Some(2));
     }
 }

@@ -1,9 +1,10 @@
 //! The transaction executor: the paper's §4 pool. Every request goes on
 //! one submission queue (bounded by `EngineConfig::queue_capacity`, or
 //! unbounded), and any worker takes any request. The worker that pops it
-//! resolves the procedure and its pre-declared footprint, then takes that
-//! lock set in the shared ordered-2PL lock manager, which cannot deadlock
-//! because every set is acquired in key order. The submitting thread
+//! resolves the procedure and its pre-declared footprint, hands the
+//! footprint to the strategy's prefetch hint, then takes that lock set in
+//! the shared ordered-2PL lock manager, which cannot deadlock because
+//! every set is acquired in key order. The submitting thread
 //! pays neither a registry lookup nor a `locks()` call.
 //!
 //! A worker holds the admission gate's read side for the whole
@@ -25,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
+use calc_core::strategy::prefetch_footprint;
 use calc_recovery::DurabilityTicket;
 use calc_txn::proc::{AbortReason, LockRequest, ProcId, Procedure};
 
@@ -141,8 +143,11 @@ fn run_worker(inner: &Inner, rx: &Receiver<Request>) {
             match resolve(inner, &req) {
                 Err(e) => (TxnOutcome::Aborted(e), None),
                 Ok((proc, footprint)) => {
-                    // Ordered 2PL: acquire the pre-declared lock set, run,
-                    // release after commit processing.
+                    // Start the footprint's cache misses, so they overlap
+                    // the lock-manager work; then ordered 2PL: acquire the
+                    // pre-declared lock set, run, release after commit
+                    // processing.
+                    prefetch_footprint(inner.strategy.as_ref(), &footprint);
                     let guard = inner.locks.acquire(&footprint.to_lock_set());
                     run_transaction(inner, &req, proc.as_ref(), guard)
                 }

@@ -3,16 +3,19 @@
 
 mod common;
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use calc_common::types::{Key, Value};
+use calc_common::vfs::OsVfs;
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::CheckpointStrategy;
 use calc_core::throttle::Throttle;
+use calc_engine::standby::{Standby, StandbyConfig};
 use calc_engine::{Database, StrategyKind};
-use calc_recovery::logfile::list_segments;
-use calc_testkit::{registry, set, SET};
+use calc_recovery::logfile::{list_segments, segment_file_name};
+use calc_testkit::{registry, set, set_u64, SET};
 use calc_txn::commitlog::CommitLog;
 
 use common::{logged_commands, logged_config};
@@ -127,4 +130,75 @@ fn truncation_leaves_no_replay_gap_for_fallback_chains() {
         );
     }
     db.shutdown();
+}
+
+/// Retention on shipped defaults (`keep_checkpoints` left as it ships)
+/// over 512-byte log segments: after five cycles two fulls survive and no
+/// sealed segment lies wholly below the older one's watermark; with the
+/// newest full's first part torn, a restart falls back to the older full
+/// and still reads every acknowledged write.
+#[test]
+fn shipped_retention_truncates_the_log_and_keeps_a_fallback() {
+    let (mut config, log_dir) = logged_config(StrategyKind::Calc, 256, "retention-shipped");
+    config.log_segment_bytes = Some(512);
+    config.workers = 2;
+    let (ckpt_dir, store) = (config.checkpoint_dir.clone(), config.store.clone());
+    let db = Database::open(config, registry()).unwrap();
+    let mut model = BTreeMap::new();
+    let mut writes = |cycle: u64| {
+        for i in 0..40u64 {
+            let (key, value) = ((cycle * 7 + i) % 64, cycle * 1000 + i);
+            db.execute_durable(SET, set_u64(key, value)).unwrap();
+            model.insert(key, value);
+        }
+    };
+    for cycle in 0..5 {
+        writes(cycle);
+        db.checkpoint_now().unwrap();
+    }
+    writes(5);
+    assert!(db.health().log_segments_truncated() > 0);
+    assert_eq!(db.health().retention_failures(), 0);
+
+    let mut fulls: Vec<_> = db.checkpoint_dir().manifests().unwrap();
+    fulls.retain(|m| m.kind == CheckpointKind::Full);
+    fulls.sort_by_key(|m| m.id);
+    assert_eq!(fulls.len(), 2, "the shipped default keeps two fulls");
+    let floor = fulls[0].watermark;
+    let segments = list_segments(&OsVfs, &log_dir).unwrap();
+    for (i, path) in &segments[..segments.len() - 1] {
+        // One sealed segment read on its own: its newest commit.
+        let alone = calc_testkit::temp_dir("retention-segment");
+        std::fs::copy(path, alone.join(segment_file_name(0))).unwrap();
+        let newest = calc_recovery::read_dir_logs(&OsVfs, &alone)
+            .unwrap()
+            .last()
+            .map(|r| r.seq);
+        assert!(
+            newest.is_some_and(|seq| seq > floor),
+            "sealed segment {i} (newest commit {newest:?}) lies wholly below the floor {}",
+            floor.0
+        );
+    }
+    db.shutdown();
+
+    let part = fulls[1].path.with_extension("part-0");
+    let torn = std::fs::metadata(&part).unwrap().len() / 2;
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&part)
+        .unwrap()
+        .set_len(torn)
+        .unwrap();
+    let cfg = StandbyConfig::new(StrategyKind::Calc, store, ckpt_dir, log_dir);
+    let promoted = Standby::open(cfg, registry())
+        .and_then(Standby::promote)
+        .unwrap();
+    for (key, value) in model {
+        assert_eq!(
+            promoted.get(Key(key)).as_deref(),
+            Some(&value.to_le_bytes()[..]),
+            "key {key} lost its acknowledged value after the fallback restart"
+        );
+    }
 }

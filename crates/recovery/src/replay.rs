@@ -33,7 +33,10 @@
 //! itself, in log order. A failure to apply is permanent: the feed is told
 //! to stop, and the first failure in log order is returned. Every lane has
 //! drained before the driver returns, `Ok` or `Err`, so a poll never
-//! returns with a record it read still unapplied.
+//! returns with a record it read still unapplied. Each footprint is
+//! computed once, when the command is routed; the apply hands it to
+//! [`CheckpointStrategy::prefetch`] first, as the executor does, so a
+//! command's records are fetched together.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -44,11 +47,11 @@ use parking_lot::{Mutex, RwLock};
 use calc_common::types::{CommitSeq, Key, Value};
 use calc_core::file::{CheckpointReader, RecordRef};
 use calc_core::manifest::{CheckpointDir, CheckpointMeta, RestartChain};
-use calc_core::strategy::CheckpointStrategy;
+use calc_core::strategy::{prefetch_footprint, CheckpointStrategy};
 use calc_txn::commitlog::CommitRecord;
 #[cfg(doc)]
 use calc_txn::proc::Procedure;
-use calc_txn::proc::{ProcRegistry, TxnOps};
+use calc_txn::proc::{LockRequest, ProcRegistry, TxnOps};
 
 use crate::lanes::{key_lane, Driver, LanePool, LANE_BATCH};
 
@@ -397,9 +400,31 @@ pub fn apply_commit(
     registry: &ProcRegistry,
     rec: &CommitRecord,
 ) -> Result<(), RecoveryError> {
+    let footprint = footprint(registry, rec);
+    apply_footprint(strategy, registry, rec, footprint.as_ref())
+}
+
+/// `rec`'s declared lock footprint, or `None` if its procedure is unknown
+/// or `locks` fails.
+fn footprint(registry: &ProcRegistry, rec: &CommitRecord) -> Option<LockRequest> {
+    registry.get(rec.proc)?.locks(&rec.params).ok()
+}
+
+/// [`apply_commit`] with `rec`'s footprint already computed: the
+/// footprint is prefetched before the procedure runs (executor and replay
+/// fetch a transaction's records the same way).
+fn apply_footprint(
+    strategy: &dyn CheckpointStrategy,
+    registry: &ProcRegistry,
+    rec: &CommitRecord,
+    footprint: Option<&LockRequest>,
+) -> Result<(), RecoveryError> {
     let proc = registry
         .get(rec.proc)
         .ok_or(RecoveryError::UnknownProcedure(rec.proc.0))?;
+    if let Some(footprint) = footprint {
+        prefetch_footprint(strategy, footprint);
+    }
     let mut ops = ReplayOps {
         strategy,
         token: strategy.txn_begin(),
@@ -534,8 +559,9 @@ pub fn replay_feed<T>(
     }
 }
 
-/// A command and its position in the feed, which orders failures.
-type Entry = (u64, CommitRecord);
+/// A command, its position in the feed (which orders failures) and its
+/// declared footprint, computed once when it is routed.
+type Entry = (u64, CommitRecord, Option<LockRequest>);
 
 /// What the replay driver and the lanes share (see module docs).
 struct Replay<'a> {
@@ -562,16 +588,17 @@ impl Replay<'_> {
             if self.stop_at.load(Ordering::Relaxed) != u64::MAX {
                 return false;
             }
-            match self.lane_of(&rec, lanes.lanes()) {
+            let footprint = footprint(self.registry, &rec);
+            match Self::lane_of(footprint.as_ref(), lanes.lanes()) {
                 Some(lane) => {
-                    pending[lane].push((pos, rec));
+                    pending[lane].push((pos, rec, footprint));
                     if pending[lane].len() == LANE_BATCH {
                         lanes.send(lane, std::mem::take(&mut pending[lane]));
                     }
                 }
                 None => {
                     self.barrier(lanes, &mut pending);
-                    self.apply(&[(pos, rec)]);
+                    self.apply(&[(pos, rec, footprint)]);
                 }
             }
             pos += 1;
@@ -591,12 +618,13 @@ impl Replay<'_> {
             .for_each(|batch| self.apply(&std::mem::take(batch)));
     }
 
-    /// The lane every lock key of `rec` maps to, or `None` for a barrier.
-    fn lane_of(&self, rec: &CommitRecord, lanes: usize) -> Option<usize> {
+    /// The lane every lock key of a command's `footprint` maps to, or
+    /// `None` for a barrier (as is a command whose footprint is unknown).
+    fn lane_of(footprint: Option<&LockRequest>, lanes: usize) -> Option<usize> {
         if lanes == 1 {
             return Some(0);
         }
-        let locks = self.registry.get(rec.proc)?.locks(&rec.params).ok()?;
+        let locks = footprint?;
         let mut keys = locks.writes.iter().chain(&locks.reads);
         let first = key_lane(*keys.next()?, lanes);
         if keys.all(|&key| key_lane(key, lanes) == first) {
@@ -615,11 +643,12 @@ impl Replay<'_> {
     /// Applies `batch` in order, up to the first failure (or the earliest
     /// one another lane has recorded).
     fn apply(&self, batch: &[Entry]) {
-        for (pos, rec) in batch {
+        for (pos, rec, footprint) in batch {
             if *pos > self.stop_at.load(Ordering::Relaxed) {
                 return;
             }
-            if let Err(e) = apply_commit(self.strategy, self.registry, rec) {
+            let footprint = footprint.as_ref();
+            if let Err(e) = apply_footprint(self.strategy, self.registry, rec, footprint) {
                 let mut failed = self.failed.lock();
                 if !matches!(&*failed, Some((first, _)) if first < pos) {
                     *failed = Some((*pos, e));

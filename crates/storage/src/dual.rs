@@ -174,6 +174,33 @@ impl DualVersionStore {
         }
     }
 
+    /// Starts loading the records of `keys` into cache, so a transaction
+    /// about to touch them pays its misses together rather than one
+    /// after another. Sixteen keys at a time, in two passes: each key's
+    /// slot line, then — through `try_lock`, never waiting on a slot
+    /// another thread holds — the lines of its live value. A hint only:
+    /// an absent key is skipped, and nothing the store holds changes.
+    pub fn prefetch(&self, keys: &[Key]) {
+        for chunk in keys.chunks(16) {
+            let mut slots = [0 as SlotId; 16];
+            let mut found = 0;
+            for &key in chunk {
+                if let Some(slot) = self.slot_of(key) {
+                    calc_common::prefetch::line(&self.slots[slot as usize]);
+                    slots[found] = slot;
+                    found += 1;
+                }
+            }
+            for &slot in &slots[..found] {
+                if let Some(g) = self.slots[slot as usize].try_lock() {
+                    if let Some(live) = &g.live {
+                        calc_common::prefetch::lines(live);
+                    }
+                }
+            }
+        }
+    }
+
     /// Inserts a new record, returning its slot. Fails on duplicates.
     /// The slot's `stable_status` bit is left **unmarked** — appropriate
     /// outside a checkpoint window; use
@@ -647,5 +674,54 @@ mod tests {
         let m = s.memory();
         assert_eq!(m.live_count, 4000);
         assert_eq!(m.live_bytes, 4000 * 8);
+    }
+
+    /// Everything a caller can observe about `s` for `keys`.
+    fn observed(s: &DualVersionStore, keys: &[Key]) -> (Vec<Option<Value>>, usize, MemoryStats) {
+        (
+            keys.iter().map(|&k| s.get(k)).collect(),
+            s.len(),
+            s.memory(),
+        )
+    }
+
+    #[test]
+    fn prefetch_is_only_a_hint() {
+        let s = store();
+        for k in 0..40u64 {
+            s.insert(Key(k), &[k as u8; 150]).unwrap();
+        }
+        s.unlink(Key(7)).unwrap();
+        {
+            let mut g = s.lock_slot(s.slot_of(Key(8)).unwrap());
+            g.copy_live_to_stable();
+        }
+        let keys: Vec<Key> = (0..60u64).map(Key).collect();
+        let before = observed(&s, &keys);
+        s.prefetch(&[]);
+        s.prefetch(&[Key(1000), Key(1001)]); // absent
+        s.prefetch(&[Key(7)]); // deleted
+        s.prefetch(&keys); // more than one chunk, absent keys mixed in
+        assert_eq!(observed(&s, &keys), before);
+    }
+
+    #[test]
+    fn prefetch_skips_a_slot_another_thread_holds() {
+        let s = std::sync::Arc::new(store());
+        s.insert(Key(1), b"held").unwrap();
+        s.insert(Key(2), b"free").unwrap();
+        let before = observed(&s, &[Key(1), Key(2)]);
+        let guard = s.lock_slot(s.slot_of(Key(1)).unwrap());
+        let (tx, rx) = std::sync::mpsc::channel();
+        let prefetching = s.clone();
+        let handle = std::thread::spawn(move || {
+            prefetching.prefetch(&[Key(2), Key(1)]);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("prefetch waited on a held slot");
+        drop(guard);
+        handle.join().unwrap();
+        assert_eq!(observed(&s, &[Key(1), Key(2)]), before);
     }
 }

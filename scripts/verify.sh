@@ -8,7 +8,10 @@
 # the deleted shard-owned executor stays deleted; greps that restart has
 # one seal rule and never reads the log into a Vec; a grep that the
 # checkpoint daemon, per-merge and emergency threads and the locks that
-# ordered them stay deleted (one checkpoint worker); clippy and
+# ordered them stay deleted (one checkpoint worker); a grep that `unsafe`
+# in crates/*/src appears only in the prefetch hint's file
+# (calc-common's prefetch.rs) and in the lock manager's test
+# (crates/txn/src/locks.rs); clippy and
 # rustdoc, deny warnings — a doc link to a deleted item fails the gate —
 # plus a check build of perfbench, which is its own workspace, so a
 # renamed crate API it calls would otherwise go unnoticed), then tier-1
@@ -107,6 +110,12 @@ if grep -rnE --exclude=verify.sh \
     'CheckpointService|calc-merger|calc-emergency-retention|merge_serial|checkpoint_serial|merge_retry_pending' \
     crates/engine/src; then
     echo "verify: every cycle, merge and retention pass runs on the one checkpoint worker" >&2
+    exit 1
+fi
+
+echo "== tier-0: unsafe code only in the prefetch hint (and one lock-manager test) =="
+if grep -rlw 'unsafe' crates/*/src | grep -vxE 'crates/common/src/prefetch.rs|crates/txn/src/locks.rs'; then
+    echo "verify: the prefetch hint holds the only non-test unsafe block" >&2
     exit 1
 fi
 
