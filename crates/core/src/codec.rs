@@ -5,14 +5,15 @@
 //! paper's microbenchmark) carry highly repetitive payloads — padding,
 //! zeroed fields, counters. "A Comparative Study of Consistent Snapshot
 //! Algorithms for Main-Memory Database Systems" measures snapshot size as
-//! a first-order cost axis, so the capture pipeline compresses the record
-//! stream in framed blocks (see [`crate::file`] for the framing).
+//! a first-order cost axis, so the capture pipeline can compress the
+//! record stream frame by frame (see [`crate::file`] for the framing).
 //!
 //! The registry is offline, so the codec is in-tree: a byte-run-length
 //! scheme ([`Codec::Rle`]) chosen for wholly deterministic output,
 //! bounded worst-case expansion, and O(n) encode/decode. The enum leaves
-//! room for heavier codecs later; `none` keeps the legacy uncompressed
-//! format byte-identical.
+//! room for heavier codecs later. Every part is framed whatever its
+//! codec; under `none` a frame's payload is its raw record bytes, and the
+//! file layer neither compresses nor decompresses.
 //!
 //! ## RLE wire format
 //!
@@ -43,11 +44,11 @@ const OP_LITERAL: u8 = 0x00;
 const OP_RUN: u8 = 0x01;
 
 /// A checkpoint block codec. The `codec` byte in file headers and
-/// manifests is [`Codec::to_byte`]; `none` is the legacy uncompressed
-/// format.
+/// manifests is [`Codec::to_byte`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Codec {
-    /// No compression — the legacy byte-identical record stream.
+    /// No compression: each frame's payload is the raw record bytes,
+    /// read in place.
     #[default]
     None,
     /// In-tree byte run-length encoding (see module docs).
@@ -109,8 +110,8 @@ impl Codec {
         }
     }
 
-    /// Compresses `raw`. For [`Codec::None`] this is a plain copy (the
-    /// framing layer short-circuits before calling it).
+    /// Compresses `raw`. For [`Codec::None`] this is a plain copy; the
+    /// file layer writes such a block as it is, without calling this.
     pub fn compress(self, raw: &[u8]) -> Vec<u8> {
         match self {
             Codec::None => raw.to_vec(),

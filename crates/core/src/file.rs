@@ -1,34 +1,33 @@
 //! The on-disk checkpoint file format.
 //!
 //! ```text
-//! v1 header  "CALCCKPT" | version=1:u32 | kind:u8 | id:u64 | watermark:u64
-//! v2 header  "CALCCKPT" | version=2:u32 | kind:u8 | id:u64 | watermark:u64 | codec:u8
-//! records    repeated:  flag:u8 (0 value, 1 tombstone) | key:u64 | len:u32 | bytes
-//! footer     "CKPTEND." | record_count:u64 | crc32:u32
+//! header  "CALCCKPT" | version=3:u32 | kind:u8 | id:u64 | watermark:u64 | codec:u8
+//! frames  repeated:  raw_len:u32 | comp_len:u32 | crc32(payload):u32 | payload
+//! footer  "CKPTEND." | record_count:u64 | crc32:u32
 //! ```
 //!
-//! All integers little-endian. Version 1 (codec `none`) lays the record
-//! stream out directly between header and footer — byte-identical to the
-//! pre-compression format, so legacy directories read and write
-//! unchanged. Version 2 wraps the same record stream in **framed
-//! compressed blocks**: records are buffered to ~[`BLOCK_TARGET`]
-//! uncompressed bytes (never splitting a record across blocks) and each
-//! block is emitted as
+//! All integers little-endian. Records are buffered to ~[`BLOCK_TARGET`]
+//! bytes (never splitting a record across frames) and each block is
+//! written as one frame whose payload is the block run through the
+//! file's codec — under codec `none` the block itself, so `comp_len ==
+//! raw_len`. Inside a block records are laid out back to back:
 //!
 //! ```text
-//! frame  raw_len:u32 | comp_len:u32 | crc32(compressed):u32 | compressed bytes
+//! record  flag:u8 (0 value, 1 tombstone) | key:u64 | len:u32 | bytes
 //! ```
 //!
-//! The footer CRC covers the *physical* bytes (header + frames), so the
-//! manifest's per-part digest and the footer-first validity check work
-//! identically for both versions; the per-frame CRC additionally localizes
-//! corruption to one block and fails decoding closed before the codec
-//! sees garbage. A crash mid-capture leaves a file without a valid
-//! footer; recovery (§3) detects this via [`CheckpointReader::open`] and
-//! discards the file — which is exactly the paper's durability story for
-//! failures during checkpointing: the previous checkpoints remain intact
-//! because files are published atomically (tmp + rename, handled by
-//! [`crate::manifest::CheckpointDir`]).
+//! Each byte is CRC'd once. A frame's CRC covers its payload; the footer
+//! CRC covers the header and every 12-byte frame head, so it reaches the
+//! payloads through their CRCs without reading them a second time. A
+//! reader checks each frame as it loads it — before the codec sees the
+//! bytes — and the footer CRC once the last record is consumed.
+//!
+//! A crash mid-capture leaves a file without a valid footer; recovery
+//! (§3) detects this via [`CheckpointReader::open`] and discards the
+//! file — which is exactly the paper's durability story for failures
+//! during checkpointing: the previous checkpoints remain intact because
+//! files are published atomically (parts + a renamed manifest, handled
+//! by [`crate::manifest::CheckpointDir`]).
 //!
 //! Tombstones appear only in *partial* checkpoints (a record that existed
 //! in an earlier checkpoint and was deleted before this one's point of
@@ -39,7 +38,7 @@ use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::Arc;
 
-use calc_common::crc::Crc32;
+use calc_common::crc::{crc32, Crc32};
 use calc_common::types::{CommitSeq, Key, Value};
 use calc_common::vfs::{OsVfs, Vfs, VfsFile, VfsRead};
 
@@ -48,17 +47,18 @@ use crate::throttle::Throttle;
 
 const HEADER_MAGIC: &[u8; 8] = b"CALCCKPT";
 const FOOTER_MAGIC: &[u8; 8] = b"CKPTEND.";
-const VERSION: u32 = 1;
-/// File version carrying a codec byte and framed compressed blocks.
-const VERSION_COMPRESSED: u32 = 2;
-/// header magic + version + kind + id + watermark.
-const HEADER_LEN: usize = 8 + 4 + 1 + 8 + 8;
+/// The one file version; any other is refused as unsupported.
+const VERSION: u32 = 3;
+/// header magic + version + kind + id + watermark + codec.
+const HEADER_LEN: usize = 8 + 4 + 1 + 8 + 8 + 1;
 /// footer magic + count + crc.
 const FOOTER_LEN: usize = 8 + 8 + 4;
-/// v2 frame head: raw_len + comp_len + crc32 of the compressed bytes.
+/// Frame head: raw_len + comp_len + crc32 of the payload.
 const FRAME_HEAD_LEN: usize = 4 + 4 + 4;
-/// Target uncompressed bytes per compressed block. A record larger than
-/// this gets a block of its own (records never split across blocks).
+/// Record head: flag + key + value length.
+const RECORD_HEAD_LEN: usize = 1 + 8 + 4;
+/// Target uncompressed bytes per frame. A record larger than this gets a
+/// frame of its own (records never split across frames).
 pub const BLOCK_TARGET: usize = 64 * 1024;
 /// Upper bound accepted for a frame's raw or compressed length — torn
 /// frame heads must not trigger absurd allocations.
@@ -147,14 +147,16 @@ pub enum RecordRef<'a> {
 /// a crash would.
 pub struct CheckpointWriter {
     out: Box<dyn VfsFile>,
+    /// The footer CRC: header and frame heads (payloads are covered by
+    /// their frames' CRCs).
     crc: Crc32,
     count: u64,
     bytes: u64,
-    /// Bytes the file would occupy uncompressed (equal to `bytes` under
-    /// codec `none`): header + raw record stream + footer.
+    /// Bytes the file would occupy under codec `none` (equal to `bytes`
+    /// there): header + framed raw record stream + footer.
     raw_bytes: u64,
     codec: Codec,
-    /// Uncompressed record bytes buffered for the next frame (v2 only).
+    /// Record bytes buffered for the next frame.
     block: Vec<u8>,
     throttle: Arc<Throttle>,
     /// Unthrottled bytes accumulated since the last throttle charge;
@@ -165,7 +167,6 @@ pub struct CheckpointWriter {
     pacer: Option<Arc<calc_common::load::LoadSignal>>,
     /// Records since the last pacing check.
     pace_stride: u32,
-    finished: bool,
 }
 
 const CHARGE_CHUNK: usize = 256 * 1024;
@@ -186,10 +187,8 @@ impl CheckpointWriter {
         Self::create_with_vfs_codec(&OsVfs, path, kind, id, watermark, throttle, Codec::None)
     }
 
-    /// Creates a writer at `path` through an arbitrary [`Vfs`] with the
-    /// given block codec. [`Codec::None`] writes the version-1 format
-    /// byte-identically; any other codec writes version 2 with framed
-    /// compressed blocks.
+    /// Creates a writer at `path` through an arbitrary [`Vfs`], framing
+    /// the record stream through the given block codec.
     pub fn create_with_vfs_codec(
         vfs: &dyn Vfs,
         path: &Path,
@@ -205,36 +204,27 @@ impl CheckpointWriter {
             crc: Crc32::new(),
             count: 0,
             bytes: 0,
-            raw_bytes: 0,
+            raw_bytes: HEADER_LEN as u64,
             codec,
             block: Vec::new(),
             throttle,
             pending_charge: 0,
             pacer: None,
             pace_stride: 0,
-            finished: false,
         };
-        let version = if codec == Codec::None {
-            VERSION
-        } else {
-            VERSION_COMPRESSED
-        };
-        let mut header = Vec::with_capacity(HEADER_LEN + 1);
-        header.extend_from_slice(HEADER_MAGIC);
-        header.extend_from_slice(&version.to_le_bytes());
-        header.push(kind.to_byte());
-        header.extend_from_slice(&id.to_le_bytes());
-        header.extend_from_slice(&watermark.0.to_le_bytes());
-        if codec != Codec::None {
-            header.push(codec.to_byte());
-        }
-        w.write_all_tracked(&header)?;
-        w.raw_bytes = header.len() as u64;
+        let mut header = [0u8; HEADER_LEN];
+        header[0..8].copy_from_slice(HEADER_MAGIC);
+        header[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        header[12] = kind.to_byte();
+        header[13..21].copy_from_slice(&id.to_le_bytes());
+        header[21..29].copy_from_slice(&watermark.0.to_le_bytes());
+        header[29] = codec.to_byte();
+        w.crc.update(&header);
+        w.write_out(&header)?;
         Ok(w)
     }
 
-    fn write_all_tracked(&mut self, buf: &[u8]) -> io::Result<()> {
-        self.crc.update(buf);
+    fn write_out(&mut self, buf: &[u8]) -> io::Result<()> {
         self.out.write_all(buf)?;
         self.bytes += buf.len() as u64;
         self.pending_charge += buf.len();
@@ -245,42 +235,31 @@ impl CheckpointWriter {
         Ok(())
     }
 
-    /// Routes record-stream bytes: straight to disk in v1, into the
-    /// pending block in v2. `raw_bytes` counts them either way.
-    fn append_record_bytes(&mut self, buf: &[u8]) -> io::Result<()> {
-        self.raw_bytes += buf.len() as u64;
-        if self.codec == Codec::None {
-            self.write_all_tracked(buf)
-        } else {
-            self.block.extend_from_slice(buf);
-            Ok(())
-        }
-    }
-
-    /// Compresses and frames the pending block (v2 only). Called between
-    /// records, so a record never straddles two frames.
+    /// Writes the pending block as one frame: its payload CRC'd once, its
+    /// head folded into the footer CRC. Under codec `none` the block is
+    /// the payload; no codec runs. Called between records, so a record
+    /// never straddles two frames.
     fn flush_block(&mut self) -> io::Result<()> {
         if self.block.is_empty() {
             return Ok(());
         }
-        let raw = std::mem::take(&mut self.block);
-        let comp = self.codec.compress(&raw);
+        let block = std::mem::take(&mut self.block);
+        let compressed = match self.codec {
+            Codec::None => None,
+            codec => Some(codec.compress(&block)),
+        };
+        let payload = compressed.as_deref().unwrap_or(&block);
         let mut head = [0u8; FRAME_HEAD_LEN];
-        head[0..4].copy_from_slice(&(raw.len() as u32).to_le_bytes());
-        head[4..8].copy_from_slice(&(comp.len() as u32).to_le_bytes());
-        head[8..12].copy_from_slice(&calc_common::crc::crc32(&comp).to_le_bytes());
-        self.write_all_tracked(&head)?;
-        self.write_all_tracked(&comp)?;
+        head[0..4].copy_from_slice(&(block.len() as u32).to_le_bytes());
+        head[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        head[8..12].copy_from_slice(&crc32(payload).to_le_bytes());
+        self.crc.update(&head);
+        self.write_out(&head)?;
+        self.write_out(payload)?;
+        self.raw_bytes += (FRAME_HEAD_LEN + block.len()) as u64;
         // Reuse the allocation for the next block.
-        self.block = raw;
+        self.block = block;
         self.block.clear();
-        Ok(())
-    }
-
-    fn maybe_flush_block(&mut self) -> io::Result<()> {
-        if self.codec != Codec::None && self.block.len() >= BLOCK_TARGET {
-            self.flush_block()?;
-        }
         Ok(())
     }
 
@@ -320,28 +299,31 @@ impl CheckpointWriter {
         }
     }
 
-    /// Appends a record value.
-    pub fn write_record(&mut self, key: Key, value: &[u8]) -> io::Result<()> {
-        let mut head = [0u8; 13];
-        head[0] = 0;
+    /// Buffers one record and closes the frame once it reaches
+    /// [`BLOCK_TARGET`].
+    fn append(&mut self, flag: u8, key: Key, value: &[u8]) -> io::Result<()> {
+        let mut head = [0u8; RECORD_HEAD_LEN];
+        head[0] = flag;
         head[1..9].copy_from_slice(&key.0.to_le_bytes());
         head[9..13].copy_from_slice(&(value.len() as u32).to_le_bytes());
-        self.append_record_bytes(&head)?;
-        self.append_record_bytes(value)?;
+        self.block.extend_from_slice(&head);
+        self.block.extend_from_slice(value);
         self.count += 1;
         self.pace();
-        self.maybe_flush_block()
+        if self.block.len() >= BLOCK_TARGET {
+            self.flush_block()?;
+        }
+        Ok(())
+    }
+
+    /// Appends a record value.
+    pub fn write_record(&mut self, key: Key, value: &[u8]) -> io::Result<()> {
+        self.append(0, key, value)
     }
 
     /// Appends a tombstone.
     pub fn write_tombstone(&mut self, key: Key) -> io::Result<()> {
-        let mut head = [0u8; 13];
-        head[0] = 1;
-        head[1..9].copy_from_slice(&key.0.to_le_bytes());
-        self.append_record_bytes(&head)?;
-        self.count += 1;
-        self.pace();
-        self.maybe_flush_block()
+        self.append(1, key, &[])
     }
 
     /// Records written so far.
@@ -349,24 +331,21 @@ impl CheckpointWriter {
         self.count
     }
 
-    /// Seals the footer, flushes, and fsyncs. Returns the file's
-    /// [`PartSummary`] (record count, byte size, and the record-stream
-    /// CRC that doubles as the file's digest in multi-part manifests).
+    /// Writes the last frame, seals the footer, flushes, and fsyncs.
+    /// Returns the file's [`PartSummary`] (record count, byte sizes, and
+    /// the footer CRC that doubles as the file's digest in manifests).
     pub fn finish(mut self) -> io::Result<PartSummary> {
         self.flush_block()?;
         let crc = self.crc.finish();
-        let mut footer = Vec::with_capacity(FOOTER_LEN);
-        footer.extend_from_slice(FOOTER_MAGIC);
-        footer.extend_from_slice(&self.count.to_le_bytes());
-        footer.extend_from_slice(&crc.to_le_bytes());
-        self.out.write_all(&footer)?;
-        self.bytes += footer.len() as u64;
-        self.raw_bytes += footer.len() as u64;
-        self.pending_charge += footer.len();
+        let mut footer = [0u8; FOOTER_LEN];
+        footer[0..8].copy_from_slice(FOOTER_MAGIC);
+        footer[8..16].copy_from_slice(&self.count.to_le_bytes());
+        footer[16..20].copy_from_slice(&crc.to_le_bytes());
+        self.write_out(&footer)?;
+        self.raw_bytes += FOOTER_LEN as u64;
         self.throttle.consume(self.pending_charge);
         self.pending_charge = 0;
         self.out.sync()?;
-        self.finished = true;
         Ok(PartSummary {
             records: self.count,
             bytes: self.bytes,
@@ -377,19 +356,21 @@ impl CheckpointWriter {
 }
 
 /// What [`CheckpointWriter::finish`] sealed: the file's record count,
-/// total bytes (header + records + footer), and record-stream CRC. The
-/// CRC is the same value stored in the file's own footer, so a manifest
-/// can record it as the part's digest without re-reading the file.
+/// byte sizes, and footer CRC. The CRC is the same value stored in the
+/// file's own footer, so a manifest can record it as the part's digest
+/// without re-reading the file.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PartSummary {
     /// Records + tombstones written.
     pub records: u64,
-    /// Total file size in bytes (compressed size under a real codec).
+    /// Total file size in bytes.
     pub bytes: u64,
-    /// Size the file would have uncompressed; equals `bytes` under codec
-    /// `none`. `raw_bytes / bytes` is the compression ratio.
+    /// Size the file would have under codec `none` (each frame's payload
+    /// at its raw length); equals `bytes` under `none`. `raw_bytes /
+    /// bytes` is the compression ratio.
     pub raw_bytes: u64,
-    /// CRC32 over the physical record stream (the footer CRC).
+    /// The footer CRC: over the header and every frame head, and so —
+    /// through each head's payload CRC — over the whole file.
     pub crc: u32,
 }
 
@@ -407,37 +388,42 @@ pub struct FileHeader {
     pub watermark: CommitSeq,
     /// Record + tombstone count.
     pub records: u64,
-    /// Block codec the record stream is wrapped in ([`Codec::None`] for
-    /// version-1 files).
+    /// Codec of every frame's payload ([`Codec::None`]: the payload is
+    /// the raw record bytes).
     pub codec: Codec,
 }
 
 /// Bytes the reader pulls from the file per read: the CRC kernel and the
-/// disk both want long runs, and a record larger than this grows the
+/// disk both want long runs, and a frame larger than this grows the
 /// buffer to fit.
 const READ_CHUNK: usize = 1 << 20;
 
 /// Streaming, CRC-validating checkpoint reader.
 ///
-/// The file is read 1 MiB (`READ_CHUNK`) at a time into one buffer the reader
-/// owns; each chunk is folded into the body CRC as it arrives and records
-/// are decoded in place, so [`CheckpointReader::next_borrowed`] hands out
-/// values without copying or allocating.
+/// The file is read 1 MiB (`READ_CHUNK`) at a time into one buffer the
+/// reader owns. Each frame is CRC-checked where it lies in that buffer;
+/// under codec `none` records are then decoded in place, so
+/// [`CheckpointReader::next_borrowed`] hands out values without copying
+/// or allocating. Under a real codec the frame is decompressed into a
+/// second buffer and records are borrowed from there.
 pub struct CheckpointReader {
     input: Box<dyn VfsRead>,
     header: FileHeader,
     remaining: u64,
+    /// The footer CRC as read so far: header and frame heads.
     crc: Crc32,
     expected_crc: u32,
     /// Body bytes (between header and footer) not yet read from `input`.
     unread: u64,
-    /// `buf[pos..]` holds the body bytes read and CRC'd but not consumed.
+    /// `buf[pos..]` holds the body bytes read but not yet framed.
     buf: Vec<u8>,
     pos: usize,
-    /// Decompressed bytes of the current block and the read cursor into
-    /// it (v2 only; empty under codec `none`).
+    /// Decompressed payload of the current frame (empty under `none`).
     block: Vec<u8>,
-    block_pos: usize,
+    /// The unconsumed record bytes of the current frame:
+    /// `buf[at..end]` under codec `none`, `block[at..end]` otherwise.
+    at: usize,
+    end: usize,
 }
 
 impl std::fmt::Debug for CheckpointReader {
@@ -456,9 +442,10 @@ impl CheckpointReader {
     }
 
     /// Opens and validates a checkpoint file through an arbitrary
-    /// [`Vfs`]: header magic/version, footer magic, and record count. The
-    /// CRC is verified incrementally; it is checked when the last record
-    /// is consumed (or via [`CheckpointReader::read_all`]).
+    /// [`Vfs`]: header magic/version/codec, footer magic, and record
+    /// count. Frame CRCs are checked as each frame is reached, the footer
+    /// CRC when the last record is consumed (or via
+    /// [`CheckpointReader::read_all`]).
     pub fn open_with_vfs(vfs: &dyn Vfs, path: &Path) -> io::Result<Self> {
         let len = vfs.len(path)?;
         let mut file = vfs.open_read(path)?;
@@ -482,45 +469,29 @@ impl CheckpointReader {
             return Err(invalid("bad header magic"));
         }
         let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-        if version != VERSION && version != VERSION_COMPRESSED {
+        if version != VERSION {
             return Err(invalid(&format!("unsupported version {version}")));
         }
-        let kind = CheckpointKind::from_byte(header[12])?;
-        let id = u64::from_le_bytes(header[13..21].try_into().unwrap());
-        let watermark = CommitSeq(u64::from_le_bytes(header[21..29].try_into().unwrap()));
-
         let mut crc = Crc32::new();
         crc.update(&header);
-        let mut unread = len - (HEADER_LEN + FOOTER_LEN) as u64;
-        let codec = if version == VERSION_COMPRESSED {
-            if unread == 0 {
-                return Err(invalid("file too short for the codec byte"));
-            }
-            unread -= 1;
-            let mut codec_byte = [0u8; 1];
-            file.read_exact(&mut codec_byte)?;
-            crc.update(&codec_byte);
-            Codec::from_byte(codec_byte[0])?
-        } else {
-            Codec::None
-        };
         Ok(CheckpointReader {
             input: file,
             header: FileHeader {
-                kind,
-                id,
-                watermark,
+                kind: CheckpointKind::from_byte(header[12])?,
+                id: u64::from_le_bytes(header[13..21].try_into().unwrap()),
+                watermark: CommitSeq(u64::from_le_bytes(header[21..29].try_into().unwrap())),
                 records,
-                codec,
+                codec: Codec::from_byte(header[29])?,
             },
             remaining: records,
             crc,
             expected_crc,
-            unread,
+            unread: len - (HEADER_LEN + FOOTER_LEN) as u64,
             buf: Vec::new(),
             pos: 0,
             block: Vec::new(),
-            block_pos: 0,
+            at: 0,
+            end: 0,
         })
     }
 
@@ -536,92 +507,109 @@ impl CheckpointReader {
         self.expected_crc
     }
 
-    /// Makes `n` contiguous unconsumed body bytes available at
-    /// `buf[pos..]`, reading the file a chunk at a time and folding each
-    /// chunk into the body CRC in one run. The footer bounds the read, so
-    /// a corrupt length field fails here instead of sizing an allocation.
+    /// Makes `n` contiguous unframed body bytes available at
+    /// `buf[pos..]`, reading the file a chunk at a time. The footer
+    /// bounds the read, so a corrupt length field fails here instead of
+    /// sizing an allocation.
     fn fill(&mut self, n: usize) -> io::Result<()> {
         let have = self.buf.len() - self.pos;
         if have >= n {
             return Ok(());
         }
         if (n - have) as u64 > self.unread {
-            return Err(invalid("record runs past the footer"));
+            return Err(invalid("frame runs past the footer"));
         }
         self.buf.copy_within(self.pos.., 0);
+        self.buf.truncate(have);
         self.pos = 0;
-        let take = ((n.max(READ_CHUNK) - have) as u64).min(self.unread) as usize;
-        self.buf.resize(have + take, 0);
-        self.input.read_exact(&mut self.buf[have..])?;
-        self.crc.update(&self.buf[have..]);
-        self.unread -= take as u64;
+        let take = ((n.max(READ_CHUNK) - have) as u64).min(self.unread);
+        // One allocation at most, and nothing zeroed: the read lands in
+        // the reserved spare capacity.
+        self.buf.reserve(take as usize);
+        if (&mut self.input).take(take).read_to_end(&mut self.buf)? as u64 != take {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        self.unread -= take;
         Ok(())
     }
 
-    /// Loads and validates the next compressed frame into `self.block`
-    /// (v2 only). The per-frame CRC is checked *before* the codec runs,
-    /// so a corrupted block fails closed here.
-    fn fill_block(&mut self) -> io::Result<()> {
+    /// Loads the next frame: its head is folded into the footer CRC, its
+    /// payload CRC-checked in the read buffer *before* the codec runs, so
+    /// a corrupted frame fails closed here. Under codec `none` the
+    /// payload stays where it is and records are read from it in place.
+    fn next_frame(&mut self) -> io::Result<()> {
         self.fill(FRAME_HEAD_LEN)?;
-        let head = &self.buf[self.pos..self.pos + FRAME_HEAD_LEN];
+        let head: [u8; FRAME_HEAD_LEN] = self.buf[self.pos..self.pos + FRAME_HEAD_LEN]
+            .try_into()
+            .unwrap();
+        self.crc.update(&head);
+        self.pos += FRAME_HEAD_LEN;
         let raw_len = u32::from_le_bytes(head[0..4].try_into().unwrap());
         let comp_len = u32::from_le_bytes(head[4..8].try_into().unwrap());
-        let block_crc = u32::from_le_bytes(head[8..12].try_into().unwrap());
-        self.pos += FRAME_HEAD_LEN;
-        if raw_len == 0 || raw_len > FRAME_LEN_LIMIT || comp_len == 0 || comp_len > FRAME_LEN_LIMIT
+        let frame_crc = u32::from_le_bytes(head[8..12].try_into().unwrap());
+        let codec = self.header.codec;
+        if raw_len == 0
+            || raw_len > FRAME_LEN_LIMIT
+            || comp_len == 0
+            || comp_len > FRAME_LEN_LIMIT
+            || (codec == Codec::None && raw_len != comp_len)
         {
-            return Err(invalid("implausible compressed frame head"));
+            return Err(invalid("implausible frame head"));
         }
-        self.fill(comp_len as usize)?;
-        let comp = &self.buf[self.pos..self.pos + comp_len as usize];
-        if calc_common::crc::crc32(comp) != block_crc {
-            return Err(invalid("compressed block CRC mismatch"));
+        let len = comp_len as usize;
+        self.fill(len)?;
+        let payload = &self.buf[self.pos..self.pos + len];
+        if crc32(payload) != frame_crc {
+            return Err(invalid("frame CRC mismatch"));
         }
-        self.block = self.header.codec.decompress(comp, raw_len as usize)?;
-        self.pos += comp_len as usize;
-        self.block_pos = 0;
+        if codec == Codec::None {
+            (self.at, self.end) = (self.pos, self.pos + len);
+        } else {
+            self.block = codec.decompress(payload, raw_len as usize)?;
+            (self.at, self.end) = (0, self.block.len());
+        }
+        self.pos += len;
         Ok(())
     }
 
-    /// The next `n` bytes of the record stream, borrowed: straight from
-    /// the read buffer under codec `none`, from the current decompressed
-    /// block otherwise (refilled from the next frame when exhausted —
-    /// records never straddle frames, so a refill mid-record means the
+    /// The next `n` bytes of the record stream, borrowed from the current
+    /// frame (the next one is loaded when it is exhausted — records never
+    /// straddle frames, so running off a frame's end mid-record means the
     /// file is corrupt).
     fn take(&mut self, n: usize) -> io::Result<&[u8]> {
-        if self.header.codec == Codec::None {
-            self.fill(n)?;
-            self.pos += n;
-            return Ok(&self.buf[self.pos - n..self.pos]);
+        if n > 0 && self.at == self.end {
+            self.next_frame()?;
         }
-        if n > 0 && self.block_pos == self.block.len() {
-            self.fill_block()?;
+        let start = self.at;
+        if self.end - start < n {
+            return Err(invalid("record straddles a frame boundary"));
         }
-        let end = self.block_pos + n;
-        if end > self.block.len() {
-            return Err(invalid("record straddles a compressed block boundary"));
-        }
-        self.block_pos = end;
-        Ok(&self.block[end - n..end])
+        self.at += n;
+        let frame = if self.header.codec == Codec::None {
+            &self.buf
+        } else {
+            &self.block
+        };
+        Ok(&frame[start..start + n])
     }
 
     /// Reads the next record without copying its value; `None` at end.
-    /// The final call verifies the CRC and fails if the body was
+    /// The final call verifies the footer CRC and fails if the file was
     /// corrupted.
     pub fn next_borrowed(&mut self) -> io::Result<Option<RecordRef<'_>>> {
         if self.remaining == 0 {
-            if self.block_pos != self.block.len() {
-                return Err(invalid("trailing bytes after last record in block"));
+            if self.at != self.end {
+                return Err(invalid("trailing bytes after last record in frame"));
             }
             if self.pos != self.buf.len() || self.unread != 0 {
                 return Err(invalid("trailing bytes between last record and footer"));
             }
             if self.crc.finish() != self.expected_crc {
-                return Err(invalid("CRC mismatch — corrupted checkpoint body"));
+                return Err(invalid("CRC mismatch — corrupted checkpoint file"));
             }
             return Ok(None);
         }
-        let head = self.take(13)?;
+        let head = self.take(RECORD_HEAD_LEN)?;
         let flag = head[0];
         let key = Key(u64::from_le_bytes(head[1..9].try_into().unwrap()));
         let len = u32::from_le_bytes(head[9..13].try_into().unwrap()) as usize;
@@ -641,7 +629,7 @@ impl CheckpointReader {
         }))
     }
 
-    /// Consumes every record, verifying structure and CRC without copying
+    /// Consumes every record, verifying structure and CRCs without copying
     /// a value: under codec `none` the only allocation is the read buffer
     /// itself. A file whose footer survived but whose body was corrupted
     /// or torn fails here, not at load time.
@@ -650,9 +638,11 @@ impl CheckpointReader {
         Ok(self.header)
     }
 
-    /// Reads every record, verifying the CRC.
+    /// Reads every record, verifying the CRCs.
     pub fn read_all(mut self) -> io::Result<Vec<RecordEntry>> {
-        let mut out = Vec::with_capacity(self.header.records as usize);
+        // The footer's count is not trusted until the CRC holds: it only
+        // sizes the first allocation, never an unbounded one.
+        let mut out = Vec::with_capacity((self.header.records as usize).min(1 << 16));
         while let Some(e) = self.next_record()? {
             out.push(e);
         }
@@ -856,38 +846,6 @@ mod tests {
     }
 
     #[test]
-    fn codec_none_stays_byte_identical_v1() {
-        let a = tmpdir().join("v1-default.part");
-        let b = tmpdir().join("v1-explicit.part");
-        for path in [&a, &b] {
-            let mut w = if path == &a {
-                CheckpointWriter::create(path, CheckpointKind::Full, 4, CommitSeq(8), unlimited())
-                    .unwrap()
-            } else {
-                CheckpointWriter::create_with_vfs_codec(
-                    &OsVfs,
-                    path,
-                    CheckpointKind::Full,
-                    4,
-                    CommitSeq(8),
-                    unlimited(),
-                    Codec::None,
-                )
-                .unwrap()
-            };
-            w.write_record(Key(1), b"value").unwrap();
-            w.finish().unwrap();
-        }
-        let bytes_a = std::fs::read(&a).unwrap();
-        assert_eq!(bytes_a, std::fs::read(&b).unwrap());
-        assert_eq!(
-            u32::from_le_bytes(bytes_a[8..12].try_into().unwrap()),
-            VERSION,
-            "codec none must keep writing version-1 files"
-        );
-    }
-
-    #[test]
     fn corrupt_compressed_block_fails_closed() {
         let path = tmpdir().join("corrupt-block.part");
         let mut w = CheckpointWriter::create_with_vfs_codec(
@@ -917,7 +875,7 @@ mod tests {
 
     #[test]
     fn truncated_compressed_file_is_rejected() {
-        let path = tmpdir().join("trunc-v2.part");
+        let path = tmpdir().join("trunc-rle.part");
         let mut w = CheckpointWriter::create_with_vfs_codec(
             &OsVfs,
             &path,
@@ -937,7 +895,7 @@ mod tests {
 
     #[test]
     fn empty_compressed_checkpoint_roundtrips() {
-        let path = tmpdir().join("empty-v2.part");
+        let path = tmpdir().join("empty-rle.part");
         let w = CheckpointWriter::create_with_vfs_codec(
             &OsVfs,
             &path,

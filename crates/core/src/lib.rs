@@ -17,10 +17,11 @@
 //! * [`calc`] — the CALC algorithm itself ([`calc::CalcStrategy`]), in
 //!   both full and partial (pCALC, §2.3) modes.
 //! * [`mod@file`] — the checkpoint file format: length-prefixed records with
-//!   tombstones, CRC-32-sealed footer (a crash mid-capture leaves a
-//!   detectably-invalid file), optionally block-compressed ([`codec`]).
-//! * [`codec`] — block codecs for compressed checkpoint parts (in-tree
-//!   RLE; `none` keeps the legacy format byte-identical).
+//!   tombstones in CRC-32-checked frames, optionally block-compressed
+//!   ([`codec`]), and a CRC-32-sealed footer (a crash mid-capture leaves a
+//!   detectably-invalid file).
+//! * [`codec`] — block codecs for a part's frames (in-tree RLE, or
+//!   `none`: the raw records).
 //! * [`throttle`] — a token-bucket byte throttle modelling the evaluation
 //!   machine's 100–150 MB/s disk (Appendix A notes checkpoint duration is
 //!   disk-bandwidth-bound; the throttle reproduces that regime).

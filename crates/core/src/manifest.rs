@@ -1,15 +1,15 @@
 //! Checkpoint directory management.
 //!
 //! A checkpoint is `N` part files named `ckpt-{id:010}-{kind}.part-{k}`,
-//! each a self-contained record file with its own header/footer/CRC, plus
-//! a manifest `ckpt-{id:010}-{kind}.manifest` recording the part count and
-//! each part's record count, byte size, and CRC digest. Parts are written
-//! directly at their final names but are *invisible* until the manifest
-//! is published (written to a dotted temp name, fsynced, renamed — atomic
-//! on POSIX — and made durable with a parent-directory fsync). The
-//! manifest rename is the commit point of the whole cycle. Any other file
-//! in the directory is inert: never parsed, claimed, quarantined or
-//! deleted.
+//! each a self-contained record file with its own header/footer/CRCs,
+//! plus a manifest `ckpt-{id:010}-{kind}.manifest` recording the codec,
+//! the part count and each part's record count, byte sizes, and CRC
+//! digest. Parts are written directly at their final names but are
+//! *invisible* until the manifest is published (written to a dotted temp
+//! name, fsynced, renamed — atomic on POSIX — and made durable with a
+//! parent-directory fsync). The manifest rename is the commit point of
+//! the whole cycle. Any other file in the directory is inert: never
+//! parsed, claimed, quarantined or deleted.
 //!
 //! Validity is determined by scanning: a manifest whose own CRC holds and
 //! whose every part exists, validates, and matches its recorded digest is
@@ -39,20 +39,13 @@ use crate::partition::for_each_part;
 use crate::throttle::Throttle;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"CALCMFST";
-const MANIFEST_VERSION: u32 = 1;
-/// Manifest version carrying a codec byte and per-part raw (uncompressed)
-/// byte counts. Written only when the cycle's codec is not `none`, so
-/// uncompressed directories stay byte-identical to version 1.
-const MANIFEST_VERSION_CODEC: u32 = 2;
-/// magic + version + kind + id + watermark + parent + part count +
-/// trailing crc.
-const MANIFEST_FIXED_LEN: usize = 8 + 4 + 1 + 8 + 8 + 8 + 4 + 4;
-/// Version-2 fixed section: version 1's plus the codec byte.
-const MANIFEST_FIXED_LEN_V2: usize = MANIFEST_FIXED_LEN + 1;
-/// records + bytes + crc per part.
-const MANIFEST_PART_LEN: usize = 8 + 8 + 4;
-/// Version-2 part entry: records + bytes + raw_bytes + crc.
-const MANIFEST_PART_LEN_V2: usize = 8 + 8 + 8 + 4;
+/// The one manifest version; any other is refused as unsupported.
+const MANIFEST_VERSION: u32 = 2;
+/// magic + version + codec + kind + id + watermark + parent + part count
+/// + trailing crc.
+const MANIFEST_FIXED_LEN: usize = 8 + 4 + 1 + 1 + 8 + 8 + 8 + 4 + 4;
+/// records + bytes + raw_bytes + crc per part.
+const MANIFEST_PART_LEN: usize = 8 + 8 + 8 + 4;
 /// Encoded `parent` when the checkpoint had no published predecessor.
 const MANIFEST_NO_PARENT: u64 = u64::MAX;
 
@@ -100,10 +93,9 @@ pub struct CheckpointMeta {
     pub parent: Option<u64>,
     /// The manifest path.
     pub path: PathBuf,
-    /// Block codec the parts were written with ([`Codec::None`] for
-    /// version-1 manifests).
+    /// Block codec every part's frames were written with.
     pub codec: Codec,
-    /// Uncompressed record-stream bytes across all parts. Equals `bytes`
+    /// What the parts would occupy under codec `none`. Equals `bytes`
     /// when `codec` is `none`; `raw_bytes as f64 / bytes as f64` is the
     /// cycle's compression ratio.
     pub raw_bytes: u64,
@@ -189,9 +181,9 @@ pub struct CheckpointDir {
     quarantined: AtomicU64,
     /// How many part files (and capture threads) new checkpoints use.
     threads: AtomicUsize,
-    /// Block codec new checkpoints are written with (wire byte, see
-    /// [`Codec::to_byte`]). Readers are self-describing, so changing the
-    /// codec between cycles is always safe.
+    /// Block codec new checkpoints' frames are written with (wire byte,
+    /// see [`Codec::to_byte`]). Every part header and manifest names its
+    /// codec, so changing it between cycles is always safe.
     codec: AtomicU8,
     /// Newest published checkpoint id, encoded as `id + 1` (`0` = none
     /// published yet) so [`AtomicU64::fetch_max`] keeps it monotone.
@@ -260,18 +252,10 @@ impl PendingPartsCheckpoint {
         let manifest_name = CheckpointDir::manifest_file_name(self.id, self.kind);
         let final_path = self.dir.join(&manifest_name);
         let tmp_path = self.dir.join(format!(".tmp-{manifest_name}"));
-        // Codec `none` keeps writing version-1 manifests byte-identical to
-        // every predecessor of this format; only compressed cycles need
-        // the version-2 codec byte and per-part raw sizes.
-        let compressed = self.codec != Codec::None;
-        let mut body = Vec::with_capacity(MANIFEST_FIXED_LEN_V2 + parts * MANIFEST_PART_LEN_V2);
+        let mut body = Vec::with_capacity(MANIFEST_FIXED_LEN + parts * MANIFEST_PART_LEN);
         body.extend_from_slice(MANIFEST_MAGIC);
-        if compressed {
-            body.extend_from_slice(&MANIFEST_VERSION_CODEC.to_le_bytes());
-            body.push(self.codec.to_byte());
-        } else {
-            body.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        }
+        body.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
+        body.push(self.codec.to_byte());
         body.push(self.kind.to_byte());
         body.extend_from_slice(&self.id.to_le_bytes());
         body.extend_from_slice(&self.watermark.0.to_le_bytes());
@@ -280,9 +264,7 @@ impl PendingPartsCheckpoint {
         for d in &digests {
             body.extend_from_slice(&d.records.to_le_bytes());
             body.extend_from_slice(&d.bytes.to_le_bytes());
-            if compressed {
-                body.extend_from_slice(&d.raw_bytes.to_le_bytes());
-            }
+            body.extend_from_slice(&d.raw_bytes.to_le_bytes());
             body.extend_from_slice(&d.crc.to_le_bytes());
         }
         let crc = crc32(&body);
@@ -348,7 +330,7 @@ fn parse_ckpt_name(name: &str) -> Option<(u64, CheckpointKind, NameClass)> {
 struct ManifestPart {
     records: u64,
     bytes: u64,
-    /// Uncompressed size; equals `bytes` in version-1 manifests.
+    /// Size under codec `none`; equals `bytes` there.
     raw_bytes: u64,
     crc: u32,
 }
@@ -380,55 +362,30 @@ fn decode_manifest(bytes: &[u8]) -> io::Result<ManifestDoc> {
         return Err(invalid("bad manifest magic"));
     }
     let version = u32::from_le_bytes(body[8..12].try_into().unwrap());
-    // Version 2 inserts one codec byte after the version and one raw-size
-    // field per part entry; everything else is laid out identically.
-    let (codec, fixed_len, part_len) = match version {
-        MANIFEST_VERSION => (Codec::None, MANIFEST_FIXED_LEN, MANIFEST_PART_LEN),
-        MANIFEST_VERSION_CODEC => {
-            if body.len() + 4 < MANIFEST_FIXED_LEN_V2 {
-                return Err(invalid("manifest too short"));
-            }
-            (
-                Codec::from_byte(body[12])?,
-                MANIFEST_FIXED_LEN_V2,
-                MANIFEST_PART_LEN_V2,
-            )
-        }
-        _ => return Err(invalid("unsupported manifest version")),
-    };
-    let at = if version == MANIFEST_VERSION { 12 } else { 13 };
-    let kind = CheckpointKind::from_byte(body[at])?;
-    let id = u64::from_le_bytes(body[at + 1..at + 9].try_into().unwrap());
-    let watermark = CommitSeq(u64::from_le_bytes(body[at + 9..at + 17].try_into().unwrap()));
-    let parent = match u64::from_le_bytes(body[at + 17..at + 25].try_into().unwrap()) {
+    if version != MANIFEST_VERSION {
+        return Err(invalid(&format!("unsupported manifest version {version}")));
+    }
+    let codec = Codec::from_byte(body[12])?;
+    let kind = CheckpointKind::from_byte(body[13])?;
+    let id = u64::from_le_bytes(body[14..22].try_into().unwrap());
+    let watermark = CommitSeq(u64::from_le_bytes(body[22..30].try_into().unwrap()));
+    let parent = match u64::from_le_bytes(body[30..38].try_into().unwrap()) {
         MANIFEST_NO_PARENT => None,
         p => Some(p),
     };
-    let count = u32::from_le_bytes(body[at + 25..at + 29].try_into().unwrap()) as usize;
-    if count == 0 || body.len() != fixed_len - 4 + count * part_len {
+    let count = u32::from_le_bytes(body[38..42].try_into().unwrap()) as usize;
+    if count == 0 || body.len() != MANIFEST_FIXED_LEN - 4 + count * MANIFEST_PART_LEN {
         return Err(invalid("manifest part table size mismatch"));
     }
-    let table = at + 29;
-    let mut parts = Vec::with_capacity(count);
-    for k in 0..count {
-        let at = table + k * part_len;
-        let records = u64::from_le_bytes(body[at..at + 8].try_into().unwrap());
-        let bytes = u64::from_le_bytes(body[at + 8..at + 16].try_into().unwrap());
-        let (raw_bytes, crc_at) = if version == MANIFEST_VERSION {
-            (bytes, at + 16)
-        } else {
-            (
-                u64::from_le_bytes(body[at + 16..at + 24].try_into().unwrap()),
-                at + 24,
-            )
-        };
-        parts.push(ManifestPart {
-            records,
-            bytes,
-            raw_bytes,
-            crc: u32::from_le_bytes(body[crc_at..crc_at + 4].try_into().unwrap()),
-        });
-    }
+    let parts = body[MANIFEST_FIXED_LEN - 4..]
+        .chunks_exact(MANIFEST_PART_LEN)
+        .map(|e| ManifestPart {
+            records: u64::from_le_bytes(e[0..8].try_into().unwrap()),
+            bytes: u64::from_le_bytes(e[8..16].try_into().unwrap()),
+            raw_bytes: u64::from_le_bytes(e[16..24].try_into().unwrap()),
+            crc: u32::from_le_bytes(e[24..28].try_into().unwrap()),
+        })
+        .collect();
     Ok(ManifestDoc {
         kind,
         id,
@@ -1327,7 +1284,7 @@ mod tests {
     #[test]
     fn compressed_parts_publish_scan_read_roundtrip() {
         let d = dir("codec-parts");
-        publish_parts(&d, CheckpointKind::Full, 1, 8, 2); // v1 cycle
+        publish_parts(&d, CheckpointKind::Full, 1, 8, 2); // codec none
         d.set_codec(Codec::Rle);
         assert_eq!(d.codec(), Codec::Rle);
         let (pending, mut writers) = d

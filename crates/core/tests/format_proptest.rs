@@ -317,6 +317,83 @@ fn compressed_parts_roundtrip_across_codecs() {
     }
 }
 
+/// The CRC rule — each frame's CRC covers its payload, the footer's
+/// covers the header and every frame head — detects what one CRC over the
+/// whole file did: for each codec, flipping one bit at any byte offset of
+/// a part with three frames fails the read — never returns records.
+/// That includes a flip inside a frame head's CRC field, a byte only the
+/// footer CRC covers.
+#[test]
+fn one_bit_flip_anywhere_in_a_part_fails_the_read() {
+    use std::os::unix::fs::FileExt;
+    let value = |k: u8| vec![k; calc_core::file::BLOCK_TARGET / 2];
+    for codec in Codec::ALL {
+        let path = tmp(&format!("flip-{codec}"));
+        let mut w = CheckpointWriter::create_with_vfs_codec(
+            &OsVfs,
+            &path,
+            CheckpointKind::Partial,
+            5,
+            CommitSeq(50),
+            Arc::new(Throttle::unlimited()),
+            codec,
+        )
+        .unwrap();
+        w.write_tombstone(Key(7)).unwrap();
+        for k in 1..=4u8 {
+            w.write_record(Key(k as u64), &value(k)).unwrap();
+        }
+        w.write_record(Key(99), b"").unwrap();
+        w.finish().unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        let originals = CheckpointReader::open(&path).unwrap().read_all().unwrap();
+        assert_eq!(originals.len(), 6, "{codec}");
+
+        // Walk the frames: header (30 bytes), then raw|comp|crc heads and
+        // their payloads up to the 20-byte footer.
+        let (mut at, mut frames) = (30, 0);
+        while at < clean.len() - 20 {
+            let comp_len = u32::from_le_bytes(clean[at + 4..at + 8].try_into().unwrap());
+            at += 12 + comp_len as usize;
+            frames += 1;
+        }
+        assert_eq!((at, frames), (clean.len() - 20, 3), "{codec}");
+
+        // Odd and even offsets on a thread and a copy of the file each.
+        std::thread::scope(|s| {
+            for first in [0, 1] {
+                let (clean, originals) = (&clean, &originals);
+                let copy = tmp(&format!("flip-{codec}-{first}"));
+                std::fs::write(&copy, clean).unwrap();
+                s.spawn(move || {
+                    let file = std::fs::OpenOptions::new().write(true).open(&copy).unwrap();
+                    for at in (first..clean.len()).step_by(2) {
+                        file.write_at(&[clean[at] ^ (1 << (at % 8))], at as u64).unwrap();
+                        match CheckpointReader::open(&copy).and_then(|r| r.read_all()) {
+                            Ok(got) => panic!(
+                                "{codec}: flip at byte {at} read back {} records{}",
+                                got.len(),
+                                if got == *originals { "" } else { " that differ" }
+                            ),
+                            Err(e) => assert!(
+                                matches!(
+                                    e.kind(),
+                                    std::io::ErrorKind::InvalidData
+                                        | std::io::ErrorKind::UnexpectedEof
+                                ),
+                                "{codec}: flip at byte {at}: {e}"
+                            ),
+                        }
+                        file.write_at(&clean[at..=at], at as u64).unwrap();
+                    }
+                    std::fs::remove_file(&copy).ok();
+                });
+            }
+        });
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 /// What `capture_parts` publishes has the loader's shape at every part
 /// count, and the oracle that says so can fail: a repeated value and a
 /// misplaced tombstone are each reported with the cycle, key and parts.
@@ -360,14 +437,86 @@ fn cycle_shape_oracle_accepts_captures_and_names_breaches() {
     assert!(breach.contains("part 1"), "{breach}");
 }
 
-/// A part and its manifest as the one-table CRC build (commit 5442021)
-/// wrote them: partial cycle 3, watermark 77, tombstone 9, then keys 1,
-/// 0xDEADBEEF with an empty value, 2. The CRC is a format contract —
-/// these bytes must validate and decode under every build, so a table bug
-/// cannot pass by being self-consistent.
+/// The one format pinned byte for byte: partial cycle 3, watermark 77,
+/// codec `none`, no parent; part 0 holds tombstone 9, then keys 1,
+/// 0xDEADBEEF with an empty value, 2 — one frame. The bytes were built
+/// from the layout in `calc_core::file` and `calc_core::manifest` with an
+/// independent CRC-32, not by this writer, so a writer or table bug
+/// cannot pass by being self-consistent: they must validate and decode,
+/// and today's writer must reproduce them exactly. The same records in
+/// the retired formats — the version-1 part and manifest, and a part with
+/// a version-2 header — are refused and quarantined, never misread.
 #[test]
-fn golden_part_and_manifest_still_validate_and_decode() {
-    const GOLDEN_PART: [u8; 131] = [
+fn golden_part_and_manifest_decode_and_the_writer_reproduces_them() {
+    const GOLDEN_PART: [u8; 144] = [
+        0x43, 0x41, 0x4c, 0x43, 0x43, 0x4b, 0x50, 0x54, 0x03, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x52, 0x00, 0x00, 0x00, 0x52, 0x00, 0x00, 0x00, 0x12, 0x0e, 0xb9, 0x14, 0x01, 0x09, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x61, 0x6c, 0x70, 0x68, 0x61, 0x00, 0xef,
+        0xbe, 0xad, 0xde, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x19, 0x00, 0x00, 0x00, 0x74, 0x68, 0x65, 0x20, 0x71, 0x75,
+        0x69, 0x63, 0x6b, 0x20, 0x62, 0x72, 0x6f, 0x77, 0x6e, 0x20, 0x66, 0x6f, 0x78, 0x20, 0x6a,
+        0x75, 0x6d, 0x70, 0x73, 0x43, 0x4b, 0x50, 0x54, 0x45, 0x4e, 0x44, 0x2e, 0x04, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xfe, 0x2c, 0x85, 0x78,
+    ];
+    const GOLDEN_MANIFEST: [u8; 74] = [
+        0x43, 0x41, 0x4c, 0x43, 0x4d, 0x46, 0x53, 0x54, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01, 0x03,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x90, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x90, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfe, 0x2c, 0x85, 0x78, 0xac, 0x24, 0xef, 0x39,
+    ];
+    let part_name = CheckpointDir::part_file_name(3, CheckpointKind::Partial, 0);
+    let manifest_name = CheckpointDir::manifest_file_name(3, CheckpointKind::Partial);
+    let value = |k: u64, v: &[u8]| RecordEntry::Value(Key(k), v.to_vec().into_boxed_slice());
+    let records = vec![
+        RecordEntry::Tombstone(Key(9)),
+        value(1, b"alpha"),
+        value(0xDEAD_BEEF, b""),
+        value(2, b"the quick brown fox jumps"),
+    ];
+    let cycle = |part: &[u8], manifest: &[u8]| {
+        let root = tmp("golden");
+        std::fs::create_dir_all(&root).unwrap();
+        std::fs::write(root.join(&part_name), part).unwrap();
+        std::fs::write(root.join(&manifest_name), manifest).unwrap();
+        CheckpointDir::open(&root, Arc::new(Throttle::unlimited())).unwrap()
+    };
+
+    let dir = cycle(&GOLDEN_PART, &GOLDEN_MANIFEST);
+    let metas = dir.scan().unwrap();
+    assert_eq!(dir.quarantined_count(), 0, "golden cycle failed validation");
+    assert_eq!(metas.len(), 1);
+    assert_eq!((metas[0].id, metas[0].kind), (3, CheckpointKind::Partial));
+    assert_eq!(metas[0].watermark, CommitSeq(77));
+    assert_eq!(metas[0].parent, None);
+    assert_eq!(metas[0].codec, Codec::None);
+    assert_eq!(metas[0].read_all().unwrap(), records);
+    std::fs::remove_dir_all(dir.path()).ok();
+
+    let root = tmp("golden-writer");
+    let dir = CheckpointDir::open(&root, Arc::new(Throttle::unlimited())).unwrap();
+    let (pending, mut writers) = dir
+        .begin_parts(CheckpointKind::Partial, 3, CommitSeq(77), 1)
+        .unwrap();
+    for record in &records {
+        match record {
+            RecordEntry::Value(key, v) => writers[0].write_record(*key, v).unwrap(),
+            RecordEntry::Tombstone(key) => writers[0].write_tombstone(*key).unwrap(),
+        }
+    }
+    pending.publish(writers).unwrap();
+    assert_eq!(std::fs::read(root.join(&part_name)).unwrap(), GOLDEN_PART);
+    assert_eq!(
+        std::fs::read(root.join(&manifest_name)).unwrap(),
+        GOLDEN_MANIFEST
+    );
+    std::fs::remove_dir_all(&root).ok();
+
+    // The same cycle as the one-table CRC build (commit 5442021) wrote it,
+    // in the version-1 format.
+    const V1_PART: [u8; 131] = [
         0x43, 0x41, 0x4c, 0x43, 0x43, 0x4b, 0x50, 0x54, 0x01, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00,
         0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
         0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
@@ -378,33 +527,36 @@ fn golden_part_and_manifest_still_validate_and_decode() {
         0x20, 0x6a, 0x75, 0x6d, 0x70, 0x73, 0x43, 0x4b, 0x50, 0x54, 0x45, 0x4e, 0x44, 0x2e, 0x04,
         0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc4, 0x91, 0x9c, 0x9d,
     ];
-    const GOLDEN_MANIFEST: [u8; 65] = [
+    const V1_MANIFEST: [u8; 65] = [
         0x43, 0x41, 0x4c, 0x43, 0x4d, 0x46, 0x53, 0x54, 0x01, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00,
         0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff,
         0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
         0x00, 0x00, 0x00, 0x00, 0x83, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc4, 0x91, 0x9c,
         0x9d, 0xa9, 0xee, 0xc5, 0x92,
     ];
-    let root = tmp("golden");
-    std::fs::create_dir_all(&root).unwrap();
-    std::fs::write(root.join("ckpt-0000000003-part.part-0"), GOLDEN_PART).unwrap();
-    std::fs::write(root.join("ckpt-0000000003-part.manifest"), GOLDEN_MANIFEST).unwrap();
-    let dir = CheckpointDir::open(&root, Arc::new(Throttle::unlimited())).unwrap();
-    let metas = dir.scan().unwrap();
-    assert_eq!(dir.quarantined_count(), 0, "golden cycle failed validation");
-    assert_eq!(metas.len(), 1);
-    assert_eq!((metas[0].id, metas[0].kind), (3, CheckpointKind::Partial));
-    assert_eq!(metas[0].watermark, CommitSeq(77));
-    assert_eq!(metas[0].parent, None);
-    let value = |k: u64, v: &[u8]| RecordEntry::Value(Key(k), v.to_vec().into_boxed_slice());
-    assert_eq!(
-        metas[0].read_all().unwrap(),
-        vec![
-            RecordEntry::Tombstone(Key(9)),
-            value(1, b"alpha"),
-            value(0xDEAD_BEEF, b""),
-            value(2, b"the quick brown fox jumps"),
-        ]
-    );
-    std::fs::remove_dir_all(&root).ok();
+    let mut v2_part = GOLDEN_PART;
+    v2_part[8] = 2; // the version-2 header: the same fields, codec byte last
+    for (what, part, manifest, quarantined) in [
+        ("version-1 cycle", &V1_PART[..], &V1_MANIFEST[..], 1),
+        ("version-2 part", &v2_part[..], &GOLDEN_MANIFEST[..], 2),
+    ] {
+        let dir = cycle(part, manifest);
+        let err = CheckpointReader::open(&dir.path().join(&part_name)).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        assert!(
+            err.to_string().contains("unsupported version"),
+            "{what}: {err}"
+        );
+        assert!(dir.scan().unwrap().is_empty(), "{what} was read");
+        // A refused manifest condemns only itself; a refused part, its
+        // whole cycle.
+        assert_eq!(dir.quarantined_count(), quarantined, "{what}");
+        assert!(
+            dir.path()
+                .join(format!("{manifest_name}.quarantine"))
+                .exists(),
+            "{what}"
+        );
+        std::fs::remove_dir_all(dir.path()).ok();
+    }
 }

@@ -250,8 +250,8 @@ pub struct EngineConfig {
     /// ratio; load is then judged from admission-gate occupancy alone,
     /// which only a server front-end provides).
     pub load_capacity_tps: u64,
-    /// Block codec checkpoint parts are written with ([`calc_core::Codec::None`]
-    /// keeps the version-1 byte-identical format).
+    /// Block codec checkpoint parts' frames are written with
+    /// ([`calc_core::Codec::None`]: each frame holds the raw records).
     pub codec: calc_core::Codec,
     /// Retention: after each successful cycle, prune published checkpoint
     /// chains down to the newest N fulls (plus their partials), and

@@ -71,10 +71,12 @@ pub enum TransientPlan {
         /// What kind of transient error the window injects.
         kind: TransientKind,
         /// Data ops to let through before the window opens. `0` hits the
-        /// first part file's create/header; larger values reach past
-        /// `begin_parts` into the capture's record writes, so with
-        /// multi-part cycles the error lands on an arbitrary part `k`
-        /// while the other capture workers are mid-write.
+        /// first part file's create/header; past `begin_parts` (a create
+        /// and a header write per part) the window reaches the capture's
+        /// frame and footer writes — two writes per ~64 KiB frame, one
+        /// footer per part, whatever the codec — so with multi-part
+        /// cycles the error lands on one part `k` while the others are
+        /// written or still open.
         skip: u64,
         /// Window length in data ops. With `WriteError` and `skip: 0`,
         /// `2` makes each cycle fail exactly once: the capture's

@@ -13,7 +13,14 @@
 //! Reproduce any reported failure with `FAULT_SEED=<seed>` (decimal or
 //! 0x-hex).
 
-use calc_common::simfs::{FaultKind, FaultSpec, TransientKind};
+use std::path::Path;
+use std::sync::Arc;
+
+use calc_common::simfs::{FaultKind, FaultSpec, SimVfs, TransientKind};
+use calc_common::types::CommitSeq;
+use calc_core::file::CheckpointKind;
+use calc_core::manifest::CheckpointDir;
+use calc_core::throttle::Throttle;
 use calc_core::Codec;
 use calc_engine::StrategyKind;
 use calc_sim::{run_sim, SimSpec, TransientPlan};
@@ -95,21 +102,19 @@ fn calc_every_capture_fails_once_then_crash_loses_nothing() {
 /// identical at every thread count.
 #[test]
 fn pcalc_part_failure_mid_capture_rolls_every_shard_forward() {
-    // `skip: 9` reaches past `begin_parts` (part creates + headers) into
-    // the capture's record/footer writes at both thread counts, so the
-    // error hits an arbitrary in-flight part rather than the first
-    // create. That offset is calibrated to the uncompressed write
-    // pattern (one VFS write per record); the codec is pinned so a
-    // `CKPT_CODEC` sweep doesn't shift the window out of the capture —
-    // compressed captures get the same treatment from the
-    // self-calibrating sweeps in `retention_crash.rs`.
+    // The window opens on the second of the capture's own writes — its
+    // frames and footers — after `begin_parts` has created every part and
+    // written its header, so the error hits an in-flight part rather than
+    // a create. `begin_parts`' share is measured, not assumed; the frame
+    // layout is the same under every codec, and the codec is pinned only
+    // so a `CKPT_CODEC` sweep runs this case once, as written.
     for threads in [1usize, 4] {
         let mut spec = SimSpec::smoke(StrategyKind::PCalc, fault_seed() ^ 0x9A);
         spec.codec = Some(Codec::None);
         spec.ckpt_threads = Some(threads);
         spec.transient = Some(TransientPlan::EveryCheckpoint {
             kind: TransientKind::WriteError,
-            skip: 9,
+            skip: begin_parts_data_ops(threads) + 1,
             count: 2,
         });
         let report = run_sim(&spec).unwrap_or_else(|v| panic!("threads={threads}: {v}"));
@@ -126,6 +131,26 @@ fn pcalc_part_failure_mid_capture_rolls_every_shard_forward() {
             "threads={threads}: failed cycles must be harmless"
         );
     }
+}
+
+/// Data ops (creates + writes) `begin_parts` spends opening a cycle of
+/// `parts` part files, counted on a scratch simulated filesystem.
+fn begin_parts_data_ops(parts: usize) -> u64 {
+    let vfs = SimVfs::new(0);
+    let dir = CheckpointDir::open_with_vfs(
+        Path::new("/calibrate"),
+        Arc::new(Throttle::unlimited()),
+        Arc::new(vfs.clone()),
+    )
+    .unwrap();
+    let before = vfs.counts().data_ops();
+    let (pending, writers) = dir
+        .begin_parts(CheckpointKind::Partial, 1, CommitSeq(1), parts)
+        .unwrap();
+    let spent = vfs.counts().data_ops() - before;
+    drop(writers);
+    pending.abandon();
+    spent
 }
 
 /// Sweeps transient windows (write errors and ENOSPC) over several

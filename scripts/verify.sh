@@ -8,7 +8,9 @@
 # the deleted shard-owned executor stays deleted; greps that restart has
 # one seal rule and never reads the log into a Vec; a grep that the
 # checkpoint daemon, per-merge and emergency threads and the locks that
-# ordered them stay deleted (one checkpoint worker); a grep that `unsafe`
+# ordered them stay deleted (one checkpoint worker); a grep that the
+# second checkpoint format stays deleted (no part or manifest version
+# constant of the bare record stream); a grep that `unsafe`
 # in crates/*/src appears only in the prefetch hint's file
 # (calc-common's prefetch.rs) and in the lock manager's test
 # (crates/txn/src/locks.rs); clippy and
@@ -110,6 +112,12 @@ if grep -rnE --exclude=verify.sh \
     'CheckpointService|calc-merger|calc-emergency-retention|merge_serial|checkpoint_serial|merge_retry_pending' \
     crates/engine/src; then
     echo "verify: every cycle, merge and retention pass runs on the one checkpoint worker" >&2
+    exit 1
+fi
+
+echo "== tier-0: one checkpoint format (every part framed; no version-1 branch) =="
+if grep -rnE 'VERSION_COMPRESSED|MANIFEST_VERSION_CODEC' crates/core/src; then
+    echo "verify: part files and manifests have one version each; the bare record stream is gone" >&2
     exit 1
 fi
 
