@@ -304,9 +304,7 @@ impl CheckpointStrategy for FuzzyStrategy {
             self.aborted.fetch_add(1, Ordering::Relaxed);
         }
         self.tracker.clear(id);
-        Ok(CheckpointStats::new(
-            id, kind, watermark, result?, start, quiesce,
-        ))
+        Ok(CheckpointStats::new(&result?, start, quiesce))
     }
 
     fn write_base_checkpoint(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {

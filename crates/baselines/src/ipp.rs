@@ -276,9 +276,7 @@ impl CheckpointStrategy for IppStrategy {
                 return Err(e);
             }
         };
-        Ok(CheckpointStats::new(
-            id, kind, watermark, summary, start, quiesce,
-        ))
+        Ok(CheckpointStats::new(&summary, start, quiesce))
     }
 
     fn write_base_checkpoint(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {
@@ -293,14 +291,7 @@ impl CheckpointStrategy for IppStrategy {
         let summary = capture_slots(dir, kind, id, watermark, &[], slots, |slot| {
             self.store.get_by_slot(slot)
         })?;
-        Ok(CheckpointStats::new(
-            id,
-            kind,
-            watermark,
-            summary,
-            start,
-            Duration::ZERO,
-        ))
+        Ok(CheckpointStats::new(&summary, start, Duration::ZERO))
     }
 
     fn resume_checkpoint_ids(&self, next_id: u64) {

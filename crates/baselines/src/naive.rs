@@ -193,14 +193,12 @@ impl CheckpointStrategy for NaiveStrategy {
             let summary = result.inspect_err(|_| {
                 self.aborted.fetch_add(1, Ordering::Relaxed);
             })?;
-            captured = Some((watermark, summary));
+            captured = Some(summary);
             self.upcoming.fetch_add(1, Ordering::Release);
             Ok(())
         })?;
-        let (watermark, summary) = captured.expect("the quiesced section ran");
-        Ok(CheckpointStats::new(
-            id, kind, watermark, summary, start, quiesce,
-        ))
+        let summary = captured.expect("the quiesced section ran");
+        Ok(CheckpointStats::new(&summary, start, quiesce))
     }
 
     fn write_base_checkpoint(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {

@@ -266,9 +266,7 @@ impl CheckpointStrategy for ZigzagStrategy {
         let summary = result.inspect_err(|_| {
             self.aborted.fetch_add(1, Ordering::Relaxed);
         })?;
-        Ok(CheckpointStats::new(
-            id, kind, watermark, summary, start, quiesce,
-        ))
+        Ok(CheckpointStats::new(&summary, start, quiesce))
     }
 
     fn write_base_checkpoint(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {
@@ -282,14 +280,7 @@ impl CheckpointStrategy for ZigzagStrategy {
         let summary = capture_slots(dir, kind, id, watermark, &[], slots, |slot| {
             self.store.checkpoint_copy(slot)
         })?;
-        Ok(CheckpointStats::new(
-            id,
-            kind,
-            watermark,
-            summary,
-            start,
-            Duration::ZERO,
-        ))
+        Ok(CheckpointStats::new(&summary, start, Duration::ZERO))
     }
 
     fn resume_checkpoint_ids(&self, next_id: u64) {

@@ -234,7 +234,7 @@ fn stress(
         w.join().unwrap();
     }
 
-    let metas = dir.scan().unwrap();
+    let metas = dir.manifests().unwrap();
     assert!(!metas.is_empty());
     if h.strategy.transaction_consistent() {
         if partial {

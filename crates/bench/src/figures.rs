@@ -532,13 +532,13 @@ pub fn fig4b(opts: &FigureOpts) {
                 std::sync::Arc::new(calc_core::throttle::Throttle::unlimited()),
             )
             .expect("open run dir");
-            let scan = dir.scan().expect("scan run dir");
-            let newest_full = scan
+            let listed = dir.manifests().expect("list run dir");
+            let newest_full = listed
                 .iter()
                 .filter(|m| m.kind == calc_core::file::CheckpointKind::Full)
                 .max_by_key(|m| m.id)
                 .cloned();
-            let newest_partial = scan
+            let newest_partial = listed
                 .iter()
                 .filter(|m| m.kind == calc_core::file::CheckpointKind::Partial)
                 .max_by_key(|m| m.id)
@@ -588,10 +588,7 @@ pub fn fig4b(opts: &FigureOpts) {
                             &part_entries,
                         );
                     }
-                    let (dfull, dparts) = drill
-                        .recovery_chain()
-                        .expect("drill chain")
-                        .expect("drill full");
+                    let (dfull, dparts) = drill.chain().expect("drill full");
                     assert_eq!(dparts.len(), batch, "drill chain length");
                     let start = std::time::Instant::now();
                     let state = materialize_chain(&dfull, &dparts).expect("materialize");

@@ -28,7 +28,7 @@ use calc_txn::proc::ProcId;
 pub struct ConformInput {
     /// Initial state + committed transactions from the history recorder.
     pub history: RecordedHistory,
-    /// Every checkpoint the run published, from `CheckpointDir::scan()`.
+    /// Every checkpoint the run published, from `CheckpointDir::manifests()`.
     pub checkpoints: Vec<CheckpointMeta>,
     /// Whether to assert checkpoint state equals the model at the
     /// watermark. `false` for strategies that are *not* transaction-

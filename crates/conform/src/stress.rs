@@ -237,7 +237,7 @@ fn run_inner(spec: &StressSpec, armed: Option<Mutation>) -> Result<ConformReport
 
     db.checkpoint_now().expect("final checkpoint");
     db.wait_checkpoint_idle();
-    let checkpoints = db.checkpoint_dir().scan().expect("scan checkpoint dir");
+    let checkpoints = db.checkpoint_dir().manifests().expect("list checkpoint dir");
     let consistent = db.strategy().transaction_consistent();
     let committed = db.metrics().committed();
     db.shutdown();

@@ -54,7 +54,7 @@ use calc_txn::commitlog::{CommitLog, PhaseStamp};
 
 use crate::cycle::{base_checkpoint, capture_slots, undo_live, Slots, Tombstones};
 use crate::file::CheckpointKind;
-use crate::manifest::{CheckpointDir, PublishSummary};
+use crate::manifest::{CheckpointDir, CheckpointMeta};
 use crate::phase::PhaseController;
 use crate::strategy::{
     CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoRec, WriteKind, WriteRec,
@@ -183,7 +183,7 @@ impl CalcStrategy {
         dir: &CheckpointDir,
         id: u64,
         watermark: CommitSeq,
-    ) -> io::Result<PublishSummary> {
+    ) -> io::Result<CheckpointMeta> {
         let status = self.store.stable_status();
         let slots = Slots::Range(self.store.slot_high_water());
         capture_slots(
@@ -302,14 +302,7 @@ impl CalcStrategy {
             self.abort_cycle_full();
         })?;
         self.finish_full();
-        Ok(CheckpointStats::new(
-            id,
-            CheckpointKind::Full,
-            watermark,
-            summary,
-            start,
-            Duration::ZERO,
-        ))
+        Ok(CheckpointStats::new(&summary, start, Duration::ZERO))
     }
 
     /// The fallible disk portion of a partial cycle: begin N parts →
@@ -324,7 +317,7 @@ impl CalcStrategy {
         watermark: CommitSeq,
         tombs: &[Key],
         high_water: usize,
-    ) -> io::Result<PublishSummary> {
+    ) -> io::Result<CheckpointMeta> {
         let tracker = self.tracker.as_ref().expect("partial mode has a tracker");
         let status = self.store.stable_status();
         let dirty = tracker.dirty_slots(id, high_water);
@@ -424,14 +417,7 @@ impl CalcStrategy {
             }
         };
         self.finish_partial(id);
-        Ok(CheckpointStats::new(
-            id,
-            CheckpointKind::Partial,
-            watermark,
-            summary,
-            start,
-            Duration::ZERO,
-        ))
+        Ok(CheckpointStats::new(&summary, start, Duration::ZERO))
     }
 }
 

@@ -30,7 +30,7 @@ use calc_storage::dual::DualVersionStore;
 use calc_storage::SlotId;
 
 use crate::file::{CheckpointKind, CheckpointWriter};
-use crate::manifest::{CheckpointDir, PublishSummary};
+use crate::manifest::{CheckpointDir, CheckpointMeta};
 use crate::partition::{self, capture_parts, ShardPartition, CANCEL_POLL_STRIDE};
 use crate::strategy::{CheckpointStats, TxnToken, UndoImage, UndoRec};
 
@@ -101,7 +101,7 @@ pub fn capture_slots<V: AsRef<[u8]>>(
     tombs: &[Key],
     slots: Slots<'_>,
     read: impl Fn(SlotId) -> Option<(Key, V)> + Sync,
-) -> io::Result<PublishSummary> {
+) -> io::Result<CheckpointMeta> {
     let threads = dir.checkpoint_threads();
     let split = ShardPartition::over(slots.len(), threads);
     let scan = |part: usize, w: &mut CheckpointWriter, cancel: &AtomicBool| {
@@ -131,7 +131,7 @@ pub fn capture_live(
     watermark: CommitSeq,
     tombs: &[Key],
     slots: Slots<'_>,
-) -> io::Result<PublishSummary> {
+) -> io::Result<CheckpointMeta> {
     capture_slots(dir, kind, id, watermark, tombs, slots, |slot| {
         let g = store.lock_slot(slot);
         if g.in_use() {
@@ -154,14 +154,7 @@ pub fn base_checkpoint(
     let slots = Slots::Range(store.slot_high_water());
     let kind = CheckpointKind::Full;
     let summary = capture_live(dir, store, kind, id, watermark, &[], slots)?;
-    Ok(CheckpointStats::new(
-        id,
-        kind,
-        watermark,
-        summary,
-        start,
-        Duration::ZERO,
-    ))
+    Ok(CheckpointStats::new(&summary, start, Duration::ZERO))
 }
 
 /// Rolls a transaction's writes on `store` back from the executor's undo

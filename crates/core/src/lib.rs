@@ -26,8 +26,9 @@
 //!   machine's 100–150 MB/s disk (Appendix A notes checkpoint duration is
 //!   disk-bandwidth-bound; the throttle reproduces that regime).
 //! * [`manifest`] — checkpoint directory management: checkpoints of N
-//!   part files committed atomically by one manifest rename, validity
-//!   scanning with whole-cycle quarantine, garbage collection.
+//!   part files committed atomically by one manifest rename, a catalog
+//!   of published cycles, one deep verification with whole-cycle
+//!   quarantine, garbage collection.
 //! * [`partition`] — the shard-parallel capture layer: one scan domain
 //!   split into contiguous stripes, written by a pool of capture threads,
 //!   with all-or-nothing abort semantics.
@@ -50,7 +51,7 @@ pub mod throttle;
 pub use calc::CalcStrategy;
 pub use codec::Codec;
 pub use file::{CheckpointKind, CheckpointReader, CheckpointWriter, PartSummary, RecordEntry};
-pub use manifest::{CheckpointClaim, CheckpointDir, CheckpointMeta, PartMeta, PublishSummary};
+pub use manifest::{CheckpointClaim, CheckpointDir, CheckpointMeta, PartMeta};
 pub use partition::{capture_parts, ShardPartition};
 pub use phase::PhaseController;
 pub use strategy::{

@@ -11,22 +11,43 @@
 //! the whole cycle. Any other file in the directory is inert: never
 //! parsed, claimed, quarantined or deleted.
 //!
-//! Validity is determined by scanning: a manifest whose own CRC holds and
-//! whose every part exists, validates, and matches its recorded digest is
-//! live; anything less quarantines the *whole cycle* (manifest and all
-//! surviving parts renamed to `*.quarantine`) so recovery falls back to
-//! the previous checkpoint instead of loading half a snapshot. Part files
-//! with no manifest are uncommitted debris from an aborted cycle: scans
-//! ignore them and garbage collection removes them. GC (after the merger
-//! collapses partials, §2.3.1) deletes checkpoints only once their
-//! replacement is durably published — "old checkpoints are discarded only
-//! once they have been collapsed."
+//! A [`CheckpointDir`] keeps a catalog of the cycles it knows: `open`
+//! builds it from one listing of manifests, each publish inserts its
+//! cycle, quarantine and GC remove theirs. Everything a running node asks
+//! is answered from the catalog without reading a file; only
+//! [`CheckpointDir::claims`] still lists the directory, for the orphan
+//! parts and unreadable manifests the catalog never holds.
+//!
+//! Validity is decided by the one deep query,
+//! [`CheckpointDir::restart_chain`]: a cycle whose every part matches its
+//! manifest entry ([`CheckpointMeta::open_part`], read to the end) is
+//! live; anything less quarantines the *whole cycle* (renamed to
+//! `*.quarantine`) so recovery falls back to the previous checkpoint
+//! instead of loading half a snapshot. The merger makes the same check as
+//! it reads its chain, once. Safety: a running engine's catalog holds
+//! only cycles this process published, its writer having CRC'd every
+//! frame, or cycles the restart before boot had just verified, and one
+//! handle writes a directory. Re-reading them would hit the page cache and
+//! catch only a file changed under the process, so retention does not
+//! notice a part that rots under a running engine: keeping two fulls and
+//! restart's fallback cover one rotten chain, as they cover rot after a
+//! prune.
+//!
+//! Part files with no manifest are debris of an aborted cycle, which GC
+//! removes. GC (after the merger collapses partials, §2.3.1) deletes
+//! checkpoints only once their replacement is durably published — "old
+//! checkpoints are discarded only once they have been collapsed" — and
+//! unlinks a cycle's manifest before its parts, so a crash mid-GC leaves
+//! orphans, never a manifest whose parts are gone.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+use parking_lot::Mutex;
 
 use calc_common::crc::crc32;
 use calc_common::load::{LoadLevel, LoadSignal};
@@ -34,7 +55,9 @@ use calc_common::types::{CommitSeq, Key};
 use calc_common::vfs::{OsVfs, Vfs};
 
 use crate::codec::Codec;
-use crate::file::{CheckpointKind, CheckpointReader, CheckpointWriter, RecordEntry, RecordRef};
+use crate::file::{
+    CheckpointKind, CheckpointReader, CheckpointWriter, PartSummary, RecordEntry, RecordRef,
+};
 use crate::partition::for_each_part;
 use crate::throttle::Throttle;
 
@@ -58,6 +81,10 @@ pub struct PartMeta {
     pub records: u64,
     /// Part file size in bytes.
     pub bytes: u64,
+    /// Size under codec `none`; equals `bytes` there.
+    pub raw_bytes: u64,
+    /// The part's digest as its manifest records it: the footer CRC.
+    pub crc: u32,
 }
 
 /// The id/watermark a cycle *claims* on disk, whether or not its data
@@ -72,7 +99,7 @@ pub struct CheckpointClaim {
     pub watermark: CommitSeq,
 }
 
-/// Metadata of one published, validated checkpoint.
+/// Metadata of one published checkpoint, as its manifest records it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointMeta {
     /// Checkpoint interval id.
@@ -105,18 +132,34 @@ pub struct CheckpointMeta {
 }
 
 impl CheckpointMeta {
-    /// Reads every record across all parts, in part order.
-    pub fn read_all_with_vfs(&self, vfs: &dyn Vfs) -> io::Result<Vec<RecordEntry>> {
-        let mut out = Vec::with_capacity(self.records as usize);
-        for part in &self.parts {
-            out.extend(CheckpointReader::open_with_vfs(vfs, &part.path)?.read_all()?);
+    /// Opens part `k` and checks it against this manifest's entry: the
+    /// footer's digest, the header's id, kind, watermark and codec, and the
+    /// record count. The reader CRCs each frame where it lies and the
+    /// footer at the last record, so reading the part to its end completes
+    /// the check — restart's deep query and the merger's read both do.
+    pub fn open_part(&self, vfs: &dyn Vfs, k: usize) -> io::Result<CheckpointReader> {
+        let part = &self.parts[k];
+        let reader = CheckpointReader::open_with_vfs(vfs, &part.path)?;
+        if reader.expected_crc() != part.crc {
+            return Err(invalid("part digest does not match manifest"));
         }
-        Ok(out)
+        let h = reader.header();
+        if (h.id, h.kind, h.watermark, h.codec, h.records)
+            != (self.id, self.kind, self.watermark, self.codec, part.records)
+        {
+            return Err(invalid("part header does not match manifest"));
+        }
+        Ok(reader)
     }
 
-    /// Reads every record across all parts on the real filesystem.
+    /// Reads every record across all parts on the real filesystem, in
+    /// part order.
     pub fn read_all(&self) -> io::Result<Vec<RecordEntry>> {
-        self.read_all_with_vfs(&OsVfs)
+        let mut out = Vec::with_capacity(self.records as usize);
+        for k in 0..self.parts.len() {
+            out.extend(self.open_part(&OsVfs, k)?.read_all()?);
+        }
+        Ok(out)
     }
 
     /// The oracle of the shape restart's loader relies on, for the test
@@ -128,8 +171,8 @@ impl CheckpointMeta {
     pub fn shape_violation(&self, vfs: &dyn Vfs) -> io::Result<Option<String>> {
         let cycle = format!("cycle {} ({})", self.id, self.kind);
         let mut value_part: HashMap<Key, usize> = HashMap::new();
-        for (k, part) in self.parts.iter().enumerate() {
-            let mut reader = CheckpointReader::open_with_vfs(vfs, &part.path)?;
+        for k in 0..self.parts.len() {
+            let mut reader = self.open_part(vfs, k)?;
             let mut seen_value = false;
             while let Some(record) = reader.next_borrowed()? {
                 match record {
@@ -157,27 +200,36 @@ impl CheckpointMeta {
     }
 }
 
-/// What a publish produced: totals across every part of the cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PublishSummary {
-    /// Records + tombstones across all parts.
-    pub records: u64,
-    /// Data bytes across all parts (manifest overhead excluded).
-    pub bytes: u64,
-    /// Uncompressed record-stream bytes across all parts (equals `bytes`
-    /// under codec `none`).
-    pub raw_bytes: u64,
-    /// Number of part files published.
-    pub parts: usize,
+/// Cycles in chain order (see [`chain_order`]).
+type Cycles = BTreeMap<(u64, bool), CheckpointMeta>;
+
+/// What a handle knows of its directory: the cycles it listed at open,
+/// published or verified since, and the newest id it has published or
+/// adopted.
+#[derive(Default)]
+struct Catalog {
+    cycles: Cycles,
+    /// Captured into each new cycle's manifest as its `parent`. Only ever
+    /// raised: quarantine and GC leave it, so a later partial still names
+    /// the cycle its dirty window continues and recovery sees the hole.
+    last_published: Option<u64>,
 }
 
-/// A managed checkpoint directory.
+impl Catalog {
+    /// Raises the parent link to the newest catalogued cycle.
+    fn adopt(&mut self) {
+        let newest = self.cycles.keys().next_back().map(|&(id, _)| id);
+        self.last_published = self.last_published.max(newest);
+    }
+}
+
+/// A managed checkpoint directory and its catalog of published cycles
+/// (see the module doc).
 pub struct CheckpointDir {
     dir: PathBuf,
     throttle: Arc<Throttle>,
     vfs: Arc<dyn Vfs>,
-    /// Files [`CheckpointDir::scan`] found invalid and renamed to
-    /// `*.quarantine`.
+    /// Files found invalid and renamed to `*.quarantine`.
     quarantined: AtomicU64,
     /// How many part files (and capture threads) new checkpoints use.
     threads: AtomicUsize,
@@ -185,12 +237,8 @@ pub struct CheckpointDir {
     /// see [`Codec::to_byte`]). Every part header and manifest names its
     /// codec, so changing it between cycles is always safe.
     codec: AtomicU8,
-    /// Newest published checkpoint id, encoded as `id + 1` (`0` = none
-    /// published yet) so [`AtomicU64::fetch_max`] keeps it monotone.
-    /// Raised by every publish, every scan and
-    /// [`CheckpointDir::adopt_published_manifests`]; captured into each
-    /// new cycle's manifest as its `parent`.
-    last_published: Arc<AtomicU64>,
+    /// Shared with every in-flight cycle, whose publish inserts itself.
+    catalog: Arc<Mutex<Catalog>>,
     /// Foreground load signal for adaptive capture pacing (set once at
     /// boot when pacing is on). When present, [`CheckpointDir::checkpoint_threads`]
     /// clamps effective parallelism under load and part writers yield
@@ -211,7 +259,7 @@ pub struct PendingPartsCheckpoint {
     part_paths: Vec<PathBuf>,
     dir: PathBuf,
     vfs: Arc<dyn Vfs>,
-    last_published: Arc<AtomicU64>,
+    catalog: Arc<Mutex<Catalog>>,
 }
 
 impl PendingPartsCheckpoint {
@@ -220,9 +268,10 @@ impl PendingPartsCheckpoint {
     /// Each part is fsynced by its own `finish()`; the manifest is then
     /// written to a dotted temp name, fsynced, renamed, and the parent
     /// directory fsynced. Until the manifest rename is durable the part
-    /// files are invisible to [`CheckpointDir::scan`], so a crash at any
-    /// instant leaves either the complete cycle or no cycle at all.
-    pub fn publish(self, writers: Vec<CheckpointWriter>) -> io::Result<PublishSummary> {
+    /// files are invisible to every listing, so a crash at any instant
+    /// leaves either the complete cycle or no cycle at all. Then the cycle
+    /// joins the catalog; its meta is returned.
+    pub fn publish(self, writers: Vec<CheckpointWriter>) -> io::Result<CheckpointMeta> {
         match self.try_publish(writers) {
             Ok(s) => Ok(s),
             Err(e) => {
@@ -238,21 +287,33 @@ impl PendingPartsCheckpoint {
         }
     }
 
-    fn try_publish(&self, writers: Vec<CheckpointWriter>) -> io::Result<PublishSummary> {
+    fn try_publish(&self, writers: Vec<CheckpointWriter>) -> io::Result<CheckpointMeta> {
         debug_assert_eq!(writers.len(), self.part_paths.len());
         let mut digests = Vec::with_capacity(writers.len());
         for w in writers {
             digests.push(w.finish()?);
         }
-        let records = digests.iter().map(|d| d.records).sum();
-        let bytes = digests.iter().map(|d| d.bytes).sum();
-        let raw_bytes = digests.iter().map(|d| d.raw_bytes).sum();
-        let parts = digests.len();
-
+        let body = self.manifest(&digests);
         let manifest_name = CheckpointDir::manifest_file_name(self.id, self.kind);
         let final_path = self.dir.join(&manifest_name);
         let tmp_path = self.dir.join(format!(".tmp-{manifest_name}"));
-        let mut body = Vec::with_capacity(MANIFEST_FIXED_LEN + parts * MANIFEST_PART_LEN);
+        let meta = decode_manifest(&self.dir, final_path.clone(), &body)?;
+        let mut f = self.vfs.create(&tmp_path)?;
+        f.write_all(&body)?;
+        f.sync()?;
+        drop(f);
+        self.vfs.rename(&tmp_path, &final_path)?;
+        self.vfs.sync_dir(&self.dir)?;
+
+        let mut catalog = self.catalog.lock();
+        catalog.cycles.insert(chain_order(&meta), meta.clone());
+        catalog.adopt();
+        Ok(meta)
+    }
+
+    /// The manifest document of this cycle with parts `digests`.
+    fn manifest(&self, digests: &[PartSummary]) -> Vec<u8> {
+        let mut body = Vec::with_capacity(MANIFEST_FIXED_LEN + digests.len() * MANIFEST_PART_LEN);
         body.extend_from_slice(MANIFEST_MAGIC);
         body.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
         body.push(self.codec.to_byte());
@@ -260,8 +321,8 @@ impl PendingPartsCheckpoint {
         body.extend_from_slice(&self.id.to_le_bytes());
         body.extend_from_slice(&self.watermark.0.to_le_bytes());
         body.extend_from_slice(&self.parent.unwrap_or(MANIFEST_NO_PARENT).to_le_bytes());
-        body.extend_from_slice(&(parts as u32).to_le_bytes());
-        for d in &digests {
+        body.extend_from_slice(&(digests.len() as u32).to_le_bytes());
+        for d in digests {
             body.extend_from_slice(&d.records.to_le_bytes());
             body.extend_from_slice(&d.bytes.to_le_bytes());
             body.extend_from_slice(&d.raw_bytes.to_le_bytes());
@@ -269,20 +330,7 @@ impl PendingPartsCheckpoint {
         }
         let crc = crc32(&body);
         body.extend_from_slice(&crc.to_le_bytes());
-
-        let mut f = self.vfs.create(&tmp_path)?;
-        f.write_all(&body)?;
-        f.sync()?;
-        drop(f);
-        self.vfs.rename(&tmp_path, &final_path)?;
-        self.vfs.sync_dir(&self.dir)?;
-        self.last_published.fetch_max(self.id + 1, Ordering::Relaxed);
-        Ok(PublishSummary {
-            records,
-            bytes,
-            raw_bytes,
-            parts,
-        })
+        body
     }
 
     /// Abandons the cycle: removes every part file already created. Safe
@@ -325,31 +373,13 @@ fn parse_ckpt_name(name: &str) -> Option<(u64, CheckpointKind, NameClass)> {
     Some((id, kind, class))
 }
 
-/// One part's entry in a decoded manifest.
-#[derive(Clone, Copy)]
-struct ManifestPart {
-    records: u64,
-    bytes: u64,
-    /// Size under codec `none`; equals `bytes` there.
-    raw_bytes: u64,
-    crc: u32,
-}
-
-/// A decoded manifest body.
-struct ManifestDoc {
-    kind: CheckpointKind,
-    id: u64,
-    watermark: CommitSeq,
-    parent: Option<u64>,
-    codec: Codec,
-    parts: Vec<ManifestPart>,
-}
-
 fn invalid(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-fn decode_manifest(bytes: &[u8]) -> io::Result<ManifestDoc> {
+/// Decodes the manifest document at `path` in `dir` (CRC-checked; part
+/// paths follow from the cycle's name).
+fn decode_manifest(dir: &Path, path: PathBuf, bytes: &[u8]) -> io::Result<CheckpointMeta> {
     if bytes.len() < MANIFEST_FIXED_LEN {
         return Err(invalid("manifest too short"));
     }
@@ -377,21 +407,27 @@ fn decode_manifest(bytes: &[u8]) -> io::Result<ManifestDoc> {
     if count == 0 || body.len() != MANIFEST_FIXED_LEN - 4 + count * MANIFEST_PART_LEN {
         return Err(invalid("manifest part table size mismatch"));
     }
-    let parts = body[MANIFEST_FIXED_LEN - 4..]
+    let parts: Vec<PartMeta> = body[MANIFEST_FIXED_LEN - 4..]
         .chunks_exact(MANIFEST_PART_LEN)
-        .map(|e| ManifestPart {
+        .enumerate()
+        .map(|(k, e)| PartMeta {
+            path: dir.join(CheckpointDir::part_file_name(id, kind, k)),
             records: u64::from_le_bytes(e[0..8].try_into().unwrap()),
             bytes: u64::from_le_bytes(e[8..16].try_into().unwrap()),
             raw_bytes: u64::from_le_bytes(e[16..24].try_into().unwrap()),
             crc: u32::from_le_bytes(e[24..28].try_into().unwrap()),
         })
         .collect();
-    Ok(ManifestDoc {
-        kind,
+    Ok(CheckpointMeta {
         id,
+        kind,
         watermark,
+        records: parts.iter().map(|p| p.records).sum(),
+        bytes: parts.iter().map(|p| p.bytes).sum(),
         parent,
+        path,
         codec,
+        raw_bytes: parts.iter().map(|p| p.raw_bytes).sum(),
         parts,
     })
 }
@@ -404,23 +440,29 @@ impl CheckpointDir {
     }
 
     /// Opens (creating if needed) a checkpoint directory through an
-    /// arbitrary [`Vfs`].
+    /// arbitrary [`Vfs`], cataloguing every readable manifest from one
+    /// listing. No part is read and nothing is quarantined; the parent
+    /// link stays unset until a publish,
+    /// [`CheckpointDir::adopt_published_manifests`] or
+    /// [`CheckpointDir::restart_chain`] sets it.
     pub fn open_with_vfs(
         dir: &Path,
         throttle: Arc<Throttle>,
         vfs: Arc<dyn Vfs>,
     ) -> io::Result<Self> {
         vfs.create_dir_all(dir)?;
-        Ok(CheckpointDir {
+        let d = CheckpointDir {
             dir: dir.to_path_buf(),
             throttle,
             vfs,
             quarantined: AtomicU64::new(0),
             threads: AtomicUsize::new(1),
             codec: AtomicU8::new(Codec::None.to_byte()),
-            last_published: Arc::new(AtomicU64::new(0)),
+            catalog: Arc::default(),
             load: std::sync::OnceLock::new(),
-        })
+        };
+        d.catalog.lock().cycles = d.list_cycles(None)?;
+        Ok(d)
     }
 
     /// Attaches the foreground load signal (once, at boot): capture
@@ -443,13 +485,10 @@ impl CheckpointDir {
         Codec::from_byte(self.codec.load(Ordering::Relaxed)).unwrap_or(Codec::None)
     }
 
-    /// Id of the newest checkpoint this handle has published or seen in a
-    /// scan. `None` until either happens.
+    /// Id of the newest checkpoint this handle has published, adopted or
+    /// verified. `None` until one of those happens; never lowered.
     pub fn last_published(&self) -> Option<u64> {
-        match self.last_published.load(Ordering::Relaxed) {
-            0 => None,
-            raw => Some(raw - 1),
-        }
+        self.catalog.lock().last_published
     }
 
     /// Sets how many part files (one capture thread each) new checkpoints
@@ -462,7 +501,7 @@ impl CheckpointDir {
     /// configured value, clamped down by the attached load signal so
     /// capture parallelism never competes with an overloaded foreground.
     /// Every strategy's capture, the merger's output, restart's
-    /// validation scan and recovery's part loader size their pools through
+    /// deep verification and recovery's part loader size their pools through
     /// this one accessor, so load-aware clamping covers all of them:
     ///
     /// * [`LoadLevel::Overload`] → 1 thread (capture proceeds, serially);
@@ -482,13 +521,13 @@ impl CheckpointDir {
         self.threads.load(Ordering::Relaxed).max(1)
     }
 
-    /// Number of invalid checkpoint files this handle's scans have
-    /// quarantined (renamed to `*.quarantine`).
+    /// Number of invalid checkpoint files this handle has quarantined
+    /// (renamed to `*.quarantine`).
     pub fn quarantined_count(&self) -> u64 {
         self.quarantined.load(Ordering::Relaxed)
     }
 
-    /// Moves an invalid checkpoint file out of the scan namespace by
+    /// Moves an invalid checkpoint file out of the checkpoint namespace by
     /// renaming it to `<name>.quarantine`, preserving the bytes for
     /// post-mortem inspection. Rename failure (e.g. read-only disk during
     /// recovery) degrades to skipping the file, exactly the old behaviour.
@@ -582,7 +621,7 @@ impl CheckpointDir {
                 part_paths,
                 dir: self.dir.clone(),
                 vfs: self.vfs.clone(),
-                last_published: self.last_published.clone(),
+                catalog: self.catalog.clone(),
             },
             writers,
         ))
@@ -605,190 +644,111 @@ impl CheckpointDir {
 
     /// Reads and decodes one manifest document (CRC-checked; no part is
     /// touched).
-    fn read_manifest(&self, path: &Path) -> io::Result<ManifestDoc> {
+    fn read_manifest(&self, path: &Path) -> io::Result<CheckpointMeta> {
         let mut buf = Vec::new();
         self.vfs.open_read(path)?.read_to_end(&mut buf)?;
-        decode_manifest(&buf)
+        decode_manifest(&self.dir, path.to_path_buf(), &buf)
     }
 
-    /// [`Self::read_manifest`], or `None` if the file is unreadable or its
-    /// document's identity does not match the name it was found under.
-    fn named_manifest(&self, path: &Path, id: u64, kind: CheckpointKind) -> Option<ManifestDoc> {
-        let doc = self.read_manifest(path).ok()?;
-        (doc.id == id && doc.kind == kind).then_some(doc)
-    }
-
-    /// The meta a manifest document describes; part paths follow from the
-    /// cycle's name.
-    fn meta_of(&self, path: &Path, doc: &ManifestDoc) -> CheckpointMeta {
-        let parts: Vec<PartMeta> = doc
-            .parts
-            .iter()
-            .enumerate()
-            .map(|(k, p)| PartMeta {
-                path: self.dir.join(Self::part_file_name(doc.id, doc.kind, k)),
-                records: p.records,
-                bytes: p.bytes,
-            })
-            .collect();
-        CheckpointMeta {
-            id: doc.id,
-            kind: doc.kind,
-            watermark: doc.watermark,
-            records: parts.iter().map(|p| p.records).sum(),
-            bytes: parts.iter().map(|p| p.bytes).sum(),
-            parent: doc.parent,
-            path: path.to_path_buf(),
-            codec: doc.codec,
-            raw_bytes: doc.parts.iter().map(|p| p.raw_bytes).sum(),
-            parts,
-        }
-    }
-
-    /// Validates one manifest's cycle, its parts checked concurrently on
-    /// at most `threads` workers. Returns the meta, or `None` after
-    /// quarantining whichever files of the cycle exist.
-    fn validate_manifest(
-        &self,
-        path: &Path,
-        id: u64,
-        kind: CheckpointKind,
-        threads: usize,
-    ) -> Option<CheckpointMeta> {
-        let Some(doc) = self.named_manifest(path, id, kind) else {
-            // An unreadable manifest condemns only itself: its part
-            // names cannot be trusted, and orphaned parts are invisible
-            // anyway.
-            self.quarantine(path);
-            return None;
-        };
-        let meta = self.meta_of(path, &doc);
-        let valid = for_each_part(meta.parts.len(), threads, |k| {
-            let entry = &doc.parts[k];
-            let r = CheckpointReader::open_with_vfs(self.vfs.as_ref(), &meta.parts[k].path)?;
-            if r.expected_crc() != entry.crc {
-                return Err(invalid("part digest does not match manifest"));
+    /// Lists the directory's cycles: every readable manifest's, or with
+    /// `verify = Some(threads)` every cycle whose parts all pass
+    /// [`CheckpointMeta::open_part`] read to the end — a cycle's parts on
+    /// at most `threads` workers — quarantining the rest.
+    fn list_cycles(&self, verify: Option<usize>) -> io::Result<Cycles> {
+        let mut cycles = Cycles::new();
+        for (path, id, kind, class) in self.entries()? {
+            if class != NameClass::Manifest {
+                continue;
             }
-            let h = r.verify()?;
-            if h.id == id
-                && h.kind == kind
-                && h.watermark == doc.watermark
-                && h.records == entry.records
-                && h.codec == doc.codec
-            {
-                Ok(())
-            } else {
-                Err(invalid("part header does not match manifest"))
-            }
-        })
-        .is_ok();
-        if !valid {
-            // One missing or corrupt part condemns the whole cycle: a
-            // snapshot with a hole is worse than falling back to the
-            // previous checkpoint plus a longer replay.
-            for part in &meta.parts {
-                if self.vfs.len(&part.path).is_ok() {
-                    self.quarantine(&part.path);
+            // The document's identity must match the name it was found under.
+            let meta = self.read_manifest(&path).ok().filter(|m| (m.id, m.kind) == (id, kind));
+            match (meta, verify) {
+                (Some(meta), Some(threads)) => {
+                    let verified = for_each_part(meta.parts.len(), threads, |k| {
+                        meta.open_part(self.vfs.as_ref(), k)?.verify().map(drop)
+                    });
+                    if verified.is_err() {
+                        self.quarantine_cycle(&meta);
+                        continue;
+                    }
+                    cycles.insert(chain_order(&meta), meta);
                 }
+                (Some(meta), None) => {
+                    cycles.insert(chain_order(&meta), meta);
+                }
+                // An unreadable manifest condemns only itself: its part
+                // names cannot be trusted, and orphaned parts are
+                // invisible anyway.
+                (None, Some(_)) => self.quarantine(&path),
+                (None, None) => {}
             }
-            self.quarantine(path);
-            return None;
         }
-        Some(meta)
+        Ok(cycles)
     }
 
-    /// Scans the directory for valid published checkpoints, ascending by
-    /// `(id, kind)` with Full ordered before Partial at equal id (a merged
-    /// full supersedes the same-id partial). Cycles with a missing or
-    /// corrupt part are quarantined wholesale; part files with no manifest
-    /// are uncommitted debris and are ignored. Validation runs on the
-    /// calling thread only: retention, GC and the merger call this beside
-    /// the foreground.
-    pub fn scan(&self) -> io::Result<Vec<CheckpointMeta>> {
-        self.scan_on(1)
-    }
-
-    /// The one deep-validation pass behind [`CheckpointDir::scan`],
-    /// [`CheckpointDir::recovery_chain`] and
-    /// [`CheckpointDir::restart_chain`]: every part of every published
-    /// cycle is opened and CRC'd exactly once, a cycle's parts on at most
-    /// `threads` workers.
-    fn scan_on(&self, threads: usize) -> io::Result<Vec<CheckpointMeta>> {
-        let mut out: Vec<CheckpointMeta> = self
-            .entries()?
-            .into_iter()
-            .filter(|e| e.3 == NameClass::Manifest)
-            .filter_map(|(path, id, kind, _)| self.validate_manifest(&path, id, kind, threads))
-            .collect();
-        out.sort_by_key(chain_order);
-        if let Some(max_id) = out.iter().map(|m| m.id).max() {
-            self.last_published.fetch_max(max_id + 1, Ordering::Relaxed);
+    /// Quarantines every file of `meta`'s cycle that exists and drops the
+    /// cycle from the catalog. One missing or corrupt part condemns the
+    /// whole cycle: a snapshot with a hole is worse than falling back to
+    /// the previous checkpoint plus a longer replay.
+    pub(crate) fn quarantine_cycle(&self, meta: &CheckpointMeta) {
+        for part in &meta.parts {
+            if self.vfs.len(&part.path).is_ok() {
+                self.quarantine(&part.path);
+            }
         }
-        Ok(out)
+        self.quarantine(&meta.path);
+        self.catalog.lock().cycles.remove(&chain_order(meta));
     }
 
-    /// Lists published checkpoints from their manifest documents alone, in
-    /// [`CheckpointDir::scan`] order: O(cycles), no part file is opened and
-    /// nothing is quarantined, so it is safe per request while the merger
-    /// runs. A listed cycle may still fail deep validation (restart and the
-    /// merger own that); unreadable manifests and orphan parts are skipped.
+    /// The catalogued cycles, ascending by `(id, kind)` with Full ordered
+    /// before Partial at equal id (a merged full supersedes the same-id
+    /// partial). No file is read and nothing is quarantined, so it is safe
+    /// per request while the merger runs. A listed cycle may still fail
+    /// deep verification at the next restart.
     pub fn manifests(&self) -> io::Result<Vec<CheckpointMeta>> {
-        let mut out: Vec<CheckpointMeta> = self
-            .entries()?
-            .into_iter()
-            .filter(|e| e.3 == NameClass::Manifest)
-            .filter_map(|(path, id, kind, _)| {
-                Some(self.meta_of(&path, &self.named_manifest(&path, id, kind)?))
-            })
-            .collect();
-        out.sort_by_key(chain_order);
-        Ok(out)
+        Ok(self.catalog.lock().cycles.values().cloned().collect())
     }
 
     /// The sequence below which command-log segments may be truncated: the
-    /// lowest watermark among the published full checkpoints, read from
-    /// their manifests ([`CheckpointDir::manifests`]: no part is opened,
-    /// nothing is quarantined). `None` while no full is published.
+    /// lowest watermark among the catalogued full checkpoints. `None`
+    /// while no full is published. Reads no file.
     ///
     /// Every chain still on disk roots at a full whose watermark is at or
     /// above this floor, so whichever chain a restart ends up loading —
     /// the newest, or an older one after the newest is found torn and
     /// quarantined — finds its whole replay window in the surviving
-    /// segments. A full that deep validation would reject still counts,
-    /// which can only lower the floor: truncation errs towards keeping
-    /// log.
-    pub fn truncation_floor(&self) -> io::Result<Option<CommitSeq>> {
-        Ok(self
-            .manifests()?
-            .iter()
+    /// segments.
+    pub fn truncation_floor(&self) -> Option<CommitSeq> {
+        self.catalog
+            .lock()
+            .cycles
+            .values()
             .filter(|m| m.kind == CheckpointKind::Full)
             .map(|m| m.watermark)
-            .min())
+            .min()
     }
 
-    /// Seeds the next checkpoint's parent link from the newest readable
-    /// manifest, for a handle taking over a directory it will not deep-scan
-    /// (a promoted standby, restarts included); otherwise its first partial
-    /// would record no parent and end the recovery chain. A handle about
-    /// to validate the chain itself must *not* call this: its
-    /// [`CheckpointDir::recovery_chain`] scan seeds the link from
-    /// validated cycles only, and may be about to quarantine the newest.
-    pub fn adopt_published_manifests(&self) -> io::Result<()> {
-        if let Some(newest) = self.manifests()?.iter().map(|m| m.id).max() {
-            self.last_published.fetch_max(newest + 1, Ordering::Relaxed);
-        }
-        Ok(())
+    /// Seeds the next checkpoint's parent link from the newest catalogued
+    /// cycle, for a handle taking over a directory it will not verify
+    /// itself (a promoted standby, restarts included: the restart verified
+    /// the directory before this handle was opened); otherwise its first
+    /// partial would record no parent and end the recovery chain. Reads no
+    /// file. A handle about to verify the chain itself must *not* call
+    /// this: [`CheckpointDir::restart_chain`] seeds the link from verified
+    /// cycles only, and may be about to quarantine the newest.
+    pub fn adopt_published_manifests(&self) {
+        self.catalog.lock().adopt();
     }
 
     /// A cheap claims-only listing: the id and claimed watermark of every
     /// cycle with any durable trace in the directory, read from manifest
     /// documents and file *names* without validating part payloads —
-    /// O(cycles), not O(data). Unlike [`CheckpointDir::scan`], cycles deep
-    /// validation would quarantine still appear here: their claims are
-    /// exactly what a restart or a standby promotion must seal the id/seq
-    /// spaces above, whether or not the data behind them is intact. Orphan
-    /// parts and unreadable manifests contribute their name-derived id with
-    /// a watermark claim of 0.
+    /// O(cycles), not O(data). Unlike the catalog, it lists cycles deep
+    /// verification would quarantine: their claims are exactly what a
+    /// restart or a standby promotion must seal the id/seq spaces above,
+    /// whether or not the data behind them is intact. Orphan parts and
+    /// unreadable manifests contribute their name-derived id with a
+    /// watermark claim of 0.
     pub fn claims(&self) -> io::Result<Vec<CheckpointClaim>> {
         let mut out: Vec<CheckpointClaim> = self
             .entries()?
@@ -819,9 +779,10 @@ impl CheckpointDir {
         Ok(out)
     }
 
-    /// The recovery chain: the newest valid full checkpoint plus the
-    /// longest *unbroken* run of newer partials, ascending. `None` if no
-    /// full checkpoint exists.
+    /// The recovery chain among the catalogued cycles: the newest full
+    /// plus the longest *unbroken* run of newer partials, ascending.
+    /// `None` if no full is catalogued. Reads no file; the merger's
+    /// `collapse` checks each part as it streams it.
     ///
     /// Unbroken means each partial's recorded `parent` is the previous
     /// chain element (ids may legally skip — a failed cycle consumes an id
@@ -832,109 +793,123 @@ impl CheckpointDir {
     /// silently drop every write only the missing checkpoint captured.
     /// Everything from the hole on is excluded; command-log replay from the
     /// shorter chain's watermark covers the difference.
-    ///
-    /// Validates on the calling thread, like [`CheckpointDir::scan`]: the
-    /// merger's `collapse` calls this beside the foreground.
-    pub fn recovery_chain(&self) -> io::Result<Option<(CheckpointMeta, Vec<CheckpointMeta>)>> {
-        Ok(match chain_of(self.scan_on(1)?) {
+    pub fn chain(&self) -> Option<(CheckpointMeta, Vec<CheckpointMeta>)> {
+        match chain_of(&self.catalog.lock().cycles) {
             RestartChain::Chain(full, partials) => Some((full, partials)),
             RestartChain::Empty | RestartChain::NoFull => None,
-        })
+        }
     }
 
-    /// [`CheckpointDir::recovery_chain`] as a restart or a standby
-    /// bootstrap wants it: validated on
-    /// [`CheckpointDir::checkpoint_threads`] workers (nothing else is
-    /// running yet), and telling a directory with no valid cycle at all —
-    /// a cold start — from one that holds cycles but no full, all from the
-    /// one scan.
+    /// The one deep query, for a restart or a standby bootstrap (nothing
+    /// else is running yet): re-lists the directory, verifies every part
+    /// of every cycle against its manifest entry on
+    /// [`CheckpointDir::checkpoint_threads`] workers, quarantines each
+    /// cycle that fails, and replaces the catalog with the survivors. Then
+    /// picks their chain (see [`CheckpointDir::chain`]), telling a
+    /// directory with no valid cycle at all — a cold start — from one that
+    /// holds cycles but no full.
     pub fn restart_chain(&self) -> io::Result<RestartChain> {
-        Ok(chain_of(self.scan_on(self.checkpoint_threads())?))
+        let survivors = self.list_cycles(Some(self.checkpoint_threads()))?;
+        let mut catalog = self.catalog.lock();
+        catalog.cycles = survivors;
+        catalog.adopt();
+        Ok(chain_of(&catalog.cycles))
     }
 
-    /// Deletes every cycle of `all` with `id < below` except the one whose
-    /// manifest is `keep` (its parts included), plus orphaned part files in
-    /// the same id range. Returns the number of *checkpoints* (not files)
-    /// removed.
-    fn remove_below(
-        &self,
-        all: &[CheckpointMeta],
-        below: u64,
-        keep: Option<&Path>,
-    ) -> io::Result<usize> {
-        let mut removed = 0;
-        let mut kept_parts: &[PartMeta] = &[];
-        for meta in all.iter().filter(|m| m.id < below) {
-            if Some(meta.path.as_path()) == keep {
-                kept_parts = &meta.parts;
-                continue;
-            }
-            for part in &meta.parts {
-                self.vfs.remove_file(&part.path)?;
-            }
-            self.vfs.remove_file(&meta.path)?;
-            removed += 1;
+    /// Deletes every catalogued cycle with `id < below` except the one
+    /// whose manifest is `keep`, then every part file in that id range
+    /// whose cycle is no longer catalogued: the deleted cycles' parts and
+    /// orphans of aborted cycles. Returns the number of *checkpoints* (not
+    /// files) removed.
+    fn remove_below(&self, below: u64, keep: Option<&Path>) -> io::Result<usize> {
+        let doomed: Vec<CheckpointMeta> = self
+            .catalog
+            .lock()
+            .cycles
+            .range(..(below, false))
+            .map(|(_, m)| m)
+            .filter(|m| Some(m.path.as_path()) != keep)
+            .cloned()
+            .collect();
+        for meta in &doomed {
+            // The manifest goes first: the cycle is gone the moment it is,
+            // and a crash before its parts follow leaves orphans for the
+            // next sweep, never a manifest whose parts are missing. One
+            // already gone (quarantined through another handle) is as good.
+            match self.vfs.remove_file(&meta.path) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => self.catalog.lock().cycles.remove(&chain_order(meta)),
+            };
         }
-        // Orphaned parts (no manifest claimed them — debris from aborted
-        // or crashed cycles) in the superseded id range go too. In-flight
-        // cycles are safe: their ids are allocated after everything
-        // published, so they sort at or above `below`.
-        for (path, id, _, class) in self.entries()? {
-            if matches!(class, NameClass::Part(_))
-                && id < below
-                && !kept_parts.iter().any(|p| p.path == path)
-            {
-                let _ = self.vfs.remove_file(&path);
-            }
+        // In-flight cycles are safe: their ids are allocated after
+        // everything published, so they sort at or above `below`.
+        let orphans: Vec<PathBuf> = {
+            let entries = self.entries()?;
+            let catalog = self.catalog.lock();
+            entries
+                .into_iter()
+                .filter(|(_, id, kind, class)| {
+                    matches!(class, NameClass::Part(_))
+                        && *id < below
+                        && !catalog
+                            .cycles
+                            .contains_key(&(*id, *kind == CheckpointKind::Partial))
+                })
+                .map(|e| e.0)
+                .collect()
+        };
+        for path in orphans {
+            let _ = self.vfs.remove_file(&path);
         }
-        if removed > 0 {
+        if !doomed.is_empty() {
             // Make the unlinks durable before reporting completion, so a
             // later crash cannot resurrect a superseded checkpoint that
             // recovery would then prefer over the replacement.
             self.vfs.sync_dir(&self.dir)?;
         }
-        Ok(removed)
+        Ok(doomed.len())
     }
 
-    /// Deletes checkpoints that are superseded: every published cycle
+    /// Deletes checkpoints that are superseded: every catalogued cycle
     /// with `id <= through_id` except the replacement at `keep` (its
     /// parts included), plus orphaned part files in the same id range.
-    /// Returns the number of *checkpoints* (not files) removed.
+    /// Returns the number of *checkpoints* (not files) removed. Reads no
+    /// checkpoint file.
     pub fn gc_through(&self, through_id: u64, keep: &Path) -> io::Result<usize> {
-        self.remove_below(&self.scan()?, through_id.saturating_add(1), Some(keep))
+        self.remove_below(through_id.saturating_add(1), Some(keep))
     }
 
-    /// Retention: keeps the newest `keep` full checkpoints (clamped to at
-    /// least 1) and every cycle at or above the oldest kept full's id,
-    /// deleting everything older. Returns the number of checkpoints
-    /// removed.
+    /// Retention: keeps the newest `keep` catalogued full checkpoints
+    /// (clamped to at least 1) and every cycle at or above the oldest kept
+    /// full's id, deleting everything older by the catalog. Returns the
+    /// number of checkpoints removed. Reads no checkpoint file.
     ///
     /// Safety argument: the live recovery chain is the newest full plus
-    /// partials *newer* than it ([`CheckpointDir::recovery_chain`]), and
-    /// with `keep >= 1` the cutoff is at or below the newest full's id —
-    /// so no deleted cycle (all strictly below the cutoff) can be the
-    /// chain's root or any of its parents. Superseded partials between
-    /// kept fulls survive too, preserving every fallback chain among the
-    /// kept fulls: if the newest full is later found corrupt and
-    /// quarantined, recovery still has `keep - 1` older complete chains.
+    /// partials *newer* than it ([`CheckpointDir::chain`]), and with
+    /// `keep >= 1` the cutoff is at or below the newest full's id — so no
+    /// deleted cycle (all strictly below the cutoff) can be the chain's
+    /// root or any of its parents. Superseded partials between kept fulls
+    /// survive too, preserving every fallback chain among the kept fulls:
+    /// if the newest full is later found corrupt and quarantined, recovery
+    /// still has `keep - 1` older complete chains.
     pub fn prune_chains(&self, keep: usize) -> io::Result<usize> {
         let keep = keep.max(1);
-        let all = self.scan()?;
-        let mut full_ids: Vec<u64> = all
-            .iter()
+        let fulls: Vec<u64> = self
+            .catalog
+            .lock()
+            .cycles
+            .values()
             .filter(|m| m.kind == CheckpointKind::Full)
             .map(|m| m.id)
             .collect();
-        full_ids.sort_unstable();
-        full_ids.dedup();
-        if full_ids.len() <= keep {
+        if fulls.len() <= keep {
             return Ok(0);
         }
-        self.remove_below(&all, full_ids[full_ids.len() - keep], None)
+        self.remove_below(fulls[fulls.len() - keep], None)
     }
 }
 
-/// What one deep scan leaves a restart to load.
+/// What the deep query leaves a restart to load.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RestartChain {
     /// No valid cycle at all: no checkpoint ever completed (or none
@@ -948,40 +923,37 @@ pub enum RestartChain {
     Chain(CheckpointMeta, Vec<CheckpointMeta>),
 }
 
-/// Picks the recovery chain out of a scan (see
-/// [`CheckpointDir::recovery_chain`] for the rule).
-fn chain_of(all: Vec<CheckpointMeta>) -> RestartChain {
-    let Some(full) = all
-        .iter()
+/// Picks the recovery chain out of a catalog (see
+/// [`CheckpointDir::chain`] for the rule).
+fn chain_of(cycles: &Cycles) -> RestartChain {
+    let Some(full) = cycles
+        .values()
         .filter(|m| m.kind == CheckpointKind::Full)
         .max_by_key(|m| m.id)
-        .cloned()
     else {
-        return if all.is_empty() {
+        return if cycles.is_empty() {
             RestartChain::Empty
         } else {
             RestartChain::NoFull
         };
     };
+    // Everything above the newest full is a partial.
     let mut partials: Vec<CheckpointMeta> = Vec::new();
     let mut prev = full.id;
-    for m in all {
-        if m.kind != CheckpointKind::Partial || m.id <= full.id {
-            continue;
-        }
+    for m in cycles.range((Excluded((full.id, true)), Unbounded)).map(|(_, m)| m) {
         if m.parent != Some(prev) {
             break;
         }
         prev = m.id;
-        partials.push(m);
+        partials.push(m.clone());
     }
-    RestartChain::Chain(full, partials)
+    RestartChain::Chain(full.clone(), partials)
 }
 
-/// Sort key of the scan order: ascending id, Full before Partial at equal
+/// Catalog key, in chain order: ascending id, Full before Partial at equal
 /// id.
 fn chain_order(m: &CheckpointMeta) -> (u64, bool) {
-    (m.id, matches!(m.kind, CheckpointKind::Partial))
+    (m.id, m.kind == CheckpointKind::Partial)
 }
 
 impl std::fmt::Debug for CheckpointDir {
@@ -1005,6 +977,14 @@ mod tests {
         CheckpointDir::open(&d, Arc::new(Throttle::unlimited())).unwrap()
     }
 
+    /// The chain the deep query verifies, which must hold a full.
+    fn verified_chain(d: &CheckpointDir) -> (CheckpointMeta, Vec<CheckpointMeta>) {
+        match d.restart_chain().unwrap() {
+            RestartChain::Chain(full, partials) => (full, partials),
+            other => panic!("no chain: {other:?}"),
+        }
+    }
+
     fn rand_suffix() -> u64 {
         use std::time::{SystemTime, UNIX_EPOCH};
         SystemTime::now().duration_since(UNIX_EPOCH).unwrap().subsec_nanos() as u64
@@ -1025,11 +1005,11 @@ mod tests {
     }
 
     #[test]
-    fn publish_then_scan() {
-        let d = dir("scan");
+    fn publish_then_list() {
+        let d = dir("list");
         publish_parts(&d, CheckpointKind::Full, 1, 5, 1);
         publish_parts(&d, CheckpointKind::Partial, 2, 2, 1);
-        let metas = d.scan().unwrap();
+        let metas = d.manifests().unwrap();
         assert_eq!(metas.len(), 2);
         assert_eq!(metas[0].id, 1);
         assert_eq!(metas[0].kind, CheckpointKind::Full);
@@ -1039,10 +1019,10 @@ mod tests {
     }
 
     #[test]
-    fn publish_parts_then_scan_counts_all_parts() {
-        let d = dir("scan-parts");
+    fn publish_parts_then_list_counts_all_parts() {
+        let d = dir("list-parts");
         publish_parts(&d, CheckpointKind::Full, 1, 10, 3);
-        let metas = d.scan().unwrap();
+        let metas = d.manifests().unwrap();
         assert_eq!(metas.len(), 1);
         assert_eq!(metas[0].id, 1);
         assert_eq!(metas[0].records, 10, "records summed over all parts");
@@ -1065,7 +1045,7 @@ mod tests {
     }
 
     /// The manifest/part round-trip property: for every part count
-    /// (including 1) and several record shapes, publish → scan → read
+    /// (including 1) and several record shapes, publish → verify → read
     /// returns exactly what was written, in part order.
     #[test]
     fn manifest_part_roundtrip_property() {
@@ -1085,8 +1065,9 @@ mod tests {
                 }
                 let summary = pending.publish(writers).unwrap();
                 assert_eq!(summary.records, n + 1);
-                assert_eq!(summary.parts, parts);
-                let metas = d.scan().unwrap();
+                assert_eq!(summary.parts.len(), parts);
+                assert!(matches!(d.restart_chain().unwrap(), RestartChain::NoFull));
+                let metas = d.manifests().unwrap();
                 assert_eq!(metas.len(), 1, "parts={parts} n={n}");
                 assert_eq!(metas[0].records, n + 1);
                 let got = metas[0].read_all().unwrap();
@@ -1108,7 +1089,8 @@ mod tests {
         }
         // Parts exist at final names but no manifest: invisible.
         assert!(d.path().join("ckpt-0000000001-full.part-0").exists());
-        assert!(d.scan().unwrap().is_empty());
+        assert!(d.manifests().unwrap().is_empty());
+        assert_eq!(d.restart_chain().unwrap(), RestartChain::Empty);
         assert_eq!(d.quarantined_count(), 0, "orphan parts are not corruption");
         drop(writers);
         pending.abandon();
@@ -1122,20 +1104,21 @@ mod tests {
         // A published-looking manifest name over garbage bytes.
         let bad = d.path().join("ckpt-0000000002-full.manifest");
         std::fs::write(&bad, b"CALCMFSTgarbage").unwrap();
-        assert_eq!(d.manifests().unwrap().len(), 1, "listing skips it untouched");
-        assert_eq!(d.quarantined_count(), 0);
-        let metas = d.scan().unwrap();
-        assert_eq!(metas.len(), 1);
-        assert_eq!(metas[0].id, 1);
+        let reopened = CheckpointDir::open(d.path(), Arc::new(Throttle::unlimited())).unwrap();
+        assert_eq!(reopened.manifests().unwrap().len(), 1, "open skips it untouched");
+        assert_eq!(reopened.quarantined_count(), 0);
+        assert_eq!(verified_chain(&d).0.id, 1);
+        assert_eq!(d.manifests().unwrap().len(), 1);
         assert_eq!(d.quarantined_count(), 1);
-        // The file moved out of the scan namespace: bytes preserved under
-        // *.quarantine, original name gone, and a re-scan finds nothing new.
+        // The file moved out of the checkpoint namespace: bytes preserved
+        // under *.quarantine, original name gone, and verifying again
+        // finds nothing new.
         assert!(!bad.exists());
         assert!(d
             .path()
             .join("ckpt-0000000002-full.manifest.quarantine")
             .exists());
-        assert_eq!(d.scan().unwrap().len(), 1);
+        assert_eq!(verified_chain(&d).0.id, 1);
         assert_eq!(d.quarantined_count(), 1);
     }
 
@@ -1150,7 +1133,9 @@ mod tests {
         let mid = data.len() / 2;
         data[mid] ^= 0xFF;
         std::fs::write(&victim, &data).unwrap();
-        let metas = d.scan().unwrap();
+        assert_eq!(d.manifests().unwrap().len(), 2, "the catalog reads no part");
+        assert_eq!(verified_chain(&d).0.id, 1);
+        let metas = d.manifests().unwrap();
         assert_eq!(metas.len(), 1, "whole cycle rejected, not just one part");
         assert_eq!(metas[0].id, 1);
         // Manifest and all three parts of cycle 2 are quarantined.
@@ -1171,7 +1156,8 @@ mod tests {
         publish_parts(&d, CheckpointKind::Full, 1, 6, 3);
         publish_parts(&d, CheckpointKind::Full, 2, 6, 3);
         std::fs::remove_file(d.path().join("ckpt-0000000002-full.part-2")).unwrap();
-        let metas = d.scan().unwrap();
+        assert_eq!(verified_chain(&d).0.id, 1);
+        let metas = d.manifests().unwrap();
         assert_eq!(metas.len(), 1);
         assert_eq!(metas[0].id, 1);
         // Manifest + the two surviving parts.
@@ -1179,16 +1165,16 @@ mod tests {
     }
 
     #[test]
-    fn recovery_chain_ends_at_a_partial_without_a_parent() {
+    fn chain_ends_at_a_partial_without_a_parent() {
         let d = dir("chain-noparent");
         publish_parts(&d, CheckpointKind::Full, 0, 3, 1);
         publish_parts(&d, CheckpointKind::Partial, 1, 1, 1);
-        // A handle that neither scanned nor adopted the directory records
+        // A handle that neither verified nor adopted the directory records
         // no parent; dense ids do not stand in for the missing link.
         let blind = CheckpointDir::open(d.path(), Arc::new(Throttle::unlimited())).unwrap();
         publish_parts(&blind, CheckpointKind::Partial, 2, 1, 1);
         publish_parts(&blind, CheckpointKind::Partial, 3, 1, 1);
-        let (full, partials) = d.recovery_chain().unwrap().unwrap();
+        let (full, partials) = blind.chain().unwrap();
         assert_eq!(full.id, 0);
         let ids: Vec<u64> = partials.iter().map(|m| m.id).collect();
         assert_eq!(ids, vec![1], "partial 2 has no parent: the chain ends");
@@ -1205,23 +1191,24 @@ mod tests {
         )
         .unwrap();
         let heir = CheckpointDir::open(d2.path(), Arc::new(Throttle::unlimited())).unwrap();
-        heir.adopt_published_manifests().unwrap();
+        assert_eq!(heir.last_published(), None, "opening adopts nothing");
+        heir.adopt_published_manifests();
         assert_eq!(heir.last_published(), Some(1));
         publish_parts(&heir, CheckpointKind::Partial, 2, 1, 1);
-        let (_, partials) = d2.recovery_chain().unwrap().unwrap();
+        let (_, partials) = heir.chain().unwrap();
         let ids: Vec<u64> = partials.iter().map(|m| m.id).collect();
         assert_eq!(ids, vec![1, 2]);
     }
 
     #[test]
-    fn recovery_chain_picks_latest_full_and_newer_partials() {
+    fn chain_picks_latest_full_and_newer_partials() {
         let d = dir("chain");
         publish_parts(&d, CheckpointKind::Full, 0, 3, 1);
         publish_parts(&d, CheckpointKind::Partial, 1, 1, 1);
         publish_parts(&d, CheckpointKind::Partial, 2, 1, 2);
         publish_parts(&d, CheckpointKind::Full, 2, 4, 2); // merged full at id 2
         publish_parts(&d, CheckpointKind::Partial, 3, 1, 1);
-        let (full, partials) = d.recovery_chain().unwrap().unwrap();
+        let (full, partials) = d.chain().unwrap();
         assert_eq!(full.id, 2);
         assert_eq!(full.kind, CheckpointKind::Full);
         let ids: Vec<u64> = partials.iter().map(|m| m.id).collect();
@@ -1229,7 +1216,7 @@ mod tests {
     }
 
     #[test]
-    fn recovery_chain_stops_at_a_hole_in_the_partial_chain() {
+    fn chain_stops_at_a_hole_in_the_partial_chain() {
         let d = dir("chain-hole");
         publish_parts(&d, CheckpointKind::Full, 0, 4, 2);
         publish_parts(&d, CheckpointKind::Partial, 1, 2, 2);
@@ -1252,14 +1239,15 @@ mod tests {
                 .join(CheckpointDir::manifest_file_name(2, CheckpointKind::Partial)),
         )
         .unwrap();
-        let (full, partials) = d.recovery_chain().unwrap().unwrap();
+        let (full, partials) = verified_chain(&d);
         assert_eq!(full.id, 0);
         let ids: Vec<u64> = partials.iter().map(|m| m.id).collect();
         assert_eq!(ids, vec![1], "partials after the hole must be dropped");
+        assert_eq!(d.quarantined_count(), 0, "a lost cycle is a hole, not corruption");
     }
 
     #[test]
-    fn recovery_chain_tolerates_id_gaps_from_failed_cycles() {
+    fn chain_tolerates_id_gaps_from_failed_cycles() {
         let d = dir("chain-gap");
         publish_parts(&d, CheckpointKind::Full, 0, 4, 2);
         publish_parts(&d, CheckpointKind::Partial, 1, 2, 2);
@@ -1267,7 +1255,7 @@ mod tests {
         // coverage into cycle 3) — cycle 3's parent is 1, so the chain
         // stays intact across the id gap.
         publish_parts(&d, CheckpointKind::Partial, 3, 2, 2);
-        let (full, partials) = d.recovery_chain().unwrap().unwrap();
+        let (full, partials) = d.chain().unwrap();
         assert_eq!(full.id, 0);
         let ids: Vec<u64> = partials.iter().map(|m| m.id).collect();
         assert_eq!(ids, vec![1, 3]);
@@ -1275,10 +1263,11 @@ mod tests {
     }
 
     #[test]
-    fn recovery_chain_none_without_full() {
+    fn chain_none_without_full() {
         let d = dir("nofull");
         publish_parts(&d, CheckpointKind::Partial, 1, 1, 1);
-        assert!(d.recovery_chain().unwrap().is_none());
+        assert!(d.chain().is_none());
+        assert_eq!(d.restart_chain().unwrap(), RestartChain::NoFull);
     }
 
     #[test]
@@ -1298,7 +1287,7 @@ mod tests {
         let summary = pending.publish(writers).unwrap();
         assert!(summary.raw_bytes > summary.bytes, "zeros must compress");
 
-        let metas = d.scan().unwrap();
+        let metas = d.manifests().unwrap();
         assert_eq!(metas.len(), 2);
         assert_eq!(metas[0].codec, Codec::None);
         assert_eq!(metas[0].raw_bytes, metas[0].bytes);
@@ -1320,9 +1309,8 @@ mod tests {
         let mid = data.len() / 2;
         data[mid] ^= 0xFF;
         std::fs::write(&victim, &data).unwrap();
-        let metas = d.scan().unwrap();
-        assert_eq!(metas.len(), 1);
-        assert_eq!(metas[0].id, 1);
+        assert_eq!(verified_chain(&d).0.id, 1);
+        assert_eq!(d.manifests().unwrap().len(), 1);
         assert_eq!(d.quarantined_count(), 3, "manifest + both parts");
     }
 
@@ -1338,7 +1326,7 @@ mod tests {
         // keep=2: cutoff at full id 2; cycle 0 and partial 1 go.
         assert_eq!(d.prune_chains(2).unwrap(), 2);
         let ids: Vec<(u64, CheckpointKind)> =
-            d.scan().unwrap().iter().map(|m| (m.id, m.kind)).collect();
+            d.manifests().unwrap().iter().map(|m| (m.id, m.kind)).collect();
         assert_eq!(
             ids,
             vec![
@@ -1348,14 +1336,14 @@ mod tests {
                 (5, CheckpointKind::Partial),
             ]
         );
-        // The live chain is intact after pruning.
-        let (full, partials) = d.recovery_chain().unwrap().unwrap();
+        // The live chain is intact after pruning, on disk too.
+        let (full, partials) = verified_chain(&d);
         assert_eq!(full.id, 4);
         assert_eq!(partials.len(), 1);
         // Pruning again is a no-op; keep=1 keeps only the live chain.
         assert_eq!(d.prune_chains(2).unwrap(), 0);
         assert_eq!(d.prune_chains(1).unwrap(), 2);
-        let (full, partials) = d.recovery_chain().unwrap().unwrap();
+        let (full, partials) = d.chain().unwrap();
         assert_eq!(full.id, 4);
         assert_eq!(partials[0].id, 5);
     }
@@ -1371,7 +1359,7 @@ mod tests {
         publish_parts(&d, CheckpointKind::Partial, 2, 1, 2);
         publish_parts(&d, CheckpointKind::Partial, 3, 1, 2);
         assert_eq!(d.prune_chains(0).unwrap(), 1, "keep clamps to 1");
-        let (full, partials) = d.recovery_chain().unwrap().unwrap();
+        let (full, partials) = d.chain().unwrap();
         assert_eq!(full.id, 1);
         let ids: Vec<u64> = partials.iter().map(|m| m.id).collect();
         assert_eq!(ids, vec![2, 3], "live partial chain untouched");
@@ -1392,7 +1380,7 @@ mod tests {
         std::fs::write(&orphan, b"debris").unwrap();
         assert_eq!(d.prune_chains(1).unwrap(), 1);
         assert!(!orphan.exists(), "orphan debris pruned with its id range");
-        assert_eq!(d.scan().unwrap().len(), 1);
+        assert_eq!(d.manifests().unwrap().len(), 1);
     }
 
     #[test]
@@ -1410,7 +1398,7 @@ mod tests {
         let keep = d.path().join(CheckpointDir::manifest_file_name(1, CheckpointKind::Full));
         let removed = d.gc_through(1, &keep).unwrap();
         assert_eq!(removed, 2);
-        let metas = d.scan().unwrap();
+        let metas = d.manifests().unwrap();
         assert_eq!(metas.len(), 1);
         assert_eq!(metas[0].path, keep);
         assert_eq!(metas[0].parts.len(), 2, "kept cycle's parts survive GC");

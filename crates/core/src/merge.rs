@@ -57,7 +57,9 @@ pub fn apply_entry(state: &mut BTreeMap<Key, Value>, entry: RecordEntry) {
 /// Streams a full checkpoint plus ordered partials, oldest first, into a
 /// single state map: the background merger's `collapse`, and the serial
 /// reference the test oracles hold restart's direct loader against
-/// (recovery itself builds no map — see `calc_recovery::replay`).
+/// (recovery itself builds no map — see `calc_recovery::replay`). Each
+/// part is opened once and checked against its manifest entry as it
+/// streams ([`CheckpointMeta::open_part`]).
 pub fn materialize_chain(
     full: &CheckpointMeta,
     partials: &[CheckpointMeta],
@@ -72,30 +74,51 @@ pub fn materialize_chain_with_vfs(
     partials: &[CheckpointMeta],
 ) -> io::Result<BTreeMap<Key, Value>> {
     let mut state = BTreeMap::new();
-    for entry in full.read_all_with_vfs(vfs)? {
-        apply_entry(&mut state, entry);
-    }
-    for p in partials {
-        for entry in p.read_all_with_vfs(vfs)? {
-            apply_entry(&mut state, entry);
-        }
+    for cycle in std::iter::once(full).chain(partials) {
+        apply_cycle(&mut state, vfs, cycle)?;
     }
     Ok(state)
+}
+
+/// Applies every record of `cycle`, part by part.
+fn apply_cycle(
+    state: &mut BTreeMap<Key, Value>,
+    vfs: &dyn Vfs,
+    cycle: &CheckpointMeta,
+) -> io::Result<()> {
+    for k in 0..cycle.parts.len() {
+        let mut part = cycle.open_part(vfs, k)?;
+        while let Some(entry) = part.next_record()? {
+            apply_entry(state, entry);
+        }
+    }
+    Ok(())
 }
 
 /// Collapses the newest full checkpoint with all newer partials into a new
 /// full checkpoint, then garbage-collects the inputs. Returns `None` if
 /// there is nothing to collapse (no full checkpoint, or no newer
 /// partials).
+///
+/// The chain comes from the directory's catalog and is read exactly once.
+/// An input that fails its check is quarantined and dropped from the
+/// catalog, and the error returned; the next collapse merges the chain up
+/// to the hole.
 pub fn collapse(dir: &CheckpointDir) -> io::Result<Option<MergeStats>> {
     let start = Instant::now();
-    let Some((full, partials)) = dir.recovery_chain()? else {
+    let Some((full, partials)) = dir.chain() else {
         return Ok(None);
     };
     if partials.is_empty() {
         return Ok(None);
     }
-    let state = materialize_chain_with_vfs(dir.vfs().as_ref(), &full, &partials)?;
+    let mut state = BTreeMap::new();
+    for cycle in std::iter::once(&full).chain(&partials) {
+        if let Err(e) = apply_cycle(&mut state, dir.vfs().as_ref(), cycle) {
+            dir.quarantine_cycle(cycle);
+            return Err(e);
+        }
+    }
     let last = partials.last().expect("nonempty");
     let entries: Vec<(&Key, &Value)> = state.iter().collect();
     let threads = dir.checkpoint_threads();
@@ -191,7 +214,7 @@ mod tests {
         assert_eq!(stats.records, 3); // 1,2,4 (3 tombstoned)
         assert_eq!(stats.removed, 3);
 
-        let metas = d.scan().unwrap();
+        let metas = d.manifests().unwrap();
         assert_eq!(metas.len(), 1);
         assert_eq!(metas[0].kind, CheckpointKind::Full);
         assert_eq!(metas[0].watermark, CommitSeq(20));
@@ -229,7 +252,7 @@ mod tests {
         // carries tombstone first, then the new value.
         write_partial(&d, 1, &[(1, None), (1, Some(b"new"))]);
         collapse(&d).unwrap().unwrap();
-        let (full, _) = d.recovery_chain().unwrap().unwrap();
+        let (full, _) = d.chain().unwrap();
         let entries = full.read_all().unwrap();
         assert_eq!(
             entries,
@@ -248,7 +271,7 @@ mod tests {
         let stats = collapse(&d).unwrap().unwrap();
         assert_eq!(stats.new_full_id, 3);
         let state = {
-            let (full, partials) = d.recovery_chain().unwrap().unwrap();
+            let (full, partials) = d.chain().unwrap();
             materialize_chain(&full, &partials).unwrap()
         };
         assert_eq!(state.len(), 2);
@@ -265,7 +288,7 @@ mod tests {
         let stats = collapse(&d).unwrap().unwrap();
         assert_eq!(stats.new_full_id, 1);
         assert_eq!(stats.records, 3);
-        let metas = d.scan().unwrap();
+        let metas = d.manifests().unwrap();
         assert_eq!(metas.len(), 1);
         assert_eq!(metas[0].parts.len(), 4, "collapse honours checkpoint_threads");
         let state = materialize_chain(&metas[0], &[]).unwrap();
@@ -283,17 +306,56 @@ mod tests {
         write_full(&d, 0, &[(1, b"a"), (2, b"b")]);
         write_partial(&d, 1, &[(2, Some(b"b1"))]);
         // Manual "merge without gc":
-        let (full, partials) = d.recovery_chain().unwrap().unwrap();
+        let (full, partials) = d.chain().unwrap();
         let state = materialize_chain(&full, &partials).unwrap();
         capture_parts(&d, CheckpointKind::Full, 1, CommitSeq(10), &[], 1, |_, w, _| {
             state.iter().try_for_each(|(k, v)| w.write_record(*k, v))
         })
         .unwrap();
         // All three cycles exist; recovery chain = full@1, no partials after.
-        let (full, partials) = d.recovery_chain().unwrap().unwrap();
+        let (full, partials) = d.chain().unwrap();
         assert_eq!(full.id, 1);
         assert!(partials.is_empty());
         let recovered = materialize_chain(&full, &partials).unwrap();
         assert_eq!(recovered, state);
+    }
+
+    /// A merge input that fails its check is quarantined and leaves the
+    /// catalog; the merge fails, and the next one collapses the chain up to
+    /// the hole it left.
+    #[test]
+    fn corrupt_input_is_quarantined_and_the_next_collapse_stops_at_the_hole() {
+        let d = dir("corrupt-input");
+        write_full(&d, 0, &[(1, b"a0"), (2, b"b0")]);
+        write_partial(&d, 1, &[(1, Some(b"a1"))]);
+        write_partial(&d, 2, &[(2, Some(b"b2"))]);
+        write_partial(&d, 3, &[(1, Some(b"a3"))]);
+        let victim = d.manifests().unwrap()[2].parts[0].path.clone();
+        let mut bytes = std::fs::read(&victim).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0xFF;
+        std::fs::write(&victim, &bytes).unwrap();
+
+        assert!(collapse(&d).is_err(), "a corrupt input must fail the merge");
+        assert_eq!(d.quarantined_count(), 2, "partial 2's manifest and part");
+        let ids: Vec<(u64, CheckpointKind)> =
+            d.manifests().unwrap().iter().map(|m| (m.id, m.kind)).collect();
+        assert_eq!(
+            ids,
+            vec![
+                (0, CheckpointKind::Full),
+                (1, CheckpointKind::Partial),
+                (3, CheckpointKind::Partial)
+            ]
+        );
+
+        let stats = collapse(&d).unwrap().unwrap();
+        assert_eq!((stats.inputs, stats.new_full_id), (2, 1), "full@0 + partial 1");
+        let (full, partials) = d.chain().unwrap();
+        assert_eq!(full.id, 1);
+        assert!(partials.is_empty(), "partial 3 follows the hole");
+        let state = materialize_chain(&full, &[]).unwrap();
+        assert_eq!(&state[&Key(1)][..], b"a1");
+        assert_eq!(&state[&Key(2)][..], b"b0");
     }
 }

@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use calc_common::types::{CommitSeq, Key};
 
 use crate::file::{CheckpointKind, CheckpointWriter};
-use crate::manifest::{CheckpointDir, PublishSummary};
+use crate::manifest::{CheckpointDir, CheckpointMeta};
 
 /// A split of `total` contiguous items into `parts` stripes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,7 +100,7 @@ pub fn capture_parts<F>(
     tombstones: &[Key],
     parts: usize,
     scan: F,
-) -> io::Result<PublishSummary>
+) -> io::Result<CheckpointMeta>
 where
     F: Fn(usize, &mut CheckpointWriter, &AtomicBool) -> io::Result<()> + Sync,
 {
@@ -308,8 +308,8 @@ mod tests {
             )
             .unwrap();
             assert_eq!(summary.records, 101);
-            assert_eq!(summary.parts, parts);
-            let metas = d.scan().unwrap();
+            assert_eq!(summary.parts.len(), parts);
+            let metas = d.manifests().unwrap();
             assert_eq!(metas.len(), 1);
             assert_eq!(metas[0].records, 101);
             let entries = metas[0].read_all().unwrap();
@@ -342,7 +342,7 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.to_string(), "disk exploded", "root cause, not Interrupted");
-        assert!(d.scan().unwrap().is_empty(), "no cycle became visible");
+        assert!(d.manifests().unwrap().is_empty(), "no cycle became visible");
         // Every part file was removed; only the (empty) directory remains.
         let leftovers: Vec<_> = std::fs::read_dir(d.path())
             .unwrap()

@@ -21,7 +21,7 @@ use calc_txn::commitlog::PhaseStamp;
 use calc_txn::proc::LockRequest;
 
 use crate::file::CheckpointKind;
-use crate::manifest::{CheckpointDir, PublishSummary};
+use crate::manifest::{CheckpointDir, CheckpointMeta};
 
 /// What a transaction did to one key (recorded by the strategy during
 /// apply, consumed by the commit/abort hooks).
@@ -143,25 +143,18 @@ pub struct CheckpointStats {
 
 impl CheckpointStats {
     /// The stats of a cycle that began at `start`, held the system
-    /// quiesced for `quiesce` and published `summary`.
-    pub fn new(
-        id: u64,
-        kind: CheckpointKind,
-        watermark: CommitSeq,
-        summary: PublishSummary,
-        start: Instant,
-        quiesce: Duration,
-    ) -> Self {
+    /// quiesced for `quiesce` and published `cycle`.
+    pub fn new(cycle: &CheckpointMeta, start: Instant, quiesce: Duration) -> Self {
         CheckpointStats {
-            id,
-            kind,
-            watermark,
-            records: summary.records,
-            bytes: summary.bytes,
-            raw_bytes: summary.raw_bytes,
+            id: cycle.id,
+            kind: cycle.kind,
+            watermark: cycle.watermark,
+            records: cycle.records,
+            bytes: cycle.bytes,
+            raw_bytes: cycle.raw_bytes,
             duration: start.elapsed(),
             quiesce,
-            parts: summary.parts,
+            parts: cycle.parts.len(),
         }
     }
 }

@@ -261,7 +261,7 @@ fn stress(
     }
 
     // Verify every checkpoint against the journal prefix at its watermark.
-    let metas = dir.scan().unwrap();
+    let metas = dir.manifests().unwrap();
     assert!(!metas.is_empty());
     if partial {
         // Cumulatively materialize base + partials up to each id.
@@ -351,7 +351,7 @@ fn calc_checkpoint_of_quiet_system_equals_state() {
     let dir = dirs("quiet");
     let stats = h.strategy.checkpoint(&NoopEnv, &dir).unwrap();
     assert_eq!(stats.records, 50);
-    let metas = dir.scan().unwrap();
+    let metas = dir.manifests().unwrap();
     let got = checkpoint_state(&metas[0]);
     assert_eq!(got, h.initial);
 }
@@ -390,8 +390,12 @@ fn consecutive_checkpoints_remain_consistent() {
 
         h.strategy.checkpoint(&NoopEnv, &dir).unwrap();
     }
-    let metas = dir.scan().unwrap();
+    let metas = dir.manifests().unwrap();
     assert_eq!(metas.len(), 5);
+    // Every cycle reads back whole, not only the newest.
+    for meta in &metas {
+        assert_eq!(meta.read_all().unwrap().len() as u64, meta.records, "cycle {}", meta.id);
+    }
     // The newest checkpoint reflects the final state.
     let last = metas.last().unwrap();
     let got = checkpoint_state(last);
@@ -481,7 +485,7 @@ fn self_insert_preimage_case(partial: bool) {
 
     // The checkpoint file at `watermark` must not mention the ghost key
     // (neither a value nor a tombstone — it never existed at the point).
-    let metas = dir.scan().unwrap();
+    let metas = dir.manifests().unwrap();
     let state = checkpoint_state(metas.last().unwrap());
     assert!(
         !state.contains_key(&ghost),
@@ -551,7 +555,7 @@ fn complete_started_insert_case(partial: bool) {
     // must be captured.
     let stats = h.strategy.checkpoint(&NoopEnv, &dir).unwrap();
     assert!(stats.watermark >= seq);
-    let metas = dir.scan().unwrap();
+    let metas = dir.manifests().unwrap();
     let state = checkpoint_state(metas.last().unwrap());
     assert_eq!(
         state.get(&key).map(|v| &v[..]),

@@ -10,7 +10,7 @@ use calc_common::rng::SplitMix;
 use calc_common::types::{CommitSeq, Key, Value};
 use calc_common::vfs::OsVfs;
 use calc_core::file::{CheckpointKind, CheckpointReader, CheckpointWriter, RecordEntry};
-use calc_core::manifest::CheckpointDir;
+use calc_core::manifest::{CheckpointDir, RestartChain};
 use calc_core::merge::{apply_entry, collapse, materialize_chain};
 use calc_core::partition::capture_parts;
 use calc_core::throttle::Throttle;
@@ -227,7 +227,7 @@ fn collapse_equals_model_replay() {
         // have the shape restart's loader relies on.
         dir.set_checkpoint_threads(1 + (case % 3) as usize);
         collapse(&dir).unwrap().unwrap();
-        let (full, rest) = dir.recovery_chain().unwrap().unwrap();
+        let (full, rest) = dir.chain().unwrap();
         assert!(rest.is_empty(), "seed {seed:#x}");
         assert_eq!(full.shape_violation(&OsVfs).unwrap(), None, "seed {seed:#x}");
         let got = materialize_chain(&full, &[]).unwrap();
@@ -291,7 +291,7 @@ fn compressed_parts_roundtrip_across_codecs() {
             assert_eq!(summary.raw_bytes, summary.bytes, "seed {seed:#x}");
         }
 
-        let metas = dir.scan().unwrap();
+        let metas = dir.manifests().unwrap();
         let meta = metas.iter().find(|m| m.id == id).expect("cycle visible");
         assert_eq!(meta.codec, codec, "seed {seed:#x}");
 
@@ -400,7 +400,7 @@ fn one_bit_flip_anywhere_in_a_part_fails_the_read() {
 #[test]
 fn cycle_shape_oracle_accepts_captures_and_names_breaches() {
     let shape = |dir: &CheckpointDir| {
-        dir.scan().unwrap()[0].shape_violation(&OsVfs).unwrap()
+        dir.manifests().unwrap()[0].shape_violation(&OsVfs).unwrap()
     };
     for parts in [1usize, 2, 3, 7] {
         let dir = CheckpointDir::open(&tmp("shape-ok"), Arc::new(Throttle::unlimited())).unwrap();
@@ -485,8 +485,9 @@ fn golden_part_and_manifest_decode_and_the_writer_reproduces_them() {
     };
 
     let dir = cycle(&GOLDEN_PART, &GOLDEN_MANIFEST);
-    let metas = dir.scan().unwrap();
+    assert_eq!(dir.restart_chain().unwrap(), RestartChain::NoFull);
     assert_eq!(dir.quarantined_count(), 0, "golden cycle failed validation");
+    let metas = dir.manifests().unwrap();
     assert_eq!(metas.len(), 1);
     assert_eq!((metas[0].id, metas[0].kind), (3, CheckpointKind::Partial));
     assert_eq!(metas[0].watermark, CommitSeq(77));
@@ -547,7 +548,7 @@ fn golden_part_and_manifest_decode_and_the_writer_reproduces_them() {
             err.to_string().contains("unsupported version"),
             "{what}: {err}"
         );
-        assert!(dir.scan().unwrap().is_empty(), "{what} was read");
+        assert_eq!(dir.restart_chain().unwrap(), RestartChain::Empty, "{what} was read");
         // A refused manifest condemns only itself; a refused part, its
         // whole cycle.
         assert_eq!(dir.quarantined_count(), quarantined, "{what}");

@@ -146,9 +146,10 @@ impl Database {
         dir.set_codec(config.codec);
         if resumed {
             // The caller loaded the chain through its own handle, whose
-            // scan has already quarantined what failed validation;
-            // `Database::recover` gets the parent link from its own scan.
-            dir.adopt_published_manifests()?;
+            // deep verification has already quarantined what failed, so
+            // this handle's catalog holds the survivors;
+            // `Database::recover` verifies and links through this one.
+            dir.adopt_published_manifests();
         }
         // The commit path feeds this signal; capture workers (pool sizing
         // + per-record pacing) and the server's admission gate read it.
@@ -591,7 +592,7 @@ mod tests {
         db.checkpoint_now().unwrap();
         db.wait_checkpoint_idle();
         assert_eq!(db.health().merge_failures(), 1, "retry failed again");
-        let (full, _) = db.checkpoint_dir().recovery_chain().unwrap().unwrap();
+        let (full, _) = db.checkpoint_dir().chain().unwrap();
         assert!(full.id > 0, "retried merge did not produce a collapsed full");
     }
 

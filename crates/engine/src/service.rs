@@ -336,12 +336,15 @@ impl CheckpointWork for Inner {
     }
 
     /// Retention: prune superseded checkpoint chains down to
-    /// `keep_checkpoints` fulls (deep-validated — deleting the only valid
-    /// chain on the word of a manifest is not safe), then truncate
-    /// command-log segments below [`calc_core::CheckpointDir::truncation_floor`]: the
-    /// *oldest surviving full's* watermark, read from the manifests alone.
-    /// That floor — not the just-published cycle's watermark — is what
-    /// keeps truncation safe against corruption discovered later.
+    /// `keep_checkpoints` fulls, then truncate command-log segments below
+    /// [`calc_core::CheckpointDir::truncation_floor`]: the *oldest
+    /// surviving full's* watermark. Both read the directory's catalog and
+    /// no checkpoint file: every catalogued cycle was published by this
+    /// process or verified by the restart before it (see
+    /// `calc_core::manifest`). The floor — not the just-published cycle's
+    /// watermark — is what keeps truncation safe against corruption
+    /// discovered later: a restart that finds the newest full torn falls
+    /// back to an older one and still finds its replay window.
     ///
     /// After a cycle it runs only once the cycle durably published; a
     /// retention failure is therefore recorded in [`crate::Health`] but
@@ -355,7 +358,7 @@ impl CheckpointWork for Inner {
             let Some(log_dir) = &self.command_log_dir else {
                 return Ok(());
             };
-            let floor = self.dir.truncation_floor()?;
+            let floor = self.dir.truncation_floor();
             // Seeded bug for the fallback restart's self-test: truncate up
             // to the *newest* full, deleting an older full's replay window.
             #[cfg(feature = "mutation-hooks")]

@@ -367,8 +367,8 @@ impl Standby {
                 break;
             }
         }
-        // Claims, not a deep scan: the seal needs every cycle's claimed id
-        // and watermark, valid or not, and `scan()` would CRC every part.
+        // Claims, not the catalog: the seal needs every cycle's claimed id
+        // and watermark, valid or not, orphan parts included.
         let claims = self.dir.claims()?;
         let chain_claim = claims.iter().map(|c| c.watermark.0).max().unwrap_or(0);
         // A claimed watermark ahead of the applied one is usually just the

@@ -27,7 +27,7 @@ fn merge_batch_triggers_background_collapse() {
     // Wait for the background mergers, then verify the chain got shorter
     // than 4 partials.
     db.wait_checkpoint_idle();
-    let (full, partials) = db.checkpoint_dir().recovery_chain().unwrap().unwrap();
+    let (full, partials) = db.checkpoint_dir().chain().unwrap();
     assert!(
         full.id > 0,
         "expected a merged full checkpoint, got base full only"

@@ -125,7 +125,7 @@ fn direct_load_matches_serial_materialization() {
             cycle.publish(&dir, CheckpointKind::Partial, id, pick_parts(&mut rng));
         }
 
-        let (full_meta, partial_metas) = dir.recovery_chain().unwrap().unwrap();
+        let (full_meta, partial_metas) = dir.chain().unwrap();
         assert_eq!(partial_metas.len() as u64, partials, "seed {seed:#x}");
         let serial = materialize_chain(&full_meta, &partial_metas).unwrap();
         let serial: BTreeMap<u64, Vec<u8>> =

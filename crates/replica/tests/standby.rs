@@ -270,7 +270,7 @@ fn post_promotion_partials_link_into_the_recovery_chain() {
     let second = db.checkpoint_now().unwrap();
     assert!(first.id > 2 && second.id > first.id);
 
-    let (full, partials) = db.checkpoint_dir().recovery_chain().unwrap().unwrap();
+    let (full, partials) = db.checkpoint_dir().chain().unwrap();
     assert_eq!(full.id, 0);
     let ids: Vec<u64> = partials.iter().map(|m| m.id).collect();
     assert_eq!(ids, vec![1, 2, first.id, second.id]);

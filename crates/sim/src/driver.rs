@@ -420,7 +420,7 @@ fn live_until_crash(vfs: &SimVfs, spec: &SimSpec, hooks: &mut dyn LiveHooks, run
                         // durability floor: one lying fsync voids the
                         // publish chain the truncation floor rests on.
                         if spec.truncate_log && vfs.fsyncs_dropped() == 0 {
-                            if let Ok(Some(floor)) = dir.truncation_floor() {
+                            if let Some(floor) = dir.truncation_floor() {
                                 let _ =
                                     truncate_segments_below(vfs_dyn.as_ref(), &log_dir(), floor);
                             }
@@ -485,9 +485,6 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
     // ---- Phase 2: reboot the disk and restart: the node's own standby,
     // drained and promoted.
     vfs.recover_view();
-    let dir = spec
-        .open_dir(vfs_dyn.clone())
-        .map_err(|e| violation(spec, format!("reopening checkpoint dir after crash: {e}")))?;
     let commands = read_dir_logs(vfs_dyn.as_ref(), &log_dir())
         .map_err(|e| violation(spec, format!("reading durable log segments: {e}")))?;
     // Serial-driver invariant: the durable log is a prefix of commit order.
@@ -513,9 +510,12 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
     // ---- Phase 3: the oracle.
     // Every cycle that survived validation has the shape restart's
     // parallel loader relies on (one value per key, tombstones first).
-    let survivors = dir
-        .scan()
-        .map_err(|e| violation(spec, format!("rescanning after recovery: {e}")))?;
+    // The restart quarantined every cycle that failed verification, so a
+    // handle opened now catalogues the survivors.
+    let survivors = spec
+        .open_dir(vfs_dyn.clone())
+        .and_then(|dir| dir.manifests())
+        .map_err(|e| violation(spec, format!("listing checkpoints after recovery: {e}")))?;
     for meta in &survivors {
         match meta.shape_violation(vfs_dyn.as_ref()) {
             Ok(None) => {}

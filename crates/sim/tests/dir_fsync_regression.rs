@@ -17,7 +17,7 @@ use calc_common::simfs::{DirCrashMode, SimVfs};
 use calc_common::types::{CommitSeq, Key, TxnId};
 use calc_common::vfs::Vfs;
 use calc_core::file::CheckpointKind;
-use calc_core::manifest::CheckpointDir;
+use calc_core::manifest::{CheckpointDir, RestartChain};
 use calc_core::partition::capture_parts;
 use calc_core::throttle::Throttle;
 use calc_recovery::logfile::segment_file_name;
@@ -84,14 +84,14 @@ fn manifest_publish_rename_needs_parent_dir_fsync() {
     vfs.sync_dir(&PathBuf::from("/a/ckpts")).unwrap(); // directory itself durable
     publish_without_dir_fsync(dir.vfs().as_ref(), dir.path());
     assert!(
-        dir.recovery_chain().unwrap().is_some(),
+        matches!(dir.restart_chain().unwrap(), RestartChain::Chain(..)),
         "the replayed sequence is a complete, valid cycle before the crash"
     );
     vfs.force_crash();
     vfs.recover_view();
     let dir = open_dir(&vfs, "/a/ckpts");
     assert!(
-        dir.recovery_chain().unwrap().is_none(),
+        !matches!(dir.restart_chain().unwrap(), RestartChain::Chain(..)),
         "rename without dir fsync must be lossy under RemovesOnly — \
          if this starts failing, the simulator's POSIX model regressed"
     );
@@ -104,10 +104,9 @@ fn manifest_publish_rename_needs_parent_dir_fsync() {
     vfs.force_crash();
     vfs.recover_view();
     let dir = open_dir(&vfs, "/a/ckpts");
-    let (full, partials) = dir
-        .recovery_chain()
-        .unwrap()
-        .expect("published checkpoint must survive the crash");
+    let RestartChain::Chain(full, partials) = dir.restart_chain().unwrap() else {
+        panic!("published checkpoint must survive the crash");
+    };
     assert_eq!(full.id, 1);
     assert_eq!(full.records, 1);
     assert!(partials.is_empty());

@@ -3,7 +3,8 @@
 //! inputs. A crash in the middle of those `remove_file` calls — with the
 //! adversarial directory-crash mode where unlinks persist but nothing
 //! else does — must never leave recovery preferring a partially-deleted
-//! generation over the (durably published) replacement.
+//! generation over the (durably published) replacement, nor leave a
+//! manifest whose parts are gone for the restart to quarantine.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -13,7 +14,7 @@ use calc_common::simfs::{DirCrashMode, SimVfs};
 use calc_common::types::{CommitSeq, Key};
 use calc_common::vfs::Vfs;
 use calc_core::file::CheckpointKind;
-use calc_core::manifest::CheckpointDir;
+use calc_core::manifest::{CheckpointDir, RestartChain};
 use calc_core::merge::{collapse, materialize_chain_with_vfs};
 use calc_core::partition::capture_parts;
 use calc_core::throttle::Throttle;
@@ -47,7 +48,7 @@ fn build_chain(dir: &CheckpointDir) -> BTreeMap<u64, Vec<u8>> {
         )
         .unwrap();
     }
-    let (full, partials) = dir.recovery_chain().unwrap().unwrap();
+    let (full, partials) = dir.chain().unwrap();
     materialize_chain_with_vfs(dir.vfs().as_ref(), &full, &partials)
         .unwrap()
         .into_iter()
@@ -81,10 +82,20 @@ fn gc_crash_at_every_remove_preserves_recovered_state() {
 
         vfs.recover_view();
         let dir = open_dir(&vfs);
-        let (full, partials) = dir
-            .recovery_chain()
+        let RestartChain::Chain(full, partials) = dir.restart_chain().unwrap() else {
+            panic!("no recoverable chain after GC crash at remove {k}");
+        };
+        // GC unlinks a cycle's manifest before its parts: a crash between
+        // them leaves orphan parts, never a manifest the restart must
+        // quarantine (and keep forever as inert `*.quarantine` files).
+        assert_eq!(dir.quarantined_count(), 0, "GC crash at remove {k} left a torn cycle");
+        let quarantined: Vec<_> = vfs
+            .read_dir(dir.path())
             .unwrap()
-            .unwrap_or_else(|| panic!("no recoverable chain after GC crash at remove {k}"));
+            .into_iter()
+            .filter(|p| p.to_string_lossy().ends_with(".quarantine"))
+            .collect();
+        assert!(quarantined.is_empty(), "k={k}: {quarantined:?}");
         // The merged full was durably published before GC started, so
         // recovery must land on it and reconstruct the same state no
         // matter which subset of the old generation is already gone.

@@ -152,9 +152,11 @@ fn full_mix_runs_with_checkpointing() {
     }
 
     // The checkpoint is a valid, loadable snapshot.
-    let metas = db.checkpoint_dir().scan().unwrap();
+    let metas = db.checkpoint_dir().manifests().unwrap();
     assert_eq!(metas.len(), 1);
     assert!(metas[0].records > config.initial_records() as u64 / 2);
+    let entries = metas[0].read_all().expect("checkpoint reads back whole");
+    assert_eq!(entries.len() as u64, metas[0].records);
 }
 
 #[test]

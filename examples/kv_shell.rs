@@ -224,7 +224,7 @@ fn main() {
                     mem.total_copies(),
                     mem.total_bytes()
                 );
-                for m in db.checkpoint_dir().scan().unwrap_or_default() {
+                for m in db.checkpoint_dir().manifests().unwrap_or_default() {
                     println!(
                         "  {} #{} — {} records, watermark {}",
                         m.kind, m.id, m.records, m.watermark

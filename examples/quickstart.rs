@@ -118,8 +118,9 @@ fn main() {
         db.metrics().aborted()
     );
 
-    // The checkpoint on disk is transaction-consistent and validates.
-    let metas = db.checkpoint_dir().scan().expect("scan");
+    // The checkpoints this database published, from its catalog (no
+    // checkpoint byte is read back).
+    let metas = db.checkpoint_dir().manifests().expect("list checkpoints");
     println!(
         "on disk: {} checkpoint file(s), newest watermark {}",
         metas.len(),

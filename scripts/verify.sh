@@ -10,7 +10,10 @@
 # checkpoint daemon, per-merge and emergency threads and the locks that
 # ordered them stay deleted (one checkpoint worker); a grep that the
 # second checkpoint format stays deleted (no part or manifest version
-# constant of the bare record stream); a grep that `unsafe`
+# constant of the bare record stream); greps that a running node reads
+# no checkpoint byte back (the directory's deep scans `scan`, `scan_on`
+# and `recovery_chain` stay deleted, and non-test code outside
+# calc-recovery never calls `restart_chain`, the one deep query); a grep that `unsafe`
 # in crates/*/src appears only in the prefetch hint's file
 # (calc-common's prefetch.rs) and in the lock manager's test
 # (crates/txn/src/locks.rs); clippy and
@@ -118,6 +121,26 @@ fi
 echo "== tier-0: one checkpoint format (every part framed; no version-1 branch) =="
 if grep -rnE 'VERSION_COMPRESSED|MANIFEST_VERSION_CODEC' crates/core/src; then
     echo "verify: part files and manifests have one version each; the bare record stream is gone" >&2
+    exit 1
+fi
+
+echo "== tier-0: one catalog (a running node reads no checkpoint byte back) =="
+if grep -rnE 'fn scan\(|fn scan_on|recovery_chain' crates/*/src; then
+    echo "verify: the checkpoint directory answers from its catalog; restart_chain is the one deep query" >&2
+    exit 1
+fi
+# Calls outside `#[cfg(test)] mod` blocks (each is its file's last item)
+# and outside comments.
+deep_calls=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_tests = 0; pending = 0 }
+    in_tests { next }
+    pending && /^[[:space:]]*(pub )?mod / { in_tests = 1; next }
+    { pending = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\]/) }
+    /restart_chain\(/ && !/^[[:space:]]*\/\// && !/fn restart_chain\(/ { print FILENAME ":" FNR ": " $0 }' |
+    grep -v '^crates/recovery/src/' || true)
+if [ -n "$deep_calls" ]; then
+    echo "$deep_calls" >&2
+    echo "verify: only calc-recovery (restart, standby bootstrap) may deep-verify the checkpoint directory" >&2
     exit 1
 fi
 

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use calc_db::common::vfs::OsVfs;
 use calc_db::core::calc::CalcStrategy;
-use calc_db::core::manifest::CheckpointDir;
+use calc_db::core::manifest::{CheckpointDir, RestartChain};
 use calc_db::core::partition::capture_parts;
 use calc_db::core::strategy::CheckpointStrategy;
 use calc_db::core::throttle::Throttle;
@@ -660,17 +660,18 @@ fn stray_single_file_artifacts_are_inert() {
     let ids = |metas: Vec<calc_db::core::CheckpointMeta>| -> Vec<u64> {
         metas.iter().map(|m| m.id).collect()
     };
-    assert_eq!(ids(ckpts.scan().unwrap()), vec![0, 2]);
+    assert!(matches!(ckpts.restart_chain().unwrap(), RestartChain::Chain(..)));
     assert_eq!(ids(ckpts.manifests().unwrap()), vec![0, 2]);
     let claimed: Vec<u64> = ckpts.claims().unwrap().iter().map(|c| c.id).collect();
     assert_eq!(claimed, vec![0, 2]);
-    assert_eq!(ckpts.recovery_chain().unwrap().unwrap().0.id, 2);
+    assert_eq!(ckpts.chain().unwrap().0.id, 2);
     assert_eq!(ckpts.prune_chains(1).unwrap(), 1);
     let keep = ckpts
         .path()
         .join(CheckpointDir::manifest_file_name(2, CheckpointKind::Full));
     assert_eq!(ckpts.gc_through(u64::MAX, &keep).unwrap(), 0);
-    assert_eq!(ids(ckpts.scan().unwrap()), vec![2]);
+    assert_eq!(ids(ckpts.manifests().unwrap()), vec![2]);
+    assert!(matches!(ckpts.restart_chain().unwrap(), RestartChain::Chain(..)));
     assert_eq!(ckpts.quarantined_count(), 0);
     assert_eq!(std::fs::read(&stray_ckpt).unwrap(), stray_bytes);
 
@@ -828,7 +829,7 @@ fn pcalc_chain_with_deletes_restarts_to_the_serial_reference() {
 
     // The serial reference.
     let dir = CheckpointDir::open(&base.join("ckpts"), Arc::new(Throttle::unlimited())).unwrap();
-    let (full, partials) = dir.recovery_chain().unwrap().unwrap();
+    let (full, partials) = dir.chain().unwrap();
     assert_eq!(partials.len(), 3);
     let watermark = partials.last().unwrap().watermark;
     let mut reference = materialize_chain(&full, &partials).unwrap();

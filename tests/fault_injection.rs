@@ -8,6 +8,7 @@ use std::sync::Arc;
 
 use calc_db::common::vfs::OsVfs;
 use calc_db::core::calc::CalcStrategy;
+use calc_db::core::manifest::RestartChain;
 use calc_db::core::strategy::CheckpointStrategy;
 use calc_db::engine::{Database, EngineConfig, StrategyKind};
 use calc_db::recovery;
@@ -61,7 +62,7 @@ fn corrupted_newest_checkpoint_falls_back_and_replays() {
     }
 
     // Corrupt the newest checkpoint file (bit flip mid-body).
-    let metas = db.checkpoint_dir().scan().unwrap();
+    let metas = db.checkpoint_dir().manifests().unwrap();
     assert_eq!(metas.len(), 2);
     let newest = metas.iter().find(|m| m.id == second.id).unwrap();
     let mut bytes = std::fs::read(&newest.path).unwrap();
@@ -69,8 +70,10 @@ fn corrupted_newest_checkpoint_falls_back_and_replays() {
     bytes[mid] ^= 0xFF;
     std::fs::write(&newest.path, &bytes).unwrap();
 
-    // The corrupted file is invisible to the recovery chain…
-    let (full, _) = db.checkpoint_dir().recovery_chain().unwrap().unwrap();
+    // The corrupted file is invisible to the verified recovery chain…
+    let RestartChain::Chain(full, _) = db.checkpoint_dir().restart_chain().unwrap() else {
+        panic!("no chain");
+    };
     assert_eq!(full.id, first.id, "fell back to the older checkpoint");
 
     // …and replay from the older watermark reproduces the exact state.
@@ -110,8 +113,11 @@ fn crash_mid_capture_leaves_only_previous_checkpoint() {
     )
     .unwrap();
 
-    let metas = db.checkpoint_dir().scan().unwrap();
-    assert_eq!(metas.len(), 1, "only the valid checkpoint is live");
+    let RestartChain::Chain(full, _) = db.checkpoint_dir().restart_chain().unwrap() else {
+        panic!("no chain");
+    };
+    let live = db.checkpoint_dir().manifests().unwrap();
+    assert_eq!(live, vec![full], "only the valid checkpoint is live");
     assert_eq!(db.checkpoint_dir().quarantined_count(), 0, "debris is not corruption");
     let recovered = fresh_calc();
     let outcome = recovery::recover_checkpoint_only(db.checkpoint_dir(), &recovered).unwrap();
@@ -174,7 +180,7 @@ fn double_failure_still_yields_consistent_prefix() {
     let second = db.checkpoint_now().unwrap();
 
     // Corrupt the second checkpoint.
-    let metas = db.checkpoint_dir().scan().unwrap();
+    let metas = db.checkpoint_dir().manifests().unwrap();
     let newest = metas.iter().find(|m| m.id == second.id).unwrap();
     let mut bytes = std::fs::read(&newest.path).unwrap();
     let n = bytes.len();

@@ -133,7 +133,7 @@ fn calc_virtual_point_lands_after_rest_started_straggler() {
     assert_eq!(stats.quiesce, Duration::ZERO);
 
     let expected = spin::spin(1, iters); // the long txn's deterministic write
-    let metas = db.checkpoint_dir().scan().unwrap();
+    let metas = db.checkpoint_dir().manifests().unwrap();
     let entries = metas[0].read_all().unwrap();
     let captured = entries
         .iter()
