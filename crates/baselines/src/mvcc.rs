@@ -502,7 +502,7 @@ mod tests {
         s.txn_end(t);
         assert_eq!(s.version_count(), 2, "v0 reclaimed, v1+v2 remain");
 
-        let entries = d.manifests().unwrap()[0].read_all().unwrap();
+        let entries = d.manifests()[0].read_all().unwrap();
         assert_eq!(
             entries,
             vec![calc_core::file::RecordEntry::Value(
@@ -631,7 +631,7 @@ mod tests {
                 model.insert(k, v);
             }
         }
-        let got = d.manifests().unwrap()[0].read_all().unwrap();
+        let got = d.manifests()[0].read_all().unwrap();
         assert_eq!(got.len(), 50);
         for e in got {
             if let calc_core::file::RecordEntry::Value(k, v) = e {

@@ -234,7 +234,7 @@ fn stress(
         w.join().unwrap();
     }
 
-    let metas = dir.manifests().unwrap();
+    let metas = dir.manifests();
     assert!(!metas.is_empty());
     if h.strategy.transaction_consistent() {
         if partial {

@@ -532,7 +532,7 @@ pub fn fig4b(opts: &FigureOpts) {
                 std::sync::Arc::new(calc_core::throttle::Throttle::unlimited()),
             )
             .expect("open run dir");
-            let listed = dir.manifests().expect("list run dir");
+            let listed = dir.manifests();
             let newest_full = listed
                 .iter()
                 .filter(|m| m.kind == calc_core::file::CheckpointKind::Full)

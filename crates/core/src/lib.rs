@@ -17,11 +17,9 @@
 //! * [`calc`] — the CALC algorithm itself ([`calc::CalcStrategy`]), in
 //!   both full and partial (pCALC, §2.3) modes.
 //! * [`mod@file`] — the checkpoint file format: length-prefixed records with
-//!   tombstones in CRC-32-checked frames, optionally block-compressed
-//!   ([`codec`]), and a CRC-32-sealed footer (a crash mid-capture leaves a
+//!   tombstones in CRC-32-checked frames, read in place, and a
+//!   CRC-32-sealed footer (a crash mid-capture leaves a
 //!   detectably-invalid file).
-//! * [`codec`] — block codecs for a part's frames (in-tree RLE, or
-//!   `none`: the raw records).
 //! * [`throttle`] — a token-bucket byte throttle modelling the evaluation
 //!   machine's 100–150 MB/s disk (Appendix A notes checkpoint duration is
 //!   disk-bandwidth-bound; the throttle reproduces that regime).
@@ -38,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod calc;
-pub mod codec;
 pub mod cycle;
 pub mod file;
 pub mod manifest;
@@ -49,7 +46,6 @@ pub mod strategy;
 pub mod throttle;
 
 pub use calc::CalcStrategy;
-pub use codec::Codec;
 pub use file::{CheckpointKind, CheckpointReader, CheckpointWriter, PartSummary, RecordEntry};
 pub use manifest::{CheckpointClaim, CheckpointDir, CheckpointMeta, PartMeta};
 pub use partition::{capture_parts, ShardPartition};

@@ -2,14 +2,14 @@
 //!
 //! A checkpoint is `N` part files named `ckpt-{id:010}-{kind}.part-{k}`,
 //! each a self-contained record file with its own header/footer/CRCs,
-//! plus a manifest `ckpt-{id:010}-{kind}.manifest` recording the codec,
-//! the part count and each part's record count, byte sizes, and CRC
-//! digest. Parts are written directly at their final names but are
-//! *invisible* until the manifest is published (written to a dotted temp
-//! name, fsynced, renamed — atomic on POSIX — and made durable with a
-//! parent-directory fsync). The manifest rename is the commit point of
-//! the whole cycle. Any other file in the directory is inert: never
-//! parsed, claimed, quarantined or deleted.
+//! plus a manifest `ckpt-{id:010}-{kind}.manifest` recording the part
+//! count and each part's record count, byte size, and CRC digest. Parts
+//! are written directly at their final names but are *invisible* until
+//! the manifest is published (written to a dotted temp name, fsynced,
+//! renamed — atomic on POSIX — and made durable with a parent-directory
+//! fsync). The manifest rename is the commit point of the whole cycle.
+//! Any other file in the directory is inert: never parsed, claimed,
+//! quarantined or deleted.
 //!
 //! A [`CheckpointDir`] keeps a catalog of the cycles it knows: `open`
 //! builds it from one listing of manifests, each publish inserts its
@@ -44,7 +44,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read};
 use std::ops::Bound::{Excluded, Unbounded};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -54,7 +54,6 @@ use calc_common::load::{LoadLevel, LoadSignal};
 use calc_common::types::{CommitSeq, Key};
 use calc_common::vfs::{OsVfs, Vfs};
 
-use crate::codec::Codec;
 use crate::file::{
     CheckpointKind, CheckpointReader, CheckpointWriter, PartSummary, RecordEntry, RecordRef,
 };
@@ -63,12 +62,12 @@ use crate::throttle::Throttle;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"CALCMFST";
 /// The one manifest version; any other is refused as unsupported.
-const MANIFEST_VERSION: u32 = 2;
-/// magic + version + codec + kind + id + watermark + parent + part count
-/// + trailing crc.
-const MANIFEST_FIXED_LEN: usize = 8 + 4 + 1 + 1 + 8 + 8 + 8 + 4 + 4;
-/// records + bytes + raw_bytes + crc per part.
-const MANIFEST_PART_LEN: usize = 8 + 8 + 8 + 4;
+const MANIFEST_VERSION: u32 = 3;
+/// magic + version + kind + id + watermark + parent + part count +
+/// trailing crc.
+const MANIFEST_FIXED_LEN: usize = 8 + 4 + 1 + 8 + 8 + 8 + 4 + 4;
+/// records + bytes + crc per part.
+const MANIFEST_PART_LEN: usize = 8 + 8 + 4;
 /// Encoded `parent` when the checkpoint had no published predecessor.
 const MANIFEST_NO_PARENT: u64 = u64::MAX;
 
@@ -81,8 +80,6 @@ pub struct PartMeta {
     pub records: u64,
     /// Part file size in bytes.
     pub bytes: u64,
-    /// Size under codec `none`; equals `bytes` there.
-    pub raw_bytes: u64,
     /// The part's digest as its manifest records it: the footer CRC.
     pub crc: u32,
 }
@@ -120,12 +117,6 @@ pub struct CheckpointMeta {
     pub parent: Option<u64>,
     /// The manifest path.
     pub path: PathBuf,
-    /// Block codec every part's frames were written with.
-    pub codec: Codec,
-    /// What the parts would occupy under codec `none`. Equals `bytes`
-    /// when `codec` is `none`; `raw_bytes as f64 / bytes as f64` is the
-    /// cycle's compression ratio.
-    pub raw_bytes: u64,
     /// The data files, in part order. Recovery must apply them in this
     /// order: tombstones are written to part 0 ahead of every value.
     pub parts: Vec<PartMeta>,
@@ -133,7 +124,7 @@ pub struct CheckpointMeta {
 
 impl CheckpointMeta {
     /// Opens part `k` and checks it against this manifest's entry: the
-    /// footer's digest, the header's id, kind, watermark and codec, and the
+    /// footer's digest, the header's id, kind and watermark, and the
     /// record count. The reader CRCs each frame where it lies and the
     /// footer at the last record, so reading the part to its end completes
     /// the check — restart's deep query and the merger's read both do.
@@ -144,8 +135,8 @@ impl CheckpointMeta {
             return Err(invalid("part digest does not match manifest"));
         }
         let h = reader.header();
-        if (h.id, h.kind, h.watermark, h.codec, h.records)
-            != (self.id, self.kind, self.watermark, self.codec, part.records)
+        if (h.id, h.kind, h.watermark, h.records)
+            != (self.id, self.kind, self.watermark, part.records)
         {
             return Err(invalid("part header does not match manifest"));
         }
@@ -233,10 +224,6 @@ pub struct CheckpointDir {
     quarantined: AtomicU64,
     /// How many part files (and capture threads) new checkpoints use.
     threads: AtomicUsize,
-    /// Block codec new checkpoints' frames are written with (wire byte,
-    /// see [`Codec::to_byte`]). Every part header and manifest names its
-    /// codec, so changing it between cycles is always safe.
-    codec: AtomicU8,
     /// Shared with every in-flight cycle, whose publish inserts itself.
     catalog: Arc<Mutex<Catalog>>,
     /// Foreground load signal for adaptive capture pacing (set once at
@@ -255,7 +242,6 @@ pub struct PendingPartsCheckpoint {
     id: u64,
     watermark: CommitSeq,
     parent: Option<u64>,
-    codec: Codec,
     part_paths: Vec<PathBuf>,
     dir: PathBuf,
     vfs: Arc<dyn Vfs>,
@@ -316,7 +302,6 @@ impl PendingPartsCheckpoint {
         let mut body = Vec::with_capacity(MANIFEST_FIXED_LEN + digests.len() * MANIFEST_PART_LEN);
         body.extend_from_slice(MANIFEST_MAGIC);
         body.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        body.push(self.codec.to_byte());
         body.push(self.kind.to_byte());
         body.extend_from_slice(&self.id.to_le_bytes());
         body.extend_from_slice(&self.watermark.0.to_le_bytes());
@@ -325,7 +310,6 @@ impl PendingPartsCheckpoint {
         for d in digests {
             body.extend_from_slice(&d.records.to_le_bytes());
             body.extend_from_slice(&d.bytes.to_le_bytes());
-            body.extend_from_slice(&d.raw_bytes.to_le_bytes());
             body.extend_from_slice(&d.crc.to_le_bytes());
         }
         let crc = crc32(&body);
@@ -395,15 +379,14 @@ fn decode_manifest(dir: &Path, path: PathBuf, bytes: &[u8]) -> io::Result<Checkp
     if version != MANIFEST_VERSION {
         return Err(invalid(&format!("unsupported manifest version {version}")));
     }
-    let codec = Codec::from_byte(body[12])?;
-    let kind = CheckpointKind::from_byte(body[13])?;
-    let id = u64::from_le_bytes(body[14..22].try_into().unwrap());
-    let watermark = CommitSeq(u64::from_le_bytes(body[22..30].try_into().unwrap()));
-    let parent = match u64::from_le_bytes(body[30..38].try_into().unwrap()) {
+    let kind = CheckpointKind::from_byte(body[12])?;
+    let id = u64::from_le_bytes(body[13..21].try_into().unwrap());
+    let watermark = CommitSeq(u64::from_le_bytes(body[21..29].try_into().unwrap()));
+    let parent = match u64::from_le_bytes(body[29..37].try_into().unwrap()) {
         MANIFEST_NO_PARENT => None,
         p => Some(p),
     };
-    let count = u32::from_le_bytes(body[38..42].try_into().unwrap()) as usize;
+    let count = u32::from_le_bytes(body[37..41].try_into().unwrap()) as usize;
     if count == 0 || body.len() != MANIFEST_FIXED_LEN - 4 + count * MANIFEST_PART_LEN {
         return Err(invalid("manifest part table size mismatch"));
     }
@@ -414,8 +397,7 @@ fn decode_manifest(dir: &Path, path: PathBuf, bytes: &[u8]) -> io::Result<Checkp
             path: dir.join(CheckpointDir::part_file_name(id, kind, k)),
             records: u64::from_le_bytes(e[0..8].try_into().unwrap()),
             bytes: u64::from_le_bytes(e[8..16].try_into().unwrap()),
-            raw_bytes: u64::from_le_bytes(e[16..24].try_into().unwrap()),
-            crc: u32::from_le_bytes(e[24..28].try_into().unwrap()),
+            crc: u32::from_le_bytes(e[16..20].try_into().unwrap()),
         })
         .collect();
     Ok(CheckpointMeta {
@@ -426,8 +408,6 @@ fn decode_manifest(dir: &Path, path: PathBuf, bytes: &[u8]) -> io::Result<Checkp
         bytes: parts.iter().map(|p| p.bytes).sum(),
         parent,
         path,
-        codec,
-        raw_bytes: parts.iter().map(|p| p.raw_bytes).sum(),
         parts,
     })
 }
@@ -457,7 +437,6 @@ impl CheckpointDir {
             vfs,
             quarantined: AtomicU64::new(0),
             threads: AtomicUsize::new(1),
-            codec: AtomicU8::new(Codec::None.to_byte()),
             catalog: Arc::default(),
             load: std::sync::OnceLock::new(),
         };
@@ -470,19 +449,6 @@ impl CheckpointDir {
     /// signal the directory behaves exactly as configured.
     pub fn set_load_signal(&self, signal: Arc<LoadSignal>) {
         let _ = self.load.set(signal);
-    }
-
-    /// Sets the block codec future checkpoints are written with. Existing
-    /// checkpoints are untouched — files and manifests are
-    /// self-describing, so mixed-codec directories recover fine.
-    pub fn set_codec(&self, codec: Codec) {
-        self.codec.store(codec.to_byte(), Ordering::Relaxed);
-    }
-
-    /// The block codec new checkpoints use.
-    pub fn codec(&self) -> Codec {
-        // The byte was stored from a Codec, so it always decodes.
-        Codec::from_byte(self.codec.load(Ordering::Relaxed)).unwrap_or(Codec::None)
     }
 
     /// Id of the newest checkpoint this handle has published, adopted or
@@ -578,19 +544,17 @@ impl CheckpointDir {
         parts: usize,
     ) -> io::Result<(PendingPartsCheckpoint, Vec<CheckpointWriter>)> {
         let parts = parts.max(1);
-        let codec = self.codec();
         let mut part_paths = Vec::with_capacity(parts);
         let mut writers = Vec::with_capacity(parts);
         for k in 0..parts {
             let path = self.dir.join(Self::part_file_name(id, kind, k));
-            match CheckpointWriter::create_with_vfs_codec(
+            match CheckpointWriter::create_with_vfs(
                 self.vfs.as_ref(),
                 &path,
                 kind,
                 id,
                 watermark,
                 self.throttle.clone(),
-                codec,
             ) {
                 Ok(mut w) => {
                     if let Some(signal) = self.load.get() {
@@ -617,7 +581,6 @@ impl CheckpointDir {
                 // when this capture began is what a partial's dirty
                 // window is relative to.
                 parent: self.last_published(),
-                codec,
                 part_paths,
                 dir: self.dir.clone(),
                 vfs: self.vfs.clone(),
@@ -705,8 +668,8 @@ impl CheckpointDir {
     /// partial). No file is read and nothing is quarantined, so it is safe
     /// per request while the merger runs. A listed cycle may still fail
     /// deep verification at the next restart.
-    pub fn manifests(&self) -> io::Result<Vec<CheckpointMeta>> {
-        Ok(self.catalog.lock().cycles.values().cloned().collect())
+    pub fn manifests(&self) -> Vec<CheckpointMeta> {
+        self.catalog.lock().cycles.values().cloned().collect()
     }
 
     /// The sequence below which command-log segments may be truncated: the
@@ -1009,7 +972,7 @@ mod tests {
         let d = dir("list");
         publish_parts(&d, CheckpointKind::Full, 1, 5, 1);
         publish_parts(&d, CheckpointKind::Partial, 2, 2, 1);
-        let metas = d.manifests().unwrap();
+        let metas = d.manifests();
         assert_eq!(metas.len(), 2);
         assert_eq!(metas[0].id, 1);
         assert_eq!(metas[0].kind, CheckpointKind::Full);
@@ -1022,7 +985,7 @@ mod tests {
     fn publish_parts_then_list_counts_all_parts() {
         let d = dir("list-parts");
         publish_parts(&d, CheckpointKind::Full, 1, 10, 3);
-        let metas = d.manifests().unwrap();
+        let metas = d.manifests();
         assert_eq!(metas.len(), 1);
         assert_eq!(metas[0].id, 1);
         assert_eq!(metas[0].records, 10, "records summed over all parts");
@@ -1067,7 +1030,7 @@ mod tests {
                 assert_eq!(summary.records, n + 1);
                 assert_eq!(summary.parts.len(), parts);
                 assert!(matches!(d.restart_chain().unwrap(), RestartChain::NoFull));
-                let metas = d.manifests().unwrap();
+                let metas = d.manifests();
                 assert_eq!(metas.len(), 1, "parts={parts} n={n}");
                 assert_eq!(metas[0].records, n + 1);
                 let got = metas[0].read_all().unwrap();
@@ -1089,7 +1052,7 @@ mod tests {
         }
         // Parts exist at final names but no manifest: invisible.
         assert!(d.path().join("ckpt-0000000001-full.part-0").exists());
-        assert!(d.manifests().unwrap().is_empty());
+        assert!(d.manifests().is_empty());
         assert_eq!(d.restart_chain().unwrap(), RestartChain::Empty);
         assert_eq!(d.quarantined_count(), 0, "orphan parts are not corruption");
         drop(writers);
@@ -1105,10 +1068,10 @@ mod tests {
         let bad = d.path().join("ckpt-0000000002-full.manifest");
         std::fs::write(&bad, b"CALCMFSTgarbage").unwrap();
         let reopened = CheckpointDir::open(d.path(), Arc::new(Throttle::unlimited())).unwrap();
-        assert_eq!(reopened.manifests().unwrap().len(), 1, "open skips it untouched");
+        assert_eq!(reopened.manifests().len(), 1, "open skips it untouched");
         assert_eq!(reopened.quarantined_count(), 0);
         assert_eq!(verified_chain(&d).0.id, 1);
-        assert_eq!(d.manifests().unwrap().len(), 1);
+        assert_eq!(d.manifests().len(), 1);
         assert_eq!(d.quarantined_count(), 1);
         // The file moved out of the checkpoint namespace: bytes preserved
         // under *.quarantine, original name gone, and verifying again
@@ -1133,9 +1096,9 @@ mod tests {
         let mid = data.len() / 2;
         data[mid] ^= 0xFF;
         std::fs::write(&victim, &data).unwrap();
-        assert_eq!(d.manifests().unwrap().len(), 2, "the catalog reads no part");
+        assert_eq!(d.manifests().len(), 2, "the catalog reads no part");
         assert_eq!(verified_chain(&d).0.id, 1);
-        let metas = d.manifests().unwrap();
+        let metas = d.manifests();
         assert_eq!(metas.len(), 1, "whole cycle rejected, not just one part");
         assert_eq!(metas[0].id, 1);
         // Manifest and all three parts of cycle 2 are quarantined.
@@ -1157,7 +1120,7 @@ mod tests {
         publish_parts(&d, CheckpointKind::Full, 2, 6, 3);
         std::fs::remove_file(d.path().join("ckpt-0000000002-full.part-2")).unwrap();
         assert_eq!(verified_chain(&d).0.id, 1);
-        let metas = d.manifests().unwrap();
+        let metas = d.manifests();
         assert_eq!(metas.len(), 1);
         assert_eq!(metas[0].id, 1);
         // Manifest + the two surviving parts.
@@ -1271,50 +1234,6 @@ mod tests {
     }
 
     #[test]
-    fn compressed_parts_publish_scan_read_roundtrip() {
-        let d = dir("codec-parts");
-        publish_parts(&d, CheckpointKind::Full, 1, 8, 2); // codec none
-        d.set_codec(Codec::Rle);
-        assert_eq!(d.codec(), Codec::Rle);
-        let (pending, mut writers) = d
-            .begin_parts(CheckpointKind::Partial, 2, CommitSeq(200), 3)
-            .unwrap();
-        for k in 0..30u64 {
-            writers[(k % 3) as usize]
-                .write_record(Key(k), &[0u8; 256])
-                .unwrap();
-        }
-        let summary = pending.publish(writers).unwrap();
-        assert!(summary.raw_bytes > summary.bytes, "zeros must compress");
-
-        let metas = d.manifests().unwrap();
-        assert_eq!(metas.len(), 2);
-        assert_eq!(metas[0].codec, Codec::None);
-        assert_eq!(metas[0].raw_bytes, metas[0].bytes);
-        assert_eq!(metas[1].codec, Codec::Rle);
-        assert_eq!(metas[1].raw_bytes, summary.raw_bytes);
-        assert_eq!(metas[1].bytes, summary.bytes);
-        assert_eq!(metas[1].read_all().unwrap().len(), 30);
-        assert_eq!(d.quarantined_count(), 0, "mixed-codec directory is fine");
-    }
-
-    #[test]
-    fn corrupt_compressed_part_quarantines_the_whole_cycle() {
-        let d = dir("codec-corrupt");
-        d.set_codec(Codec::Rle);
-        publish_parts(&d, CheckpointKind::Full, 1, 200, 2);
-        publish_parts(&d, CheckpointKind::Full, 2, 200, 2);
-        let victim = d.path().join("ckpt-0000000002-full.part-0");
-        let mut data = std::fs::read(&victim).unwrap();
-        let mid = data.len() / 2;
-        data[mid] ^= 0xFF;
-        std::fs::write(&victim, &data).unwrap();
-        assert_eq!(verified_chain(&d).0.id, 1);
-        assert_eq!(d.manifests().unwrap().len(), 1);
-        assert_eq!(d.quarantined_count(), 3, "manifest + both parts");
-    }
-
-    #[test]
     fn prune_keeps_newest_fulls_and_their_partials() {
         let d = dir("prune");
         publish_parts(&d, CheckpointKind::Full, 0, 2, 2);
@@ -1326,7 +1245,7 @@ mod tests {
         // keep=2: cutoff at full id 2; cycle 0 and partial 1 go.
         assert_eq!(d.prune_chains(2).unwrap(), 2);
         let ids: Vec<(u64, CheckpointKind)> =
-            d.manifests().unwrap().iter().map(|m| (m.id, m.kind)).collect();
+            d.manifests().iter().map(|m| (m.id, m.kind)).collect();
         assert_eq!(
             ids,
             vec![
@@ -1380,7 +1299,7 @@ mod tests {
         std::fs::write(&orphan, b"debris").unwrap();
         assert_eq!(d.prune_chains(1).unwrap(), 1);
         assert!(!orphan.exists(), "orphan debris pruned with its id range");
-        assert_eq!(d.manifests().unwrap().len(), 1);
+        assert_eq!(d.manifests().len(), 1);
     }
 
     #[test]
@@ -1398,7 +1317,7 @@ mod tests {
         let keep = d.path().join(CheckpointDir::manifest_file_name(1, CheckpointKind::Full));
         let removed = d.gc_through(1, &keep).unwrap();
         assert_eq!(removed, 2);
-        let metas = d.manifests().unwrap();
+        let metas = d.manifests();
         assert_eq!(metas.len(), 1);
         assert_eq!(metas[0].path, keep);
         assert_eq!(metas[0].parts.len(), 2, "kept cycle's parts survive GC");

@@ -214,7 +214,7 @@ mod tests {
         assert_eq!(stats.records, 3); // 1,2,4 (3 tombstoned)
         assert_eq!(stats.removed, 3);
 
-        let metas = d.manifests().unwrap();
+        let metas = d.manifests();
         assert_eq!(metas.len(), 1);
         assert_eq!(metas[0].kind, CheckpointKind::Full);
         assert_eq!(metas[0].watermark, CommitSeq(20));
@@ -288,7 +288,7 @@ mod tests {
         let stats = collapse(&d).unwrap().unwrap();
         assert_eq!(stats.new_full_id, 1);
         assert_eq!(stats.records, 3);
-        let metas = d.manifests().unwrap();
+        let metas = d.manifests();
         assert_eq!(metas.len(), 1);
         assert_eq!(metas[0].parts.len(), 4, "collapse honours checkpoint_threads");
         let state = materialize_chain(&metas[0], &[]).unwrap();
@@ -330,7 +330,7 @@ mod tests {
         write_partial(&d, 1, &[(1, Some(b"a1"))]);
         write_partial(&d, 2, &[(2, Some(b"b2"))]);
         write_partial(&d, 3, &[(1, Some(b"a3"))]);
-        let victim = d.manifests().unwrap()[2].parts[0].path.clone();
+        let victim = d.manifests()[2].parts[0].path.clone();
         let mut bytes = std::fs::read(&victim).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
@@ -339,7 +339,7 @@ mod tests {
         assert!(collapse(&d).is_err(), "a corrupt input must fail the merge");
         assert_eq!(d.quarantined_count(), 2, "partial 2's manifest and part");
         let ids: Vec<(u64, CheckpointKind)> =
-            d.manifests().unwrap().iter().map(|m| (m.id, m.kind)).collect();
+            d.manifests().iter().map(|m| (m.id, m.kind)).collect();
         assert_eq!(
             ids,
             vec![

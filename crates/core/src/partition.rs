@@ -309,7 +309,7 @@ mod tests {
             .unwrap();
             assert_eq!(summary.records, 101);
             assert_eq!(summary.parts.len(), parts);
-            let metas = d.manifests().unwrap();
+            let metas = d.manifests();
             assert_eq!(metas.len(), 1);
             assert_eq!(metas[0].records, 101);
             let entries = metas[0].read_all().unwrap();
@@ -342,7 +342,7 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.to_string(), "disk exploded", "root cause, not Interrupted");
-        assert!(d.manifests().unwrap().is_empty(), "no cycle became visible");
+        assert!(d.manifests().is_empty(), "no cycle became visible");
         // Every part file was removed; only the (empty) directory remains.
         let leftovers: Vec<_> = std::fs::read_dir(d.path())
             .unwrap()

@@ -128,11 +128,8 @@ pub struct CheckpointStats {
     pub watermark: CommitSeq,
     /// Records + tombstones written.
     pub records: u64,
-    /// Bytes written to disk (post-compression).
+    /// Bytes written to disk.
     pub bytes: u64,
-    /// Uncompressed record-stream bytes; equals `bytes` under codec
-    /// `none`, so `raw_bytes / bytes` is the cycle's compression ratio.
-    pub raw_bytes: u64,
     /// Wall-clock duration of the whole cycle.
     pub duration: Duration,
     /// Time the system was quiesced (zero for CALC).
@@ -151,7 +148,6 @@ impl CheckpointStats {
             watermark: cycle.watermark,
             records: cycle.records,
             bytes: cycle.bytes,
-            raw_bytes: cycle.raw_bytes,
             duration: start.elapsed(),
             quiesce,
             parts: cycle.parts.len(),

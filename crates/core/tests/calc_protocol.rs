@@ -261,7 +261,7 @@ fn stress(
     }
 
     // Verify every checkpoint against the journal prefix at its watermark.
-    let metas = dir.manifests().unwrap();
+    let metas = dir.manifests();
     assert!(!metas.is_empty());
     if partial {
         // Cumulatively materialize base + partials up to each id.
@@ -351,7 +351,7 @@ fn calc_checkpoint_of_quiet_system_equals_state() {
     let dir = dirs("quiet");
     let stats = h.strategy.checkpoint(&NoopEnv, &dir).unwrap();
     assert_eq!(stats.records, 50);
-    let metas = dir.manifests().unwrap();
+    let metas = dir.manifests();
     let got = checkpoint_state(&metas[0]);
     assert_eq!(got, h.initial);
 }
@@ -390,7 +390,7 @@ fn consecutive_checkpoints_remain_consistent() {
 
         h.strategy.checkpoint(&NoopEnv, &dir).unwrap();
     }
-    let metas = dir.manifests().unwrap();
+    let metas = dir.manifests();
     assert_eq!(metas.len(), 5);
     // Every cycle reads back whole, not only the newest.
     for meta in &metas {
@@ -485,7 +485,7 @@ fn self_insert_preimage_case(partial: bool) {
 
     // The checkpoint file at `watermark` must not mention the ghost key
     // (neither a value nor a tombstone — it never existed at the point).
-    let metas = dir.manifests().unwrap();
+    let metas = dir.manifests();
     let state = checkpoint_state(metas.last().unwrap());
     assert!(
         !state.contains_key(&ghost),
@@ -555,7 +555,7 @@ fn complete_started_insert_case(partial: bool) {
     // must be captured.
     let stats = h.strategy.checkpoint(&NoopEnv, &dir).unwrap();
     assert!(stats.watermark >= seq);
-    let metas = dir.manifests().unwrap();
+    let metas = dir.manifests();
     let state = checkpoint_state(metas.last().unwrap());
     assert_eq!(
         state.get(&key).map(|v| &v[..]),

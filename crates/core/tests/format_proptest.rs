@@ -14,7 +14,6 @@ use calc_core::manifest::{CheckpointDir, RestartChain};
 use calc_core::merge::{apply_entry, collapse, materialize_chain};
 use calc_core::partition::capture_parts;
 use calc_core::throttle::Throttle;
-use calc_core::Codec;
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!(
@@ -237,15 +236,13 @@ fn collapse_equals_model_replay() {
 }
 
 /// Arbitrary record batches round-trip through the framed block format
-/// across every codec and part count, including empty parts and
-/// zero/one-byte records (ISSUE 6). Order and bytes are preserved
-/// part-by-part, and the published manifest reports the codec.
+/// across part counts, including empty parts and zero/one-byte records.
+/// Order and bytes are preserved part-by-part.
 #[test]
-fn compressed_parts_roundtrip_across_codecs() {
+fn parts_roundtrip_across_part_counts() {
     for case in 0..48u64 {
         let seed = SEED_BASE ^ (0x300 + case);
         let mut rng = SplitMix::new(seed);
-        let codec = if rng.chance(0.5) { Codec::Rle } else { Codec::None };
         let parts = 1 + rng.next_below(4) as usize;
         let batches: Vec<Vec<Entry>> = (0..parts)
             .map(|_| {
@@ -258,7 +255,7 @@ fn compressed_parts_roundtrip_across_codecs() {
                         // 1-byte and 0-byte values stress block boundaries.
                         0 => Entry::Value(rng.next_u64(), vec![rng.next_u64() as u8]),
                         1 => Entry::Value(rng.next_u64(), Vec::new()),
-                        // Long uniform runs stress the RLE op encoder.
+                        // Long uniform values.
                         2 => Entry::Value(
                             rng.next_u64(),
                             vec![0xab; 1 + rng.next_below(300) as usize],
@@ -269,9 +266,8 @@ fn compressed_parts_roundtrip_across_codecs() {
             })
             .collect();
 
-        let root = tmp("codec-parts");
+        let root = tmp("parts");
         let dir = CheckpointDir::open(&root, Arc::new(Throttle::unlimited())).unwrap();
-        dir.set_codec(codec);
         let id = 7u64;
         let (pending, mut writers) = dir
             .begin_parts(CheckpointKind::Full, id, CommitSeq(42), parts)
@@ -287,13 +283,7 @@ fn compressed_parts_roundtrip_across_codecs() {
         let summary = pending.publish(writers).unwrap();
         let total: usize = batches.iter().map(|b| b.len()).sum();
         assert_eq!(summary.records as usize, total, "seed {seed:#x}");
-        if codec == Codec::None {
-            assert_eq!(summary.raw_bytes, summary.bytes, "seed {seed:#x}");
-        }
-
-        let metas = dir.manifests().unwrap();
-        let meta = metas.iter().find(|m| m.id == id).expect("cycle visible");
-        assert_eq!(meta.codec, codec, "seed {seed:#x}");
+        assert!(dir.manifests().iter().any(|m| m.id == id), "cycle visible");
 
         for (k, batch) in batches.iter().enumerate() {
             let path = root.join(CheckpointDir::part_file_name(id, CheckpointKind::Full, k));
@@ -319,79 +309,75 @@ fn compressed_parts_roundtrip_across_codecs() {
 
 /// The CRC rule — each frame's CRC covers its payload, the footer's
 /// covers the header and every frame head — detects what one CRC over the
-/// whole file did: for each codec, flipping one bit at any byte offset of
-/// a part with three frames fails the read — never returns records.
-/// That includes a flip inside a frame head's CRC field, a byte only the
-/// footer CRC covers.
+/// whole file did: flipping one bit at any byte offset of a part with
+/// three frames fails the read — never returns records. That includes a
+/// flip inside a frame head's CRC field, a byte only the footer CRC
+/// covers.
 #[test]
 fn one_bit_flip_anywhere_in_a_part_fails_the_read() {
     use std::os::unix::fs::FileExt;
     let value = |k: u8| vec![k; calc_core::file::BLOCK_TARGET / 2];
-    for codec in Codec::ALL {
-        let path = tmp(&format!("flip-{codec}"));
-        let mut w = CheckpointWriter::create_with_vfs_codec(
-            &OsVfs,
-            &path,
-            CheckpointKind::Partial,
-            5,
-            CommitSeq(50),
-            Arc::new(Throttle::unlimited()),
-            codec,
-        )
-        .unwrap();
-        w.write_tombstone(Key(7)).unwrap();
-        for k in 1..=4u8 {
-            w.write_record(Key(k as u64), &value(k)).unwrap();
-        }
-        w.write_record(Key(99), b"").unwrap();
-        w.finish().unwrap();
-        let clean = std::fs::read(&path).unwrap();
-        let originals = CheckpointReader::open(&path).unwrap().read_all().unwrap();
-        assert_eq!(originals.len(), 6, "{codec}");
-
-        // Walk the frames: header (30 bytes), then raw|comp|crc heads and
-        // their payloads up to the 20-byte footer.
-        let (mut at, mut frames) = (30, 0);
-        while at < clean.len() - 20 {
-            let comp_len = u32::from_le_bytes(clean[at + 4..at + 8].try_into().unwrap());
-            at += 12 + comp_len as usize;
-            frames += 1;
-        }
-        assert_eq!((at, frames), (clean.len() - 20, 3), "{codec}");
-
-        // Odd and even offsets on a thread and a copy of the file each.
-        std::thread::scope(|s| {
-            for first in [0, 1] {
-                let (clean, originals) = (&clean, &originals);
-                let copy = tmp(&format!("flip-{codec}-{first}"));
-                std::fs::write(&copy, clean).unwrap();
-                s.spawn(move || {
-                    let file = std::fs::OpenOptions::new().write(true).open(&copy).unwrap();
-                    for at in (first..clean.len()).step_by(2) {
-                        file.write_at(&[clean[at] ^ (1 << (at % 8))], at as u64).unwrap();
-                        match CheckpointReader::open(&copy).and_then(|r| r.read_all()) {
-                            Ok(got) => panic!(
-                                "{codec}: flip at byte {at} read back {} records{}",
-                                got.len(),
-                                if got == *originals { "" } else { " that differ" }
-                            ),
-                            Err(e) => assert!(
-                                matches!(
-                                    e.kind(),
-                                    std::io::ErrorKind::InvalidData
-                                        | std::io::ErrorKind::UnexpectedEof
-                                ),
-                                "{codec}: flip at byte {at}: {e}"
-                            ),
-                        }
-                        file.write_at(&clean[at..=at], at as u64).unwrap();
-                    }
-                    std::fs::remove_file(&copy).ok();
-                });
-            }
-        });
-        std::fs::remove_file(&path).ok();
+    let path = tmp("flip");
+    let mut w = CheckpointWriter::create(
+        &path,
+        CheckpointKind::Partial,
+        5,
+        CommitSeq(50),
+        Arc::new(Throttle::unlimited()),
+    )
+    .unwrap();
+    w.write_tombstone(Key(7)).unwrap();
+    for k in 1..=4u8 {
+        w.write_record(Key(k as u64), &value(k)).unwrap();
     }
+    w.write_record(Key(99), b"").unwrap();
+    w.finish().unwrap();
+    let clean = std::fs::read(&path).unwrap();
+    let originals = CheckpointReader::open(&path).unwrap().read_all().unwrap();
+    assert_eq!(originals.len(), 6);
+
+    // Walk the frames: header (29 bytes), then len|crc heads and their
+    // payloads up to the 20-byte footer.
+    let (mut at, mut frames) = (29, 0);
+    while at < clean.len() - 20 {
+        let len = u32::from_le_bytes(clean[at..at + 4].try_into().unwrap());
+        at += 8 + len as usize;
+        frames += 1;
+    }
+    assert_eq!((at, frames), (clean.len() - 20, 3));
+
+    // Odd and even offsets on a thread and a copy of the file each.
+    std::thread::scope(|s| {
+        for first in [0, 1] {
+            let (clean, originals) = (&clean, &originals);
+            let copy = tmp(&format!("flip-{first}"));
+            std::fs::write(&copy, clean).unwrap();
+            s.spawn(move || {
+                let file = std::fs::OpenOptions::new().write(true).open(&copy).unwrap();
+                for at in (first..clean.len()).step_by(2) {
+                    file.write_at(&[clean[at] ^ (1 << (at % 8))], at as u64).unwrap();
+                    match CheckpointReader::open(&copy).and_then(|r| r.read_all()) {
+                        Ok(got) => panic!(
+                            "flip at byte {at} read back {} records{}",
+                            got.len(),
+                            if got == *originals { "" } else { " that differ" }
+                        ),
+                        Err(e) => assert!(
+                            matches!(
+                                e.kind(),
+                                std::io::ErrorKind::InvalidData
+                                    | std::io::ErrorKind::UnexpectedEof
+                            ),
+                            "flip at byte {at}: {e}"
+                        ),
+                    }
+                    file.write_at(&clean[at..=at], at as u64).unwrap();
+                }
+                std::fs::remove_file(&copy).ok();
+            });
+        }
+    });
+    std::fs::remove_file(&path).ok();
 }
 
 /// What `capture_parts` publishes has the loader's shape at every part
@@ -400,7 +386,7 @@ fn one_bit_flip_anywhere_in_a_part_fails_the_read() {
 #[test]
 fn cycle_shape_oracle_accepts_captures_and_names_breaches() {
     let shape = |dir: &CheckpointDir| {
-        dir.manifests().unwrap()[0].shape_violation(&OsVfs).unwrap()
+        dir.manifests()[0].shape_violation(&OsVfs).unwrap()
     };
     for parts in [1usize, 2, 3, 7] {
         let dir = CheckpointDir::open(&tmp("shape-ok"), Arc::new(Throttle::unlimited())).unwrap();
@@ -438,34 +424,35 @@ fn cycle_shape_oracle_accepts_captures_and_names_breaches() {
 }
 
 /// The one format pinned byte for byte: partial cycle 3, watermark 77,
-/// codec `none`, no parent; part 0 holds tombstone 9, then keys 1,
+/// no parent; part 0 holds tombstone 9, then keys 1,
 /// 0xDEADBEEF with an empty value, 2 — one frame. The bytes were built
 /// from the layout in `calc_core::file` and `calc_core::manifest` with an
 /// independent CRC-32, not by this writer, so a writer or table bug
 /// cannot pass by being self-consistent: they must validate and decode,
 /// and today's writer must reproduce them exactly. The same records in
-/// the retired formats — the version-1 part and manifest, and a part with
-/// a version-2 header — are refused and quarantined, never misread.
+/// the retired formats — the version-1 part and manifest, a part with a
+/// version-2 header, and the version-3 part and version-2 manifest that
+/// carried a codec byte — are refused and quarantined, never misread.
 #[test]
 fn golden_part_and_manifest_decode_and_the_writer_reproduces_them() {
-    const GOLDEN_PART: [u8; 144] = [
-        0x43, 0x41, 0x4c, 0x43, 0x43, 0x4b, 0x50, 0x54, 0x03, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0x52, 0x00, 0x00, 0x00, 0x52, 0x00, 0x00, 0x00, 0x12, 0x0e, 0xb9, 0x14, 0x01, 0x09, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x61, 0x6c, 0x70, 0x68, 0x61, 0x00, 0xef,
-        0xbe, 0xad, 0xde, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x19, 0x00, 0x00, 0x00, 0x74, 0x68, 0x65, 0x20, 0x71, 0x75,
-        0x69, 0x63, 0x6b, 0x20, 0x62, 0x72, 0x6f, 0x77, 0x6e, 0x20, 0x66, 0x6f, 0x78, 0x20, 0x6a,
-        0x75, 0x6d, 0x70, 0x73, 0x43, 0x4b, 0x50, 0x54, 0x45, 0x4e, 0x44, 0x2e, 0x04, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0xfe, 0x2c, 0x85, 0x78,
+    const GOLDEN_PART: [u8; 139] = [
+        0x43, 0x41, 0x4c, 0x43, 0x43, 0x4b, 0x50, 0x54, 0x04, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x52,
+        0x00, 0x00, 0x00, 0x12, 0x0e, 0xb9, 0x14, 0x01, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05,
+        0x00, 0x00, 0x00, 0x61, 0x6c, 0x70, 0x68, 0x61, 0x00, 0xef, 0xbe, 0xad, 0xde, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x19, 0x00, 0x00, 0x00, 0x74, 0x68, 0x65, 0x20, 0x71, 0x75, 0x69, 0x63, 0x6b, 0x20, 0x62,
+        0x72, 0x6f, 0x77, 0x6e, 0x20, 0x66, 0x6f, 0x78, 0x20, 0x6a, 0x75, 0x6d, 0x70, 0x73, 0x43,
+        0x4b, 0x50, 0x54, 0x45, 0x4e, 0x44, 0x2e, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x1e, 0xba, 0x5e, 0x3e,
     ];
-    const GOLDEN_MANIFEST: [u8; 74] = [
-        0x43, 0x41, 0x4c, 0x43, 0x4d, 0x46, 0x53, 0x54, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01, 0x03,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x90, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x90, 0x00,
-        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfe, 0x2c, 0x85, 0x78, 0xac, 0x24, 0xef, 0x39,
+    const GOLDEN_MANIFEST: [u8; 65] = [
+        0x43, 0x41, 0x4c, 0x43, 0x4d, 0x46, 0x53, 0x54, 0x03, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xff,
+        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x8b, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1e, 0xba, 0x5e,
+        0x3e, 0xb7, 0x4f, 0x9a, 0xa2,
     ];
     let part_name = CheckpointDir::part_file_name(3, CheckpointKind::Partial, 0);
     let manifest_name = CheckpointDir::manifest_file_name(3, CheckpointKind::Partial);
@@ -487,12 +474,11 @@ fn golden_part_and_manifest_decode_and_the_writer_reproduces_them() {
     let dir = cycle(&GOLDEN_PART, &GOLDEN_MANIFEST);
     assert_eq!(dir.restart_chain().unwrap(), RestartChain::NoFull);
     assert_eq!(dir.quarantined_count(), 0, "golden cycle failed validation");
-    let metas = dir.manifests().unwrap();
+    let metas = dir.manifests();
     assert_eq!(metas.len(), 1);
     assert_eq!((metas[0].id, metas[0].kind), (3, CheckpointKind::Partial));
     assert_eq!(metas[0].watermark, CommitSeq(77));
     assert_eq!(metas[0].parent, None);
-    assert_eq!(metas[0].codec, Codec::None);
     assert_eq!(metas[0].read_all().unwrap(), records);
     std::fs::remove_dir_all(dir.path()).ok();
 
@@ -535,11 +521,35 @@ fn golden_part_and_manifest_decode_and_the_writer_reproduces_them() {
         0x00, 0x00, 0x00, 0x00, 0x83, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xc4, 0x91, 0x9c,
         0x9d, 0xa9, 0xee, 0xc5, 0x92,
     ];
-    let mut v2_part = GOLDEN_PART;
+    // The same cycle in the version-3 part and version-2 manifest formats,
+    // whose header, frame heads and manifest carried a codec byte and
+    // uncompressed sizes.
+    const V3_PART: [u8; 144] = [
+        0x43, 0x41, 0x4c, 0x43, 0x43, 0x4b, 0x50, 0x54, 0x03, 0x00, 0x00, 0x00, 0x01, 0x03, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x52, 0x00, 0x00, 0x00, 0x52, 0x00, 0x00, 0x00, 0x12, 0x0e, 0xb9, 0x14, 0x01, 0x09, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x61, 0x6c, 0x70, 0x68, 0x61, 0x00, 0xef,
+        0xbe, 0xad, 0xde, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x19, 0x00, 0x00, 0x00, 0x74, 0x68, 0x65, 0x20, 0x71, 0x75,
+        0x69, 0x63, 0x6b, 0x20, 0x62, 0x72, 0x6f, 0x77, 0x6e, 0x20, 0x66, 0x6f, 0x78, 0x20, 0x6a,
+        0x75, 0x6d, 0x70, 0x73, 0x43, 0x4b, 0x50, 0x54, 0x45, 0x4e, 0x44, 0x2e, 0x04, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xfe, 0x2c, 0x85, 0x78,
+    ];
+    const V2_MANIFEST: [u8; 74] = [
+        0x43, 0x41, 0x4c, 0x43, 0x4d, 0x46, 0x53, 0x54, 0x02, 0x00, 0x00, 0x00, 0x00, 0x01, 0x03,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x90, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x90, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xfe, 0x2c, 0x85, 0x78, 0xac, 0x24, 0xef, 0x39,
+    ];
+    let mut v2_part = V3_PART;
     v2_part[8] = 2; // the version-2 header: the same fields, codec byte last
     for (what, part, manifest, quarantined) in [
         ("version-1 cycle", &V1_PART[..], &V1_MANIFEST[..], 1),
         ("version-2 part", &v2_part[..], &GOLDEN_MANIFEST[..], 2),
+        ("version-3 cycle", &V3_PART[..], &V2_MANIFEST[..], 1),
+        ("version-3 part", &V3_PART[..], &GOLDEN_MANIFEST[..], 2),
     ] {
         let dir = cycle(part, manifest);
         let err = CheckpointReader::open(&dir.path().join(&part_name)).unwrap_err();

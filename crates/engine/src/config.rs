@@ -164,6 +164,16 @@ impl ExecutorMode {
     }
 }
 
+/// A one-variant remnant: checkpoint parts have one encoding, raw
+/// CRC'd frames. It survives only because `perfbench` records
+/// `format!("{:?}", cfg.codec)` in its run metadata and is frozen; it goes
+/// at the next perfbench unfreeze, with [`EngineConfig::codec`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Codec {
+    /// Each frame holds the raw records.
+    None,
+}
+
 /// Engine configuration. The defaults match a laptop-scale rendition of
 /// the paper's setup (15 worker threads on the paper's 16-core box scale
 /// down to the host's parallelism).
@@ -250,9 +260,10 @@ pub struct EngineConfig {
     /// ratio; load is then judged from admission-gate occupancy alone,
     /// which only a server front-end provides).
     pub load_capacity_tps: u64,
-    /// Block codec checkpoint parts' frames are written with
-    /// ([`calc_core::Codec::None`]: each frame holds the raw records).
-    pub codec: calc_core::Codec,
+    /// Always [`Codec::None`]; the engine reads nothing from it. A
+    /// remnant kept only for `perfbench`, which records it; it goes at the
+    /// next perfbench unfreeze.
+    pub codec: Codec,
     /// Retention: after each successful cycle, prune published checkpoint
     /// chains down to the newest N fulls (plus their partials), and
     /// truncate command-log segments wholly below the oldest survivor's
@@ -301,7 +312,7 @@ impl EngineConfig {
             group_commit_max_batch: 4096,
             adaptive_pacing: true,
             load_capacity_tps: 0,
-            codec: calc_core::Codec::None,
+            codec: Codec::None,
             keep_checkpoints: Some(2),
             vfs: Arc::new(OsVfs),
             #[cfg(feature = "conform")]

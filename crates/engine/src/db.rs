@@ -143,7 +143,6 @@ impl Database {
         let dir =
             CheckpointDir::open_with_vfs(&config.checkpoint_dir, Arc::new(throttle), config.vfs.clone())?;
         dir.set_checkpoint_threads(config.checkpoint_threads);
-        dir.set_codec(config.codec);
         if resumed {
             // The caller loaded the chain through its own handle, whose
             // deep verification has already quarantined what failed, so

@@ -39,7 +39,7 @@ pub mod recorder;
 pub mod service;
 pub mod standby;
 
-pub use config::{EngineConfig, ExecutorMode, StrategyKind};
+pub use config::{Codec, EngineConfig, ExecutorMode, StrategyKind};
 pub use db::{Database, SyncError, TxnOutcome};
 pub use metrics::{
     Health, Metric, MetricDesc, MetricKind, MetricList, MetricValue, Metrics, Sampler, TimelinePoint,

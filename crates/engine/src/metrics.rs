@@ -163,8 +163,7 @@ health_metrics! {
     #[getter] checkpoint_failures: Counter, "cycles", "Failed checkpoint cycles, lifetime total.";
     #[getter] merge_failures: Counter, "merges", "Background partial-checkpoint merges that failed.";
     last_checkpoint_parts: Gauge, "files", "Part files written by the most recent checkpoint cycle.";
-    #[getter] last_checkpoint_bytes: Gauge, "bytes", "Disk bytes written by the most recent checkpoint cycle (post-compression).";
-    #[getter] last_checkpoint_raw_bytes: Gauge, "bytes", "Uncompressed record-stream bytes of the most recent checkpoint cycle.";
+    #[getter] last_checkpoint_bytes: Gauge, "bytes", "Disk bytes written by the most recent checkpoint cycle.";
     #[getter] checkpoints_pruned: Counter, "checkpoints", "Superseded checkpoints pruned by retention, lifetime total.";
     #[getter] log_segments_truncated: Counter, "segments", "Command-log segments truncated by retention, lifetime total.";
     #[getter] log_bytes_truncated: Counter, "bytes", "Command-log bytes freed by retention, lifetime total.";

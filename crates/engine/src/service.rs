@@ -326,7 +326,6 @@ impl CheckpointWork for Inner {
         let stats = self.strategy.checkpoint(self, &self.dir)?;
         self.health.set(Metric::last_checkpoint_parts, stats.parts as u64);
         self.health.set(Metric::last_checkpoint_bytes, stats.bytes);
-        self.health.set(Metric::last_checkpoint_raw_bytes, stats.raw_bytes);
         self.retention();
         Ok(stats)
     }
@@ -363,7 +362,7 @@ impl CheckpointWork for Inner {
             // to the *newest* full, deleting an older full's replay window.
             #[cfg(feature = "mutation-hooks")]
             let floor = match mutation::armed(mutation::Mutation::TruncateAboveFloor) {
-                true => self.dir.manifests()?.iter().filter(|m| m.kind == CheckpointKind::Full)
+                true => self.dir.manifests().iter().filter(|m| m.kind == CheckpointKind::Full)
                     .map(|m| m.watermark).max(),
                 false => floor,
             };
@@ -409,7 +408,6 @@ mod tests {
                 watermark: CommitSeq::ZERO,
                 records: 0,
                 bytes: 0,
-                raw_bytes: 0,
                 duration: Duration::ZERO,
                 quiesce: Duration::ZERO,
                 parts: 0,

@@ -74,7 +74,6 @@ fn database_recover_resumes_ids_and_sequences() {
         let old_ids: std::collections::BTreeSet<u64> = db
             .checkpoint_dir()
             .manifests()
-            .unwrap()
             .iter()
             .map(|m| m.id)
             .collect();
@@ -108,7 +107,7 @@ fn database_recover_resumes_ids_and_sequences() {
             stats.id
         );
         // And the new checkpoint is catalogued and reads back whole.
-        let metas = db.checkpoint_dir().manifests().unwrap();
+        let metas = db.checkpoint_dir().manifests();
         let meta = metas.iter().find(|m| m.id == stats.id).expect("new cycle catalogued");
         assert_eq!(meta.read_all().unwrap().len() as u64, meta.records, "{}", kind.name());
     }

@@ -21,23 +21,21 @@ use calc_txn::commitlog::CommitLog;
 
 use common::{logged_commands, logged_config};
 
-/// Zero-padded 64-byte payload: representative of fixed-width tuples and
-/// gives the RLE codec real redundancy to squeeze.
+/// Zero-padded 64-byte payload: representative of fixed-width tuples.
 fn padded(v: u64) -> [u8; 64] {
     let mut bytes = [0u8; 64];
     bytes[..8].copy_from_slice(&v.to_le_bytes());
     bytes
 }
 
-/// The end-to-end retention loop: compressed checkpoints, segmented
-/// log, pruning and truncation after every cycle — disk use stays
-/// bounded and recovery still reproduces the exact live state.
+/// The end-to-end retention loop: checkpoints, segmented log, pruning
+/// and truncation after every cycle — disk use stays bounded and
+/// recovery still reproduces the exact live state.
 #[test]
 fn retention_bounds_disk_and_preserves_recovery() {
     let (mut config, log_dir) = logged_config(StrategyKind::Calc, 4096, "retention-bound");
     let ckpt_dir = config.checkpoint_dir.clone();
     config.workers = 2;
-    config.codec = calc_core::Codec::Rle;
     config.log_segment_bytes = Some(4 << 10);
     config.keep_checkpoints = Some(2);
     let db = Database::open(config, registry()).unwrap();
@@ -57,18 +55,12 @@ fn retention_bounds_disk_and_preserves_recovery() {
     );
     assert!(health.log_bytes_truncated() > 0);
     assert_eq!(health.retention_failures(), 0);
-    // Compression is live end to end.
     assert!(health.last_checkpoint_bytes() > 0);
-    assert!(
-        health.last_checkpoint_raw_bytes() > health.last_checkpoint_bytes(),
-        "RLE on 8-byte LE values must shrink the stream"
-    );
 
     // Disk is bounded: at most `keep` fulls survive.
     let fulls = db
         .checkpoint_dir()
         .manifests()
-        .unwrap()
         .iter()
         .filter(|m| m.kind == CheckpointKind::Full)
         .count();
@@ -109,7 +101,7 @@ fn truncation_leaves_no_replay_gap_for_fallback_chains() {
         db.sync_command_log().unwrap();
         db.checkpoint_now().unwrap();
     }
-    let metas = db.checkpoint_dir().manifests().unwrap();
+    let metas = db.checkpoint_dir().manifests();
     let floor = metas
         .iter()
         .filter(|m| m.kind == CheckpointKind::Full)
@@ -161,7 +153,7 @@ fn shipped_retention_truncates_the_log_and_keeps_a_fallback() {
     assert!(db.health().log_segments_truncated() > 0);
     assert_eq!(db.health().retention_failures(), 0);
 
-    let mut fulls: Vec<_> = db.checkpoint_dir().manifests().unwrap();
+    let mut fulls: Vec<_> = db.checkpoint_dir().manifests();
     fulls.retain(|m| m.kind == CheckpointKind::Full);
     fulls.sort_by_key(|m| m.id);
     assert_eq!(fulls.len(), 2, "the shipped default keeps two fulls");
@@ -307,7 +299,7 @@ fn retention_does_not_notice_a_part_rotting_under_a_running_engine() {
     let oldest = db.checkpoint_now().unwrap();
     writes(1);
     let rotten = db.checkpoint_now().unwrap();
-    let part = db.checkpoint_dir().manifests().unwrap()[1].parts[0].path.clone();
+    let part = db.checkpoint_dir().manifests()[1].parts[0].path.clone();
     let mut bytes = std::fs::read(&part).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
@@ -316,7 +308,7 @@ fn retention_does_not_notice_a_part_rotting_under_a_running_engine() {
     writes(2);
     let newest = db.checkpoint_now().unwrap();
     writes(3);
-    let ids: Vec<u64> = db.checkpoint_dir().manifests().unwrap().iter().map(|m| m.id).collect();
+    let ids: Vec<u64> = db.checkpoint_dir().manifests().iter().map(|m| m.id).collect();
     assert_eq!(ids, vec![rotten.id, newest.id], "full {} not pruned", oldest.id);
     assert_eq!(db.health().checkpoints_pruned(), 1);
     assert_eq!(db.health().retention_failures(), 0);

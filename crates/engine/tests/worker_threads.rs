@@ -39,6 +39,11 @@ fn no_engine_thread_outlives_its_database() {
         db.load_initial(Key(k), &0u64.to_le_bytes()).unwrap();
     }
     db.finalize_load(true).unwrap();
+    // A spawned thread names itself only once it runs: wait for the name.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !thread_names().iter().any(|n| n == "calc-ckpt-worke") && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     assert!(
         thread_names().iter().any(|n| n == "calc-ckpt-worke"),
         "the checkpoint worker is not running: {:?}",

@@ -509,7 +509,7 @@ fn health_text(db: &Database) -> String {
 /// scan would re-CRC every part and rename files under the merger's GC.
 fn stats_text(db: &Database) -> String {
     let mut out = String::new();
-    for m in db.checkpoint_dir().manifests().unwrap_or_default() {
+    for m in db.checkpoint_dir().manifests() {
         out.push_str(&format!(
             "checkpoint kind={} id={} records={} watermark={}\n",
             m.kind, m.id, m.records, m.watermark

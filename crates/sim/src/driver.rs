@@ -39,7 +39,6 @@ use calc_common::Backoff;
 use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::NoopEnv;
 use calc_core::throttle::Throttle;
-use calc_core::Codec;
 use calc_engine::standby::{Promoted, Standby, StandbyConfig};
 use calc_engine::{classify, EngineConfig, ErrorClass, StrategyKind, TxnOutcome};
 use calc_recovery::replay::{RecoveryError, ReplayOps};
@@ -74,9 +73,8 @@ pub enum TransientPlan {
         /// first part file's create/header; past `begin_parts` (a create
         /// and a header write per part) the window reaches the capture's
         /// frame and footer writes — two writes per ~64 KiB frame, one
-        /// footer per part, whatever the codec — so with multi-part
-        /// cycles the error lands on one part `k` while the others are
-        /// written or still open.
+        /// footer per part — so with multi-part cycles the error lands on
+        /// one part `k` while the others are written or still open.
         skip: u64,
         /// Window length in data ops. With `WriteError` and `skip: 0`,
         /// `2` makes each cycle fail exactly once: the capture's
@@ -112,10 +110,6 @@ pub struct SimSpec {
     /// Retries per checkpoint cycle before giving up on that cycle
     /// (degraded: the run continues on the command log alone).
     pub ckpt_retries: u32,
-    /// Checkpoint-part codec. `None` reads `CKPT_CODEC` from the
-    /// environment (default `none`), so one sweep binary covers both the
-    /// uncompressed and the compressed part formats.
-    pub codec: Option<Codec>,
     /// Command-log segmentation: rotate `cmdlog-<i>.log` segments at this
     /// size.
     pub log_segment_bytes: u64,
@@ -140,7 +134,6 @@ impl SimSpec {
             transient: None,
             ckpt_threads: None,
             ckpt_retries: 3,
-            codec: None,
             // Far above what the workload writes: a smoke run never rotates.
             log_segment_bytes: 64 << 20,
             truncate_log: false,
@@ -257,9 +250,6 @@ impl SimSpec {
     fn open_dir(&self, vfs: Arc<dyn Vfs>) -> io::Result<CheckpointDir> {
         let dir = CheckpointDir::open_with_vfs(&ckpt_dir(), Arc::new(Throttle::unlimited()), vfs)?;
         dir.set_checkpoint_threads(self.resolved_ckpt_threads());
-        dir.set_codec(self.codec.unwrap_or_else(|| {
-            Codec::from_env().expect("CKPT_CODEC names a known codec")
-        }));
         Ok(dir)
     }
 
@@ -514,8 +504,8 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
     // handle opened now catalogues the survivors.
     let survivors = spec
         .open_dir(vfs_dyn.clone())
-        .and_then(|dir| dir.manifests())
-        .map_err(|e| violation(spec, format!("listing checkpoints after recovery: {e}")))?;
+        .map_err(|e| violation(spec, format!("opening checkpoints after recovery: {e}")))?
+        .manifests();
     for meta in &survivors {
         match meta.shape_violation(vfs_dyn.as_ref()) {
             Ok(None) => {}

@@ -21,7 +21,6 @@ use calc_common::types::CommitSeq;
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::throttle::Throttle;
-use calc_core::Codec;
 use calc_engine::StrategyKind;
 use calc_sim::{run_sim, SimSpec, TransientPlan};
 
@@ -105,12 +104,9 @@ fn pcalc_part_failure_mid_capture_rolls_every_shard_forward() {
     // The window opens on the second of the capture's own writes — its
     // frames and footers — after `begin_parts` has created every part and
     // written its header, so the error hits an in-flight part rather than
-    // a create. `begin_parts`' share is measured, not assumed; the frame
-    // layout is the same under every codec, and the codec is pinned only
-    // so a `CKPT_CODEC` sweep runs this case once, as written.
+    // a create. `begin_parts`' share is measured, not assumed.
     for threads in [1usize, 4] {
         let mut spec = SimSpec::smoke(StrategyKind::PCalc, fault_seed() ^ 0x9A);
-        spec.codec = Some(Codec::None);
         spec.ckpt_threads = Some(threads);
         spec.transient = Some(TransientPlan::EveryCheckpoint {
             kind: TransientKind::WriteError,

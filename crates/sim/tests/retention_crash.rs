@@ -1,18 +1,16 @@
-//! ISSUE 6 crash coverage: compressed checkpoint parts + segmented
-//! command log + retention-driven truncation, under the recovery oracle.
+//! Crash coverage for the segmented command log and retention-driven
+//! truncation, under the recovery oracle.
 //!
 //! Two layers:
 //!
-//! * **Sweeps** — the standard seeded workload with RLE-compressed parts,
-//!   a tiny segment threshold (so rotation happens constantly) and
-//!   truncation after every durable checkpoint; faults injected at every
-//!   swept operation index. This drives crashes *during* segment
-//!   rotation (a rotation is a seal-fsync + create) and *between* a
-//!   checkpoint publish and the log truncation that follows it — the two
-//!   new windows this PR opens. The oracle is zero lost writes: recovery
-//!   must reach at least the durable floor.
-//! * **A directed regression** — a torn/corrupt compressed block in one
-//!   part of the newest cycle must quarantine that whole cycle and fall
+//! * **Sweeps** — the standard seeded workload with a tiny segment
+//!   threshold (so rotation happens constantly) and truncation after
+//!   every durable checkpoint; faults injected at every swept operation
+//!   index. This drives crashes *during* segment rotation (a rotation is
+//!   a seal-fsync + create) and *between* a checkpoint publish and the
+//!   log truncation that follows it. The oracle is zero lost writes:
+//!   recovery must reach at least the durable floor.
+//! * **A directed regression** — a torn/corrupt block in one part of the newest cycle must quarantine that whole cycle and fall
 //!   recovery back to the parent chain, never surface wrong data.
 
 use std::sync::Arc;
@@ -24,29 +22,26 @@ use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::CheckpointStrategy;
 use calc_core::throttle::Throttle;
-use calc_core::Codec;
 use calc_engine::StrategyKind;
 use calc_recovery::replay::recover_checkpoint_only;
 use calc_sim::{base_seed, run_sim, SimSpec};
 use calc_storage::dual::StoreConfig;
 use calc_txn::commitlog::CommitLog;
 
-/// The standard smoke experiment with every ISSUE 6 knob on: compressed
-/// parts, 512-byte log segments (a rotation every ~10 commits), and
+/// The standard smoke experiment with retention on: 512-byte log segments (a rotation every ~10 commits), and
 /// truncation after each durable checkpoint.
 fn retention_spec(kind: StrategyKind, seed: u64) -> SimSpec {
     let mut spec = SimSpec::smoke(kind, seed);
-    spec.codec = Some(Codec::Rle);
     spec.log_segment_bytes = 512;
     spec.truncate_log = true;
     spec
 }
 
 /// All ten strategy × full/partial combos survive clean runs (power cut
-/// at end of workload) with compression + truncation on, across fixed
+/// at end of workload) with truncation on, across fixed
 /// seeds.
 #[test]
-fn compressed_retention_all_strategies_clean_runs() {
+fn retention_all_strategies_clean_runs() {
     for kind in StrategyKind::ALL_CHECKPOINTING {
         for k in 0..3u64 {
             let spec = retention_spec(kind, base_seed() ^ 0xA000 ^ k);
@@ -97,13 +92,13 @@ fn sweep(kind: StrategyKind, seed: u64, step: u64) -> u64 {
 }
 
 #[test]
-fn calc_compressed_retention_crash_point_sweep() {
+fn calc_retention_crash_point_sweep() {
     let fired = sweep(StrategyKind::Calc, base_seed() ^ 0xB000, 2);
     assert!(fired > 0, "no fault ever fired — sweep domain is wrong");
 }
 
 #[test]
-fn partial_calc_compressed_retention_crash_point_sweep() {
+fn partial_calc_retention_crash_point_sweep() {
     let fired = sweep(StrategyKind::PCalc, base_seed() ^ 0xC000, 3);
     assert!(fired > 0, "no fault ever fired — sweep domain is wrong");
 }
@@ -119,14 +114,13 @@ fn tmp(name: &str) -> std::path::PathBuf {
     ))
 }
 
-/// A corrupt compressed block in ONE part of the newest cycle quarantines
+/// A corrupt block in ONE part of the newest cycle quarantines
 /// that entire cycle: recovery falls back to the parent chain and reports
 /// the parent's watermark, never a torn mixture of the two.
 #[test]
-fn torn_compressed_block_quarantines_cycle_and_falls_back() {
+fn torn_block_quarantines_cycle_and_falls_back() {
     let root = tmp("fallback");
     let dir = CheckpointDir::open(&root, Arc::new(Throttle::unlimited())).unwrap();
-    dir.set_codec(Codec::Rle);
 
     // Cycle 1 (the parent): key 1 -> "one", key 3 -> "three".
     let (p, mut ws) = dir
@@ -145,7 +139,7 @@ fn torn_compressed_block_quarantines_cycle_and_falls_back() {
     p.publish(ws).unwrap();
 
     // Corrupt one byte in the middle of cycle 2, part 0 — inside a
-    // compressed frame, so the per-block CRC must catch it.
+    // frame's payload, so the per-frame CRC must catch it.
     let victim = root.join(CheckpointDir::part_file_name(2, CheckpointKind::Full, 0));
     let mut bytes = std::fs::read(&victim).unwrap();
     let mid = bytes.len() / 2;

@@ -57,7 +57,7 @@ fn experiment(seed: u64) -> Option<String> {
     writes(60);
     db.checkpoint_now().unwrap();
     writes(10);
-    let newest = db.checkpoint_dir().manifests().unwrap().into_iter();
+    let newest = db.checkpoint_dir().manifests().into_iter();
     let newest = newest
         .filter(|m| m.kind == CheckpointKind::Full)
         .max_by_key(|m| m.id)

@@ -152,7 +152,7 @@ fn full_mix_runs_with_checkpointing() {
     }
 
     // The checkpoint is a valid, loadable snapshot.
-    let metas = db.checkpoint_dir().manifests().unwrap();
+    let metas = db.checkpoint_dir().manifests();
     assert_eq!(metas.len(), 1);
     assert!(metas[0].records > config.initial_records() as u64 / 2);
     let entries = metas[0].read_all().expect("checkpoint reads back whole");

@@ -119,10 +119,8 @@ fn registry() -> ProcRegistry {
 fn open(dir: &std::path::Path) -> Database {
     let mut config = EngineConfig::new(StrategyKind::PCalc, 100_000, 64, dir.join("ckpts"));
     config.merge_batch = Some(4);
-    // ISSUE 6 knobs, drivable from the shell: `CKPT_CODEC=rle` compresses
-    // checkpoint parts; the segmented on-disk command log (tiny segments,
-    // so rotation is visible) is truncated behind `keep_checkpoints`.
-    config.codec = calc_db::core::Codec::from_env().expect("CKPT_CODEC names a known codec");
+    // The segmented on-disk command log (tiny segments, so rotation is
+    // visible) is truncated behind `keep_checkpoints`.
     config.command_log_dir = Some(dir.join("cmdlog"));
     config.log_segment_bytes = Some(4 << 10);
     config.keep_checkpoints = Some(2);
@@ -224,7 +222,7 @@ fn main() {
                     mem.total_copies(),
                     mem.total_bytes()
                 );
-                for m in db.checkpoint_dir().manifests().unwrap_or_default() {
+                for m in db.checkpoint_dir().manifests() {
                     println!(
                         "  {} #{} — {} records, watermark {}",
                         m.kind, m.id, m.records, m.watermark
@@ -232,9 +230,8 @@ fn main() {
                 }
                 let h = db.health();
                 println!(
-                    "  disk: last ckpt {} B ({} B raw) · chains pruned {} · log segments truncated {} ({} B)",
+                    "  disk: last ckpt {} B · chains pruned {} · log segments truncated {} ({} B)",
                     h.last_checkpoint_bytes(),
-                    h.last_checkpoint_raw_bytes(),
                     h.checkpoints_pruned(),
                     h.log_segments_truncated(),
                     h.log_bytes_truncated()

@@ -120,7 +120,7 @@ fn main() {
 
     // The checkpoints this database published, from its catalog (no
     // checkpoint byte is read back).
-    let metas = db.checkpoint_dir().manifests().expect("list checkpoints");
+    let metas = db.checkpoint_dir().manifests();
     println!(
         "on disk: {} checkpoint file(s), newest watermark {}",
         metas.len(),

@@ -8,9 +8,11 @@
 # the deleted shard-owned executor stays deleted; greps that restart has
 # one seal rule and never reads the log into a Vec; a grep that the
 # checkpoint daemon, per-merge and emergency threads and the locks that
-# ordered them stay deleted (one checkpoint worker); a grep that the
+# ordered them stay deleted (one checkpoint worker); greps that the
 # second checkpoint format stays deleted (no part or manifest version
-# constant of the bare record stream); greps that a running node reads
+# constant of the bare record stream) and that parts have one encoding
+# (no RLE codec, no `CKPT_CODEC`, no `raw_bytes` or `comp_len` field);
+# greps that a running node reads
 # no checkpoint byte back (the directory's deep scans `scan`, `scan_on`
 # and `recovery_chain` stay deleted, and non-test code outside
 # calc-recovery never calls `restart_chain`, the one deep query); a grep that `unsafe`
@@ -47,9 +49,9 @@
 # lane_mutant, tail_mutant, tail_trim_mutant and retention_mutant. Tier-0
 # checks that each still has its suite.
 # The later tiers therefore run only what tier-1 does not: tier-2 the
-# crash-simulation suite again with compressed parts, and again with
-# two-part checkpoints, so every restart loads and replays on two lanes
-# (tier-1's default is one); tiers 3, 4 and 5
+# crash-simulation suite again with two-part checkpoints, so every
+# restart loads and replays on two lanes (tier-1's default is one);
+# tiers 3, 4 and 5
 # their two *other* base seeds; tier-4 once more with 4-way parallel
 # capture (like tier-2 it drives strategies serially and opens no engine,
 # so it has no executor to vary); tier-7 the wire fuzzer (garbage opcodes,
@@ -118,9 +120,13 @@ if grep -rnE --exclude=verify.sh \
     exit 1
 fi
 
-echo "== tier-0: one checkpoint format (every part framed; no version-1 branch) =="
+echo "== tier-0: one checkpoint format (every part framed; no version-1 branch; one encoding) =="
 if grep -rnE 'VERSION_COMPRESSED|MANIFEST_VERSION_CODEC' crates/core/src; then
     echo "verify: part files and manifests have one version each; the bare record stream is gone" >&2
+    exit 1
+fi
+if grep -rnE '\bRle\b|CKPT_CODEC|raw_bytes|comp_len' crates/*/src; then
+    echo "verify: a part's frames hold the raw records; the codec and its size fields are gone" >&2
     exit 1
 fi
 
@@ -177,9 +183,6 @@ cargo build --release --workspace --quiet
 
 echo "== tier-1: workspace tests (every suite at its default seed) =="
 cargo test --workspace --quiet
-
-echo "== tier-2: crash-simulation sweep, compressed parts (CKPT_CODEC=rle) =="
-CKPT_CODEC=rle cargo test --package calc-sim --quiet
 
 echo "== tier-2: crash-simulation sweep, two-lane restarts (CKPT_THREADS=2) =="
 CKPT_THREADS=2 cargo test --package calc-sim --quiet

@@ -661,7 +661,7 @@ fn stray_single_file_artifacts_are_inert() {
         metas.iter().map(|m| m.id).collect()
     };
     assert!(matches!(ckpts.restart_chain().unwrap(), RestartChain::Chain(..)));
-    assert_eq!(ids(ckpts.manifests().unwrap()), vec![0, 2]);
+    assert_eq!(ids(ckpts.manifests()), vec![0, 2]);
     let claimed: Vec<u64> = ckpts.claims().unwrap().iter().map(|c| c.id).collect();
     assert_eq!(claimed, vec![0, 2]);
     assert_eq!(ckpts.chain().unwrap().0.id, 2);
@@ -670,7 +670,7 @@ fn stray_single_file_artifacts_are_inert() {
         .path()
         .join(CheckpointDir::manifest_file_name(2, CheckpointKind::Full));
     assert_eq!(ckpts.gc_through(u64::MAX, &keep).unwrap(), 0);
-    assert_eq!(ids(ckpts.manifests().unwrap()), vec![2]);
+    assert_eq!(ids(ckpts.manifests()), vec![2]);
     assert!(matches!(ckpts.restart_chain().unwrap(), RestartChain::Chain(..)));
     assert_eq!(ckpts.quarantined_count(), 0);
     assert_eq!(std::fs::read(&stray_ckpt).unwrap(), stray_bytes);

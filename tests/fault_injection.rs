@@ -62,7 +62,7 @@ fn corrupted_newest_checkpoint_falls_back_and_replays() {
     }
 
     // Corrupt the newest checkpoint file (bit flip mid-body).
-    let metas = db.checkpoint_dir().manifests().unwrap();
+    let metas = db.checkpoint_dir().manifests();
     assert_eq!(metas.len(), 2);
     let newest = metas.iter().find(|m| m.id == second.id).unwrap();
     let mut bytes = std::fs::read(&newest.path).unwrap();
@@ -116,7 +116,7 @@ fn crash_mid_capture_leaves_only_previous_checkpoint() {
     let RestartChain::Chain(full, _) = db.checkpoint_dir().restart_chain().unwrap() else {
         panic!("no chain");
     };
-    let live = db.checkpoint_dir().manifests().unwrap();
+    let live = db.checkpoint_dir().manifests();
     assert_eq!(live, vec![full], "only the valid checkpoint is live");
     assert_eq!(db.checkpoint_dir().quarantined_count(), 0, "debris is not corruption");
     let recovered = fresh_calc();
@@ -180,7 +180,7 @@ fn double_failure_still_yields_consistent_prefix() {
     let second = db.checkpoint_now().unwrap();
 
     // Corrupt the second checkpoint.
-    let metas = db.checkpoint_dir().manifests().unwrap();
+    let metas = db.checkpoint_dir().manifests();
     let newest = metas.iter().find(|m| m.id == second.id).unwrap();
     let mut bytes = std::fs::read(&newest.path).unwrap();
     let n = bytes.len();
