@@ -3,24 +3,27 @@
 //! touched. What distinguishes those two schemes is only *when* their
 //! checkpoint reads the live versions.
 
-use calc_common::types::{Key, Value};
+use calc_common::types::Key;
 use calc_storage::dual::{DualVersionStore, StoreError};
+use calc_storage::SlotId;
 
 use calc_core::strategy::{TxnToken, WriteKind};
 
-/// `apply_write`: overwrite the live version.
+/// `apply_write_at`: overwrite the live version.
 pub(crate) fn write(
     store: &DualVersionStore,
     token: &mut TxnToken,
     key: Key,
+    at: Option<SlotId>,
     value: &[u8],
-) -> Result<Option<Value>, StoreError> {
+    old: &mut Vec<u8>,
+) -> Result<bool, StoreError> {
     let mut g = store
-        .locked_slot_of(key)
+        .locked_slot_at(key, at)
         .ok_or(StoreError::KeyNotFound(key))?;
-    let old = g.set_live(value);
+    let had = g.overwrite_live(value, old);
     token.record(key, g.slot(), WriteKind::Update);
-    Ok(old)
+    Ok(had)
 }
 
 /// `apply_insert`: `false` if the key already exists.
@@ -40,21 +43,21 @@ pub(crate) fn insert(
     }
 }
 
-/// `apply_delete`: clear the live version and unlink the key under the
-/// slot guard; the commit hook reclaims the slot.
+/// `apply_delete_at`: clear the live version and unlink the key under
+/// the slot guard; the commit hook reclaims the slot.
 pub(crate) fn delete(
     store: &DualVersionStore,
     token: &mut TxnToken,
     key: Key,
-) -> Result<Option<Value>, StoreError> {
+    at: Option<SlotId>,
+    old: &mut Vec<u8>,
+) -> Result<(), StoreError> {
     let mut g = store
-        .locked_slot_of(key)
+        .locked_slot_at(key, at)
         .ok_or(StoreError::KeyNotFound(key))?;
-    if g.live().is_none() {
-        return Err(StoreError::KeyNotFound(key));
-    }
-    let old = g.clear_live();
+    let live = g.clear_live().ok_or(StoreError::KeyNotFound(key))?;
+    old.extend_from_slice(&live);
     store.unlink(key)?;
     token.record(key, g.slot(), WriteKind::Delete);
-    Ok(old)
+    Ok(())
 }

@@ -29,10 +29,12 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
+use calc_common::lockword::LockWords;
 use calc_common::types::{CommitSeq, Key, Value};
 use calc_storage::dual::{StoreConfig, StoreError};
 use calc_storage::mem::{MemCounter, MemoryStats};
 use calc_storage::slots::shard_index;
+use calc_storage::SlotId;
 use calc_txn::commitlog::{CommitLog, PhaseStamp};
 
 use calc_core::file::CheckpointKind;
@@ -120,11 +122,14 @@ pub struct MvccStrategy {
     version_mem: MemCounter,
     live_records: AtomicU64,
     installed: Mutex<InstalledPrefix>,
+    /// Transaction lock words (MVCC keeps no slots; one word per record
+    /// of the configured capacity, like the slot-table strategies).
+    locks: LockWords,
 }
 
 impl MvccStrategy {
-    /// Creates the strategy. `config` is used only for shard sizing —
-    /// MVCC has no fixed slot arena; memory scales with versions.
+    /// Creates the strategy. `config` sizes the shards and the lock words
+    /// only — MVCC has no fixed slot arena; memory scales with versions.
     pub fn new(config: StoreConfig, log: Arc<CommitLog>) -> Self {
         let n_shards = config.shards.max(1).next_power_of_two();
         let base_seq = log.last_seq().0;
@@ -142,6 +147,7 @@ impl MvccStrategy {
                 prefix: base_seq,
                 out_of_order: BTreeSet::new(),
             }),
+            locks: LockWords::new(config.capacity),
         }
     }
 
@@ -230,8 +236,13 @@ impl CheckpointStrategy for MvccStrategy {
         Ok(installed)
     }
 
-    fn get(&self, key: Key) -> Option<Value> {
-        self.with_chain(key, |c| c.visible().cloned()).flatten()
+    fn locks(&self) -> &LockWords {
+        &self.locks
+    }
+
+    fn get_with(&self, key: Key, _at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
+        self.with_chain(key, |c| c.visible().map(|v| read(v)).is_some())
+            .unwrap_or(false)
     }
 
     fn record_count(&self) -> usize {
@@ -247,26 +258,24 @@ impl CheckpointStrategy for MvccStrategy {
 
     fn txn_end(&self, _token: TxnToken) {}
 
-    fn apply_write(
+    fn apply_write_at(
         &self,
         token: &mut TxnToken,
         key: Key,
+        _at: Option<SlotId>,
         value: &[u8],
-    ) -> Result<Option<Value>, StoreError> {
+        old: &mut Vec<u8>,
+    ) -> Result<bool, StoreError> {
         let new = Some(value.to_vec().into_boxed_slice());
-        let old = self
-            .with_chain(key, |chain| {
-                if chain.visible().is_none() {
-                    return Err(StoreError::KeyNotFound(key));
-                }
-                let old = chain.visible().cloned();
-                // Overwrite of our own pending version replaces it.
-                chain.pending = Some(new);
-                Ok(old)
-            })
-            .ok_or(StoreError::KeyNotFound(key))??;
+        self.with_chain(key, |chain| {
+            old.extend_from_slice(chain.visible().ok_or(StoreError::KeyNotFound(key))?);
+            // Overwrite of our own pending version replaces it.
+            chain.pending = Some(new);
+            Ok(())
+        })
+        .ok_or(StoreError::KeyNotFound(key))??;
         token.record(key, 0, WriteKind::Update);
-        Ok(old)
+        Ok(true)
     }
 
     fn apply_insert(
@@ -290,20 +299,22 @@ impl CheckpointStrategy for MvccStrategy {
         Ok(inserted)
     }
 
-    fn apply_delete(&self, token: &mut TxnToken, key: Key) -> Result<Option<Value>, StoreError> {
-        let old = self
-            .with_chain(key, |chain| {
-                let old = chain.visible().cloned();
-                if old.is_none() {
-                    return Err(StoreError::KeyNotFound(key));
-                }
-                chain.pending = Some(None); // tombstone
-                Ok(old)
-            })
-            .ok_or(StoreError::KeyNotFound(key))??;
+    fn apply_delete_at(
+        &self,
+        token: &mut TxnToken,
+        key: Key,
+        _at: Option<SlotId>,
+        old: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        self.with_chain(key, |chain| {
+            old.extend_from_slice(chain.visible().ok_or(StoreError::KeyNotFound(key))?);
+            chain.pending = Some(None); // tombstone
+            Ok(())
+        })
+        .ok_or(StoreError::KeyNotFound(key))??;
         self.live_records.fetch_sub(1, Ordering::Relaxed);
         token.record(key, 0, WriteKind::Delete);
-        Ok(old)
+        Ok(())
     }
 
     fn on_commit(&self, token: &mut TxnToken, seq: CommitSeq, _commit: PhaseStamp) {
@@ -586,19 +597,20 @@ mod tests {
         }
         let stop = Arc::new(AtomicBool::new(false));
         let journal = Arc::new(Mutex::new(Vec::<(CommitSeq, u64, u64)>::new()));
-        let locks = Arc::new(calc_txn::locks::LockManager::new(16));
         let workers: Vec<_> = (0..3u64)
             .map(|t| {
                 let s = s.clone();
                 let log = log.clone();
                 let stop = stop.clone();
                 let journal = journal.clone();
-                let locks = locks.clone();
                 std::thread::spawn(move || {
                     let mut i = 0u64;
+                    let mut set = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
                         let k = (t * 1000 + i) % 50;
-                        let guard = locks.acquire(&[(Key(k), calc_txn::locks::LockMode::Exclusive)]);
+                        set.clear();
+                        set.push((s.locks().word_of(k), calc_common::lockword::LockMode::Exclusive));
+                        let guard = s.locks().lock_all(&mut set);
                         let mut tok = s.txn_begin();
                         let val = t * 1_000_000 + i;
                         s.apply_write(&mut tok, Key(k), &val.to_le_bytes()).unwrap();

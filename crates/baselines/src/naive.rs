@@ -12,17 +12,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use calc_common::types::{CommitSeq, Key, Value};
+use calc_common::lockword::LockWords;
+use calc_common::types::{CommitSeq, Key};
 use calc_storage::dirty::BitVecTracker;
 use calc_storage::dual::{DualVersionStore, StoreConfig, StoreError};
 use calc_storage::mem::MemoryStats;
+use calc_storage::SlotId;
 use calc_txn::commitlog::{CommitLog, PhaseStamp};
 
 use calc_core::cycle::{base_checkpoint, capture_live, undo_live, Slots, Tombstones};
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::{
-    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoRec, WriteKind,
+    CheckpointStats, CheckpointStrategy, EngineEnv, Resolved, TxnToken, UndoRec, WriteKind,
 };
 
 use crate::live;
@@ -94,8 +96,20 @@ impl CheckpointStrategy for NaiveStrategy {
         self.store.install_batch(records)
     }
 
-    fn get(&self, key: Key) -> Option<Value> {
-        self.store.get(key)
+    fn locks(&self) -> &LockWords {
+        self.store.locks()
+    }
+
+    fn resolve(&self, key: Key) -> Resolved {
+        Resolved::from_slot(self.store.slot_of(key))
+    }
+
+    fn get_with(&self, key: Key, at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
+        self.store.get_with(key, at, read)
+    }
+
+    fn prefetch(&self, slots: &[SlotId]) {
+        self.store.prefetch(slots);
     }
 
     fn record_count(&self) -> usize {
@@ -111,13 +125,15 @@ impl CheckpointStrategy for NaiveStrategy {
 
     fn txn_end(&self, _token: TxnToken) {}
 
-    fn apply_write(
+    fn apply_write_at(
         &self,
         token: &mut TxnToken,
         key: Key,
+        at: Option<SlotId>,
         value: &[u8],
-    ) -> Result<Option<Value>, StoreError> {
-        live::write(&self.store, token, key, value)
+        old: &mut Vec<u8>,
+    ) -> Result<bool, StoreError> {
+        live::write(&self.store, token, key, at, value, old)
     }
 
     fn apply_insert(
@@ -129,8 +145,14 @@ impl CheckpointStrategy for NaiveStrategy {
         live::insert(&self.store, token, key, value)
     }
 
-    fn apply_delete(&self, token: &mut TxnToken, key: Key) -> Result<Option<Value>, StoreError> {
-        live::delete(&self.store, token, key)
+    fn apply_delete_at(
+        &self,
+        token: &mut TxnToken,
+        key: Key,
+        at: Option<SlotId>,
+        old: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        live::delete(&self.store, token, key, at, old)
     }
 
     fn on_commit(&self, token: &mut TxnToken, _seq: CommitSeq, _commit: PhaseStamp) {

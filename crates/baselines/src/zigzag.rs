@@ -16,7 +16,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use calc_common::types::{CommitSeq, Key, Value};
+use calc_common::lockword::LockWords;
+use calc_common::types::{CommitSeq, Key};
 use calc_storage::dirty::BitVecTracker;
 use calc_storage::dual::{StoreConfig, StoreError};
 use calc_storage::mem::MemoryStats;
@@ -106,8 +107,12 @@ impl CheckpointStrategy for ZigzagStrategy {
         self.store.install_batch(records)
     }
 
-    fn get(&self, key: Key) -> Option<Value> {
-        self.store.get(key)
+    fn locks(&self) -> &LockWords {
+        self.store.locks()
+    }
+
+    fn get_with(&self, key: Key, _at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
+        self.store.get(key).map(|v| read(&v)).is_some()
     }
 
     fn record_count(&self) -> usize {
@@ -123,16 +128,19 @@ impl CheckpointStrategy for ZigzagStrategy {
 
     fn txn_end(&self, _token: TxnToken) {}
 
-    fn apply_write(
+    fn apply_write_at(
         &self,
         token: &mut TxnToken,
         key: Key,
+        _at: Option<SlotId>,
         value: &[u8],
-    ) -> Result<Option<Value>, StoreError> {
-        let old = self.store.write(key, value)?;
+        old: &mut Vec<u8>,
+    ) -> Result<bool, StoreError> {
+        let prev = self.store.write(key, value)?;
         let slot = self.store.slot_of(key).expect("written key is linked");
         token.record(key, slot, WriteKind::Update);
-        Ok(old)
+        old.extend_from_slice(prev.as_deref().unwrap_or_default());
+        Ok(prev.is_some())
     }
 
     fn apply_insert(
@@ -152,15 +160,22 @@ impl CheckpointStrategy for ZigzagStrategy {
         }
     }
 
-    fn apply_delete(&self, token: &mut TxnToken, key: Key) -> Result<Option<Value>, StoreError> {
+    fn apply_delete_at(
+        &self,
+        token: &mut TxnToken,
+        key: Key,
+        _at: Option<SlotId>,
+        old: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
         let slot = self.store.slot_of(key).ok_or(StoreError::KeyNotFound(key))?;
         let active = self.capture_active.load(Ordering::Acquire);
-        let old = self.store.delete(key, active)?;
+        let prev = self.store.delete(key, active)?;
         if active {
             self.deferred_reclaim.lock().push(slot);
         }
         token.record(key, slot, WriteKind::Delete);
-        Ok(old)
+        old.extend_from_slice(prev.as_deref().unwrap_or_default());
+        Ok(())
     }
 
     fn on_commit(&self, token: &mut TxnToken, _seq: CommitSeq, _commit: PhaseStamp) {

@@ -30,6 +30,9 @@
 //!   `mutation-hooks` feature) proving the conformance oracle has teeth.
 //! * [`prefetch`] — cache-line prefetch hints, so a transaction's
 //!   records are fetched together before it runs.
+//! * [`lockword`] — transaction lock words: a shared count and an
+//!   exclusive bit per word, one CAS uncontended, FIFO waiters on
+//!   conflict; the store's slot table embeds one per slot.
 
 #![warn(missing_docs)]
 
@@ -38,6 +41,7 @@ pub mod bitvec;
 pub mod crc;
 pub mod hist;
 pub mod load;
+pub mod lockword;
 #[cfg(feature = "mutation-hooks")]
 pub mod mutation;
 pub mod perturb;

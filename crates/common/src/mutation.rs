@@ -25,11 +25,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// could plausibly introduce.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Mutation {
-    /// The lock manager grants every request in shared mode — writers no
-    /// longer exclude each other, so hot-key read-modify-write chains
-    /// lose updates.
+    /// Transaction lock words are granted in shared mode whatever was
+    /// asked — writers no longer exclude each other, so hot-key
+    /// read-modify-write chains lose updates.
     SkipLock,
-    /// `DualVersionStore::get` returns the *stable* version when one
+    /// `DualVersionStore::get_with` reads the *stable* version when one
     /// exists — readers observe the checkpoint's pre-images instead of
     /// the newest committed live value while a checkpoint is in flight.
     StaleStableRead,

@@ -38,10 +38,10 @@ thread_local! {
 /// A place in the engine where schedule jitter may be injected.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Site {
-    /// Just before a lock-manager grant completes (the new holder is about
-    /// to proceed).
+    /// Just after a lock word is granted, before the new holder takes
+    /// the next word of its set.
     LockGrant,
-    /// Just before a lock release wakes waiters.
+    /// Just before a lock word is released (and its waiters granted).
     LockRelease,
     /// Just before a live→stable version copy is installed in the dual
     /// store.

@@ -44,8 +44,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use calc_common::lockword::LockWords;
 use calc_common::phase::Phase;
-use calc_common::types::{CommitSeq, Key, Value};
+use calc_common::types::{CommitSeq, Key};
 use calc_storage::dirty::BitVecTracker;
 use calc_storage::dual::{DualSlotGuard, DualVersionStore, StoreConfig, StoreError};
 use calc_storage::mem::MemoryStats;
@@ -57,7 +58,8 @@ use crate::file::CheckpointKind;
 use crate::manifest::{CheckpointDir, CheckpointMeta};
 use crate::phase::PhaseController;
 use crate::strategy::{
-    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoRec, WriteKind, WriteRec,
+    CheckpointStats, CheckpointStrategy, EngineEnv, Resolved, TxnToken, UndoRec, WriteKind,
+    WriteRec,
 };
 
 /// CALC / pCALC. Construct with [`CalcStrategy::full`] or
@@ -442,12 +444,20 @@ impl CheckpointStrategy for CalcStrategy {
         self.store.install_batch(records)
     }
 
-    fn get(&self, key: Key) -> Option<Value> {
-        self.store.get(key)
+    fn locks(&self) -> &LockWords {
+        self.store.locks()
     }
 
-    fn prefetch(&self, keys: &[Key]) {
-        self.store.prefetch(keys);
+    fn resolve(&self, key: Key) -> Resolved {
+        Resolved::from_slot(self.store.slot_of(key))
+    }
+
+    fn get_with(&self, key: Key, at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
+        self.store.get_with(key, at, read)
+    }
+
+    fn prefetch(&self, slots: &[SlotId]) {
+        self.store.prefetch(slots);
     }
 
     fn record_count(&self) -> usize {
@@ -465,16 +475,18 @@ impl CheckpointStrategy for CalcStrategy {
         self.phases.end(token.stamp);
     }
 
-    fn apply_write(
+    fn apply_write_at(
         &self,
         token: &mut TxnToken,
         key: Key,
+        at: Option<SlotId>,
         value: &[u8],
-    ) -> Result<Option<Value>, StoreError> {
+        old: &mut Vec<u8>,
+    ) -> Result<bool, StoreError> {
         let status = self.store.stable_status();
         let mut g = self
             .store
-            .locked_slot_of(key)
+            .locked_slot_at(key, at)
             .ok_or(StoreError::KeyNotFound(key))?;
         let slot = g.slot();
         let mut created = false;
@@ -514,7 +526,7 @@ impl CheckpointStrategy for CalcStrategy {
                 g.erase_stable();
             }
         }
-        let old = g.set_live(value);
+        let had = g.overwrite_live(value, old);
         drop(g);
         token.writes.push(WriteRec {
             key,
@@ -522,7 +534,7 @@ impl CheckpointStrategy for CalcStrategy {
             kind: WriteKind::Update,
             created_stable: created,
         });
-        Ok(old)
+        Ok(had)
     }
 
     fn apply_insert(
@@ -553,11 +565,17 @@ impl CheckpointStrategy for CalcStrategy {
         }
     }
 
-    fn apply_delete(&self, token: &mut TxnToken, key: Key) -> Result<Option<Value>, StoreError> {
+    fn apply_delete_at(
+        &self,
+        token: &mut TxnToken,
+        key: Key,
+        at: Option<SlotId>,
+        old: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
         let status = self.store.stable_status();
         let mut g = self
             .store
-            .locked_slot_of(key)
+            .locked_slot_at(key, at)
             .ok_or(StoreError::KeyNotFound(key))?;
         if g.live().is_none() {
             return Err(StoreError::KeyNotFound(key));
@@ -590,7 +608,7 @@ impl CheckpointStrategy for CalcStrategy {
                 g.erase_stable();
             }
         }
-        let old = g.clear_live();
+        old.extend_from_slice(&g.clear_live().expect("checked above"));
         // Unlink while holding the slot guard: no new transaction can
         // reach the slot, but its stable version (if any) stays for the
         // capture thread. Slot reclamation happens at commit.
@@ -602,7 +620,7 @@ impl CheckpointStrategy for CalcStrategy {
             kind: WriteKind::Delete,
             created_stable: created,
         });
-        Ok(old)
+        Ok(())
     }
 
     fn on_commit(&self, token: &mut TxnToken, _seq: CommitSeq, commit: PhaseStamp) {

@@ -4,18 +4,64 @@
 
 use std::sync::atomic::Ordering;
 
-use calc_common::types::{Key, TxnId, Value};
-use calc_core::strategy::{CheckpointStrategy, TxnToken, UndoImage, UndoRec};
+use calc_common::lockword::Locked;
+use calc_common::types::{Key, TxnId};
+use calc_core::strategy::{CheckpointStrategy, Footprint, TxnToken, UndoImage, UndoRec};
 use calc_storage::dual::StoreError;
 use calc_txn::commitlog::CommitRecord;
-use calc_txn::locks::LockSetGuard;
 use calc_txn::proc::{AbortReason, Procedure, TxnOps};
 
 use crate::db::{Inner, TxnOutcome};
 use crate::executor::{Reply, Request};
 
+/// What a worker reuses from one transaction to the next: the declared
+/// keys' resolution and the undo space, so a transaction that overwrites
+/// records with values of their own length allocates nothing for them.
+pub(crate) struct Scratch<'a> {
+    /// The running transaction's declared keys, resolved once.
+    pub(crate) footprint: Footprint<'a>,
+    undo: Vec<Undo>,
+    /// The previous values of the transaction's writes, back to back.
+    old: Vec<u8>,
+}
+
+/// One write's inverse: the previous value is `old[from..]` up to the
+/// next entry's `from` (empty for [`UndoImage::Remove`]).
+struct Undo {
+    key: Key,
+    kind: fn(calc_common::types::Value) -> UndoImage,
+    from: usize,
+}
+
+impl<'a> Scratch<'a> {
+    pub(crate) fn new(strategy: &'a dyn CheckpointStrategy) -> Self {
+        Scratch {
+            footprint: Footprint::new(strategy),
+            undo: Vec::new(),
+            old: Vec::new(),
+        }
+    }
+
+    /// The undo images newest-first, as [`CheckpointStrategy::on_abort`]
+    /// takes them — copied out: only an abort pays for them.
+    fn undo_images(&self) -> Vec<UndoRec> {
+        let ends = self.undo.iter().skip(1).map(|u| u.from).chain([self.old.len()]);
+        let mut recs: Vec<UndoRec> = self
+            .undo
+            .iter()
+            .zip(ends)
+            .map(|(u, end)| UndoRec {
+                key: u.key,
+                img: (u.kind)(self.old[u.from..end].into()),
+            })
+            .collect();
+        recs.reverse();
+        recs
+    }
+}
+
 /// The transaction body: strategy hooks, commit-token append, and
-/// metrics, run while the request's declared lock set (`guard`) is held
+/// metrics, run while the request's declared lock set (`held`) is held
 /// and released only after commit processing. For a durable request that
 /// commits, the second element is the commit's
 /// [`calc_recovery::DurabilityTicket`] — the worker never waits on it (a
@@ -25,15 +71,17 @@ pub(crate) fn run_transaction(
     inner: &Inner,
     req: &Request,
     proc: &dyn Procedure,
-    guard: LockSetGuard<'_>,
+    held: Locked<'_>,
+    scratch: &mut Scratch<'_>,
 ) -> Reply {
     let mut token = inner.strategy.txn_begin();
     #[cfg(feature = "conform")]
     let start_stamp = token.stamp;
+    scratch.undo.clear();
+    scratch.old.clear();
     let mut ops = ExecOps {
-        strategy: inner.strategy.as_ref(),
         token: &mut token,
-        undo: Vec::new(),
+        scratch: &mut *scratch,
         failed: None,
         #[cfg(feature = "conform")]
         trace: inner.recorder.as_ref().map(|_| Vec::new()),
@@ -41,9 +89,7 @@ pub(crate) fn run_transaction(
     let result = proc.run(&req.params, &mut ops);
     #[cfg(feature = "conform")]
     let trace = ops.trace.take();
-    let ExecOps {
-        mut undo, failed, ..
-    } = ops;
+    let failed = ops.failed;
 
     let (outcome, ticket) = match (result, failed) {
         (Ok(()), None) => {
@@ -86,8 +132,7 @@ pub(crate) fn run_transaction(
             (TxnOutcome::Committed(seq), ticket)
         }
         (Err(e), _) | (Ok(()), Some(e)) => {
-            undo.reverse();
-            inner.strategy.on_abort(&mut token, &undo);
+            inner.strategy.on_abort(&mut token, &scratch.undo_images());
             (TxnOutcome::Aborted(e), None)
         }
     };
@@ -103,17 +148,16 @@ pub(crate) fn run_transaction(
         }
         TxnOutcome::Aborted(_) => inner.metrics.record_abort(),
     }
-    drop(guard);
+    drop(held);
     inner.strategy.txn_end(token);
     (outcome, ticket)
 }
 
-/// Bridges procedure logic to the strategy's apply hooks, recording undo
-/// images for rollback.
-struct ExecOps<'a> {
-    strategy: &'a dyn CheckpointStrategy,
+/// Bridges procedure logic to the strategy's apply hooks at the
+/// footprint's resolved slots, recording undo images for rollback.
+struct ExecOps<'a, 's> {
     token: &'a mut TxnToken,
-    undo: Vec<UndoRec>,
+    scratch: &'a mut Scratch<'s>,
     failed: Option<AbortReason>,
     /// Operation trace for the conformance recorder; `Some` only when a
     /// recorder is attached to the engine.
@@ -121,17 +165,34 @@ struct ExecOps<'a> {
     trace: Option<Vec<crate::recorder::RecordedOp>>,
 }
 
-impl TxnOps for ExecOps<'_> {
-    fn get(&mut self, key: Key) -> Option<Value> {
-        let observed = self.strategy.get(key);
+impl ExecOps<'_, '_> {
+    fn push_undo(&mut self, key: Key, kind: fn(calc_common::types::Value) -> UndoImage, from: usize) {
+        self.scratch.undo.push(Undo { key, kind, from });
+    }
+
+    /// Records the first failed operation; whatever it left in the undo
+    /// space from `from` on is dropped.
+    fn fail(&mut self, what: &str, e: StoreError, from: usize) {
+        self.scratch.old.truncate(from);
+        self.failed
+            .get_or_insert_with(|| AbortReason::Logic(format!("{what} failed: {e}")));
+    }
+}
+
+impl TxnOps for ExecOps<'_, '_> {
+    fn get_with(&mut self, key: Key, read: &mut dyn FnMut(&[u8])) -> bool {
+        let footprint = &self.scratch.footprint;
         #[cfg(feature = "conform")]
         if let Some(trace) = self.trace.as_mut() {
-            trace.push(crate::recorder::RecordedOp::Get {
-                key,
-                observed: observed.clone(),
+            let mut observed = None;
+            let found = footprint.get_with(key, &mut |v| {
+                observed = Some(v.into());
+                read(v)
             });
+            trace.push(crate::recorder::RecordedOp::Get { key, observed });
+            return found;
         }
-        observed
+        footprint.get_with(key, read)
     }
 
     fn put(&mut self, key: Key, value: &[u8]) {
@@ -142,35 +203,25 @@ impl TxnOps for ExecOps<'_> {
                 value: value.into(),
             });
         }
-        match self.strategy.apply_write(self.token, key, value) {
-            Ok(Some(old)) => self.undo.push(UndoRec {
-                key,
-                img: UndoImage::Restore(old),
-            }),
-            Ok(None) => self.undo.push(UndoRec {
-                key,
-                img: UndoImage::Remove,
-            }),
-            Err(e) => {
-                self.failed
-                    .get_or_insert_with(|| AbortReason::Logic(format!("put failed: {e}")));
-            }
+        let from = self.scratch.old.len();
+        let Scratch { footprint, old, .. } = &mut *self.scratch;
+        match footprint.write(self.token, key, value, old) {
+            Ok(true) => self.push_undo(key, UndoImage::Restore, from),
+            Ok(false) => self.push_undo(key, |_| UndoImage::Remove, from),
+            Err(e) => self.fail("put", e, from),
         }
     }
 
     fn insert(&mut self, key: Key, value: &[u8]) -> bool {
-        let inserted = match self.strategy.apply_insert(self.token, key, value) {
+        let from = self.scratch.old.len();
+        let inserted = match self.scratch.footprint.insert(self.token, key, value) {
             Ok(true) => {
-                self.undo.push(UndoRec {
-                    key,
-                    img: UndoImage::Remove,
-                });
+                self.push_undo(key, |_| UndoImage::Remove, from);
                 true
             }
             Ok(false) => false,
             Err(e) => {
-                self.failed
-                    .get_or_insert_with(|| AbortReason::Logic(format!("insert failed: {e}")));
+                self.fail("insert", e, from);
                 false
             }
         };
@@ -186,18 +237,19 @@ impl TxnOps for ExecOps<'_> {
     }
 
     fn delete(&mut self, key: Key) -> bool {
-        let deleted = match self.strategy.apply_delete(self.token, key) {
-            Ok(Some(old)) => {
-                self.undo.push(UndoRec {
-                    key,
-                    img: UndoImage::Reinsert(old),
-                });
+        let from = self.scratch.old.len();
+        let Scratch { footprint, old, .. } = &mut *self.scratch;
+        let deleted = match footprint.delete(self.token, key, old) {
+            Ok(()) => {
+                self.push_undo(key, UndoImage::Reinsert, from);
                 true
             }
-            Ok(None) | Err(StoreError::KeyNotFound(_)) => false,
+            Err(StoreError::KeyNotFound(_)) => {
+                self.scratch.old.truncate(from);
+                false
+            }
             Err(e) => {
-                self.failed
-                    .get_or_insert_with(|| AbortReason::Logic(format!("delete failed: {e}")));
+                self.fail("delete", e, from);
                 false
             }
         };

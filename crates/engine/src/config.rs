@@ -153,7 +153,7 @@ impl std::fmt::Display for StrategyKind {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExecutorMode {
     /// The paper's §4 pool: one submission queue, any worker takes any
-    /// transaction, isolation via the shared ordered-2PL lock manager.
+    /// transaction, isolation via ordered 2PL in the store's lock words.
     Pool,
 }
 

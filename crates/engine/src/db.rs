@@ -21,7 +21,6 @@ use calc_core::throttle::Throttle;
 use calc_recovery::{GroupCommitConfig, GroupCommitter, SegmentedLogWriter};
 use calc_storage::dual::StoreError;
 use calc_txn::commitlog::{CommitLog, CommitRecord};
-use calc_txn::locks::LockManager;
 use calc_txn::proc::{AbortReason, ProcId, ProcRegistry};
 
 use crate::config::EngineConfig;
@@ -46,7 +45,6 @@ pub use calc_recovery::SyncError;
 pub(crate) struct Inner {
     pub(crate) strategy: Arc<dyn CheckpointStrategy>,
     pub(crate) log: Arc<CommitLog>,
-    pub(crate) locks: LockManager,
     pub(crate) registry: ProcRegistry,
     /// Admission gate: every transaction holds read access for its whole
     /// lifetime (locks, logic, commit hook). `quiesced` takes write
@@ -200,7 +198,6 @@ impl Database {
         let inner = Arc::new(Inner {
             strategy,
             log,
-            locks: LockManager::new(1024),
             registry,
             gate: RwLock::new(()),
             dir,
@@ -320,6 +317,17 @@ impl Database {
     /// Direct (non-transactional) point read.
     pub fn get(&self, key: Key) -> Option<Value> {
         self.inner.strategy.get(key)
+    }
+
+    /// Direct (non-transactional) point read in place: `read`'s result
+    /// on the value's bytes, or `None` if the key is absent. `read` runs
+    /// under the record's slot mutex, so keep it short.
+    pub fn get_with<R>(&self, key: Key, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        let (mut read, mut out) = (Some(read), None);
+        self.inner
+            .strategy
+            .get_with(key, None, &mut |v| out = read.take().map(|f| f(v)));
+        out
     }
 
     /// Live record count.

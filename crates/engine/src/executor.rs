@@ -1,11 +1,18 @@
 //! The transaction executor: the paper's §4 pool. Every request goes on
 //! one submission queue (bounded by `EngineConfig::queue_capacity`, or
 //! unbounded), and any worker takes any request. The worker that pops it
-//! resolves the procedure and its pre-declared footprint, hands the
-//! footprint to the strategy's prefetch hint, then takes that lock set in
-//! the shared ordered-2PL lock manager, which cannot deadlock because
-//! every set is acquired in key order. The submitting thread
-//! pays neither a registry lookup nor a `locks()` call.
+//! resolves the procedure and its pre-declared footprint, then:
+//! 1. locks the footprint's keys in the strategy's lock words (one per
+//!    slot of its slot table, `calc_common::lockword`): each key hashed
+//!    to its word, the words prefetched, then locked in word order with
+//!    the strongest mode per word — ordered 2PL, which cannot deadlock;
+//! 2. resolves each declared key to its slot once, under those locks, and
+//!    prefetches the slots found (`calc_core::strategy::Footprint`);
+//! 3. runs the procedure against those slots, so an access to a declared
+//!    key neither looks it up again nor waits on a lock.
+//!
+//! The submitting thread pays neither a registry lookup nor a `locks()`
+//! call.
 //!
 //! A worker holds the admission gate's read side for the whole
 //! transaction, so a quiesce (its write side) observes no in-flight
@@ -26,11 +33,11 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
-use calc_core::strategy::prefetch_footprint;
+use calc_common::lockword::{LockMode, LockWords, Locked};
 use calc_recovery::DurabilityTicket;
 use calc_txn::proc::{AbortReason, LockRequest, ProcId, Procedure};
 
-use crate::commit::run_transaction;
+use crate::commit::{run_transaction, Scratch};
 use crate::config::EngineConfig;
 use crate::db::{Inner, TxnOutcome};
 
@@ -135,6 +142,9 @@ impl Executor {
 /// The worker loop: pops requests until the queue is drained and
 /// disconnected, and runs each under its declared lock set.
 fn run_worker(inner: &Inner, rx: &Receiver<Request>) {
+    // Reused by every transaction this worker runs.
+    let mut words = Vec::new();
+    let mut scratch = Scratch::new(inner.strategy.as_ref());
     while let Ok(req) = rx.recv() {
         let reply = {
             // Admission: held for the entire transaction, including the
@@ -142,14 +152,13 @@ fn run_worker(inner: &Inner, rx: &Receiver<Request>) {
             let _admission = inner.gate.read();
             match resolve(inner, &req) {
                 Err(e) => (TxnOutcome::Aborted(e), None),
-                Ok((proc, footprint)) => {
-                    // Start the footprint's cache misses, so they overlap
-                    // the lock-manager work; then ordered 2PL: acquire the
-                    // pre-declared lock set, run, release after commit
+                Ok((proc, declared)) => {
+                    // Ordered 2PL: lock the declared keys, resolve them
+                    // under the locks, run, release after commit
                     // processing.
-                    prefetch_footprint(inner.strategy.as_ref(), &footprint);
-                    let guard = inner.locks.acquire(&footprint.to_lock_set());
-                    run_transaction(inner, &req, proc.as_ref(), guard)
+                    let held = lock_footprint(inner.strategy.locks(), &declared, &mut words);
+                    scratch.footprint.resolve(&declared);
+                    run_transaction(inner, &req, proc.as_ref(), held, &mut scratch)
                 }
             }
         };
@@ -157,6 +166,24 @@ fn run_worker(inner: &Inner, rx: &Receiver<Request>) {
             let _ = tx.send(reply);
         }
     }
+}
+
+/// Locks `declared`'s keys: each hashed to its word, the words' lines
+/// prefetched so their misses overlap, then [`LockWords::lock_all`] over
+/// `set`, the worker's reused buffer.
+fn lock_footprint<'a>(
+    locks: &'a LockWords,
+    declared: &LockRequest,
+    set: &'a mut Vec<(u32, LockMode)>,
+) -> Locked<'a> {
+    set.clear();
+    let word = |key: &calc_common::types::Key| locks.word_of(key.0);
+    set.extend(declared.writes.iter().map(|k| (word(k), LockMode::Exclusive)));
+    set.extend(declared.reads.iter().map(|k| (word(k), LockMode::Shared)));
+    for &(w, _) in set.iter() {
+        locks.prefetch(w);
+    }
+    locks.lock_all(set)
 }
 
 /// Resolves a request to its procedure and pre-declared footprint.

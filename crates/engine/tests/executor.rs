@@ -189,6 +189,39 @@ fn concurrent_submissions_all_commit() {
     assert_eq!(total, 1000);
 }
 
+/// Two upserts of one absent key, submitted together: the lock word of
+/// the key serializes them though the key has no slot yet, so one
+/// inserts and the other overwrites (the counter reads 2). Without the
+/// lock both would read it absent, and the second insert would find the
+/// first's record and change nothing.
+#[test]
+fn concurrent_upserts_of_an_absent_key_insert_once_and_overwrite_once() {
+    for kind in [StrategyKind::Calc, StrategyKind::Mvcc] {
+        let db = Arc::new(open_db(kind, &format!("upsert-race-{}", kind.name())));
+        const ROUNDS: u64 = 200;
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                let (db, start) = (db.clone(), start.clone());
+                std::thread::spawn(move || {
+                    for key in 0..ROUNDS {
+                        start.wait();
+                        let out = db.execute(ProcId(1), add_params(key, 1, u64::MAX));
+                        assert!(matches!(out, TxnOutcome::Committed(_)), "{out:?}");
+                    }
+                })
+            })
+            .collect();
+        for r in racers {
+            r.join().unwrap();
+        }
+        assert_eq!(db.record_count(), ROUNDS as usize, "{kind}");
+        for key in 0..ROUNDS {
+            assert_eq!(counter(db.get(Key(key))), 2, "{kind}: key {key}");
+        }
+    }
+}
+
 #[test]
 fn checkpoint_under_load_every_strategy() {
     for kind in StrategyKind::ALL_CHECKPOINTING {

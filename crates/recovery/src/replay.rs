@@ -44,10 +44,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
-use calc_common::types::{CommitSeq, Key, Value};
+use calc_common::types::{CommitSeq, Key};
 use calc_core::file::{CheckpointReader, RecordRef};
 use calc_core::manifest::{CheckpointDir, CheckpointMeta, RestartChain};
-use calc_core::strategy::{prefetch_footprint, CheckpointStrategy};
+use calc_core::strategy::{CheckpointStrategy, Footprint};
 use calc_txn::commitlog::CommitRecord;
 #[cfg(doc)]
 use calc_txn::proc::Procedure;
@@ -178,29 +178,46 @@ pub struct RecoveryOutcome {
 /// Lock-free execution bridge: routes a procedure's data operations
 /// straight to the strategy (no locks — the caller orders transactions
 /// that touch a common key: replay by its lanes, the serial primaries of
-/// the simulation and replication harnesses by running one at a time).
+/// the simulation and replication harnesses by running one at a time),
+/// through the same resolved [`Footprint`] the executor's bridge uses.
 pub struct ReplayOps<'a> {
-    /// The strategy operations apply to.
-    pub strategy: &'a dyn CheckpointStrategy,
     /// The running transaction's token, from `strategy.txn_begin()`.
     pub token: calc_core::strategy::TxnToken,
     /// The first storage error an operation hit, if any.
     pub failed: Option<String>,
+    /// The strategy and the declared keys' slots; empty (every key
+    /// looked up) unless the caller resolves them.
+    pub footprint: Footprint<'a>,
+    /// Where writes put the previous values replay never rolls back to.
+    old: Vec<u8>,
+}
+
+impl<'a> ReplayOps<'a> {
+    /// A bridge over a transaction just begun on `strategy`.
+    pub fn new(strategy: &'a dyn CheckpointStrategy) -> Self {
+        ReplayOps {
+            token: strategy.txn_begin(),
+            failed: None,
+            footprint: Footprint::new(strategy),
+            old: Vec::new(),
+        }
+    }
 }
 
 impl TxnOps for ReplayOps<'_> {
-    fn get(&mut self, key: Key) -> Option<Value> {
-        self.strategy.get(key)
+    fn get_with(&mut self, key: Key, read: &mut dyn FnMut(&[u8])) -> bool {
+        self.footprint.get_with(key, read)
     }
 
     fn put(&mut self, key: Key, value: &[u8]) {
-        if let Err(e) = self.strategy.apply_write(&mut self.token, key, value) {
+        self.old.clear();
+        if let Err(e) = self.footprint.write(&mut self.token, key, value, &mut self.old) {
             self.failed = Some(format!("put {key}: {e}"));
         }
     }
 
     fn insert(&mut self, key: Key, value: &[u8]) -> bool {
-        match self.strategy.apply_insert(&mut self.token, key, value) {
+        match self.footprint.insert(&mut self.token, key, value) {
             Ok(ok) => ok,
             Err(e) => {
                 self.failed = Some(format!("insert {key}: {e}"));
@@ -210,7 +227,8 @@ impl TxnOps for ReplayOps<'_> {
     }
 
     fn delete(&mut self, key: Key) -> bool {
-        self.strategy.apply_delete(&mut self.token, key).is_ok()
+        self.old.clear();
+        self.footprint.delete(&mut self.token, key, &mut self.old).is_ok()
     }
 }
 
@@ -410,9 +428,9 @@ fn footprint(registry: &ProcRegistry, rec: &CommitRecord) -> Option<LockRequest>
     registry.get(rec.proc)?.locks(&rec.params).ok()
 }
 
-/// [`apply_commit`] with `rec`'s footprint already computed: the
-/// footprint is prefetched before the procedure runs (executor and replay
-/// fetch a transaction's records the same way).
+/// [`apply_commit`] with `rec`'s footprint already computed: its keys are
+/// resolved to their slots once and prefetched before the procedure runs
+/// (executor and replay reach a transaction's records the same way).
 fn apply_footprint(
     strategy: &dyn CheckpointStrategy,
     registry: &ProcRegistry,
@@ -422,14 +440,10 @@ fn apply_footprint(
     let proc = registry
         .get(rec.proc)
         .ok_or(RecoveryError::UnknownProcedure(rec.proc.0))?;
-    if let Some(footprint) = footprint {
-        prefetch_footprint(strategy, footprint);
+    let mut ops = ReplayOps::new(strategy);
+    if let Some(declared) = footprint {
+        ops.footprint.resolve(declared);
     }
-    let mut ops = ReplayOps {
-        strategy,
-        token: strategy.txn_begin(),
-        failed: None,
-    };
     let result = proc.run(&rec.params, &mut ops);
     let ReplayOps {
         mut token, failed, ..
@@ -683,11 +697,7 @@ mod tests {
     fn run_set(strategy: &CalcStrategy, log: &CommitLog, key: u64, val: u64) -> CommitRecord {
         let proc = SetProc;
         let p = set_u64(key, val);
-        let mut ops = ReplayOps {
-            strategy,
-            token: strategy.txn_begin(),
-            failed: None,
-        };
+        let mut ops = ReplayOps::new(strategy);
         proc.run(&p, &mut ops).unwrap();
         assert!(ops.failed.is_none());
         let mut token = ops.token;
@@ -961,8 +971,11 @@ mod tests {
             ) -> Result<usize, calc_storage::dual::StoreError> {
                 self.0.load_batch(records)
             }
-            fn get(&self, key: Key) -> Option<Value> {
-                self.0.get(key)
+            fn locks(&self) -> &calc_common::lockword::LockWords {
+                self.0.locks()
+            }
+            fn get_with(&self, k: Key, at: Option<u32>, read: &mut dyn FnMut(&[u8])) -> bool {
+                self.0.get_with(k, at, read)
             }
             fn record_count(&self) -> usize {
                 self.0.record_count()
@@ -973,13 +986,15 @@ mod tests {
             fn txn_end(&self, t: TxnToken) {
                 self.0.txn_end(t)
             }
-            fn apply_write(
+            fn apply_write_at(
                 &self,
                 t: &mut TxnToken,
                 k: Key,
+                at: Option<u32>,
                 v: &[u8],
-            ) -> Result<Option<Value>, calc_storage::dual::StoreError> {
-                self.0.apply_write(t, k, v)
+                old: &mut Vec<u8>,
+            ) -> Result<bool, calc_storage::dual::StoreError> {
+                self.0.apply_write_at(t, k, at, v, old)
             }
             fn apply_insert(
                 &self,
@@ -989,12 +1004,14 @@ mod tests {
             ) -> Result<bool, calc_storage::dual::StoreError> {
                 self.0.apply_insert(t, k, v)
             }
-            fn apply_delete(
+            fn apply_delete_at(
                 &self,
                 t: &mut TxnToken,
                 k: Key,
-            ) -> Result<Option<Value>, calc_storage::dual::StoreError> {
-                self.0.apply_delete(t, k)
+                at: Option<u32>,
+                old: &mut Vec<u8>,
+            ) -> Result<(), calc_storage::dual::StoreError> {
+                self.0.apply_delete_at(t, k, at, old)
             }
             fn on_commit(&self, t: &mut TxnToken, s: CommitSeq, c: PhaseStamp) {
                 self.0.on_commit(t, s, c)

@@ -488,6 +488,56 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A segment whose tail is zero-filled — what a preallocated segment
+    /// holds past its last append — ends the log where the zeros begin:
+    /// a zero head (length 0) reads as torn, never as a record. The reader
+    /// returns exactly the records before the zeros, the tailer applies
+    /// exactly those and advances no further, and a restarted writer cuts
+    /// the zeros off before it opens the next segment.
+    #[test]
+    fn a_zero_filled_tail_ends_the_log_where_the_zeros_begin() {
+        for zeros in [3u64, 4096] {
+            let dir = tmpdir(&format!("zero-tail-{zeros}"));
+            let seg0 = dir.join(segment_file_name(0));
+            let whole = {
+                let mut w = SegmentedLogWriter::create(vfs(), &dir, 64 << 20).unwrap();
+                for seq in 1..=3 {
+                    w.append(&rec(seq, b"before the zeros")).unwrap();
+                }
+                w.sync().unwrap();
+                std::fs::metadata(&seg0).unwrap().len()
+            };
+            let f = std::fs::OpenOptions::new().write(true).open(&seg0).unwrap();
+            f.set_len(whole + zeros).unwrap();
+            f.sync_all().unwrap();
+            drop(f);
+            let seqs = |recs: Vec<CommitRecord>| recs.iter().map(|r| r.seq.0).collect::<Vec<_>>();
+            assert_eq!(seqs(read_dir_logs(vfs().as_ref(), &dir).unwrap()), [1, 2, 3]);
+
+            let mut t = LogTailer::new(vfs(), &dir);
+            let mut seen = Vec::new();
+            for _ in 0..2 {
+                let p = t
+                    .poll(&mut |r| {
+                        seen.push(r.seq.0);
+                        Ok(())
+                    })
+                    .unwrap();
+                assert_eq!(p.status, TailStatus::CaughtUp);
+                assert_eq!(p.pending_bytes, zeros, "the zeros are pending, not applied");
+                assert_eq!(t.cursor(), Some((0, whole)));
+            }
+            assert_eq!(seen, [1, 2, 3]);
+
+            let mut w = SegmentedLogWriter::create(vfs(), &dir, 64 << 20).unwrap();
+            assert_eq!(std::fs::metadata(&seg0).unwrap().len(), whole, "zeros cut off");
+            w.append(&rec(4, b"next lifetime")).unwrap();
+            w.sync().unwrap();
+            assert_eq!(seqs(read_dir_logs(vfs().as_ref(), &dir).unwrap()), [1, 2, 3, 4]);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
     #[test]
     fn truncated_cursor_segment_reports_lost_prefix_then_reanchors() {
         let dir = tmpdir("lost-prefix");

@@ -74,11 +74,7 @@ impl Primary {
     fn commit(&mut self, proc: ProcId, p: Arc<[u8]>) -> u64 {
         let reg = registry();
         let procedure = reg.get(proc).unwrap();
-        let mut bridge = ReplayOps {
-            strategy: self.strategy.as_ref(),
-            token: self.strategy.txn_begin(),
-            failed: None,
-        };
+        let mut bridge = ReplayOps::new(self.strategy.as_ref());
         procedure.run(&p, &mut bridge).unwrap();
         assert!(bridge.failed.is_none(), "primary op failed: {:?}", bridge.failed);
         let mut token = bridge.token;

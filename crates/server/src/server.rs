@@ -404,8 +404,11 @@ fn try_dispatch(db: &Database, op: u8, body: &[u8]) -> Result<(u8, Vec<u8>), Wir
     let mut w = Wire::new(body);
     match op {
         verb::GET => {
-            let key = w.u64()?;
-            Ok((status::OK, encode_value(db.get(calc_common::types::Key(key)))))
+            // `u8` presence flag, then the value as the trailing field,
+            // encoded straight from the store's borrow.
+            let key = calc_common::types::Key(w.u64()?);
+            let reply = db.get_with(key, |v| Frame::new().u8(1).tail(v).finish());
+            Ok((status::OK, reply.unwrap_or_else(|| vec![0])))
         }
         verb::PUT => {
             let key = w.u64()?;
@@ -429,16 +432,23 @@ fn try_dispatch(db: &Database, op: u8, body: &[u8]) -> Result<(u8, Vec<u8>), Wir
             Ok(durable_outcome(db.execute_durable(procs::CAS, p)))
         }
         verb::MGET => {
+            // Per key a presence flag, then (if present) the value as a
+            // `u32` length-prefixed field — `Frame::bytes`'s layout —
+            // encoded straight from the store's borrow.
             let n = w.u32()?;
-            let mut out = Frame::new().u32(n);
+            let mut out = Frame::new().u32(n).finish();
             for _ in 0..n {
-                let key = w.u64()?;
-                match db.get(calc_common::types::Key(key)) {
-                    Some(v) => out = out.u8(1).bytes(&v),
-                    None => out = out.u8(0),
+                let key = calc_common::types::Key(w.u64()?);
+                let found = db.get_with(key, |v| {
+                    out.push(1);
+                    out.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                    out.extend_from_slice(v);
+                });
+                if found.is_none() {
+                    out.push(0);
                 }
             }
-            Ok((status::OK, out.finish()))
+            Ok((status::OK, out))
         }
         verb::MPUT => {
             let n = w.u32()?;
@@ -470,15 +480,6 @@ fn try_dispatch(db: &Database, op: u8, body: &[u8]) -> Result<(u8, Vec<u8>), Wir
             0x07..=0x0f => "unassigned data verb",
             _ => "unknown verb",
         })),
-    }
-}
-
-/// `GET` response payload: `u8` presence flag, then the value as the
-/// trailing field.
-fn encode_value(v: Option<calc_common::types::Value>) -> Vec<u8> {
-    match v {
-        Some(v) => Frame::new().u8(1).tail(&v).finish(),
-        None => Frame::new().u8(0).finish(),
     }
 }
 

@@ -340,11 +340,7 @@ fn live_until_crash(vfs: &SimVfs, spec: &SimSpec, hooks: &mut dyn LiveHooks, run
         let op = gen_op(&mut rng);
         let (proc_id, params) = op.encode();
         let procedure = reg.get(proc_id).expect("sim procs registered");
-        let mut bridge = ReplayOps {
-            strategy: strategy.as_ref(),
-            token: strategy.txn_begin(),
-            failed: None,
-        };
+        let mut bridge = ReplayOps::new(strategy.as_ref());
         procedure
             .run(&params, &mut bridge)
             .expect("sim procs never abort");

@@ -22,6 +22,7 @@
 use parking_lot::{Mutex, MutexGuard};
 
 use calc_common::bitvec::PolarityBitVec;
+use calc_common::lockword::LockWords;
 use calc_common::types::{Key, Value};
 
 use crate::mem::{MemCounter, MemoryStats};
@@ -150,52 +151,53 @@ impl DualVersionStore {
         self.table.slot_of(key)
     }
 
-    /// Reads the live version of `key`.
-    pub fn get(&self, key: Key) -> Option<Value> {
-        loop {
-            let slot = self.slot_of(key)?;
-            let g = self.slots[slot as usize].lock();
-            if g.in_use && g.key == key.0 {
-                #[cfg(feature = "mutation-hooks")]
-                if calc_common::mutation::armed(
-                    calc_common::mutation::Mutation::StaleStableRead,
-                ) {
-                    // Seeded bug: prefer the stable (checkpoint pre-image)
-                    // version when one exists — readers see stale values
-                    // for the duration of a checkpoint window.
-                    if let Some(stable) = g.stable.as_ref() {
-                        return Some(stable.as_slice().into());
-                    }
-                }
-                return g.live.as_ref().cloned();
-            }
-            // The slot was freed and reused between lookup and lock — the
-            // map no longer points here; retry the lookup.
-        }
+    /// The slot table's transaction lock words.
+    pub fn locks(&self) -> &LockWords {
+        self.table.locks()
     }
 
-    /// Starts loading the records of `keys` into cache, so a transaction
-    /// about to touch them pays its misses together rather than one
-    /// after another. Sixteen keys at a time, in two passes: each key's
-    /// slot line, then — through `try_lock`, never waiting on a slot
-    /// another thread holds — the lines of its live value. A hint only:
-    /// an absent key is skipped, and nothing the store holds changes.
-    pub fn prefetch(&self, keys: &[Key]) {
-        for chunk in keys.chunks(16) {
-            let mut slots = [0 as SlotId; 16];
-            let mut found = 0;
-            for &key in chunk {
-                if let Some(slot) = self.slot_of(key) {
-                    calc_common::prefetch::line(&self.slots[slot as usize]);
-                    slots[found] = slot;
-                    found += 1;
-                }
+    /// Reads the live version of `key` (a copy; see
+    /// [`DualVersionStore::get_with`]).
+    pub fn get(&self, key: Key) -> Option<Value> {
+        let mut out = None;
+        self.get_with(key, None, &mut |live| out = Some(live.into()));
+        out
+    }
+
+    /// Reads the live version of `key` in place: calls `read` with it,
+    /// under the slot's mutex, and returns whether the key was present.
+    /// `at` is the slot the key was resolved to, if known (see
+    /// [`DualVersionStore::locked_slot_at`]).
+    pub fn get_with(&self, key: Key, at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
+        let Some(g) = self.locked_slot_at(key, at) else {
+            return false;
+        };
+        #[cfg(feature = "mutation-hooks")]
+        if calc_common::mutation::armed(calc_common::mutation::Mutation::StaleStableRead) {
+            // Seeded bug: prefer the stable (checkpoint pre-image)
+            // version when one exists — readers see stale values for
+            // the duration of a checkpoint window.
+            if let Some(stable) = g.stable() {
+                read(stable);
+                return true;
             }
-            for &slot in &slots[..found] {
-                if let Some(g) = self.slots[slot as usize].try_lock() {
-                    if let Some(live) = &g.live {
-                        calc_common::prefetch::lines(live);
-                    }
+        }
+        g.live().map(read).is_some()
+    }
+
+    /// Starts loading the records in `slots` into cache, so a transaction
+    /// about to touch them pays its misses together rather than one
+    /// after another: each slot's line, then — through `try_lock`, never
+    /// waiting on a slot another thread holds — the lines of its live
+    /// value. A hint only: nothing the store holds changes.
+    pub fn prefetch(&self, slots: &[SlotId]) {
+        for &slot in slots {
+            calc_common::prefetch::line(&self.slots[slot as usize]);
+        }
+        for &slot in slots {
+            if let Some(g) = self.slots[slot as usize].try_lock() {
+                if let Some(live) = &g.live {
+                    calc_common::prefetch::lines(live);
                 }
             }
         }
@@ -291,6 +293,20 @@ impl DualVersionStore {
     /// the record's logical lock and the slot must still carry the key.
     pub fn relink(&self, key: Key, slot: SlotId) {
         self.table.relink(key, slot)
+    }
+
+    /// Locks the slot of `key`: `at`, the slot the key was resolved to
+    /// under its transaction lock, if it still holds the key — else
+    /// through [`DualVersionStore::locked_slot_of`]. `None` if the key is
+    /// not linked.
+    pub fn locked_slot_at(&self, key: Key, at: Option<SlotId>) -> Option<DualSlotGuard<'_>> {
+        if let Some(slot) = at {
+            let g = self.lock_slot(slot);
+            if g.in_use() && g.key() == key {
+                return Some(g);
+            }
+        }
+        self.locked_slot_of(key)
     }
 
     /// Resolves `key` and locks its slot, retrying if the slot is freed
@@ -408,17 +424,32 @@ impl<'a> DualSlotGuard<'a> {
     /// Overwrites the live version, returning the previous one (for
     /// transaction undo).
     pub fn set_live(&mut self, value: &[u8]) -> Option<Value> {
-        let new = value.to_vec().into_boxed_slice();
-        let new_len = new.len();
-        let old = self.inner.live.replace(new);
-        match &old {
+        let mut old = Vec::new();
+        self.overwrite_live(value, &mut old)
+            .then(|| old.into_boxed_slice())
+    }
+
+    /// Overwrites the live version, appending the previous one to `old`
+    /// (the caller's undo space); returns whether there was one. A value
+    /// of the old one's length is written over it in place: nothing is
+    /// allocated or freed.
+    pub fn overwrite_live(&mut self, value: &[u8], old: &mut Vec<u8>) -> bool {
+        if let Some(live) = self.inner.live.as_deref_mut() {
+            old.extend_from_slice(live);
+            if live.len() == value.len() {
+                live.copy_from_slice(value);
+                return true;
+            }
+        }
+        let prev = self.inner.live.replace(value.into());
+        match &prev {
             // An overwrite moves the byte total only, and only by the
             // difference: replay lanes overwriting in parallel would
             // otherwise bounce the counter's line on every write.
-            Some(o) => self.store.live_mem.replace(o.len(), new_len),
-            None => self.store.live_mem.add(new_len),
+            Some(o) => self.store.live_mem.replace(o.len(), value.len()),
+            None => self.store.live_mem.add(value.len()),
         }
-        old
+        prev.is_some()
     }
 
     /// Removes the live version (logical delete), returning it.
@@ -699,9 +730,8 @@ mod tests {
         let keys: Vec<Key> = (0..60u64).map(Key).collect();
         let before = observed(&s, &keys);
         s.prefetch(&[]);
-        s.prefetch(&[Key(1000), Key(1001)]); // absent
-        s.prefetch(&[Key(7)]); // deleted
-        s.prefetch(&keys); // more than one chunk, absent keys mixed in
+        s.prefetch(&[7]); // the deleted key's slot
+        s.prefetch(&(0..40).collect::<Vec<SlotId>>());
         assert_eq!(observed(&s, &keys), before);
     }
 
@@ -715,7 +745,7 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let prefetching = s.clone();
         let handle = std::thread::spawn(move || {
-            prefetching.prefetch(&[Key(2), Key(1)]);
+            prefetching.prefetch(&[1, 0]);
             tx.send(()).unwrap();
         });
         rx.recv_timeout(std::time::Duration::from_secs(10))

@@ -14,12 +14,18 @@
 //! Restart installs through [`SlotTable::install_batch`], not record by
 //! record, so a loader touches the allocator's shared words once per
 //! batch.
+//!
+//! The table also carries the transaction lock words
+//! ([`SlotTable::locks`]): one [`LockWords`] word per slot, which the
+//! executor's ordered 2PL locks a transaction's declared keys in. The
+//! rules that make them sound are in [`calc_common::lockword`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::{Mutex, RwLock};
 
+use calc_common::lockword::LockWords;
 use calc_common::types::Key;
 
 use crate::dual::StoreError;
@@ -53,6 +59,7 @@ pub struct SlotTable {
     shard_mask: usize,
     capacity: usize,
     alloc: Allocator,
+    locks: LockWords,
 }
 
 /// The words every insert and delete writes, each on a line of its own.
@@ -94,7 +101,14 @@ impl SlotTable {
                 }),
                 record_count: Line(AtomicUsize::new(0)),
             },
+            locks: LockWords::new(capacity),
         }
+    }
+
+    /// The transaction lock words, one per slot; a key's word is
+    /// `locks().word_of(key.0)`.
+    pub fn locks(&self) -> &LockWords {
+        &self.locks
     }
 
     #[inline]

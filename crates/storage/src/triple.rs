@@ -121,6 +121,11 @@ impl TripleStore {
         self.table.slot_of(key)
     }
 
+    /// The slot table's transaction lock words.
+    pub fn locks(&self) -> &calc_common::lockword::LockWords {
+        self.table.locks()
+    }
+
     /// Reads the application state by slot (bulk scans; returns the key
     /// alongside).
     pub fn get_by_slot(&self, slot: SlotId) -> Option<(Key, Value)> {

@@ -87,6 +87,11 @@ impl ZigzagStore {
         self.table.slot_of(key)
     }
 
+    /// The slot table's transaction lock words.
+    pub fn locks(&self) -> &calc_common::lockword::LockWords {
+        self.table.locks()
+    }
+
     /// Reads `AS[key][MR[key]]` — the latest committed version.
     pub fn get(&self, key: Key) -> Option<Value> {
         loop {

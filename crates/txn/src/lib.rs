@@ -6,11 +6,11 @@
 //! deadlock-free variant of strict two-phase locking" (§4). This crate
 //! provides that substrate:
 //!
-//! * [`locks`] — a sharded lock manager with shared/exclusive modes and
-//!   FIFO queuing. Deadlock freedom comes from ordered acquisition:
-//!   procedures pre-declare their read/write sets, and
-//!   [`locks::LockManager::acquire`] sorts and deduplicates the request
-//!   before acquiring, so no cycle can form.
+//! * [`locks`] — `LockManager`, a thin key-addressed wrapper over
+//!   `calc_common::lockword` kept for perfbench's lock probe. The engine
+//!   does not use it: it locks a transaction's declared keys in the lock
+//!   words of its store's slot table, in word order, so no wait cycle can
+//!   form.
 //! * [`commitlog`] — the commit log: "each transaction commits by
 //!   atomically appending a commit token to this log before releasing any
 //!   of its locks" (§2.2). Phase-transition tokens are appended to the same
@@ -20,8 +20,9 @@
 //!   `calc-recovery`'s segment directory, and a committer enqueues its
 //!   [`commitlog::CommitRecord`] there from inside the append's critical
 //!   section, so the durable log's byte order is commit order.
-//! * [`proc`] — the stored-procedure framework: pre-declared lock sets, a
-//!   [`proc::TxnOps`] data interface, and a registry for replay.
+//! * [`proc`] — the stored-procedure framework: pre-declared lock sets
+//!   under the covering-lock rule, a [`proc::TxnOps`] data interface
+//!   whose reads borrow (`get_with`), and a registry for replay.
 
 #![warn(missing_docs)]
 

@@ -3,9 +3,18 @@
 //! §4 of the paper: *"Transactions in our system are implemented as C++
 //! stored procedures, and are executed by a pool of worker threads."* Rust
 //! equivalents implement [`Procedure`]: a procedure pre-declares its lock
-//! set from its parameters (which is what makes the deadlock-free sorted
-//! acquisition of [`crate::locks`] possible), then runs against a
-//! [`TxnOps`] data interface supplied by the engine.
+//! set from its parameters (which is what makes the engine's deadlock-free
+//! ordered acquisition, over `calc_common::lockword`, possible), then runs
+//! against a [`TxnOps`] data interface supplied by the engine.
+//!
+//! **The covering-lock rule.** Every key a procedure touches must be
+//! covered by a lock it declares: either the key itself, or a coarser
+//! key that every transaction touching it also locks. TPC-C's Delivery,
+//! for instance, reads, overwrites and deletes order, new-order and
+//! order-line rows that only its district's exclusive lock covers. The
+//! engine resolves each declared key to its slot once, before the
+//! procedure runs; a key touched without being declared is looked up at
+//! each access instead.
 //!
 //! Procedures must be **deterministic functions of their parameters and
 //! the database state** — that is the contract that makes command-log
@@ -17,8 +26,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use calc_common::types::{Key, Value};
-
-use crate::locks::LockMode;
 
 /// Identifier of a stored procedure, stable across restarts (it is written
 /// to the command log).
@@ -46,7 +53,8 @@ impl std::fmt::Display for AbortReason {
 
 impl std::error::Error for AbortReason {}
 
-/// A transaction's pre-declared lock footprint.
+/// A transaction's pre-declared lock footprint. A key that appears in
+/// both lists is locked exclusively.
 #[derive(Clone, Debug, Default)]
 pub struct LockRequest {
     /// Keys read (shared locks).
@@ -55,30 +63,29 @@ pub struct LockRequest {
     pub writes: Vec<Key>,
 }
 
-impl LockRequest {
-    /// Flattens into `(key, mode)` pairs for the lock manager (writes win
-    /// over reads on overlap, handled by the manager's dedup).
-    pub fn to_lock_set(&self) -> Vec<(Key, LockMode)> {
-        let mut v = Vec::with_capacity(self.reads.len() + self.writes.len());
-        v.extend(self.writes.iter().map(|&k| (k, LockMode::Exclusive)));
-        v.extend(self.reads.iter().map(|&k| (k, LockMode::Shared)));
-        v
-    }
-}
-
 /// Data operations available to procedure logic. The engine's executor
 /// implements this, routing every mutation through the active
 /// checkpointing strategy's `ApplyWrite` and recording undo images.
+///
+/// Each key must be covered by a declared lock — shared or stronger for
+/// a read, exclusive for a write — on the key itself or on a key that
+/// covers it (see the module docs' covering-lock rule).
 pub trait TxnOps {
-    /// Reads a record. Must be in the declared read or write set.
-    fn get(&mut self, key: Key) -> Option<Value>;
-    /// Overwrites an existing record. Must be in the declared write set.
+    /// Reads a record in place: calls `read` with its bytes and returns
+    /// `true`, or returns `false` if the key is absent.
+    fn get_with(&mut self, key: Key, read: &mut dyn FnMut(&[u8])) -> bool;
+    /// Reads a record, copied out of the store.
+    fn get(&mut self, key: Key) -> Option<Value> {
+        let mut out = None;
+        self.get_with(key, &mut |v| out = Some(v.into()));
+        out
+    }
+    /// Overwrites an existing record.
     fn put(&mut self, key: Key, value: &[u8]);
     /// Inserts a new record; returns `false` (and changes nothing) if the
-    /// key already exists. Must be in the declared write set.
+    /// key already exists.
     fn insert(&mut self, key: Key, value: &[u8]) -> bool;
-    /// Deletes a record; returns `false` if the key does not exist. Must
-    /// be in the declared write set.
+    /// Deletes a record; returns `false` if the key does not exist.
     fn delete(&mut self, key: Key) -> bool;
 }
 
@@ -89,7 +96,10 @@ pub trait Procedure: Send + Sync {
     /// Human-readable name.
     fn name(&self) -> &'static str;
     /// Computes the lock footprint from the parameters, *before* any data
-    /// access — required for deadlock-free ordered acquisition.
+    /// access — required for deadlock-free ordered acquisition. It must
+    /// cover every key `run` touches (the module docs' covering-lock
+    /// rule); the declared keys are resolved once, the covered ones are
+    /// looked up at each access.
     fn locks(&self, params: &[u8]) -> Result<LockRequest, AbortReason>;
     /// Runs the transaction logic.
     fn run(&self, params: &[u8], ops: &mut dyn TxnOps) -> Result<(), AbortReason>;
@@ -274,18 +284,6 @@ mod tests {
         let mut r = ProcRegistry::new();
         r.register(Arc::new(Noop));
         r.register(Arc::new(Noop));
-    }
-
-    #[test]
-    fn lock_request_flattening_puts_writes_first() {
-        let req = LockRequest {
-            reads: vec![Key(1), Key(2)],
-            writes: vec![Key(2), Key(3)],
-        };
-        let set = req.to_lock_set();
-        assert_eq!(set[0], (Key(2), LockMode::Exclusive));
-        assert_eq!(set[1], (Key(3), LockMode::Exclusive));
-        assert_eq!(set[2], (Key(1), LockMode::Shared));
     }
 
     #[test]

@@ -199,12 +199,15 @@ impl Procedure for MicroProc {
         let mut acc = seed;
         for _ in 0..n {
             let key = Key(r.u64()?);
-            let old = ops
-                .get(key)
-                .ok_or_else(|| AbortReason::Logic(format!("missing record {key}")))?;
+            let mut head = 0;
+            if !ops.get_with(key, &mut |old| {
+                head = u64::from_le_bytes(old[..8].try_into().unwrap());
+            }) {
+                return Err(AbortReason::Logic(format!("missing record {key}")));
+            }
             // "Simple computing operations": fold the old value, spin a
             // little, derive the new value from both.
-            acc = acc.wrapping_add(u64::from_le_bytes(old[..8].try_into().unwrap()));
+            acc = acc.wrapping_add(head);
             acc = spin(acc, spin_iters);
             fill_payload(&mut buf, key.0, acc);
             ops.put(key, &buf);

@@ -15,10 +15,12 @@
 # greps that a running node reads
 # no checkpoint byte back (the directory's deep scans `scan`, `scan_on`
 # and `recovery_chain` stay deleted, and non-test code outside
-# calc-recovery never calls `restart_chain`, the one deep query); a grep that `unsafe`
-# in crates/*/src appears only in the prefetch hint's file
-# (calc-common's prefetch.rs) and in the lock manager's test
-# (crates/txn/src/locks.rs); clippy and
+# calc-recovery never calls `restart_chain`, the one deep query); greps
+# that transactions lock in their store's lock words (no crates/*/src
+# file outside calc-txn names the `LockManager` wrapper, and the lock
+# table's `ACQUIRE_SCRATCH` and `to_lock_set` stay deleted); a grep that
+# `unsafe` in crates/*/src appears only in the prefetch hint's file
+# (calc-common's prefetch.rs); clippy and
 # rustdoc, deny warnings — a doc link to a deleted item fails the gate —
 # plus a check build of perfbench, which is its own workspace, so a
 # renamed crate API it calls would otherwise go unnoticed), then tier-1
@@ -150,8 +152,19 @@ if [ -n "$deep_calls" ]; then
     exit 1
 fi
 
-echo "== tier-0: unsafe code only in the prefetch hint (and one lock-manager test) =="
-if grep -rlw 'unsafe' crates/*/src | grep -vxE 'crates/common/src/prefetch.rs|crates/txn/src/locks.rs'; then
+echo "== tier-0: one lock path (transaction locks live in the slot table's lock words) =="
+if grep -rlw 'LockManager' crates/*/src | grep -v '^crates/txn/src/'; then
+    echo "verify: the engine locks in its store's lock words; LockManager is perfbench's wrapper" >&2
+    exit 1
+fi
+# (This file names the patterns, so it is the one file not searched.)
+if grep -rnE --exclude=verify.sh 'ACQUIRE_SCRATCH|to_lock_set' crates src tests examples scripts; then
+    echo "verify: the key-level lock table and its per-transaction lock-set Vec were deleted" >&2
+    exit 1
+fi
+
+echo "== tier-0: unsafe code only in the prefetch hint =="
+if grep -rlw 'unsafe' crates/*/src | grep -vx 'crates/common/src/prefetch.rs'; then
     echo "verify: the prefetch hint holds the only non-test unsafe block" >&2
     exit 1
 fi

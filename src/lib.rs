@@ -66,8 +66,8 @@
 //! | [`core`] | CALC/pCALC, phase controller, checkpoint files, manifest, merger |
 //! | [`baselines`] | Naive, Fuzzy, IPP, Zig-Zag (+ partial variants) |
 //! | [`engine`] | `Database`, executor, admission gate, metrics |
-//! | [`storage`] | dual-version / triple-copy / zig-zag stores, dirty tracker |
-//! | [`txn`] | lock manager, commit log (token sequencer), procedures |
+//! | [`storage`] | dual-version / triple-copy / zig-zag stores over one slot table (index, allocator, lock words), dirty tracker |
+//! | [`txn`] | commit log (token sequencer), procedures |
 //! | [`recovery`] | checkpoint load + deterministic replay, the command log |
 //! | [`workload`] | the paper's microbenchmark and TPC-C |
 //! | [`common`] | bit vectors (polarity swap), CRC-32, histograms, load signals, Vfs |
