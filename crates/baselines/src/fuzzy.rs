@@ -32,7 +32,7 @@ use calc_common::types::{CommitSeq, Key, Value};
 use calc_storage::dirty::BitVecTracker;
 use calc_storage::dual::{DualVersionStore, StoreConfig, StoreError};
 use calc_storage::mem::{MemCounter, MemoryStats};
-use calc_storage::SlotId;
+use calc_storage::{SlotArena, SlotId};
 use calc_txn::commitlog::{CommitLog, PhaseStamp};
 
 use calc_core::cycle::{
@@ -51,7 +51,7 @@ fn dirty_table_path(dir: &CheckpointDir, id: u64) -> std::path::PathBuf {
 }
 
 /// Per-slot snapshot entries: `(raw key, value)` under a slot mutex.
-type SnapshotArray = Box<[Mutex<Option<(u64, Value)>>]>;
+type SnapshotArray = SlotArena<Mutex<Option<(u64, Value)>>>;
 
 /// Fuzzy checkpointing. See module docs.
 pub struct FuzzyStrategy {
@@ -89,7 +89,7 @@ impl FuzzyStrategy {
             tracker: BitVecTracker::new(capacity),
             tombstones: Tombstones::default(),
             upcoming: AtomicU64::new(0),
-            snapshot: (!partial).then(|| (0..capacity).map(|_| Mutex::new(None)).collect()),
+            snapshot: (!partial).then(|| SlotArena::new(capacity)),
             snapshot_mem: MemCounter::new(),
             aborted: AtomicU64::new(0),
         }
@@ -102,7 +102,7 @@ impl FuzzyStrategy {
 
     fn snapshot_set(&self, slot: SlotId, entry: Option<(u64, Value)>) {
         let Some(snapshot) = &self.snapshot else { return };
-        let mut s = snapshot[slot as usize].lock();
+        let mut s = snapshot.back(slot as usize).lock();
         if let Some((_, v)) = &entry {
             self.snapshot_mem.add(v.len());
         }

@@ -136,11 +136,9 @@ impl CheckpointStrategy for ZigzagStrategy {
         value: &[u8],
         old: &mut Vec<u8>,
     ) -> Result<bool, StoreError> {
-        let prev = self.store.write(key, value)?;
-        let slot = self.store.slot_of(key).expect("written key is linked");
+        let (slot, had) = self.store.overwrite(key, value, old)?;
         token.record(key, slot, WriteKind::Update);
-        old.extend_from_slice(prev.as_deref().unwrap_or_default());
-        Ok(prev.is_some())
+        Ok(had)
     }
 
     fn apply_insert(

@@ -601,3 +601,78 @@ fn memory_returns_to_baseline_after_checkpoint() {
     assert_eq!(after.extra_count, 0, "stables all erased by capture");
     assert_eq!(after.live_count, 500);
 }
+
+/// Every record of `strategy`, read back one key at a time.
+fn read_back(strategy: &CalcStrategy, keys: impl Iterator<Item = Key>) -> BTreeMap<Key, Value> {
+    keys.filter_map(|k| strategy.get(k).map(|v| (k, v)))
+        .collect()
+}
+
+/// A store's slot contents are backed chunk by chunk; a capture and a
+/// reload must not care where the high water sits. With it one slot
+/// short of a chunk boundary, on it and one past it, CALC's full
+/// checkpoint (records loaded in one batch) and pCALC's partial (records
+/// inserted by transactions, one slot at a time) read back every record,
+/// and a fresh store loaded from each holds every record again.
+#[test]
+fn capture_round_trips_at_an_arena_chunk_boundary() {
+    let chunk = calc_storage::arena::chunk_slots() as u64;
+    for n in [chunk - 1, chunk, chunk + 1] {
+        let config = StoreConfig::for_records(2 * chunk as usize, 32);
+        let expected: BTreeMap<Key, Value> = (0..n)
+            .map(|k| (Key(k), format!("rec-{k}").into_bytes().into_boxed_slice()))
+            .collect();
+        let records: Vec<(Key, &[u8])> = expected.iter().map(|(k, v)| (*k, &v[..])).collect();
+        let reload = |partial: bool, state: &BTreeMap<Key, Value>| {
+            let log = Arc::new(CommitLog::default());
+            let fresh = if partial {
+                CalcStrategy::partial(config.clone(), log)
+            } else {
+                CalcStrategy::full(config.clone(), log)
+            };
+            let batch: Vec<(Key, &[u8])> = state.iter().map(|(k, v)| (*k, &v[..])).collect();
+            assert_eq!(fresh.load_batch(&batch).unwrap(), n as usize);
+            read_back(&fresh, (0..n + 1).map(Key))
+        };
+
+        // CALC, full checkpoint.
+        let log = Arc::new(CommitLog::default());
+        let calc = CalcStrategy::full(config.clone(), log);
+        assert_eq!(calc.load_batch(&records).unwrap(), n as usize);
+        let dir = dirs(&format!("chunk-full-{n}"));
+        assert_eq!(calc.checkpoint(&NoopEnv, &dir).unwrap().records, n);
+        let got = checkpoint_state(&dir.manifests()[0]);
+        assert_eq!(got, expected, "full checkpoint at high water {n}");
+        assert_eq!(
+            reload(false, &got),
+            expected,
+            "CALC reload at high water {n}"
+        );
+
+        // pCALC, partial checkpoint over an empty base.
+        let log = Arc::new(CommitLog::default());
+        let pcalc = CalcStrategy::partial(config.clone(), log.clone());
+        let dir = dirs(&format!("chunk-partial-{n}"));
+        pcalc.write_base_checkpoint(&dir).unwrap();
+        for txn in records.chunks(256) {
+            let mut token = pcalc.txn_begin();
+            for &(key, value) in txn {
+                assert!(pcalc.apply_insert(&mut token, key, value).unwrap());
+            }
+            let (seq, stamp) = log.append_commit();
+            pcalc.on_commit(&mut token, seq, stamp);
+            pcalc.txn_end(token);
+        }
+        assert_eq!(read_back(&pcalc, (0..n + 1).map(Key)), expected);
+        let stats = pcalc.checkpoint(&NoopEnv, &dir).unwrap();
+        assert_eq!((stats.kind, stats.records), (CheckpointKind::Partial, n));
+        let metas = dir.manifests();
+        let got = materialize_chain(&metas[0], &metas[1..]).unwrap();
+        assert_eq!(got, expected, "partial chain at high water {n}");
+        assert_eq!(
+            reload(true, &got),
+            expected,
+            "pCALC reload at high water {n}"
+        );
+    }
+}

@@ -250,84 +250,101 @@ fn accept_loop(
     }
 }
 
-/// Reads exactly `buf.len()` bytes with a total deadline, driving the
-/// socket's read timeout down as the deadline approaches. Returns
-/// `TimedOut` when the deadline passes mid-frame — the slowloris bound.
-fn read_exact_deadline(
-    stream: &TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut [u8],
-    deadline: Instant,
-) -> io::Result<()> {
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "frame deadline passed (slow peer)",
-            ));
-        }
-        stream.set_read_timeout(Some(deadline - now))?;
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "peer closed mid-frame",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "frame deadline passed (slow peer)",
-                ))
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
+/// A connection's read side. It keeps the socket's read timeout as it
+/// last set it and changes it only when a read will reach the socket —
+/// the buffer is empty — and needs another one, so a frame that arrives
+/// whole costs no `setsockopt` at all.
+struct FrameReader {
+    reader: BufReader<TcpStream>,
+    /// Whether the socket's read timeout is set (a frame is under way)
+    /// rather than blocking (idle at a frame boundary).
+    timed: bool,
 }
 
-/// [`crate::protocol::read_frame`] with the slowloris bound: idling at a
-/// frame *boundary* is unlimited (a quiet keep-alive connection is
-/// legitimate and half-closed sockets deliver EOF), but once the first
-/// byte of a frame arrives the rest must land within `frame_timeout`.
-fn read_frame_timed(
-    stream: &TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    frame_timeout: Duration,
-) -> io::Result<Option<(u8, Vec<u8>)>> {
-    // Block indefinitely for the first byte of the length prefix.
-    stream.set_read_timeout(None)?;
-    let mut len_buf = [0u8; 4];
-    loop {
-        match reader.read(&mut len_buf[..1]) {
-            Ok(0) => return Ok(None), // clean EOF at the boundary
-            Ok(_) => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+impl FrameReader {
+    /// One read into `buf`, blocking if `deadline` is `None`. A read that
+    /// reaches the socket mid-frame re-arms the time left to the
+    /// deadline, so the bound stays exact however the frame trickles in.
+    fn read(&mut self, buf: &mut [u8], deadline: Option<Instant>) -> io::Result<usize> {
+        if self.reader.buffer().is_empty() {
+            match deadline {
+                Some(deadline) => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(io::ErrorKind::TimedOut.into());
+                    }
+                    self.reader.get_ref().set_read_timeout(Some(left))?;
+                    self.timed = true;
+                }
+                None if self.timed => {
+                    self.reader.get_ref().set_read_timeout(None)?;
+                    self.timed = false;
+                }
+                None => {}
+            }
         }
+        self.reader.read(buf)
     }
-    // A frame has started: everything else is deadline-bounded.
-    let deadline = Instant::now() + frame_timeout;
-    read_exact_deadline(stream, reader, &mut len_buf[1..], deadline)?;
-    let len = u32::from_le_bytes(len_buf);
-    if len == 0 || len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} outside (0, {MAX_FRAME}]"),
-        ));
+
+    /// Reads exactly `buf.len()` bytes by `deadline`. Returns `TimedOut`
+    /// when the deadline passes mid-frame — the slowloris bound.
+    fn read_exact_deadline(&mut self, buf: &mut [u8], deadline: Instant) -> io::Result<()> {
+        let slow_peer =
+            || io::Error::new(io::ErrorKind::TimedOut, "frame deadline passed (slow peer)");
+        let mut filled = 0usize;
+        while filled < buf.len() {
+            match self.read(&mut buf[filled..], Some(deadline)) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        "peer closed mid-frame",
+                    ))
+                }
+                Ok(n) => filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return Err(slow_peer())
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
-    let mut body = vec![0u8; len as usize];
-    read_exact_deadline(stream, reader, &mut body, deadline)?;
-    let opcode = body[0];
-    body.drain(..1);
-    Ok(Some((opcode, body)))
+
+    /// [`crate::protocol::read_frame`] with the slowloris bound: idling at
+    /// a frame *boundary* is unlimited (a quiet keep-alive connection is
+    /// legitimate and half-closed sockets deliver EOF), but once the first
+    /// byte of a frame arrives the rest must land within `frame_timeout`.
+    fn read_frame_timed(&mut self, frame_timeout: Duration) -> io::Result<Option<(u8, Vec<u8>)>> {
+        // Block indefinitely for the first byte of the length prefix.
+        let mut len_buf = [0u8; 4];
+        loop {
+            match self.read(&mut len_buf[..1], None) {
+                Ok(0) => return Ok(None), // clean EOF at the boundary
+                Ok(_) => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        // A frame has started: everything else is deadline-bounded.
+        let deadline = Instant::now() + frame_timeout;
+        self.read_exact_deadline(&mut len_buf[1..], deadline)?;
+        let len = u32::from_le_bytes(len_buf);
+        if len == 0 || len > MAX_FRAME {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame length {len} outside (0, {MAX_FRAME}]"),
+            ));
+        }
+        let mut body = vec![0u8; len as usize];
+        self.read_exact_deadline(&mut body, deadline)?;
+        let opcode = body[0];
+        body.drain(..1);
+        Ok(Some((opcode, body)))
+    }
 }
 
 /// Whether this verb mutates state (write verbs are rejected while the
@@ -353,9 +370,12 @@ fn handle_conn(
     config: &ServerConfig,
 ) -> io::Result<()> {
     stream.set_write_timeout(Some(config.write_timeout))?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    while let Some((op, body)) = read_frame_timed(&stream, &mut reader, config.frame_timeout)? {
+    let mut reader = FrameReader {
+        reader: BufReader::new(stream.try_clone()?),
+        timed: false,
+    };
+    let mut writer = BufWriter::new(stream);
+    while let Some((op, body)) = reader.read_frame_timed(config.frame_timeout)? {
         let (st, payload) = admit_and_dispatch(db, gate, config, op, &body);
         write_frame(&mut writer, st, &payload)?;
     }

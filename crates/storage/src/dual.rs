@@ -7,12 +7,13 @@
 //! value as of the virtual point of consistency.
 //!
 //! Physical layout: a sharded hash map resolves keys to dense *slot*
-//! indices; slot data (live + stable versions) lives in a pre-sized arena
-//! with one `parking_lot::Mutex` per slot. Dense slot indices are what make
-//! the paper's per-record bit vectors (`stable_status`, dirty vectors,
-//! add/delete status) meaningful on top of a hash-table keyspace. The
-//! paper's add/delete bit vectors are represented structurally here: a slot
-//! with `live=None, stable=Some` is a record deleted after the point of
+//! indices; slot data (live + stable versions) lives in a [`SlotArena`]
+//! with one `parking_lot::Mutex` per slot, backed chunk by chunk as slots
+//! are handed out. Dense slot indices are what make the paper's
+//! per-record bit vectors (`stable_status`, dirty vectors, add/delete
+//! status) meaningful on top of a hash-table keyspace. The paper's
+//! add/delete bit vectors are represented structurally here: a slot with
+//! `live=None, stable=Some` is a record deleted after the point of
 //! consistency; `live=Some, stable=None` with an *available* status bit is
 //! a record inserted after it.
 //!
@@ -25,6 +26,7 @@ use calc_common::bitvec::PolarityBitVec;
 use calc_common::lockword::LockWords;
 use calc_common::types::{Key, Value};
 
+use crate::arena::SlotArena;
 use crate::mem::{MemCounter, MemoryStats};
 use crate::pool::{BufferPool, PoolValue};
 use crate::slots::SlotTable;
@@ -34,7 +36,7 @@ use crate::SlotId;
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
     /// Maximum number of records (slot arena size; bit vectors are sized to
-    /// this). Pre-sized like the paper's implementation.
+    /// this). The arena's memory is taken as slots are handed out.
     pub capacity: usize,
     /// Number of hash shards (rounded up to a power of two).
     pub shards: usize,
@@ -86,24 +88,18 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-struct SlotInner {
+#[derive(Default)]
+pub(crate) struct SlotInner {
     key: u64,
     in_use: bool,
     live: Option<Value>,
     stable: Option<PoolValue>,
 }
 
-const EMPTY_SLOT: SlotInner = SlotInner {
-    key: 0,
-    in_use: false,
-    live: None,
-    stable: None,
-};
-
 /// The dual-version store. See module docs.
 pub struct DualVersionStore {
     pub(crate) table: SlotTable,
-    slots: Box<[Mutex<SlotInner>]>,
+    pub(crate) slots: SlotArena<Mutex<SlotInner>>,
     stable_status: PolarityBitVec,
     pool: BufferPool,
     live_mem: MemCounter,
@@ -114,7 +110,7 @@ impl DualVersionStore {
     pub fn new(config: StoreConfig) -> Self {
         DualVersionStore {
             table: SlotTable::new(config.capacity, config.shards),
-            slots: (0..config.capacity).map(|_| Mutex::new(EMPTY_SLOT)).collect(),
+            slots: SlotArena::new(config.capacity),
             stable_status: PolarityBitVec::new(config.capacity),
             pool: BufferPool::new(config.pool_buf_capacity, config.pool_prealloc),
             live_mem: MemCounter::new(),
@@ -123,7 +119,7 @@ impl DualVersionStore {
 
     /// Maximum record count.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.slots.capacity()
     }
 
     /// Current record count (linked keys).
@@ -253,7 +249,7 @@ impl DualVersionStore {
     /// [`SlotTable::install_batch`]; the caller counts the value's bytes
     /// with [`DualVersionStore::count_filled`].
     pub(crate) fn fill(&self, slot: SlotId, key: Key, value: &[u8], marked: bool) {
-        let mut g = self.slots[slot as usize].lock();
+        let mut g = self.slots.back(slot as usize).lock();
         debug_assert!(!g.in_use, "allocated slot still in use");
         debug_assert!(g.stable.is_none());
         g.key = key.0;
@@ -434,22 +430,12 @@ impl<'a> DualSlotGuard<'a> {
     /// of the old one's length is written over it in place: nothing is
     /// allocated or freed.
     pub fn overwrite_live(&mut self, value: &[u8], old: &mut Vec<u8>) -> bool {
-        if let Some(live) = self.inner.live.as_deref_mut() {
+        if let Some(live) = &self.inner.live {
             old.extend_from_slice(live);
-            if live.len() == value.len() {
-                live.copy_from_slice(value);
-                return true;
-            }
         }
-        let prev = self.inner.live.replace(value.into());
-        match &prev {
-            // An overwrite moves the byte total only, and only by the
-            // difference: replay lanes overwriting in parallel would
-            // otherwise bounce the counter's line on every write.
-            Some(o) => self.store.live_mem.replace(o.len(), value.len()),
-            None => self.store.live_mem.add(value.len()),
-        }
-        prev.is_some()
+        let had = self.inner.live.is_some();
+        self.store.live_mem.overwrite(&mut self.inner.live, value);
+        had
     }
 
     /// Removes the live version (logical delete), returning it.
@@ -520,6 +506,20 @@ mod tests {
         let s = store();
         s.insert(Key(1), b"a").unwrap();
         assert_eq!(s.insert(Key(1), b"b"), Err(StoreError::DuplicateKey(Key(1))));
+    }
+
+    #[test]
+    fn reading_a_never_allocated_slot_backs_nothing() {
+        let s = DualVersionStore::new(StoreConfig::for_records(1 << 24, 64));
+        assert_eq!(s.capacity(), 1 << 24);
+        let g = s.lock_slot(1 << 23);
+        assert!(!g.in_use() && g.live().is_none() && !g.has_stable());
+        drop(g);
+        s.prefetch(&[0, 1 << 20, (1 << 24) - 1]);
+        assert!(s.dump_live().is_empty());
+        assert_eq!(s.slots.backed_chunks(), 0);
+        s.insert(Key(1), b"one").unwrap();
+        assert_eq!(s.slots.backed_chunks(), 1);
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //!   key → slot index, high-water/free-list allocator, record count and
 //!   the insert-publication protocol. A store adds only its slot
 //!   contents.
+//! * [`arena`] — the **slot arena** those contents live in: fixed
+//!   capacity, backed chunk by chunk as slots are handed out, so a store
+//!   pays for the records it holds rather than for its capacity.
 //! * [`dual`] — the **dual-version store** used by CALC/pCALC (one live
 //!   version, one optional stable version per record, plus the
 //!   polarity-swapping `stable_status` bit vector of §2.2) and by the Naive
@@ -36,6 +39,7 @@
 
 #![warn(missing_docs)]
 
+pub mod arena;
 pub mod dirty;
 pub mod dual;
 pub mod mem;
@@ -44,6 +48,7 @@ pub mod slots;
 pub mod triple;
 pub mod zigzag;
 
+pub use arena::SlotArena;
 pub use dirty::BitVecTracker;
 pub use dual::{DualSlotGuard, DualVersionStore, StoreConfig};
 pub use mem::MemoryStats;

@@ -9,6 +9,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use calc_common::types::Value;
+
 /// A pair of atomic counters: live byte total and value-copy count.
 #[derive(Debug, Default)]
 pub struct MemCounter {
@@ -25,6 +27,31 @@ impl MemCounter {
         }
     }
 
+    /// Writes `value` into `copy` and counts it: over the old value in
+    /// place when the lengths match (nothing allocated or freed),
+    /// otherwise in a fresh box. Replacing a value moves the byte total
+    /// only, and only by the difference: replay lanes overwriting in
+    /// parallel would otherwise bounce the counter's line on every write.
+    pub fn overwrite(&self, copy: &mut Option<Value>, value: &[u8]) {
+        match copy {
+            Some(old) if old.len() == value.len() => old.copy_from_slice(value),
+            Some(old) => {
+                if value.len() > old.len() {
+                    self.bytes
+                        .fetch_add(value.len() - old.len(), Ordering::Relaxed);
+                } else {
+                    self.bytes
+                        .fetch_sub(old.len() - value.len(), Ordering::Relaxed);
+                }
+                *old = value.into();
+            }
+            None => {
+                self.add(value.len());
+                *copy = Some(value.into());
+            }
+        }
+    }
+
     /// Records an allocation of `n` bytes.
     #[inline]
     pub fn add(&self, n: usize) {
@@ -38,18 +65,6 @@ impl MemCounter {
     pub fn add_many(&self, count: usize, bytes: usize) {
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
         self.count.fetch_add(count, Ordering::Relaxed);
-    }
-
-    /// Records that one value of `old` bytes was replaced by one of
-    /// `new` bytes: the count is unchanged, and a same-size overwrite
-    /// writes nothing.
-    #[inline]
-    pub fn replace(&self, old: usize, new: usize) {
-        if new > old {
-            self.bytes.fetch_add(new - old, Ordering::Relaxed);
-        } else if old > new {
-            self.bytes.fetch_sub(old - new, Ordering::Relaxed);
-        }
     }
 
     /// Records a release of `n` bytes.

@@ -3,10 +3,11 @@
 //!
 //! The paper's per-record bit vectors need dense record indices; its
 //! evaluation store is a hash table. [`SlotTable`] is the bridge: a
-//! sharded `key → SlotId` map over a fixed arena of `capacity` slots,
+//! sharded `key → SlotId` map over a fixed range of `capacity` slots,
 //! handed out from a high-water mark and a free list. The stores
 //! ([`crate::dual`], [`crate::triple`], [`crate::zigzag`]) own the slot
-//! *contents* — their record layouts are what distinguishes them — and
+//! *contents* — their record layouts are what distinguishes them; each
+//! keeps them in a [`crate::SlotArena`], backed as the mark rises — and
 //! embed this table by value for everything else, so the comparison
 //! between schemes is over one index, one allocator and one
 //! publication protocol.
@@ -349,6 +350,8 @@ mod tests {
         /// Deletes `key` at rest, so its slot goes back on the free list.
         fn delete(&self, key: Key);
         fn memory(&self) -> MemoryStats;
+        /// How many chunks of its slot arena are backed.
+        fn backed_chunks(&self) -> usize;
     }
 
     fn config(capacity: usize) -> StoreConfig {
@@ -392,6 +395,9 @@ mod tests {
         fn memory(&self) -> MemoryStats {
             DualVersionStore::memory(self)
         }
+        fn backed_chunks(&self) -> usize {
+            self.slots.backed_chunks()
+        }
     }
 
     impl Store for TripleStore {
@@ -428,6 +434,9 @@ mod tests {
         fn memory(&self) -> MemoryStats {
             TripleStore::memory(self)
         }
+        fn backed_chunks(&self) -> usize {
+            self.slots.backed_chunks()
+        }
     }
 
     impl Store for ZigzagStore {
@@ -458,6 +467,9 @@ mod tests {
         }
         fn memory(&self) -> MemoryStats {
             ZigzagStore::memory(self)
+        }
+        fn backed_chunks(&self) -> usize {
+            self.slots.backed_chunks()
         }
     }
 
@@ -606,6 +618,102 @@ mod tests {
         );
         assert_eq!((s.table().len(), s.table().high_water()), (5, 5));
         assert_eq!(s.memory(), expected.memory());
+    }
+
+    /// Inserts one at a time and a batch each cross chunk boundaries;
+    /// after each, exactly the chunks under the high water are backed.
+    fn backed_chunks_follow_the_high_water<S: Store>() {
+        let chunk = crate::arena::chunk_slots();
+        let s = S::with_capacity(4 * chunk);
+        let backed = |s: &S| s.table().high_water().div_ceil(chunk);
+        for k in 0..chunk as u64 + 1 {
+            s.insert(Key(k), &k.to_le_bytes()).unwrap();
+            if k as usize + 2 >= chunk {
+                assert_eq!(s.backed_chunks(), backed(&s), "after {} inserts", k + 1);
+            }
+        }
+        assert_eq!(s.backed_chunks(), 2);
+        let values: Vec<[u8; 8]> = (0..2 * chunk as u64).map(|k| k.to_le_bytes()).collect();
+        let batch: Vec<(Key, &[u8])> = values
+            .iter()
+            .enumerate()
+            .skip(chunk + 1)
+            .map(|(k, v)| (Key(k as u64), &v[..]))
+            .collect();
+        assert_eq!(s.install_batch(&batch), Ok(chunk - 1));
+        assert_eq!(s.table().high_water(), 2 * chunk);
+        assert_eq!(s.backed_chunks(), 2);
+        assert_eq!(s.install_batch(&[(Key(u64::MAX), b"x")]), Ok(1));
+        assert_eq!(s.backed_chunks(), 3);
+        for (k, v) in values.iter().enumerate() {
+            assert_eq!(s.get(Key(k as u64)).as_deref(), Some(&v[..]), "key {k}");
+        }
+    }
+
+    /// Threads racing to allocate the slots on either side of a chunk
+    /// boundary each get a distinct slot that holds their record.
+    fn racing_allocations_across_a_boundary_each_get_a_slot<S: Store>() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 4;
+        let chunk = crate::arena::chunk_slots();
+        let s = S::with_capacity(2 * chunk);
+        let below: Vec<(Key, &[u8])> = (0..chunk as u64 - 6)
+            .map(|k| (Key(k), &b"below"[..]))
+            .collect();
+        s.install_batch(&below).unwrap();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let mut slots: Vec<SlotId> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (s, start) = (&s, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..PER_THREAD)
+                            .map(|i| {
+                                let key = Key(1 << 32 | t << 8 | i);
+                                s.insert(key, &key.0.to_le_bytes()).unwrap()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        for t in 0..THREADS {
+            for i in 0..PER_THREAD {
+                let key = Key(1 << 32 | t << 8 | i);
+                assert_eq!(s.get(key).as_deref(), Some(&key.0.to_le_bytes()[..]));
+            }
+        }
+        slots.sort_unstable();
+        let fresh: Vec<SlotId> = (chunk as SlotId - 6..chunk as SlotId + 10).collect();
+        assert_eq!(slots, fresh, "each thread took distinct fresh slots");
+        assert_eq!(s.backed_chunks(), 2);
+    }
+
+    #[test]
+    fn slot_arena_backing_under_all_three_stores() {
+        backed_chunks_follow_the_high_water::<DualVersionStore>();
+        backed_chunks_follow_the_high_water::<TripleStore>();
+        backed_chunks_follow_the_high_water::<ZigzagStore>();
+        racing_allocations_across_a_boundary_each_get_a_slot::<DualVersionStore>();
+        racing_allocations_across_a_boundary_each_get_a_slot::<TripleStore>();
+        racing_allocations_across_a_boundary_each_get_a_slot::<ZigzagStore>();
+    }
+
+    #[test]
+    fn a_store_at_capacity_1_shl_24_backs_no_chunk() {
+        fn check<S: Store>() {
+            let s = S::with_capacity(1 << 24);
+            assert!(s.get(Key(3)).is_none());
+            assert_eq!(s.backed_chunks(), 0);
+        }
+        check::<DualVersionStore>();
+        check::<TripleStore>();
+        check::<ZigzagStore>();
     }
 
     #[test]

@@ -29,12 +29,14 @@ use parking_lot::Mutex;
 use calc_common::bitvec::AtomicBitVec;
 use calc_common::types::{Key, Value};
 
+use crate::arena::SlotArena;
 use crate::dual::{StoreConfig, StoreError};
 use crate::mem::{MemCounter, MemoryStats};
 use crate::slots::SlotTable;
 use crate::SlotId;
 
-struct IppSlot {
+#[derive(Default)]
+pub(crate) struct IppSlot {
     key: u64,
     in_use: bool,
     /// Application state — what transactions read.
@@ -43,21 +45,13 @@ struct IppSlot {
     pingpong: [Option<Value>; 2],
 }
 
-#[allow(clippy::declare_interior_mutable_const)]
-const EMPTY: IppSlot = IppSlot {
-    key: 0,
-    in_use: false,
-    state: None,
-    pingpong: [None, None],
-};
-
 /// Per-slot snapshot entries: `(raw key, value)` under a slot mutex.
-type SnapshotArray = Box<[Mutex<Option<(u64, Value)>>]>;
+type SnapshotArray = SlotArena<Mutex<Option<(u64, Value)>>>;
 
 /// The IPP store. See module docs.
 pub struct TripleStore {
     pub(crate) table: SlotTable,
-    slots: Box<[Mutex<IppSlot>]>,
+    pub(crate) slots: SlotArena<Mutex<IppSlot>>,
     dirty: [AtomicBitVec; 2],
     /// Index (0=even, 1=odd) of the array currently receiving writes.
     current: AtomicBool,
@@ -75,15 +69,14 @@ impl TripleStore {
     pub fn new(config: StoreConfig, with_snapshot: bool) -> Self {
         TripleStore {
             table: SlotTable::new(config.capacity, config.shards),
-            slots: (0..config.capacity).map(|_| Mutex::new(EMPTY)).collect(),
+            slots: SlotArena::new(config.capacity),
             dirty: [
                 AtomicBitVec::new(config.capacity),
                 AtomicBitVec::new(config.capacity),
             ],
             // The paper starts with `odd` as current.
             current: AtomicBool::new(true),
-            snapshot: with_snapshot
-                .then(|| (0..config.capacity).map(|_| Mutex::new(None)).collect()),
+            snapshot: with_snapshot.then(|| SlotArena::new(config.capacity)),
             state_mem: MemCounter::new(),
             pingpong_mem: MemCounter::new(),
             snapshot_mem: MemCounter::new(),
@@ -108,7 +101,7 @@ impl TripleStore {
 
     /// Maximum record count.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.slots.capacity()
     }
 
     /// Highest allocated slot index.
@@ -181,7 +174,7 @@ impl TripleStore {
     /// with [`TripleStore::count_filled`].
     pub(crate) fn fill(&self, slot: SlotId, key: Key, value: &[u8]) {
         let cur = self.current_array();
-        let mut g = self.slots[slot as usize].lock();
+        let mut g = self.slots.back(slot as usize).lock();
         g.key = key.0;
         g.in_use = true;
         g.state = Some(value.to_vec().into_boxed_slice());
@@ -218,25 +211,35 @@ impl TripleStore {
     /// array, setting the dirty bit — IPP's double-write. Returns the old
     /// state for undo.
     pub fn write(&self, key: Key, value: &[u8]) -> Result<Option<Value>, StoreError> {
+        let mut old = Vec::new();
+        let (_, had) = self.overwrite(key, value, &mut old)?;
+        Ok(had.then(|| old.into_boxed_slice()))
+    }
+
+    /// [`TripleStore::write`] with one lookup and no undo allocation:
+    /// appends the old state to `old` (the caller's undo space) and
+    /// returns the slot written and whether there was an old state. A
+    /// value of a copy's length is written over it in place.
+    pub fn overwrite(
+        &self,
+        key: Key,
+        value: &[u8],
+        old: &mut Vec<u8>,
+    ) -> Result<(SlotId, bool), StoreError> {
         let slot = self.slot_of(key).ok_or(StoreError::KeyNotFound(key))?;
         let cur = self.current_array();
         let mut g = self.slots[slot as usize].lock();
         if !g.in_use || g.key != key.0 {
             return Err(StoreError::KeyNotFound(key));
         }
-        let undo = g.state.clone();
-        let new_state = value.to_vec().into_boxed_slice();
-        self.state_mem.add(new_state.len());
-        if let Some(old) = g.state.replace(new_state) {
-            self.state_mem.sub(old.len());
+        if let Some(prev) = &g.state {
+            old.extend_from_slice(prev);
         }
-        let copy = value.to_vec().into_boxed_slice();
-        self.pingpong_mem.add(copy.len());
-        if let Some(old) = g.pingpong[cur].replace(copy) {
-            self.pingpong_mem.sub(old.len());
-        }
+        let had = g.state.is_some();
+        self.state_mem.overwrite(&mut g.state, value);
+        self.pingpong_mem.overwrite(&mut g.pingpong[cur], value);
         self.dirty[cur].set(slot as usize, true);
-        Ok(undo)
+        Ok((slot, had))
     }
 
     /// Deletes a record: clears the application state and marks the
@@ -288,7 +291,7 @@ impl TripleStore {
             self.pingpong_mem.sub(old.len());
         }
         if let Some(snapshot) = &self.snapshot {
-            let mut snap = snapshot[slot as usize].lock();
+            let mut snap = snapshot.back(slot as usize).lock();
             match &value {
                 Some(v) => {
                     let entry = (key.0, v.clone());
@@ -367,7 +370,7 @@ impl TripleStore {
             let g = self.slots[slot].lock();
             if g.in_use {
                 if let Some(v) = &g.state {
-                    let mut snap = snapshot[slot].lock();
+                    let mut snap = snapshot.back(slot).lock();
                     self.snapshot_mem.add(v.len());
                     if let Some((_, old)) = snap.replace((g.key, v.clone())) {
                         self.snapshot_mem.sub(old.len());

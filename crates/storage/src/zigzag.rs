@@ -20,27 +20,23 @@ use parking_lot::{Mutex, MutexGuard};
 use calc_common::bitvec::AtomicBitVec;
 use calc_common::types::{Key, Value};
 
+use crate::arena::SlotArena;
 use crate::dual::{StoreConfig, StoreError};
 use crate::mem::{MemCounter, MemoryStats};
 use crate::slots::SlotTable;
 use crate::SlotId;
 
-struct ZzSlot {
+#[derive(Default)]
+pub(crate) struct ZzSlot {
     key: u64,
     in_use: bool,
     versions: [Option<Value>; 2],
 }
 
-const EMPTY: ZzSlot = ZzSlot {
-    key: 0,
-    in_use: false,
-    versions: [None, None],
-};
-
 /// The Zig-Zag store. See module docs.
 pub struct ZigzagStore {
     pub(crate) table: SlotTable,
-    slots: Box<[Mutex<ZzSlot>]>,
+    pub(crate) slots: SlotArena<Mutex<ZzSlot>>,
     mr: AtomicBitVec,
     mw: AtomicBitVec,
     /// Bytes and count of copy 0 (reported as live) and copy 1 (extra).
@@ -55,7 +51,7 @@ impl ZigzagStore {
         mw.set_all();
         ZigzagStore {
             table: SlotTable::new(config.capacity, config.shards),
-            slots: (0..config.capacity).map(|_| Mutex::new(EMPTY)).collect(),
+            slots: SlotArena::new(config.capacity),
             mr: AtomicBitVec::new(config.capacity),
             mw,
             mem: [MemCounter::new(), MemCounter::new()],
@@ -74,7 +70,7 @@ impl ZigzagStore {
 
     /// Maximum record count.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.slots.capacity()
     }
 
     /// Highest allocated slot index (scan bound).
@@ -149,7 +145,7 @@ impl ZigzagStore {
     /// [`SlotTable::install_batch`]; the caller counts the value's bytes
     /// with [`ZigzagStore::count_filled`].
     pub(crate) fn fill(&self, slot: SlotId, key: Key, value: &[u8]) {
-        let mut g = self.slots[slot as usize].lock();
+        let mut g = self.slots.back(slot as usize).lock();
         g.key = key.0;
         g.in_use = true;
         for version in g.versions.iter_mut() {
@@ -189,6 +185,21 @@ impl ZigzagStore {
     /// Updates a record: writes `AS[key][MW[key]]`, then sets
     /// `MR[key] = MW[key]`. Returns the previous read-version for undo.
     pub fn write(&self, key: Key, value: &[u8]) -> Result<Option<Value>, StoreError> {
+        let mut old = Vec::new();
+        let (_, had) = self.overwrite(key, value, &mut old)?;
+        Ok(had.then(|| old.into_boxed_slice()))
+    }
+
+    /// [`ZigzagStore::write`] with one lookup and no undo allocation:
+    /// appends the previous read-version to `old` (the caller's undo
+    /// space) and returns the slot written and whether there was one. A
+    /// value of the write copy's length is written over it in place.
+    pub fn overwrite(
+        &self,
+        key: Key,
+        value: &[u8],
+        old: &mut Vec<u8>,
+    ) -> Result<(SlotId, bool), StoreError> {
         let slot = self.slot_of(key).ok_or(StoreError::KeyNotFound(key))?;
         let mut g = self.slots[slot as usize].lock();
         if !g.in_use || g.key != key.0 {
@@ -196,14 +207,13 @@ impl ZigzagStore {
         }
         let r = self.mr.get(slot as usize) as usize;
         let w = self.mw.get(slot as usize) as usize;
-        let undo = g.versions[r].clone();
-        let new = value.to_vec().into_boxed_slice();
-        self.mem[w].add(new.len());
-        if let Some(old) = g.versions[w].replace(new) {
-            self.mem[w].sub(old.len());
+        if let Some(prev) = &g.versions[r] {
+            old.extend_from_slice(prev);
         }
+        let had = g.versions[r].is_some();
+        self.mem[w].overwrite(&mut g.versions[w], value);
         self.mr.set(slot as usize, w == 1);
-        Ok(undo)
+        Ok((slot, had))
     }
 
     /// Deletes a record. `checkpoint_active` preserves the checkpointer's

@@ -20,7 +20,9 @@
 # file outside calc-txn names the `LockManager` wrapper, and the lock
 # table's `ACQUIRE_SCRATCH` and `to_lock_set` stay deleted); a grep that
 # `unsafe` in crates/*/src appears only in the prefetch hint's file
-# (calc-common's prefetch.rs); clippy and
+# (calc-common's prefetch.rs); a grep that no store under crates/storage
+# or crates/baselines builds a capacity-sized per-slot array eagerly (the
+# slot arena backs its chunks as slots are handed out); clippy and
 # rustdoc, deny warnings — a doc link to a deleted item fails the gate —
 # plus a check build of perfbench, which is its own workspace, so a
 # renamed crate API it calls would otherwise go unnoticed), then tier-1
@@ -166,6 +168,15 @@ fi
 echo "== tier-0: unsafe code only in the prefetch hint =="
 if grep -rlw 'unsafe' crates/*/src | grep -vx 'crates/common/src/prefetch.rs'; then
     echo "verify: the prefetch hint holds the only non-test unsafe block" >&2
+    exit 1
+fi
+
+echo "== tier-0: per-slot arrays are backed on first use (no eager capacity-sized array) =="
+# A range over the capacity mapped into an array, on one line or with the
+# `.map(` on the next; the arena's own module builds its chunk table so.
+if grep -rnE '\(0\.\.[^)]*capacity[^)]*\)[[:space:]]*(\.map\(|$)' crates/storage/src crates/baselines/src |
+    grep -v '^crates/storage/src/arena.rs:'; then
+    echo "verify: per-slot contents live in a SlotArena, whose chunks are backed as slots are handed out" >&2
     exit 1
 fi
 
