@@ -167,6 +167,15 @@ impl CheckpointStrategy for FuzzyStrategy {
         Ok(installed)
     }
 
+    /// Never reached by a restart (see `load_batch`); empties the
+    /// snapshot copy with the store all the same.
+    fn clear(&self) {
+        for slot in 0..self.store.slot_high_water() {
+            self.snapshot_set(slot as SlotId, None);
+        }
+        self.store.clear();
+    }
+
     fn locks(&self) -> &LockWords {
         self.store.locks()
     }

@@ -236,6 +236,18 @@ impl CheckpointStrategy for MvccStrategy {
         Ok(installed)
     }
 
+    /// Drops every version chain: MVCC keeps no slot table.
+    fn clear(&self) {
+        for shard in self.shards.iter() {
+            for (_, chain) in shard.write().drain() {
+                for version in chain.into_inner().versions {
+                    self.record_version_free(&version.value);
+                }
+            }
+        }
+        self.live_records.store(0, Ordering::Relaxed);
+    }
+
     fn locks(&self) -> &LockWords {
         &self.locks
     }

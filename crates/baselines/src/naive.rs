@@ -96,6 +96,10 @@ impl CheckpointStrategy for NaiveStrategy {
         self.store.install_batch(records)
     }
 
+    fn clear(&self) {
+        self.store.clear();
+    }
+
     fn locks(&self) -> &LockWords {
         self.store.locks()
     }

@@ -107,6 +107,10 @@ impl CheckpointStrategy for ZigzagStrategy {
         self.store.install_batch(records)
     }
 
+    fn clear(&self) {
+        self.store.clear();
+    }
+
     fn locks(&self) -> &LockWords {
         self.store.locks()
     }

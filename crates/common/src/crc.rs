@@ -5,10 +5,10 @@
 //!
 //! A crash in the middle of the capture phase leaves a checkpoint file
 //! without a valid footer; recovery (§3) must detect and discard it, and
-//! restart CRCs every part twice (validate, then install) plus the whole
-//! log tail, so the kernel is slicing-by-8: eight `const`-built tables
-//! fold eight input bytes per step, the bytewise loop only handles the
-//! tail shorter than that. Same polynomial, init and final xor as the
+//! restart CRCs every part of the chain it loads once, as it installs
+//! it, plus the whole log tail, so the kernel is slicing-by-8: eight
+//! `const`-built tables fold eight input bytes per step, the bytewise loop
+//! only handles the tail shorter than that. Same polynomial, init and final xor as the
 //! one-table form, bit-identical output, dependency-free.
 
 /// Streaming CRC-32 hasher.

@@ -1,8 +1,8 @@
 //! Test-only fault switches that inject *known bugs* into the engine, so
 //! the oracles (the conformance checker; for `AckBeforeFsync`,
 //! `OldestWinsOnLoad`, `SkipLaneBarrier`, `SkipTailSegment`,
-//! `SkipTailTrim` and `TruncateAboveFloor`, calc-sim's crash and recovery
-//! oracles) can prove they would catch them.
+//! `SkipTailTrim`, `TruncateAboveFloor` and `SkipClearOnFallback`,
+//! calc-sim's crash and recovery oracles) can prove they would catch them.
 //!
 //! A checker that has never seen a failure proves nothing: if the oracle
 //! is vacuous (checks the wrong thing, or checks nothing under the real
@@ -69,10 +69,17 @@ pub enum Mutation {
     /// that falls back past a torn newest full finds part of its replay
     /// window deleted. Caught by `calc-sim`'s `retention_mutant.rs`.
     TruncateAboveFloor,
+    /// Restart's chain load, finding a part of the newest chain unreadable
+    /// part-way through, quarantines its cycle and loads the next chain
+    /// into the store *without emptying it first* — what the failed cycle
+    /// had already installed survives, and first-installed-wins keeps it
+    /// over the fallback chain. Caught by `calc-sim`'s
+    /// `fallback_clear_mutant.rs`.
+    SkipClearOnFallback,
 }
 
 /// All mutations, for sweep-style tests.
-pub const ALL: [Mutation; 9] = [
+pub const ALL: [Mutation; 10] = [
     Mutation::SkipLock,
     Mutation::StaleStableRead,
     Mutation::LatePhaseStamp,
@@ -82,9 +89,10 @@ pub const ALL: [Mutation; 9] = [
     Mutation::SkipTailSegment,
     Mutation::SkipTailTrim,
     Mutation::TruncateAboveFloor,
+    Mutation::SkipClearOnFallback,
 ];
 
-static FLAGS: [AtomicBool; 9] = [const { AtomicBool::new(false) }; 9];
+static FLAGS: [AtomicBool; 10] = [const { AtomicBool::new(false) }; 10];
 
 impl Mutation {
     /// Human-readable name for diagnostics.
@@ -99,6 +107,7 @@ impl Mutation {
             Mutation::SkipTailSegment => "skip-tail-segment",
             Mutation::SkipTailTrim => "skip-tail-trim",
             Mutation::TruncateAboveFloor => "truncate-above-floor",
+            Mutation::SkipClearOnFallback => "skip-clear-on-fallback",
         }
     }
 }

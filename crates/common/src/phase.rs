@@ -8,10 +8,11 @@
 //! depending on the checkpointing crate.
 
 /// One of CALC's five phases.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Default)]
 #[repr(u8)]
 pub enum Phase {
     /// No checkpoint is being taken. Records store only live versions.
+    #[default]
     Rest = 0,
     /// Immediately precedes the virtual point of consistency. Writers copy
     /// live→stable before updating (the copy is provisional: the commit

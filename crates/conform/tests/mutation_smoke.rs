@@ -44,7 +44,8 @@ fn spec_for(mutation: Mutation, seed: u64) -> StressSpec {
         | Mutation::SkipLaneBarrier
         | Mutation::SkipTailSegment
         | Mutation::SkipTailTrim
-        | Mutation::TruncateAboveFloor => {
+        | Mutation::TruncateAboveFloor
+        | Mutation::SkipClearOnFallback => {
             unreachable!("a durability/restart bug: calc-sim's oracles own it, not this checker")
         }
     }

@@ -444,6 +444,10 @@ impl CheckpointStrategy for CalcStrategy {
         self.store.install_batch(records)
     }
 
+    fn clear(&self) {
+        self.store.clear();
+    }
+
     fn locks(&self) -> &LockWords {
         self.store.locks()
     }

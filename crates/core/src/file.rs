@@ -468,7 +468,7 @@ impl CheckpointReader {
 
     /// The footer's CRC digest (not yet verified against the body). A
     /// manifest compares this against its recorded per-part digest before
-    /// paying for the full [`CheckpointReader::verify`] scan.
+    /// a record is read.
     pub fn expected_crc(&self) -> u32 {
         self.expected_crc
     }
@@ -575,14 +575,6 @@ impl CheckpointReader {
             RecordRef::Value(key, value) => RecordEntry::Value(key, value.into()),
             RecordRef::Tombstone(key) => RecordEntry::Tombstone(key),
         }))
-    }
-
-    /// Consumes every record, verifying structure and CRCs without copying
-    /// a value: the only allocation is the read buffer itself. A file whose footer survived but whose body was corrupted
-    /// or torn fails here, not at load time.
-    pub fn verify(mut self) -> io::Result<FileHeader> {
-        while self.next_borrowed()?.is_some() {}
-        Ok(self.header)
     }
 
     /// Reads every record, verifying the CRCs.

@@ -25,7 +25,7 @@
 //!   disk-bandwidth-bound; the throttle reproduces that regime).
 //! * [`manifest`] — checkpoint directory management: checkpoints of N
 //!   part files committed atomically by one manifest rename, a catalog
-//!   of published cycles, one deep verification with whole-cycle
+//!   of published cycles, the restart's manifest listing, whole-cycle
 //!   quarantine, garbage collection.
 //! * [`partition`] — the shard-parallel capture layer: one scan domain
 //!   split into contiguous stripes, written by a pool of capture threads,

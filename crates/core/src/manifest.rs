@@ -18,15 +18,17 @@
 //! [`CheckpointDir::claims`] still lists the directory, for the orphan
 //! parts and unreadable manifests the catalog never holds.
 //!
-//! Validity is decided by the one deep query,
-//! [`CheckpointDir::restart_chain`]: a cycle whose every part matches its
-//! manifest entry ([`CheckpointMeta::open_part`], read to the end) is
-//! live; anything less quarantines the *whole cycle* (renamed to
-//! `*.quarantine`) so recovery falls back to the previous checkpoint
-//! instead of loading half a snapshot. The merger makes the same check as
-//! it reads its chain, once. Safety: a running engine's catalog holds
-//! only cycles this process published, its writer having CRC'd every
-//! frame, or cycles the restart before boot had just verified, and one
+//! Validity is decided by reading a cycle, never by listing it: a cycle
+//! whose every part matches its manifest entry
+//! ([`CheckpointMeta::open_part`], read to the end) is good; anything less
+//! quarantines the *whole cycle* (renamed to `*.quarantine`,
+//! [`CheckpointDir::quarantine_cycle`]) so recovery falls back to the
+//! previous checkpoint instead of loading half a snapshot. Restart's
+//! chain install makes that check as it streams the chain into the store,
+//! and the merger as it reads its chain — each reads a part once.
+//! [`CheckpointDir::restart_chain`] reads manifests only. Safety: a running
+//! engine's catalog holds cycles this process published, its writer
+//! having CRC'd every frame, or cycles listed when it opened, and one
 //! handle writes a directory. Re-reading them would hit the page cache and
 //! catch only a file changed under the process, so retention does not
 //! notice a part that rots under a running engine: keeping two fulls and
@@ -57,7 +59,6 @@ use calc_common::vfs::{OsVfs, Vfs};
 use crate::file::{
     CheckpointKind, CheckpointReader, CheckpointWriter, PartSummary, RecordEntry, RecordRef,
 };
-use crate::partition::for_each_part;
 use crate::throttle::Throttle;
 
 const MANIFEST_MAGIC: &[u8; 8] = b"CALCMFST";
@@ -127,7 +128,7 @@ impl CheckpointMeta {
     /// footer's digest, the header's id, kind and watermark, and the
     /// record count. The reader CRCs each frame where it lies and the
     /// footer at the last record, so reading the part to its end completes
-    /// the check — restart's deep query and the merger's read both do.
+    /// the check — restart's chain install and the merger's read both do.
     pub fn open_part(&self, vfs: &dyn Vfs, k: usize) -> io::Result<CheckpointReader> {
         let part = &self.parts[k];
         let reader = CheckpointReader::open_with_vfs(vfs, &part.path)?;
@@ -194,8 +195,8 @@ impl CheckpointMeta {
 /// Cycles in chain order (see [`chain_order`]).
 type Cycles = BTreeMap<(u64, bool), CheckpointMeta>;
 
-/// What a handle knows of its directory: the cycles it listed at open,
-/// published or verified since, and the newest id it has published or
+/// What a handle knows of its directory: the cycles it listed at open or
+/// at restart, published since, and the newest id it has published or
 /// adopted.
 #[derive(Default)]
 struct Catalog {
@@ -422,9 +423,8 @@ impl CheckpointDir {
     /// Opens (creating if needed) a checkpoint directory through an
     /// arbitrary [`Vfs`], cataloguing every readable manifest from one
     /// listing. No part is read and nothing is quarantined; the parent
-    /// link stays unset until a publish,
-    /// [`CheckpointDir::adopt_published_manifests`] or
-    /// [`CheckpointDir::restart_chain`] sets it.
+    /// link stays unset until a publish or
+    /// [`CheckpointDir::adopt_published_manifests`] sets it.
     pub fn open_with_vfs(
         dir: &Path,
         throttle: Arc<Throttle>,
@@ -440,7 +440,7 @@ impl CheckpointDir {
             catalog: Arc::default(),
             load: std::sync::OnceLock::new(),
         };
-        d.catalog.lock().cycles = d.list_cycles(None)?;
+        d.catalog.lock().cycles = d.list_cycles(false)?;
         Ok(d)
     }
 
@@ -451,8 +451,8 @@ impl CheckpointDir {
         let _ = self.load.set(signal);
     }
 
-    /// Id of the newest checkpoint this handle has published, adopted or
-    /// verified. `None` until one of those happens; never lowered.
+    /// Id of the newest checkpoint this handle has published or adopted.
+    /// `None` until one of those happens; never lowered.
     pub fn last_published(&self) -> Option<u64> {
         self.catalog.lock().last_published
     }
@@ -466,9 +466,9 @@ impl CheckpointDir {
     /// The *effective* part count / capture thread pool size: the
     /// configured value, clamped down by the attached load signal so
     /// capture parallelism never competes with an overloaded foreground.
-    /// Every strategy's capture, the merger's output, restart's
-    /// deep verification and recovery's part loader size their pools through
-    /// this one accessor, so load-aware clamping covers all of them:
+    /// Every strategy's capture, the merger's output and restart's chain
+    /// install size their pools through this one accessor, so load-aware
+    /// clamping covers all of them:
     ///
     /// * [`LoadLevel::Overload`] → 1 thread (capture proceeds, serially);
     /// * [`LoadLevel::High`] → half the configured threads;
@@ -613,61 +613,50 @@ impl CheckpointDir {
         decode_manifest(&self.dir, path.to_path_buf(), &buf)
     }
 
-    /// Lists the directory's cycles: every readable manifest's, or with
-    /// `verify = Some(threads)` every cycle whose parts all pass
-    /// [`CheckpointMeta::open_part`] read to the end — a cycle's parts on
-    /// at most `threads` workers — quarantining the rest.
-    fn list_cycles(&self, verify: Option<usize>) -> io::Result<Cycles> {
+    /// Lists the directory's cycles from their manifests alone (no part
+    /// is read). An unreadable manifest, or one whose identity does not
+    /// match its name, is skipped — and with `quarantine` set, renamed out
+    /// of the namespace: it condemns only itself, since its part names
+    /// cannot be trusted, and orphaned parts are invisible anyway.
+    fn list_cycles(&self, quarantine: bool) -> io::Result<Cycles> {
         let mut cycles = Cycles::new();
         for (path, id, kind, class) in self.entries()? {
             if class != NameClass::Manifest {
                 continue;
             }
-            // The document's identity must match the name it was found under.
-            let meta = self.read_manifest(&path).ok().filter(|m| (m.id, m.kind) == (id, kind));
-            match (meta, verify) {
-                (Some(meta), Some(threads)) => {
-                    let verified = for_each_part(meta.parts.len(), threads, |k| {
-                        meta.open_part(self.vfs.as_ref(), k)?.verify().map(drop)
-                    });
-                    if verified.is_err() {
-                        self.quarantine_cycle(&meta);
-                        continue;
-                    }
+            match self.read_manifest(&path).ok().filter(|m| (m.id, m.kind) == (id, kind)) {
+                Some(meta) => {
                     cycles.insert(chain_order(&meta), meta);
                 }
-                (Some(meta), None) => {
-                    cycles.insert(chain_order(&meta), meta);
-                }
-                // An unreadable manifest condemns only itself: its part
-                // names cannot be trusted, and orphaned parts are
-                // invisible anyway.
-                (None, Some(_)) => self.quarantine(&path),
-                (None, None) => {}
+                None if quarantine => self.quarantine(&path),
+                None => {}
             }
         }
         Ok(cycles)
     }
 
     /// Quarantines every file of `meta`'s cycle that exists and drops the
-    /// cycle from the catalog. One missing or corrupt part condemns the
-    /// whole cycle: a snapshot with a hole is worse than falling back to
-    /// the previous checkpoint plus a longer replay.
-    pub(crate) fn quarantine_cycle(&self, meta: &CheckpointMeta) {
+    /// cycle from the catalog, returning the chain the catalog yields
+    /// without it. One missing or corrupt part condemns the whole cycle: a
+    /// snapshot with a hole is worse than falling back to the previous
+    /// checkpoint plus a longer replay.
+    pub fn quarantine_cycle(&self, meta: &CheckpointMeta) -> RestartChain {
         for part in &meta.parts {
             if self.vfs.len(&part.path).is_ok() {
                 self.quarantine(&part.path);
             }
         }
         self.quarantine(&meta.path);
-        self.catalog.lock().cycles.remove(&chain_order(meta));
+        let mut catalog = self.catalog.lock();
+        catalog.cycles.remove(&chain_order(meta));
+        chain_of(&catalog.cycles)
     }
 
     /// The catalogued cycles, ascending by `(id, kind)` with Full ordered
     /// before Partial at equal id (a merged full supersedes the same-id
     /// partial). No file is read and nothing is quarantined, so it is safe
-    /// per request while the merger runs. A listed cycle may still fail
-    /// deep verification at the next restart.
+    /// per request while the merger runs. A listed cycle may still fail to
+    /// read at the next restart or merge.
     pub fn manifests(&self) -> Vec<CheckpointMeta> {
         self.catalog.lock().cycles.values().cloned().collect()
     }
@@ -692,13 +681,12 @@ impl CheckpointDir {
     }
 
     /// Seeds the next checkpoint's parent link from the newest catalogued
-    /// cycle, for a handle taking over a directory it will not verify
-    /// itself (a promoted standby, restarts included: the restart verified
-    /// the directory before this handle was opened); otherwise its first
-    /// partial would record no parent and end the recovery chain. Reads no
-    /// file. A handle about to verify the chain itself must *not* call
-    /// this: [`CheckpointDir::restart_chain`] seeds the link from verified
-    /// cycles only, and may be about to quarantine the newest.
+    /// cycle, for a handle taking over a directory (a promoted standby,
+    /// restarts included: the restart's load quarantined what failed to
+    /// read before this handle was opened); otherwise its first partial
+    /// would record no parent and end the recovery chain. Reads no file.
+    /// A restart loading through this handle calls it once the load is
+    /// done, so the link comes from the cycles that survived the load.
     pub fn adopt_published_manifests(&self) {
         self.catalog.lock().adopt();
     }
@@ -706,8 +694,8 @@ impl CheckpointDir {
     /// A cheap claims-only listing: the id and claimed watermark of every
     /// cycle with any durable trace in the directory, read from manifest
     /// documents and file *names* without validating part payloads —
-    /// O(cycles), not O(data). Unlike the catalog, it lists cycles deep
-    /// verification would quarantine: their claims are exactly what a
+    /// O(cycles), not O(data). Unlike the catalog, it lists cycles a load
+    /// would quarantine: their claims are exactly what a
     /// restart or a standby promotion must seal the id/seq spaces above,
     /// whether or not the data behind them is intact. Orphan parts and
     /// unreadable manifests contribute their name-derived id with a
@@ -745,7 +733,8 @@ impl CheckpointDir {
     /// The recovery chain among the catalogued cycles: the newest full
     /// plus the longest *unbroken* run of newer partials, ascending.
     /// `None` if no full is catalogued. Reads no file; the merger's
-    /// `collapse` checks each part as it streams it.
+    /// `collapse` and restart's chain install check each part as they
+    /// stream it.
     ///
     /// Unbroken means each partial's recorded `parent` is the previous
     /// chain element (ids may legally skip — a failed cycle consumes an id
@@ -763,19 +752,20 @@ impl CheckpointDir {
         }
     }
 
-    /// The one deep query, for a restart or a standby bootstrap (nothing
-    /// else is running yet): re-lists the directory, verifies every part
-    /// of every cycle against its manifest entry on
-    /// [`CheckpointDir::checkpoint_threads`] workers, quarantines each
-    /// cycle that fails, and replaces the catalog with the survivors. Then
-    /// picks their chain (see [`CheckpointDir::chain`]), telling a
-    /// directory with no valid cycle at all — a cold start — from one that
-    /// holds cycles but no full.
+    /// The chain a restart or a standby bootstrap (nothing else is running
+    /// yet) starts loading: re-lists the manifests, quarantining unreadable
+    /// ones and identity mismatches, replaces the catalog with what it
+    /// found, and picks the chain (see [`CheckpointDir::chain`]), telling a
+    /// directory with no cycle at all — a cold start — from one that holds
+    /// cycles but no full. No part is opened: the load checks each part of
+    /// the chain as it streams it, and a cycle that fails goes through
+    /// [`CheckpointDir::quarantine_cycle`], which yields the next chain. The
+    /// parent link is left to [`CheckpointDir::adopt_published_manifests`]
+    /// once the load is done.
     pub fn restart_chain(&self) -> io::Result<RestartChain> {
-        let survivors = self.list_cycles(Some(self.checkpoint_threads()))?;
+        let listed = self.list_cycles(true)?;
         let mut catalog = self.catalog.lock();
-        catalog.cycles = survivors;
-        catalog.adopt();
+        catalog.cycles = listed;
         Ok(chain_of(&catalog.cycles))
     }
 
@@ -872,16 +862,16 @@ impl CheckpointDir {
     }
 }
 
-/// What the deep query leaves a restart to load.
+/// What the catalog leaves a restart to load.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RestartChain {
-    /// No valid cycle at all: no checkpoint ever completed (or none
-    /// survived validation), so the command log carries the whole history.
+    /// No cycle at all: no checkpoint ever completed (or none survived
+    /// the load), so the command log carries the whole history.
     Empty,
-    /// Valid cycles, but no full checkpoint among them: the chain is
-    /// broken, not merely young.
+    /// Cycles, but no full checkpoint among them: the chain is broken,
+    /// not merely young.
     NoFull,
-    /// The newest valid full plus its unbroken run of newer partials,
+    /// The newest full plus its unbroken run of newer partials,
     /// ascending.
     Chain(CheckpointMeta, Vec<CheckpointMeta>),
 }
@@ -940,8 +930,8 @@ mod tests {
         CheckpointDir::open(&d, Arc::new(Throttle::unlimited())).unwrap()
     }
 
-    /// The chain the deep query verifies, which must hold a full.
-    fn verified_chain(d: &CheckpointDir) -> (CheckpointMeta, Vec<CheckpointMeta>) {
+    /// The chain a restart would start loading, which must hold a full.
+    fn listed_chain(d: &CheckpointDir) -> (CheckpointMeta, Vec<CheckpointMeta>) {
         match d.restart_chain().unwrap() {
             RestartChain::Chain(full, partials) => (full, partials),
             other => panic!("no chain: {other:?}"),
@@ -1008,7 +998,7 @@ mod tests {
     }
 
     /// The manifest/part round-trip property: for every part count
-    /// (including 1) and several record shapes, publish → verify → read
+    /// (including 1) and several record shapes, publish → list → read
     /// returns exactly what was written, in part order.
     #[test]
     fn manifest_part_roundtrip_property() {
@@ -1070,61 +1060,19 @@ mod tests {
         let reopened = CheckpointDir::open(d.path(), Arc::new(Throttle::unlimited())).unwrap();
         assert_eq!(reopened.manifests().len(), 1, "open skips it untouched");
         assert_eq!(reopened.quarantined_count(), 0);
-        assert_eq!(verified_chain(&d).0.id, 1);
+        assert_eq!(listed_chain(&d).0.id, 1);
         assert_eq!(d.manifests().len(), 1);
         assert_eq!(d.quarantined_count(), 1);
         // The file moved out of the checkpoint namespace: bytes preserved
-        // under *.quarantine, original name gone, and verifying again
+        // under *.quarantine, original name gone, and listing again
         // finds nothing new.
         assert!(!bad.exists());
         assert!(d
             .path()
             .join("ckpt-0000000002-full.manifest.quarantine")
             .exists());
-        assert_eq!(verified_chain(&d).0.id, 1);
+        assert_eq!(listed_chain(&d).0.id, 1);
         assert_eq!(d.quarantined_count(), 1);
-    }
-
-    #[test]
-    fn corrupt_part_quarantines_the_whole_cycle() {
-        let d = dir("part-corrupt");
-        publish_parts(&d, CheckpointKind::Full, 1, 6, 3);
-        publish_parts(&d, CheckpointKind::Full, 2, 6, 3);
-        // Flip a byte in the middle of one part of the newest cycle.
-        let victim = d.path().join("ckpt-0000000002-full.part-1");
-        let mut data = std::fs::read(&victim).unwrap();
-        let mid = data.len() / 2;
-        data[mid] ^= 0xFF;
-        std::fs::write(&victim, &data).unwrap();
-        assert_eq!(d.manifests().len(), 2, "the catalog reads no part");
-        assert_eq!(verified_chain(&d).0.id, 1);
-        let metas = d.manifests();
-        assert_eq!(metas.len(), 1, "whole cycle rejected, not just one part");
-        assert_eq!(metas[0].id, 1);
-        // Manifest and all three parts of cycle 2 are quarantined.
-        assert_eq!(d.quarantined_count(), 4);
-        for name in [
-            "ckpt-0000000002-full.manifest.quarantine",
-            "ckpt-0000000002-full.part-0.quarantine",
-            "ckpt-0000000002-full.part-1.quarantine",
-            "ckpt-0000000002-full.part-2.quarantine",
-        ] {
-            assert!(d.path().join(name).exists(), "missing {name}");
-        }
-    }
-
-    #[test]
-    fn missing_part_quarantines_the_whole_cycle() {
-        let d = dir("part-missing");
-        publish_parts(&d, CheckpointKind::Full, 1, 6, 3);
-        publish_parts(&d, CheckpointKind::Full, 2, 6, 3);
-        std::fs::remove_file(d.path().join("ckpt-0000000002-full.part-2")).unwrap();
-        assert_eq!(verified_chain(&d).0.id, 1);
-        let metas = d.manifests();
-        assert_eq!(metas.len(), 1);
-        assert_eq!(metas[0].id, 1);
-        // Manifest + the two surviving parts.
-        assert_eq!(d.quarantined_count(), 3);
     }
 
     #[test]
@@ -1132,7 +1080,7 @@ mod tests {
         let d = dir("chain-noparent");
         publish_parts(&d, CheckpointKind::Full, 0, 3, 1);
         publish_parts(&d, CheckpointKind::Partial, 1, 1, 1);
-        // A handle that neither verified nor adopted the directory records
+        // A handle that neither published nor adopted the directory records
         // no parent; dense ids do not stand in for the missing link.
         let blind = CheckpointDir::open(d.path(), Arc::new(Throttle::unlimited())).unwrap();
         publish_parts(&blind, CheckpointKind::Partial, 2, 1, 1);
@@ -1202,7 +1150,7 @@ mod tests {
                 .join(CheckpointDir::manifest_file_name(2, CheckpointKind::Partial)),
         )
         .unwrap();
-        let (full, partials) = verified_chain(&d);
+        let (full, partials) = listed_chain(&d);
         assert_eq!(full.id, 0);
         let ids: Vec<u64> = partials.iter().map(|m| m.id).collect();
         assert_eq!(ids, vec![1], "partials after the hole must be dropped");
@@ -1256,7 +1204,7 @@ mod tests {
             ]
         );
         // The live chain is intact after pruning, on disk too.
-        let (full, partials) = verified_chain(&d);
+        let (full, partials) = listed_chain(&d);
         assert_eq!(full.id, 4);
         assert_eq!(partials.len(), 1);
         // Pruning again is a no-op; keep=1 keeps only the live chain.

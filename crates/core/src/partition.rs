@@ -3,9 +3,8 @@
 //!
 //! Every strategy's capture (CALC full/partial, the quiesce baselines,
 //! IPP, Zigzag) funnels through this layer so the partitioning scheme, the
-//! thread pool, and the abort semantics are implemented exactly once;
-//! deep validation and recovery's part loader borrow its worker pool
-//! ([`for_each_part`]). The contract:
+//! thread pool, and the abort semantics are implemented exactly once. The
+//! contract:
 //!
 //! * **Partitioning** — [`ShardPartition`] splits `total` items (slots,
 //!   dirty-list entries) into `parts` contiguous stripes whose union is
@@ -30,7 +29,7 @@
 
 use std::io;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use calc_common::types::{CommitSeq, Key};
 
@@ -180,47 +179,6 @@ where
     pending.publish(writers)
 }
 
-/// Runs `job(k)` for every part index `k < parts` on at most `threads`
-/// workers — the calling thread and up to `threads - 1` scoped ones — that
-/// pull indices from a shared counter, and returns the results in index
-/// order. The first error stops the hand-out of further indices and is the
-/// one returned (the lowest-indexed, if several parts fail). Deep
-/// validation and recovery's part loader size their pools through this.
-pub fn for_each_part<T, E, F>(parts: usize, threads: usize, job: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    let next = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let worker = || {
-        let mut done = Vec::new();
-        while !failed.load(Ordering::Relaxed) {
-            let k = next.fetch_add(1, Ordering::Relaxed);
-            if k >= parts {
-                break;
-            }
-            let r = job(k);
-            if r.is_err() {
-                failed.store(true, Ordering::Relaxed);
-            }
-            done.push((k, r));
-        }
-        done
-    };
-    let mut done = std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..threads.min(parts)).map(|_| s.spawn(worker)).collect();
-        let mut done = worker();
-        for h in helpers {
-            done.extend(h.join().expect("part worker panicked"));
-        }
-        done
-    });
-    done.sort_unstable_by_key(|&(k, _)| k);
-    done.into_iter().map(|(_, r)| r).collect()
-}
-
 /// The error a cancelled stripe should return when it observes the cancel
 /// flag: [`io::ErrorKind::Interrupted`], which [`capture_parts`] treats as
 /// a symptom rather than a root cause.
@@ -257,24 +215,6 @@ mod tests {
                 assert!(covered.iter().all(|&c| c), "gap (total={total} parts={parts})");
                 assert!(max_len - min_len <= 1, "imbalance (total={total} parts={parts})");
             }
-        }
-    }
-
-    #[test]
-    fn for_each_part_orders_results_and_stops_at_an_error() {
-        for threads in [1usize, 2, 5, 64] {
-            let squares = for_each_part(20, threads, |k| Ok::<_, ()>(k * k)).unwrap();
-            assert_eq!(squares, (0..20).map(|k| k * k).collect::<Vec<_>>());
-            assert_eq!(for_each_part(0, threads, |_| Err::<(), _>("unreached")), Ok(vec![]));
-
-            let ran = AtomicUsize::new(0);
-            let err = for_each_part(1000, threads, |k| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                if k >= 3 { Err(k) } else { Ok(()) }
-            })
-            .unwrap_err();
-            assert_eq!(err, 3, "the lowest-indexed failure is the one reported");
-            assert!(ran.load(Ordering::Relaxed) < 1000, "an error stops the hand-out");
         }
     }
 

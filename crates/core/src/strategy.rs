@@ -51,8 +51,9 @@ pub struct WriteRec {
     pub created_stable: bool,
 }
 
-/// Per-transaction state carried through the strategy hooks.
-#[derive(Debug)]
+/// Per-transaction state carried through the strategy hooks. The default
+/// token is an empty one no strategy began, a placeholder only.
+#[derive(Debug, Default)]
 pub struct TxnToken {
     /// The (cycle, phase) the transaction started under — `txn.start-phase`
     /// in the paper's pseudocode.
@@ -303,6 +304,13 @@ pub trait CheckpointStrategy: Send + Sync {
     /// runs out installs what fits and reports
     /// [`StoreError::CapacityExceeded`].
     fn load_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError>;
+
+    /// Drops every record [`CheckpointStrategy::load_batch`] installed,
+    /// leaving the strategy as empty as a fresh one. Restart-only: when a
+    /// part of the chain being loaded fails to read, its cycle is
+    /// quarantined and the next chain is loaded from scratch. Nothing else
+    /// may run meanwhile.
+    fn clear(&self);
 
     /// The transaction lock words: the slot table's, one per slot (see
     /// [`calc_common::lockword`]).

@@ -545,11 +545,14 @@ fn golden_part_and_manifest_decode_and_the_writer_reproduces_them() {
     ];
     let mut v2_part = V3_PART;
     v2_part[8] = 2; // the version-2 header: the same fields, codec byte last
-    for (what, part, manifest, quarantined) in [
-        ("version-1 cycle", &V1_PART[..], &V1_MANIFEST[..], 1),
-        ("version-2 part", &v2_part[..], &GOLDEN_MANIFEST[..], 2),
-        ("version-3 cycle", &V3_PART[..], &V2_MANIFEST[..], 1),
-        ("version-3 part", &V3_PART[..], &GOLDEN_MANIFEST[..], 2),
+    // A refused manifest condemns only itself, at the listing; a refused
+    // part is never opened by it — the chain load refuses it and
+    // quarantines its whole cycle (calc-recovery's `direct_load.rs`).
+    for (what, part, manifest, listed) in [
+        ("version-1 cycle", &V1_PART[..], &V1_MANIFEST[..], RestartChain::Empty),
+        ("version-2 part", &v2_part[..], &GOLDEN_MANIFEST[..], RestartChain::NoFull),
+        ("version-3 cycle", &V3_PART[..], &V2_MANIFEST[..], RestartChain::Empty),
+        ("version-3 part", &V3_PART[..], &GOLDEN_MANIFEST[..], RestartChain::NoFull),
     ] {
         let dir = cycle(part, manifest);
         let err = CheckpointReader::open(&dir.path().join(&part_name)).unwrap_err();
@@ -558,14 +561,14 @@ fn golden_part_and_manifest_decode_and_the_writer_reproduces_them() {
             err.to_string().contains("unsupported version"),
             "{what}: {err}"
         );
-        assert_eq!(dir.restart_chain().unwrap(), RestartChain::Empty, "{what} was read");
-        // A refused manifest condemns only itself; a refused part, its
-        // whole cycle.
-        assert_eq!(dir.quarantined_count(), quarantined, "{what}");
-        assert!(
+        let refused_manifest = listed == RestartChain::Empty;
+        assert_eq!(dir.restart_chain().unwrap(), listed, "{what}");
+        assert_eq!(dir.quarantined_count(), u64::from(refused_manifest), "{what}");
+        assert_eq!(
             dir.path()
                 .join(format!("{manifest_name}.quarantine"))
                 .exists(),
+            refused_manifest,
             "{what}"
         );
         std::fs::remove_dir_all(dir.path()).ok();

@@ -1,4 +1,5 @@
-//! `CheckpointReader::verify` is restart's first pass over every part: it
+//! Restart's chain install streams every part through
+//! `CheckpointReader::next_borrowed`, checking it as it goes: the check
 //! must cost CRC bandwidth, not an allocation per record. Pinned with a
 //! counting allocator (its own test binary, so nothing else allocates on
 //! the measured thread).
@@ -51,7 +52,7 @@ fn allocations_during(f: impl FnOnce()) -> usize {
 }
 
 #[test]
-fn verify_allocates_per_file_not_per_record() {
+fn a_checked_stream_allocates_per_file_not_per_record() {
     const RECORDS: u64 = 30_000; // ≈ 3.3 MB: several read chunks
     let path = std::env::temp_dir().join(format!("calc-verify-alloc-{}.part", std::process::id()));
     let mut w = CheckpointWriter::create(
@@ -68,11 +69,15 @@ fn verify_allocates_per_file_not_per_record() {
     }
     w.finish().unwrap();
 
-    let reader = CheckpointReader::open(&path).unwrap();
-    let verified = allocations_during(|| {
-        assert_eq!(reader.verify().unwrap().records, RECORDS + 1);
+    let mut reader = CheckpointReader::open(&path).unwrap();
+    let streamed = allocations_during(|| {
+        let mut records = 0;
+        while reader.next_borrowed().unwrap().is_some() {
+            records += 1;
+        }
+        assert_eq!(records, RECORDS + 1);
     });
-    assert!(verified <= 4, "verify allocated {verified} times for {RECORDS} records");
+    assert!(streamed <= 4, "streaming allocated {streamed} times for {RECORDS} records");
 
     // The counter counts: the copying reader pays one allocation a value.
     let reader = CheckpointReader::open(&path).unwrap();

@@ -143,9 +143,9 @@ impl Database {
         dir.set_checkpoint_threads(config.checkpoint_threads);
         if resumed {
             // The caller loaded the chain through its own handle, whose
-            // deep verification has already quarantined what failed, so
-            // this handle's catalog holds the survivors;
-            // `Database::recover` verifies and links through this one.
+            // load has already quarantined what failed to read, so this
+            // handle's catalog holds the survivors; `Database::recover`
+            // loads and links through this one.
             dir.adopt_published_manifests();
         }
         // The commit path feeds this signal; capture workers (pool sizing

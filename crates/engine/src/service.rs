@@ -339,9 +339,9 @@ impl CheckpointWork for Inner {
     /// [`calc_core::CheckpointDir::truncation_floor`]: the *oldest
     /// surviving full's* watermark. Both read the directory's catalog and
     /// no checkpoint file: every catalogued cycle was published by this
-    /// process or verified by the restart before it (see
-    /// `calc_core::manifest`). The floor — not the just-published cycle's
-    /// watermark — is what keeps truncation safe against corruption
+    /// process or listed when it opened (see `calc_core::manifest`). The
+    /// floor — not the just-published cycle's watermark — is what keeps
+    /// truncation safe against corruption
     /// discovered later: a restart that finds the newest full torn falls
     /// back to an older one and still finds its replay window.
     ///

@@ -113,11 +113,11 @@ fn database_recover_resumes_ids_and_sequences() {
     }
 }
 
-/// One validation pass per restart: `recover` seals the id/seq spaces
-/// from claims (manifest documents and names), so the recovery chain's
-/// scan is the only CRC pass over the part files.
+/// One pass over each part per restart: the load checks a part as it
+/// installs it, and `recover` seals the id/seq spaces from claims
+/// (manifest documents and names), so nothing else opens a part file.
 #[test]
-fn restart_opens_each_part_once_to_validate_and_once_to_load() {
+fn restart_opens_each_part_once() {
     let (mut config, log_dir) = logged_config(StrategyKind::PCalc, 2048, "recover-opens");
     config.checkpoint_threads = 2;
     let db = Database::open(config.clone(), registry()).unwrap();
@@ -148,7 +148,7 @@ fn restart_opens_each_part_once_to_validate_and_once_to_load() {
         .collect();
     assert_eq!(parts.len(), 6, "3 cycles x 2 parts: {parts:?}");
     for (path, n) in parts {
-        assert_eq!(*n, 2, "{} opened {n} times", path.display());
+        assert_eq!(*n, 1, "{} opened {n} times", path.display());
     }
 }
 

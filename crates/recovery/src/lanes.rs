@@ -69,7 +69,7 @@ struct Shared<B> {
 }
 
 /// The driver's handle on a running pool: lane 0, and the scope the lane
-/// threads start in.
+/// threads (`calc-lane-N`) start in.
 pub(crate) struct Driver<'s, 'e, 'a, B> {
     pool: &'e LanePool<'a, B>,
     scope: &'s Scope<'s, 'e>,
@@ -180,12 +180,15 @@ impl<B: Send> Driver<'_, '_, '_, B> {
         if lane != 0 && !self.pool.started.swap(true, Ordering::Relaxed) {
             for (lane, queue) in (1..).zip(&self.pool.queues) {
                 let pool = self.pool;
-                self.scope.spawn(move || {
-                    while let Some(job) = queue.pop() {
-                        let _done = Applied(pool);
-                        (pool.apply)(pool, lane, job);
-                    }
-                });
+                std::thread::Builder::new()
+                    .name(format!("calc-lane-{lane}"))
+                    .spawn_scoped(self.scope, move || {
+                        while let Some(job) = queue.pop() {
+                            let _done = Applied(pool);
+                            (pool.apply)(pool, lane, job);
+                        }
+                    })
+                    .expect("spawn a lane thread");
             }
         }
         self.pool.send(0, lane, job)

@@ -2,16 +2,23 @@
 //! `dir.checkpoint_threads()` threads (see the `lanes` module: a key's lane
 //! is the index's shard mix, so lanes never share a shard).
 //!
-//! **Loading** installs the recovery chain straight from the part readers:
-//! after one deep-validation scan has accepted (or quarantined) every
-//! cycle, the chain is walked **newest first** — last partial … first
-//! partial, full. A cycle's parts are read in parallel, and each value
-//! goes to its key's lane, which installs it with
+//! **Loading** installs the recovery chain straight from the part readers,
+//! reading each part once: the chain comes from the manifests alone
+//! ([`CheckpointDir::restart_chain`]) and is walked **newest first** —
+//! last partial … first partial, full. A cycle's parts are read in
+//! parallel, each checked against its manifest entry as it streams
+//! ([`CheckpointMeta::open_part`], then every frame's CRC and the footer's),
+//! and each value goes to its key's lane, which installs it with
 //! [`CheckpointStrategy::load_batch`]. A key the store already holds was
 //! decided by a newer cycle and is skipped before it takes a slot; a
 //! cycle's tombstones join the set of dead keys once all of its parts are
 //! in, and a value whose key is dead is skipped. No intermediate map or
-//! entry list is built: the store is the only copy.
+//! entry list is built: the store is the only copy. A part that fails to
+//! read condemns its whole cycle, as a snapshot with a hole would: the
+//! cycle is quarantined, the store emptied ([`CheckpointStrategy::clear`];
+//! a restarting node serves nothing yet) and the chain the catalog now
+//! yields loaded in its place, until one loads or none is left. No cycle
+//! outside the chain is opened.
 //!
 //! **Replay** has one driver, [`replay_feed`], which takes its commands
 //! from a feed: [`recover_streamed`] feeds it an iterator, a standby's poll
@@ -39,15 +46,15 @@
 //! command's records are fetched together.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 
 use calc_common::types::{CommitSeq, Key};
-use calc_core::file::{CheckpointReader, RecordRef};
+use calc_core::file::RecordRef;
 use calc_core::manifest::{CheckpointDir, CheckpointMeta, RestartChain};
-use calc_core::strategy::{CheckpointStrategy, Footprint};
+use calc_core::strategy::{CheckpointStrategy, Footprint, TxnToken};
 use calc_txn::commitlog::CommitRecord;
 #[cfg(doc)]
 use calc_txn::proc::Procedure;
@@ -139,8 +146,9 @@ impl From<calc_storage::dual::StoreError> for RecoveryError {
 /// `recovery_layers` probe reports it).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RecoveryStats {
-    /// The fused read + install pass: every part of the chain read,
-    /// CRC-verified and streamed into the store, summed over cycles.
+    /// The one pass over the loaded chain: every part read, CRC-checked
+    /// and streamed into the store, summed over cycles (a chain that
+    /// failed part-way before it is in `load_duration` only).
     pub part_load: Duration,
     /// The residue between cycles — folding each cycle's tombstones into
     /// the dead-key set (≈ 0; nothing is merged).
@@ -150,8 +158,7 @@ pub struct RecoveryStats {
     /// Part files read.
     pub parts_loaded: usize,
     /// `dir.checkpoint_threads()` at restart: the cap on the workers that
-    /// validated and loaded a cycle's parts, and the number of replay
-    /// lanes.
+    /// loaded a cycle's parts, and the number of replay lanes.
     pub threads: usize,
 }
 
@@ -166,8 +173,9 @@ pub struct RecoveryOutcome {
     pub watermark: CommitSeq,
     /// Transactions replayed from the command log.
     pub replayed: u64,
-    /// Time spent validating (the deep scan) and loading checkpoints —
-    /// the "recovery time" annotated on Figure 4(b).
+    /// Time spent loading checkpoints, any chain that failed to read and
+    /// was quarantined included — the "recovery time" annotated on
+    /// Figure 4(b).
     pub load_duration: Duration,
     /// Time spent replaying (wall time).
     pub replay_duration: Duration,
@@ -182,7 +190,7 @@ pub struct RecoveryOutcome {
 /// through the same resolved [`Footprint`] the executor's bridge uses.
 pub struct ReplayOps<'a> {
     /// The running transaction's token, from `strategy.txn_begin()`.
-    pub token: calc_core::strategy::TxnToken,
+    pub token: TxnToken,
     /// The first storage error an operation hit, if any.
     pub failed: Option<String>,
     /// The strategy and the declared keys' slots; empty (every key
@@ -197,6 +205,17 @@ impl<'a> ReplayOps<'a> {
     pub fn new(strategy: &'a dyn CheckpointStrategy) -> Self {
         ReplayOps {
             token: strategy.txn_begin(),
+            ..Self::idle(strategy)
+        }
+    }
+
+    /// A bridge with no transaction begun: a replay lane's, which each
+    /// command it applies runs on in turn, reusing its buffers (the
+    /// footprint's keys and slots, the previous values), as an executor
+    /// worker reuses its scratch.
+    fn idle(strategy: &'a dyn CheckpointStrategy) -> Self {
+        ReplayOps {
+            token: TxnToken::default(),
             failed: None,
             footprint: Footprint::new(strategy),
             old: Vec::new(),
@@ -234,36 +253,77 @@ impl TxnOps for ReplayOps<'_> {
 
 /// Loads the newest recovery chain into a **fresh** strategy instance
 /// (checkpoint-only mode, paper use cases 1–2 of §1); a strategy that
-/// already holds records is refused. One deep scan validates every cycle
-/// to completion first — a corrupt part quarantines its whole cycle and
-/// the chain falls back before the store is touched — then the chain's
-/// parts are installed newest cycle first, a cycle's parts in parallel on
-/// at most `dir.checkpoint_threads()` workers; a key an earlier (newer)
-/// cycle installed is skipped by [`CheckpointStrategy::load_batch`].
+/// already holds records is refused. Each part is read once, checked as it
+/// streams into the store (see the module docs); a cycle that fails to
+/// read is quarantined and the next chain loaded into the emptied store.
+/// No full checkpoint left to load is [`RecoveryError::NoFullCheckpoint`].
 pub fn recover_checkpoint_only(
     dir: &CheckpointDir,
     strategy: &dyn CheckpointStrategy,
 ) -> Result<RecoveryOutcome, RecoveryError> {
-    let start = Instant::now();
-    match dir.restart_chain()? {
-        RestartChain::Chain(full, partials) => install_chain(dir, strategy, &full, &partials, start),
-        RestartChain::Empty | RestartChain::NoFull => Err(RecoveryError::NoFullCheckpoint),
-    }
+    load_newest_chain(dir, strategy)?.ok_or(RecoveryError::NoFullCheckpoint)
 }
 
-/// Installs an already validated chain; `start` is when its scan began, so
-/// the outcome's `load_duration` covers validation too.
-fn install_chain(
+/// The one chain load behind every restart, standby bootstrap included:
+/// installs the chain [`CheckpointDir::restart_chain`] picks, and while a
+/// part of it fails to read, quarantines that part's cycle, empties the
+/// store ([`CheckpointStrategy::clear`]) and installs the chain the catalog
+/// yields without it. `None`: the directory holds no cycle at all (or
+/// none survived), a log-only cold start. The directory's parent link is
+/// adopted from the cycles that survived the load.
+fn load_newest_chain(
     dir: &CheckpointDir,
     strategy: &dyn CheckpointStrategy,
-    full: &CheckpointMeta,
-    partials: &[CheckpointMeta],
-    start: Instant,
-) -> Result<RecoveryOutcome, RecoveryError> {
+) -> Result<Option<RecoveryOutcome>, RecoveryError> {
+    let start = Instant::now();
+    let mut chain = dir.restart_chain()?;
+    // First-installed-wins is only right into an empty store: a resident
+    // record would silently win over the whole chain.
     let records = strategy.record_count();
-    if records != 0 {
+    if records != 0 && matches!(chain, RestartChain::Chain(..)) {
         return Err(RecoveryError::StrategyNotEmpty { records });
     }
+    let loaded = loop {
+        let (full, partials) = match chain {
+            RestartChain::Chain(full, partials) => (full, partials),
+            RestartChain::Empty => break Ok(None),
+            RestartChain::NoFull => break Err(RecoveryError::NoFullCheckpoint),
+        };
+        match install_chain(dir, strategy, &full, &partials, start) {
+            Ok(outcome) => break Ok(Some(outcome)),
+            Err(ChainFault::Unreadable(cycle)) => chain = dir.quarantine_cycle(cycle),
+            Err(ChainFault::Refused(e)) => break Err(e),
+        }
+        // Seeded bug for the fallback oracle's self-test: the next chain
+        // loads over what the failed one installed.
+        #[cfg(feature = "mutation-hooks")]
+        if calc_common::mutation::armed(calc_common::mutation::Mutation::SkipClearOnFallback) {
+            continue;
+        }
+        strategy.clear();
+    };
+    dir.adopt_published_manifests();
+    loaded
+}
+
+/// Why a chain did not install.
+enum ChainFault<'c> {
+    /// A part of this cycle failed to open or read: the cycle is condemned.
+    Unreadable(&'c CheckpointMeta),
+    /// The store refused the load; no other chain would fare better.
+    Refused(RecoveryError),
+}
+
+/// Installs a chain into an empty store, newest cycle first; `start` is
+/// when the restart began, so the outcome's `load_duration` covers any
+/// chain that failed before this one.
+fn install_chain<'c>(
+    dir: &CheckpointDir,
+    strategy: &dyn CheckpointStrategy,
+    full: &'c CheckpointMeta,
+    partials: &'c [CheckpointMeta],
+    start: Instant,
+) -> Result<RecoveryOutcome, ChainFault<'c>> {
     let threads = dir.checkpoint_threads();
     let mut newest_first: Vec<&CheckpointMeta> = partials.iter().rev().collect();
     newest_first.push(full);
@@ -280,7 +340,8 @@ fn install_chain(
         ..RecoveryStats::default()
     };
     let installed = AtomicU64::new(0);
-    let failed = Mutex::new(None);
+    let refused = Mutex::new(None);
+    let unreadable = AtomicBool::new(false);
     // Keys a newer cycle deleted (and did not re-create), and the current
     // cycle's tombstones, folded in only once all of its parts are in:
     // within a cycle a tombstone precedes the key's re-insertion, so the
@@ -288,23 +349,29 @@ fn install_chain(
     let dead = RwLock::new(HashSet::new());
     let tombstones = Mutex::new(Vec::new());
     let next_part = AtomicUsize::new(0);
-    let load = |lanes: &LanePool<Load>, lane: usize, job: Load| {
-        let done = match job {
-            Load::Parts(cycle) => {
-                std::iter::from_fn(|| cycle.parts.get(next_part.fetch_add(1, Ordering::Relaxed)))
-                    .try_for_each(|part| {
-                        let keys = read_part(dir, &part.path, &dead.read(), lanes, lane)?;
-                        tombstones.lock().extend(keys);
-                        Ok(())
-                    })
+    let load = |lanes: &LanePool<Load>, lane: usize, job: Load| match job {
+        // Claims the cycle's parts one at a time until none is left or
+        // one has failed to read.
+        Load::Parts(cycle) => {
+            while !unreadable.load(Ordering::Relaxed) {
+                let k = next_part.fetch_add(1, Ordering::Relaxed);
+                if k >= cycle.parts.len() {
+                    break;
+                }
+                match read_part(dir, cycle, k, &dead.read(), lanes, lane) {
+                    Ok(keys) => tombstones.lock().extend(keys),
+                    Err(_) => unreadable.store(true, Ordering::Relaxed),
+                }
             }
-            Load::Batch(batch) => batch.install(strategy).map(|n| {
-                installed.fetch_add(n, Ordering::Relaxed);
-            }),
-        };
-        if let Err(e) = done {
-            failed.lock().get_or_insert(e);
         }
+        Load::Batch(batch) => match batch.install(strategy) {
+            Ok(n) => {
+                installed.fetch_add(n, Ordering::Relaxed);
+            }
+            Err(e) => {
+                refused.lock().get_or_insert(e);
+            }
+        },
     };
     LanePool::run(threads, &load, |lanes| {
         for cycle in newest_first {
@@ -317,8 +384,11 @@ fn install_chain(
             lanes.drain();
             stats.part_load += load_start.elapsed();
             stats.parts_loaded += cycle.parts.len();
-            if let Some(e) = failed.lock().take() {
-                return Err(e);
+            if let Some(e) = refused.lock().take() {
+                return Err(ChainFault::Refused(e));
+            }
+            if unreadable.load(Ordering::Relaxed) {
+                return Err(ChainFault::Unreadable(cycle));
             }
             let fold_start = Instant::now();
             dead.write().extend(tombstones.lock().drain(..));
@@ -344,20 +414,23 @@ enum Load<'c> {
     Batch(LoadBuffer),
 }
 
-/// Reads one part on `lane`'s thread: every value whose key is not dead
-/// goes, [`LANE_BATCH`] at a time, to its key's lane — installed here if
-/// that is `lane`, while what other lanes hand this one is installed in
-/// between. The tombstones are handed back. The reader's final call
-/// re-checks the part's CRC, so a file that changed after validation fails
-/// the load.
+/// Reads part `k` of `cycle` on `lane`'s thread, checked against its
+/// manifest entry as it streams ([`CheckpointMeta::open_part`]: digest and
+/// header at open, each frame's CRC where it lies, the footer's at the
+/// last record): every value whose key is not dead goes, [`LANE_BATCH`]
+/// at a time, to its key's lane — installed here if that is `lane`, while
+/// what other lanes hand this one is installed in between. The tombstones
+/// are handed back. An error leaves what was handed off installed; the
+/// caller empties the store.
 fn read_part(
     dir: &CheckpointDir,
-    path: &std::path::Path,
+    cycle: &CheckpointMeta,
+    k: usize,
     dead: &HashSet<Key>,
     lanes: &LanePool<Load>,
     lane: usize,
-) -> Result<Vec<Key>, RecoveryError> {
-    let mut reader = CheckpointReader::open_with_vfs(dir.vfs().as_ref(), path)?;
+) -> std::io::Result<Vec<Key>> {
+    let mut reader = cycle.open_part(dir.vfs().as_ref(), k)?;
     let mut batches: Vec<LoadBuffer> = (0..lanes.lanes()).map(|_| LoadBuffer::default()).collect();
     let mut tombstones = Vec::new();
     while let Some(record) = reader.next_borrowed()? {
@@ -419,7 +492,7 @@ pub fn apply_commit(
     rec: &CommitRecord,
 ) -> Result<(), RecoveryError> {
     let footprint = footprint(registry, rec);
-    apply_footprint(strategy, registry, rec, footprint.as_ref())
+    apply_footprint(strategy, registry, rec, footprint.as_ref(), &mut ReplayOps::idle(strategy))
 }
 
 /// `rec`'s declared lock footprint, or `None` if its procedure is unknown
@@ -428,26 +501,25 @@ fn footprint(registry: &ProcRegistry, rec: &CommitRecord) -> Option<LockRequest>
     registry.get(rec.proc)?.locks(&rec.params).ok()
 }
 
-/// [`apply_commit`] with `rec`'s footprint already computed: its keys are
-/// resolved to their slots once and prefetched before the procedure runs
-/// (executor and replay reach a transaction's records the same way).
-fn apply_footprint(
-    strategy: &dyn CheckpointStrategy,
+/// [`apply_commit`] with `rec`'s footprint already computed, run on the
+/// idle bridge `ops`: its keys are resolved to their slots once and
+/// prefetched before the procedure runs (executor and replay reach a
+/// transaction's records the same way).
+fn apply_footprint<'a>(
+    strategy: &'a dyn CheckpointStrategy,
     registry: &ProcRegistry,
     rec: &CommitRecord,
     footprint: Option<&LockRequest>,
+    ops: &mut ReplayOps<'a>,
 ) -> Result<(), RecoveryError> {
     let proc = registry
         .get(rec.proc)
         .ok_or(RecoveryError::UnknownProcedure(rec.proc.0))?;
-    let mut ops = ReplayOps::new(strategy);
-    if let Some(declared) = footprint {
-        ops.footprint.resolve(declared);
-    }
-    let result = proc.run(&rec.params, &mut ops);
-    let ReplayOps {
-        mut token, failed, ..
-    } = ops;
+    ops.token = strategy.txn_begin();
+    // No declared footprint: every access looks its key up.
+    ops.footprint.resolve(footprint.unwrap_or(&LockRequest::default()));
+    let result = proc.run(&rec.params, ops);
+    let (mut token, failed) = (std::mem::take(&mut ops.token), ops.failed.take());
     match (result, failed) {
         (Ok(()), None) => {
             // Replay does not re-append to a commit log, but the commit
@@ -507,22 +579,17 @@ pub fn recover_streamed(
     if !strategy.transaction_consistent() {
         return Err(RecoveryError::NotTransactionConsistent(strategy.name()));
     }
-    let start = Instant::now();
-    let mut outcome = match dir.restart_chain()? {
-        RestartChain::Chain(full, partials) => install_chain(dir, strategy, &full, &partials, start)?,
-        // Log-only cold start: no checkpoint ever completed, so the log
-        // alone carries the whole history and replay starts from empty.
-        RestartChain::Empty => RecoveryOutcome {
-            loaded_records: 0,
-            checkpoint_files: 0,
-            watermark: CommitSeq::ZERO,
-            replayed: 0,
-            load_duration: Duration::ZERO,
-            replay_duration: Duration::ZERO,
-            stats: RecoveryStats::default(),
-        },
-        RestartChain::NoFull => return Err(RecoveryError::NoFullCheckpoint),
-    };
+    // Log-only cold start: no checkpoint ever completed, so the log alone
+    // carries the whole history and replay starts from empty.
+    let mut outcome = load_newest_chain(dir, strategy)?.unwrap_or(RecoveryOutcome {
+        loaded_records: 0,
+        checkpoint_files: 0,
+        watermark: CommitSeq::ZERO,
+        replayed: 0,
+        load_duration: Duration::ZERO,
+        replay_duration: Duration::ZERO,
+        stats: RecoveryStats::default(),
+    });
     let threads = dir.checkpoint_threads();
     let replay_start = Instant::now();
     let watermark = outcome.watermark;
@@ -655,14 +722,15 @@ impl Replay<'_> {
     }
 
     /// Applies `batch` in order, up to the first failure (or the earliest
-    /// one another lane has recorded).
+    /// one another lane has recorded), on one bridge.
     fn apply(&self, batch: &[Entry]) {
+        let mut ops = ReplayOps::idle(self.strategy);
         for (pos, rec, footprint) in batch {
             if *pos > self.stop_at.load(Ordering::Relaxed) {
                 return;
             }
             let footprint = footprint.as_ref();
-            if let Err(e) = apply_footprint(self.strategy, self.registry, rec, footprint) {
+            if let Err(e) = apply_footprint(self.strategy, self.registry, rec, footprint, &mut ops) {
                 let mut failed = self.failed.lock();
                 if !matches!(&*failed, Some((first, _)) if first < pos) {
                     *failed = Some((*pos, e));
@@ -970,6 +1038,9 @@ mod tests {
                 records: &[(Key, &[u8])],
             ) -> Result<usize, calc_storage::dual::StoreError> {
                 self.0.load_batch(records)
+            }
+            fn clear(&self) {
+                self.0.clear()
             }
             fn locks(&self) -> &calc_common::lockword::LockWords {
                 self.0.locks()

@@ -1,14 +1,15 @@
 //! Restart's direct loader (`recover_checkpoint_only` / `recover`) held
 //! against the serial reference `materialize_chain`, plus the edges the
 //! loader's design leans on: the worker cap, the empty-store precondition,
-//! a part that changes between validation and install, and one validation
-//! pass + one install pass over every part.
+//! one pass over every part of the chain and none over a cycle outside it,
+//! and the check it makes as it streams — a corrupt, missing, truncated or
+//! refused part quarantines its whole cycle and the load falls back.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use calc_common::rng::SplitMix;
 use calc_common::types::{CommitSeq, Key};
@@ -149,14 +150,12 @@ fn direct_load_matches_serial_materialization() {
 }
 
 /// A [`CountingVfs`] that also watches the part files being read: how many
-/// were open at once, and — armed with a victim — cuts that part in half
-/// just before its second open.
+/// were open at once.
 #[derive(Debug, Default)]
 struct ProbeVfs {
     counting: CountingVfs,
     open_now: Arc<AtomicUsize>,
     most_open: Arc<AtomicUsize>,
-    cut_before_reopen: Mutex<Option<PathBuf>>,
 }
 
 struct ProbedRead {
@@ -205,11 +204,6 @@ impl Vfs for ProbeVfs {
     fn open_read(&self, path: &Path) -> io::Result<Box<dyn VfsRead>> {
         if !is_part(path) {
             return self.counting.open_read(path);
-        }
-        let nth = self.counting.opens_of(path) + 1;
-        if nth == 2 && self.cut_before_reopen.lock().unwrap().as_deref() == Some(path) {
-            let len = std::fs::metadata(path)?.len();
-            std::fs::OpenOptions::new().write(true).open(path)?.set_len(len / 2)?;
         }
         let inner = self.counting.open_read(path)?;
         let now = self.open_now.fetch_add(1, Ordering::SeqCst) + 1;
@@ -268,7 +262,7 @@ fn publish_counting(dir: &CheckpointDir, kind: CheckpointKind, id: u64, keys: u6
     cycle.publish(dir, kind, id, parts);
 }
 
-/// Each loader (and validation) worker holds one part open at a time, so
+/// Each loader worker holds one part open at a time, so
 /// the number of parts open at once bounds the workers alive: a 64-part
 /// cycle on a 2-thread directory never has a third.
 #[test]
@@ -303,40 +297,158 @@ fn a_strategy_that_holds_records_is_refused() {
     assert_eq!(store.get(Key(3)).as_deref(), Some(&b"resident"[..]));
 }
 
-/// The install pass re-checks what validation accepted: a part that loses
-/// its tail in between fails the load with an I/O error and leaves the
-/// cycle un-quarantined (the caller fails the boot; nothing is served).
-#[test]
-fn a_part_truncated_after_validation_fails_the_load() {
-    let (dir, probe) = open_probed("direct-cut");
-    publish_counting(&dir, CheckpointKind::Full, 0, 200, 2);
-    publish_counting(&dir, CheckpointKind::Partial, 1, 50, 2);
-    let victim = dir.path().join(CheckpointDir::part_file_name(0, CheckpointKind::Full, 1));
-    *probe.cut_before_reopen.lock().unwrap() = Some(victim);
-    let err = recover(&dir, &fresh(), &calc_testkit::registry(), &[]).unwrap_err();
-    assert!(matches!(err, RecoveryError::Io(_)), "{err}");
-    assert_eq!(dir.quarantined_count(), 0);
+/// How many times each opened part file of `cycle` was opened, in part
+/// order; a part never opened is absent.
+fn opens_of(probe: &ProbeVfs, cycle: u64) -> Vec<usize> {
+    let prefix = format!("ckpt-{cycle:010}-");
+    let mut opens: Vec<(String, usize)> =
+        probe.part_opens().into_iter().filter(|(name, _)| name.starts_with(&prefix)).collect();
+    opens.sort();
+    opens.into_iter().map(|(_, n)| n).collect()
 }
 
-/// Satellite of ISSUE 13: one validation pass and one install pass over
-/// each part, whatever the directory holds — no second deep scan to tell
-/// "no checkpoint yet" from "checkpoints but no full".
+/// Three fulls, each `keys` records over `parts` parts: cycle 0 sits
+/// outside every chain a restart loads, cycle 1 is the fallback, cycle 2
+/// the newest.
+fn three_fulls(name: &str, keys: u64, parts: usize) -> (CheckpointDir, Arc<ProbeVfs>) {
+    let (dir, probe) = open_probed(name);
+    for id in 0..3 {
+        publish_counting(&dir, CheckpointKind::Full, id, keys, parts);
+    }
+    (dir, probe)
+}
+
+/// What a restart over [`three_fulls`] must end with once cycle 2 failed
+/// to read: cycle 1's records and watermark, cycle 2 quarantined whole
+/// (`quarantined` files), cycle 1's parts each read once and cycle 0's
+/// never, cycle 2's at most once each.
+fn assert_fell_back_to_cycle_1(
+    dir: &CheckpointDir,
+    probe: &ProbeVfs,
+    store: &CalcStrategy,
+    quarantined: u64,
+) {
+    assert_eq!(store.record_count(), 6);
+    for k in 0..6u64 {
+        assert_eq!(store.get(Key(k)), Some((1_000 + k).to_le_bytes().into()), "key {k}");
+    }
+    let ids: Vec<u64> = dir.manifests().iter().map(|m| m.id).collect();
+    assert_eq!(ids, vec![0, 1], "the whole cycle was set aside, not one part");
+    assert_eq!(dir.quarantined_count(), quarantined);
+    assert!(dir
+        .path()
+        .join(format!("{}.quarantine", CheckpointDir::manifest_file_name(2, CheckpointKind::Full)))
+        .exists());
+    assert_eq!(opens_of(probe, 0), Vec::<usize>::new(), "a cycle outside the chain was read");
+    assert_eq!(opens_of(probe, 1), vec![1, 1, 1]);
+    assert!(opens_of(probe, 2).iter().all(|&n| n <= 1), "{:?}", probe.part_opens());
+}
+
+/// A byte flipped in the middle of one part of the newest full: the load
+/// quarantines that whole cycle — manifest and all three parts, two of
+/// which read clean — and installs the previous full into the emptied
+/// store.
 #[test]
-fn a_restart_opens_each_part_at_most_twice() {
+fn a_corrupt_part_quarantines_the_whole_cycle() {
+    let (dir, probe) = three_fulls("direct-corrupt", 6, 3);
+    let victim = dir.path().join(CheckpointDir::part_file_name(2, CheckpointKind::Full, 1));
+    let mut data = std::fs::read(&victim).unwrap();
+    let mid = data.len() / 2;
+    data[mid] ^= 0xFF;
+    std::fs::write(&victim, &data).unwrap();
+    assert_eq!(dir.manifests().len(), 3, "the catalog reads no part");
+
+    let store = fresh();
+    let outcome = recover_checkpoint_only(&dir, &store).unwrap();
+    assert_eq!(outcome.watermark, CommitSeq(15));
+    assert_fell_back_to_cycle_1(&dir, &probe, &store, 4);
+    for k in 0..3 {
+        let part = CheckpointDir::part_file_name(2, CheckpointKind::Full, k);
+        assert!(dir.path().join(format!("{part}.quarantine")).exists(), "{part}");
+    }
+}
+
+/// A part gone from the newest full fails its open: the manifest and the
+/// two parts left are quarantined, and the previous full loads.
+#[test]
+fn a_missing_part_quarantines_the_whole_cycle() {
+    let (dir, probe) = three_fulls("direct-missing", 6, 3);
+    std::fs::remove_file(dir.path().join(CheckpointDir::part_file_name(2, CheckpointKind::Full, 2)))
+        .unwrap();
+    let store = fresh();
+    recover(&dir, &store, &calc_testkit::registry(), &[]).unwrap();
+    assert_fell_back_to_cycle_1(&dir, &probe, &store, 3);
+}
+
+/// A part that lost its tail after its cycle was published (its footer
+/// gone) fails the load; the cycle is quarantined and the previous full
+/// loads. The partial above the torn full stays catalogued, outside the
+/// chain: its parent is the quarantined cycle.
+#[test]
+fn a_part_truncated_after_publish_quarantines_its_cycle() {
+    let (dir, probe) = open_probed("direct-cut");
+    publish_counting(&dir, CheckpointKind::Full, 0, 200, 2);
+    publish_counting(&dir, CheckpointKind::Full, 1, 200, 2);
+    publish_counting(&dir, CheckpointKind::Partial, 2, 50, 2);
+    let victim = dir.path().join(CheckpointDir::part_file_name(1, CheckpointKind::Full, 1));
+    let len = std::fs::metadata(&victim).unwrap().len();
+    std::fs::OpenOptions::new().write(true).open(&victim).unwrap().set_len(len / 2).unwrap();
+
+    let store = fresh();
+    let outcome = recover(&dir, &store, &calc_testkit::registry(), &[]).unwrap();
+    assert_eq!(outcome.watermark, CommitSeq(5));
+    assert_eq!(outcome.checkpoint_files, 1);
+    assert_eq!(outcome.loaded_records, 200);
+    assert_eq!(store.record_count(), 200);
+    for k in [0u64, 49, 50, 199] {
+        assert_eq!(store.get(Key(k)), Some(k.to_le_bytes().into()), "key {k}");
+    }
+    assert_eq!(dir.quarantined_count(), 3);
+    let left: Vec<(u64, CheckpointKind)> = dir.manifests().iter().map(|m| (m.id, m.kind)).collect();
+    assert_eq!(left, vec![(0, CheckpointKind::Full), (2, CheckpointKind::Partial)]);
+    assert_eq!(opens_of(&probe, 0), vec![1, 1]);
+    assert_eq!(opens_of(&probe, 2), vec![1, 1], "installed, then emptied away");
+}
+
+/// A part written in a retired format version is refused at its open, and
+/// the load quarantines its whole cycle, as for any unreadable part.
+#[test]
+fn a_refused_part_version_quarantines_its_cycle() {
+    for version in 1u32..=3 {
+        let (dir, probe) = three_fulls(&format!("direct-v{version}"), 6, 2);
+        let victim = dir.path().join(CheckpointDir::part_file_name(2, CheckpointKind::Full, 1));
+        let mut data = std::fs::read(&victim).unwrap();
+        data[8..12].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&victim, &data).unwrap();
+        let store = fresh();
+        recover_checkpoint_only(&dir, &store).unwrap();
+        assert_eq!(store.record_count(), 6, "version {version}");
+        assert_eq!(dir.quarantined_count(), 3, "version {version}");
+        assert_eq!(opens_of(&probe, 0), Vec::<usize>::new(), "version {version}");
+        assert_eq!(opens_of(&probe, 1), vec![1, 1], "version {version}");
+    }
+}
+
+/// One pass over each part of the chain a restart loads, whatever the
+/// directory holds, and none over a cycle outside it.
+#[test]
+fn a_restart_opens_each_chain_part_once() {
     let registry = calc_testkit::registry();
 
-    // A chain: every part validated once and installed once.
+    // A chain above an older full: every chain part installed once, the
+    // older full never opened.
     let (dir, probe) = open_probed("direct-opens-chain");
-    publish_counting(&dir, CheckpointKind::Full, 0, 40, 3);
-    publish_counting(&dir, CheckpointKind::Partial, 1, 10, 2);
+    publish_counting(&dir, CheckpointKind::Full, 0, 40, 2);
+    publish_counting(&dir, CheckpointKind::Full, 1, 40, 3);
+    publish_counting(&dir, CheckpointKind::Partial, 2, 10, 2);
     let outcome = recover(&dir, &fresh(), &registry, &[]).unwrap();
     assert_eq!(outcome.checkpoint_files, 2);
-    let opens = probe.part_opens();
-    assert_eq!(opens.len(), 5);
-    assert!(opens.values().all(|&n| n == 2), "{opens:?}");
+    assert_eq!(opens_of(&probe, 0), Vec::<usize>::new());
+    assert_eq!(opens_of(&probe, 1), vec![1, 1, 1]);
+    assert_eq!(opens_of(&probe, 2), vec![1, 1]);
 
-    // A torn newest full: its parts are validated (at most once each)
-    // and quarantined, never installed; the fallback chain is.
+    // A torn newest full: its parts opened at most once, then quarantined;
+    // the fallback chain's parts once.
     let (dir, probe) = open_probed("direct-opens-torn");
     publish_counting(&dir, CheckpointKind::Full, 0, 40, 2);
     publish_counting(&dir, CheckpointKind::Full, 1, 40, 2);
@@ -346,19 +458,15 @@ fn a_restart_opens_each_part_at_most_twice() {
     let outcome = recover(&dir, &fresh(), &registry, &[]).unwrap();
     assert_eq!(outcome.loaded_records, 40);
     assert_eq!(dir.quarantined_count(), 3);
-    for (name, n) in probe.part_opens() {
-        let limit = if name.starts_with("ckpt-0000000001") { 1 } else { 2 };
-        assert!(n <= limit, "{name} opened {n} times");
-    }
+    assert_eq!(opens_of(&probe, 0), vec![1, 1]);
+    assert!(opens_of(&probe, 1).iter().all(|&n| n <= 1), "{:?}", probe.part_opens());
 
-    // Partials but no full: a broken chain, decided from the one scan.
+    // Partials but no full: a broken chain, decided from the manifests.
     let (dir, probe) = open_probed("direct-opens-nofull");
     publish_counting(&dir, CheckpointKind::Partial, 1, 10, 2);
     let err = recover(&dir, &fresh(), &registry, &[]).unwrap_err();
     assert!(matches!(err, RecoveryError::NoFullCheckpoint), "{err}");
-    let opens = probe.part_opens();
-    assert_eq!(opens.len(), 2);
-    assert!(opens.values().all(|&n| n == 1), "{opens:?}");
+    assert!(probe.part_opens().is_empty(), "{:?}", probe.part_opens());
 
     // Nothing at all: a log-only cold start, and nothing to open.
     let (dir, probe) = open_probed("direct-opens-empty");

@@ -38,7 +38,7 @@ impl Procedure for PutProc {
         let mut r = params::Reader::new(p);
         let key = Key(r.u64()?);
         let value = r.bytes()?;
-        if ops.get(key).is_some() {
+        if ops.get_with(key, &mut |_| {}) {
             ops.put(key, value);
         } else {
             ops.insert(key, value);
@@ -92,19 +92,21 @@ impl Procedure for CasProc {
         let expects_value = r.u64()? != 0;
         let expected = if expects_value { Some(r.bytes()?) } else { None };
         let new = r.bytes()?;
-        let current = ops.get(key);
-        match (expected, current) {
-            (None, None) => {
+        // Compared in place: the current value is never copied out.
+        let mut matches = false;
+        let present = ops.get_with(key, &mut |cur| matches = expected == Some(cur));
+        match (expected, present) {
+            (None, false) => {
                 ops.insert(key, new);
                 Ok(())
             }
-            (Some(exp), Some(cur)) if *cur == *exp => {
+            (Some(_), true) if matches => {
                 ops.put(key, new);
                 Ok(())
             }
-            (None, Some(_)) => Err(AbortReason::Logic("cas: key already exists".into())),
-            (Some(_), None) => Err(AbortReason::Logic("cas: key absent".into())),
-            (Some(_), Some(_)) => Err(AbortReason::Logic("cas: value mismatch".into())),
+            (None, true) => Err(AbortReason::Logic("cas: key already exists".into())),
+            (Some(_), false) => Err(AbortReason::Logic("cas: key absent".into())),
+            (Some(_), true) => Err(AbortReason::Logic("cas: value mismatch".into())),
         }
     }
 }
@@ -136,7 +138,7 @@ impl Procedure for MputProc {
         for _ in 0..n {
             let key = Key(r.u64()?);
             let value = r.bytes()?;
-            if ops.get(key).is_some() {
+            if ops.get_with(key, &mut |_| {}) {
                 ops.put(key, value);
             } else {
                 ops.insert(key, value);

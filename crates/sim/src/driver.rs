@@ -36,7 +36,7 @@ use calc_common::simfs::{DirCrashMode, FaultSpec, OpCounts, SimVfs, TransientKin
 use calc_common::types::{Key, TxnId};
 use calc_common::vfs::Vfs;
 use calc_common::Backoff;
-use calc_core::manifest::CheckpointDir;
+use calc_core::manifest::{CheckpointDir, CheckpointMeta};
 use calc_core::strategy::NoopEnv;
 use calc_core::throttle::Throttle;
 use calc_engine::standby::{Promoted, Standby, StandbyConfig};
@@ -494,18 +494,24 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
     };
 
     // ---- Phase 3: the oracle.
-    // Every cycle that survived validation has the shape restart's
-    // parallel loader relies on (one value per key, tombstones first).
-    // The restart quarantined every cycle that failed verification, so a
-    // handle opened now catalogues the survivors.
+    // Every readable cycle has the shape restart's parallel loader relies
+    // on (one value per key, tombstones first). The restart quarantined
+    // every cycle of a chain it failed to load, so a handle opened now
+    // catalogues the survivors, and the chain it picks is the one loaded:
+    // each of its cycles must read. A cycle outside that chain was never
+    // opened, and rot there waits for a merge or the next restart.
     let survivors = spec
         .open_dir(vfs_dyn.clone())
-        .map_err(|e| violation(spec, format!("opening checkpoints after recovery: {e}")))?
-        .manifests();
-    for meta in &survivors {
+        .map_err(|e| violation(spec, format!("opening checkpoints after recovery: {e}")))?;
+    let loaded: Vec<CheckpointMeta> =
+        survivors.chain().map_or_else(Vec::new, |(full, partials)| {
+            std::iter::once(full).chain(partials).collect()
+        });
+    for meta in &survivors.manifests() {
         match meta.shape_violation(vfs_dyn.as_ref()) {
             Ok(None) => {}
             Ok(Some(breach)) => return Err(violation(spec, breach)),
+            Err(_) if !loaded.contains(meta) => {}
             Err(e) => return Err(violation(spec, format!("cycle {} unreadable: {e}", meta.id))),
         }
     }

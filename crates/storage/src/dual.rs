@@ -245,6 +245,13 @@ impl DualVersionStore {
         )
     }
 
+    /// Empties a store at rest ([`SlotTable::clear`]), each linked slot
+    /// through `vacate`: a restart whose load failed part-way
+    /// starts again on an empty store.
+    pub fn clear(&self) {
+        self.table.clear(|slot| self.vacate(slot));
+    }
+
     /// The fill step of [`SlotTable::insert`] and
     /// [`SlotTable::install_batch`]; the caller counts the value's bytes
     /// with [`DualVersionStore::count_filled`].

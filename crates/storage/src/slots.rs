@@ -315,6 +315,22 @@ impl SlotTable {
         self.alloc.record_count.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Empties the table for a restart whose load must begin again:
+    /// unlinks every key, has the store empty its slot with
+    /// `vacate(slot)`, and rewinds the allocator (high-water mark, free
+    /// list, record count), so the next install fills the arena from slot
+    /// 0 as a fresh table would. Nothing else may use the table meanwhile.
+    pub fn clear(&self, vacate: impl Fn(SlotId)) {
+        for shard in self.shards.iter() {
+            shard.write().drain().for_each(|(_, slot)| vacate(slot));
+        }
+        let free = &self.alloc.free;
+        free.slots.lock().clear();
+        free.len.store(0, Ordering::Relaxed);
+        self.alloc.high_water.store(0, Ordering::Release);
+        self.alloc.record_count.store(0, Ordering::Relaxed);
+    }
+
     /// Returns an emptied, unlinked slot to the free list. Call it while
     /// still holding the slot's mutex (or with the slot otherwise
     /// unreachable): an allocator that pops it then blocks on the mutex
@@ -352,6 +368,7 @@ mod tests {
         fn memory(&self) -> MemoryStats;
         /// How many chunks of its slot arena are backed.
         fn backed_chunks(&self) -> usize;
+        fn clear(&self);
     }
 
     fn config(capacity: usize) -> StoreConfig {
@@ -398,6 +415,9 @@ mod tests {
         fn backed_chunks(&self) -> usize {
             self.slots.backed_chunks()
         }
+        fn clear(&self) {
+            DualVersionStore::clear(self)
+        }
     }
 
     impl Store for TripleStore {
@@ -437,6 +457,9 @@ mod tests {
         fn backed_chunks(&self) -> usize {
             self.slots.backed_chunks()
         }
+        fn clear(&self) {
+            TripleStore::clear(self)
+        }
     }
 
     impl Store for ZigzagStore {
@@ -470,6 +493,9 @@ mod tests {
         }
         fn backed_chunks(&self) -> usize {
             self.slots.backed_chunks()
+        }
+        fn clear(&self) {
+            ZigzagStore::clear(self)
         }
     }
 
@@ -537,6 +563,28 @@ mod tests {
             inserted.insert(key, value).unwrap();
         }
         assert_eq!(s.memory(), inserted.memory());
+    }
+
+    /// A cleared store is a fresh one: no key, nothing counted, and the
+    /// allocator rewound — the next install fills from slot 0, up to the
+    /// whole capacity, whatever the free list held.
+    fn a_cleared_store_is_a_fresh_one<S: Store>() {
+        let s = S::with_capacity(8);
+        s.insert(Key(1), b"one").unwrap();
+        let batch: [(Key, &[u8]); 3] = [(Key(2), b"two"), (Key(3), b"three"), (Key(4), b"4")];
+        assert_eq!(s.install_batch(&batch), Ok(3));
+        s.delete(Key(2));
+        s.clear();
+        assert_eq!(s.table().len(), 0);
+        assert_eq!(s.table().high_water(), 0);
+        assert!((1..=4).all(|k| s.get(Key(k)).is_none()));
+        assert_eq!(s.memory(), S::with_capacity(8).memory());
+        let values: Vec<[u8; 1]> = (0..8u8).map(|v| [v]).collect();
+        let refill: Vec<(Key, &[u8])> =
+            (0..8u64).map(|k| (Key(k + 3), &values[k as usize][..])).collect();
+        assert_eq!(s.install_batch(&refill), Ok(8));
+        assert_eq!(s.table().high_water(), 8);
+        assert_eq!(s.get(Key(3)).as_deref(), Some(&[0u8][..]), "no stale value survives");
     }
 
     /// Two installers racing over overlapping key ranges: every key ends
@@ -727,6 +775,9 @@ mod tests {
         a_batch_that_runs_out_of_capacity_stays_consistent::<DualVersionStore>();
         a_batch_that_runs_out_of_capacity_stays_consistent::<TripleStore>();
         a_batch_that_runs_out_of_capacity_stays_consistent::<ZigzagStore>();
+        a_cleared_store_is_a_fresh_one::<DualVersionStore>();
+        a_cleared_store_is_a_fresh_one::<TripleStore>();
+        a_cleared_store_is_a_fresh_one::<ZigzagStore>();
     }
 
     #[test]

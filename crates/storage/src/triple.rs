@@ -169,6 +169,13 @@ impl TripleStore {
         )
     }
 
+    /// Empties a store at rest ([`SlotTable::clear`]), each linked slot
+    /// through `vacate`: a restart whose load failed part-way
+    /// starts again on an empty store.
+    pub fn clear(&self) {
+        self.table.clear(|slot| self.vacate(slot));
+    }
+
     /// The fill step of [`SlotTable::insert`] and
     /// [`SlotTable::install_batch`]; the caller counts the value's bytes
     /// with [`TripleStore::count_filled`].

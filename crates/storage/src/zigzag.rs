@@ -141,6 +141,13 @@ impl ZigzagStore {
         )
     }
 
+    /// Empties a store at rest ([`SlotTable::clear`]), each linked slot
+    /// through `vacate`: a restart whose load failed part-way
+    /// starts again on an empty store.
+    pub fn clear(&self) {
+        self.table.clear(|slot| self.vacate(slot));
+    }
+
     /// The fill step of [`SlotTable::insert`] and
     /// [`SlotTable::install_batch`]; the caller counts the value's bytes
     /// with [`ZigzagStore::count_filled`].
@@ -166,13 +173,13 @@ impl ZigzagStore {
     /// Undoes [`ZigzagStore::fill`] for an insert that lost the race to
     /// publish.
     pub(crate) fn vacate(&self, slot: SlotId) {
-        self.clear(&mut self.slots[slot as usize].lock());
+        self.empty_slot(&mut self.slots[slot as usize].lock());
     }
 
     /// Empties a slot: drops whichever copies it still holds, each from
     /// its own counter, and marks it vacant. Handing the slot back to the
     /// table is the caller's job.
-    fn clear(&self, g: &mut ZzSlot) {
+    fn empty_slot(&self, g: &mut ZzSlot) {
         for (version, mem) in g.versions.iter_mut().zip(&self.mem) {
             if let Some(old) = version.take() {
                 mem.sub(old.len());
@@ -232,7 +239,7 @@ impl ZigzagStore {
                 self.mem[w].sub(old.len());
             }
         } else {
-            self.clear(&mut g);
+            self.empty_slot(&mut g);
             self.table.free(slot);
         }
         Ok(undo)
@@ -266,7 +273,7 @@ impl ZigzagStore {
         }
         let r = self.mr.get(slot as usize) as usize;
         if g.versions[r].is_none() {
-            self.clear(&mut g);
+            self.empty_slot(&mut g);
             self.table.free(slot);
         }
     }

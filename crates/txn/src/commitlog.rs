@@ -47,7 +47,7 @@ use crate::proc::ProcId;
 /// to partial checkpoint `c`; one that committed with `phase ≥ RESOLVE`
 /// belongs to checkpoint `c + 1`. Deriving this from an "active side" flag
 /// instead would race with the flip at the resolve transition.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PhaseStamp {
     /// Checkpoint cycle number (increments at each REST transition).
     pub cycle: u64,

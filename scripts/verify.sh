@@ -15,7 +15,8 @@
 # greps that a running node reads
 # no checkpoint byte back (the directory's deep scans `scan`, `scan_on`
 # and `recovery_chain` stay deleted, and non-test code outside
-# calc-recovery never calls `restart_chain`, the one deep query); greps
+# calc-recovery never calls `restart_chain`, the restart's listing whose
+# chain the load checks as it streams it); greps
 # that transactions lock in their store's lock words (no crates/*/src
 # file outside calc-txn names the `LockManager` wrapper, and the lock
 # table's `ACQUIRE_SCRATCH` and `to_lock_set` stay deleted); a grep that
@@ -35,7 +36,8 @@
 #                (tier-2), the transient-fault sweep (tier-4), the
 #                warm-standby failover sweep (tier-5), the adaptive-pacing
 #                regressions (tier-7) and the group-commit, loader, lane,
-#                tail, tail-trim and retention mutants; every restart in it is the
+#                tail, tail-trim, retention and fallback-clear mutants; every
+#                restart in it is the
 #                server's, the node's own standby drained and promoted, and
 #                every crash experiment ends in a second lifetime on the
 #                promoted engine and one more restart;
@@ -45,12 +47,13 @@
 #   calc-server  — wire-protocol round trips over real TCP, shutdown under
 #                load, the kill-9 smoke (tier-6), and the chaos/overload
 #                suite at its default CHAOS_SEED.
-# Nine seeded mutants prove those oracles can fail, each caught by its
+# Ten seeded mutants prove those oracles can fail, each caught by its
 # owning suite in tier-1: skip-lock, stale-stable-read and late-phase-stamp
 # by calc-conform's mutation smoke; ack-before-fsync, oldest-wins-on-load,
-# skip-lane-barrier, skip-tail-segment, skip-tail-trim and
-# truncate-above-floor by calc-sim's group_commit_mutant, loader_mutant,
-# lane_mutant, tail_mutant, tail_trim_mutant and retention_mutant. Tier-0
+# skip-lane-barrier, skip-tail-segment, skip-tail-trim,
+# truncate-above-floor and skip-clear-on-fallback by calc-sim's
+# group_commit_mutant, loader_mutant, lane_mutant, tail_mutant,
+# tail_trim_mutant, retention_mutant and fallback_clear_mutant. Tier-0
 # checks that each still has its suite.
 # The later tiers therefore run only what tier-1 does not: tier-2 the
 # crash-simulation suite again with two-part checkpoints, so every
@@ -136,21 +139,21 @@ fi
 
 echo "== tier-0: one catalog (a running node reads no checkpoint byte back) =="
 if grep -rnE 'fn scan\(|fn scan_on|recovery_chain' crates/*/src; then
-    echo "verify: the checkpoint directory answers from its catalog; restart_chain is the one deep query" >&2
+    echo "verify: the checkpoint directory answers from its catalog; only a restart lists it again" >&2
     exit 1
 fi
 # Calls outside `#[cfg(test)] mod` blocks (each is its file's last item)
 # and outside comments.
-deep_calls=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
+relist_calls=$(find crates/*/src -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { in_tests = 0; pending = 0 }
     in_tests { next }
     pending && /^[[:space:]]*(pub )?mod / { in_tests = 1; next }
     { pending = ($0 ~ /^[[:space:]]*#\[cfg\(test\)\]/) }
     /restart_chain\(/ && !/^[[:space:]]*\/\// && !/fn restart_chain\(/ { print FILENAME ":" FNR ": " $0 }' |
     grep -v '^crates/recovery/src/' || true)
-if [ -n "$deep_calls" ]; then
-    echo "$deep_calls" >&2
-    echo "verify: only calc-recovery (restart, standby bootstrap) may deep-verify the checkpoint directory" >&2
+if [ -n "$relist_calls" ]; then
+    echo "$relist_calls" >&2
+    echo "verify: only calc-recovery (restart, standby bootstrap) may re-list the checkpoint directory" >&2
     exit 1
 fi
 
@@ -182,14 +185,14 @@ fi
 
 echo "== tier-0: every seeded mutant has an owning suite =="
 for mutant in SkipLock StaleStableRead LatePhaseStamp AckBeforeFsync OldestWinsOnLoad SkipLaneBarrier \
-    SkipTailSegment SkipTailTrim TruncateAboveFloor; do
+    SkipTailSegment SkipTailTrim TruncateAboveFloor SkipClearOnFallback; do
     if ! grep -rqE "(assert_detected|arm)\(Mutation::${mutant}\)" crates/conform/tests crates/sim/tests; then
         echo "verify: mutant ${mutant} is armed by no test" >&2
         exit 1
     fi
 done
-if [ "$(grep -c '^    Mutation::' crates/common/src/mutation.rs)" != 9 ]; then
-    echo "verify: mutation::ALL no longer lists the nine mutants named here" >&2
+if [ "$(grep -c '^    Mutation::' crates/common/src/mutation.rs)" != 10 ]; then
+    echo "verify: mutation::ALL no longer lists the ten mutants named here" >&2
     exit 1
 fi
 

@@ -519,17 +519,17 @@ fn concurrent_commits_and_a_checkpoint_log_in_seq_order_and_restart_to_the_model
     }
 }
 
-/// A restart is the node's own standby, drained and promoted: over a
-/// two-part pCALC chain it opens each part exactly twice, once to
-/// validate and once to load — the promotion's seal reads claims only.
+/// A restart is the node's own standby, drained and promoted: it opens
+/// each part of the chain it loads exactly once, checking it as it
+/// installs it, and never opens the older full that retention keeps to
+/// fall back to — the promotion's seal reads claims only.
 #[test]
-fn server_restart_opens_each_part_once_to_validate_and_once_to_load() {
+fn server_restart_opens_each_chain_part_once_and_no_other() {
     use calc_server::procs;
     use calc_testkit::CountingVfs;
     let dir = tmp_dir("restart-opens");
     let tune = |c: &mut EngineConfig| {
         c.workers = 2;
-        c.strategy = StrategyKind::PCalc;
         c.checkpoint_threads = 2;
     };
     let put = |db: &Database, key: u64, value: u64| {
@@ -550,6 +550,17 @@ fn server_restart_opens_each_part_once_to_validate_and_once_to_load() {
     put(&db, 7, 99);
     drop(db);
 
+    let listing = CheckpointDir::open(&dir.join("ckpts"), Arc::new(Throttle::unlimited())).unwrap();
+    let (full, partials) = listing.chain().unwrap();
+    let chain: Vec<u64> = std::iter::once(&full).chain(&partials).map(|m| m.id).collect();
+    let retained: Vec<u64> = listing
+        .manifests()
+        .iter()
+        .map(|m| m.id)
+        .filter(|id| !chain.contains(id))
+        .collect();
+    assert_eq!(retained.len(), 1, "retention keeps one older full: {retained:?}");
+
     let vfs = Arc::new(CountingVfs::default());
     let counting = vfs.clone();
     let db = calc_server::open_or_recover(&dir, move |c| {
@@ -560,14 +571,19 @@ fn server_restart_opens_each_part_once_to_validate_and_once_to_load() {
     assert_eq!(db.record_count(), 50);
     assert_eq!(db.get(Key(7)).as_deref(), Some(&99u64.to_le_bytes()[..]));
     assert_eq!(db.get(Key(8)).as_deref(), Some(&2u64.to_le_bytes()[..]));
+    let cycle_of = |path: &std::path::Path| -> u64 {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        name["ckpt-".len()..][..10].parse().unwrap()
+    };
     let opens = vfs.opens();
     let parts: Vec<_> = opens
         .iter()
         .filter(|(p, _)| p.to_string_lossy().contains(".part-"))
         .collect();
-    assert_eq!(parts.len(), 6, "3 cycles x 2 parts: {parts:?}");
+    assert_eq!(parts.len(), 2 * chain.len(), "2 parts per chain cycle: {parts:?}");
     for (path, n) in parts {
-        assert_eq!(*n, 2, "{} opened {n} times", path.display());
+        assert!(chain.contains(&cycle_of(path)), "{} is outside the chain", path.display());
+        assert_eq!(*n, 1, "{} opened {n} times", path.display());
     }
 }
 
