@@ -30,7 +30,8 @@ use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::partition::ShardPartition;
 use calc_core::strategy::{
-    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoImage, UndoRec, WriteKind,
+    CheckpointStats, CheckpointStrategy, EngineEnv, Resolved, TxnToken, UndoImage, UndoRec,
+    WriteKind,
 };
 
 /// Interleaved Ping-Pong. See module docs.
@@ -102,6 +103,10 @@ impl CheckpointStrategy for IppStrategy {
 
     fn locks(&self) -> &LockWords {
         self.store.locks()
+    }
+
+    fn resolve(&self, key: Key) -> Resolved {
+        Resolved::from_slot(self.store.slot_of(key))
     }
 
     fn get_with(&self, key: Key, _at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {

@@ -29,23 +29,16 @@
 //! cache optimization) so the comparison is apples-to-apples, and all
 //! four have partial variants using the same dirty-tracking machinery as
 //! pCALC.
-//!
-//! Beyond the paper's four comparison points, [`mvcc`] implements the
-//! §2.1 design-space alternative — **full multi-versioning** — whose
-//! memory cost is the reason CALC uses precise *partial* multi-versioning
-//! instead.
 
 #![warn(missing_docs)]
 
 pub mod fuzzy;
 pub mod ipp;
 mod live;
-pub mod mvcc;
 pub mod naive;
 pub mod zigzag;
 
 pub use fuzzy::FuzzyStrategy;
 pub use ipp::IppStrategy;
-pub use mvcc::MvccStrategy;
 pub use naive::NaiveStrategy;
 pub use zigzag::ZigzagStrategy;

@@ -29,7 +29,8 @@ use calc_core::cycle::{capture_slots, Slots, Tombstones};
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::{
-    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoImage, UndoRec, WriteKind,
+    CheckpointStats, CheckpointStrategy, EngineEnv, Resolved, TxnToken, UndoImage, UndoRec,
+    WriteKind,
 };
 
 /// Zig-Zag. See module docs.
@@ -113,6 +114,10 @@ impl CheckpointStrategy for ZigzagStrategy {
 
     fn locks(&self) -> &LockWords {
         self.store.locks()
+    }
+
+    fn resolve(&self, key: Key) -> Resolved {
+        Resolved::from_slot(self.store.slot_of(key))
     }
 
     fn get_with(&self, key: Key, _at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {

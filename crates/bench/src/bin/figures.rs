@@ -5,8 +5,8 @@
 //!              [--workers N] [--feeders N] [--disk-mbps N]
 //!              [--out DIR] [--seed N]
 //!
-//! ids: fig2a fig2b fig2c fig3a fig3b fig3c fig4a fig4b ablation-mvcc
-//!      fig5 fig6 fig7a fig7b fig8 all
+//! ids: fig2a fig2b fig2c fig3a fig3b fig3c fig4a fig4b fig5 fig6 fig7a
+//!      fig7b fig8 all
 //! ```
 //!
 //! Each figure writes CSVs under the output directory (default
@@ -16,7 +16,7 @@ use calc_bench::figures::{self, FigureOpts};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures <fig2a|fig2b|fig2c|fig3a|fig3b|fig3c|fig4a|fig4b|fig5|fig6|fig7a|fig7b|fig8|ablation-mvcc|all>\n\
+        "usage: figures <fig2a|fig2b|fig2c|fig3a|fig3b|fig3c|fig4a|fig4b|fig5|fig6|fig7a|fig7b|fig8|all>\n\
          \t[--seconds N] [--records N] [--warehouses N] [--workers N]\n\
          \t[--feeders N] [--disk-mbps N] [--out DIR] [--seed N]"
     );
@@ -69,15 +69,14 @@ fn main() {
         }
         "fig4b" => figures::fig4b(&opts),
         "fig5" => figures::fig5(&opts),
-        "fig6" => figures::fig6(&opts),
+        "fig6" => {
+            figures::fig6(&opts);
+        }
         "fig7a" => {
             figures::fig7a(&opts);
         }
         "fig7b" => figures::fig7b(&opts),
         "fig8" => figures::fig8(&opts),
-        "ablation-mvcc" => {
-            figures::ablation_mvcc(&opts);
-        }
         "all" => figures::all(&opts),
         _ => usage(),
     }

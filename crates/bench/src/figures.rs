@@ -701,8 +701,9 @@ pub fn fig5(opts: &FigureOpts) {
     }
 }
 
-/// Figure 6: memory used for record storage over time, one checkpoint.
-pub fn fig6(opts: &FigureOpts) {
+/// Figure 6: memory used for record storage over time, one checkpoint,
+/// with no checkpointing ("None") as the reference line.
+pub fn fig6(opts: &FigureOpts) -> Vec<RunResult> {
     eprintln!("fig6: memory usage over time");
     let at = vec![Duration::from_secs_f64(opts.seconds * 0.2)];
     let results = run_set(
@@ -710,7 +711,7 @@ pub fn fig6(opts: &FigureOpts) {
         &StrategyKind::FULL_SET,
         WorkloadSpec::Micro(opts.micro(false, 1.0)),
         at,
-        false,
+        true,
     );
     // Memory timeline CSV (record copies, as the paper's y-axis).
     let header: Vec<String> = std::iter::once("t_sec".to_string())
@@ -752,6 +753,7 @@ pub fn fig6(opts: &FigureOpts) {
         &["strategy", "at_rest", "peak", "peak_ratio"],
         &table,
     );
+    results
 }
 
 /// Figure 7(a): TPC-C throughput over time per strategy.
@@ -844,63 +846,7 @@ pub fn fig8(opts: &FigureOpts) {
     .expect("write csv");
 }
 
-/// Ablation (§2.1): full multi-versioning (MVCC) vs CALC's precise
-/// partial multi-versioning. MVCC also checkpoints at a virtual point of
-/// consistency with zero quiesce — but its memory between checkpoints
-/// grows with the *update count* rather than the record count, which is
-/// the paper's reason for rejecting it in memory-constrained main-memory
-/// systems.
-pub fn ablation_mvcc(opts: &FigureOpts) -> Vec<RunResult> {
-    eprintln!("ablation-mvcc: CALC vs full multi-versioning");
-    let at = vec![Duration::from_secs_f64(opts.seconds * 0.5)];
-    let results = run_set(
-        opts,
-        &[StrategyKind::Calc, StrategyKind::Mvcc],
-        WorkloadSpec::Micro(opts.micro(false, 1.0)),
-        at,
-        true,
-    );
-    timeline_csv(opts, "ablation_mvcc_timeline", &results);
-    // Memory: peak copies relative to record count.
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            let peak = r.peak_mem_bytes();
-            let rest = r.timeline.last().map(|p| p.mem_bytes).unwrap_or(0);
-            vec![
-                r.kind.name().to_string(),
-                fmt_count(r.committed as f64),
-                format!("{:.1} MB", peak as f64 / 1e6),
-                format!("{:.1} MB", rest as f64 / 1e6),
-            ]
-        })
-        .collect();
-    print_table(
-        "Ablation §2.1: CALC vs full MVCC (memory grows with updates)",
-        &["strategy", "committed", "peak_mem", "end_mem"],
-        &rows,
-    );
-    write_csv(
-        &opts.out_dir.join("ablation_mvcc.csv"),
-        &["strategy", "committed", "peak_mem_bytes", "end_mem_bytes"],
-        results.iter().map(|r| {
-            vec![
-                r.kind.name().to_string(),
-                r.committed.to_string(),
-                r.peak_mem_bytes().to_string(),
-                r.timeline
-                    .last()
-                    .map(|p| p.mem_bytes)
-                    .unwrap_or(0)
-                    .to_string(),
-            ]
-        }),
-    )
-    .expect("write csv");
-    results
-}
-
-/// Runs every figure and the ablation.
+/// Runs every figure.
 pub fn all(opts: &FigureOpts) {
     fig2c(opts); // includes 2a + 2b
     fig3c(opts); // includes 3a + 3b
@@ -910,5 +856,4 @@ pub fn all(opts: &FigureOpts) {
     fig6(opts);
     fig7b(opts); // includes 7a
     fig8(opts);
-    ablation_mvcc(opts);
 }

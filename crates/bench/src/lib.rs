@@ -5,9 +5,8 @@
 //!   at peak or open-loop at a target rate), fires checkpoints on a
 //!   schedule, and collects the throughput/memory timeline, latency CDF,
 //!   and per-checkpoint stats.
-//! * [`figures`] — one function per paper figure (2a…8) plus the §2.1
-//!   MVCC ablation, each emitting a CSV under `results/` and a printed
-//!   table shaped like the paper's.
+//! * [`figures`] — one function per paper figure (2a…8), each emitting a
+//!   CSV under `results/` and a printed table shaped like the paper's.
 //! * [`report`] — CSV and aligned-table output helpers.
 //!
 //! This is the paper-figure harness only; performance claims about the

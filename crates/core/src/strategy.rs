@@ -164,8 +164,8 @@ pub enum Resolved {
     At(SlotId),
     /// Not linked.
     Absent,
-    /// Not resolved — undeclared, inserted by this transaction, or the
-    /// strategy keeps no slots: an access looks it up.
+    /// Not resolved — undeclared, or inserted by this transaction: an
+    /// access looks it up.
     Lookup,
 }
 
@@ -316,12 +316,8 @@ pub trait CheckpointStrategy: Send + Sync {
     /// [`calc_common::lockword`]).
     fn locks(&self) -> &LockWords;
 
-    /// Resolves `key` to its slot for a transaction's [`Footprint`]. The
-    /// default resolves nothing ([`Resolved::Lookup`]): every access
-    /// looks its key up.
-    fn resolve(&self, _key: Key) -> Resolved {
-        Resolved::Lookup
-    }
+    /// Resolves `key` to its slot for a transaction's [`Footprint`].
+    fn resolve(&self, key: Key) -> Resolved;
 
     /// Reads the latest committed value in place: calls `read` with it
     /// and returns whether the key is present. `at` is the slot the key

@@ -3,7 +3,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use calc_baselines::{FuzzyStrategy, IppStrategy, MvccStrategy, NaiveStrategy, ZigzagStrategy};
+use calc_baselines::{FuzzyStrategy, IppStrategy, NaiveStrategy, ZigzagStrategy};
 use calc_common::vfs::{OsVfs, Vfs};
 use calc_core::calc::CalcStrategy;
 use calc_core::strategy::CheckpointStrategy;
@@ -29,9 +29,6 @@ pub enum StrategyKind {
     PIpp,
     Zigzag,
     PZigzag,
-    /// Full multi-versioning (§2.1's design-space alternative; not one of
-    /// the paper's measured baselines — included for the memory ablation).
-    Mvcc,
 }
 
 impl StrategyKind {
@@ -81,7 +78,6 @@ impl StrategyKind {
             StrategyKind::PIpp => "pIPP",
             StrategyKind::Zigzag => "Zigzag",
             StrategyKind::PZigzag => "pZigzag",
-            StrategyKind::Mvcc => "MVCC",
         }
     }
 
@@ -112,7 +108,6 @@ impl StrategyKind {
             StrategyKind::PIpp,
             StrategyKind::Zigzag,
             StrategyKind::PZigzag,
-            StrategyKind::Mvcc,
         ];
         all.into_iter()
             .find(|k| k.name().eq_ignore_ascii_case(s))
@@ -135,7 +130,6 @@ impl StrategyKind {
             StrategyKind::PIpp => Arc::new(IppStrategy::partial(store, log)),
             StrategyKind::Zigzag => Arc::new(ZigzagStrategy::full(store, log)),
             StrategyKind::PZigzag => Arc::new(ZigzagStrategy::partial(store, log)),
-            StrategyKind::Mvcc => Arc::new(MvccStrategy::new(store, log)),
         }
     }
 }

@@ -196,7 +196,7 @@ fn concurrent_submissions_all_commit() {
 /// first's record and change nothing.
 #[test]
 fn concurrent_upserts_of_an_absent_key_insert_once_and_overwrite_once() {
-    for kind in [StrategyKind::Calc, StrategyKind::Mvcc] {
+    for kind in [StrategyKind::Calc, StrategyKind::Ipp, StrategyKind::Zigzag] {
         let db = Arc::new(open_db(kind, &format!("upsert-race-{}", kind.name())));
         const ROUNDS: u64 = 200;
         let start = Arc::new(std::sync::Barrier::new(2));

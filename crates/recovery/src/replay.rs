@@ -1045,6 +1045,9 @@ mod tests {
             fn locks(&self) -> &calc_common::lockword::LockWords {
                 self.0.locks()
             }
+            fn resolve(&self, k: Key) -> Resolved {
+                self.0.resolve(k)
+            }
             fn get_with(&self, k: Key, at: Option<u32>, read: &mut dyn FnMut(&[u8])) -> bool {
                 self.0.get_with(k, at, read)
             }

@@ -23,7 +23,9 @@
 # `unsafe` in crates/*/src appears only in the prefetch hint's file
 # (calc-common's prefetch.rs); a grep that no store under crates/storage
 # or crates/baselines builds a capacity-sized per-slot array eagerly (the
-# slot arena backs its chunks as slots are handed out); clippy and
+# slot arena backs its chunks as slots are handed out); a grep that the
+# full-MVCC stand-in and its figure stay deleted (no `Mvcc`,
+# `MvccStrategy` or `ablation_mvcc` in crates/*/src); clippy and
 # rustdoc, deny warnings — a doc link to a deleted item fails the gate —
 # plus a check build of perfbench, which is its own workspace, so a
 # renamed crate API it calls would otherwise go unnoticed), then tier-1
@@ -180,6 +182,12 @@ echo "== tier-0: per-slot arrays are backed on first use (no eager capacity-size
 if grep -rnE '\(0\.\.[^)]*capacity[^)]*\)[[:space:]]*(\.map\(|$)' crates/storage/src crates/baselines/src |
     grep -v '^crates/storage/src/arena.rs:'; then
     echo "verify: per-slot contents live in a SlotArena, whose chunks are backed as slots are handed out" >&2
+    exit 1
+fi
+
+echo "== tier-0: only the paper's strategies (the full-MVCC stand-in stays deleted) =="
+if grep -rnE 'Mvcc|ablation_mvcc' crates/*/src; then
+    echo "verify: full multi-versioning was measured and retired (DESIGN.md §12); no strategy keeps its own index" >&2
     exit 1
 fi
 

@@ -113,9 +113,6 @@ fn calc_never_quiesces_even_with_long_transactions() {
         Duration::ZERO,
         "CALC must not stall the system for a physical point of consistency"
     );
-    // MVCC (full multi-versioning) shares this property — the §2.1 claim.
-    let quiesce = checkpoint_during_long_txn(StrategyKind::Mvcc);
-    assert_eq!(quiesce, Duration::ZERO);
 }
 
 #[test]
