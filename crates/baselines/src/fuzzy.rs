@@ -44,7 +44,7 @@ use calc_core::strategy::{
     CheckpointStats, CheckpointStrategy, EngineEnv, Resolved, TxnToken, UndoRec, WriteKind,
 };
 
-use crate::live;
+use crate::apply;
 
 fn dirty_table_path(dir: &CheckpointDir, id: u64) -> std::path::PathBuf {
     dir.path().join(format!(".dirtytab-{id:010}"))
@@ -213,7 +213,7 @@ impl CheckpointStrategy for FuzzyStrategy {
         value: &[u8],
         old: &mut Vec<u8>,
     ) -> Result<bool, StoreError> {
-        live::write(&self.store, token, key, at, value, old)
+        apply::write(&self.store, token, key, at, value, old)
     }
 
     fn apply_insert(
@@ -222,7 +222,7 @@ impl CheckpointStrategy for FuzzyStrategy {
         key: Key,
         value: &[u8],
     ) -> Result<bool, StoreError> {
-        live::insert(&self.store, token, key, value)
+        apply::insert(&self.store, token, key, value, false)
     }
 
     fn apply_delete_at(
@@ -232,7 +232,7 @@ impl CheckpointStrategy for FuzzyStrategy {
         at: Option<SlotId>,
         old: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        live::delete(&self.store, token, key, at, old)
+        apply::delete(&self.store, token, key, at, old).map(drop)
     }
 
     fn on_commit(&self, token: &mut TxnToken, _seq: CommitSeq, _commit: PhaseStamp) {

@@ -13,7 +13,7 @@
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -25,7 +25,7 @@ use calc_storage::triple::TripleStore;
 use calc_storage::SlotId;
 use calc_txn::commitlog::{CommitLog, PhaseStamp};
 
-use calc_core::cycle::{capture_slots, Slots, Tombstones};
+use calc_core::cycle::{base_checkpoint, capture_slots, Slots, Tombstones};
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::partition::ShardPartition;
@@ -33,6 +33,8 @@ use calc_core::strategy::{
     CheckpointStats, CheckpointStrategy, EngineEnv, Resolved, TxnToken, UndoImage, UndoRec,
     WriteKind,
 };
+
+use crate::apply;
 
 /// Interleaved Ping-Pong. See module docs.
 pub struct IppStrategy {
@@ -109,8 +111,12 @@ impl CheckpointStrategy for IppStrategy {
         Resolved::from_slot(self.store.slot_of(key))
     }
 
-    fn get_with(&self, key: Key, _at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
-        self.store.get(key).map(|v| read(&v)).is_some()
+    fn get_with(&self, key: Key, at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
+        self.store.get_with(key, at, read)
+    }
+
+    fn prefetch(&self, slots: &[SlotId]) {
+        self.store.prefetch(slots);
     }
 
     fn record_count(&self) -> usize {
@@ -130,13 +136,11 @@ impl CheckpointStrategy for IppStrategy {
         &self,
         token: &mut TxnToken,
         key: Key,
-        _at: Option<SlotId>,
+        at: Option<SlotId>,
         value: &[u8],
         old: &mut Vec<u8>,
     ) -> Result<bool, StoreError> {
-        let (slot, had) = self.store.overwrite(key, value, old)?;
-        token.record(key, slot, WriteKind::Update);
-        Ok(had)
+        apply::write(&self.store, token, key, at, value, old)
     }
 
     fn apply_insert(
@@ -145,28 +149,18 @@ impl CheckpointStrategy for IppStrategy {
         key: Key,
         value: &[u8],
     ) -> Result<bool, StoreError> {
-        match self.store.insert(key, value) {
-            Ok(slot) => {
-                token.record(key, slot, WriteKind::Insert);
-                Ok(true)
-            }
-            Err(StoreError::DuplicateKey(_)) => Ok(false),
-            Err(e) => Err(e),
-        }
+        apply::insert(&self.store, token, key, value, false)
     }
 
+    /// The slot stays until the capture that consumes its dirty bit.
     fn apply_delete_at(
         &self,
         token: &mut TxnToken,
         key: Key,
-        _at: Option<SlotId>,
+        at: Option<SlotId>,
         old: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        let slot = self.store.slot_of(key).ok_or(StoreError::KeyNotFound(key))?;
-        let prev = self.store.delete(key)?;
-        token.record(key, slot, WriteKind::Delete);
-        old.extend_from_slice(prev.as_deref().unwrap_or_default());
-        Ok(())
+        apply::delete(&self.store, token, key, at, old).map(drop)
     }
 
     fn on_commit(&self, token: &mut TxnToken, _seq: CommitSeq, _commit: PhaseStamp) {
@@ -192,7 +186,7 @@ impl CheckpointStrategy for IppStrategy {
                     self.store.write(u.key, v).expect("undo target exists");
                 }
                 UndoImage::Remove => {
-                    let _ = self.store.delete(u.key);
+                    let _ = self.store.delete(u.key, None, &mut Vec::new());
                 }
                 UndoImage::Reinsert(v) => {
                     self.store.insert(u.key, v).expect("undo reinsert");
@@ -302,18 +296,12 @@ impl CheckpointStrategy for IppStrategy {
     }
 
     fn write_base_checkpoint(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {
-        let start = Instant::now();
         let id = self.upcoming.fetch_add(1, Ordering::AcqRel);
         let watermark = self.log.last_seq();
         if !self.partial {
             self.store.seed_snapshot();
         }
-        let slots = Slots::Range(self.store.slot_high_water());
-        let kind = CheckpointKind::Full;
-        let summary = capture_slots(dir, kind, id, watermark, &[], slots, |slot| {
-            self.store.get_by_slot(slot)
-        })?;
-        Ok(CheckpointStats::new(&summary, start, Duration::ZERO))
+        base_checkpoint(dir, &self.store, id, watermark)
     }
 
     fn resume_checkpoint_ids(&self, next_id: u64) {

@@ -32,9 +32,9 @@
 
 #![warn(missing_docs)]
 
+mod apply;
 pub mod fuzzy;
 pub mod ipp;
-mod live;
 pub mod naive;
 pub mod zigzag;
 

@@ -27,7 +27,7 @@ use calc_core::strategy::{
     CheckpointStats, CheckpointStrategy, EngineEnv, Resolved, TxnToken, UndoRec, WriteKind,
 };
 
-use crate::live;
+use crate::apply;
 
 /// Naive Snapshot. The store is the same dual-version engine CALC uses,
 /// but only live versions are ever touched.
@@ -137,7 +137,7 @@ impl CheckpointStrategy for NaiveStrategy {
         value: &[u8],
         old: &mut Vec<u8>,
     ) -> Result<bool, StoreError> {
-        live::write(&self.store, token, key, at, value, old)
+        apply::write(&self.store, token, key, at, value, old)
     }
 
     fn apply_insert(
@@ -146,7 +146,7 @@ impl CheckpointStrategy for NaiveStrategy {
         key: Key,
         value: &[u8],
     ) -> Result<bool, StoreError> {
-        live::insert(&self.store, token, key, value)
+        apply::insert(&self.store, token, key, value, false)
     }
 
     fn apply_delete_at(
@@ -156,7 +156,7 @@ impl CheckpointStrategy for NaiveStrategy {
         at: Option<SlotId>,
         old: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        live::delete(&self.store, token, key, at, old)
+        apply::delete(&self.store, token, key, at, old).map(drop)
     }
 
     fn on_commit(&self, token: &mut TxnToken, _seq: CommitSeq, _commit: PhaseStamp) {

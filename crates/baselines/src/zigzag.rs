@@ -12,7 +12,7 @@
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -21,17 +21,19 @@ use calc_common::types::{CommitSeq, Key};
 use calc_storage::dirty::BitVecTracker;
 use calc_storage::dual::{StoreConfig, StoreError};
 use calc_storage::mem::MemoryStats;
-use calc_storage::zigzag::ZigzagStore;
-use calc_storage::SlotId;
+use calc_storage::zigzag::{Zigzag, ZigzagStore};
+use calc_storage::{SlotGuard, SlotId};
 use calc_txn::commitlog::{CommitLog, PhaseStamp};
 
-use calc_core::cycle::{capture_slots, Slots, Tombstones};
+use calc_core::cycle::{base_checkpoint, capture_slots, Slots, Tombstones};
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::{
     CheckpointStats, CheckpointStrategy, EngineEnv, Resolved, TxnToken, UndoImage, UndoRec,
     WriteKind,
 };
+
+use crate::apply;
 
 /// Zig-Zag. See module docs.
 pub struct ZigzagStrategy {
@@ -85,6 +87,16 @@ impl ZigzagStrategy {
     pub fn store(&self) -> &ZigzagStore {
         &self.store
     }
+
+    /// Frees a deleted record's slot: at once at rest, after the running
+    /// capture has read the checkpointer's copy otherwise.
+    fn retire(&self, g: SlotGuard<'_, Zigzag>) {
+        if self.capture_active.load(Ordering::Acquire) {
+            self.deferred_reclaim.lock().push(g.slot());
+        } else {
+            g.free();
+        }
+    }
 }
 
 impl CheckpointStrategy for ZigzagStrategy {
@@ -120,8 +132,12 @@ impl CheckpointStrategy for ZigzagStrategy {
         Resolved::from_slot(self.store.slot_of(key))
     }
 
-    fn get_with(&self, key: Key, _at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
-        self.store.get(key).map(|v| read(&v)).is_some()
+    fn get_with(&self, key: Key, at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
+        self.store.get_with(key, at, read)
+    }
+
+    fn prefetch(&self, slots: &[SlotId]) {
+        self.store.prefetch(slots);
     }
 
     fn record_count(&self) -> usize {
@@ -141,13 +157,11 @@ impl CheckpointStrategy for ZigzagStrategy {
         &self,
         token: &mut TxnToken,
         key: Key,
-        _at: Option<SlotId>,
+        at: Option<SlotId>,
         value: &[u8],
         old: &mut Vec<u8>,
     ) -> Result<bool, StoreError> {
-        let (slot, had) = self.store.overwrite(key, value, old)?;
-        token.record(key, slot, WriteKind::Update);
-        Ok(had)
+        apply::write(&self.store, token, key, at, value, old)
     }
 
     fn apply_insert(
@@ -157,31 +171,18 @@ impl CheckpointStrategy for ZigzagStrategy {
         value: &[u8],
     ) -> Result<bool, StoreError> {
         let fresh_only = self.capture_active.load(Ordering::Acquire);
-        match self.store.insert_opts(key, value, fresh_only) {
-            Ok(slot) => {
-                token.record(key, slot, WriteKind::Insert);
-                Ok(true)
-            }
-            Err(StoreError::DuplicateKey(_)) => Ok(false),
-            Err(e) => Err(e),
-        }
+        apply::insert(&self.store, token, key, value, fresh_only)
     }
 
     fn apply_delete_at(
         &self,
         token: &mut TxnToken,
         key: Key,
-        _at: Option<SlotId>,
+        at: Option<SlotId>,
         old: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        let slot = self.store.slot_of(key).ok_or(StoreError::KeyNotFound(key))?;
-        let active = self.capture_active.load(Ordering::Acquire);
-        let prev = self.store.delete(key, active)?;
-        if active {
-            self.deferred_reclaim.lock().push(slot);
-        }
-        token.record(key, slot, WriteKind::Delete);
-        old.extend_from_slice(prev.as_deref().unwrap_or_default());
+        let g = apply::delete(&self.store, token, key, at, old)?;
+        self.retire(g);
         Ok(())
     }
 
@@ -207,16 +208,14 @@ impl CheckpointStrategy for ZigzagStrategy {
                     self.store.write(u.key, v).expect("undo target exists");
                 }
                 UndoImage::Remove => {
-                    let active = self.capture_active.load(Ordering::Acquire);
-                    let _ = self.store.delete(u.key, active);
-                    if active {
-                        self.deferred_reclaim.lock().push(w.slot);
+                    if let Ok(g) = self.store.delete(u.key, Some(w.slot), &mut Vec::new()) {
+                        self.retire(g);
                     }
                 }
                 UndoImage::Reinsert(v) => {
                     let fresh_only = self.capture_active.load(Ordering::Acquire);
                     self.store
-                        .insert_opts(u.key, v, fresh_only)
+                        .insert_with(u.key, v, fresh_only, ())
                         .expect("undo reinsert");
                 }
             }
@@ -292,17 +291,8 @@ impl CheckpointStrategy for ZigzagStrategy {
     }
 
     fn write_base_checkpoint(&self, dir: &CheckpointDir) -> io::Result<CheckpointStats> {
-        let start = Instant::now();
         let id = self.upcoming.fetch_add(1, Ordering::AcqRel);
-        let watermark = self.log.last_seq();
-        let slots = Slots::Range(self.store.slot_high_water());
-        let kind = CheckpointKind::Full;
-        // At load time both copies hold the loaded value and there is no
-        // concurrent writer, so the checkpointer's copy is the record.
-        let summary = capture_slots(dir, kind, id, watermark, &[], slots, |slot| {
-            self.store.checkpoint_copy(slot)
-        })?;
-        Ok(CheckpointStats::new(&summary, start, Duration::ZERO))
+        base_checkpoint(dir, &self.store, id, self.log.last_seq())
     }
 
     fn resume_checkpoint_ids(&self, next_id: u64) {

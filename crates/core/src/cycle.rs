@@ -9,9 +9,9 @@
 //!   when it fails);
 //! * [`capture_slots`] — the one capture loop: a slot range or a dirty
 //!   list striped over the capture pool, each slot read by the
-//!   strategy's own closure; [`capture_live`] is that loop over the live
-//!   versions of a [`DualVersionStore`] (Naive, Fuzzy, and the
-//!   [`base_checkpoint`] CALC shares with them);
+//!   strategy's own closure; [`capture_live`] is that loop over the
+//!   values a reader sees in a [`Store`] (Naive, Fuzzy, and the
+//!   [`base_checkpoint`] every strategy but full Fuzzy writes);
 //! * [`undo_live`] — rollback of a transaction's writes on a
 //!   [`DualVersionStore`] from the executor's undo images.
 //!
@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 
 use calc_common::types::{CommitSeq, Key};
 use calc_storage::dual::DualVersionStore;
-use calc_storage::SlotId;
+use calc_storage::{Payload, SlotId, Store};
 
 use crate::file::{CheckpointKind, CheckpointWriter};
 use crate::manifest::{CheckpointDir, CheckpointMeta};
@@ -118,14 +118,14 @@ pub fn capture_slots<V: AsRef<[u8]>>(
     capture_parts(dir, kind, id, watermark, tombs, threads, scan)
 }
 
-/// [`capture_slots`] over the **live** versions of `store`: lock the slot,
-/// copy the live value out, write it. Correct whenever live *is* the
-/// point-of-consistency value — no transaction running (base
-/// checkpoints), the database quiesced (Naive) — and deliberately not
-/// otherwise (Fuzzy).
-pub fn capture_live(
+/// [`capture_slots`] over the values a reader sees in `store` (a dual
+/// store's live versions): lock the slot, copy the value out, write it.
+/// Correct whenever that value *is* the point-of-consistency value — no
+/// transaction running (base checkpoints), the database quiesced (Naive)
+/// — and deliberately not otherwise (Fuzzy).
+pub fn capture_live<P: Payload>(
     dir: &CheckpointDir,
-    store: &DualVersionStore,
+    store: &Store<P>,
     kind: CheckpointKind,
     id: u64,
     watermark: CommitSeq,
@@ -134,19 +134,18 @@ pub fn capture_live(
 ) -> io::Result<CheckpointMeta> {
     capture_slots(dir, kind, id, watermark, tombs, slots, |slot| {
         let g = store.lock_slot(slot);
-        if g.in_use() {
-            g.live().map(|l| (g.key(), l.to_vec()))
-        } else {
-            None
+        match (g.in_use(), g.read()) {
+            (true, Some(v)) => Some((g.key(), v.to_vec())),
+            _ => None,
         }
     })
 }
 
-/// A base checkpoint of `store` — every live version, full, with no
+/// A base checkpoint of `store` — every record's value, full, with no
 /// transaction running — under the caller's `id`.
-pub fn base_checkpoint(
+pub fn base_checkpoint<P: Payload>(
     dir: &CheckpointDir,
-    store: &DualVersionStore,
+    store: &Store<P>,
     id: u64,
     watermark: CommitSeq,
 ) -> io::Result<CheckpointStats> {

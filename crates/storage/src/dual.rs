@@ -6,10 +6,10 @@
 //! copies live→stable so the background capture thread can still read the
 //! value as of the virtual point of consistency.
 //!
-//! Physical layout: a sharded hash map resolves keys to dense *slot*
-//! indices; slot data (live + stable versions) lives in a [`SlotArena`]
-//! with one `parking_lot::Mutex` per slot, backed chunk by chunk as slots
-//! are handed out. Dense slot indices are what make the paper's
+//! Physical layout: [`Dual`] is the payload of the one
+//! [`Store`]: its slot table resolves keys to dense *slot* indices, and
+//! each slot (live + stable versions) sits under its own mutex in the
+//! store's slot arena. Dense slot indices are what make the paper's
 //! per-record bit vectors (`stable_status`, dirty vectors, add/delete
 //! status) meaningful on top of a hash-table keyspace. The paper's
 //! add/delete bit vectors are represented structurally here: a slot with
@@ -20,16 +20,12 @@
 //! The Naive and Fuzzy baselines reuse this store, touching only the live
 //! version.
 
-use parking_lot::{Mutex, MutexGuard};
-
 use calc_common::bitvec::PolarityBitVec;
-use calc_common::lockword::LockWords;
 use calc_common::types::{Key, Value};
 
-use crate::arena::SlotArena;
-use crate::mem::{MemCounter, MemoryStats};
+use crate::mem::MemoryStats;
 use crate::pool::{BufferPool, PoolValue};
-use crate::slots::SlotTable;
+use crate::store::{Payload, SlotGuard, Store};
 use crate::SlotId;
 
 /// Sizing parameters for a store.
@@ -88,123 +84,115 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// The dual layout's slot: one live version and, during a checkpoint
+/// window, one stable version.
 #[derive(Default)]
-pub(crate) struct SlotInner {
-    key: u64,
-    in_use: bool,
+pub struct Dual {
     live: Option<Value>,
     stable: Option<PoolValue>,
 }
 
-/// The dual-version store. See module docs.
-pub struct DualVersionStore {
-    pub(crate) table: SlotTable,
-    pub(crate) slots: SlotArena<Mutex<SlotInner>>,
+/// The dual layout's store-wide state.
+pub struct DualSide {
     stable_status: PolarityBitVec,
     pool: BufferPool,
-    live_mem: MemCounter,
 }
 
-impl DualVersionStore {
-    /// Creates an empty store.
-    pub fn new(config: StoreConfig) -> Self {
-        DualVersionStore {
-            table: SlotTable::new(config.capacity, config.shards),
-            slots: SlotArena::new(config.capacity),
-            stable_status: PolarityBitVec::new(config.capacity),
-            pool: BufferPool::new(config.pool_buf_capacity, config.pool_prealloc),
-            live_mem: MemCounter::new(),
+/// The dual-version store. See module docs.
+pub type DualVersionStore = Store<Dual>;
+
+/// Exclusive access to one slot's live/stable versions.
+pub type DualSlotGuard<'a> = SlotGuard<'a, Dual>;
+
+impl Payload for Dual {
+    type Side = DualSide;
+    /// The slot's `stable_status` bit.
+    type Fill = bool;
+    const EXTRA_COPY: bool = false;
+
+    fn fill(s: &DualVersionStore, slot: SlotId, p: &mut Self, value: &[u8], marked: bool) {
+        debug_assert!(p.stable.is_none());
+        p.live = Some(value.into());
+        if marked {
+            s.side.stable_status.mark(slot as usize);
+        } else {
+            s.side.stable_status.unmark(slot as usize);
         }
     }
 
-    /// Maximum record count.
-    pub fn capacity(&self) -> usize {
-        self.slots.capacity()
+    fn vacate(s: &DualVersionStore, p: &mut Self) {
+        if let Some(old) = p.live.take() {
+            s.mem[0].sub(old.len());
+        }
     }
 
-    /// Current record count (linked keys).
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Whether the store holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Highest slot index ever allocated; scans cover `0..slot_high_water()`.
-    pub fn slot_high_water(&self) -> usize {
-        self.table.high_water()
-    }
-
-    /// The `stable_status` polarity bit vector (§2.2 / §2.2.5).
-    pub fn stable_status(&self) -> &PolarityBitVec {
-        &self.stable_status
-    }
-
-    /// Resolves a key to its slot, if linked.
-    pub fn slot_of(&self, key: Key) -> Option<SlotId> {
-        self.table.slot_of(key)
-    }
-
-    /// The slot table's transaction lock words.
-    pub fn locks(&self) -> &LockWords {
-        self.table.locks()
-    }
-
-    /// Reads the live version of `key` (a copy; see
-    /// [`DualVersionStore::get_with`]).
-    pub fn get(&self, key: Key) -> Option<Value> {
-        let mut out = None;
-        self.get_with(key, None, &mut |live| out = Some(live.into()));
-        out
-    }
-
-    /// Reads the live version of `key` in place: calls `read` with it,
-    /// under the slot's mutex, and returns whether the key was present.
-    /// `at` is the slot the key was resolved to, if known (see
-    /// [`DualVersionStore::locked_slot_at`]).
-    pub fn get_with(&self, key: Key, at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
-        let Some(g) = self.locked_slot_at(key, at) else {
-            return false;
-        };
+    #[inline]
+    fn read<'p>(_: &DualVersionStore, _: SlotId, p: &'p Self) -> Option<&'p [u8]> {
         #[cfg(feature = "mutation-hooks")]
         if calc_common::mutation::armed(calc_common::mutation::Mutation::StaleStableRead) {
             // Seeded bug: prefer the stable (checkpoint pre-image)
             // version when one exists — readers see stale values for
             // the duration of a checkpoint window.
-            if let Some(stable) = g.stable() {
-                read(stable);
-                return true;
+            if let Some(stable) = &p.stable {
+                return Some(stable.as_slice());
             }
         }
-        g.live().map(read).is_some()
+        p.live.as_deref()
     }
 
-    /// Starts loading the records in `slots` into cache, so a transaction
-    /// about to touch them pays its misses together rather than one
-    /// after another: each slot's line, then — through `try_lock`, never
-    /// waiting on a slot another thread holds — the lines of its live
-    /// value. A hint only: nothing the store holds changes.
-    pub fn prefetch(&self, slots: &[SlotId]) {
-        for &slot in slots {
-            calc_common::prefetch::line(&self.slots[slot as usize]);
+    #[inline]
+    fn overwrite(
+        s: &DualVersionStore,
+        _: SlotId,
+        p: &mut Self,
+        value: &[u8],
+        old: &mut Vec<u8>,
+    ) -> bool {
+        if let Some(live) = &p.live {
+            old.extend_from_slice(live);
         }
-        for &slot in slots {
-            if let Some(g) = self.slots[slot as usize].try_lock() {
-                if let Some(live) = &g.live {
-                    calc_common::prefetch::lines(live);
-                }
-            }
-        }
+        let had = p.live.is_some();
+        s.mem[0].overwrite(&mut p.live, value);
+        had
     }
 
-    /// Inserts a new record, returning its slot. Fails on duplicates.
-    /// The slot's `stable_status` bit is left **unmarked** — appropriate
-    /// outside a checkpoint window; use
-    /// [`DualVersionStore::insert_with_status`] during one.
-    pub fn insert(&self, key: Key, value: &[u8]) -> Result<SlotId, StoreError> {
-        self.insert_with_status(key, value, false)
+    fn delete(s: &DualVersionStore, _: SlotId, p: &mut Self, old: &mut Vec<u8>) -> bool {
+        let Some(live) = p.live.take() else {
+            return false;
+        };
+        s.mem[0].sub(live.len());
+        old.extend_from_slice(&live);
+        true
+    }
+
+    fn side_memory(side: &DualSide) -> MemoryStats {
+        MemoryStats {
+            extra_bytes: side.pool.outstanding_bytes(),
+            extra_count: side.pool.outstanding_count(),
+            overhead_bytes: side.stable_status.heap_bytes(),
+            ..MemoryStats::default()
+        }
+    }
+}
+
+impl DualVersionStore {
+    /// Creates an empty store.
+    pub fn new(config: StoreConfig) -> Self {
+        let side = DualSide {
+            stable_status: PolarityBitVec::new(config.capacity),
+            pool: BufferPool::new(config.pool_buf_capacity, config.pool_prealloc),
+        };
+        Store::with_side(&config, side)
+    }
+
+    /// The `stable_status` polarity bit vector (§2.2 / §2.2.5).
+    pub fn stable_status(&self) -> &PolarityBitVec {
+        &self.side.stable_status
+    }
+
+    /// The stable-version buffer pool.
+    pub fn pool(&self) -> &BufferPool {
+        &self.side.pool
     }
 
     /// Inserts a new record, initializing its `stable_status` bit to
@@ -214,214 +202,31 @@ impl DualVersionStore {
     /// cycle) must never leak into the new record's protocol state.
     /// Records inserted after the virtual point of consistency pass
     /// `marked = true` so the capture scan skips them (§2.2's add-status
-    /// handling).
+    /// handling). [`Store::insert`] leaves the bit unmarked.
     pub fn insert_with_status(
         &self,
         key: Key,
         value: &[u8],
         marked: bool,
     ) -> Result<SlotId, StoreError> {
-        self.table.insert(
-            key,
-            false,
-            |slot| {
-                self.fill(slot, key, value, marked);
-                self.count_filled(1, value.len());
-            },
-            |slot| self.vacate(slot),
-        )
-    }
-
-    /// Installs a batch of records into a store at rest (initial load,
-    /// restart) through [`SlotTable::install_batch`]: resident keys are
-    /// skipped, and the memory counter is touched once. Returns how many
-    /// were installed.
-    pub fn install_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
-        self.table.install_batch(
-            records,
-            |slot, key, value| self.fill(slot, key, value, false),
-            |count, bytes| self.count_filled(count, bytes),
-            |slot| self.vacate(slot),
-        )
-    }
-
-    /// Empties a store at rest ([`SlotTable::clear`]), each linked slot
-    /// through `vacate`: a restart whose load failed part-way
-    /// starts again on an empty store.
-    pub fn clear(&self) {
-        self.table.clear(|slot| self.vacate(slot));
-    }
-
-    /// The fill step of [`SlotTable::insert`] and
-    /// [`SlotTable::install_batch`]; the caller counts the value's bytes
-    /// with [`DualVersionStore::count_filled`].
-    pub(crate) fn fill(&self, slot: SlotId, key: Key, value: &[u8], marked: bool) {
-        let mut g = self.slots.back(slot as usize).lock();
-        debug_assert!(!g.in_use, "allocated slot still in use");
-        debug_assert!(g.stable.is_none());
-        g.key = key.0;
-        g.in_use = true;
-        g.live = Some(value.to_vec().into_boxed_slice());
-        if marked {
-            self.stable_status.mark(slot as usize);
-        } else {
-            self.stable_status.unmark(slot as usize);
-        }
-    }
-
-    /// Counts `count` filled records of `bytes` in total.
-    pub(crate) fn count_filled(&self, count: usize, bytes: usize) {
-        self.live_mem.add_many(count, bytes);
-    }
-
-    /// Undoes [`DualVersionStore::fill`] for an insert that lost the race
-    /// to publish.
-    pub(crate) fn vacate(&self, slot: SlotId) {
-        let mut g = self.lock_slot(slot);
-        g.clear_live();
-        g.inner.in_use = false;
-        g.inner.key = 0;
-    }
-
-    /// Removes the key→slot mapping so no new transaction can reach the
-    /// slot. The slot itself lives on until [`DualSlotGuard::release_if_vacant`]
-    /// reclaims it (a post-point-of-consistency delete must keep its stable
-    /// version around for the capture thread).
-    pub fn unlink(&self, key: Key) -> Result<SlotId, StoreError> {
-        self.table.unlink(key)
-    }
-
-    /// Restores a key→slot mapping removed by [`DualVersionStore::unlink`]
-    /// — used when rolling back an aborted delete. The caller must hold
-    /// the record's logical lock and the slot must still carry the key.
-    pub fn relink(&self, key: Key, slot: SlotId) {
-        self.table.relink(key, slot)
-    }
-
-    /// Locks the slot of `key`: `at`, the slot the key was resolved to
-    /// under its transaction lock, if it still holds the key — else
-    /// through [`DualVersionStore::locked_slot_of`]. `None` if the key is
-    /// not linked.
-    pub fn locked_slot_at(&self, key: Key, at: Option<SlotId>) -> Option<DualSlotGuard<'_>> {
-        if let Some(slot) = at {
-            let g = self.lock_slot(slot);
-            if g.in_use() && g.key() == key {
-                return Some(g);
-            }
-        }
-        self.locked_slot_of(key)
-    }
-
-    /// Resolves `key` and locks its slot, retrying if the slot is freed
-    /// and reused between lookup and lock. Returns `None` if the key is
-    /// not linked.
-    pub fn locked_slot_of(&self, key: Key) -> Option<DualSlotGuard<'_>> {
-        loop {
-            let slot = self.slot_of(key)?;
-            let g = self.lock_slot(slot);
-            if g.in_use() && g.key() == key {
-                return Some(g);
-            }
-        }
-    }
-
-    /// Locks a slot for version manipulation.
-    pub fn lock_slot(&self, slot: SlotId) -> DualSlotGuard<'_> {
-        DualSlotGuard {
-            store: self,
-            slot,
-            inner: self.slots[slot as usize].lock(),
-        }
-    }
-
-    /// Iterates every allocated slot index (including currently-vacant
-    /// ones — callers check [`DualSlotGuard::in_use`]).
-    pub fn slot_ids(&self) -> impl Iterator<Item = SlotId> {
-        0..self.slot_high_water() as SlotId
-    }
-
-    /// Collects all `(key, live)` pairs — test/diagnostic helper; not used
-    /// on hot paths.
-    pub fn dump_live(&self) -> Vec<(Key, Value)> {
-        let mut out = Vec::with_capacity(self.len());
-        for slot in self.slot_ids() {
-            let g = self.lock_slot(slot);
-            if g.in_use() {
-                if let Some(v) = g.live() {
-                    out.push((g.key(), v.to_vec().into_boxed_slice()));
-                }
-            }
-        }
-        out.sort_by_key(|(k, _)| *k);
-        out
-    }
-
-    /// Memory report for Figure 6.
-    pub fn memory(&self) -> MemoryStats {
-        MemoryStats {
-            live_bytes: self.live_mem.bytes(),
-            live_count: self.live_mem.count(),
-            extra_bytes: self.pool.outstanding_bytes(),
-            extra_count: self.pool.outstanding_count(),
-            overhead_bytes: self.stable_status.heap_bytes(),
-        }
-    }
-
-    /// The stable-version buffer pool.
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
+        self.insert_with(key, value, false, marked)
     }
 }
 
-impl std::fmt::Debug for DualVersionStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "DualVersionStore(len={}, capacity={}, stables={})",
-            self.len(),
-            self.capacity(),
-            self.pool.outstanding_count()
-        )
-    }
-}
-
-/// Exclusive access to one slot's live/stable versions. All mutation keeps
-/// the store's memory counters exact.
-pub struct DualSlotGuard<'a> {
-    store: &'a DualVersionStore,
-    slot: SlotId,
-    inner: MutexGuard<'a, SlotInner>,
-}
-
-impl<'a> DualSlotGuard<'a> {
-    /// Slot index.
-    pub fn slot(&self) -> SlotId {
-        self.slot
-    }
-
-    /// Whether the slot currently holds a record.
-    pub fn in_use(&self) -> bool {
-        self.inner.in_use
-    }
-
-    /// The record's key. Meaningless if `!in_use()`.
-    pub fn key(&self) -> Key {
-        Key(self.inner.key)
-    }
-
+impl DualSlotGuard<'_> {
     /// The live version.
     pub fn live(&self) -> Option<&[u8]> {
-        self.inner.live.as_deref()
+        self.data().live.as_deref()
     }
 
     /// The stable version.
     pub fn stable(&self) -> Option<&[u8]> {
-        self.inner.stable.as_ref().map(|p| p.as_slice())
+        self.data().stable.as_ref().map(|p| p.as_slice())
     }
 
     /// Whether a stable version exists.
     pub fn has_stable(&self) -> bool {
-        self.inner.stable.is_some()
+        self.data().stable.is_some()
     }
 
     /// Overwrites the live version, returning the previous one (for
@@ -436,20 +241,17 @@ impl<'a> DualSlotGuard<'a> {
     /// (the caller's undo space); returns whether there was one. A value
     /// of the old one's length is written over it in place: nothing is
     /// allocated or freed.
+    #[inline]
     pub fn overwrite_live(&mut self, value: &[u8], old: &mut Vec<u8>) -> bool {
-        if let Some(live) = &self.inner.live {
-            old.extend_from_slice(live);
-        }
-        let had = self.inner.live.is_some();
-        self.store.live_mem.overwrite(&mut self.inner.live, value);
-        had
+        let (store, slot) = (self.store, self.slot());
+        Dual::overwrite(store, slot, self.data_mut(), value, old)
     }
 
     /// Removes the live version (logical delete), returning it.
     pub fn clear_live(&mut self) -> Option<Value> {
-        let old = self.inner.live.take();
+        let old = self.data_mut().live.take();
         if let Some(ref o) = old {
-            self.store.live_mem.sub(o.len());
+            self.store.mem[0].sub(o.len());
         }
         old
     }
@@ -458,35 +260,33 @@ impl<'a> DualSlotGuard<'a> {
     /// No-op if there is no live version or a stable version already
     /// exists — ApplyWrite only ever creates the *first* stable copy.
     pub fn copy_live_to_stable(&mut self) {
-        if self.inner.stable.is_some() {
+        if self.has_stable() {
             return;
         }
         calc_common::perturb::point(calc_common::perturb::Site::StableInstall);
-        if let Some(ref live) = self.inner.live {
-            self.inner.stable = Some(self.store.pool.acquire(live));
+        let pool = &self.store.side.pool;
+        let p = self.data_mut();
+        if let Some(ref live) = p.live {
+            p.stable = Some(pool.acquire(live));
         }
     }
 
     /// Erases the stable version, returning its buffer to the pool.
     pub fn erase_stable(&mut self) {
-        if let Some(s) = self.inner.stable.take() {
-            self.store.pool.release(s);
+        if let Some(s) = self.data_mut().stable.take() {
+            self.store.side.pool.release(s);
         }
     }
 
-    /// If the slot holds neither a live nor a stable version, unlinks it
-    /// from the arena (the caller must already have removed the key→slot
-    /// mapping via [`DualVersionStore::unlink`]) and returns it to the free
-    /// list. Returns whether the slot was reclaimed.
-    pub fn release_if_vacant(mut self) -> bool {
-        if self.inner.live.is_none() && self.inner.stable.is_none() && self.inner.in_use {
-            self.inner.in_use = false;
-            self.inner.key = 0;
-            self.store.table.free(self.slot);
-            true
-        } else {
-            false
+    /// If the slot holds neither a live nor a stable version, frees it
+    /// ([`SlotGuard::free`]; the key must already be unlinked) and
+    /// returns `true`.
+    pub fn release_if_vacant(self) -> bool {
+        let vacant = self.in_use() && self.live().is_none() && !self.has_stable();
+        if vacant {
+            self.free();
         }
+        vacant
     }
 }
 

@@ -4,13 +4,12 @@
 //! The paper's per-record bit vectors need dense record indices; its
 //! evaluation store is a hash table. [`SlotTable`] is the bridge: a
 //! sharded `key → SlotId` map over a fixed range of `capacity` slots,
-//! handed out from a high-water mark and a free list. The stores
-//! ([`crate::dual`], [`crate::triple`], [`crate::zigzag`]) own the slot
-//! *contents* — their record layouts are what distinguishes them; each
-//! keeps them in a [`crate::SlotArena`], backed as the mark rises — and
-//! embed this table by value for everything else, so the comparison
-//! between schemes is over one index, one allocator and one
-//! publication protocol.
+//! handed out from a high-water mark and a free list. The one store,
+//! [`crate::Store`], owns the slot *contents* — its payloads' record
+//! layouts are what distinguishes the schemes — in a
+//! [`crate::SlotArena`], backed as the mark rises, and embeds this table
+//! by value for everything else, so the comparison between schemes is
+//! over one index, one allocator and one publication protocol.
 //!
 //! Restart installs through [`SlotTable::install_batch`], not record by
 //! record, so a loader touches the allocator's shared words once per
@@ -346,29 +345,20 @@ impl SlotTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dual::{DualVersionStore, StoreConfig};
-    use crate::mem::MemoryStats;
-    use crate::triple::TripleStore;
-    use crate::zigzag::ZigzagStore;
-    use calc_common::types::Value;
+    use crate::dual::{Dual, StoreConfig};
+    use crate::store::{Payload, Store};
+    use crate::triple::Triple;
+    use crate::zigzag::Zigzag;
 
-    /// What the protocol tests need of a store: its table, the two steps
-    /// it hands to [`SlotTable::insert`] (fill counted, as an insert
-    /// counts it), and its public surface.
-    trait Store: Sync {
-        fn with_capacity(capacity: usize) -> Self;
-        fn table(&self) -> &SlotTable;
-        fn fill(&self, slot: SlotId, key: Key, value: &[u8]);
-        fn vacate(&self, slot: SlotId);
-        fn insert(&self, key: Key, value: &[u8]) -> Result<SlotId, StoreError>;
-        fn install_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError>;
-        fn get(&self, key: Key) -> Option<Value>;
-        /// Deletes `key` at rest, so its slot goes back on the free list.
-        fn delete(&self, key: Key);
-        fn memory(&self) -> MemoryStats;
-        /// How many chunks of its slot arena are backed.
-        fn backed_chunks(&self) -> usize;
-        fn clear(&self);
+    /// What the protocol tests need beyond the store's own surface: a
+    /// store of a capacity, and a delete at rest that puts the slot back
+    /// on the free list.
+    trait TestPayload: Payload + Sync
+    where
+        Self::Side: Sync,
+    {
+        fn with_capacity(capacity: usize) -> Store<Self>;
+        fn delete_at_rest(s: &Store<Self>, key: Key);
     }
 
     fn config(capacity: usize) -> StoreConfig {
@@ -380,185 +370,105 @@ mod tests {
         }
     }
 
-    impl Store for DualVersionStore {
-        fn with_capacity(capacity: usize) -> Self {
-            DualVersionStore::new(config(capacity))
+    impl TestPayload for Dual {
+        fn with_capacity(capacity: usize) -> Store<Self> {
+            Store::<Dual>::new(config(capacity))
         }
-        fn table(&self) -> &SlotTable {
-            &self.table
-        }
-        fn fill(&self, slot: SlotId, key: Key, value: &[u8]) {
-            DualVersionStore::fill(self, slot, key, value, false);
-            self.count_filled(1, value.len());
-        }
-        fn vacate(&self, slot: SlotId) {
-            DualVersionStore::vacate(self, slot)
-        }
-        fn insert(&self, key: Key, value: &[u8]) -> Result<SlotId, StoreError> {
-            DualVersionStore::insert(self, key, value)
-        }
-        fn install_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
-            DualVersionStore::install_batch(self, records)
-        }
-        fn get(&self, key: Key) -> Option<Value> {
-            DualVersionStore::get(self, key)
-        }
-        fn delete(&self, key: Key) {
-            let mut g = self.locked_slot_of(key).unwrap();
-            g.clear_live();
-            self.unlink(key).unwrap();
+        fn delete_at_rest(s: &Store<Self>, key: Key) {
+            let g = s.delete(key, None, &mut Vec::new()).unwrap();
             assert!(g.release_if_vacant());
         }
-        fn memory(&self) -> MemoryStats {
-            DualVersionStore::memory(self)
-        }
-        fn backed_chunks(&self) -> usize {
-            self.slots.backed_chunks()
-        }
-        fn clear(&self) {
-            DualVersionStore::clear(self)
-        }
     }
 
-    impl Store for TripleStore {
-        fn with_capacity(capacity: usize) -> Self {
-            TripleStore::new(config(capacity), false)
+    impl TestPayload for Triple {
+        fn with_capacity(capacity: usize) -> Store<Self> {
+            Store::<Triple>::new(config(capacity), false)
         }
-        fn table(&self) -> &SlotTable {
-            &self.table
-        }
-        fn fill(&self, slot: SlotId, key: Key, value: &[u8]) {
-            TripleStore::fill(self, slot, key, value);
-            self.count_filled(1, value.len());
-        }
-        fn vacate(&self, slot: SlotId) {
-            TripleStore::vacate(self, slot)
-        }
-        fn insert(&self, key: Key, value: &[u8]) -> Result<SlotId, StoreError> {
-            TripleStore::insert(self, key, value)
-        }
-        fn install_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
-            TripleStore::install_batch(self, records)
-        }
-        fn get(&self, key: Key) -> Option<Value> {
-            TripleStore::get(self, key)
-        }
-        fn delete(&self, key: Key) {
+        fn delete_at_rest(s: &Store<Self>, key: Key) {
             // IPP reclaims a deleted record's slot when the next
             // checkpoint consumes its dirty bit.
-            let slot = self.slot_of(key).unwrap();
-            TripleStore::delete(self, key).unwrap();
-            let retired = self.flip_current();
-            assert_eq!(self.consume_retired(slot, retired), Some((key, None)));
-        }
-        fn memory(&self) -> MemoryStats {
-            TripleStore::memory(self)
-        }
-        fn backed_chunks(&self) -> usize {
-            self.slots.backed_chunks()
-        }
-        fn clear(&self) {
-            TripleStore::clear(self)
+            let slot = s.delete(key, None, &mut Vec::new()).unwrap().slot();
+            let retired = s.flip_current();
+            assert_eq!(s.consume_retired(slot, retired), Some((key, None)));
         }
     }
 
-    impl Store for ZigzagStore {
-        fn with_capacity(capacity: usize) -> Self {
-            ZigzagStore::new(config(capacity))
+    impl TestPayload for Zigzag {
+        fn with_capacity(capacity: usize) -> Store<Self> {
+            Store::<Zigzag>::new(config(capacity))
         }
-        fn table(&self) -> &SlotTable {
-            &self.table
+        fn delete_at_rest(s: &Store<Self>, key: Key) {
+            s.delete(key, None, &mut Vec::new()).unwrap().free();
         }
-        fn fill(&self, slot: SlotId, key: Key, value: &[u8]) {
-            ZigzagStore::fill(self, slot, key, value);
-            self.count_filled(1, value.len());
-        }
-        fn vacate(&self, slot: SlotId) {
-            ZigzagStore::vacate(self, slot)
-        }
-        fn insert(&self, key: Key, value: &[u8]) -> Result<SlotId, StoreError> {
-            ZigzagStore::insert(self, key, value)
-        }
-        fn install_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
-            ZigzagStore::install_batch(self, records)
-        }
-        fn get(&self, key: Key) -> Option<Value> {
-            ZigzagStore::get(self, key)
-        }
-        fn delete(&self, key: Key) {
-            ZigzagStore::delete(self, key, false).unwrap();
-        }
-        fn memory(&self) -> MemoryStats {
-            ZigzagStore::memory(self)
-        }
-        fn backed_chunks(&self) -> usize {
-            self.slots.backed_chunks()
-        }
-        fn clear(&self) {
-            ZigzagStore::clear(self)
-        }
+    }
+
+    /// The fill step [`SlotTable::insert`] is handed, counted as an
+    /// insert counts it.
+    fn fill<P: Payload>(s: &Store<P>, slot: SlotId, key: Key, value: &[u8]) {
+        s.fill(slot, key, value, P::Fill::default());
+        s.count_filled(1, value.len());
     }
 
     /// A same-key insert issued from inside another insert's fill step
     /// publishes first, so the outer insert loses at publish.
-    fn loser_of_a_same_key_race_hands_its_slot_back<S: Store>() {
+    fn loser_of_a_same_key_race_hands_its_slot_back<P: TestPayload>() {
         let key = Key(7);
-        let s = S::with_capacity(8);
-        let outer = s.table().insert(
+        let s = P::with_capacity(8);
+        let outer = s.table.insert(
             key,
             false,
             |slot| {
-                s.fill(slot, key, b"loser");
+                fill(&s, slot, key, b"loser");
                 assert_eq!(s.insert(key, b"the winner"), Ok(1));
             },
             |slot| s.vacate(slot),
         );
         assert_eq!(outer, Err(StoreError::DuplicateKey(key)));
-        assert_eq!(s.table().len(), 1, "exactly one winner");
-        assert_eq!(s.table().slot_of(key), Some(1));
+        assert_eq!(s.table.len(), 1, "exactly one winner");
+        assert_eq!(s.table.slot_of(key), Some(1));
         assert_eq!(s.get(key).as_deref(), Some(&b"the winner"[..]));
         // The loser's slot is on the free list, and the next one out.
         assert_eq!(s.insert(Key(8), b"next"), Ok(0));
-        assert_eq!(s.table().high_water(), 2);
+        assert_eq!(s.table.high_water(), 2);
 
-        let only_winner = S::with_capacity(8);
+        let only_winner = P::with_capacity(8);
         only_winner.insert(key, b"the winner").unwrap();
         only_winner.insert(Key(8), b"next").unwrap();
         assert_eq!(s.memory(), only_winner.memory());
     }
 
-    fn a_full_arena_refuses_inserts_until_a_delete<S: Store>() {
-        let s = S::with_capacity(2);
+    fn a_full_arena_refuses_inserts_until_a_delete<P: TestPayload>() {
+        let s = P::with_capacity(2);
         s.insert(Key(1), b"a").unwrap();
         s.insert(Key(2), b"b").unwrap();
         assert_eq!(s.insert(Key(3), b"c"), Err(StoreError::CapacityExceeded));
         assert_eq!(
-            s.table().high_water(),
+            s.table.high_water(),
             2,
             "a refused insert leaves the mark"
         );
-        assert_eq!(s.table().len(), 2);
-        s.delete(Key(1));
+        assert_eq!(s.table.len(), 2);
+        P::delete_at_rest(&s, Key(1));
         assert_eq!(s.insert(Key(3), b"c"), Ok(0));
         assert_eq!(s.get(Key(3)).as_deref(), Some(&b"c"[..]));
-        assert_eq!(s.table().high_water(), 2);
+        assert_eq!(s.table.high_water(), 2);
     }
 
     /// A key already linked is dropped before the reservation: it takes
     /// no slot and keeps its value.
-    fn a_resident_key_in_a_batch_takes_no_slot<S: Store>() {
-        let s = S::with_capacity(8);
+    fn a_resident_key_in_a_batch_takes_no_slot<P: TestPayload>() {
+        let s = P::with_capacity(8);
         s.insert(Key(1), b"resident").unwrap();
         let batch: [(Key, &[u8]); 3] = [(Key(2), b"b"), (Key(1), b"older"), (Key(3), b"c")];
         assert_eq!(s.install_batch(&batch), Ok(2));
-        assert_eq!(s.table().high_water(), 3, "the resident key took no slot");
-        assert_eq!(s.table().len(), 3);
+        assert_eq!(s.table.high_water(), 3, "the resident key took no slot");
+        assert_eq!(s.table.len(), 3);
         assert_eq!(s.get(Key(1)).as_deref(), Some(&b"resident"[..]));
         assert_eq!(s.get(Key(3)).as_deref(), Some(&b"c"[..]));
         assert_eq!(s.install_batch(&batch), Ok(0), "all resident now");
-        assert_eq!(s.table().high_water(), 3);
+        assert_eq!(s.table.high_water(), 3);
 
-        let inserted = S::with_capacity(8);
+        let inserted = P::with_capacity(8);
         for (key, value) in [(Key(1), &b"resident"[..]), (Key(2), b"b"), (Key(3), b"c")] {
             inserted.insert(key, value).unwrap();
         }
@@ -568,32 +478,32 @@ mod tests {
     /// A cleared store is a fresh one: no key, nothing counted, and the
     /// allocator rewound — the next install fills from slot 0, up to the
     /// whole capacity, whatever the free list held.
-    fn a_cleared_store_is_a_fresh_one<S: Store>() {
-        let s = S::with_capacity(8);
+    fn a_cleared_store_is_a_fresh_one<P: TestPayload>() {
+        let s = P::with_capacity(8);
         s.insert(Key(1), b"one").unwrap();
         let batch: [(Key, &[u8]); 3] = [(Key(2), b"two"), (Key(3), b"three"), (Key(4), b"4")];
         assert_eq!(s.install_batch(&batch), Ok(3));
-        s.delete(Key(2));
+        P::delete_at_rest(&s, Key(2));
         s.clear();
-        assert_eq!(s.table().len(), 0);
-        assert_eq!(s.table().high_water(), 0);
+        assert_eq!(s.table.len(), 0);
+        assert_eq!(s.table.high_water(), 0);
         assert!((1..=4).all(|k| s.get(Key(k)).is_none()));
-        assert_eq!(s.memory(), S::with_capacity(8).memory());
+        assert_eq!(s.memory(), P::with_capacity(8).memory());
         let values: Vec<[u8; 1]> = (0..8u8).map(|v| [v]).collect();
         let refill: Vec<(Key, &[u8])> =
             (0..8u64).map(|k| (Key(k + 3), &values[k as usize][..])).collect();
         assert_eq!(s.install_batch(&refill), Ok(8));
-        assert_eq!(s.table().high_water(), 8);
+        assert_eq!(s.table.high_water(), 8);
         assert_eq!(s.get(Key(3)).as_deref(), Some(&[0u8][..]), "no stale value survives");
     }
 
     /// Two installers racing over overlapping key ranges: every key ends
     /// up linked once, with one of the two values, and every slot either
     /// holds a linked record or is back on the free list.
-    fn overlapping_batches_leave_one_winner_per_key<S: Store>() {
+    fn overlapping_batches_leave_one_winner_per_key<P: TestPayload>() {
         const KEYS: u64 = 600;
         for round in 0..8 {
-            let s = S::with_capacity(2 * KEYS as usize);
+            let s = P::with_capacity(2 * KEYS as usize);
             let values: Vec<[u8; 8]> = (0..2u64).map(|t| (round * 2 + t).to_le_bytes()).collect();
             let start = std::sync::Barrier::new(2);
             let installed: Vec<usize> = std::thread::scope(|scope| {
@@ -617,17 +527,17 @@ mod tests {
                 KEYS as usize,
                 "round {round}"
             );
-            assert_eq!(s.table().len(), KEYS as usize);
-            let winners = S::with_capacity(2 * KEYS as usize);
+            assert_eq!(s.table.len(), KEYS as usize);
+            let winners = P::with_capacity(2 * KEYS as usize);
             for k in 0..KEYS {
                 let got = s.get(Key(k)).unwrap_or_else(|| panic!("key {k} lost"));
                 assert!(values.iter().any(|v| v[..] == got[..]), "key {k}: {got:?}");
                 winners.insert(Key(k), &got).unwrap();
             }
-            let free = s.table().alloc.free.slots.lock().len();
+            let free = s.table.alloc.free.slots.lock().len();
             assert_eq!(
-                s.table().high_water(),
-                s.table().len() + free,
+                s.table.high_water(),
+                s.table.len() + free,
                 "a slot leaked"
             );
             assert_eq!(
@@ -640,20 +550,20 @@ mod tests {
 
     /// An arena that runs out mid-batch installs what fits; the count,
     /// the mark and the memory counters all describe exactly that.
-    fn a_batch_that_runs_out_of_capacity_stays_consistent<S: Store>() {
-        let s = S::with_capacity(5);
+    fn a_batch_that_runs_out_of_capacity_stays_consistent<P: TestPayload>() {
+        let s = P::with_capacity(5);
         s.insert(Key(100), b"first").unwrap();
         let values: Vec<[u8; 8]> = (0..6u64).map(|k| k.to_le_bytes()).collect();
         let batch: Vec<(Key, &[u8])> = (0..6u64)
             .map(|k| (Key(k), &values[k as usize][..]))
             .collect();
         assert_eq!(s.install_batch(&batch), Err(StoreError::CapacityExceeded));
-        assert_eq!(s.table().len(), 5);
-        assert_eq!(s.table().high_water(), 5);
+        assert_eq!(s.table.len(), 5);
+        assert_eq!(s.table.high_water(), 5);
         let landed: Vec<u64> = (0..6).filter(|&k| s.get(Key(k)).is_some()).collect();
         assert_eq!(landed.len(), 4, "what fits is installed");
 
-        let expected = S::with_capacity(5);
+        let expected = P::with_capacity(5);
         expected.insert(Key(100), b"first").unwrap();
         for &k in &landed {
             expected.insert(Key(k), &values[k as usize]).unwrap();
@@ -664,23 +574,23 @@ mod tests {
             s.install_batch(&batch[left_out..=left_out]),
             Err(StoreError::CapacityExceeded)
         );
-        assert_eq!((s.table().len(), s.table().high_water()), (5, 5));
+        assert_eq!((s.table.len(), s.table.high_water()), (5, 5));
         assert_eq!(s.memory(), expected.memory());
     }
 
     /// Inserts one at a time and a batch each cross chunk boundaries;
     /// after each, exactly the chunks under the high water are backed.
-    fn backed_chunks_follow_the_high_water<S: Store>() {
+    fn backed_chunks_follow_the_high_water<P: TestPayload>() {
         let chunk = crate::arena::chunk_slots();
-        let s = S::with_capacity(4 * chunk);
-        let backed = |s: &S| s.table().high_water().div_ceil(chunk);
+        let s = P::with_capacity(4 * chunk);
+        let backed = |s: &Store<P>| s.table.high_water().div_ceil(chunk);
         for k in 0..chunk as u64 + 1 {
             s.insert(Key(k), &k.to_le_bytes()).unwrap();
             if k as usize + 2 >= chunk {
-                assert_eq!(s.backed_chunks(), backed(&s), "after {} inserts", k + 1);
+                assert_eq!(s.slots.backed_chunks(), backed(&s), "after {} inserts", k + 1);
             }
         }
-        assert_eq!(s.backed_chunks(), 2);
+        assert_eq!(s.slots.backed_chunks(), 2);
         let values: Vec<[u8; 8]> = (0..2 * chunk as u64).map(|k| k.to_le_bytes()).collect();
         let batch: Vec<(Key, &[u8])> = values
             .iter()
@@ -689,10 +599,10 @@ mod tests {
             .map(|(k, v)| (Key(k as u64), &v[..]))
             .collect();
         assert_eq!(s.install_batch(&batch), Ok(chunk - 1));
-        assert_eq!(s.table().high_water(), 2 * chunk);
-        assert_eq!(s.backed_chunks(), 2);
+        assert_eq!(s.table.high_water(), 2 * chunk);
+        assert_eq!(s.slots.backed_chunks(), 2);
         assert_eq!(s.install_batch(&[(Key(u64::MAX), b"x")]), Ok(1));
-        assert_eq!(s.backed_chunks(), 3);
+        assert_eq!(s.slots.backed_chunks(), 3);
         for (k, v) in values.iter().enumerate() {
             assert_eq!(s.get(Key(k as u64)).as_deref(), Some(&v[..]), "key {k}");
         }
@@ -700,11 +610,11 @@ mod tests {
 
     /// Threads racing to allocate the slots on either side of a chunk
     /// boundary each get a distinct slot that holds their record.
-    fn racing_allocations_across_a_boundary_each_get_a_slot<S: Store>() {
+    fn racing_allocations_across_a_boundary_each_get_a_slot<P: TestPayload>() {
         const THREADS: u64 = 4;
         const PER_THREAD: u64 = 4;
         let chunk = crate::arena::chunk_slots();
-        let s = S::with_capacity(2 * chunk);
+        let s = P::with_capacity(2 * chunk);
         let below: Vec<(Key, &[u8])> = (0..chunk as u64 - 6)
             .map(|k| (Key(k), &b"below"[..]))
             .collect();
@@ -739,74 +649,74 @@ mod tests {
         slots.sort_unstable();
         let fresh: Vec<SlotId> = (chunk as SlotId - 6..chunk as SlotId + 10).collect();
         assert_eq!(slots, fresh, "each thread took distinct fresh slots");
-        assert_eq!(s.backed_chunks(), 2);
+        assert_eq!(s.slots.backed_chunks(), 2);
     }
 
     #[test]
     fn slot_arena_backing_under_all_three_stores() {
-        backed_chunks_follow_the_high_water::<DualVersionStore>();
-        backed_chunks_follow_the_high_water::<TripleStore>();
-        backed_chunks_follow_the_high_water::<ZigzagStore>();
-        racing_allocations_across_a_boundary_each_get_a_slot::<DualVersionStore>();
-        racing_allocations_across_a_boundary_each_get_a_slot::<TripleStore>();
-        racing_allocations_across_a_boundary_each_get_a_slot::<ZigzagStore>();
+        backed_chunks_follow_the_high_water::<Dual>();
+        backed_chunks_follow_the_high_water::<Triple>();
+        backed_chunks_follow_the_high_water::<Zigzag>();
+        racing_allocations_across_a_boundary_each_get_a_slot::<Dual>();
+        racing_allocations_across_a_boundary_each_get_a_slot::<Triple>();
+        racing_allocations_across_a_boundary_each_get_a_slot::<Zigzag>();
     }
 
     #[test]
     fn a_store_at_capacity_1_shl_24_backs_no_chunk() {
-        fn check<S: Store>() {
-            let s = S::with_capacity(1 << 24);
+        fn check<P: TestPayload>() {
+            let s = P::with_capacity(1 << 24);
             assert!(s.get(Key(3)).is_none());
-            assert_eq!(s.backed_chunks(), 0);
+            assert_eq!(s.slots.backed_chunks(), 0);
         }
-        check::<DualVersionStore>();
-        check::<TripleStore>();
-        check::<ZigzagStore>();
+        check::<Dual>();
+        check::<Triple>();
+        check::<Zigzag>();
     }
 
     #[test]
     fn batch_install_under_all_three_stores() {
-        a_resident_key_in_a_batch_takes_no_slot::<DualVersionStore>();
-        a_resident_key_in_a_batch_takes_no_slot::<TripleStore>();
-        a_resident_key_in_a_batch_takes_no_slot::<ZigzagStore>();
-        overlapping_batches_leave_one_winner_per_key::<DualVersionStore>();
-        overlapping_batches_leave_one_winner_per_key::<TripleStore>();
-        overlapping_batches_leave_one_winner_per_key::<ZigzagStore>();
-        a_batch_that_runs_out_of_capacity_stays_consistent::<DualVersionStore>();
-        a_batch_that_runs_out_of_capacity_stays_consistent::<TripleStore>();
-        a_batch_that_runs_out_of_capacity_stays_consistent::<ZigzagStore>();
-        a_cleared_store_is_a_fresh_one::<DualVersionStore>();
-        a_cleared_store_is_a_fresh_one::<TripleStore>();
-        a_cleared_store_is_a_fresh_one::<ZigzagStore>();
+        a_resident_key_in_a_batch_takes_no_slot::<Dual>();
+        a_resident_key_in_a_batch_takes_no_slot::<Triple>();
+        a_resident_key_in_a_batch_takes_no_slot::<Zigzag>();
+        overlapping_batches_leave_one_winner_per_key::<Dual>();
+        overlapping_batches_leave_one_winner_per_key::<Triple>();
+        overlapping_batches_leave_one_winner_per_key::<Zigzag>();
+        a_batch_that_runs_out_of_capacity_stays_consistent::<Dual>();
+        a_batch_that_runs_out_of_capacity_stays_consistent::<Triple>();
+        a_batch_that_runs_out_of_capacity_stays_consistent::<Zigzag>();
+        a_cleared_store_is_a_fresh_one::<Dual>();
+        a_cleared_store_is_a_fresh_one::<Triple>();
+        a_cleared_store_is_a_fresh_one::<Zigzag>();
     }
 
     #[test]
     fn one_publication_protocol_under_all_three_stores() {
-        loser_of_a_same_key_race_hands_its_slot_back::<DualVersionStore>();
-        loser_of_a_same_key_race_hands_its_slot_back::<TripleStore>();
-        loser_of_a_same_key_race_hands_its_slot_back::<ZigzagStore>();
+        loser_of_a_same_key_race_hands_its_slot_back::<Dual>();
+        loser_of_a_same_key_race_hands_its_slot_back::<Triple>();
+        loser_of_a_same_key_race_hands_its_slot_back::<Zigzag>();
     }
 
     #[test]
     fn capacity_exhaustion_under_all_three_stores() {
-        a_full_arena_refuses_inserts_until_a_delete::<DualVersionStore>();
-        a_full_arena_refuses_inserts_until_a_delete::<TripleStore>();
-        a_full_arena_refuses_inserts_until_a_delete::<ZigzagStore>();
+        a_full_arena_refuses_inserts_until_a_delete::<Dual>();
+        a_full_arena_refuses_inserts_until_a_delete::<Triple>();
+        a_full_arena_refuses_inserts_until_a_delete::<Zigzag>();
     }
 
     #[test]
     fn fresh_only_never_reuses_a_freed_slot() {
-        let s = ZigzagStore::new(config(3));
+        let s = Zigzag::with_capacity(3);
         assert_eq!(s.insert(Key(1), b"a"), Ok(0));
-        s.delete(Key(1), false).unwrap();
+        Zigzag::delete_at_rest(&s, Key(1));
         assert_eq!(
-            s.insert_opts(Key(2), b"b", true),
+            s.insert_with(Key(2), b"b", true, ()),
             Ok(1),
             "free list skipped"
         );
-        assert_eq!(s.insert_opts(Key(3), b"c", true), Ok(2));
+        assert_eq!(s.insert_with(Key(3), b"c", true, ()), Ok(2));
         assert_eq!(
-            s.insert_opts(Key(4), b"d", true),
+            s.insert_with(Key(4), b"d", true, ()),
             Err(StoreError::CapacityExceeded),
             "slot 0 is free, but not fresh"
         );

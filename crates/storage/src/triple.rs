@@ -30,46 +30,119 @@ use calc_common::bitvec::AtomicBitVec;
 use calc_common::types::{Key, Value};
 
 use crate::arena::SlotArena;
-use crate::dual::{StoreConfig, StoreError};
-use crate::mem::{MemCounter, MemoryStats};
-use crate::slots::SlotTable;
+use crate::dual::StoreConfig;
+use crate::mem::MemoryStats;
+use crate::store::{Payload, Store};
 use crate::SlotId;
 
+/// The triple layout's slot: application state plus the `even` (0) and
+/// `odd` (1) ping-pong copies.
 #[derive(Default)]
-pub(crate) struct IppSlot {
-    key: u64,
-    in_use: bool,
+pub struct Triple {
     /// Application state — what transactions read.
     state: Option<Value>,
-    /// The `even` (0) and `odd` (1) ping-pong copies.
     pingpong: [Option<Value>; 2],
 }
 
 /// Per-slot snapshot entries: `(raw key, value)` under a slot mutex.
 type SnapshotArray = SlotArena<Mutex<Option<(u64, Value)>>>;
 
-/// The IPP store. See module docs.
-pub struct TripleStore {
-    pub(crate) table: SlotTable,
-    pub(crate) slots: SlotArena<Mutex<IppSlot>>,
+/// The triple layout's store-wide state.
+pub struct TripleSide {
     dirty: [AtomicBitVec; 2],
     /// Index (0=even, 1=odd) of the array currently receiving writes.
     current: AtomicBool,
     /// Last consistent snapshot (full-IPP only): the in-memory checkpoint
-    /// that retired dirty values merge into.
+    /// that retired dirty values merge into. Its copies count as extra.
     snapshot: Option<SnapshotArray>,
-    state_mem: MemCounter,
-    pingpong_mem: MemCounter,
-    snapshot_mem: MemCounter,
+}
+
+/// The IPP store. See module docs.
+pub type TripleStore = Store<Triple>;
+
+impl Payload for Triple {
+    type Side = TripleSide;
+    type Fill = ();
+    const EXTRA_COPY: bool = true;
+
+    /// Application state + current-array copy, with the dirty bit set
+    /// (the record must appear in the next checkpoint).
+    fn fill(s: &TripleStore, slot: SlotId, p: &mut Self, value: &[u8], (): ()) {
+        let cur = s.current_array();
+        p.state = Some(value.into());
+        p.pingpong = [None, None];
+        p.pingpong[cur] = Some(value.into());
+        s.side.dirty[cur].set(slot as usize, true);
+        s.side.dirty[1 - cur].set(slot as usize, false);
+    }
+
+    fn vacate(s: &TripleStore, p: &mut Self) {
+        if let Some(old) = p.state.take() {
+            s.mem[0].sub(old.len());
+        }
+        for v in p.pingpong.iter_mut() {
+            if let Some(old) = v.take() {
+                s.mem[1].sub(old.len());
+            }
+        }
+    }
+
+    fn read<'p>(_: &TripleStore, _: SlotId, p: &'p Self) -> Option<&'p [u8]> {
+        p.state.as_deref()
+    }
+
+    /// IPP's double write: application state **and** the current array,
+    /// setting the dirty bit.
+    fn overwrite(
+        s: &TripleStore,
+        slot: SlotId,
+        p: &mut Self,
+        value: &[u8],
+        old: &mut Vec<u8>,
+    ) -> bool {
+        let cur = s.current_array();
+        if let Some(prev) = &p.state {
+            old.extend_from_slice(prev);
+        }
+        let had = p.state.is_some();
+        s.mem[0].overwrite(&mut p.state, value);
+        s.mem[1].overwrite(&mut p.pingpong[cur], value);
+        s.side.dirty[cur].set(slot as usize, true);
+        had
+    }
+
+    /// Clears the application state and marks the current array with a
+    /// `None` copy + dirty bit, so the deletion reaches the next
+    /// checkpoint as a tombstone; the slot waits for that capture.
+    fn delete(s: &TripleStore, slot: SlotId, p: &mut Self, old: &mut Vec<u8>) -> bool {
+        let Some(state) = p.state.take() else {
+            return false;
+        };
+        let cur = s.current_array();
+        s.mem[0].sub(state.len());
+        old.extend_from_slice(&state);
+        if let Some(copy) = p.pingpong[cur].take() {
+            s.mem[1].sub(copy.len());
+        }
+        s.side.dirty[cur].set(slot as usize, true);
+        true
+    }
+
+    /// Ping-pong copies and snapshot entries both count as extra — the
+    /// up-to-4× line of Figure 6; the counters already hold them.
+    fn side_memory(side: &TripleSide) -> MemoryStats {
+        MemoryStats {
+            overhead_bytes: side.dirty[0].heap_bytes() * 2,
+            ..MemoryStats::default()
+        }
+    }
 }
 
 impl TripleStore {
     /// Creates an empty store. `with_snapshot` enables the in-memory last
     /// consistent snapshot required by full-IPP; pIPP runs without it.
     pub fn new(config: StoreConfig, with_snapshot: bool) -> Self {
-        TripleStore {
-            table: SlotTable::new(config.capacity, config.shards),
-            slots: SlotArena::new(config.capacity),
+        let side = TripleSide {
             dirty: [
                 AtomicBitVec::new(config.capacity),
                 AtomicBitVec::new(config.capacity),
@@ -77,201 +150,21 @@ impl TripleStore {
             // The paper starts with `odd` as current.
             current: AtomicBool::new(true),
             snapshot: with_snapshot.then(|| SlotArena::new(config.capacity)),
-            state_mem: MemCounter::new(),
-            pingpong_mem: MemCounter::new(),
-            snapshot_mem: MemCounter::new(),
-        }
+        };
+        Store::with_side(&config, side)
     }
 
     /// Index of the array currently receiving writes.
     #[inline]
     pub fn current_array(&self) -> usize {
-        self.current.load(Ordering::Acquire) as usize
-    }
-
-    /// Current record count.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Whether the store holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum record count.
-    pub fn capacity(&self) -> usize {
-        self.slots.capacity()
-    }
-
-    /// Highest allocated slot index.
-    pub fn slot_high_water(&self) -> usize {
-        self.table.high_water()
-    }
-
-    /// Resolves a key to its slot.
-    pub fn slot_of(&self, key: Key) -> Option<SlotId> {
-        self.table.slot_of(key)
-    }
-
-    /// The slot table's transaction lock words.
-    pub fn locks(&self) -> &calc_common::lockword::LockWords {
-        self.table.locks()
-    }
-
-    /// Reads the application state by slot (bulk scans; returns the key
-    /// alongside).
-    pub fn get_by_slot(&self, slot: SlotId) -> Option<(Key, Value)> {
-        let g = self.slots[slot as usize].lock();
-        if g.in_use {
-            g.state.as_ref().map(|v| (Key(g.key), v.clone()))
-        } else {
-            None
-        }
-    }
-
-    /// Reads the application state.
-    pub fn get(&self, key: Key) -> Option<Value> {
-        loop {
-            let slot = self.slot_of(key)?;
-            let g = self.slots[slot as usize].lock();
-            if g.in_use && g.key == key.0 {
-                return g.state.clone();
-            }
-        }
-    }
-
-    /// Inserts a record: application state + current-array copy, with the
-    /// dirty bit set (the record must appear in the next checkpoint).
-    pub fn insert(&self, key: Key, value: &[u8]) -> Result<SlotId, StoreError> {
-        self.table.insert(
-            key,
-            false,
-            |slot| {
-                self.fill(slot, key, value);
-                self.count_filled(1, value.len());
-            },
-            |slot| self.vacate(slot),
-        )
-    }
-
-    /// Installs a batch of records into a store at rest (initial load,
-    /// restart) through [`SlotTable::install_batch`]: resident keys are
-    /// skipped, the rest are inserted as [`TripleStore::insert`] would,
-    /// with the memory counters touched once. Returns how many were
-    /// installed.
-    pub fn install_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
-        self.table.install_batch(
-            records,
-            |slot, key, value| self.fill(slot, key, value),
-            |count, bytes| self.count_filled(count, bytes),
-            |slot| self.vacate(slot),
-        )
-    }
-
-    /// Empties a store at rest ([`SlotTable::clear`]), each linked slot
-    /// through `vacate`: a restart whose load failed part-way
-    /// starts again on an empty store.
-    pub fn clear(&self) {
-        self.table.clear(|slot| self.vacate(slot));
-    }
-
-    /// The fill step of [`SlotTable::insert`] and
-    /// [`SlotTable::install_batch`]; the caller counts the value's bytes
-    /// with [`TripleStore::count_filled`].
-    pub(crate) fn fill(&self, slot: SlotId, key: Key, value: &[u8]) {
-        let cur = self.current_array();
-        let mut g = self.slots.back(slot as usize).lock();
-        g.key = key.0;
-        g.in_use = true;
-        g.state = Some(value.to_vec().into_boxed_slice());
-        g.pingpong = [None, None];
-        g.pingpong[cur] = Some(value.to_vec().into_boxed_slice());
-        self.dirty[cur].set(slot as usize, true);
-        self.dirty[1 - cur].set(slot as usize, false);
-    }
-
-    /// Counts `count` filled records of `bytes` in total: a state copy
-    /// and a current-array copy each.
-    pub(crate) fn count_filled(&self, count: usize, bytes: usize) {
-        self.state_mem.add_many(count, bytes);
-        self.pingpong_mem.add_many(count, bytes);
-    }
-
-    /// Undoes [`TripleStore::fill`] for an insert that lost the race to
-    /// publish.
-    pub(crate) fn vacate(&self, slot: SlotId) {
-        let mut g = self.slots[slot as usize].lock();
-        if let Some(old) = g.state.take() {
-            self.state_mem.sub(old.len());
-        }
-        for v in g.pingpong.iter_mut() {
-            if let Some(old) = v.take() {
-                self.pingpong_mem.sub(old.len());
-            }
-        }
-        g.in_use = false;
-        g.key = 0;
-    }
-
-    /// Updates a record: writes application state **and** the current
-    /// array, setting the dirty bit — IPP's double-write. Returns the old
-    /// state for undo.
-    pub fn write(&self, key: Key, value: &[u8]) -> Result<Option<Value>, StoreError> {
-        let mut old = Vec::new();
-        let (_, had) = self.overwrite(key, value, &mut old)?;
-        Ok(had.then(|| old.into_boxed_slice()))
-    }
-
-    /// [`TripleStore::write`] with one lookup and no undo allocation:
-    /// appends the old state to `old` (the caller's undo space) and
-    /// returns the slot written and whether there was an old state. A
-    /// value of a copy's length is written over it in place.
-    pub fn overwrite(
-        &self,
-        key: Key,
-        value: &[u8],
-        old: &mut Vec<u8>,
-    ) -> Result<(SlotId, bool), StoreError> {
-        let slot = self.slot_of(key).ok_or(StoreError::KeyNotFound(key))?;
-        let cur = self.current_array();
-        let mut g = self.slots[slot as usize].lock();
-        if !g.in_use || g.key != key.0 {
-            return Err(StoreError::KeyNotFound(key));
-        }
-        if let Some(prev) = &g.state {
-            old.extend_from_slice(prev);
-        }
-        let had = g.state.is_some();
-        self.state_mem.overwrite(&mut g.state, value);
-        self.pingpong_mem.overwrite(&mut g.pingpong[cur], value);
-        self.dirty[cur].set(slot as usize, true);
-        Ok((slot, had))
-    }
-
-    /// Deletes a record: clears the application state and marks the
-    /// current array with a `None` copy + dirty bit, so the deletion is
-    /// propagated to the next checkpoint as a tombstone.
-    pub fn delete(&self, key: Key) -> Result<Option<Value>, StoreError> {
-        let slot = self.table.unlink(key)?;
-        let cur = self.current_array();
-        let mut g = self.slots[slot as usize].lock();
-        let undo = g.state.clone();
-        if let Some(old) = g.state.take() {
-            self.state_mem.sub(old.len());
-        }
-        if let Some(old) = g.pingpong[cur].take() {
-            self.pingpong_mem.sub(old.len());
-        }
-        self.dirty[cur].set(slot as usize, true);
-        Ok(undo)
+        self.side.current.load(Ordering::Acquire) as usize
     }
 
     /// Flips the current array at a physical point of consistency (the
     /// caller must have quiesced). Returns the index of the **retired**
     /// array, whose dirty entries the background thread should process.
     pub fn flip_current(&self) -> usize {
-        let old = self.current.fetch_xor(true, Ordering::AcqRel);
+        let old = self.side.current.fetch_xor(true, Ordering::AcqRel);
         old as usize
     }
 
@@ -281,49 +174,46 @@ impl TripleStore {
     /// enabled), and reclaims fully-dead slots. Returns `None` if the slot
     /// is not dirty in `retired` or is vacant.
     pub fn consume_retired(&self, slot: SlotId, retired: usize) -> Option<(Key, Option<Value>)> {
-        if !self.dirty[retired].get(slot as usize) {
+        let dirty = &self.side.dirty;
+        if !dirty[retired].get(slot as usize) {
             return None;
         }
-        let mut g = self.slots[slot as usize].lock();
-        self.dirty[retired].set(slot as usize, false);
-        if !g.in_use {
+        let mut g = self.lock_slot(slot);
+        dirty[retired].set(slot as usize, false);
+        if !g.in_use() {
             return None;
         }
-        let key = Key(g.key);
-        let value = g.pingpong[retired].clone();
+        let key = g.key();
         // The retired copy has been consumed; release it (the paper keeps
         // the arrays pre-allocated, but releasing keeps byte accounting
         // honest for variable-length values — the *slot* stays).
-        if let Some(old) = g.pingpong[retired].take() {
-            self.pingpong_mem.sub(old.len());
+        let value = g.data_mut().pingpong[retired].take();
+        if let Some(v) = &value {
+            self.mem[1].sub(v.len());
         }
-        if let Some(snapshot) = &self.snapshot {
-            let mut snap = snapshot.back(slot as usize).lock();
-            match &value {
-                Some(v) => {
-                    let entry = (key.0, v.clone());
-                    self.snapshot_mem.add(v.len());
-                    if let Some((_, old)) = snap.replace(entry) {
-                        self.snapshot_mem.sub(old.len());
-                    }
-                }
-                None => {
-                    if let Some((_, old)) = snap.take() {
-                        self.snapshot_mem.sub(old.len());
-                    }
-                }
-            }
+        if let Some(snapshot) = &self.side.snapshot {
+            let entry = value.as_ref().map(|v| (key.0, v.clone()));
+            self.set_snapshot(&mut snapshot.back(slot as usize).lock(), entry);
         }
         // Record deleted and both ping-pong copies drained → reclaim.
-        if g.state.is_none() && g.pingpong.iter().all(|p| p.is_none()) {
-            let other_dirty = self.dirty[1 - retired].get(slot as usize);
-            if !other_dirty {
-                g.in_use = false;
-                g.key = 0;
-                self.table.free(slot);
-            }
+        let p = g.data();
+        if p.state.is_none()
+            && p.pingpong.iter().all(|c| c.is_none())
+            && !dirty[1 - retired].get(slot as usize)
+        {
+            g.free();
         }
         Some((key, value))
+    }
+
+    /// Replaces a snapshot entry, keeping the extra-copy counter exact.
+    fn set_snapshot(&self, snap: &mut Option<(u64, Value)>, entry: Option<(u64, Value)>) {
+        if let Some((_, v)) = &entry {
+            self.mem[1].add(v.len());
+        }
+        if let Some((_, old)) = std::mem::replace(snap, entry) {
+            self.mem[1].sub(old.len());
+        }
     }
 
     /// Re-injects a point-of-consistency value consumed by a *failed*
@@ -333,19 +223,12 @@ impl TripleStore {
     /// failed capture's older value.
     pub fn restore_to_current(&self, slot: SlotId, key: Key, value: &Value) {
         let cur = self.current_array();
-        let mut g = self.slots[slot as usize].lock();
-        if !g.in_use || g.key != key.0 {
+        let mut g = self.lock_slot(slot);
+        if !g.in_use() || g.key() != key || self.side.dirty[cur].get(slot as usize) {
             return;
         }
-        if self.dirty[cur].get(slot as usize) {
-            return;
-        }
-        let copy = value.clone();
-        self.pingpong_mem.add(copy.len());
-        if let Some(old) = g.pingpong[cur].replace(copy) {
-            self.pingpong_mem.sub(old.len());
-        }
-        self.dirty[cur].set(slot as usize, true);
+        self.mem[1].overwrite(&mut g.data_mut().pingpong[cur], value);
+        self.side.dirty[cur].set(slot as usize, true);
     }
 
     /// Iterates the in-memory last consistent snapshot (full-IPP): every
@@ -353,6 +236,7 @@ impl TripleStore {
     /// a snapshot.
     pub fn snapshot_entries(&self) -> Vec<(Key, Value)> {
         let snapshot = self
+            .side
             .snapshot
             .as_ref()
             .expect("snapshot_entries on a store built without snapshot");
@@ -370,39 +254,17 @@ impl TripleStore {
     /// after initial load so the first checkpoint merge has a base.
     pub fn seed_snapshot(&self) {
         let snapshot = self
+            .side
             .snapshot
             .as_ref()
             .expect("seed_snapshot on a store built without snapshot");
-        for slot in 0..self.slot_high_water() {
-            let g = self.slots[slot].lock();
-            if g.in_use {
-                if let Some(v) = &g.state {
-                    let mut snap = snapshot.back(slot).lock();
-                    self.snapshot_mem.add(v.len());
-                    if let Some((_, old)) = snap.replace((g.key, v.clone())) {
-                        self.snapshot_mem.sub(old.len());
-                    }
-                }
+        for slot in self.slot_ids() {
+            let g = self.lock_slot(slot);
+            if let (true, Some(v)) = (g.in_use(), g.read()) {
+                let entry = Some((g.key().0, v.into()));
+                self.set_snapshot(&mut snapshot.back(slot as usize).lock(), entry);
             }
         }
-    }
-
-    /// Memory report: state counts as live; ping-pong copies + snapshot as
-    /// extra — the up-to-4× line of Figure 6.
-    pub fn memory(&self) -> MemoryStats {
-        MemoryStats {
-            live_bytes: self.state_mem.bytes(),
-            live_count: self.state_mem.count(),
-            extra_bytes: self.pingpong_mem.bytes() + self.snapshot_mem.bytes(),
-            extra_count: self.pingpong_mem.count() + self.snapshot_mem.count(),
-            overhead_bytes: self.dirty[0].heap_bytes() * 2,
-        }
-    }
-}
-
-impl std::fmt::Debug for TripleStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TripleStore(len={}, capacity={})", self.len(), self.capacity())
     }
 }
 
@@ -458,7 +320,7 @@ mod tests {
         let slot = s.insert(Key(1), b"a").unwrap();
         let retired = s.flip_current();
         s.consume_retired(slot, retired);
-        s.delete(Key(1)).unwrap();
+        drop(s.delete(Key(1), None, &mut Vec::new()).unwrap());
         assert!(s.get(Key(1)).is_none());
         let retired = s.flip_current();
         let (k, v) = s.consume_retired(slot, retired).unwrap();

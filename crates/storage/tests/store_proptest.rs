@@ -1,7 +1,8 @@
-//! Randomized model checking of the three storage engines: seeded
-//! insert/update/delete sequences must match a `BTreeMap` model, and
-//! CALC's dual-version store must additionally keep its memory accounting
-//! exact (no leaked live bytes or stable copies).
+//! Randomized model checking of the one store under each of its three
+//! payloads: seeded insert/update/delete sequences must match a
+//! `BTreeMap` model, with the memory accounting exact (no leaked live
+//! bytes, no stable copy outside a checkpoint, one extra copy per record
+//! where the layout keeps one).
 //!
 //! The offline build has no proptest, so cases are generated from
 //! `calc_common::rng::SplitMix` — fully deterministic per seed, with the
@@ -12,9 +13,10 @@ use std::collections::BTreeMap;
 
 use calc_common::rng::SplitMix;
 use calc_common::types::Key;
-use calc_storage::dual::{DualVersionStore, StoreConfig};
-use calc_storage::triple::TripleStore;
-use calc_storage::zigzag::ZigzagStore;
+use calc_storage::dual::{Dual, DualVersionStore, StoreConfig};
+use calc_storage::triple::{Triple, TripleStore};
+use calc_storage::zigzag::{Zigzag, ZigzagStore};
+use calc_storage::{Payload, SlotGuard, Store};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -52,13 +54,64 @@ const fn seed_base() -> u64 {
     0x5704_26e5_0000_0000
 }
 
-#[test]
-fn dual_store_matches_model() {
+/// What the model test needs of each payload beyond the store's own
+/// surface.
+trait Layout: Payload {
+    /// Seeds are `seed_base() ^ (SALT + case)`.
+    const SALT: u64;
+    /// Extra copies per record at rest.
+    const EXTRA_PER_RECORD: usize;
+    /// Whether the primary copy is the latest value (not for Zig-Zag,
+    /// whose writes alternate copies).
+    const PRIMARY_IS_LATEST: bool;
+    fn store() -> Store<Self>;
+    /// What becomes of a slot deleted at rest.
+    fn retire(g: SlotGuard<'_, Self>, seed: u64);
+}
+
+impl Layout for Dual {
+    const SALT: u64 = 0;
+    const EXTRA_PER_RECORD: usize = 0;
+    const PRIMARY_IS_LATEST: bool = true;
+    fn store() -> Store<Self> {
+        DualVersionStore::new(config())
+    }
+    fn retire(g: SlotGuard<'_, Self>, seed: u64) {
+        assert!(g.release_if_vacant(), "seed {seed:#x}");
+    }
+}
+
+impl Layout for Zigzag {
+    const SALT: u64 = 0x100;
+    const EXTRA_PER_RECORD: usize = 1;
+    const PRIMARY_IS_LATEST: bool = false;
+    fn store() -> Store<Self> {
+        ZigzagStore::new(config())
+    }
+    fn retire(g: SlotGuard<'_, Self>, _: u64) {
+        g.free();
+    }
+}
+
+impl Layout for Triple {
+    const SALT: u64 = 0x200;
+    const EXTRA_PER_RECORD: usize = 1;
+    const PRIMARY_IS_LATEST: bool = true;
+    fn store() -> Store<Self> {
+        TripleStore::new(config(), false)
+    }
+    /// The slot waits for a checkpoint to consume its tombstone.
+    fn retire(_: SlotGuard<'_, Self>, _: u64) {}
+}
+
+/// Seeded insert/update/delete sequences on a `P` store must match a
+/// `BTreeMap` model, with its memory counters exact.
+fn store_matches_model<P: Layout>() {
     for case in 0..CASES {
-        let seed = seed_base() ^ case;
+        let seed = seed_base() ^ (P::SALT + case);
         let mut rng = SplitMix::new(seed);
         let ops = gen_ops(&mut rng);
-        let store = DualVersionStore::new(config());
+        let store = P::store();
         let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         for op in ops {
             match op {
@@ -75,24 +128,23 @@ fn dual_store_matches_model() {
                     }
                 }
                 Op::Update(k, v) => {
-                    if let Some(mut g) = store.locked_slot_of(Key(k as u64)) {
-                        g.set_live(&v);
+                    if store.write(Key(k as u64), &v).is_ok() {
+                        assert!(model.contains_key(&(k as u64)), "seed {seed:#x}");
                         model.insert(k as u64, v);
                     } else {
                         assert!(!model.contains_key(&(k as u64)), "seed {seed:#x}");
                     }
                 }
-                Op::Delete(k) => {
-                    if model.remove(&(k as u64)).is_some() {
-                        let slot = store.slot_of(Key(k as u64)).unwrap();
-                        store.unlink(Key(k as u64)).unwrap();
-                        let mut g = store.lock_slot(slot);
-                        g.clear_live();
-                        assert!(g.release_if_vacant(), "seed {seed:#x}");
-                    } else {
+                Op::Delete(k) => match store.delete(Key(k as u64), None, &mut Vec::new()) {
+                    Ok(g) => {
+                        assert!(model.remove(&(k as u64)).is_some(), "seed {seed:#x}");
+                        P::retire(g, seed);
+                    }
+                    Err(_) => {
+                        assert!(!model.contains_key(&(k as u64)), "seed {seed:#x}");
                         assert!(store.slot_of(Key(k as u64)).is_none(), "seed {seed:#x}");
                     }
-                }
+                },
             }
         }
         assert_eq!(store.len(), model.len(), "seed {seed:#x}");
@@ -106,14 +158,17 @@ fn dual_store_matches_model() {
         // Memory accounting exactness.
         let mem = store.memory();
         assert_eq!(mem.live_count, model.len(), "seed {seed:#x}");
+        if P::PRIMARY_IS_LATEST {
+            assert_eq!(
+                mem.live_bytes,
+                model.values().map(|v| v.len()).sum::<usize>(),
+                "seed {seed:#x}"
+            );
+        }
         assert_eq!(
-            mem.live_bytes,
-            model.values().map(|v| v.len()).sum::<usize>(),
-            "seed {seed:#x}"
-        );
-        assert_eq!(
-            mem.extra_count, 0,
-            "seed {seed:#x}: no stable copies outside checkpoints"
+            mem.extra_count,
+            P::EXTRA_PER_RECORD * model.len(),
+            "seed {seed:#x}: extra copies at rest"
         );
         let dump = store.dump_live();
         assert_eq!(dump.len(), model.len(), "seed {seed:#x}");
@@ -121,98 +176,18 @@ fn dual_store_matches_model() {
 }
 
 #[test]
+fn dual_store_matches_model() {
+    store_matches_model::<Dual>();
+}
+
+#[test]
 fn zigzag_store_matches_model() {
-    for case in 0..CASES {
-        let seed = seed_base() ^ (0x100 + case);
-        let mut rng = SplitMix::new(seed);
-        let ops = gen_ops(&mut rng);
-        let store = ZigzagStore::new(config());
-        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        for op in ops {
-            match op {
-                Op::Insert(k, v) => {
-                    if store.insert(Key(k as u64), &v).is_ok() {
-                        assert!(!model.contains_key(&(k as u64)), "seed {seed:#x}");
-                        model.insert(k as u64, v);
-                    } else {
-                        assert!(model.contains_key(&(k as u64)), "seed {seed:#x}");
-                    }
-                }
-                Op::Update(k, v) => {
-                    if store.write(Key(k as u64), &v).is_ok() {
-                        assert!(model.contains_key(&(k as u64)), "seed {seed:#x}");
-                        model.insert(k as u64, v);
-                    } else {
-                        assert!(!model.contains_key(&(k as u64)), "seed {seed:#x}");
-                    }
-                }
-                Op::Delete(k) => {
-                    if store.delete(Key(k as u64), false).is_ok() {
-                        assert!(model.remove(&(k as u64)).is_some(), "seed {seed:#x}");
-                    } else {
-                        assert!(!model.contains_key(&(k as u64)), "seed {seed:#x}");
-                    }
-                }
-            }
-        }
-        assert_eq!(store.len(), model.len(), "seed {seed:#x}");
-        for (k, v) in &model {
-            assert_eq!(
-                store.get(Key(*k)).as_deref(),
-                Some(v.as_slice()),
-                "seed {seed:#x} key {k}"
-            );
-        }
-        // Two copies of everything at rest.
-        let mem = store.memory();
-        assert_eq!(mem.live_count, model.len(), "seed {seed:#x}");
-        assert_eq!(mem.extra_count, model.len(), "seed {seed:#x}");
-    }
+    store_matches_model::<Zigzag>();
 }
 
 #[test]
 fn triple_store_matches_model() {
-    for case in 0..CASES {
-        let seed = seed_base() ^ (0x200 + case);
-        let mut rng = SplitMix::new(seed);
-        let ops = gen_ops(&mut rng);
-        let store = TripleStore::new(config(), false);
-        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        for op in ops {
-            match op {
-                Op::Insert(k, v) => {
-                    if store.insert(Key(k as u64), &v).is_ok() {
-                        assert!(!model.contains_key(&(k as u64)), "seed {seed:#x}");
-                        model.insert(k as u64, v);
-                    } else {
-                        assert!(model.contains_key(&(k as u64)), "seed {seed:#x}");
-                    }
-                }
-                Op::Update(k, v) => {
-                    if store.write(Key(k as u64), &v).is_ok() {
-                        model.insert(k as u64, v);
-                    } else {
-                        assert!(!model.contains_key(&(k as u64)), "seed {seed:#x}");
-                    }
-                }
-                Op::Delete(k) => {
-                    if store.delete(Key(k as u64)).is_ok() {
-                        assert!(model.remove(&(k as u64)).is_some(), "seed {seed:#x}");
-                    } else {
-                        assert!(!model.contains_key(&(k as u64)), "seed {seed:#x}");
-                    }
-                }
-            }
-        }
-        assert_eq!(store.len(), model.len(), "seed {seed:#x}");
-        for (k, v) in &model {
-            assert_eq!(
-                store.get(Key(*k)).as_deref(),
-                Some(v.as_slice()),
-                "seed {seed:#x} key {k}"
-            );
-        }
-    }
+    store_matches_model::<Triple>();
 }
 
 /// A full checkpoint cycle at any point in an op sequence leaves the

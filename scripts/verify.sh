@@ -25,7 +25,9 @@
 # or crates/baselines builds a capacity-sized per-slot array eagerly (the
 # slot arena backs its chunks as slots are handed out); a grep that the
 # full-MVCC stand-in and its figure stay deleted (no `Mvcc`,
-# `MvccStrategy` or `ablation_mvcc` in crates/*/src); clippy and
+# `MvccStrategy` or `ablation_mvcc` in crates/*/src) and that there is
+# one store type (`SlotTable::new(` is called from one place in
+# crates/*/src, calc_storage::Store<P>); clippy and
 # rustdoc, deny warnings — a doc link to a deleted item fails the gate —
 # plus a check build of perfbench, which is its own workspace, so a
 # renamed crate API it calls would otherwise go unnoticed), then tier-1
@@ -188,6 +190,13 @@ fi
 echo "== tier-0: only the paper's strategies (the full-MVCC stand-in stays deleted) =="
 if grep -rnE 'Mvcc|ablation_mvcc' crates/*/src; then
     echo "verify: full multi-versioning was measured and retired (DESIGN.md §12); no strategy keeps its own index" >&2
+    exit 1
+fi
+
+echo "== tier-0: one store type (the slot table is built in one place) =="
+if [ "$(grep -rn 'SlotTable::new(' crates/*/src | wc -l)" != 1 ]; then
+    grep -rn 'SlotTable::new(' crates/*/src >&2
+    echo "verify: calc_storage::Store<P> is the one store; a scheme adds a payload, not a store beside it" >&2
     exit 1
 fi
 
