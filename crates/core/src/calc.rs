@@ -44,6 +44,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use parking_lot::Mutex;
+
 use calc_common::lockword::LockWords;
 use calc_common::phase::Phase;
 use calc_common::types::{CommitSeq, Key};
@@ -79,6 +81,10 @@ pub struct CalcStrategy {
     ///
     /// [`PolarityBitVec::generation`]: calc_common::bitvec::PolarityBitVec::generation
     cycle_start_gen: AtomicU64,
+    /// Slots of committed deletes that still held a stable version at
+    /// commit: the capture needs that version, and only the end of the
+    /// cycle may free them ([`CalcStrategy::release_orphans`]).
+    orphans: Mutex<Vec<SlotId>>,
     /// Cycles that failed and were rolled back harmlessly (see
     /// [`CheckpointStrategy::aborted_cycles`]).
     aborted: AtomicU64,
@@ -104,6 +110,7 @@ impl CalcStrategy {
             tracker: partial.then(|| BitVecTracker::new(capacity)),
             tombstones: Tombstones::default(),
             cycle_start_gen: AtomicU64::new(0),
+            orphans: Mutex::new(Vec::new()),
             aborted: AtomicU64::new(0),
         }
     }
@@ -227,9 +234,12 @@ impl CalcStrategy {
     }
 
     /// Moves a slot's stable version (if it has one) into the checkpoint:
-    /// copies it out, erases it, resets the status bit where no polarity
-    /// swap will (pCALC), and reclaims the slot if the record was deleted
-    /// after the point of consistency — captured, now gone.
+    /// copies it out, erases it, and resets the status bit where no
+    /// polarity swap will (pCALC). A slot left with no version at all is
+    /// a record deleted after the point of consistency; it is not freed
+    /// here, because the delete may still abort and put the record back
+    /// in this very slot. Its commit frees it, or the end of the cycle
+    /// if the commit came first.
     fn take_stable(&self, mut g: DualSlotGuard<'_>) -> Option<(Key, Vec<u8>)> {
         let v = g.stable()?.to_vec();
         let key = g.key();
@@ -237,10 +247,19 @@ impl CalcStrategy {
         if self.partial {
             self.store.stable_status().unmark(g.slot() as usize);
         }
-        if g.live().is_none() {
-            g.release_if_vacant();
-        }
         Some((key, v))
+    }
+
+    /// Frees the slots of committed deletes whose stable version this
+    /// cycle has erased (captured, or dropped by pCALC's cleanup); one
+    /// that still holds a stable version waits for the next cycle.
+    fn release_orphans(&self) {
+        let orphans = std::mem::take(&mut *self.orphans.lock());
+        let kept: Vec<SlotId> = orphans
+            .into_iter()
+            .filter(|&slot| !self.store.lock_slot(slot).release_if_vacant())
+            .collect();
+        self.orphans.lock().extend(kept);
     }
 
     /// Harmless-failure restore for a full cycle that died during capture
@@ -254,11 +273,8 @@ impl CalcStrategy {
         let status = self.store.stable_status();
         for slot in self.store.slot_ids() {
             let mut g = self.store.lock_slot(slot);
-            if g.in_use() && g.has_stable() {
+            if g.in_use() {
                 g.erase_stable();
-                if g.live().is_none() {
-                    g.release_if_vacant();
-                }
             }
             status.mark(slot as usize);
         }
@@ -274,6 +290,7 @@ impl CalcStrategy {
         self.phases.transition(Phase::Complete);
         self.phases.drain_others(Phase::Complete);
         self.store.stable_status().swap_polarity();
+        self.release_orphans();
         self.phases.transition(Phase::Rest);
     }
 
@@ -399,6 +416,7 @@ impl CalcStrategy {
             drop(g);
         }
         tracker.clear(id);
+        self.release_orphans();
         self.phases.transition(Phase::Rest);
     }
 
@@ -668,8 +686,11 @@ impl CheckpointStrategy for CalcStrategy {
                 }
                 // Pre-point deletes (and post-point deletes whose slot was
                 // already captured) leave no versions behind: reclaim.
-                let g = self.store.lock_slot(w.slot);
-                g.release_if_vacant();
+                // One whose stable version the capture still needs is
+                // freed at the end of the cycle.
+                if !self.store.lock_slot(w.slot).release_if_vacant() {
+                    self.orphans.lock().push(w.slot);
+                }
             }
         }
     }
