@@ -244,8 +244,14 @@ fn verify_checkpoint(
 ) -> Result<(), Violation> {
     let unreadable = |e| violation(format!("checkpoint id {} unreadable: {e}", meta.id));
     // The shape restart's parallel loader relies on; last-event-wins
-    // materialization below would mask a breach of it.
-    if let Some(breach) = meta.shape_violation(&OsVfs).map_err(unreadable)? {
+    // materialization below would mask a breach of it. One value per key
+    // is a snapshot's property: a strategy that is not transaction
+    // consistent (pFuzzy) can capture a key twice, and nothing loads it.
+    let one_value_per_key = check_state;
+    if let Some(breach) = meta
+        .shape_violation(&OsVfs, one_value_per_key)
+        .map_err(unreadable)?
+    {
         return Err(violation(breach));
     }
     let entries = meta.read_all().map_err(unreadable)?;

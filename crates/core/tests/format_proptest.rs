@@ -228,7 +228,7 @@ fn collapse_equals_model_replay() {
         collapse(&dir).unwrap().unwrap();
         let (full, rest) = dir.chain().unwrap();
         assert!(rest.is_empty(), "seed {seed:#x}");
-        assert_eq!(full.shape_violation(&OsVfs).unwrap(), None, "seed {seed:#x}");
+        assert_eq!(full.shape_violation(&OsVfs, true).unwrap(), None, "seed {seed:#x}");
         let got = materialize_chain(&full, &[]).unwrap();
         assert_eq!(got, model, "seed {seed:#x}");
         std::fs::remove_dir_all(&root).ok();
@@ -386,7 +386,7 @@ fn one_bit_flip_anywhere_in_a_part_fails_the_read() {
 #[test]
 fn cycle_shape_oracle_accepts_captures_and_names_breaches() {
     let shape = |dir: &CheckpointDir| {
-        dir.manifests()[0].shape_violation(&OsVfs).unwrap()
+        dir.manifests()[0].shape_violation(&OsVfs, true).unwrap()
     };
     for parts in [1usize, 2, 3, 7] {
         let dir = CheckpointDir::open(&tmp("shape-ok"), Arc::new(Throttle::unlimited())).unwrap();

@@ -508,7 +508,7 @@ pub fn run_sim(spec: &SimSpec) -> Result<SimReport, OracleViolation> {
             std::iter::once(full).chain(partials).collect()
         });
     for meta in &survivors.manifests() {
-        match meta.shape_violation(vfs_dyn.as_ref()) {
+        match meta.shape_violation(vfs_dyn.as_ref(), true) {
             Ok(None) => {}
             Ok(Some(breach)) => return Err(violation(spec, breach)),
             Err(_) if !loaded.contains(meta) => {}
