@@ -189,7 +189,9 @@ fn pfuzzy_flush_can_capture_one_key_in_two_stripes() {
     let breach = cycle.shape_violation(&OsVfs, true).unwrap();
     let breach = breach.expect("the flush captured k twice");
     assert!(
-        breach.contains(&format!("key {k} has a value in part 0 and another in part 1")),
+        breach.contains(&format!(
+            "key {k} has a value in part 0 and another in part 1"
+        )),
         "{breach}"
     );
     // Tombstone placement holds all the same: j's tombstone leads part 0.

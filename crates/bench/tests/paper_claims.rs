@@ -24,7 +24,8 @@ fn calc_memory_stays_near_the_database_through_a_checkpoint() {
     }
     let peak = |kind: StrategyKind| {
         let run = results.iter().find(|r| r.kind == kind);
-        run.unwrap_or_else(|| panic!("fig6 ran no {kind} line")).peak_mem_bytes()
+        run.unwrap_or_else(|| panic!("fig6 ran no {kind} line"))
+            .peak_mem_bytes()
     };
     let (none, calc) = (peak(StrategyKind::NoCheckpoint), peak(StrategyKind::Calc));
     assert!(

@@ -442,11 +442,7 @@ mod tests {
         s.insert(Key(1), b"a").unwrap();
         s.insert(Key(2), b"b").unwrap();
         assert_eq!(s.insert(Key(3), b"c"), Err(StoreError::CapacityExceeded));
-        assert_eq!(
-            s.table.high_water(),
-            2,
-            "a refused insert leaves the mark"
-        );
+        assert_eq!(s.table.high_water(), 2, "a refused insert leaves the mark");
         assert_eq!(s.table.len(), 2);
         P::delete_at_rest(&s, Key(1));
         assert_eq!(s.insert(Key(3), b"c"), Ok(0));
@@ -490,11 +486,16 @@ mod tests {
         assert!((1..=4).all(|k| s.get(Key(k)).is_none()));
         assert_eq!(s.memory(), P::with_capacity(8).memory());
         let values: Vec<[u8; 1]> = (0..8u8).map(|v| [v]).collect();
-        let refill: Vec<(Key, &[u8])> =
-            (0..8u64).map(|k| (Key(k + 3), &values[k as usize][..])).collect();
+        let refill: Vec<(Key, &[u8])> = (0..8u64)
+            .map(|k| (Key(k + 3), &values[k as usize][..]))
+            .collect();
         assert_eq!(s.install_batch(&refill), Ok(8));
         assert_eq!(s.table.high_water(), 8);
-        assert_eq!(s.get(Key(3)).as_deref(), Some(&[0u8][..]), "no stale value survives");
+        assert_eq!(
+            s.get(Key(3)).as_deref(),
+            Some(&[0u8][..]),
+            "no stale value survives"
+        );
     }
 
     /// Two installers racing over overlapping key ranges: every key ends
@@ -535,11 +536,7 @@ mod tests {
                 winners.insert(Key(k), &got).unwrap();
             }
             let free = s.table.alloc.free.slots.lock().len();
-            assert_eq!(
-                s.table.high_water(),
-                s.table.len() + free,
-                "a slot leaked"
-            );
+            assert_eq!(s.table.high_water(), s.table.len() + free, "a slot leaked");
             assert_eq!(
                 s.memory(),
                 winners.memory(),
@@ -587,7 +584,12 @@ mod tests {
         for k in 0..chunk as u64 + 1 {
             s.insert(Key(k), &k.to_le_bytes()).unwrap();
             if k as usize + 2 >= chunk {
-                assert_eq!(s.slots.backed_chunks(), backed(&s), "after {} inserts", k + 1);
+                assert_eq!(
+                    s.slots.backed_chunks(),
+                    backed(&s),
+                    "after {} inserts",
+                    k + 1
+                );
             }
         }
         assert_eq!(s.slots.backed_chunks(), 2);

@@ -74,7 +74,7 @@ pub trait Payload: Default + Send + Sized + 'static {
 
 /// One slot: the key it holds, whether it holds one, and the payload.
 #[derive(Default)]
-pub struct Slot<P> {
+pub(crate) struct Slot<P> {
     key: u64,
     in_use: bool,
     data: P,
