@@ -27,7 +27,6 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use calc_common::lockword::LockWords;
 use calc_common::types::{CommitSeq, Key, Value};
 use calc_storage::dirty::BitVecTracker;
 use calc_storage::dual::{DualVersionStore, StoreConfig, StoreError};
@@ -41,7 +40,7 @@ use calc_core::cycle::{
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::{
-    CheckpointStats, CheckpointStrategy, EngineEnv, Resolved, TxnToken, UndoRec, WriteKind,
+    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoRec, WriteKind,
 };
 
 use crate::apply;
@@ -176,34 +175,9 @@ impl CheckpointStrategy for FuzzyStrategy {
         self.store.clear();
     }
 
-    fn locks(&self) -> &LockWords {
-        self.store.locks()
-    }
+    calc_core::store_methods!();
 
-    fn resolve(&self, key: Key) -> Resolved {
-        Resolved::from_slot(self.store.slot_of(key))
-    }
-
-    fn get_with(&self, key: Key, at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
-        self.store.get_with(key, at, read)
-    }
-
-    fn prefetch(&self, slots: &[SlotId]) {
-        self.store.prefetch(slots);
-    }
-
-    fn record_count(&self) -> usize {
-        self.store.len()
-    }
-
-    fn txn_begin(&self) -> TxnToken {
-        TxnToken {
-            stamp: self.log.current_stamp(),
-            writes: Vec::new(),
-        }
-    }
-
-    fn txn_end(&self, _token: TxnToken) {}
+    baseline_methods!();
 
     fn apply_write_at(
         &self,
@@ -342,25 +316,11 @@ impl CheckpointStrategy for FuzzyStrategy {
         base_checkpoint(dir, &self.store, id, self.log.last_seq())
     }
 
-    fn resume_checkpoint_ids(&self, next_id: u64) {
-        self.upcoming.fetch_max(next_id, Ordering::AcqRel);
-    }
-
-    fn aborted_cycles(&self) -> u64 {
-        self.aborted.load(Ordering::Relaxed)
-    }
-
     fn memory(&self) -> MemoryStats {
         let mut m = self.store.memory();
         m.extra_bytes += self.snapshot_mem.bytes();
         m.extra_count += self.snapshot_mem.count();
         m.overhead_bytes += self.tracker.heap_bytes();
         m
-    }
-}
-
-impl std::fmt::Debug for FuzzyStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}(records={})", self.name(), self.store.len())
     }
 }

@@ -17,7 +17,6 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use calc_common::lockword::LockWords;
 use calc_common::types::{CommitSeq, Key, Value};
 use calc_storage::dual::{StoreConfig, StoreError};
 use calc_storage::mem::MemoryStats;
@@ -30,8 +29,7 @@ use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::partition::ShardPartition;
 use calc_core::strategy::{
-    CheckpointStats, CheckpointStrategy, EngineEnv, Resolved, TxnToken, UndoImage, UndoRec,
-    WriteKind,
+    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoImage, UndoRec, WriteKind,
 };
 
 use crate::apply;
@@ -95,42 +93,9 @@ impl CheckpointStrategy for IppStrategy {
         self.partial
     }
 
-    fn load_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
-        self.store.install_batch(records)
-    }
+    calc_core::store_methods!(load);
 
-    fn clear(&self) {
-        self.store.clear();
-    }
-
-    fn locks(&self) -> &LockWords {
-        self.store.locks()
-    }
-
-    fn resolve(&self, key: Key) -> Resolved {
-        Resolved::from_slot(self.store.slot_of(key))
-    }
-
-    fn get_with(&self, key: Key, at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
-        self.store.get_with(key, at, read)
-    }
-
-    fn prefetch(&self, slots: &[SlotId]) {
-        self.store.prefetch(slots);
-    }
-
-    fn record_count(&self) -> usize {
-        self.store.len()
-    }
-
-    fn txn_begin(&self) -> TxnToken {
-        TxnToken {
-            stamp: self.log.current_stamp(),
-            writes: Vec::new(),
-        }
-    }
-
-    fn txn_end(&self, _token: TxnToken) {}
+    baseline_methods!();
 
     fn apply_write_at(
         &self,
@@ -304,21 +269,7 @@ impl CheckpointStrategy for IppStrategy {
         base_checkpoint(dir, &self.store, id, watermark)
     }
 
-    fn resume_checkpoint_ids(&self, next_id: u64) {
-        self.upcoming.fetch_max(next_id, Ordering::AcqRel);
-    }
-
-    fn aborted_cycles(&self) -> u64 {
-        self.aborted.load(Ordering::Relaxed)
-    }
-
     fn memory(&self) -> MemoryStats {
         self.store.memory()
-    }
-}
-
-impl std::fmt::Debug for IppStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}(records={})", self.name(), self.store.len())
     }
 }

@@ -25,12 +25,39 @@
 //!   asynchronous checkpointer reads.
 //!
 //! Per the paper, IPP and Zig-Zag are implemented over the same
-//! hash-table storage engine as CALC (keeping IPP's contiguous-copies
-//! cache optimization) so the comparison is apples-to-apples, and all
-//! four have partial variants using the same dirty-tracking machinery as
-//! pCALC.
+//! hash-table storage engine as CALC — `calc_storage::Store`, with their
+//! own payloads (keeping IPP's contiguous-copies cache optimization) — so
+//! the comparison is apples-to-apples; every baseline's write hooks are
+//! one store call each (`apply`). All four have partial variants using the
+//! same dirty-tracking machinery as pCALC.
 
 #![warn(missing_docs)]
+
+/// Expands, inside a baseline's `impl CheckpointStrategy`, to what the four
+/// baselines share as it is: a transaction stamped from the commit log
+/// with nothing to undo at its end, checkpoint ids resumed into
+/// `self.upcoming`, and failed cycles counted in `self.aborted`.
+macro_rules! baseline_methods {
+    () => {
+        fn txn_begin(&self) -> calc_core::strategy::TxnToken {
+            calc_core::strategy::TxnToken {
+                stamp: self.log.current_stamp(),
+                writes: Vec::new(),
+            }
+        }
+
+        fn txn_end(&self, _token: calc_core::strategy::TxnToken) {}
+
+        fn resume_checkpoint_ids(&self, next_id: u64) {
+            self.upcoming
+                .fetch_max(next_id, std::sync::atomic::Ordering::AcqRel);
+        }
+
+        fn aborted_cycles(&self) -> u64 {
+            self.aborted.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    };
+}
 
 mod apply;
 pub mod fuzzy;

@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use calc_common::lockword::LockWords;
 use calc_common::types::{CommitSeq, Key};
 use calc_storage::dirty::BitVecTracker;
 use calc_storage::dual::{DualVersionStore, StoreConfig, StoreError};
@@ -24,7 +23,7 @@ use calc_core::cycle::{base_checkpoint, capture_live, undo_live, Slots, Tombston
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::{
-    CheckpointStats, CheckpointStrategy, EngineEnv, Resolved, TxnToken, UndoRec, WriteKind,
+    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoRec, WriteKind,
 };
 
 use crate::apply;
@@ -92,42 +91,9 @@ impl CheckpointStrategy for NaiveStrategy {
         self.partial
     }
 
-    fn load_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
-        self.store.install_batch(records)
-    }
+    calc_core::store_methods!(load);
 
-    fn clear(&self) {
-        self.store.clear();
-    }
-
-    fn locks(&self) -> &LockWords {
-        self.store.locks()
-    }
-
-    fn resolve(&self, key: Key) -> Resolved {
-        Resolved::from_slot(self.store.slot_of(key))
-    }
-
-    fn get_with(&self, key: Key, at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
-        self.store.get_with(key, at, read)
-    }
-
-    fn prefetch(&self, slots: &[SlotId]) {
-        self.store.prefetch(slots);
-    }
-
-    fn record_count(&self) -> usize {
-        self.store.len()
-    }
-
-    fn txn_begin(&self) -> TxnToken {
-        TxnToken {
-            stamp: self.log.current_stamp(),
-            writes: Vec::new(),
-        }
-    }
-
-    fn txn_end(&self, _token: TxnToken) {}
+    baseline_methods!();
 
     fn apply_write_at(
         &self,
@@ -232,25 +198,11 @@ impl CheckpointStrategy for NaiveStrategy {
         base_checkpoint(dir, &self.store, id, self.log.last_seq())
     }
 
-    fn resume_checkpoint_ids(&self, next_id: u64) {
-        self.upcoming.fetch_max(next_id, Ordering::AcqRel);
-    }
-
-    fn aborted_cycles(&self) -> u64 {
-        self.aborted.load(Ordering::Relaxed)
-    }
-
     fn memory(&self) -> MemoryStats {
         let mut m = self.store.memory();
         if let Some(t) = &self.tracker {
             m.overhead_bytes += t.heap_bytes();
         }
         m
-    }
-}
-
-impl std::fmt::Debug for NaiveStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}(records={})", self.name(), self.store.len())
     }
 }

@@ -29,9 +29,9 @@ pub enum Mutation {
     /// asked — writers no longer exclude each other, so hot-key
     /// read-modify-write chains lose updates.
     SkipLock,
-    /// `DualVersionStore::get_with` reads the *stable* version when one
-    /// exists — readers observe the checkpoint's pre-images instead of
-    /// the newest committed live value while a checkpoint is in flight.
+    /// The dual payload's read takes the *stable* version when one exists
+    /// — readers observe the checkpoint's pre-images instead of the
+    /// newest committed live value while a checkpoint is in flight.
     StaleStableRead,
     /// `CommitLog::append_commit` stamps the commit with the *next*
     /// phase, as if the stamp had been read after a racing phase

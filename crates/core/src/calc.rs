@@ -46,7 +46,6 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use calc_common::lockword::LockWords;
 use calc_common::phase::Phase;
 use calc_common::types::{CommitSeq, Key};
 use calc_storage::dirty::BitVecTracker;
@@ -60,8 +59,7 @@ use crate::file::CheckpointKind;
 use crate::manifest::{CheckpointDir, CheckpointMeta};
 use crate::phase::PhaseController;
 use crate::strategy::{
-    CheckpointStats, CheckpointStrategy, EngineEnv, Resolved, TxnToken, UndoRec, WriteKind,
-    WriteRec,
+    CheckpointStats, CheckpointStrategy, EngineEnv, TxnToken, UndoRec, WriteKind, WriteRec,
 };
 
 /// CALC / pCALC. Construct with [`CalcStrategy::full`] or
@@ -458,33 +456,7 @@ impl CheckpointStrategy for CalcStrategy {
         self.partial
     }
 
-    fn load_batch(&self, records: &[(Key, &[u8])]) -> Result<usize, StoreError> {
-        self.store.install_batch(records)
-    }
-
-    fn clear(&self) {
-        self.store.clear();
-    }
-
-    fn locks(&self) -> &LockWords {
-        self.store.locks()
-    }
-
-    fn resolve(&self, key: Key) -> Resolved {
-        Resolved::from_slot(self.store.slot_of(key))
-    }
-
-    fn get_with(&self, key: Key, at: Option<SlotId>, read: &mut dyn FnMut(&[u8])) -> bool {
-        self.store.get_with(key, at, read)
-    }
-
-    fn prefetch(&self, slots: &[SlotId]) {
-        self.store.prefetch(slots);
-    }
-
-    fn record_count(&self) -> usize {
-        self.store.len()
-    }
+    crate::store_methods!(load);
 
     fn txn_begin(&self) -> TxnToken {
         TxnToken {

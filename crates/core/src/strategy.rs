@@ -280,6 +280,55 @@ impl<'a> Footprint<'a> {
     }
 }
 
+/// Expands, inside an `impl CheckpointStrategy` whose `self.store` is a
+/// [`calc_storage::Store`], to the methods a strategy answers from its
+/// store as they are: `locks`, `resolve`, `get_with`, `prefetch` and
+/// `record_count`; `store_methods!(load)` adds `load_batch` and `clear`.
+/// Every call stays a static one into the store's payload.
+#[macro_export]
+macro_rules! store_methods {
+    (load) => {
+        fn load_batch(
+            &self,
+            records: &[(::calc_common::types::Key, &[u8])],
+        ) -> Result<usize, ::calc_storage::dual::StoreError> {
+            self.store.install_batch(records)
+        }
+
+        fn clear(&self) {
+            self.store.clear();
+        }
+
+        $crate::store_methods!();
+    };
+    () => {
+        fn locks(&self) -> &::calc_common::lockword::LockWords {
+            self.store.locks()
+        }
+
+        fn resolve(&self, key: ::calc_common::types::Key) -> $crate::strategy::Resolved {
+            $crate::strategy::Resolved::from_slot(self.store.slot_of(key))
+        }
+
+        fn get_with(
+            &self,
+            key: ::calc_common::types::Key,
+            at: Option<::calc_storage::SlotId>,
+            read: &mut dyn FnMut(&[u8]),
+        ) -> bool {
+            self.store.get_with(key, at, read)
+        }
+
+        fn prefetch(&self, slots: &[::calc_storage::SlotId]) {
+            self.store.prefetch(slots);
+        }
+
+        fn record_count(&self) -> usize {
+            self.store.len()
+        }
+    };
+}
+
 /// A checkpointing algorithm integrated with the execution engine. See
 /// module docs.
 pub trait CheckpointStrategy: Send + Sync {
