@@ -86,8 +86,10 @@ impl ZigzagStrategy {
         &self.store
     }
 
-    /// Frees a deleted record's slot: at once at rest, after the running
-    /// capture has read the checkpointer's copy otherwise.
+    /// Frees a deleted record's slot once nothing can bring the record
+    /// back into it (a committed delete, a rolled-back insert): at once
+    /// at rest, after the running capture has read the checkpointer's
+    /// copy otherwise.
     fn retire(&self, g: SlotGuard<'_, Zigzag>) {
         if self.capture_active.load(Ordering::Acquire) {
             self.deferred_reclaim.lock().push(g.slot());
@@ -146,9 +148,7 @@ impl CheckpointStrategy for ZigzagStrategy {
         at: Option<SlotId>,
         old: &mut Vec<u8>,
     ) -> Result<(), StoreError> {
-        let g = apply::delete(&self.store, token, key, at, old)?;
-        self.retire(g);
-        Ok(())
+        apply::delete(&self.store, token, key, at, old).map(drop)
     }
 
     fn on_commit(&self, token: &mut TxnToken, _seq: CommitSeq, _commit: PhaseStamp) {
@@ -157,8 +157,13 @@ impl CheckpointStrategy for ZigzagStrategy {
             if let Some(t) = &self.tracker {
                 t.mark(w.slot, interval);
             }
-            if w.kind == WriteKind::Delete && self.partial {
-                self.tombstones.push(interval, w.key);
+            if w.kind == WriteKind::Delete {
+                if self.partial {
+                    self.tombstones.push(interval, w.key);
+                }
+                // Freed only now: an abort puts the record back into this
+                // slot, the one the dirty mark above covers.
+                self.retire(self.store.lock_slot(w.slot));
             }
         }
     }
@@ -178,10 +183,11 @@ impl CheckpointStrategy for ZigzagStrategy {
                     }
                 }
                 UndoImage::Reinsert(v) => {
-                    let fresh_only = self.capture_active.load(Ordering::Acquire);
-                    self.store
-                        .insert_with(u.key, v, fresh_only, ())
-                        .expect("undo reinsert");
+                    // The deleted slot is still the key's (freed only at
+                    // commit): relink it and write the value back through
+                    // AS[MW], as a restore does.
+                    self.store.relink(u.key, w.slot);
+                    self.store.write(u.key, v).expect("undo target relinked");
                 }
             }
         }

@@ -20,10 +20,11 @@ use parking_lot::RwLock;
 use calc_baselines::{FuzzyStrategy, IppStrategy, NaiveStrategy, ZigzagStrategy};
 use calc_common::rng::SplitMix;
 use calc_common::types::{CommitSeq, Key, Value};
+use calc_core::calc::CalcStrategy;
 use calc_core::file::CheckpointKind;
 use calc_core::manifest::CheckpointDir;
 use calc_core::merge::{apply_entry, materialize_chain};
-use calc_core::strategy::{CheckpointStrategy, EngineEnv, UndoImage, UndoRec};
+use calc_core::strategy::{CheckpointStrategy, EngineEnv, TxnToken, UndoImage, UndoRec};
 use calc_core::throttle::Throttle;
 use calc_storage::dual::StoreConfig;
 use calc_txn::commitlog::CommitLog;
@@ -344,4 +345,61 @@ fn update_only_consistency_all_tc_strategies() {
     stress(|c, l| Arc::new(NaiveStrategy::full(c, l)), "upd-naive", false, 10);
     stress(|c, l| Arc::new(ZigzagStrategy::full(c, l)), "upd-zz", false, 11);
     stress(|c, l| Arc::new(IppStrategy::full(c, l)), "upd-ipp", false, 12);
+}
+
+/// Runs `ops` as one transaction and commits it.
+fn commit(s: &dyn CheckpointStrategy, log: &CommitLog, ops: impl FnOnce(&mut TxnToken)) {
+    let mut token = s.txn_begin();
+    ops(&mut token);
+    let (seq, stamp) = log.append_commit();
+    s.on_commit(&mut token, seq, stamp);
+    s.txn_end(token);
+}
+
+/// A delete that aborts after another transaction inserted into a slot
+/// must leave its record where the next partial checkpoint captures it.
+/// B deletes k (inserted this interval), C inserts k2 — into k's slot,
+/// were that slot freed before B commits — and commits, then B aborts:
+/// the chain through the next partial must hold both keys.
+#[test]
+fn aborted_delete_survives_reuse_of_its_slot_in_every_partial_strategy() {
+    type Make = fn(StoreConfig, Arc<CommitLog>) -> Arc<dyn CheckpointStrategy>;
+    let strategies: [(&str, Make); 4] = [
+        ("pNaive", |c, l| Arc::new(NaiveStrategy::partial(c, l))),
+        ("pIPP", |c, l| Arc::new(IppStrategy::partial(c, l))),
+        ("pZigzag", |c, l| Arc::new(ZigzagStrategy::partial(c, l))),
+        ("pCALC", |c, l| Arc::new(CalcStrategy::partial(c, l))),
+    ];
+    let (k, k2) = (Key(0xcd), Key(0xce));
+    for (name, make) in strategies {
+        let log = Arc::new(CommitLog::default());
+        let s = make(StoreConfig::for_records(64, 32), log.clone());
+        let dir = dirs(&format!("slot-reuse-{name}"));
+        s.write_base_checkpoint(&dir).unwrap();
+        commit(&*s, &log, |t| assert!(s.apply_insert(t, k, b"k").unwrap()));
+        let mut b = s.txn_begin();
+        let old = s.apply_delete(&mut b, k).unwrap().expect("k existed");
+        commit(&*s, &log, |t| assert!(s.apply_insert(t, k2, b"k2").unwrap()));
+        let undo = [UndoRec {
+            key: k,
+            img: UndoImage::Reinsert(old),
+        }];
+        s.on_abort(&mut b, &undo);
+        s.txn_end(b);
+        s.checkpoint(&GateEnv::new(), &dir).unwrap();
+
+        let metas = dir.manifests();
+        let base = metas.iter().find(|m| m.kind == CheckpointKind::Full).expect("base full");
+        let chain: Vec<_> = metas
+            .iter()
+            .filter(|m| m.kind == CheckpointKind::Partial)
+            .cloned()
+            .collect();
+        let got = materialize_chain(base, &chain).unwrap();
+        let expected: BTreeMap<Key, Value> = [(k, &b"k"[..]), (k2, &b"k2"[..])]
+            .into_iter()
+            .map(|(key, v)| (key, v.into()))
+            .collect();
+        assert_eq!(got, expected, "{name}: the partial chain lost a committed record");
+    }
 }
