@@ -232,10 +232,9 @@ pub struct EngineConfig {
     /// nobody is waiting on — it bounds the unflushed tail of
     /// fire-and-forget commits. A batch holding a durable waiter is
     /// fsynced as soon as the queue is drained and the company it can
-    /// expect has arrived, but no sooner than an eighth of the window
-    /// after the previous fsync started (see `calc_recovery::group_commit`):
-    /// a durable commit into an idle log costs one fsync, back-to-back
-    /// ones about an eighth of a window each.
+    /// expect has arrived (see `calc_recovery::group_commit`): a durable
+    /// commit into an idle log costs one fsync, back-to-back ones follow
+    /// the disk's fsync latency.
     pub group_commit_window: std::time::Duration,
     /// Group-commit batch-size cap: the fsync fires immediately once this
     /// many records are batched, whoever is or is not waiting. `1` degenerates

@@ -14,16 +14,12 @@
 //! queued behind the previous fsync — proof of a second durable
 //! committer), for at most half the last measured fsync latency. The
 //! fsync in flight is the batching window for everything that queues
-//! behind it. One constant remains on that path, *pacing*: an fsync
-//! starts no sooner than an eighth of a [`GroupCommitConfig::window`]
-//! (250 µs on the 2 ms default) after the previous one started. A commit
-//! into an idle log is not held at all; back-to-back commits are served
-//! at that cadence instead of the disk's, whose fsync latency drifts
-//! severalfold by the hour — which is what keeps loaded throughput and
-//! latency the same from run to run, at the price of about an eighth of
-//! a window per loaded commit (plus the timed wait's late wake-up, ≈ 50
-//! µs of Linux timer slack). A batch nobody waits on (fire-and-forget
-//! only) dwells for the whole window, which bounds the unflushed tail;
+//! behind it, and no timer sits between one waited fsync and the next:
+//! back-to-back durable commits are served at the disk's pace, whose
+//! fsync latency drifts severalfold by the hour, so loaded latency and
+//! throughput follow it. A commit into an idle log is not held at all.
+//! A batch nobody waits on (fire-and-forget only) dwells for the whole
+//! [`GroupCommitConfig::window`], which bounds the unflushed tail;
 //! [`GroupCommitConfig::max_batch`] records or an explicit flush close
 //! either kind at once.
 //!
@@ -173,9 +169,7 @@ pub struct GroupCommitConfig {
     /// fsync fires; reached only by batches nobody is waiting on (it
     /// bounds the unflushed tail of fire-and-forget commits). A batch
     /// with a durability waiter closes as soon as the queue is drained
-    /// and the expected company has arrived, though no sooner than an
-    /// eighth of this after the previous fsync started — see the module
-    /// docs.
+    /// and the expected company has arrived — see the module docs.
     pub window: Duration,
     /// Hard batch-size cap: the fsync fires immediately once this many
     /// records are batched, even inside the window. `1` degenerates to
@@ -650,10 +644,6 @@ fn sync_loop(
     // What the previous batch says about the company this one can expect.
     let mut prev_waiters = 0usize;
     let mut last_fsync = Duration::ZERO;
-    // Pacing: fsyncs start no closer than an eighth of a window apart, so
-    // the cadence under load is the knob's, not the disk's latency of the
-    // hour.
-    let mut pace_until = Instant::now();
     loop {
         // A waiter already staged when the previous fsync returned proves
         // a second durable committer is in play; otherwise park idle for
@@ -708,19 +698,16 @@ fn sync_loop(
             }
             // The close decision: once the expected company is here, take
             // what is already staged and go; until then sleep for more, up
-            // to the deadline. Either way not before the pacing point, an
-            // eighth of a window after the previous fsync started (the
-            // deadline of a batch nobody waits on, a whole window after
-            // its opener, lies beyond it).
-            // What was staged during the sleep without waking the thread
-            // is taken at its end, so the fsync covers it.
-            let until = if !acks.is_empty() && acks.len() >= target {
-                pace_until
+            // to the deadline. What was staged during the sleep without
+            // waking the thread is taken at its end, so the fsync covers
+            // it.
+            let how = if !acks.is_empty() && acks.len() >= target {
+                Park::No
             } else {
-                deadline.max(pace_until)
+                let room = max_batch - appended;
+                Park::Dwell { until: deadline, room }
             };
-            let room = max_batch - appended;
-            match inbox.recv(Park::Dwell { until, room }) {
+            match inbox.recv(how) {
                 Some(m) => msg = m,
                 None => break,
             }
@@ -735,7 +722,6 @@ fn sync_loop(
             }
         }
         let fsync_started = Instant::now();
-        pace_until = fsync_started + config.window / 8;
         if failure.is_none() {
             if let Err(e) =
                 sync_with_retry(backend.as_mut(), &config, read_only, &read_only_observer, stats)
@@ -995,27 +981,29 @@ mod tests {
         );
     }
 
-    /// Pacing: back-to-back waited commits get one fsync each, started an
-    /// eighth of a window apart — no closer, and well short of half a
-    /// window — and a commit that finds the log idle for longer than that
-    /// is not held at all.
+    /// No interval between waited fsyncs: back-to-back waited commits get
+    /// one fsync each, as fast as the disk returns them — four intervals
+    /// together stay well under half a 20 ms window, where an eighth of a
+    /// window between fsync starts would take 10 ms — and a commit after
+    /// an idle spell is not held either.
     #[test]
-    fn waited_fsyncs_are_paced_an_eighth_of_a_window_apart() {
+    fn back_to_back_waited_fsyncs_follow_the_disk() {
         const N: u32 = 5;
-        let window = Duration::from_millis(100);
-        let h = gated("/gc/paced", window, 1 << 20, Duration::ZERO);
+        let window = Duration::from_millis(20);
+        let h = gated("/gc/unpaced", window, 1 << 20, Duration::ZERO);
         let started = Instant::now();
         for i in 1..=N {
             h.gc.submit_durable(rec(i as u64)).wait(LONG).unwrap();
         }
         let took = started.elapsed();
         assert_eq!(h.syncs.load(Ordering::Acquire), N as u64);
-        assert!(took >= (N - 1) * (window / 8), "{N} fsyncs in {took:?}: under window / 8 apart");
-        assert!(took < (N - 1) * (window / 2), "{N} fsyncs in {took:?}: held to window / 2");
-        std::thread::sleep(window / 4);
+        // Four intervals of an eighth of a window each.
+        let paced = window / 2;
+        assert!(took < paced, "{N} fsyncs in {took:?}: held as if paced ({paced:?})");
+        std::thread::sleep(window);
         let idle = Instant::now();
         h.gc.submit_durable(rec(N as u64 + 1)).wait(LONG).unwrap();
-        assert!(idle.elapsed() < window / 8, "held after an idle spell: {:?}", idle.elapsed());
+        assert!(idle.elapsed() < window / 4, "held after an idle spell: {:?}", idle.elapsed());
     }
 
     /// A batch nobody waits on keeps the dwell: N fire-and-forget
@@ -1053,10 +1041,8 @@ mod tests {
     /// The alternation trap, as a ratio of two counters: two closed-loop
     /// committers over a slow fsync must pair up (2 records per fsync),
     /// not take turns waiting out each other's fsync (1 per fsync, which
-    /// is what closing on a drained queue alone settles into). The 1 ms
-    /// fsync outlasts the pacing interval (an eighth of the 2 ms window),
-    /// so pacing never holds a batch here: the pairing is the evidence
-    /// rule's.
+    /// is what closing on a drained queue alone settles into). No timer
+    /// closes a waited batch, so the pairing is the evidence rule's.
     #[test]
     fn two_closed_loop_committers_pair_up() {
         const ROUNDS: u64 = 150;

@@ -395,10 +395,9 @@ fn health_and_stats_print_the_metric_table() {
     assert_eq!(listed("commit_batch_records"), MetricValue::Int(20));
     assert_eq!(db.health().commit_batch_records(), 20);
     assert_eq!(fields["commit_batch_records"], "20");
-    // A lone client on the shipped 2 ms window: a batch is held at most
-    // to the pacing point, an eighth of a window (250 µs) after the
-    // previous fsync started — never for the window itself, nor for half
-    // of it.
+    // A lone client on the shipped 2 ms window: its batch closes as soon
+    // as the queue is drained, with no timer on the durable path — never
+    // held for the window itself, nor for a quarter of it.
     let batches = db.health().commit_batches();
     let dwell_us = fields["commit_batch_dwell_us"].parse::<u64>().unwrap();
     assert!(

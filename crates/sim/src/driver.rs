@@ -550,10 +550,6 @@ fn second_lifetime(
     let mut config = EngineConfig::new(spec.kind, 0, 0, ckpt_dir());
     config.workers = 1;
     config.log_segment_bytes = Some(spec.log_segment_bytes);
-    // Back-to-back durable commits are paced an eighth of the window
-    // apart; the oracle does not depend on that cadence, the sweeps' run
-    // time does.
-    config.group_commit_window = Duration::from_micros(200);
     let db = promoted
         .into_database(config)
         .map_err(|e| violation(spec, format!("serving the promoted state: {e}")))?;

@@ -2,9 +2,9 @@
 //! floor after a crash must contain every commit whose ticket resolved
 //! `Ok` — acknowledgement happens strictly after the batch's fsync, so a
 //! power cut at ANY instant loses only unacknowledged work. Every way a
-//! batch can close — a drained queue, the evidence linger, the pacing
-//! point, the no-waiter window dwell, a waiter joining an open batch, the
-//! batch cap — is crashed through, and so is the inside of a dwell, where
+//! batch can close — a drained queue, the evidence linger, the no-waiter
+//! window dwell, a waiter joining an open batch, the batch cap — is
+//! crashed through, and so is the inside of a dwell, where
 //! submissions are staged in the committer and not yet appended.
 //!
 //! The experiment itself (concurrent committers over [`SimVfs`], the
@@ -78,9 +78,8 @@ fn crash_under_per_commit_fsync_honors_same_contract() {
     );
 }
 
-/// A lone committer never has company: every batch closes on a drained
-/// queue once its pacing point (an eighth of a window after the previous
-/// fsync started) has passed, the first with no wait at all.
+/// A lone committer never has company: every batch closes as soon as the
+/// queue is drained, with no wait at all.
 #[test]
 fn crash_under_a_lone_committer_closing_on_drain() {
     crash_and_check(
@@ -162,9 +161,9 @@ fn crash_mid_dwell_of_a_fire_and_forget_batch_leaves_a_gap_free_prefix() {
 }
 
 /// The mixed load again, with the crash inside a dwell: the sync thread
-/// is asleep to its linger cap (the 200 µs fsync outlasts the pacing
-/// interval, an eighth of the 500 µs window) or, with no waiter on board,
-/// to the window, with the forgetter's records staged behind it. No
+/// is asleep to its linger cap (half the last 200 µs fsync) or, with no
+/// waiter on board, to the window, with the forgetter's records staged
+/// behind it. No
 /// acknowledged commit is lost and the survivors stay gap-free.
 #[test]
 fn crash_mid_dwell_under_mixed_durable_and_fire_and_forget_load() {

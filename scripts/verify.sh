@@ -27,7 +27,10 @@
 # full-MVCC stand-in and its figure stay deleted (no `Mvcc`,
 # `MvccStrategy` or `ablation_mvcc` in crates/*/src) and that there is
 # one store type (`SlotTable::new(` is called from one place in
-# crates/*/src, calc_storage::Store<P>); clippy and
+# crates/*/src, calc_storage::Store<P>); a grep that the group
+# committer's fsync pacing stays deleted (no `pace_until` or
+# `window / 8` in crates/recovery/src: a waited batch closes on the
+# evidence rule alone, so durable commits follow the disk); clippy and
 # rustdoc, deny warnings — a doc link to a deleted item fails the gate —
 # plus a check build of perfbench, which is its own workspace, so a
 # renamed crate API it calls would otherwise go unnoticed), then tier-1
@@ -197,6 +200,12 @@ echo "== tier-0: one store type (the slot table is built in one place) =="
 if [ "$(grep -rn 'SlotTable::new(' crates/*/src | wc -l)" != 1 ]; then
     grep -rn 'SlotTable::new(' crates/*/src >&2
     echo "verify: calc_storage::Store<P> is the one store; a scheme adds a payload, not a store beside it" >&2
+    exit 1
+fi
+
+echo "== tier-0: durable commits follow the disk (no fsync pacing interval) =="
+if grep -rnE 'pace_until|window / 8' crates/recovery/src; then
+    echo "verify: a waited batch closes on the evidence rule alone; no timer paces the fsyncs" >&2
     exit 1
 fi
 
