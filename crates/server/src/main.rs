@@ -27,7 +27,7 @@ fn usage() -> ! {
          \x20                 [--no-adaptive-pacing]\n\
          --window-us N  upper bound on how long a commit may wait for company;\n\
          \x20              reached only by batches nobody is waiting on; waited\n\
-         \x20              fsyncs start no closer than N/2 apart (default 2000)\n\
+         \x20              batches follow the disk (default 2000)\n\
          --max-batch N  fsync at once when a batch holds N records; 1 = per-commit fsync"
     );
     std::process::exit(2);

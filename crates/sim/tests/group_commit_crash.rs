@@ -4,8 +4,8 @@
 //! power cut at ANY instant loses only unacknowledged work. Every way a
 //! batch can close — a drained queue, the evidence linger, the no-waiter
 //! window dwell, a waiter joining an open batch, the batch cap — is
-//! crashed through, and so is the inside of a dwell, where
-//! submissions are staged in the committer and not yet appended.
+//! crashed through, and so is the inside of a dwell, where submissions
+//! are staged in the committer and not yet appended.
 //!
 //! The experiment itself (concurrent committers over [`SimVfs`], the
 //! crash, the `acked ⊆ recovered` oracle) lives in `support/mod.rs`,
@@ -163,8 +163,8 @@ fn crash_mid_dwell_of_a_fire_and_forget_batch_leaves_a_gap_free_prefix() {
 /// The mixed load again, with the crash inside a dwell: the sync thread
 /// is asleep to its linger cap (half the last 200 µs fsync) or, with no
 /// waiter on board, to the window, with the forgetter's records staged
-/// behind it. No
-/// acknowledged commit is lost and the survivors stay gap-free.
+/// behind it. No acknowledged commit is lost and the survivors stay
+/// gap-free.
 #[test]
 fn crash_mid_dwell_under_mixed_durable_and_fire_and_forget_load() {
     for (i, crash_after) in [2u64, 5].into_iter().enumerate() {
