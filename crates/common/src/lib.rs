@@ -17,9 +17,9 @@
 //!   reproducibility across runs matters more than statistical quality.
 //! * [`backoff`] — capped exponential retry backoff with deterministic
 //!   (seeded) jitter, used by the supervised checkpoint service.
-//! * [`load`] — cheap EWMA load signals ([`load::LoadSignal`]) and the
-//!   bounded admission gate ([`load::Gate`]) behind overload shedding
-//!   and load-aware checkpoint pacing.
+//! * [`load`] — the admission gate's load signal ([`load::LoadSignal`])
+//!   and the bounded gate itself ([`load::Gate`]), behind overload
+//!   shedding and load-aware checkpoint pacing.
 //! * [`vfs`] — the filesystem trait everything durable is written
 //!   through, with the [`vfs::OsVfs`] passthrough.
 //! * [`simfs`] — a deterministic fault-injecting in-memory filesystem

@@ -1,12 +1,13 @@
 //! Cheap load signals and admission control.
 //!
-//! [`LoadSignal`] is a lock-free bundle of exponentially-weighted moving
-//! averages (throughput, commit latency) plus gauges and counters
-//! (in-flight requests, shed counts, capture yields) that the engine's
-//! commit path and the server's request handlers feed. Everything is a
-//! relaxed atomic: observations are a handful of instructions, readers
-//! never block writers, and a lost update under a race only blurs a
-//! signal that is approximate by design.
+//! [`LoadSignal`] is a lock-free bundle of gauges and counters (in-flight
+//! requests, shed counts, capture yields, the last admission-pressure
+//! event) that the server's admission gate and the checkpoint capture
+//! path feed. The commit path feeds nothing: commit throughput and
+//! latency are counted once, in the engine's `Metrics`.
+//! Everything is a relaxed atomic: observations are a handful of
+//! instructions, readers never block writers, and a lost update under a
+//! race only blurs a signal that is approximate by design.
 //!
 //! [`Gate`] is the admission-control half: a bounded in-flight permit
 //! counter with deadline-bounded acquisition. A request that cannot get a
@@ -15,7 +16,9 @@
 //! the shared signal so operators and the checkpoint pacer see the
 //! pressure.
 //!
-//! The derived [`LoadLevel`] is what adaptive checkpoint pacing consults:
+//! The derived [`LoadLevel`] has one source, the gate: recent pressure
+//! reads as overload, otherwise held permits are graded against the
+//! gate's capacity. It is what adaptive checkpoint pacing consults:
 //! capture workers reduce effective parallelism and yield their scan
 //! quanta under [`LoadLevel::High`] and [`LoadLevel::Overload`] so
 //! checkpointing costs bounded foreground throughput.
@@ -29,16 +32,12 @@ use parking_lot::{Condvar, Mutex};
 /// Sentinel for "never recorded" in nanosecond slots.
 const NEVER: u64 = u64::MAX;
 
-/// Throughput-fold window: commits are counted per window and folded
-/// into the tps EWMA when it closes.
-const WINDOW: Duration = Duration::from_millis(100);
-
 /// How long after the last admission-pressure event (a shed, or a waiter
 /// blocked on a full gate) the signal still reports [`LoadLevel::Overload`].
 const PRESSURE_HOLD: Duration = Duration::from_secs(1);
 
 /// Coarse load bands derived from the signal — what the checkpoint pacer
-/// and operators consume instead of raw EWMAs.
+/// and operators consume.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LoadLevel {
     /// No traffic worth pacing around.
@@ -70,29 +69,16 @@ impl std::fmt::Display for LoadLevel {
     }
 }
 
-/// Shared load signal: EWMA throughput and latency fed from the commit
-/// path, an in-flight gauge fed from the admission gate, and shed/yield
-/// counters. See the module docs for the accuracy contract (approximate,
-/// race-tolerant, never blocking).
+/// Shared load signal: an in-flight gauge and a pressure mark fed from
+/// the admission gate, and shed/yield counters. See the module docs for
+/// the accuracy contract (approximate, race-tolerant, never blocking).
 pub struct LoadSignal {
     started: Instant,
-    /// Engine capacity estimate in commits/sec (0 = unknown). Set from
-    /// configuration or a calibration run; the tps EWMA is judged
-    /// against it.
-    capacity_tps: AtomicU64,
     /// Requests currently inside the admission gate.
     inflight: AtomicU64,
-    /// The gate's permit capacity (0 = unbounded), for ratio-based level
-    /// derivation when no tps capacity is configured.
+    /// The gate's permit capacity (0 = unbounded), which the in-flight
+    /// gauge is graded against.
     inflight_capacity: AtomicU64,
-    /// Start of the open throughput window (nanos since `started`).
-    win_start_nanos: AtomicU64,
-    /// Commits observed in the open window.
-    win_commits: AtomicU64,
-    /// Throughput EWMA, `f64` bits.
-    tps_ewma_bits: AtomicU64,
-    /// Commit-latency EWMA in microseconds (step 1/8).
-    latency_ewma_us: AtomicU64,
     /// Requests shed by the admission gate (deadline expired).
     shed_requests: AtomicU64,
     /// Connections rejected by the connection cap.
@@ -110,17 +96,12 @@ impl Default for LoadSignal {
 }
 
 impl LoadSignal {
-    /// Fresh signal with no capacity estimate.
+    /// Fresh signal: no gate attached, nothing in flight, no pressure.
     pub fn new() -> Self {
         LoadSignal {
             started: Instant::now(),
-            capacity_tps: AtomicU64::new(0),
             inflight: AtomicU64::new(0),
             inflight_capacity: AtomicU64::new(0),
-            win_start_nanos: AtomicU64::new(0),
-            win_commits: AtomicU64::new(0),
-            tps_ewma_bits: AtomicU64::new(0f64.to_bits()),
-            latency_ewma_us: AtomicU64::new(0),
             shed_requests: AtomicU64::new(0),
             shed_connections: AtomicU64::new(0),
             capture_yields: AtomicU64::new(0),
@@ -132,71 +113,9 @@ impl LoadSignal {
         self.started.elapsed().as_nanos().min((NEVER - 1) as u128) as u64
     }
 
-    /// Records one committed transaction and its commit latency. Called
-    /// from the engine's commit path: a couple of relaxed atomics, plus a
-    /// window fold (one CAS) every ~100 ms per folding thread.
-    pub fn observe_commit(&self, latency: Duration) {
-        let us = (latency.as_micros() as u64).max(1);
-        let prev = self.latency_ewma_us.load(Ordering::Relaxed);
-        let next = if prev == 0 { us } else { prev - prev / 8 + us / 8 };
-        self.latency_ewma_us.store(next.max(1), Ordering::Relaxed);
-
-        self.win_commits.fetch_add(1, Ordering::Relaxed);
-        let now = self.now_nanos();
-        let start = self.win_start_nanos.load(Ordering::Relaxed);
-        let elapsed = now.saturating_sub(start);
-        if elapsed >= WINDOW.as_nanos() as u64 {
-            // One racer folds the window; the rest keep counting. A lost
-            // race loses at most one window's worth of smoothing.
-            if self
-                .win_start_nanos
-                .compare_exchange(start, now, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                let commits = self.win_commits.swap(0, Ordering::Relaxed);
-                let tps = commits as f64 * 1e9 / elapsed as f64;
-                let prev = f64::from_bits(self.tps_ewma_bits.load(Ordering::Relaxed));
-                let folded = if prev == 0.0 { tps } else { prev * 0.7 + tps * 0.3 };
-                self.tps_ewma_bits.store(folded.to_bits(), Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Smoothed throughput in commits/sec (0.0 until the first window
-    /// folds). Stale-decays: if no window has folded for a while the
-    /// reported value is scaled down so a burst that stopped does not
-    /// read as sustained load forever.
-    pub fn tps(&self) -> f64 {
-        let ewma = f64::from_bits(self.tps_ewma_bits.load(Ordering::Relaxed));
-        let idle = self
-            .now_nanos()
-            .saturating_sub(self.win_start_nanos.load(Ordering::Relaxed));
-        // No fold for 10 windows: traffic stopped; halve per extra second.
-        let stale = idle.saturating_sub(10 * WINDOW.as_nanos() as u64);
-        if stale == 0 {
-            return ewma;
-        }
-        ewma / (1.0 + stale as f64 / 1e9)
-    }
-
-    /// Smoothed commit latency in microseconds (0 until the first commit).
-    pub fn latency_ewma_us(&self) -> u64 {
-        self.latency_ewma_us.load(Ordering::Relaxed)
-    }
-
-    /// Sets the capacity estimate (commits/sec) the tps EWMA is judged
-    /// against. 0 disables tps-based level derivation.
-    pub fn set_capacity_tps(&self, tps: u64) {
-        self.capacity_tps.store(tps, Ordering::Relaxed);
-    }
-
-    /// The configured capacity estimate (0 = unknown).
-    pub fn capacity_tps(&self) -> u64 {
-        self.capacity_tps.load(Ordering::Relaxed)
-    }
-
-    /// Sets the admission gate's permit capacity (0 = unbounded), for
-    /// inflight-ratio level derivation. [`Gate::new`] calls this.
+    /// Sets the admission gate's permit capacity (0 = unbounded), which
+    /// [`LoadSignal::level`] grades the in-flight gauge against.
+    /// [`Gate::new`] calls this.
     pub fn set_inflight_capacity(&self, cap: u64) {
         self.inflight_capacity.store(cap, Ordering::Relaxed);
     }
@@ -265,25 +184,13 @@ impl LoadSignal {
     }
 
     /// Derives the coarse load band: admission pressure (recent sheds or
-    /// blocked waiters) always reads as overload; otherwise the tps EWMA
-    /// is judged against the configured capacity, falling back to the
-    /// in-flight/permit ratio when no capacity estimate is set.
+    /// blocked waiters) always reads as overload; otherwise the in-flight
+    /// gauge is graded against the gate's permit capacity (all permits
+    /// held is overload, half is high), or, for an unbounded gate, reads
+    /// normal while anything is in flight.
     pub fn level(&self) -> LoadLevel {
         if self.recent_pressure() {
             return LoadLevel::Overload;
-        }
-        let capacity = self.capacity_tps();
-        if capacity > 0 {
-            let ratio = self.tps() / capacity as f64;
-            return if ratio >= 1.0 {
-                LoadLevel::Overload
-            } else if ratio >= 0.75 {
-                LoadLevel::High
-            } else if ratio >= 0.05 {
-                LoadLevel::Normal
-            } else {
-                LoadLevel::Idle
-            };
         }
         let cap = self.inflight_capacity.load(Ordering::Relaxed);
         let inflight = self.inflight();
@@ -309,10 +216,8 @@ impl std::fmt::Debug for LoadSignal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "LoadSignal(level={}, tps={:.0}, latency_us={}, inflight={}, shed={})",
+            "LoadSignal(level={}, inflight={}, shed={})",
             self.level(),
-            self.tps(),
-            self.latency_ewma_us(),
             self.inflight(),
             self.shed_requests(),
         )
@@ -410,42 +315,6 @@ impl Drop for Permit {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_ewma_tracks_and_smooths() {
-        let s = LoadSignal::new();
-        assert_eq!(s.latency_ewma_us(), 0);
-        s.observe_commit(Duration::from_micros(800));
-        assert_eq!(s.latency_ewma_us(), 800, "first sample seeds the EWMA");
-        for _ in 0..64 {
-            s.observe_commit(Duration::from_micros(100));
-        }
-        let settled = s.latency_ewma_us();
-        assert!(
-            (50..=220).contains(&settled),
-            "EWMA must settle toward the new regime, got {settled}"
-        );
-    }
-
-    #[test]
-    fn tps_ewma_folds_windows_and_judges_capacity() {
-        let s = LoadSignal::new();
-        assert_eq!(s.level(), LoadLevel::Idle);
-        s.set_capacity_tps(1_000);
-        // ~25k commits across ≥2 window folds.
-        for burst in 0..5 {
-            for _ in 0..5_000 {
-                s.observe_commit(Duration::from_micros(50));
-            }
-            let _ = burst;
-            std::thread::sleep(Duration::from_millis(120));
-        }
-        assert!(s.tps() > 1_000.0, "tps EWMA {} must exceed capacity", s.tps());
-        assert_eq!(s.level(), LoadLevel::Overload);
-        // Against a huge capacity the same traffic is not overload.
-        s.set_capacity_tps(100_000_000);
-        assert!(s.level() <= LoadLevel::Normal);
-    }
 
     #[test]
     fn inflight_ratio_derivation_without_capacity() {

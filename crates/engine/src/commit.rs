@@ -142,9 +142,7 @@ pub(crate) fn run_transaction(
     // barrier, which is only sound with this ordering).
     match &outcome {
         TxnOutcome::Committed(_) => {
-            let latency = req.submitted.elapsed();
-            inner.metrics.record_commit(latency);
-            inner.load.observe_commit(latency);
+            inner.metrics.record_commit(req.submitted.elapsed());
         }
         TxnOutcome::Aborted(_) => inner.metrics.record_abort(),
     }

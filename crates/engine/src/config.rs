@@ -241,18 +241,17 @@ pub struct EngineConfig {
     /// to per-commit fsync (the benchmark's baseline).
     pub group_commit_max_batch: usize,
     /// Load-aware checkpoint pacing: when on (the default), capture
-    /// workers consult the engine's [`calc_common::LoadSignal`] — under
-    /// [`calc_common::LoadLevel::High`] the effective capture pool is
-    /// halved and writers yield between records; under `Overload` the
-    /// pool clamps to one thread and writers sleep briefly per stride,
-    /// ceding the machine to transaction workers. Off reproduces the
-    /// fixed-pool pre-pacing behaviour exactly.
+    /// workers consult the engine's [`calc_common::LoadSignal`], which
+    /// grades the occupancy of the admission gate a server front-end
+    /// attaches — under [`calc_common::LoadLevel::High`] (half the
+    /// permits held) the effective capture pool is halved and writers
+    /// yield between records; under `Overload` (every permit held, or a
+    /// shed or blocked waiter within the last second) the pool clamps to
+    /// one thread and writers sleep briefly per stride, ceding the
+    /// machine to transaction workers. An embedded engine with no gate
+    /// never paces. Off reproduces the fixed-pool pre-pacing behaviour
+    /// exactly.
     pub adaptive_pacing: bool,
-    /// Expected saturation throughput in commits/sec, used by the load
-    /// signal to grade pressure (`0`, the default, disables the tps
-    /// ratio; load is then judged from admission-gate occupancy alone,
-    /// which only a server front-end provides).
-    pub load_capacity_tps: u64,
     /// Always [`Codec::None`]; the engine reads nothing from it. A
     /// remnant kept only for `perfbench`, which records it; it goes at the
     /// next perfbench unfreeze.
@@ -304,7 +303,6 @@ impl EngineConfig {
             group_commit_window: std::time::Duration::from_millis(2),
             group_commit_max_batch: 4096,
             adaptive_pacing: true,
-            load_capacity_tps: 0,
             codec: Codec::None,
             keep_checkpoints: Some(2),
             vfs: Arc::new(OsVfs),

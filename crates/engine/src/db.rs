@@ -54,10 +54,9 @@ pub(crate) struct Inner {
     pub(crate) gate: RwLock<()>,
     pub(crate) dir: CheckpointDir,
     pub(crate) metrics: Arc<Metrics>,
-    /// Commit-path load signal: every commit feeds its latency and the
-    /// tps window here; the checkpoint capture path and a server
-    /// front-end's admission gate read it back. Shared (not owned) so
-    /// the server can hang its [`calc_common::Gate`] off the same signal.
+    /// Load signal: a server front-end's admission gate feeds it, the
+    /// checkpoint capture path reads it back. Shared (not owned) so the
+    /// server can hang its [`calc_common::Gate`] off the same signal.
     pub(crate) load: Arc<LoadSignal>,
     pub(crate) txn_counter: AtomicU64,
     /// Durable command log behind a group-commit sync thread (None when
@@ -148,10 +147,9 @@ impl Database {
             // loads and links through this one.
             dir.adopt_published_manifests();
         }
-        // The commit path feeds this signal; capture workers (pool sizing
-        // + per-record pacing) and the server's admission gate read it.
+        // The server's admission gate feeds this signal; capture workers
+        // (pool sizing + per-record pacing) read it.
         let load = Arc::new(LoadSignal::new());
-        load.set_capacity_tps(config.load_capacity_tps);
         if config.adaptive_pacing {
             dir.set_load_signal(load.clone());
         }
@@ -396,10 +394,12 @@ impl Database {
         out
     }
 
-    /// The engine's commit-path load signal. Every commit feeds it; the
-    /// checkpoint capture path paces against it, and a server front-end
-    /// hangs its admission gate off it so shed/inflight counters and
-    /// [`calc_common::LoadLevel`] grading share one source of truth.
+    /// The engine's load signal. A server front-end hangs its admission
+    /// gate off it, so shed/inflight counters and
+    /// [`calc_common::LoadLevel`] grading share one source of truth; the
+    /// checkpoint capture path paces against it. With no gate attached
+    /// it reads [`calc_common::LoadLevel::Idle`] unless something calls
+    /// [`LoadSignal::note_pressure`].
     pub fn load(&self) -> &Arc<LoadSignal> {
         &self.inner.load
     }

@@ -23,8 +23,7 @@ fn usage() -> ! {
          \x20                 [--workers N] [--window-us N] [--max-batch N]\n\
          \x20                 [--checkpoint-every-ms N] [--max-connections N]\n\
          \x20                 [--max-inflight N] [--queue-deadline-ms N]\n\
-         \x20                 [--frame-timeout-ms N] [--capacity-tps N]\n\
-         \x20                 [--no-adaptive-pacing]\n\
+         \x20                 [--frame-timeout-ms N] [--no-adaptive-pacing]\n\
          --window-us N  upper bound on how long a commit may wait for company;\n\
          \x20              reached only by batches nobody is waiting on; waited\n\
          \x20              batches follow the disk (default 2000)\n\
@@ -43,7 +42,6 @@ fn main() {
     let mut max_batch: Option<usize> = None;
     let mut checkpoint_every_ms: Option<u64> = None;
     let mut server_config = calc_server::ServerConfig::default();
-    let mut capacity_tps: Option<u64> = None;
     let mut adaptive_pacing = true;
 
     while let Some(flag) = args.next() {
@@ -52,10 +50,12 @@ fn main() {
             "--dir" => dir = Some(value().into()),
             "--addr" => addr = value(),
             "--port-file" => port_file = Some(value().into()),
-            "--workers" => workers = value().parse().ok(),
-            "--window-us" => window_us = value().parse().ok(),
-            "--max-batch" => max_batch = value().parse().ok(),
-            "--checkpoint-every-ms" => checkpoint_every_ms = value().parse().ok(),
+            "--workers" => workers = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--window-us" => window_us = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--max-batch" => max_batch = Some(value().parse().unwrap_or_else(|_| usage())),
+            "--checkpoint-every-ms" => {
+                checkpoint_every_ms = Some(value().parse().unwrap_or_else(|_| usage()))
+            }
             "--max-connections" => {
                 server_config.max_connections = value().parse().unwrap_or_else(|_| usage())
             }
@@ -70,7 +70,6 @@ fn main() {
                 server_config.frame_timeout =
                     Duration::from_millis(value().parse().unwrap_or_else(|_| usage()))
             }
-            "--capacity-tps" => capacity_tps = value().parse().ok(),
             "--no-adaptive-pacing" => adaptive_pacing = false,
             _ => usage(),
         }
@@ -90,9 +89,6 @@ fn main() {
         }
         config.checkpoint_interval = checkpoint_every_ms.map(Duration::from_millis);
         config.adaptive_pacing = adaptive_pacing;
-        if let Some(tps) = capacity_tps {
-            config.load_capacity_tps = tps;
-        }
     })
     .expect("open or recover engine");
 

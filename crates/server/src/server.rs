@@ -220,7 +220,6 @@ fn accept_loop(
         // hang — the client knows to back off and retry elsewhere/later.
         if config.max_connections > 0 && conns.lock().len() >= config.max_connections {
             db.load().record_shed_connection();
-            db.load().note_pressure();
             let mut w = BufWriter::new(stream);
             let _ = write_frame(&mut w, status::BUSY, b"connection limit reached");
             continue; // drop closes the socket
@@ -403,7 +402,6 @@ fn admit_and_dispatch(
     };
     if is_write_verb(op) && db.log_read_only() {
         db.load().record_shed_request();
-        db.load().note_pressure();
         return (
             status::BUSY,
             b"command log read-only (out of disk space): write shed".to_vec(),

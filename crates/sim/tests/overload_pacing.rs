@@ -1,12 +1,17 @@
 //! Adaptive checkpoint pacing under synthetic overload, at the engine
-//! level (no server, no sockets — the load signal is driven directly).
+//! level (no server, no sockets). The load signal is driven through the
+//! two sources production has: admission pressure
+//! (`LoadSignal::note_pressure`, what a shed or a waiter blocked on a
+//! full gate records) and a real admission `Gate` holding permits.
 //!
-//! Three claims from the tentpole:
+//! Four claims:
 //!
-//! * when the tps EWMA crosses the configured capacity, the load level
-//!   reads `Overload` and the effective capture pool
-//!   (`CheckpointDir::checkpoint_threads`) clamps to 1 — every strategy
-//!   sizes its pool through that one method, so one assertion covers all;
+//! * under admission pressure the load level reads `Overload` and the
+//!   effective capture pool (`CheckpointDir::checkpoint_threads`) clamps
+//!   to 1 — every strategy sizes its pool through that one method, so
+//!   one assertion covers all;
+//! * with half a gate's permits held the level reads `High` and the pool
+//!   halves;
 //! * a checkpoint cycle captured under overload yields scan quanta
 //!   (`capture_yields > 0`) — the capture path visibly backs off;
 //! * with `adaptive_pacing: false` the same pressure changes nothing:
@@ -14,12 +19,13 @@
 
 use std::time::Duration;
 
+use calc_common::{Gate, LoadLevel};
 use calc_engine::{Database, EngineConfig, StrategyKind};
 use calc_txn::proc::ProcRegistry;
 
 const CONFIGURED_THREADS: usize = 4;
 
-fn open_db(name: &str, adaptive: bool, capacity_tps: u64) -> Database {
+fn open_db(name: &str, adaptive: bool) -> Database {
     let dir = std::env::temp_dir().join(format!(
         "calc-overload-pacing-{}-{name}",
         std::process::id()
@@ -29,25 +35,12 @@ fn open_db(name: &str, adaptive: bool, capacity_tps: u64) -> Database {
     ec.workers = 2;
     ec.checkpoint_threads = CONFIGURED_THREADS;
     ec.adaptive_pacing = adaptive;
-    ec.load_capacity_tps = capacity_tps;
     Database::open(ec, ProcRegistry::new()).unwrap()
-}
-
-/// Pushes the tps EWMA past `capacity` by bursting synthetic commit
-/// observations across several window folds (the signal folds its
-/// throughput window every ~100ms).
-fn drive_overload(db: &Database) {
-    for _ in 0..5 {
-        for _ in 0..5_000 {
-            db.load().observe_commit(Duration::from_micros(50));
-        }
-        std::thread::sleep(Duration::from_millis(120));
-    }
 }
 
 #[test]
 fn overload_clamps_effective_capture_parallelism_to_one() {
-    let db = open_db("clamp", true, 1_000);
+    let db = open_db("clamp", true);
     let dir = db.checkpoint_dir();
     assert_eq!(dir.configured_checkpoint_threads(), CONFIGURED_THREADS);
     assert_eq!(
@@ -56,8 +49,8 @@ fn overload_clamps_effective_capture_parallelism_to_one() {
         "idle engine must run the configured pool"
     );
 
-    drive_overload(&db);
-    assert_eq!(db.load().level(), calc_common::LoadLevel::Overload);
+    db.load().note_pressure();
+    assert_eq!(db.load().level(), LoadLevel::Overload);
     assert_eq!(
         dir.checkpoint_threads(),
         1,
@@ -72,8 +65,35 @@ fn overload_clamps_effective_capture_parallelism_to_one() {
 }
 
 #[test]
+fn half_held_gate_halves_effective_capture_parallelism() {
+    let db = open_db("halve", true);
+    let dir = db.checkpoint_dir();
+    let gate = Gate::new(4, db.load().clone());
+    let first = gate.try_acquire_for(Duration::ZERO).unwrap();
+    assert_eq!(db.load().level(), LoadLevel::Normal);
+    assert_eq!(
+        dir.checkpoint_threads(),
+        CONFIGURED_THREADS,
+        "one permit of four is normal load"
+    );
+
+    let second = gate.try_acquire_for(Duration::ZERO).unwrap();
+    assert_eq!(db.load().level(), LoadLevel::High, "2/4 permits is high");
+    assert_eq!(
+        dir.checkpoint_threads(),
+        CONFIGURED_THREADS / 2,
+        "high load must halve the capture pool"
+    );
+
+    drop((first, second));
+    assert_eq!(db.load().level(), LoadLevel::Idle);
+    assert_eq!(dir.checkpoint_threads(), CONFIGURED_THREADS);
+    db.shutdown();
+}
+
+#[test]
 fn capture_under_overload_yields_scan_quanta() {
-    let db = open_db("yields", true, 1_000);
+    let db = open_db("yields", true);
     // Enough records that capture crosses several pacing strides (the
     // writer consults the signal every 1024 records).
     for k in 0..20_000u64 {
@@ -82,7 +102,7 @@ fn capture_under_overload_yields_scan_quanta() {
     assert_eq!(db.load().capture_yields(), 0);
 
     // Admission pressure holds Overload for a second — longer than this
-    // capture takes — without needing a live tps stream mid-capture.
+    // capture takes — without a request in flight mid-capture.
     db.load().note_pressure();
     let stats = db.checkpoint_now().unwrap();
     assert!(stats.records >= 20_000);
@@ -96,15 +116,14 @@ fn capture_under_overload_yields_scan_quanta() {
 
 #[test]
 fn pacing_off_ignores_pressure_entirely() {
-    let db = open_db("off", false, 1_000);
+    let db = open_db("off", false);
     for k in 0..20_000u64 {
         db.load_initial(calc_common::Key(k), &k.to_le_bytes()).unwrap();
     }
-    drive_overload(&db);
     db.load().note_pressure();
     assert_eq!(
         db.load().level(),
-        calc_common::LoadLevel::Overload,
+        LoadLevel::Overload,
         "the signal itself still grades the load"
     );
     assert_eq!(

@@ -30,7 +30,10 @@
 # crates/*/src, calc_storage::Store<P>); a grep that the group
 # committer's fsync pacing stays deleted (no `pace_until` or
 # `window / 8` in crates/recovery/src: a waited batch closes on the
-# evidence rule alone, so durable commits follow the disk); clippy and
+# evidence rule alone, so durable commits follow the disk); a grep that
+# the commit-path capacity model stays deleted (no `observe_commit`,
+# `capacity_tps`, `tps_ewma` or `latency_ewma` in crates/*/src: the load
+# level has one source, the admission gate); clippy and
 # rustdoc, deny warnings — a doc link to a deleted item fails the gate —
 # plus a check build of perfbench, which is its own workspace, so a
 # renamed crate API it calls would otherwise go unnoticed), then tier-1
@@ -206,6 +209,12 @@ fi
 echo "== tier-0: durable commits follow the disk (no fsync pacing interval) =="
 if grep -rnE 'pace_until|window / 8' crates/recovery/src; then
     echo "verify: a waited batch closes on the evidence rule alone; no timer paces the fsyncs" >&2
+    exit 1
+fi
+
+echo "== tier-0: one load signal (the admission gate; no commit-path capacity model) =="
+if grep -rnE 'observe_commit|capacity_tps|tps_ewma|latency_ewma' crates/*/src; then
+    echo "verify: the load level is graded from the admission gate alone; commits are counted in Metrics" >&2
     exit 1
 fi
 
