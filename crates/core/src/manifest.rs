@@ -456,6 +456,22 @@ impl CheckpointDir {
         Ok(d)
     }
 
+    /// This handle, taken over by the node that publishes next (a restart,
+    /// or a promoted standby, whose directory a live primary may have
+    /// changed since its load): re-lists the catalog as
+    /// [`CheckpointDir::open_with_vfs`] does, adopts the parent link from
+    /// it, and charges new cycles to `throttle`. What the handle
+    /// quarantined stays counted.
+    pub fn reopen(self, throttle: Arc<Throttle>) -> io::Result<Self> {
+        let d = CheckpointDir { throttle, ..self };
+        let cycles = d.list_cycles(false)?;
+        let mut catalog = d.catalog.lock();
+        catalog.cycles = cycles;
+        catalog.adopt();
+        drop(catalog);
+        Ok(d)
+    }
+
     /// Attaches the foreground load signal (once, at boot): capture
     /// parallelism and per-part scan pacing become load-aware. Without a
     /// signal the directory behaves exactly as configured.
@@ -693,12 +709,11 @@ impl CheckpointDir {
     }
 
     /// Seeds the next checkpoint's parent link from the newest catalogued
-    /// cycle, for a handle taking over a directory (a promoted standby,
-    /// restarts included: the restart's load quarantined what failed to
-    /// read before this handle was opened); otherwise its first partial
-    /// would record no parent and end the recovery chain. Reads no file.
-    /// A restart loading through this handle calls it once the load is
-    /// done, so the link comes from the cycles that survived the load.
+    /// cycle, for a handle taking over a directory; otherwise its first
+    /// partial would record no parent and end the recovery chain. Reads no
+    /// file. A restart loading through this handle calls it once the load
+    /// is done, so the link comes from the cycles that survived the load;
+    /// [`CheckpointDir::reopen`] calls it again for the node that serves.
     pub fn adopt_published_manifests(&self) {
         self.catalog.lock().adopt();
     }

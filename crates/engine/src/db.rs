@@ -103,26 +103,35 @@ impl Database {
     pub fn open(config: EngineConfig, registry: ProcRegistry) -> io::Result<Self> {
         let log = Arc::new(CommitLog::default());
         let strategy = config.strategy.build(config.store.clone(), log.clone());
-        Self::boot(config, registry, strategy, log, false)
+        let dir = CheckpointDir::open_with_vfs(
+            &config.checkpoint_dir,
+            disk_throttle(&config),
+            config.vfs.clone(),
+        )?;
+        Self::boot(config, registry, strategy, log, dir)
     }
 
     /// Opens a serving database around an *already populated* strategy —
     /// the promotion path of a standby, which is also a restart's. The
     /// caller (normally [`crate::standby::Promoted::into_database`]) has
-    /// already loaded the
-    /// checkpoint chain, applied the log tail, and resumed the commit-seq
-    /// and checkpoint-id spaces on `strategy` and `log`; this spawns the
-    /// worker pool and, when [`EngineConfig::command_log_dir`] is set,
-    /// seals the applied prefix by opening a fresh log segment above the
-    /// highest survivor (rotation invariant: a restarted writer never
-    /// appends into an existing segment).
+    /// already loaded the checkpoint chain through `dir`, applied the log
+    /// tail, and resumed the commit-seq and checkpoint-id spaces on
+    /// `strategy` and `log`; this takes `dir` over
+    /// ([`CheckpointDir::reopen`]: what its load quarantined stays
+    /// counted), spawns the worker pool and, when
+    /// [`EngineConfig::command_log_dir`] is set, seals the applied prefix
+    /// by opening a fresh log segment above the highest survivor (rotation
+    /// invariant: a restarted writer never appends into an existing
+    /// segment).
     pub fn resume(
         config: EngineConfig,
         registry: ProcRegistry,
         strategy: Arc<dyn CheckpointStrategy>,
         log: Arc<CommitLog>,
+        dir: CheckpointDir,
     ) -> io::Result<Self> {
-        Self::boot(config, registry, strategy, log, true)
+        let dir = dir.reopen(disk_throttle(&config))?;
+        Self::boot(config, registry, strategy, log, dir)
     }
 
     fn boot(
@@ -130,23 +139,9 @@ impl Database {
         registry: ProcRegistry,
         strategy: Arc<dyn CheckpointStrategy>,
         log: Arc<CommitLog>,
-        resumed: bool,
+        dir: CheckpointDir,
     ) -> io::Result<Self> {
-        let throttle = if config.disk_bytes_per_sec == 0 {
-            Throttle::unlimited()
-        } else {
-            Throttle::new(config.disk_bytes_per_sec)
-        };
-        let dir =
-            CheckpointDir::open_with_vfs(&config.checkpoint_dir, Arc::new(throttle), config.vfs.clone())?;
         dir.set_checkpoint_threads(config.checkpoint_threads);
-        if resumed {
-            // The caller loaded the chain through its own handle, whose
-            // load has already quarantined what failed to read, so this
-            // handle's catalog holds the survivors; `Database::recover`
-            // loads and links through this one.
-            dir.adopt_published_manifests();
-        }
         // The server's admission gate feeds this signal; capture workers
         // (pool sizing + per-record pacing) read it.
         let load = Arc::new(LoadSignal::new());
@@ -485,6 +480,14 @@ impl Database {
         // caller can know about — it needs no turn in the commit section.
         gc.flush().wait(SHUTDOWN_JOIN_TIMEOUT)
     }
+}
+
+/// The disk-bandwidth throttle new checkpoint cycles are charged to.
+fn disk_throttle(config: &EngineConfig) -> Arc<Throttle> {
+    Arc::new(match config.disk_bytes_per_sec {
+        0 => Throttle::unlimited(),
+        rate => Throttle::new(rate),
+    })
 }
 
 impl Drop for Database {

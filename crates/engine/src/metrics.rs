@@ -178,27 +178,19 @@ health_metrics! {
     log_read_only: Flag, "state", "The command log hit ENOSPC and writes are shed while the group committer retries.";
     log_enospc_entries: Counter, "transitions", "Times the command log entered read-only degraded mode.";
     emergency_retention_passes: Counter, "passes", "Emergency retention passes triggered by ENOSPC on the command log.";
-    // --- warm standby ---
-    #[getter] standby_applied_seq: Gauge, "seq", "Highest commit seq a warm standby has applied.";
-    standby_commits_behind: Gauge, "commits", "Commits the most recent tail poll found waiting beyond the applied watermark.";
-    standby_bytes_behind: Gauge, "bytes", "Log bytes the most recent tail poll could not yet trust or apply.";
-    #[getter] standby_rebootstraps: Counter, "rebuilds", "Times the standby rebuilt its state from the covering checkpoint.";
-    tail_errors: Counter, "errors", "Tail errors recorded (poll failures and tail-loop exits).";
-    #[getter] tail_exited: Flag, "state", "The tail loop exited for good; the applied watermark is frozen.";
-    #[getter] promoted: Flag, "state", "The standby was promoted; its lag slots are final, not live.";
 }
 
 /// Sentinel for "no timestamp recorded" in [`Health`]'s nanosecond slots.
 const NEVER: u64 = u64::MAX;
 
 /// Engine health, shared between the checkpoint worker (every cycle,
-/// merge and retention pass), the group committer, a server front-end, a
-/// warm standby, and observers.
+/// merge and retention pass), the group committer, a server front-end,
+/// and observers.
 ///
 /// Every number is a cell of the table declared above: recorded with
 /// [`Health::add`]/[`Health::set`], read with [`Health::get`] or a
 /// generated getter, listed by [`Health::values`]. Hand-written here is
-/// only what is logic — degraded-mode entry/exit, the two lazy watchdogs
+/// only what is logic — degraded-mode entry/exit, the lazy cycle watchdog
 /// (computed by readers, not a timer thread), last-error strings, and
 /// values derived from several cells.
 pub struct Health {
@@ -208,8 +200,7 @@ pub struct Health {
     cells: [AtomicU64; Metric::ALL.len()],
     /// Per-batch fsync latency in nanoseconds.
     fsync_latency: Histogram,
-    /// Class + message of the last classified failure: a checkpoint cycle
-    /// on a serving engine, a tail poll on a standby (which runs no cycles).
+    /// Class + message of the last failed checkpoint cycle.
     last_error: Mutex<Option<(ErrorClass, String)>>,
     last_merge_error: Mutex<Option<String>>,
     /// Nanos-since-start of the last successfully published checkpoint.
@@ -217,9 +208,6 @@ pub struct Health {
     /// Nanos-since-start when the in-flight cycle began ([`NEVER`] when
     /// no cycle is running) — the cycle watchdog's reference point.
     cycle_started_nanos: AtomicU64,
-    /// Nanos-since-start of the most recent tail poll ([`NEVER`] until
-    /// the standby starts tailing) — the tail watchdog's reference point.
-    tail_heartbeat_nanos: AtomicU64,
 }
 
 impl Health {
@@ -237,7 +225,6 @@ impl Health {
             last_merge_error: Mutex::new(None),
             last_success_nanos: AtomicU64::new(NEVER),
             cycle_started_nanos: AtomicU64::new(NEVER),
-            tail_heartbeat_nanos: AtomicU64::new(NEVER),
         }
     }
 
@@ -260,8 +247,8 @@ impl Health {
     }
 
     /// Reads a cell (flags as 0/1). Acquire pairs with the Release/AcqRel
-    /// writes of the flags, the failure streak and the standby watermark;
-    /// for plain counters it costs nothing extra.
+    /// writes of the flags and the failure streak; for plain counters it
+    /// costs nothing extra.
     pub fn get(&self, m: Metric) -> u64 {
         self.cell(m).load(Ordering::Acquire)
     }
@@ -340,8 +327,7 @@ impl Health {
         false
     }
 
-    /// Class and message of the most recent cycle failure (on a standby:
-    /// the most recent tail error).
+    /// Class and message of the most recent cycle failure.
     pub fn last_error(&self) -> Option<(ErrorClass, String)> {
         self.last_error.lock().clone()
     }
@@ -417,61 +403,6 @@ impl Health {
         if entering && was == 0 {
             self.add(Metric::log_enospc_entries, 1);
         }
-    }
-
-    // --- warm standby ---
-
-    /// A tail poll is running now (stamps the tail heartbeat). Called at
-    /// the top of every standby poll, whether or not it makes progress.
-    pub fn tail_heartbeat(&self) {
-        self.tail_heartbeat_nanos
-            .store(self.now_nanos(), Ordering::Release);
-    }
-
-    /// Records the outcome of one standby tail poll: the applied commit
-    /// watermark (monotone, even against a racy stale writer), how many
-    /// commits the poll found waiting, and the log bytes it could not yet
-    /// trust/apply.
-    pub fn record_standby_lag(&self, applied_seq: u64, commits_behind: u64, bytes_behind: u64) {
-        self.cell(Metric::standby_applied_seq)
-            .fetch_max(applied_seq, Ordering::AcqRel);
-        self.set(Metric::standby_commits_behind, commits_behind);
-        self.set(Metric::standby_bytes_behind, bytes_behind);
-    }
-
-    /// A tail poll failed. Recoverable errors leave the loop running;
-    /// pair with [`Health::record_tail_exit`] when the loop dies.
-    pub fn record_tail_error(&self, class: ErrorClass, err: &io::Error) {
-        self.add(Metric::tail_errors, 1);
-        *self.last_error.lock() = Some((class, err.to_string()));
-    }
-
-    /// The tail loop exited for good (fatal error, wedged log, or thread
-    /// death). The applied watermark is frozen: observers must see a
-    /// classified error, not a silently stale standby.
-    pub fn record_tail_exit(&self, class: ErrorClass, err: &io::Error) {
-        self.record_tail_error(class, err);
-        self.cell(Metric::tail_exited).store(1, Ordering::Release);
-        self.tail_heartbeat_nanos.store(NEVER, Ordering::Release);
-    }
-
-    /// The standby was promoted: the lag slots are zeroed (a promoted
-    /// engine has no one to lag behind) and the watchdog is disarmed.
-    pub fn standby_promoted(&self) {
-        self.cell(Metric::promoted).store(1, Ordering::Release);
-        self.set(Metric::standby_commits_behind, 0);
-        self.set(Metric::standby_bytes_behind, 0);
-        self.tail_heartbeat_nanos.store(NEVER, Ordering::Release);
-    }
-
-    /// Tail watchdog: `true` when the standby *should* be polling but no
-    /// poll has stamped the heartbeat within the watchdog budget — a
-    /// stalled (wedged, deadlocked, or silently dead) tail thread.
-    /// Disarmed until the first poll, after promotion, and after a
-    /// recorded tail exit (those surface via [`Health::tail_exited`]).
-    pub fn tail_stalled(&self) -> bool {
-        self.since(&self.tail_heartbeat_nanos)
-            .is_some_and(|d| d > self.watchdog)
     }
 }
 
@@ -597,72 +528,6 @@ mod tests {
         assert!(h.stalled(), "overdue cycle must trip the watchdog");
         h.cycle_succeeded();
         assert!(!h.stalled(), "completed cycle must clear the watchdog");
-    }
-
-    #[test]
-    fn standby_lag_advances_while_tailing_and_resets_on_promotion() {
-        let h = Health::new(3, Duration::from_secs(1));
-        assert_eq!(h.standby_applied_seq(), 0);
-        assert!(!h.tail_stalled(), "watchdog disarmed before the first poll");
-
-        // Poll 1: 5 commits were waiting, all applied, clean tail.
-        h.tail_heartbeat();
-        h.record_standby_lag(5, 5, 0);
-        assert_eq!(h.standby_applied_seq(), 5);
-        assert_eq!(h.get(Metric::standby_commits_behind), 5);
-
-        // Poll 2: the primary pulled further ahead between polls — lag
-        // advances — and the tail ends mid-append (pending bytes).
-        h.tail_heartbeat();
-        h.record_standby_lag(40, 35, 17);
-        assert_eq!(h.standby_applied_seq(), 40);
-        assert_eq!(h.get(Metric::standby_commits_behind), 35);
-        assert_eq!(h.get(Metric::standby_bytes_behind), 17);
-
-        // The applied watermark is monotonic even if a racy reader
-        // records a stale value.
-        h.record_standby_lag(12, 0, 0);
-        assert_eq!(h.standby_applied_seq(), 40);
-
-        h.add(Metric::standby_rebootstraps, 1);
-        assert_eq!(h.standby_rebootstraps(), 1);
-
-        h.standby_promoted();
-        assert!(h.promoted());
-        assert_eq!(h.get(Metric::standby_commits_behind), 0, "promotion resets lag");
-        assert_eq!(h.get(Metric::standby_bytes_behind), 0);
-        assert!(!h.tail_stalled(), "promotion disarms the tail watchdog");
-        assert_eq!(
-            h.standby_applied_seq(),
-            40,
-            "the sealed watermark survives promotion"
-        );
-    }
-
-    #[test]
-    fn dead_or_stalled_tail_surfaces_as_classified_error() {
-        let h = Health::new(3, Duration::from_millis(2));
-        // A stalled tail: one heartbeat, then silence past the watchdog.
-        h.tail_heartbeat();
-        h.record_standby_lag(3, 3, 0);
-        assert!(!h.tail_stalled());
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(h.tail_stalled(), "silent tail thread must trip the watchdog");
-        assert_eq!(h.standby_applied_seq(), 3, "watermark frozen, not advancing");
-
-        // A dead tail: the loop records a classified exit instead of
-        // freezing silently.
-        let err = io::Error::new(io::ErrorKind::InvalidData, "sealed segment torn");
-        h.record_tail_exit(ErrorClass::Fatal, &err);
-        assert!(h.tail_exited());
-        assert_eq!(h.get(Metric::tail_errors), 1);
-        let (class, msg) = h.last_error().expect("classified error recorded");
-        assert_eq!(class, ErrorClass::Fatal);
-        assert!(msg.contains("sealed segment torn"));
-        assert!(
-            !h.tail_stalled(),
-            "an exited tail reports via tail_exited, not a stuck watchdog"
-        );
     }
 
     #[test]

@@ -31,14 +31,15 @@
 //! cursor, [`TailStatus::CaughtUp`] with pending bytes) and retention
 //! truncation ([`TailStatus::LostPrefix`]: it re-bootstraps from the
 //! covering checkpoint, or keeps its newer state and re-anchors). Its lag
-//! is surfaced through [`Health`]: applied watermark, commits and bytes
-//! behind, re-bootstraps, and a classified last tail error backed by a
-//! heartbeat watchdog. Everything goes through [`Vfs`], so `calc-sim` runs
-//! restarts and failovers over a fault-injecting filesystem.
+//! is what each poll returns ([`StandbyPoll`]: commits applied, the applied
+//! watermark, bytes not yet trusted, a re-bootstrap or a wedge); the
+//! lifetime counts (re-bootstraps, lost prefixes, commits applied) are
+//! [`Standby`]'s and [`Promoted`]'s getters. Everything goes through
+//! [`Vfs`], so `calc-sim` runs restarts and failovers over a
+//! fault-injecting filesystem.
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -54,7 +55,7 @@ use calc_storage::dual::StoreConfig;
 use calc_txn::commitlog::CommitLog;
 use calc_txn::proc::ProcRegistry;
 
-use crate::{classify, Database, EngineConfig, ErrorClass, Health, Metric, StrategyKind};
+use crate::{Database, EngineConfig, StrategyKind};
 
 /// Configuration for a warm standby.
 #[derive(Clone)]
@@ -75,12 +76,6 @@ pub struct StandbyConfig {
     /// Lanes for checkpoint part loading at (re-)bootstrap and for log
     /// replay in every poll.
     pub checkpoint_threads: usize,
-    /// Poll cadence of the background runner ([`StandbyRunner`]).
-    pub poll_interval: Duration,
-    /// Consecutive-failure threshold for [`Health`] accounting.
-    pub degraded_after: u32,
-    /// Tail-heartbeat watchdog budget for [`Health::tail_stalled`].
-    pub watchdog: Duration,
 }
 
 impl StandbyConfig {
@@ -99,9 +94,6 @@ impl StandbyConfig {
             log_dir,
             vfs: Arc::new(OsVfs),
             checkpoint_threads: 1,
-            poll_interval: Duration::from_millis(10),
-            degraded_after: 3,
-            watchdog: Duration::from_secs(30),
         }
     }
 }
@@ -133,7 +125,6 @@ pub struct Standby {
     strategy: Arc<dyn CheckpointStrategy>,
     log: Arc<CommitLog>,
     tailer: LogTailer,
-    health: Arc<Health>,
     /// Highest commit seq applied (checkpoint watermark ∪ replayed tail).
     applied: u64,
     /// Times `LostPrefix` forced a full state rebuild.
@@ -167,9 +158,6 @@ impl Standby {
         if watermark.is_none() {
             check_log_complete(&dir, &cfg.log_dir).map_err(into_io)?;
         }
-        let watermark = watermark.unwrap_or(0);
-        let health = Arc::new(Health::new(cfg.degraded_after, cfg.watchdog));
-        health.record_standby_lag(watermark, 0, 0);
         let tailer = LogTailer::new(cfg.vfs.clone(), &cfg.log_dir);
         Ok(Standby {
             registry,
@@ -177,8 +165,7 @@ impl Standby {
             strategy,
             log,
             tailer,
-            health,
-            applied: watermark,
+            applied: watermark.unwrap_or(0),
             rebootstraps: 0,
             lost_prefix_events: 0,
             commits_applied: 0,
@@ -194,8 +181,7 @@ impl Standby {
     /// (possibly with pending torn-tail bytes) or wedged, and only once
     /// every lane has drained.
     ///
-    /// Errors are recorded in [`Health`] before being returned; a
-    /// transient error leaves the cursor just past the last record handed
+    /// A transient error leaves the cursor just past the last record handed
     /// to the lanes — all of them applied — so the next poll resumes
     /// exactly there. A record that fails to apply fails this poll and
     /// every later one.
@@ -203,7 +189,6 @@ impl Standby {
         let mut total_applied = 0u64;
         let mut rebootstrapped = false;
         loop {
-            self.health.tail_heartbeat();
             if let Some(diverged) = &self.diverged {
                 return Err(io::Error::new(io::ErrorKind::InvalidData, diverged.clone()));
             }
@@ -241,23 +226,12 @@ impl Standby {
             self.commits_applied += applied_now;
             total_applied += applied_now;
             let poll = match fed {
-                Ok(Ok(p)) => p,
-                Ok(Err(e)) => {
-                    self.health.record_tail_error(classify(&e), &e);
-                    return Err(e);
-                }
+                Ok(polled) => polled?,
                 Err(e) => {
-                    let e = io::Error::new(io::ErrorKind::InvalidData, e.to_string());
                     self.diverged = Some(e.to_string());
-                    self.health.record_tail_error(classify(&e), &e);
-                    return Err(e);
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
                 }
             };
-            // `commits_behind` is the lag this poll observed and drained:
-            // commits that were waiting in the durable log beyond the
-            // applied watermark when the poll started.
-            self.health
-                .record_standby_lag(self.applied, applied_now, poll.pending_bytes);
             match poll.status {
                 TailStatus::CaughtUp => {
                     return Ok(StandbyPoll {
@@ -269,15 +243,7 @@ impl Standby {
                     });
                 }
                 // The next iteration returns the wedged poll.
-                TailStatus::Wedged => {
-                    self.wedged = true;
-                    let err = io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "torn record in a sealed log segment: tail wedged at the \
-                         permanent trust boundary",
-                    );
-                    self.health.record_tail_exit(ErrorClass::Fatal, &err);
-                }
+                TailStatus::Wedged => self.wedged = true,
                 // Retention deleted the cursor's segment. If the covering
                 // chain is ahead of the applied watermark, the truncated
                 // segments held commits never applied, all of them (by the
@@ -292,7 +258,6 @@ impl Standby {
                     if self.adopt_chain_if_ahead()? {
                         self.rebootstraps += 1;
                         rebootstrapped = true;
-                        self.health.record_standby_lag(self.applied, 0, 0);
                     }
                 }
             }
@@ -307,7 +272,6 @@ impl Standby {
                 self.strategy = strategy;
                 self.log = log;
                 self.applied = watermark;
-                self.health.add(Metric::standby_rebootstraps, 1);
                 Ok(true)
             }
             _ => Ok(false),
@@ -322,12 +286,6 @@ impl Standby {
     /// Records currently in the standby's store.
     pub fn record_count(&self) -> usize {
         self.strategy.record_count()
-    }
-
-    /// Health handle: applied watermark, commits/bytes behind,
-    /// re-bootstraps, classified tail errors, heartbeat watchdog.
-    pub fn health(&self) -> Arc<Health> {
-        self.health.clone()
     }
 
     /// Highest commit seq applied so far.
@@ -380,8 +338,6 @@ impl Standby {
         let promote_rebuilt = chain_claim > self.applied && self.adopt_chain_if_ahead()?;
         let strategy = self.strategy.as_ref();
         seal(&claims, &self.log, strategy, self.applied, true);
-        self.health.standby_promoted();
-        self.health.record_standby_lag(self.applied, 0, 0);
         let wedged_segment = self.tailer.cursor().filter(|_| self.wedged).map(|(seg, _)| seg);
         Ok(Promoted {
             wedged_segment,
@@ -389,9 +345,7 @@ impl Standby {
             strategy: self.strategy,
             log: self.log,
             registry: self.registry,
-            health: self.health,
-            vfs: self.cfg.vfs,
-            checkpoint_dir: self.cfg.checkpoint_dir,
+            dir: self.dir,
             log_dir: self.cfg.log_dir,
             watermark: self.applied,
             promote_rebuilt,
@@ -410,9 +364,8 @@ pub struct Promoted {
     strategy: Arc<dyn CheckpointStrategy>,
     log: Arc<CommitLog>,
     registry: ProcRegistry,
-    health: Arc<Health>,
-    vfs: Arc<dyn Vfs>,
-    checkpoint_dir: PathBuf,
+    /// The handle the chain was loaded through, handed to the serving node.
+    dir: CheckpointDir,
     log_dir: PathBuf,
     watermark: u64,
     promote_rebuilt: bool,
@@ -472,23 +425,6 @@ impl Promoted {
         self.promote_duration
     }
 
-    /// The standby's health handle, carried across promotion.
-    pub fn health(&self) -> Arc<Health> {
-        self.health.clone()
-    }
-
-    /// Opens a fresh command-log segment above the highest survivor —
-    /// the durable seal of the applied prefix — for callers serving the
-    /// promoted state without a full engine. `segment_bytes` as in
-    /// [`EngineConfig::log_segment_bytes`].
-    pub fn open_log(
-        &self,
-        segment_bytes: u64,
-    ) -> io::Result<calc_recovery::SegmentedLogWriter> {
-        self.set_aside_untrusted_segments()?;
-        calc_recovery::SegmentedLogWriter::create(self.vfs.clone(), &self.log_dir, segment_bytes)
-    }
-
     /// A tail that stopped at a tear in a sealed segment left the segments
     /// above it untrusted: nothing in them was applied, and the seal is
     /// about to reissue their seqs. A writer opened above them would be
@@ -500,111 +436,31 @@ impl Promoted {
         let Some(wedged) = self.wedged_segment else {
             return Ok(());
         };
-        for (i, path) in list_segments(self.vfs.as_ref(), &self.log_dir)? {
+        let vfs = self.dir.vfs();
+        for (i, path) in list_segments(vfs.as_ref(), &self.log_dir)? {
             if i > wedged {
                 let mut aside = path.clone().into_os_string();
                 aside.push(".quarantine");
-                self.vfs.rename(&path, Path::new(&aside))?;
+                vfs.rename(&path, Path::new(&aside))?;
             }
         }
-        self.vfs.sync_dir(&self.log_dir)
+        vfs.sync_dir(&self.log_dir)
     }
 
     /// Builds a fully serving [`Database`] around the promoted state via
-    /// [`Database::resume`]: worker pool, command logger (a fresh segment
-    /// above the highest survivor — the durable seal), checkpoint daemon
-    /// if configured. `config` supplies the serving-side knobs (workers,
-    /// queue, checkpoint cadence…); its strategy/store/paths/vfs are
+    /// [`Database::resume`], which takes over the directory handle the
+    /// chain was loaded through: worker pool, command logger (a fresh
+    /// segment above the highest survivor — the durable seal), checkpoint
+    /// cycles if configured. `config` supplies the serving-side knobs
+    /// (workers, queue, checkpoint cadence…); its strategy/paths/vfs are
     /// overridden to the promoted node's own.
     pub fn into_database(self, mut config: EngineConfig) -> io::Result<Database> {
         self.set_aside_untrusted_segments()?;
         config.strategy = self.kind;
-        config.checkpoint_dir = self.checkpoint_dir;
+        config.checkpoint_dir = self.dir.path().to_path_buf();
         config.command_log_dir = Some(self.log_dir);
-        config.vfs = self.vfs;
-        Database::resume(config, self.registry, self.strategy, self.log)
-    }
-}
-
-/// Background tail loop: polls a [`Standby`] at its configured interval
-/// on a dedicated thread, stamping the [`Health`] heartbeat, until
-/// stopped. If a poll fails fatally the loop exits and records it via
-/// [`Health::record_tail_exit`] — the watermark freezes loudly, never
-/// silently.
-pub struct StandbyRunner {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<io::Result<Standby>>>,
-    health: Arc<Health>,
-}
-
-impl StandbyRunner {
-    /// Spawns the tail loop.
-    pub fn spawn(standby: Standby) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let health = standby.health();
-        let handle = std::thread::Builder::new()
-            .name("calc-standby-tail".into())
-            .spawn(move || {
-                let mut standby = standby;
-                let interval = standby.cfg.poll_interval;
-                while !stop2.load(Ordering::Relaxed) {
-                    match standby.poll() {
-                        Ok(p) if p.wedged => {
-                            // Health already holds the classified exit;
-                            // park until stopped (nothing can advance).
-                            while !stop2.load(Ordering::Relaxed) {
-                                std::thread::sleep(interval);
-                            }
-                            break;
-                        }
-                        Ok(_) => {}
-                        Err(e) => {
-                            if classify(&e) == ErrorClass::Fatal {
-                                let health = standby.health();
-                                health.record_tail_exit(ErrorClass::Fatal, &e);
-                                return Err(e);
-                            }
-                            // Transient (e.g. a blip reading a segment):
-                            // already recorded by poll; back off one
-                            // interval and retry from the held cursor.
-                        }
-                    }
-                    std::thread::sleep(interval);
-                }
-                Ok(standby)
-            })
-            .expect("spawn standby tail loop");
-        StandbyRunner {
-            stop,
-            handle: Some(handle),
-            health,
-        }
-    }
-
-    /// The standby's health, observable while the loop runs.
-    pub fn health(&self) -> Arc<Health> {
-        self.health.clone()
-    }
-
-    /// Stops the loop and returns the standby (for promotion), or the
-    /// fatal error that killed the loop.
-    pub fn stop(mut self) -> io::Result<Standby> {
-        self.stop.store(true, Ordering::Relaxed);
-        self.handle
-            .take()
-            .expect("stop called once")
-            .join()
-            .map_err(|_| io::Error::other("standby tail thread panicked"))?
-    }
-}
-
-impl Drop for StandbyRunner {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        config.vfs = self.dir.vfs().clone();
+        Database::resume(config, self.registry, self.strategy, self.log, self.dir)
     }
 }
 

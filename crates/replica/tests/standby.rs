@@ -11,10 +11,10 @@ use calc_common::vfs::{OsVfs, Vfs};
 use calc_core::manifest::CheckpointDir;
 use calc_core::strategy::{CheckpointStrategy, NoopEnv};
 use calc_core::throttle::Throttle;
-use calc_engine::{Database, EngineConfig, MetricValue, StrategyKind, TxnOutcome};
+use calc_engine::{Database, EngineConfig, StrategyKind, TxnOutcome};
 use calc_recovery::replay::ReplayOps;
 use calc_recovery::{truncate_segments_below, SegmentedLogWriter};
-use calc_replica::{Standby, StandbyConfig, StandbyRunner};
+use calc_replica::{Standby, StandbyConfig};
 use calc_storage::dual::StoreConfig;
 use calc_txn::commitlog::{CommitLog, CommitRecord};
 use calc_testkit::{registry, DELETE, SET};
@@ -156,10 +156,9 @@ fn bootstraps_from_chain_then_tails_new_commits() {
     let idle = standby.poll().unwrap();
     assert_eq!(idle.applied, 0);
     assert_eq!(idle.pending_bytes, 0);
-
-    let health = standby.health();
-    assert_eq!(health.standby_applied_seq(), deleted_at);
-    assert!(!health.tail_exited());
+    assert_eq!(idle.applied_seq, deleted_at);
+    assert_eq!(standby.applied_seq(), deleted_at);
+    assert!(!idle.wedged);
 }
 
 #[test]
@@ -186,7 +185,7 @@ fn promote_seals_prefix_and_serves_through_engine() {
     let promoted = standby.promote().unwrap();
     assert_eq!(promoted.watermark(), last);
     assert_eq!(promoted.record_count(), 12);
-    assert!(promoted.health().promoted());
+    assert_eq!(promoted.commits_applied(), 4, "the tail past the checkpoint");
 
     // The promoted node serves through a full engine: new commits land
     // above the sealed watermark, in a fresh log segment.
@@ -213,8 +212,43 @@ fn promote_seals_prefix_and_serves_through_engine() {
     db.shutdown();
 }
 
-/// The promoted engine's directory handle never scans the chain the
-/// standby loaded, so its first partial must take its parent link from
+/// A live standby's directory handle catalogued the cycles of its
+/// bootstrap; the node it is promoted into must catalogue what the primary
+/// published while it tailed, or its retention, merges and next partial's
+/// parent link would work from a stale list.
+#[test]
+fn promoted_node_catalogues_cycles_published_while_tailing() {
+    let (ckpt_dir, log_dir) = tmp("promote-catalog");
+    let mut primary = Primary::open(Arc::new(OsVfs), &ckpt_dir, &log_dir, 1 << 20);
+    primary.set(0, b"before");
+    primary.sync();
+    primary.checkpoint();
+    let mut standby = Standby::open(standby_config(&ckpt_dir, &log_dir), registry()).unwrap();
+
+    // A second cycle publishes while the standby tails, and commits after
+    // it put the applied watermark above every claim, so promotion has no
+    // reason to reload the chain.
+    primary.set(1, b"tailed");
+    primary.sync();
+    let newer = primary.checkpoint();
+    let last = primary.set(2, b"after");
+    primary.sync();
+    drop(primary);
+    standby.poll().unwrap();
+    let promoted = standby.promote().unwrap();
+    assert!(last > newer && !promoted.promote_rebuilt());
+
+    let mut config = EngineConfig::new(StrategyKind::Calc, 1024, 64, ckpt_dir.clone());
+    config.store = store_config();
+    config.workers = 1;
+    let db = promoted.into_database(config).unwrap();
+    let watermarks: Vec<u64> =
+        db.checkpoint_dir().manifests().iter().map(|m| m.watermark.0).collect();
+    assert!(watermarks.contains(&newer), "catalog {watermarks:?} misses {newer}");
+    db.shutdown();
+}
+
+/// The promoted engine's first partial must take its parent link from
 /// the manifests — otherwise every post-promotion partial sits published
 /// but unreachable: recovery ignores it, the merger never collapses it,
 /// and the log-truncation floor stops advancing.
@@ -309,12 +343,18 @@ fn promote_opens_fresh_log_segment_above_survivors() {
     let mut standby = Standby::open(standby_config(&ckpt_dir, &log_dir), registry()).unwrap();
     standby.poll().unwrap();
     let promoted = standby.promote().unwrap();
-    let writer = promoted.open_log(512).unwrap();
-    assert!(
-        writer.active_index() > highest,
-        "fresh segment {} must seal above survivor {highest}",
-        writer.active_index()
-    );
+    let mut config = EngineConfig::new(StrategyKind::Calc, 1024, 64, ckpt_dir.clone());
+    config.store = store_config();
+    config.workers = 1;
+    config.log_segment_bytes = Some(512);
+    let db = promoted.into_database(config).unwrap();
+    let outcome = db.execute(SET, calc_testkit::set(100, b"post"));
+    assert!(matches!(outcome, TxnOutcome::Committed(_)));
+    db.sync_command_log().unwrap();
+    db.shutdown();
+    let after = calc_recovery::logfile::list_segments(&vfs, &log_dir).unwrap();
+    let (fresh, _) = after.last().unwrap();
+    assert!(*fresh > highest, "fresh segment {fresh} must seal above survivor {highest}");
 }
 
 #[test]
@@ -369,7 +409,6 @@ fn retention_truncation_behind_cursor_rebootstraps_without_loss() {
     assert_eq!(standby.applied_seq(), watermark);
     assert_eq!(standby.rebootstraps(), 1);
     assert_eq!(standby.record_count(), 24);
-    assert_eq!(standby.health().standby_rebootstraps(), 1);
     for k in 0..4u64 {
         assert_eq!(standby.get(Key(k)).unwrap().as_ref(), &[1u8; 48]);
     }
@@ -378,16 +417,18 @@ fn retention_truncation_behind_cursor_rebootstraps_without_loss() {
     primary.set(99, b"after");
     primary.sync();
     let next = standby.poll().unwrap();
-    assert_eq!(next.applied, 1);
     assert_eq!(standby.get(Key(99)).unwrap().as_ref(), b"after");
 
-    // Observers read the lag through the same list the wire prints.
-    let values = standby.health().values();
-    let listed = |name: &str| values.iter().find(|(n, _)| n == name).unwrap().1;
-    assert_eq!(listed("standby_applied_seq"), MetricValue::Int(standby.applied_seq()));
-    assert_eq!(listed("standby_commits_behind"), MetricValue::Int(1));
-    assert_eq!(listed("standby_bytes_behind"), MetricValue::Int(0));
-    assert_eq!(listed("standby_rebootstraps"), MetricValue::Int(1));
+    // The poll reports the lag it drained; the standby and its promotion
+    // count the rebuild.
+    assert_eq!(next.applied, 1, "one commit was waiting");
+    assert_eq!(next.applied_seq, standby.applied_seq());
+    assert_eq!(next.pending_bytes, 0);
+    assert!(!next.rebootstrapped);
+    assert_eq!(standby.rebootstraps(), 1);
+    let promoted = standby.promote().unwrap();
+    assert_eq!(promoted.rebootstraps(), 1);
+    assert_eq!(promoted.watermark(), next.applied_seq);
 }
 
 #[test]
@@ -459,34 +500,6 @@ fn abnormal_log_loss_without_covering_checkpoint_keeps_applied_state() {
     for k in 0..12u64 {
         assert_eq!(standby.get(Key(k)).unwrap().as_ref(), &[4u8; 48]);
     }
-}
-
-#[test]
-fn runner_tails_in_background_and_hands_back_for_promotion() {
-    let (ckpt_dir, log_dir) = tmp("runner");
-    let mut primary = Primary::open(Arc::new(OsVfs), &ckpt_dir, &log_dir, 1 << 20);
-    primary.set(1, b"one");
-    primary.sync();
-
-    let mut cfg = standby_config(&ckpt_dir, &log_dir);
-    cfg.poll_interval = std::time::Duration::from_millis(1);
-    let standby = Standby::open(cfg, registry()).unwrap();
-    let runner = StandbyRunner::spawn(standby);
-    let health = runner.health();
-
-    let last = primary.set(2, b"two");
-    primary.sync();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    while health.standby_applied_seq() < last {
-        assert!(std::time::Instant::now() < deadline, "runner never caught up");
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    assert!(!health.tail_stalled(), "live heartbeat must disarm watchdog");
-
-    let standby = runner.stop().unwrap();
-    let promoted = standby.promote().unwrap();
-    assert_eq!(promoted.watermark(), last);
-    assert_eq!(promoted.get(Key(2)).unwrap().as_ref(), b"two");
 }
 
 /// A poll replays through the one lane driver: at 1, 2 and 4 lanes, a log

@@ -33,7 +33,11 @@
 # evidence rule alone, so durable commits follow the disk); a grep that
 # the commit-path capacity model stays deleted (no `observe_commit`,
 # `capacity_tps`, `tps_ewma` or `latency_ewma` in crates/*/src: the load
-# level has one source, the admission gate); clippy and
+# level has one source, the admission gate); a grep that a restart is
+# one node (no `StandbyRunner`, `tail_heartbeat`, `record_standby_lag`,
+# `record_tail_exit`, `tail_stalled`, `standby_applied_seq` or
+# `poll_interval` in crates/*/src: a standby's lag is what its polls
+# return, and the node it becomes has the one `Health`); clippy and
 # rustdoc, deny warnings — a doc link to a deleted item fails the gate —
 # plus a check build of perfbench, which is its own workspace, so a
 # renamed crate API it calls would otherwise go unnoticed), then tier-1
@@ -215,6 +219,13 @@ fi
 echo "== tier-0: one load signal (the admission gate; no commit-path capacity model) =="
 if grep -rnE 'observe_commit|capacity_tps|tps_ewma|latency_ewma' crates/*/src; then
     echo "verify: the load level is graded from the admission gate alone; commits are counted in Metrics" >&2
+    exit 1
+fi
+
+echo "== tier-0: a restart is one node (no standby Health, no tail runner) =="
+if grep -rnE 'StandbyRunner|tail_heartbeat|record_standby_lag|record_tail_exit|tail_stalled|standby_applied_seq|poll_interval' \
+    crates/*/src; then
+    echo "verify: a standby's lag is what its polls return; the promoted node keeps the one Health" >&2
     exit 1
 fi
 
