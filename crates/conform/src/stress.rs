@@ -5,7 +5,10 @@
 //! enables [`calc_common::perturb`] schedule jitter with the spec's seed,
 //! hammers it from several feeder threads while the driver thread takes
 //! checkpoints, then shuts down and hands the recorded history plus every
-//! published checkpoint file to [`check`].
+//! published checkpoint file to [`check`]. Both entry points run:
+//! even-numbered feeders call [`Database::execute`], which runs each
+//! transaction on the feeder's own thread, and odd-numbered ones
+//! [`Database::submit`], which hands it to the worker pool.
 //!
 //! Runs are serialized process-wide (perturbation and mutation state are
 //! process-global), so stress tests in one binary queue behind each
@@ -14,7 +17,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use calc_common::mutation::{self, Mutation};
 use calc_common::perturb;
@@ -80,9 +83,10 @@ pub struct StressSpec {
     pub scenario: Scenario,
     /// Seed for schedule perturbation and all request generators.
     pub seed: u64,
-    /// Concurrent feeder threads submitting transactions.
+    /// Concurrent feeder threads; the odd-numbered ones submit to the
+    /// pool, the even-numbered ones execute on their own thread.
     pub feeders: usize,
-    /// Transactions each feeder executes (synchronously, back-to-back).
+    /// Transactions each feeder issues, back-to-back.
     pub txns_per_feeder: usize,
 }
 
@@ -98,6 +102,9 @@ impl StressSpec {
         }
     }
 }
+
+/// How long a run may take to end every transaction it issued.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// Serializes stress runs: perturbation seeds and mutation flags are
 /// process-global, so two concurrent runs would contaminate each other.
@@ -207,6 +214,10 @@ fn run_inner(spec: &StressSpec, armed: Option<Mutation>) -> Result<ConformReport
         for f in 0..spec.feeders {
             let db = &db;
             let spec = *spec;
+            let issue = move |proc, params| match f % 2 {
+                0 => drop(db.execute(proc, params)),
+                _ => db.submit(proc, params),
+            };
             feeders.push(s.spawn(move || match spec.scenario {
                 Scenario::TpccMix => {
                     let mut wl =
@@ -214,7 +225,7 @@ fn run_inner(spec: &StressSpec, armed: Option<Mutation>) -> Result<ConformReport
                     wl.set_history_partition(f as u64);
                     for _ in 0..spec.txns_per_feeder {
                         let (proc, params) = wl.next_request_full_mix(db);
-                        db.execute(proc, params);
+                        issue(proc, params);
                     }
                 }
                 _ => {
@@ -223,13 +234,23 @@ fn run_inner(spec: &StressSpec, armed: Option<Mutation>) -> Result<ConformReport
                     );
                     for _ in 0..spec.txns_per_feeder {
                         let (proc, params) = next_op(spec.scenario, &mut rng);
-                        db.execute(proc, params);
+                        issue(proc, params);
                     }
                 }
             }));
         }
-        // Driver doubles as the checkpointer while feeders run.
-        while !feeders.iter().all(|h| h.is_finished()) {
+        // Driver doubles as the checkpointer while feeders run and the
+        // pool drains what the submitting feeders queued.
+        let issued = (spec.feeders * spec.txns_per_feeder) as u64;
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
+        while !feeders.iter().all(|h| h.is_finished())
+            || db.metrics().committed() + db.metrics().aborted() < issued
+        {
+            assert!(
+                Instant::now() < deadline,
+                "{} of {issued} transactions ended within {DRAIN_TIMEOUT:?}",
+                db.metrics().committed() + db.metrics().aborted(),
+            );
             db.checkpoint_now().expect("checkpoint under load");
             std::thread::sleep(spec.scenario.checkpoint_pace());
         }

@@ -198,13 +198,38 @@ pub struct Footprint<'a> {
     slots: Vec<SlotId>,
 }
 
+/// A [`Footprint`]'s buffers apart from the strategy it borrows: what a
+/// thread keeps from one transaction to the next when each borrows the
+/// strategy anew.
+#[derive(Default)]
+pub struct FootprintBuffers {
+    keys: Vec<(Key, Resolved)>,
+    slots: Vec<SlotId>,
+}
+
 impl<'a> Footprint<'a> {
     /// An empty footprint over `strategy`: every access looks its key up.
     pub fn new(strategy: &'a dyn CheckpointStrategy) -> Self {
+        Self::with_buffers(strategy, FootprintBuffers::default())
+    }
+
+    /// [`Footprint::new`], resolving into `buffers`' capacity.
+    pub fn with_buffers(strategy: &'a dyn CheckpointStrategy, buffers: FootprintBuffers) -> Self {
+        let FootprintBuffers { mut keys, mut slots } = buffers;
+        keys.clear();
+        slots.clear();
         Footprint {
             strategy,
-            keys: Vec::new(),
-            slots: Vec::new(),
+            keys,
+            slots,
+        }
+    }
+
+    /// The buffers, for the next [`Footprint::with_buffers`].
+    pub fn into_buffers(self) -> FootprintBuffers {
+        FootprintBuffers {
+            keys: self.keys,
+            slots: self.slots,
         }
     }
 

@@ -1,20 +1,24 @@
-//! The commit section: the one transaction body every worker runs
-//! ([`run_transaction`]) and the [`ExecOps`] bridge that turns procedure
-//! operations into strategy apply hooks with undo images.
+//! The commit section: the one transaction body every request runs
+//! ([`run_transaction`]), on a pool worker or on the caller's thread, and
+//! the [`ExecOps`] bridge that turns procedure operations into strategy
+//! apply hooks with undo images.
 
 use std::sync::atomic::Ordering;
 
 use calc_common::lockword::Locked;
 use calc_common::types::{Key, TxnId};
-use calc_core::strategy::{CheckpointStrategy, Footprint, TxnToken, UndoImage, UndoRec};
+use calc_core::strategy::{
+    CheckpointStrategy, Footprint, FootprintBuffers, TxnToken, UndoImage, UndoRec,
+};
+use calc_recovery::DurabilityTicket;
 use calc_storage::dual::StoreError;
 use calc_txn::commitlog::CommitRecord;
 use calc_txn::proc::{AbortReason, Procedure, TxnOps};
 
 use crate::db::{Inner, TxnOutcome};
-use crate::executor::{Reply, Request};
+use crate::executor::Request;
 
-/// What a worker reuses from one transaction to the next: the declared
+/// What a thread reuses from one transaction to the next: the declared
 /// keys' resolution and the undo space, so a transaction that overwrites
 /// records with values of their own length allocates nothing for them.
 pub(crate) struct Scratch<'a> {
@@ -33,12 +37,29 @@ struct Undo {
     from: usize,
 }
 
+/// A [`Scratch`]'s buffers apart from the strategy it borrows, so a
+/// caller's thread can keep them between its synchronous transactions.
+#[derive(Default)]
+pub(crate) struct ScratchBuffers {
+    footprint: FootprintBuffers,
+    undo: Vec<Undo>,
+    old: Vec<u8>,
+}
+
 impl<'a> Scratch<'a> {
-    pub(crate) fn new(strategy: &'a dyn CheckpointStrategy) -> Self {
+    pub(crate) fn new(strategy: &'a dyn CheckpointStrategy, buffers: ScratchBuffers) -> Self {
         Scratch {
-            footprint: Footprint::new(strategy),
-            undo: Vec::new(),
-            old: Vec::new(),
+            footprint: Footprint::with_buffers(strategy, buffers.footprint),
+            undo: buffers.undo,
+            old: buffers.old,
+        }
+    }
+
+    pub(crate) fn into_buffers(self) -> ScratchBuffers {
+        ScratchBuffers {
+            footprint: self.footprint.into_buffers(),
+            undo: self.undo,
+            old: self.old,
         }
     }
 
@@ -62,18 +83,19 @@ impl<'a> Scratch<'a> {
 
 /// The transaction body: strategy hooks, commit-token append, and
 /// metrics, run while the request's declared lock set (`held`) is held
-/// and released only after commit processing. For a durable request that
-/// commits, the second element is the commit's
-/// [`calc_recovery::DurabilityTicket`] — the worker never waits on it (a
-/// worker parked on an fsync would stall every request behind one
-/// batch); the submitting thread does.
+/// and released only after commit processing. It runs on whichever thread
+/// took the request — a pool worker for `submit`, the caller for
+/// `execute` and `execute_durable` — and nothing in it depends on which.
+/// For a durable request that commits, the second element is the
+/// commit's [`DurabilityTicket`]; it is waited on only after the locks
+/// and the admission guard are released, by `execute_durable`.
 pub(crate) fn run_transaction(
     inner: &Inner,
     req: &Request,
     proc: &dyn Procedure,
     held: Locked<'_>,
     scratch: &mut Scratch<'_>,
-) -> Reply {
+) -> (TxnOutcome, Option<DurabilityTicket>) {
     let mut token = inner.strategy.txn_begin();
     #[cfg(feature = "conform")]
     let start_stamp = token.stamp;

@@ -177,16 +177,20 @@ pub struct EngineConfig {
     pub strategy: StrategyKind,
     /// Store sizing.
     pub store: StoreConfig,
-    /// Worker threads executing transactions.
+    /// Pool threads running [`crate::Database::submit`]'s transactions.
+    /// Synchronous calls (`execute`, `execute_durable`) run on their
+    /// caller's thread and take no worker.
     pub workers: usize,
     /// Always [`ExecutorMode::Pool`]; the engine reads nothing from it.
     /// A remnant kept only for `perfbench`, which records its name; it
     /// goes at the next perfbench unfreeze.
     pub executor_mode: ExecutorMode,
-    /// Submission queue capacity: `Some(n)` gives a bounded queue whose
-    /// backpressure produces closed-loop (peak-throughput) behaviour;
-    /// `None` is unbounded, for open-loop latency experiments where the
-    /// backlog must be allowed to grow during quiesce periods (§5.1.4).
+    /// The pool's submission queue capacity, which only
+    /// [`crate::Database::submit`] fills: `Some(n)` gives a bounded queue
+    /// whose backpressure produces closed-loop (peak-throughput)
+    /// behaviour; `None` is unbounded, for open-loop latency experiments
+    /// where the backlog must be allowed to grow during quiesce periods
+    /// (§5.1.4).
     pub queue_capacity: Option<usize>,
     /// Directory for checkpoint files.
     pub checkpoint_dir: PathBuf,

@@ -1,7 +1,7 @@
 //! The `Database` facade: boot and resume, the submission API, the
 //! admission gate, checkpoint triggering, restart recovery and shutdown.
-//! Transactions run on the executor (`executor.rs`); their commit section
-//! is `commit.rs`; checkpoint cycles, merges and retention run on the
+//! A synchronous transaction runs on its caller's thread, a submitted one
+//! on the pool (`executor.rs`); their commit section is `commit.rs`; checkpoint cycles, merges and retention run on the
 //! checkpoint worker (`service.rs`).
 
 use std::io;
@@ -9,7 +9,6 @@ use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Sender};
 use parking_lot::RwLock;
 
 use calc_common::load::LoadSignal;
@@ -18,13 +17,13 @@ use calc_core::manifest::CheckpointDir;
 use calc_core::merge::MergeStats;
 use calc_core::strategy::{CheckpointStats, CheckpointStrategy, EngineEnv};
 use calc_core::throttle::Throttle;
-use calc_recovery::{GroupCommitConfig, GroupCommitter, SegmentedLogWriter};
+use calc_recovery::{DurabilityTicket, GroupCommitConfig, GroupCommitter, SegmentedLogWriter};
 use calc_storage::dual::StoreError;
 use calc_txn::commitlog::{CommitLog, CommitRecord};
 use calc_txn::proc::{AbortReason, ProcId, ProcRegistry};
 
 use crate::config::EngineConfig;
-use crate::executor::{Executor, Reply, Request, SHUTDOWN_JOIN_TIMEOUT};
+use crate::executor::{run_request, Executor, Request, SHUTDOWN_JOIN_TIMEOUT};
 use crate::metrics::{Health, Metric, MetricList, MetricValue, Metrics};
 use crate::service::{Job, Worker};
 use crate::standby::{check_log_complete, seal};
@@ -238,40 +237,47 @@ impl Database {
         }
     }
 
-    /// Hands one request to the executor, stamped with its submission
-    /// time (commit latency includes queueing).
-    fn dispatch(
+    /// Runs one transaction on this thread, stamped with its start time.
+    fn run(
         &self,
         proc: ProcId,
         params: Arc<[u8]>,
         durable: bool,
-        reply: Option<Sender<Reply>>,
-    ) {
-        self.executor.dispatch(Request {
+    ) -> (TxnOutcome, Option<DurabilityTicket>) {
+        let req = Request {
             proc,
             params,
             submitted: Instant::now(),
             durable,
-            reply,
+        };
+        run_request(&self.inner, &req)
+    }
+
+    /// Submits a transaction fire-and-forget to the worker pool, stamped
+    /// with its submission time (its commit latency includes queueing).
+    /// Blocks when the bounded queue is full (closed-loop backpressure).
+    /// It is not ordered against a later [`Database::execute`] from the
+    /// same thread: that call can commit first.
+    pub fn submit(&self, proc: ProcId, params: Arc<[u8]>) {
+        self.executor.dispatch(Request {
+            proc,
+            params,
+            submitted: Instant::now(),
+            durable: false,
         });
     }
 
-    /// Submits a transaction fire-and-forget. Blocks when the bounded
-    /// queue is full (closed-loop backpressure).
-    pub fn submit(&self, proc: ProcId, params: Arc<[u8]>) {
-        self.dispatch(proc, params, false, None);
-    }
-
-    /// Executes a transaction synchronously, returning its outcome. The
-    /// acknowledgement is ack-before-fsync (the paper's low-latency
-    /// choice): the commit is in memory and enqueued on the durable log,
-    /// but its batch fsync may still be in flight — a crash can lose it,
-    /// bounded by [`EngineConfig::group_commit_window`]. Use
-    /// [`Database::execute_durable`] for ack-after-fsync.
+    /// Executes a transaction synchronously on this thread, returning its
+    /// outcome: the caller takes the admission gate's read side, the
+    /// transaction's locks and the commit section itself, as a pool
+    /// worker does for [`Database::submit`], and queues behind no
+    /// submitted request. The acknowledgement is ack-before-fsync (the
+    /// paper's low-latency choice): the commit is in memory and enqueued
+    /// on the durable log, but its batch fsync may still be in flight — a
+    /// crash can lose it, bounded by [`EngineConfig::group_commit_window`].
+    /// Use [`Database::execute_durable`] for ack-after-fsync.
     pub fn execute(&self, proc: ProcId, params: Arc<[u8]>) -> TxnOutcome {
-        let (tx, rx) = bounded(1);
-        self.dispatch(proc, params, false, Some(tx));
-        rx.recv().expect("worker replies").0
+        self.run(proc, params, false).0
     }
 
     /// Executes a transaction and, if it commits, waits until its
@@ -279,8 +285,9 @@ impl Database {
     /// acknowledged commit survives any later crash (ack-after-fsync,
     /// the promise a network server must make).
     ///
-    /// The fsync wait happens on *this* thread via a
-    /// [`calc_recovery::DurabilityTicket`], never on a worker: under group
+    /// The transaction runs on this thread, as [`Database::execute`]'s
+    /// does; the fsync wait follows on it via a [`DurabilityTicket`],
+    /// after the locks and the admission gate are released: under group
     /// commit many callers park here concurrently while one batch fsync
     /// retires all of them. Without a configured command log the outcome
     /// is returned immediately.
@@ -293,9 +300,7 @@ impl Database {
         proc: ProcId,
         params: Arc<[u8]>,
     ) -> Result<TxnOutcome, SyncError> {
-        let (tx, rx) = bounded(1);
-        self.dispatch(proc, params, true, Some(tx));
-        let (outcome, ticket) = rx.recv().expect("worker replies");
+        let (outcome, ticket) = self.run(proc, params, true);
         match (&outcome, ticket) {
             (TxnOutcome::Committed(_), Some(ticket)) => {
                 ticket.wait(SHUTDOWN_JOIN_TIMEOUT)?;
@@ -443,7 +448,9 @@ impl Database {
     }
 
     /// Waits for the submission queue to drain and workers to go idle,
-    /// then stops them. Consumes the database.
+    /// then stops them. Consumes the database, so no caller can be inside
+    /// a synchronous [`Database::execute`] or `execute_durable` when it
+    /// runs: those need nothing stopped.
     pub fn shutdown(mut self) {
         self.stop_threads();
     }

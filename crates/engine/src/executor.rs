@@ -1,33 +1,42 @@
-//! The transaction executor: the paper's §4 pool. Every request goes on
-//! one submission queue (bounded by `EngineConfig::queue_capacity`, or
-//! unbounded), and any worker takes any request. The worker that pops it
-//! resolves the procedure and its pre-declared footprint, then:
-//! 1. locks the footprint's keys in the strategy's lock words (one per
+//! Where transactions run. A synchronous call — `Database::execute` or
+//! `execute_durable` — runs its transaction on the caller's thread, start
+//! to finish, as the paper's §4 runs each stored procedure on one thread.
+//! `Database::submit` hands its request to the pool: one submission
+//! queue (bounded by `EngineConfig::queue_capacity`, or unbounded) that
+//! any worker drains. Both run the same body, [`run_request`]:
+//! 1. it takes the admission gate's read side for the whole transaction,
+//!    so a quiesce (its write side) observes no in-flight commit work,
+//!    whichever thread runs it;
+//! 2. resolves the procedure and its pre-declared footprint;
+//! 3. locks the footprint's keys in the strategy's lock words (one per
 //!    slot of its slot table, `calc_common::lockword`): each key hashed
 //!    to its word, the words prefetched, then locked in word order with
 //!    the strongest mode per word — ordered 2PL, which cannot deadlock;
-//! 2. resolves each declared key to its slot once, under those locks, and
+//! 4. resolves each declared key to its slot once, under those locks, and
 //!    prefetches the slots found (`calc_core::strategy::Footprint`);
-//! 3. runs the procedure against those slots, so an access to a declared
-//!    key neither looks it up again nor waits on a lock.
+//! 5. runs the procedure against those slots ([`run_transaction`]), so an
+//!    access to a declared key neither looks it up again nor waits on a
+//!    lock.
 //!
-//! The submitting thread pays neither a registry lookup nor a `locks()`
-//! call.
+//! A submitter pays neither a registry lookup nor a `locks()` call. A
+//! `submit` and a later synchronous call are not ordered: the second can
+//! commit first, as two submits can on a pool of more than one worker.
 //!
-//! A worker holds the admission gate's read side for the whole
-//! transaction, so a quiesce (its write side) observes no in-flight
-//! commit work. Every request ends in [`run_transaction`], whose one
-//! critical section is the commit log's
+//! The one critical section is the commit log's
 //! (`calc_txn::commitlog::CommitLog::append_commit_with`): the sequence
 //! is assigned, the phase stamp read and the record enqueued on the
-//! durable log under that single lock, owned by the sequencer. Log order
-//! therefore equals seq order, which deterministic replay, the
-//! conformance checker, group commit and standby replay all rely on.
+//! durable log under that single lock, owned by the sequencer, whatever
+//! thread holds it. Log order therefore equals seq order, which
+//! deterministic replay, the conformance checker, group commit and
+//! standby replay all rely on.
 //!
 //! Shutdown drops the executor's one sender. Each worker drains what is
 //! already queued (the channel hands out buffered requests before it
 //! reports a disconnect), exits, and is joined with [`join_bounded`].
+//! Shutdown consumes the `Database`, so no caller is inside a synchronous
+//! call when it runs.
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -37,23 +46,18 @@ use calc_common::lockword::{LockMode, LockWords, Locked};
 use calc_recovery::DurabilityTicket;
 use calc_txn::proc::{AbortReason, LockRequest, ProcId, Procedure};
 
-use crate::commit::{run_transaction, Scratch};
+use crate::commit::{run_transaction, Scratch, ScratchBuffers};
 use crate::config::EngineConfig;
 use crate::db::{Inner, TxnOutcome};
-
-/// What a worker hands back to a synchronous caller: the outcome and,
-/// for a durable request that committed, the ticket the *caller* waits on.
-pub(crate) type Reply = (TxnOutcome, Option<DurabilityTicket>);
 
 pub(crate) struct Request {
     pub(crate) proc: ProcId,
     pub(crate) params: Arc<[u8]>,
     pub(crate) submitted: Instant,
-    /// Ack-after-fsync: the worker requests a [`DurabilityTicket`] for
-    /// the commit and hands it back with the outcome, so the *caller*
-    /// thread (not a worker) blocks on the batch fsync.
+    /// Ack-after-fsync: request a [`DurabilityTicket`] for the commit,
+    /// which the caller waits on once the transaction has released its
+    /// locks and the admission gate.
     pub(crate) durable: bool,
-    pub(crate) reply: Option<Sender<Reply>>,
 }
 
 /// How long shutdown waits for a background thread before declaring the
@@ -91,7 +95,8 @@ pub(crate) fn join_bounded(handle: std::thread::JoinHandle<()>, what: &str) {
     let _ = handle.join();
 }
 
-/// The submission queue and the worker threads that drain it.
+/// The submission queue and the worker threads that drain it: the pool
+/// that runs `submit`'s fire-and-forget requests.
 pub(crate) struct Executor {
     /// The queue's only sender; `None` once [`Executor::stop`] has run.
     queue: Option<Sender<Request>>,
@@ -140,37 +145,50 @@ impl Executor {
 }
 
 /// The worker loop: pops requests until the queue is drained and
-/// disconnected, and runs each under its declared lock set.
+/// disconnected, and runs each.
 fn run_worker(inner: &Inner, rx: &Receiver<Request>) {
-    // Reused by every transaction this worker runs.
-    let mut words = Vec::new();
-    let mut scratch = Scratch::new(inner.strategy.as_ref());
     while let Ok(req) = rx.recv() {
-        let reply = {
+        run_request(inner, &req);
+    }
+}
+
+thread_local! {
+    /// The lock-word set and scratch a thread reuses from one transaction
+    /// to the next, so a transaction allocates nothing of its own once
+    /// its thread has run one as large.
+    static REUSED: Cell<(Vec<(u32, LockMode)>, ScratchBuffers)> = Cell::default();
+}
+
+/// One transaction start to finish, on the thread that calls it — a pool
+/// worker for `submit`, the caller for `execute` and `execute_durable`:
+/// the admission gate's read side, the procedure and its footprint,
+/// ordered 2PL over the footprint, then [`run_transaction`]. Locks are
+/// released after commit processing, the gate on return.
+pub(crate) fn run_request(inner: &Inner, req: &Request) -> (TxnOutcome, Option<DurabilityTicket>) {
+    REUSED.with(|reused| {
+        let (mut words, buffers) = reused.take();
+        let mut scratch = Scratch::new(inner.strategy.as_ref(), buffers);
+        let out = {
             // Admission: held for the entire transaction, including the
             // commit hook, so a quiesce observes no in-flight commit work.
             let _admission = inner.gate.read();
-            match resolve(inner, &req) {
+            match resolve(inner, req) {
                 Err(e) => (TxnOutcome::Aborted(e), None),
                 Ok((proc, declared)) => {
-                    // Ordered 2PL: lock the declared keys, resolve them
-                    // under the locks, run, release after commit
-                    // processing.
                     let held = lock_footprint(inner.strategy.locks(), &declared, &mut words);
                     scratch.footprint.resolve(&declared);
-                    run_transaction(inner, &req, proc.as_ref(), held, &mut scratch)
+                    run_transaction(inner, req, proc.as_ref(), held, &mut scratch)
                 }
             }
         };
-        if let Some(tx) = &req.reply {
-            let _ = tx.send(reply);
-        }
-    }
+        reused.set((words, scratch.into_buffers()));
+        out
+    })
 }
 
 /// Locks `declared`'s keys: each hashed to its word, the words' lines
 /// prefetched so their misses overlap, then [`LockWords::lock_all`] over
-/// `set`, the worker's reused buffer.
+/// `set`, the running thread's reused buffer.
 fn lock_footprint<'a>(
     locks: &'a LockWords,
     declared: &LockRequest,

@@ -12,8 +12,10 @@
 //!   submission API, the admission gate (the quiesce mechanism baselines
 //!   need for physical points of consistency), checkpoint triggering,
 //!   restart recovery and shutdown.
-//! * `executor` — the paper's worker pool: one submission queue, workers
-//!   that take each request's declared lock set, shutdown by drain.
+//! * `executor` — where transactions run: a synchronous call on its
+//!   caller's thread, a submitted one on the worker pool (one submission
+//!   queue, shutdown by drain); either takes the request's declared lock
+//!   set first.
 //! * `commit` — the transaction body every request runs: strategy hooks,
 //!   the commit-token critical section, undo on abort.
 //! * [`metrics`] — commit/abort counters, a submission-to-commit latency

@@ -85,7 +85,8 @@ pub struct RecordedHistory {
     pub txns: Vec<RecordedTxn>,
 }
 
-/// Collects per-transaction histories from the worker pool. Push cost is
+/// Collects per-transaction histories from every thread that runs a
+/// transaction (pool workers and synchronous callers). Push cost is
 /// one short mutex-protected `Vec::push` per commit; the contention is
 /// negligible next to lock acquisition and commit-log appends, but it is
 /// not zero — which is why the recorder only exists behind the `conform`

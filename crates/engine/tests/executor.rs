@@ -1,7 +1,8 @@
 //! The executor through the public API: commit, abort and rollback,
-//! concurrent submission, checkpoints and shutdown under load, and a
-//! fixed request sequence checked against a serial model of the same
-//! procedures: store image, outcome counters and commit-token stream.
+//! concurrent submission, checkpoints and shutdown under load, a
+//! synchronous call beside a busy pool, and a fixed request sequence
+//! checked against a serial model of the same procedures: store image,
+//! outcome counters and commit-token stream.
 
 mod common;
 
@@ -484,4 +485,79 @@ fn pool_shutdown_drains_a_full_bounded_queue() {
         3000,
         "shutdown dropped a queued transaction"
     );
+}
+
+/// Writes 1 to its key, but only once the test lets it: announces that it
+/// runs on `started`, then waits on `release`.
+struct HoldProc {
+    started: std::sync::mpsc::SyncSender<()>,
+    release: std::sync::Mutex<std::sync::mpsc::Receiver<()>>,
+}
+impl Procedure for HoldProc {
+    fn id(&self) -> ProcId {
+        ProcId(3)
+    }
+    fn name(&self) -> &'static str {
+        "hold"
+    }
+    fn locks(&self, p: &[u8]) -> Result<LockRequest, AbortReason> {
+        AddProc.locks(p)
+    }
+    fn run(&self, p: &[u8], ops: &mut dyn TxnOps) -> Result<(), AbortReason> {
+        let key = Key(params::Reader::new(p).u64()?);
+        let _ = self.started.send(());
+        let _ = self.release.lock().unwrap().recv();
+        ops.insert(key, &1u64.to_le_bytes());
+        Ok(())
+    }
+}
+
+#[test]
+fn a_synchronous_call_is_not_queued_behind_the_pool() {
+    let (started_tx, started) = std::sync::mpsc::sync_channel(1);
+    let (release, release_rx) = std::sync::mpsc::channel();
+    let mut registry = registry();
+    registry.register(Arc::new(HoldProc {
+        started: started_tx,
+        release: std::sync::Mutex::new(release_rx),
+    }));
+    let mut config = EngineConfig::new(
+        StrategyKind::Calc,
+        1024,
+        16,
+        calc_testkit::temp_dir("sync-not-queued"),
+    );
+    config.workers = 1;
+    let db = Database::open(config, registry).unwrap();
+
+    // The only worker takes the held transaction and blocks in it.
+    db.submit(ProcId(3), params::Writer::new().u64(1).finish());
+    started
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the worker started the held transaction");
+    let outcome = std::thread::scope(|s| {
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let db = &db;
+        s.spawn(move || {
+            let _ = done_tx.send(db.execute(ProcId(1), add_params(2, 5, 100)));
+        });
+        let outcome = done.recv_timeout(Duration::from_secs(5));
+        // Free the worker before asserting, so a failure cannot hang the
+        // scope on a caller queued behind it.
+        release.send(()).unwrap();
+        outcome
+    });
+    assert!(
+        matches!(outcome, Ok(TxnOutcome::Committed(_))),
+        "a synchronous call on a disjoint key waited on the busy pool: {outcome:?}"
+    );
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while db.metrics().committed() < 2 {
+        assert!(Instant::now() < deadline, "the held transaction never committed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(counter(db.get(Key(1))), 1);
+    assert_eq!(counter(db.get(Key(2))), 5);
+    db.shutdown();
 }

@@ -1,12 +1,12 @@
 //! The TCP front-end: listener, connection-handler pool, and request
-//! dispatch into the engine's worker pool.
+//! dispatch into the engine.
 //!
 //! Each accepted connection gets a handler thread that decodes frames and
 //! calls into the shared [`Database`]. Write verbs go through
-//! [`Database::execute_durable`] — the handler thread (never an engine
-//! worker) parks on the commit's [`calc_engine`] durability ticket, so an
-//! `OK` on the wire means the commit's group-commit batch has been
-//! fsynced: ack-after-fsync. Under load many handlers park concurrently
+//! [`Database::execute_durable`], which runs the transaction on the
+//! handler thread itself and then parks it on the commit's [`calc_engine`]
+//! durability ticket, so an `OK` on the wire means the commit's
+//! group-commit batch has been fsynced: ack-after-fsync. Under load many handlers park concurrently
 //! and one batch fsync retires all of them — that is where the group
 //! commit throughput win comes from.
 //!
@@ -51,7 +51,8 @@ use crate::procs;
 use crate::protocol::{status, verb, write_frame, Frame, Wire, WireError, MAX_FRAME};
 
 /// Handler threads are plentiful (one per connection) and shallow (decode,
-/// one engine call, encode), so they run on small stacks.
+/// one transaction, encode), so they run on small stacks; a frame-sized
+/// MPUT commits within one (`server_tests.rs`).
 const HANDLER_STACK: usize = 256 << 10;
 
 /// Admission-control and socket-hygiene knobs for a [`Server`].
@@ -61,8 +62,10 @@ pub struct ServerConfig {
     /// `BUSY` frame and an immediate close. `0` is unlimited.
     pub max_connections: usize,
     /// In-flight request cap across all connections (the permit gate for
-    /// data verbs). `0` is unlimited — the gate still tracks the inflight
-    /// gauge for load grading but never sheds.
+    /// data verbs). Each admitted write runs its transaction on its own
+    /// handler thread, so this is the only cap on how many wire
+    /// transactions run at once. `0`, the default, is unlimited — the gate
+    /// still tracks the inflight gauge for load grading but never sheds.
     pub max_inflight: usize,
     /// How long a data request may queue for an in-flight permit before
     /// being shed with `BUSY`. Bounds queueing delay, which is what keeps

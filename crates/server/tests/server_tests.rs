@@ -75,6 +75,54 @@ fn wire_verbs_roundtrip() {
     Arc::try_unwrap(db).unwrap().shutdown();
 }
 
+/// A transaction runs on its connection's handler thread, whose stack is
+/// small: the largest MPUT a frame can carry must commit there while a
+/// checkpoint cycle runs beside it, and every pair must read back.
+#[test]
+fn a_frame_sized_mput_commits_on_a_handler_thread_during_a_checkpoint() {
+    use calc_server::protocol::MAX_FRAME;
+    const VALUE: usize = 64;
+    let dir = temp_dir("big-mput");
+    let server = start_server(&dir);
+    let addr = server.local_addr();
+    // Frame: opcode, `u32 n`, then per pair `u64 key, u32 len, value`.
+    let per_pair = 8 + 4 + VALUE;
+    let n = (MAX_FRAME as usize - 1 - 4) / per_pair;
+    assert!(MAX_FRAME as usize - (1 + 4 + n * per_pair) < per_pair);
+    let value = |i: u64| i.to_le_bytes().repeat(VALUE / 8);
+    let pairs: Vec<(u64, Vec<u8>)> = (0..n as u64).map(|i| (0xB000_0000 + i, value(i))).collect();
+
+    let stop = Arc::new(AtomicBool::new(false));
+    let checkpointer = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr).unwrap();
+            let mut cycles = 0u32;
+            while cycles == 0 || !stop.load(Ordering::Acquire) {
+                c.checkpoint().unwrap();
+                cycles += 1;
+            }
+            cycles
+        })
+    };
+    let mut c = Client::connect(addr).unwrap();
+    c.mput(&pairs).unwrap();
+    stop.store(true, Ordering::Release);
+    assert!(checkpointer.join().unwrap() > 0);
+
+    for chunk in pairs.chunks(8192) {
+        let keys: Vec<u64> = chunk.iter().map(|(k, _)| *k).collect();
+        let got = c.mget(&keys).unwrap();
+        for ((k, v), g) in chunk.iter().zip(got) {
+            assert_eq!(g.as_deref(), Some(&v[..]), "key {k:#x}");
+        }
+    }
+
+    let db = server.shutdown();
+    Arc::try_unwrap(db).unwrap().shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn admin_verbs_expose_group_commit_metrics_and_checkpoints() {
     let dir = temp_dir("admin");

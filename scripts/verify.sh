@@ -37,7 +37,11 @@
 # one node (no `StandbyRunner`, `tail_heartbeat`, `record_standby_lag`,
 # `record_tail_exit`, `tail_stalled`, `standby_applied_seq` or
 # `poll_interval` in crates/*/src: a standby's lag is what its polls
-# return, and the node it becomes has the one `Health`); clippy and
+# return, and the node it becomes has the one `Health`); a grep that a
+# synchronous transaction runs on the thread that asked for it (no
+# `bounded(` in crates/engine/src/db.rs, no `Sender<Reply>` in
+# crates/engine/src: `execute` and `execute_durable` hand nothing to the
+# pool and wait on no reply channel; `submit` keeps the pool); clippy and
 # rustdoc, deny warnings — a doc link to a deleted item fails the gate —
 # plus a check build of perfbench, which is its own workspace, so a
 # renamed crate API it calls would otherwise go unnoticed), then tier-1
@@ -56,8 +60,9 @@
 #                every crash experiment ends in a second lifetime on the
 #                promoted engine and one more restart;
 #   calc-conform at CONFORM_SEED=0xC0F0202600000000 — the concurrency
-#                conformance suite and its mutation smoke (tier-3), on
-#                the one executor, the paper's worker pool;
+#                conformance suite and its mutation smoke (tier-3), its
+#                feeders split between the two entry points (execute on
+#                the caller's thread, submit to the worker pool);
 #   calc-server  — wire-protocol round trips over real TCP, shutdown under
 #                load, the kill-9 smoke (tier-6), and the chaos/overload
 #                suite at its default CHAOS_SEED.
@@ -226,6 +231,12 @@ echo "== tier-0: a restart is one node (no standby Health, no tail runner) =="
 if grep -rnE 'StandbyRunner|tail_heartbeat|record_standby_lag|record_tail_exit|tail_stalled|standby_applied_seq|poll_interval' \
     crates/*/src; then
     echo "verify: a standby's lag is what its polls return; the promoted node keeps the one Health" >&2
+    exit 1
+fi
+
+echo "== tier-0: a synchronous transaction runs on its caller (no reply hand-off) =="
+if grep -n 'bounded(' crates/engine/src/db.rs || grep -rn 'Sender<Reply>' crates/engine/src; then
+    echo "verify: execute and execute_durable run on the calling thread; only submit uses the pool" >&2
     exit 1
 fi
 
