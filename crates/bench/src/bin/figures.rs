@@ -33,7 +33,11 @@ fn main() {
             "--seconds" => opts.seconds = value().parse().unwrap_or_else(|_| usage()),
             "--records" => opts.records = value().parse().unwrap_or_else(|_| usage()),
             "--warehouses" => opts.warehouses = value().parse().unwrap_or_else(|_| usage()),
-            "--workers" => opts.workers = value().parse().unwrap_or_else(|_| usage()),
+            // Every figure submits, so it needs a pool.
+            "--workers" => {
+                opts.workers = (value().parse::<std::num::NonZeroUsize>())
+                    .map_or_else(|_| usage(), usize::from)
+            }
             "--feeders" => opts.feeders = value().parse().unwrap_or_else(|_| usage()),
             "--disk-mbps" => opts.disk_mbps = value().parse().unwrap_or_else(|_| usage()),
             "--out" => opts.out_dir = value().into(),

@@ -207,6 +207,14 @@ pub struct FootprintBuffers {
     slots: Vec<SlotId>,
 }
 
+impl FootprintBuffers {
+    /// Heap bytes held, counted by capacity.
+    pub fn capacity_bytes(&self) -> usize {
+        self.keys.capacity() * std::mem::size_of::<(Key, Resolved)>()
+            + self.slots.capacity() * std::mem::size_of::<SlotId>()
+    }
+}
+
 impl<'a> Footprint<'a> {
     /// An empty footprint over `strategy`: every access looks its key up.
     pub fn new(strategy: &'a dyn CheckpointStrategy) -> Self {

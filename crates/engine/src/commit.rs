@@ -46,6 +46,15 @@ pub(crate) struct ScratchBuffers {
     old: Vec<u8>,
 }
 
+impl ScratchBuffers {
+    /// Heap bytes held, counted by capacity.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.footprint.capacity_bytes()
+            + self.undo.capacity() * std::mem::size_of::<Undo>()
+            + self.old.capacity()
+    }
+}
+
 impl<'a> Scratch<'a> {
     pub(crate) fn new(strategy: &'a dyn CheckpointStrategy, buffers: ScratchBuffers) -> Self {
         Scratch {

@@ -179,7 +179,8 @@ pub struct EngineConfig {
     pub store: StoreConfig,
     /// Pool threads running [`crate::Database::submit`]'s transactions.
     /// Synchronous calls (`execute`, `execute_durable`) run on their
-    /// caller's thread and take no worker.
+    /// caller's thread and take no worker. `0` starts no pool, for an
+    /// engine that never submits (the server's); its `submit` panics.
     pub workers: usize,
     /// Always [`ExecutorMode::Pool`]; the engine reads nothing from it.
     /// A remnant kept only for `perfbench`, which records its name; it

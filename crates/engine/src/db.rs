@@ -258,6 +258,11 @@ impl Database {
     /// Blocks when the bounded queue is full (closed-loop backpressure).
     /// It is not ordered against a later [`Database::execute`] from the
     /// same thread: that call can commit first.
+    ///
+    /// # Panics
+    ///
+    /// If the engine was opened with [`EngineConfig::workers`] `= 0`: it
+    /// has no pool to run the request.
     pub fn submit(&self, proc: ProcId, params: Arc<[u8]>) {
         self.executor.dispatch(Request {
             proc,

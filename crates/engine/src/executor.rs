@@ -3,7 +3,9 @@
 //! to finish, as the paper's §4 runs each stored procedure on one thread.
 //! `Database::submit` hands its request to the pool: one submission
 //! queue (bounded by `EngineConfig::queue_capacity`, or unbounded) that
-//! any worker drains. Both run the same body, [`run_request`]:
+//! any worker drains. An engine opened with `EngineConfig::workers = 0`
+//! has no pool, and its `submit` panics. Both run the same body,
+//! [`run_request`]:
 //! 1. it takes the admission gate's read side for the whole transaction,
 //!    so a quiesce (its write side) observes no in-flight commit work,
 //!    whichever thread runs it;
@@ -19,6 +21,9 @@
 //!    lock.
 //!
 //! A submitter pays neither a registry lookup nor a `locks()` call. A
+//! request that never resolves (unknown procedure, undeclarable params)
+//! is counted aborted, like one whose procedure ran and rolled back, so
+//! every request ends in exactly one of the two counters. A
 //! `submit` and a later synchronous call are not ordered: the second can
 //! commit first, as two submits can on a pool of more than one worker.
 //!
@@ -98,19 +103,21 @@ pub(crate) fn join_bounded(handle: std::thread::JoinHandle<()>, what: &str) {
 /// The submission queue and the worker threads that drain it: the pool
 /// that runs `submit`'s fire-and-forget requests.
 pub(crate) struct Executor {
-    /// The queue's only sender; `None` once [`Executor::stop`] has run.
+    /// The queue's only sender; `None` without workers, and once
+    /// [`Executor::stop`] has run.
     queue: Option<Sender<Request>>,
     workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Executor {
-    /// Spawns `config.workers` workers over one shared queue.
+    /// Spawns `config.workers` workers over one shared queue; none, and
+    /// no queue, for `workers = 0`.
     pub(crate) fn start(inner: &Arc<Inner>, config: &EngineConfig) -> Self {
         let (queue, rx) = match config.queue_capacity {
             Some(n) => bounded(n),
             None => unbounded(),
         };
-        let workers = (0..config.workers.max(1))
+        let workers = (0..config.workers)
             .map(|i| {
                 let inner = inner.clone();
                 let rx = rx.clone();
@@ -121,7 +128,7 @@ impl Executor {
             })
             .collect();
         Executor {
-            queue: Some(queue),
+            queue: (config.workers > 0).then_some(queue),
             workers,
         }
     }
@@ -130,7 +137,7 @@ impl Executor {
     pub(crate) fn dispatch(&self, req: Request) {
         self.queue
             .as_ref()
-            .expect("executor running")
+            .expect("Database::submit needs EngineConfig::workers >= 1")
             .send(req)
             .expect("workers alive");
     }
@@ -155,8 +162,18 @@ fn run_worker(inner: &Inner, rx: &Receiver<Request>) {
 thread_local! {
     /// The lock-word set and scratch a thread reuses from one transaction
     /// to the next, so a transaction allocates nothing of its own once
-    /// its thread has run one as large.
+    /// its thread has run one as large — up to [`REUSED_CAP_BYTES`].
     static REUSED: Cell<(Vec<(u32, LockMode)>, ScratchBuffers)> = Cell::default();
+}
+
+/// The most buffer capacity a thread keeps in [`REUSED`]; more is freed
+/// on return, so one frame-sized MPUT does not pin megabytes to its
+/// connection's thread. A transaction of tens of keys stays far under it.
+const REUSED_CAP_BYTES: usize = 64 << 10;
+
+/// Heap bytes the buffers hold, counted by capacity.
+fn reused_bytes(words: &Vec<(u32, LockMode)>, buffers: &ScratchBuffers) -> usize {
+    words.capacity() * std::mem::size_of::<(u32, LockMode)>() + buffers.capacity_bytes()
 }
 
 /// One transaction start to finish, on the thread that calls it — a pool
@@ -173,7 +190,10 @@ pub(crate) fn run_request(inner: &Inner, req: &Request) -> (TxnOutcome, Option<D
             // commit hook, so a quiesce observes no in-flight commit work.
             let _admission = inner.gate.read();
             match resolve(inner, req) {
-                Err(e) => (TxnOutcome::Aborted(e), None),
+                Err(e) => {
+                    inner.metrics.record_abort();
+                    (TxnOutcome::Aborted(e), None)
+                }
                 Ok((proc, declared)) => {
                     let held = lock_footprint(inner.strategy.locks(), &declared, &mut words);
                     scratch.footprint.resolve(&declared);
@@ -181,7 +201,10 @@ pub(crate) fn run_request(inner: &Inner, req: &Request) -> (TxnOutcome, Option<D
                 }
             }
         };
-        reused.set((words, scratch.into_buffers()));
+        let buffers = scratch.into_buffers();
+        if reused_bytes(&words, &buffers) <= REUSED_CAP_BYTES {
+            reused.set((words, buffers));
+        }
         out
     })
 }
@@ -214,4 +237,58 @@ fn resolve<'a>(
         .get(req.proc)
         .ok_or_else(|| AbortReason::BadParams(format!("unknown procedure {:?}", req.proc)))?;
     Ok((p, p.locks(&req.params)?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Database, StrategyKind};
+    use calc_testkit::{mset, registry, set_u64, MSET, SET};
+
+    /// Bytes this thread keeps in [`REUSED`].
+    fn retained() -> usize {
+        REUSED.with(|reused| {
+            let (words, buffers) = reused.take();
+            let bytes = reused_bytes(&words, &buffers);
+            reused.set((words, buffers));
+            bytes
+        })
+    }
+
+    #[test]
+    fn a_large_transaction_leaves_its_thread_no_more_than_the_cap() {
+        const PAIRS: u64 = 8_192;
+        let mut config = EngineConfig::new(
+            StrategyKind::Calc,
+            PAIRS as usize,
+            64,
+            calc_testkit::temp_dir("reused-cap"),
+        );
+        config.workers = 0;
+        let db = Database::open(config, registry()).unwrap();
+        let committed = |outcome| assert!(matches!(outcome, TxnOutcome::Committed(_)));
+
+        committed(db.execute(SET, set_u64(0, 1)));
+        assert!(retained() > 0, "a small transaction's buffers are kept");
+
+        // The second MSET overwrites every key, so its undo images hold
+        // 512 KiB of old values on top of 8 Ki resolved keys.
+        let value = [7u8; 64];
+        let pairs: Vec<(u64, &[u8])> = (0..PAIRS).map(|k| (k, &value[..])).collect();
+        for _ in 0..2 {
+            committed(db.execute(MSET, mset(&pairs)));
+            let kept = retained();
+            assert!(
+                kept <= REUSED_CAP_BYTES,
+                "{kept} bytes kept after an MSET of {PAIRS} pairs (cap {REUSED_CAP_BYTES})"
+            );
+        }
+
+        committed(db.execute(SET, set_u64(1, 1)));
+        let kept = retained();
+        assert!(
+            kept > 0 && kept <= REUSED_CAP_BYTES,
+            "the next small transaction keeps its buffers again: {kept} bytes"
+        );
+    }
 }

@@ -49,7 +49,8 @@ impl Metrics {
         self.committed.load(Ordering::Relaxed)
     }
 
-    /// Aborted count.
+    /// Aborted count: transactions rolled back, and requests refused
+    /// before they ran (unknown procedure, undeclarable params).
     pub fn aborted(&self) -> u64 {
         self.aborted.load(Ordering::Relaxed)
     }

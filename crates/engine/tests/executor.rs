@@ -1,8 +1,8 @@
 //! The executor through the public API: commit, abort and rollback,
 //! concurrent submission, checkpoints and shutdown under load, a
-//! synchronous call beside a busy pool, and a fixed request sequence
-//! checked against a serial model of the same procedures: store image,
-//! outcome counters and commit-token stream.
+//! synchronous call beside a busy pool, an engine with no pool, and a
+//! fixed request sequence checked against a serial model of the same
+//! procedures: store image, outcome counters and commit-token stream.
 
 mod common;
 
@@ -367,8 +367,8 @@ struct SerialModel {
     /// The procedure ran and rolled back.
     aborted: u64,
     /// Never resolved to a procedure and a footprint (unknown procedure,
-    /// undeclarable params): the caller sees an abort, the abort counter
-    /// does not.
+    /// undeclarable params): the procedure never ran, but the caller sees
+    /// an abort and the abort counter counts one.
     rejected: u64,
 }
 
@@ -429,7 +429,7 @@ fn mixed_sequence_matches_the_serial_model() {
     );
     assert_eq!(outcomes, (model.committed, model.aborted + model.rejected));
     assert_eq!(db.metrics().committed(), model.committed);
-    assert_eq!(db.metrics().aborted(), model.aborted);
+    assert_eq!(db.metrics().aborted(), model.aborted + model.rejected);
 
     let store: BTreeMap<u64, u64> = (0..32u64)
         .filter_map(|k| db.get(Key(k)).map(|v| (k, counter(Some(v)))))
@@ -559,5 +559,29 @@ fn a_synchronous_call_is_not_queued_behind_the_pool() {
     }
     assert_eq!(counter(db.get(Key(1))), 1);
     assert_eq!(counter(db.get(Key(2))), 5);
+    db.shutdown();
+}
+
+#[test]
+fn an_engine_without_workers_executes_and_refuses_submit() {
+    let mut config = EngineConfig::new(
+        StrategyKind::Calc,
+        1024,
+        16,
+        calc_testkit::temp_dir("no-workers"),
+    );
+    config.workers = 0;
+    let db = Database::open(config, registry()).unwrap();
+    assert!(matches!(db.execute(ProcId(1), add_params(3, 4, 100)), TxnOutcome::Committed(_)));
+    assert_eq!(counter(db.get(Key(3))), 4);
+
+    let submitted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        db.submit(ProcId(1), add_params(3, 1, 100))
+    }));
+    let msg = submitted.expect_err("submit without a pool must panic");
+    let msg = (msg.downcast_ref::<String>().map(String::as_str))
+        .or_else(|| msg.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(msg.contains("workers >= 1"), "{msg}");
     db.shutdown();
 }

@@ -31,6 +31,11 @@ pub use server::{Server, ServerConfig};
 /// before a crash is visible after restart. A log that cannot be read
 /// fails the boot, and a typed `RecoveryError` stays reachable through the
 /// error's `get_ref()`. `tune` must leave a command log configured.
+///
+/// The engine starts with no worker pool (`workers = 0`): every wire verb
+/// runs its transaction on its connection's handler thread, so nothing
+/// submits. A `tune` that sets `workers` gets a pool for its own
+/// [`calc_engine::Database::submit`] calls.
 pub fn open_or_recover(
     dir: &std::path::Path,
     mut tune: impl FnMut(&mut calc_engine::EngineConfig),
@@ -45,6 +50,7 @@ pub fn open_or_recover(
         dir.join("ckpts"),
     );
     config.command_log_dir = Some(dir.join("cmdlog"));
+    config.workers = 0;
     tune(&mut config);
     let log_dir = config.command_log_dir.clone().ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, "a restartable engine needs a command log")

@@ -20,7 +20,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: calc-server --dir DIR [--addr HOST:PORT] [--port-file PATH]\n\
-         \x20                 [--workers N] [--window-us N] [--max-batch N]\n\
+         \x20                 [--window-us N] [--max-batch N]\n\
          \x20                 [--checkpoint-every-ms N] [--max-connections N]\n\
          \x20                 [--max-inflight N] [--queue-deadline-ms N]\n\
          \x20                 [--frame-timeout-ms N] [--no-adaptive-pacing]\n\
@@ -37,7 +37,6 @@ fn main() {
     let mut dir: Option<std::path::PathBuf> = None;
     let mut addr = "127.0.0.1:0".to_string();
     let mut port_file: Option<std::path::PathBuf> = None;
-    let mut workers: Option<usize> = None;
     let mut window_us: Option<u64> = None;
     let mut max_batch: Option<usize> = None;
     let mut checkpoint_every_ms: Option<u64> = None;
@@ -50,7 +49,6 @@ fn main() {
             "--dir" => dir = Some(value().into()),
             "--addr" => addr = value(),
             "--port-file" => port_file = Some(value().into()),
-            "--workers" => workers = Some(value().parse().unwrap_or_else(|_| usage())),
             "--window-us" => window_us = Some(value().parse().unwrap_or_else(|_| usage())),
             "--max-batch" => max_batch = Some(value().parse().unwrap_or_else(|_| usage())),
             "--checkpoint-every-ms" => {
@@ -78,9 +76,6 @@ fn main() {
     std::fs::create_dir_all(&dir).expect("create --dir");
 
     let db = calc_server::open_or_recover(&dir, |config| {
-        if let Some(w) = workers {
-            config.workers = w.max(1);
-        }
         if let Some(us) = window_us {
             config.group_commit_window = Duration::from_micros(us);
         }
